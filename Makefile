@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench ci
+.PHONY: all build test test-short test-race vet lint fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench bench-check ci
 
 all: build
 
@@ -61,6 +61,14 @@ bench-price:
 # shard counts 1/2/4, 1M simulated clients under steady churn.
 bench-serve:
 	$(GO) run ./cmd/servebench -big -o BENCH_serve.json
+
+# bench-check vets and tests the repository benchmark (bench/, a module of
+# its own that the root ./... patterns never compile), so a change to the
+# shard/price/online surface it builds against breaks here, not in the
+# benchmark pipeline.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # bench runs the paper-evaluation benchmark suite at Small scale.
 bench:

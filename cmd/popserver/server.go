@@ -204,7 +204,7 @@ func (s *server) restoreState() {
 	}
 	s.snap.Round = st.Round
 	s.round.Store(int64(st.Round))
-	s.log.Info("state restored", "file", s.cfg.stateFile, "round", st.Round, "jobs", len(s.eng.Jobs()))
+	s.log.Info("state restored", "file", s.cfg.stateFile, "round", st.Round, "jobs", s.eng.NumJobs())
 }
 
 // snapshotState marshals the engine state (caller holds engMu).
@@ -543,15 +543,16 @@ func (s *server) tick() (snapshot, error) {
 	}
 
 	start := time.Now()
-	jobs := s.eng.Jobs()
 	snap := snapshot{
 		Round:      round + 1,
 		ComputedAt: time.Now().UTC(),
-		NumJobs:    len(jobs),
-		Jobs:       make(map[string]jobAlloc, len(jobs)),
+		NumJobs:    s.eng.NumJobs(),
+		Jobs:       make(map[string]jobAlloc, s.eng.NumJobs()),
 	}
-	if len(jobs) > 0 {
-		alloc, err := s.eng.Step(jobs, c)
+	if snap.NumJobs > 0 {
+		// The engine holds the client set; it solves over what the
+		// mutations above left in it and hands back its own id-ordered table.
+		jobs, alloc, err := s.eng.Allocate(c)
 		if err != nil {
 			// The mutations were applied; only the snapshot is lost.
 			return snapshot{}, err

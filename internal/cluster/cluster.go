@@ -108,36 +108,37 @@ func GenerateJobs(n int, seed int64, multiGPUFrac float64) []Job {
 	return jobs
 }
 
-// EqualShare computes the paper's A_equal: the time fraction each job would
+// EqualShare computes the paper's A_equal: the time fraction a job would
 // receive on each type under an equal share of the cluster, used to
 // normalize effective throughputs in the max-min fairness objective. Every
 // job receives NumGPUs_i/Σ_j z_j time share of type i, clamped so the
-// per-job total stays within 1.
-func EqualShare(jobs []Job, c Cluster) [][]float64 {
+// per-job total stays within 1 — the same row for every job, so it is
+// computed (and returned) once.
+func EqualShare(jobs []Job, c Cluster) []float64 {
 	totalZ := 0.0
 	for _, j := range jobs {
 		totalZ += j.Scale
 	}
+	return EqualShareOf(totalZ, c)
+}
+
+// EqualShareOf is EqualShare for any population whose scales sum to totalZ.
+func EqualShareOf(totalZ float64, c Cluster) []float64 {
 	if totalZ == 0 {
 		totalZ = 1
 	}
-	r := c.NumTypes()
-	out := make([][]float64, len(jobs))
-	for idx := range jobs {
-		row := make([]float64, r)
-		sum := 0.0
-		for i := 0; i < r; i++ {
-			row[i] = c.NumGPUs[i] / totalZ
-			sum += row[i]
-		}
-		if sum > 1 {
-			for i := range row {
-				row[i] /= sum
-			}
-		}
-		out[idx] = row
+	row := make([]float64, c.NumTypes())
+	sum := 0.0
+	for i := range row {
+		row[i] = c.NumGPUs[i] / totalZ
+		sum += row[i]
 	}
-	return out
+	if sum > 1 {
+		for i := range row {
+			row[i] /= sum
+		}
+	}
+	return row
 }
 
 // EffectiveThroughput computes Σ_i T_ji·A_ji for a solo allocation row.
@@ -178,7 +179,7 @@ func NormalizedRatios(jobs []Job, c Cluster, a *Allocation) []float64 {
 	eq := EqualShare(jobs, c)
 	out := make([]float64, len(jobs))
 	for idx, j := range jobs {
-		eqThr := EffectiveThroughput(j, eq[idx])
+		eqThr := EffectiveThroughput(j, eq)
 		if eqThr <= 0 {
 			continue
 		}

@@ -260,15 +260,12 @@ func TestMakespanPOP(t *testing.T) {
 func TestEqualShareClamped(t *testing.T) {
 	jobs := GenerateJobs(2, 31, 0)
 	c := NewCluster(10, 10, 10) // plenty of GPUs: shares clamp at 1 total
-	eq := EqualShare(jobs, c)
-	for _, row := range eq {
-		sum := 0.0
-		for _, v := range row {
-			sum += v
-		}
-		if sum > 1+1e-9 {
-			t.Fatalf("equal share row sums to %g", sum)
-		}
+	sum := 0.0
+	for _, v := range EqualShare(jobs, c) {
+		sum += v
+	}
+	if sum > 1+1e-9 {
+		t.Fatalf("equal share row sums to %g", sum)
 	}
 }
 

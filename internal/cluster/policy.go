@@ -28,7 +28,7 @@ func MaxMinFairness(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error)
 
 	addSoloCaps(p, jobs, c, varOf)
 	for idx, j := range jobs {
-		eqThr := EffectiveThroughput(j, eq[idx])
+		eqThr := EffectiveThroughput(j, eq)
 		if eqThr <= 0 {
 			continue
 		}

@@ -86,7 +86,7 @@ func MaxMinFairnessSpaceSharing(jobs []Job, c Cluster, opts lp.Options) (*Alloca
 		}
 		p.AddConstraint(idxs, ones, lp.LE, 1, "time")
 
-		eqThr := EffectiveThroughput(j, eq[idx])
+		eqThr := EffectiveThroughput(j, eq)
 		if eqThr <= 0 {
 			continue
 		}

@@ -39,7 +39,7 @@ func MaxMinFairnessWaterfill(jobs []Job, c Cluster, opts lp.Options) (*Allocatio
 		tv := p.AddVariable(1, math.Inf(-1), lp.Inf, "t")
 		addSoloCaps(p, jobs, c, varOf)
 		for idx, j := range jobs {
-			eqThr := EffectiveThroughput(j, eq[idx])
+			eqThr := EffectiveThroughput(j, eq)
 			if eqThr <= 0 {
 				continue
 			}

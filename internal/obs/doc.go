@@ -59,6 +59,21 @@
 //	lp.dense-retry                   instant: sparse backend failed, dense retry
 //	milp.search / milp.node          branch-and-bound, one lane per worker
 //	milp.{steal,fathom,incumbent}    instants on the owning worker's lane
+//	price.round / price.solve / price.bestresponse   price engine round, solve, iteration
+//	shard.round                      one coordinator scatter/gather round, with children:
+//	shard.diff                       Step's registry diff (engine tid)
+//	shard.gather                     one worker's request, lane tid base+1+worker, holding
+//	shard.{encode,decode}            the JSON work either side of its HTTP wait
+//	shard.merge                      composing the gathered columns (engine tid)
+//	shard.worker.round               a worker's side of a round, with children:
+//	shard.worker.{apply,solve,extract,encode}   batch, engine round, packing, JSON
+//
+// The shard phases are Timed: each is also a latency histogram,
+// pop_shard_phase_seconds{phase="diff|encode|decode|merge"} on the
+// coordinator's registry and
+// pop_shard_worker_phase_seconds{phase="round|apply|solve|extract|encode"}
+// on the worker's, so the split a trace shows for one round is on /metrics
+// for all of them.
 //
 // # Observer
 //
@@ -72,7 +87,9 @@
 //	...
 //	sp.End()
 //
-// and the only cost on the disabled path is the nil check. CI enforces
+// and the only cost on the disabled path is the nil check. Observer.Timed
+// is the same for a phase that should also land in a histogram: one call
+// opens the span and resolves the series, End closes both. CI enforces
 // this with an overhead-guard test comparing obs-disabled and obs-enabled
 // solves on a mid-size generated instance.
 package obs

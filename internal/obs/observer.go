@@ -1,5 +1,7 @@
 package obs
 
+import "time"
+
 // Observer bundles the metrics registry and the tracer a component should
 // report into, plus the trace lane (TID) it owns. Solver options embed a
 // *Observer; a nil observer — the default — makes every hook a no-op at
@@ -67,4 +69,32 @@ func (o *Observer) Histogram(name, help string) *Histogram {
 		return nil
 	}
 	return o.Metrics.Histogram(name, help, nil)
+}
+
+// Timed is one phase of a round reported both ways at once: a trace span
+// and an observation in a latency histogram, so the timeline that explains
+// one slow round and the /metrics series that show the trend come from the
+// same call site and cannot drift apart.
+type Timed struct {
+	span  *Span
+	hist  *Histogram
+	start time.Time
+}
+
+// Timed opens the span and resolves the histogram; nil-safe (the zero Timed
+// ends as a no-op without reading the clock).
+func (o *Observer) Timed(span, hist, help string) Timed {
+	if o == nil {
+		return Timed{}
+	}
+	return Timed{span: o.Span(span), hist: o.Histogram(hist, help), start: time.Now()}
+}
+
+// End closes the span and records the elapsed time.
+func (t Timed) End() {
+	if t.start.IsZero() {
+		return
+	}
+	t.span.End()
+	t.hist.Observe(time.Since(t.start).Seconds())
 }

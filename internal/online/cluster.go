@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"pop/internal/cluster"
 	"pop/internal/lp"
@@ -58,11 +57,16 @@ type clusterState struct {
 	c       cluster.Cluster
 	sub     cluster.Cluster // c.Split(K)
 	haveC   bool
-	jobs    map[int]cluster.Job
+	jobs    cluster.Table
 	results []*clusterSubResult
 }
 
-func (st *clusterState) member(id int) cluster.Job { return st.jobs[id] }
+// member returns the live job held under id (the adapters only ask for
+// partition members, which the table always holds).
+func (st *clusterState) member(id int) cluster.Job {
+	j, _ := st.jobs.Get(id)
+	return j
+}
 
 // soloIDs extracts the member ids from a layout's single-owner blocks, in
 // block order — the member list both cluster adapters key their rows by.
@@ -80,7 +84,7 @@ func (st *clusterState) soloMembers(layout []Block) []cluster.Job {
 	members := make([]cluster.Job, 0, len(layout))
 	for _, b := range layout {
 		if b.Key.B == NoPartner {
-			members = append(members, st.jobs[b.Key.A])
+			members = append(members, st.member(b.Key.A))
 		}
 	}
 	return members
@@ -111,7 +115,6 @@ func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts Options, lpO
 	}
 	st := &clusterState{
 		policy:  policy,
-		jobs:    make(map[int]cluster.Job),
 		results: make([]*clusterSubResult, opts.K),
 	}
 	var ad Adapter
@@ -157,39 +160,18 @@ func clustersEqual(a, b cluster.Cluster) bool {
 // Upsert adds job j (keyed by j.ID) or applies a change to it. Unchanged
 // re-submissions are no-ops and dirty nothing.
 func (e *ClusterEngine) Upsert(j cluster.Job) {
-	if old, ok := e.st.jobs[j.ID]; ok {
-		if jobsEqual(old, j) {
-			return
-		}
-		e.st.jobs[j.ID] = j
+	switch e.st.jobs.Upsert(j) {
+	case cluster.Arrived:
+		e.eng.t.upsert(j.ID, j.Scale)
+	case cluster.Updated:
 		e.eng.t.upsert(j.ID, j.Scale)
 		e.eng.t.touch(j.ID)
-		return
 	}
-	e.st.jobs[j.ID] = j
-	e.eng.t.upsert(j.ID, j.Scale)
 }
 
 // Remove drops the job; survivors keep their sub-problems.
 func (e *ClusterEngine) Remove(id int) bool {
-	if _, ok := e.st.jobs[id]; !ok {
-		return false
-	}
-	delete(e.st.jobs, id)
-	return e.eng.t.remove(id)
-}
-
-func jobsEqual(a, b cluster.Job) bool {
-	if a.Weight != b.Weight || a.Scale != b.Scale || a.NumSteps != b.NumSteps ||
-		a.Priority != b.Priority || a.MemFrac != b.MemFrac || len(a.Throughput) != len(b.Throughput) {
-		return false
-	}
-	for i := range a.Throughput {
-		if a.Throughput[i] != b.Throughput[i] {
-			return false
-		}
-	}
-	return true
+	return e.st.jobs.Remove(id) && e.eng.t.remove(id)
 }
 
 // MarkAllDirty forces a full re-solve on the next Solve (benchmark and
@@ -197,16 +179,12 @@ func jobsEqual(a, b cluster.Job) bool {
 func (e *ClusterEngine) MarkAllDirty() { e.eng.t.markAllDirty() }
 
 // NumJobs reports the number of jobs currently held.
-func (e *ClusterEngine) NumJobs() int { return len(e.st.jobs) }
+func (e *ClusterEngine) NumJobs() int { return e.st.jobs.Len() }
 
-// Jobs returns the live jobs in ascending-ID order.
+// Jobs returns a copy of the live jobs in ascending-ID order.
 func (e *ClusterEngine) Jobs() []cluster.Job {
-	out := make([]cluster.Job, 0, len(e.st.jobs))
-	for _, j := range e.st.jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+	e.st.jobs.Commit(nil)
+	return slices.Clone(e.st.jobs.Jobs())
 }
 
 // Cluster returns the current resource pool.
@@ -234,54 +212,59 @@ func (e *ClusterEngine) Objective() float64 {
 	return total
 }
 
-// Step applies the diff between the engine's state and the given active set
-// (arrivals, changes, departures), re-solves incrementally, and returns the
-// allocation in active-set order (solo policies: X rows per job; space
-// sharing: the composed Pairs/PairX slot list). It is the bridge into round
-// loops like gavelsim's.
-func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+// Allocate re-solves the dirty sub-problems over the engine's own client set —
+// whatever Upsert and Remove have left in it — and returns the clients in
+// ascending-ID order with the allocation aligned to them (solo policies: X
+// rows per job; space sharing: the composed Pairs/PairX slot list). The job
+// slice aliases the engine's table and is valid until the next Upsert or
+// Remove.
+func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
 	e.SetCluster(c)
-	seen := make(map[int]bool, len(active))
-	for _, j := range active {
-		seen[j.ID] = true
-		e.Upsert(j)
-	}
-	var gone []int
-	for id := range e.st.jobs {
-		if !seen[id] {
-			gone = append(gone, id)
-		}
-	}
-	for _, id := range gone {
-		e.Remove(id)
-	}
+	e.st.jobs.Commit(nil)
+	jobs := e.st.jobs.Jobs()
 	if err := e.Solve(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if e.st.policy == SpaceSharing {
-		return e.composePairs(active)
+		out, err := e.composePairs(jobs)
+		return jobs, out, err
 	}
 
+	// One slab of copies: handing out the cached rows would let a caller's
+	// in-place edits corrupt the allocation served on later clean rounds.
+	r := e.st.sub.NumTypes()
+	slab := make([]float64, len(jobs)*r)
 	out := &cluster.Allocation{
-		X:      make([][]float64, len(active)),
-		EffThr: make([]float64, len(active)),
+		X:      make([][]float64, len(jobs)),
+		EffThr: make([]float64, len(jobs)),
 	}
 	counted := make([]bool, len(e.st.results))
-	for pos, j := range active {
+	for pos, j := range jobs {
 		res, i, p, err := e.resultOf(j.ID)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		// Copy: handing out the cached row would let a caller's in-place
-		// edits corrupt the allocation served on later clean rounds.
-		out.X[pos] = append([]float64(nil), res.alloc.X[i]...)
+		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
+		copy(out.X[pos], res.alloc.X[i])
 		out.EffThr[pos] = res.alloc.EffThr[i]
 		if !counted[p] {
 			counted[p] = true
 			out.LPVariables += res.alloc.LPVariables
 		}
 	}
-	return out, nil
+	return jobs, out, nil
+}
+
+// Step is Allocate for callers that hold the population themselves (round
+// loops like gavelsim's): it diffs the active set into the engine, runs the
+// round, and returns the allocation in active-set order.
+func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+	ordered := e.st.jobs.Reconcile(active, e.Upsert, e.Remove)
+	jobs, alloc, err := e.Allocate(c)
+	if err != nil || ordered {
+		return alloc, err
+	}
+	return alloc.InOrder(jobs, active), nil
 }
 
 // resultOf locates job id's cached sub-problem result and its local index.
@@ -384,7 +367,7 @@ func (ad *soloAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
 	tv := n * r
 	eq := cluster.EqualShare(members, ad.sub)
 	for i, j := range members {
-		coefs, tc := clusterObjCoefs(ad.policy, j, eq[i])
+		coefs, tc := clusterObjCoefs(ad.policy, j, eq)
 		row := 2*i + 1
 		for k := 0; k < r; k++ {
 			m.SetCoeff(row, i*r+k, coefs[k])
@@ -419,7 +402,7 @@ func (ad *soloAdapter) Extract(p int, layout []Block, sol *lp.Solution, nVars in
 		index[id] = i
 		alloc.X[i] = make([]float64, r)
 		copy(alloc.X[i], sol.X[i*r:(i+1)*r])
-		alloc.EffThr[i] = cluster.EffectiveThroughput(ad.jobs[id], alloc.X[i])
+		alloc.EffThr[i] = cluster.EffectiveThroughput(ad.member(id), alloc.X[i])
 	}
 	ad.results[p] = &clusterSubResult{
 		ids:       slices.Clone(ids),
@@ -479,7 +462,7 @@ func buildClusterModel(policy ClusterPolicy, members []cluster.Job, sub cluster.
 		}
 		m.AddConstraint(vars, ones, lp.LE, 1, "time")
 
-		coefs, tc := clusterObjCoefs(policy, j, eq[idx])
+		coefs, tc := clusterObjCoefs(policy, j, eq)
 		idxs := append(append([]int(nil), vars...), tv)
 		m.AddConstraint(idxs, append(coefs, tc), lp.GE, 0, "obj")
 	}

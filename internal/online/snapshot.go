@@ -81,10 +81,8 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		return fmt.Errorf("online: snapshot has %d partitions, want %d", len(st.Partitions), st.K)
 	}
 	e.resetState()
-	jobs := make(map[int]cluster.Job, len(st.Jobs))
-	for _, j := range st.Jobs {
-		jobs[j.ID] = j
-	}
+	var jobs cluster.Table
+	jobs.Reset(st.Jobs)
 	t := e.eng.t
 	placed := 0
 	for p, ids := range st.Partitions {
@@ -92,7 +90,7 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		part.ids = slices.Clone(ids)
 		part.dirty = true
 		for _, id := range ids {
-			j, ok := jobs[id]
+			j, ok := jobs.Get(id)
 			if !ok {
 				e.resetState()
 				return fmt.Errorf("online: snapshot partition %d holds unknown job %d", p, id)
@@ -107,9 +105,9 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 			placed++
 		}
 	}
-	if placed != len(jobs) {
+	if placed != jobs.Len() {
 		e.resetState()
-		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", placed, len(jobs))
+		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", placed, jobs.Len())
 	}
 	e.st.jobs = jobs
 	t.stats = st.Stats
@@ -144,7 +142,7 @@ func (e *ClusterEngine) resetState() {
 	}
 	t.partOf = make(map[int]int)
 	t.loadOf = make(map[int]float64)
-	e.st.jobs = make(map[int]cluster.Job)
+	e.st.jobs = cluster.Table{}
 	e.st.results = make([]*clusterSubResult, t.opts.K)
 	e.eng.invalidateModels()
 	e.eng.seeds = nil

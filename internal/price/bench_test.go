@@ -47,7 +47,7 @@ func BenchmarkWarmRound(b *testing.B) {
 func BenchmarkBestResponse(b *testing.B) {
 	jobs := cluster.GenerateJobs(1024, 1, 0.2)
 	c := cluster.NewCluster(200, 200, 200)
-	d := newMaxMinDomain(jobs, c, 32)
+	d := oneShotDomain(jobs, c, 32)
 	price := []float64{0.3, 1.7, 0.9}
 	d.PrepareIteration(price)
 	out := make([]float64, 3)

@@ -3,6 +3,7 @@ package price
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pop/internal/cluster"
 )
@@ -38,7 +39,7 @@ func (p ClusterPolicy) String() string {
 // singleton and pair supports is exact — each call is O(r²) closed forms,
 // no solver.
 type clusterDomain struct {
-	t     []float64 // n×r row-major normalized throughputs
+	t     []float64 // n×r row-major throughputs (alpha > 0: ÷ the reference normaliser)
 	z     []float64 // per-job resource scale z_j
 	w     []float64 // log-utility weights (alpha == 0)
 	cap   []float64
@@ -46,24 +47,41 @@ type clusterDomain struct {
 	alpha float64 // > 0: alpha-fair utility u^(1-α)/(1-α); 0: w·log(u)
 	hint  float64
 
+	// The max-min market's normalized throughput t̃_ji = T_ji/(w_j·eqThr_j·z_j)
+	// depends on the whole population through the equal-share row inside
+	// eqThr, and that row moves whenever the total scale does — on a shard
+	// worker, every round. But it only moves along one direction: it is the
+	// capacity vector over max(Σz, Σcap). So rows are stored against a
+	// reference row, the equal share of the total scale rounded up to a
+	// power of two, and the true value is t̃ = sigma·t with one scalar
+	// sigma ∈ (½, 1] per load. A row's constants then depend only on its own
+	// job, the pool, and the power-of-two bucket — not on who else is in the
+	// market, and not on the engine's history — and sigma folds into the
+	// per-iteration price roots below, so a round recomputes the rows that
+	// changed and nothing else.
+	eqRef []float64 // reference equal-share row
+	sigma float64   // current equal-share denominator / the reference one
+
 	// Alpha-fair fast path (alpha > 0): the per-iteration cost of a best
 	// response is dominated by math.Pow, so everything price-independent is
-	// hoisted here at build time —
+	// hoisted here when a row is loaded —
 	//   tPow[j][i]  = t_ji^(1/α − 1)  (interior singleton demand factor)
 	//   tUtil[j][i] = t_ji^(1−α)      (clamped singleton utility)
 	//   zRoot[j]    = z_j^(−1/α)
-	// and pRoot_i = price_i^(−1/α) is refreshed once per iteration by
-	// PrepareIteration instead of once per client. When α is a power of two
-	// the remaining per-pair root s^(−1/α) runs as a √-chain (sqrtSteps
-	// hardware square roots) instead of a Pow call.
+	// and pRoot_i = sigma^(1/α−1)·price_i^(−1/α) is refreshed once per
+	// iteration by PrepareIteration instead of once per client (utilScale,
+	// sigma^(1−α)/(1−α), once per load). When α is a power of two the
+	// remaining per-pair root s^(−1/α) runs as a √-chain (sqrtSteps hardware
+	// square roots) instead of a Pow call.
 	tPow, tUtil []float64
 	zRoot       []float64
 	pRoot       []float64
+	utilScale   float64
 	// Pair supports factor the same way: the stationary utility of pair
-	// (a, b) is u = (dc/dt)^(−1/α) = z^(−1/α)·|Δp|^(−1/α)·|Δt|^(1/α), so
-	// dtRoot holds |t_a−t_b|^(1/α) per client pair (build time) and
-	// pairRoot |p_a−p_b|^(−1/α) per pair (each PrepareIteration) — no roots
-	// remain in the per-client hot path.
+	// (a, b) is u = (dc/dt)^(−1/α) = z^(−1/α)·|Δp|^(−1/α)·|Δt̃|^(1/α), so
+	// dtRoot holds |t_a−t_b|^(1/α) per client pair (load time) and pairRoot
+	// sigma^(1/α)·|p_a−p_b|^(−1/α) per pair (each PrepareIteration) — no
+	// roots remain in the per-client hot path.
 	dtRoot    []float64 // n×npairs row-major
 	pairRoot  []float64 // npairs
 	npairs    int
@@ -165,14 +183,15 @@ func (d *clusterDomain) PrepareIteration(price []float64) {
 	if d.alpha <= 0 {
 		return
 	}
+	sigmaRoot := 1 / d.invAlphaRoot(d.sigma) // sigma^(1/α)
 	for i, p := range price {
-		d.pRoot[i] = d.invAlphaRoot(p)
+		d.pRoot[i] = d.invAlphaRoot(p) * sigmaRoot / d.sigma
 	}
 	pi := 0
 	for a := 0; a < d.r; a++ {
 		for b := a + 1; b < d.r; b++ {
 			if dp := math.Abs(price[a] - price[b]); dp > 0 {
-				d.pairRoot[pi] = d.invAlphaRoot(dp)
+				d.pairRoot[pi] = d.invAlphaRoot(dp) * sigmaRoot
 			} else {
 				d.pairRoot[pi] = 0 // equal prices: pair degenerate, skipped
 			}
@@ -227,12 +246,12 @@ func (d *clusterDomain) bestResponseAlpha(j int, price []float64, out []float64)
 			if x <= 0 {
 				continue
 			}
-			// v = (α/(1−α))·u·(c_i/t_i) at stationarity, u = t_i·x.
-			v = scale * t[i] * x * (ci / t[i])
+			// v = (α/(1−α))·u·(c_i/t̃_i) at stationarity, u = t̃_i·x.
+			v = scale * x * ci
 		} else {
-			// Clamped to the full time budget: v = t_i^(1−α)/(1−α) − c_i.
+			// Clamped to the full time budget: v = t̃_i^(1−α)/(1−α) − c_i.
 			x = 1
-			v = tUtil[i]/(1-d.alpha) - ci
+			v = tUtil[i]*d.utilScale - ci
 		}
 		if v > bestVal {
 			bestVal, bestA, bestB, xA, xB = v, i, -1, x, 0
@@ -249,18 +268,19 @@ func (d *clusterDomain) bestResponseAlpha(j int, price []float64, out []float64)
 				continue
 			}
 			cb := z * price[b]
-			dt, dc := t[a]-t[b], ca-cb
+			tb := d.sigma * t[b]
+			dt, dc := d.sigma*t[a]-tb, ca-cb
 			if dt == 0 || dc == 0 || (dt > 0) != (dc > 0) {
 				continue // degenerate or dominated: singletons cover it
 			}
 			s := dc / dt
 			u := zr * rt
-			xa := (u - t[b]) / dt
+			xa := (u - tb) / dt
 			if xa <= 0 || xa >= 1 {
 				continue // boundary cases are the singleton candidates
 			}
-			// v = (α/(1−α))·u·s − K with K = c_b − t_b·s.
-			if v := scale*u*s - (cb - t[b]*s); v > bestVal {
+			// v = (α/(1−α))·u·s − K with K = c_b − t̃_b·s.
+			if v := scale*u*s - (cb - tb*s); v > bestVal {
 				bestVal, bestA, bestB, xA, xB = v, a, b, xa, 1-xa
 			}
 		}
@@ -284,19 +304,20 @@ func (d *clusterDomain) ScaleElasticity() float64 {
 	return 1
 }
 
-// prepareAlpha fills the alpha-fair fast-path caches.
-func (d *clusterDomain) prepareAlpha() {
-	if d.alpha <= 0 {
-		return
+// newClusterDomain allocates an empty market over r resources: the
+// alpha-fair (max-min) market when alpha > 0, the weighted-log
+// (proportional-fair) one when alpha == 0. Rows are installed by load —
+// all at once for a one-shot solve, or only where the client table changed
+// when an engine keeps the domain between rounds.
+func newClusterDomain(r int, alpha float64) *clusterDomain {
+	d := &clusterDomain{r: r, alpha: alpha}
+	if alpha <= 0 {
+		return d
 	}
-	d.tPow = make([]float64, len(d.t))
-	d.tUtil = make([]float64, len(d.t))
-	d.zRoot = make([]float64, d.n)
-	d.pRoot = make([]float64, d.r)
-	d.npairs = d.r * (d.r - 1) / 2
-	d.dtRoot = make([]float64, d.n*d.npairs)
+	d.pRoot = make([]float64, r)
+	d.npairs = r * (r - 1) / 2
 	d.pairRoot = make([]float64, d.npairs)
-	if a := d.alpha; a == math.Trunc(a) && a >= 2 {
+	if a := alpha; a == math.Trunc(a) && a >= 2 {
 		for k, v := 0, a; v >= 2; k, v = k+1, v/2 {
 			if v == 2 {
 				d.sqrtSteps = k + 1
@@ -307,91 +328,152 @@ func (d *clusterDomain) prepareAlpha() {
 			}
 		}
 	}
-	for idx, t := range d.t {
-		if t > 0 {
-			d.tPow[idx] = math.Pow(t, 1/d.alpha-1)
-			d.tUtil[idx] = math.Pow(t, 1-d.alpha)
+	return d
+}
+
+// resize sets the client count, keeping the constants of surviving rows.
+func (d *clusterDomain) resize(n int) {
+	fit := func(s []float64, n int) []float64 {
+		if n <= cap(s) {
+			return s[:n]
 		}
+		return append(s[:cap(s)], make([]float64, n-cap(s))...)
 	}
-	for j, z := range d.z {
-		if z > 0 {
-			d.zRoot[j] = d.invAlphaRoot(z)
+	d.n = n
+	d.t = fit(d.t, n*d.r)
+	d.z = fit(d.z, n)
+	if d.alpha > 0 {
+		d.tPow = fit(d.tPow, n*d.r)
+		d.tUtil = fit(d.tUtil, n*d.r)
+		d.zRoot = fit(d.zRoot, n)
+		d.dtRoot = fit(d.dtRoot, n*d.npairs)
+	} else {
+		d.w = fit(d.w, n)
+	}
+}
+
+// move shifts the constants of rows [src, src+n) to [dst, dst+n) — the
+// cluster.Table.Commit hook that keeps the domain aligned with the client
+// table without recomputing anything.
+func (d *clusterDomain) move(dst, src, n int) {
+	shift := func(s []float64, stride int) {
+		copy(s[dst*stride:], s[src*stride:(src+n)*stride])
+	}
+	shift(d.t, d.r)
+	shift(d.z, 1)
+	if d.alpha > 0 {
+		shift(d.tPow, d.r)
+		shift(d.tUtil, d.r)
+		shift(d.zRoot, 1)
+		shift(d.dtRoot, d.npairs)
+	} else {
+		shift(d.w, 1)
+	}
+}
+
+// load points the domain at jobs over pool c. With all set every client's
+// constants are recomputed; otherwise only the listed rows (the positions
+// the client table reported as new or changed) are, the rest keeping what
+// an earlier load gave them. The max-min market normalizes throughputs the
+// way the max-min LP does — t̃_ji = T_ji/(w_j·eqThr_j·z_j), so a unit of
+// utility is a unit of the normalized ratio the policy maximizes the
+// minimum of — against the reference row (see the field comment), so kept
+// rows go stale only when that reference moves: the pool changed, or the
+// total scale crossed a power of two. Then everything is recomputed
+// regardless. Degenerate jobs (zero equal-share throughput) get a zero row
+// and demand nothing, mirroring the LP skipping their fair row. The
+// proportional-fair market uses raw throughputs with the weighted log
+// utility — the Eisenberg-Gale market whose equilibrium is the
+// proportional-fair optimum.
+func (d *clusterDomain) load(jobs []cluster.Job, c cluster.Cluster, rows []int, all bool) {
+	d.cap = append(d.cap[:0], c.NumGPUs...)
+	d.hint = 0
+	for _, j := range jobs {
+		d.hint += j.Scale
+	}
+	if d.alpha > 0 {
+		bucket := d.hint // the total scale, rounded up to a power of two
+		if frac, exp := math.Frexp(bucket); frac != 0.5 {
+			bucket = math.Ldexp(1, exp)
 		}
-	}
-	for j := 0; j < d.n; j++ {
-		t := d.t[j*d.r : (j+1)*d.r]
-		pi := 0
-		for a := 0; a < d.r; a++ {
-			for b := a + 1; b < d.r; b++ {
-				if dt := math.Abs(t[a] - t[b]); dt > 0 {
-					// |Δt|^(1/α) = 1/invAlphaRoot(|Δt|).
-					d.dtRoot[j*d.npairs+pi] = 1 / d.invAlphaRoot(dt)
-				}
-				pi++
+		if ref := cluster.EqualShareOf(bucket, c); all || !slices.Equal(ref, d.eqRef) {
+			d.eqRef, all = ref, true
+		}
+		d.sigma = 1
+		for i, e := range cluster.EqualShareOf(d.hint, c) {
+			if e > 0 {
+				d.sigma = d.eqRef[i] / e
+				break
 			}
 		}
+		d.utilScale = math.Pow(d.sigma, 1-d.alpha) / (1 - d.alpha)
+	}
+	if all {
+		for idx, j := range jobs {
+			d.setRow(idx, j)
+		}
+		return
+	}
+	for _, idx := range rows {
+		d.setRow(idx, jobs[idx])
 	}
 }
 
-// newMaxMinDomain normalizes throughputs the way the max-min LP does —
-// t̃_ji = T_ji/(w_j·eqThr_j·z_j), so a unit of utility is a unit of the
-// normalized ratio the policy maximizes the minimum of — and applies the
-// alpha-fair utility. Degenerate jobs (zero equal-share throughput) get a
-// zero row and demand nothing, mirroring the LP skipping their fair row.
-func newMaxMinDomain(jobs []cluster.Job, c cluster.Cluster, alpha float64) *clusterDomain {
-	n, r := len(jobs), c.NumTypes()
-	d := &clusterDomain{
-		t:     make([]float64, n*r),
-		z:     make([]float64, n),
-		cap:   append([]float64(nil), c.NumGPUs...),
-		n:     n,
-		r:     r,
-		alpha: alpha,
-	}
-	eq := cluster.EqualShare(jobs, c)
-	for idx, j := range jobs {
-		d.z[idx] = j.Scale
-		d.hint += j.Scale
-		denom := j.Weight * cluster.EffectiveThroughput(j, eq[idx]) * j.Scale
-		if denom <= 0 {
-			continue
-		}
-		for i := 0; i < r; i++ {
-			d.t[idx*r+i] = j.Throughput[i] / denom
-		}
-	}
-	d.prepareAlpha()
-	return d
-}
-
-// newPropFairDomain uses raw throughputs with the weighted log utility —
-// the Eisenberg-Gale market whose equilibrium is the proportional-fair
-// optimum.
-func newPropFairDomain(jobs []cluster.Job, c cluster.Cluster) *clusterDomain {
-	n, r := len(jobs), c.NumTypes()
-	d := &clusterDomain{
-		t:   make([]float64, n*r),
-		z:   make([]float64, n),
-		w:   make([]float64, n),
-		cap: append([]float64(nil), c.NumGPUs...),
-		n:   n,
-		r:   r,
-	}
-	for idx, j := range jobs {
-		d.z[idx] = j.Scale
+// setRow computes client idx's price-independent constants from its job.
+func (d *clusterDomain) setRow(idx int, j cluster.Job) {
+	r := d.r
+	t := d.t[idx*r : (idx+1)*r]
+	d.z[idx] = j.Scale
+	if d.alpha <= 0 {
 		d.w[idx] = j.Weight
-		d.hint += j.Scale
-		for i := 0; i < r; i++ {
-			d.t[idx*r+i] = j.Throughput[i]
+		copy(t, j.Throughput)
+		return
+	}
+	clear(t)
+	if denom := j.Weight * cluster.EffectiveThroughput(j, d.eqRef) * j.Scale; denom > 0 {
+		for i := range t {
+			t[i] = j.Throughput[i] / denom
 		}
 	}
+	// Alpha-fair fast-path caches (see the clusterDomain field comment).
+	tPow := d.tPow[idx*r : (idx+1)*r]
+	tUtil := d.tUtil[idx*r : (idx+1)*r]
+	for i, v := range t {
+		tPow[i], tUtil[i] = 0, 0
+		if v > 0 {
+			tPow[i] = math.Pow(v, 1/d.alpha-1)
+			tUtil[i] = math.Pow(v, 1-d.alpha)
+		}
+	}
+	d.zRoot[idx] = 0
+	if j.Scale > 0 {
+		d.zRoot[idx] = d.invAlphaRoot(j.Scale)
+	}
+	dtRoot := d.dtRoot[idx*d.npairs : (idx+1)*d.npairs]
+	pi := 0
+	for a := 0; a < r; a++ {
+		for b := a + 1; b < r; b++ {
+			dtRoot[pi] = 0
+			if dt := math.Abs(t[a] - t[b]); dt > 0 {
+				// |Δt|^(1/α) = 1/invAlphaRoot(|Δt|).
+				dtRoot[pi] = 1 / d.invAlphaRoot(dt)
+			}
+			pi++
+		}
+	}
+}
+
+// oneShotDomain builds the market of a single solve over jobs: alpha-fair
+// (max-min) for alpha > 0, proportional-fair for alpha == 0.
+func oneShotDomain(jobs []cluster.Job, c cluster.Cluster, alpha float64) *clusterDomain {
+	d := newClusterDomain(c.NumTypes(), alpha)
+	d.resize(len(jobs))
+	d.load(jobs, c, nil, true)
 	return d
 }
 
-// SolveMaxMin approximates cluster.MaxMinFairness by price discovery: no
-// LP, per-job closed-form best responses. The returned Solution carries the
-// prices (warm start for the next round) and convergence accounting.
-func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
+// maxMinDefaults resolves the max-min adapter's solver defaults.
+func maxMinDefaults(opts Options) Options {
 	if opts.Alpha == 0 {
 		opts.Alpha = 32
 	}
@@ -400,13 +482,21 @@ func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.
 		// Alpha to keep the effective price motion constant across exponents.
 		opts.Step = opts.Alpha / 12
 	}
-	return solveCluster(newMaxMinDomain(jobs, c, opts.Alpha), jobs, c, opts)
+	return opts
+}
+
+// SolveMaxMin approximates cluster.MaxMinFairness by price discovery: no
+// LP, per-job closed-form best responses. The returned Solution carries the
+// prices (warm start for the next round) and convergence accounting.
+func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
+	opts = maxMinDefaults(opts)
+	return solveCluster(oneShotDomain(jobs, c, opts.Alpha), jobs, c, opts)
 }
 
 // SolvePropFair approximates cluster.ProportionalFairness by price
 // discovery over the Eisenberg-Gale market.
 func SolvePropFair(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	return solveCluster(newPropFairDomain(jobs, c), jobs, c, opts)
+	return solveCluster(oneShotDomain(jobs, c, 0), jobs, c, opts)
 }
 
 func solveCluster(d *clusterDomain, jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
@@ -421,15 +511,17 @@ func solveCluster(d *clusterDomain, jobs []cluster.Job, c cluster.Cluster, opts 
 // projects onto the feasible polytope: rows are clamped to the unit time
 // budget (best responses already respect it; averaging preserves it), then
 // overdemanded capacity columns are scaled down, which only shrinks rows.
+// The rows share one backing slab.
 func clusterAllocation(jobs []cluster.Job, c cluster.Cluster, sol *Solution) *cluster.Allocation {
 	n, r := len(jobs), c.NumTypes()
 	a := &cluster.Allocation{
 		X:      make([][]float64, n),
 		EffThr: make([]float64, n),
 	}
+	slab := make([]float64, n*r)
 	used := make([]float64, r)
 	for idx, j := range jobs {
-		row := make([]float64, r)
+		row := slab[idx*r : (idx+1)*r : (idx+1)*r]
 		sum := 0.0
 		if z := j.Scale; z > 0 {
 			dem := sol.ClientDemand(idx)
@@ -456,7 +548,7 @@ func clusterAllocation(jobs []cluster.Job, c cluster.Cluster, sol *Solution) *cl
 		if used[i] > c.NumGPUs[i] && used[i] > 0 {
 			f := c.NumGPUs[i] / used[i]
 			for idx := range jobs {
-				a.X[idx][i] *= f
+				slab[idx*r+i] *= f
 			}
 		}
 	}
@@ -473,7 +565,7 @@ func MaxMinObjective(jobs []cluster.Job, c cluster.Cluster, a *cluster.Allocatio
 	eq := cluster.EqualShare(jobs, c)
 	min := math.Inf(1)
 	for idx, j := range jobs {
-		eqThr := cluster.EffectiveThroughput(j, eq[idx])
+		eqThr := cluster.EffectiveThroughput(j, eq)
 		if eqThr <= 0 {
 			continue
 		}

@@ -81,6 +81,35 @@
 // warm start's job, and on low-churn rounds warm prices cut
 // iterations-to-clearing by an order of magnitude.
 //
+// # Held state across rounds
+//
+// ClusterEngine keeps its clients in a persistent ascending-ID table
+// (cluster.Table) and keeps the market domain — every client's
+// price-independent constants: normalized throughputs and the powers and
+// roots of them the alpha-fair best response needs — aligned with it.
+// Upsert and Remove edit the table; a round (Allocate) commits the edits
+// with block moves mirrored onto the domain's arrays, recomputes the
+// constants of exactly the rows that are new or changed, and solves. Step
+// is the same round behind a diff of the caller's active set. Nothing is
+// sorted, re-diffed, or rebuilt per round, so the work outside the solver
+// is O(churn).
+//
+// The one thing tying a client's constants to the rest of the population
+// is the max-min normaliser: throughputs are divided by the client's
+// equal-share throughput, and the equal-share row is capacity over the
+// total scale Σz — which moves whenever anyone arrives or leaves, every
+// round on a shard worker. It only ever moves along one direction,
+// though, so constants are stored against a reference row — the equal
+// share of Σz rounded up to a power of two — and the scalar between the
+// reference and the true row (in (½, 1]) is folded into the per-iteration
+// price roots, a handful of multiplies per solve. The invalidation rule is
+// therefore: a row is recomputed when its own job changes; every row is
+// recomputed when the pool changes or Σz crosses a power of two; nothing
+// else invalidates anything. Because the reference depends only on the
+// current population, never on history, an engine restored from a
+// snapshot, one driven by Step, and one driven by Upsert/Remove/Allocate
+// produce bit-identical allocations from the same state.
+//
 // # Determinism
 //
 // Given identical inputs, Options.Seed, and WarmPrice, Solve's output is

@@ -3,7 +3,6 @@ package price
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"pop/internal/cluster"
@@ -62,17 +61,27 @@ type Stats struct {
 
 // ClusterEngine maintains a price-discovery allocation for the GPU
 // scheduling policies across rounds: jobs arrive, depart, and change; each
-// Step re-solves the whole market from the previous round's price vector
+// round re-solves the whole market from the previous round's price vector
 // (cold on heavy membership churn). It exposes the same round surface as
 // online.ClusterEngine so popserver and round loops can hold either. Not
 // safe for concurrent use.
+//
+// Clients live in a persistent ascending-ID table, and the market domain —
+// every client's price-independent constants — is kept aligned with it
+// between rounds, so everything a round does outside the solver costs
+// O(churn): Upsert and Remove edit the table, the round commits it (block
+// moves, mirrored onto the domain) and recomputes the constants of new and
+// changed clients only. The one invalidation rule: max-min constants are
+// normalized by the equal-share row, so when that row moves (total scale or
+// capacity changed) every client is recomputed.
 type ClusterEngine struct {
 	policy ClusterPolicy
 	opts   EngineOptions
 
 	c     cluster.Cluster
 	haveC bool
-	jobs  map[int]cluster.Job
+	tab   cluster.Table
+	dom   *clusterDomain // aligned with tab's committed rows; nil = rebuild
 
 	price     []float64
 	havePrice bool
@@ -88,11 +97,10 @@ func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts EngineOption
 	if policy != MaxMinFairness && policy != ProportionalFairness {
 		return nil, fmt.Errorf("price: unsupported cluster policy %v", policy)
 	}
-	e := &ClusterEngine{
-		policy: policy,
-		opts:   opts,
-		jobs:   make(map[int]cluster.Job),
+	if policy == MaxMinFairness {
+		opts.Solver = maxMinDefaults(opts.Solver)
 	}
+	e := &ClusterEngine{policy: policy, opts: opts}
 	e.SetCluster(c)
 	return e, nil
 }
@@ -127,34 +135,23 @@ func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
 // Upsert adds job j (keyed by j.ID) or applies a change to it. Unchanged
 // re-submissions are no-ops.
 func (e *ClusterEngine) Upsert(j cluster.Job) {
-	if old, ok := e.jobs[j.ID]; ok {
-		if clusterJobsEqual(old, j) {
-			return
-		}
-		e.jobs[j.ID] = j
+	switch e.tab.Upsert(j) {
+	case cluster.Arrived:
+		e.stats.Arrivals++
+		e.churn++
+	case cluster.Updated:
 		e.stats.Updates++
-		return
 	}
-	e.jobs[j.ID] = j
-	e.stats.Arrivals++
-	e.churn++
 }
 
 // Remove drops the job.
 func (e *ClusterEngine) Remove(id int) bool {
-	if _, ok := e.jobs[id]; !ok {
+	if !e.tab.Remove(id) {
 		return false
 	}
-	delete(e.jobs, id)
 	e.stats.Departures++
 	e.churn++
 	return true
-}
-
-func clusterJobsEqual(a, b cluster.Job) bool {
-	return a.Weight == b.Weight && a.Scale == b.Scale && a.NumSteps == b.NumSteps &&
-		a.Priority == b.Priority && a.MemFrac == b.MemFrac &&
-		slices.Equal(a.Throughput, b.Throughput)
 }
 
 // MarkAllDirty drops the carried prices, forcing the next round to solve
@@ -163,17 +160,10 @@ func clusterJobsEqual(a, b cluster.Job) bool {
 func (e *ClusterEngine) MarkAllDirty() { e.havePrice = false }
 
 // NumJobs reports the number of jobs currently held.
-func (e *ClusterEngine) NumJobs() int { return len(e.jobs) }
+func (e *ClusterEngine) NumJobs() int { return e.tab.Len() }
 
-// Jobs returns the live jobs in ascending-ID order.
-func (e *ClusterEngine) Jobs() []cluster.Job {
-	out := make([]cluster.Job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
+// Jobs returns a copy of the live jobs in ascending-ID order.
+func (e *ClusterEngine) Jobs() []cluster.Job { return slices.Clone(e.commit()) }
 
 // Cluster returns the current resource pool.
 func (e *ClusterEngine) Cluster() cluster.Cluster { return e.c }
@@ -181,57 +171,73 @@ func (e *ClusterEngine) Cluster() cluster.Cluster { return e.c }
 // Stats returns the engine's work counters.
 func (e *ClusterEngine) Stats() Stats { return e.stats }
 
-// Objective reports the policy objective of the last Step: the minimum
+// Objective reports the policy objective of the last round: the minimum
 // normalized ratio under max-min fairness, Σ w·log(thr) under proportional
 // fairness.
 func (e *ClusterEngine) Objective() float64 { return e.lastObj }
 
-// Step applies the diff between engine state and the active set, solves
-// the market warm from the previous round's prices (cold on heavy churn),
-// and returns the allocation in active-set order.
-func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	span := e.obs().Span("price.round").Arg("clients", len(active))
+// commit folds pending table changes in, carrying the domain's rows along,
+// and returns the client rows with the domain loaded for them.
+func (e *ClusterEngine) commit() []cluster.Job {
+	r := e.c.NumTypes()
+	all := e.dom == nil || e.dom.r != r
+	if all {
+		alpha := 0.0
+		if e.policy == MaxMinFairness {
+			alpha = e.opts.Solver.Alpha
+		}
+		e.dom = newClusterDomain(r, alpha)
+	}
+	e.dom.resize(max(e.dom.n, e.tab.Len()))
+	fresh := e.tab.Commit(e.dom.move)
+	jobs := e.tab.Jobs()
+	e.dom.resize(len(jobs))
+	e.dom.load(jobs, e.c, fresh, all)
+	return jobs
+}
+
+// Allocate solves the market over the engine's own client set — whatever
+// Upsert and Remove have left in it — warm from the previous round's prices
+// (cold on heavy churn). It returns the clients in ascending-ID order with
+// the allocation aligned to them; the job slice aliases the engine's table
+// and is valid until the next Upsert or Remove.
+func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
+	span := e.obs().Span("price.round").Arg("clients", e.tab.Len())
 	defer span.End()
 	start := time.Now()
 
 	e.SetCluster(c)
-	seen := make(map[int]bool, len(active))
-	for _, j := range active {
-		seen[j.ID] = true
-		e.Upsert(j)
-	}
-	for id := range e.jobs {
-		if !seen[id] {
-			e.Remove(id)
-		}
-	}
-
-	so, warm := e.solverOptions(len(e.jobs), e.c.NumTypes())
-	var (
-		alloc *cluster.Allocation
-		sol   *Solution
-		err   error
-	)
-	if e.policy == ProportionalFairness {
-		alloc, sol, err = SolvePropFair(active, e.c, so)
-	} else {
-		alloc, sol, err = SolveMaxMin(active, e.c, so)
-	}
+	jobs := e.commit()
+	so, warm := e.solverOptions(len(jobs), e.c.NumTypes())
+	sol, err := Solve(e.dom, so)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	alloc := clusterAllocation(jobs, e.c, sol)
 	e.price = sol.Price
 	e.havePrice = true
 	e.churn = 0
 	e.bookRound(sol, warm, start)
 
 	if e.policy == ProportionalFairness {
-		e.lastObj = cluster.LogUtility(active, alloc)
+		e.lastObj = cluster.LogUtility(jobs, alloc)
 	} else {
-		e.lastObj = MaxMinObjective(active, e.c, alloc)
+		e.lastObj = MaxMinObjective(jobs, e.c, alloc)
 	}
 	span.Arg("warm", warm).Arg("iterations", sol.Iterations)
-	return alloc, nil
+	return jobs, alloc, nil
+}
+
+// Step is Allocate for callers that hold the population themselves: it diffs
+// the active set into the engine, runs the round, and returns the
+// allocation in active-set order.
+func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+	ordered := e.tab.Reconcile(active, e.Upsert, e.Remove)
+	jobs, alloc, err := e.Allocate(c)
+	if err != nil || ordered {
+		return alloc, err
+	}
+	return alloc.InOrder(jobs, active), nil
 }
 
 // Policy adapts the engine to gavelsim's round loop, like

@@ -51,7 +51,7 @@ func CrossoverBasis(jobs []cluster.Job, c cluster.Cluster, a *cluster.Allocation
 	nFair := 0
 	eqThr := make([]float64, n)
 	for idx, j := range jobs {
-		eqThr[idx] = cluster.EffectiveThroughput(j, eq[idx])
+		eqThr[idx] = cluster.EffectiveThroughput(j, eq)
 		if eqThr[idx] > 0 {
 			nFair++
 		}

@@ -52,10 +52,8 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if st.Policy != e.policy.String() {
 		return fmt.Errorf("price: snapshot policy %q does not match engine policy %q", st.Policy, e.policy)
 	}
-	e.jobs = make(map[int]cluster.Job, len(st.Jobs))
-	for _, j := range st.Jobs {
-		e.jobs[j.ID] = j
-	}
+	e.tab.Reset(st.Jobs)
+	e.dom = nil // rows no longer line up with the table
 	e.price = slices.Clone(st.Price)
 	e.havePrice = len(st.Price) > 0
 	e.churn = 0

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -43,12 +45,6 @@ func (o CoordinatorOptions) deadline() time.Duration {
 	return o.Deadline
 }
 
-// allocRow is one client's slice of a worker's last gathered allocation.
-type allocRow struct {
-	x      []float64
-	effThr float64
-}
-
 // workerConn is the coordinator's view of one shard worker: its address,
 // the last round it acked, the allocation it last returned, and the
 // mutation batch queued for it. Batches clear only on ack — a straggling or
@@ -58,8 +54,8 @@ type workerConn struct {
 	ackRound int
 	stale    bool
 	needSync bool
-	alloc    map[int]allocRow
-	numOwned int // registry clients hashed onto this worker
+	last     gather // the worker's last gathered allocation, by ascending id
+	numOwned int    // registry clients hashed onto this worker
 	kind     string
 	stats    json.RawMessage
 	solveMs  float64
@@ -99,10 +95,9 @@ type Coordinator struct {
 	ring   *Ring
 
 	workers  []*workerConn
-	registry map[int]cluster.Job
+	registry cluster.Table
 	round    int
 	c        cluster.Cluster
-	haveC    bool
 
 	lastStale []bool
 	staleJobs int
@@ -121,17 +116,15 @@ func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator,
 		client = &http.Client{}
 	}
 	c := &Coordinator{
-		opts:     opts,
-		log:      opts.Log,
-		client:   client,
-		ring:     NewRing(len(workerURLs)),
-		workers:  make([]*workerConn, len(workerURLs)),
-		registry: make(map[int]cluster.Job),
+		opts:    opts,
+		log:     opts.Log,
+		client:  client,
+		ring:    NewRing(len(workerURLs)),
+		workers: make([]*workerConn, len(workerURLs)),
 	}
 	for i, u := range workerURLs {
 		c.workers[i] = &workerConn{
 			url:    u,
-			alloc:  map[int]allocRow{},
 			pendUp: map[int]cluster.Job{},
 			pendRm: map[int]bool{},
 		}
@@ -149,23 +142,25 @@ func (c *Coordinator) Round() int { return c.round }
 func (c *Coordinator) Owner(id int) int { return c.ring.Owner(id) }
 
 // Upsert registers (or updates) a client and queues the mutation for its
-// shard's next round.
+// shard's next round. Re-submitting unchanged data queues nothing.
 func (c *Coordinator) Upsert(j cluster.Job) {
+	change := c.registry.Upsert(j)
+	if change == cluster.Unchanged {
+		return
+	}
 	w := c.workers[c.ring.Owner(j.ID)]
-	if _, known := c.registry[j.ID]; !known {
+	if change == cluster.Arrived {
 		w.numOwned++
 	}
-	c.registry[j.ID] = j
 	w.pendUp[j.ID] = j
 	delete(w.pendRm, j.ID)
 }
 
 // Remove drops a client from the registry and queues the removal.
 func (c *Coordinator) Remove(id int) bool {
-	if _, ok := c.registry[id]; !ok {
+	if !c.registry.Remove(id) {
 		return false
 	}
-	delete(c.registry, id)
 	w := c.workers[c.ring.Owner(id)]
 	w.numOwned--
 	w.pendRm[id] = true
@@ -173,32 +168,22 @@ func (c *Coordinator) Remove(id int) bool {
 	return true
 }
 
-// Jobs returns the registered clients in ascending-ID order.
+// Jobs returns a copy of the registered clients in ascending-ID order.
 func (c *Coordinator) Jobs() []cluster.Job {
-	out := make([]cluster.Job, 0, len(c.registry))
-	for _, j := range c.registry {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+	c.registry.Commit(nil)
+	return slices.Clone(c.registry.Jobs())
 }
 
 // NumJobs reports the registered client count.
-func (c *Coordinator) NumJobs() int { return len(c.registry) }
+func (c *Coordinator) NumJobs() int { return c.registry.Len() }
 
-// SetCluster installs a new resource pool; workers receive their 1/W slice
-// with the next round's scatter.
-func (c *Coordinator) SetCluster(pool cluster.Cluster) {
-	c.c = pool
-	c.haveC = true
-}
-
-// LastStale returns the per-client stale flags of the last Step, aligned
-// with its active slice: true when the client's worker missed the round
-// deadline (the row is last round's allocation) or has no row for it yet.
+// LastStale returns the per-client stale flags of the last round, aligned
+// with the allocation it returned: true when the client's worker missed the
+// round deadline (the row is last round's allocation) or has no row for it
+// yet.
 func (c *Coordinator) LastStale() []bool { return c.lastStale }
 
-// StaleJobs reports how many clients the last Step served stale.
+// StaleJobs reports how many clients the last round served stale.
 func (c *Coordinator) StaleJobs() int { return c.staleJobs }
 
 // Status snapshots every worker's externally visible state.
@@ -223,36 +208,58 @@ func (c *Coordinator) Status() []WorkerStatus {
 // gatherResult is one worker's outcome for a round.
 type gatherResult struct {
 	resp     *RoundResponse
+	cols     gather
 	err      error
 	rebuilds int64
+	resync   bool // the failure itself shows the worker needs a registry sync
+}
+
+// phase opens one coordinator-side child of "shard.round": the span plus
+// the matching pop_shard_phase_seconds series.
+func phase(o *obs.Observer, name string) obs.Timed {
+	if o == nil {
+		return obs.Timed{}
+	}
+	return o.Timed("shard."+name, `pop_shard_phase_seconds{phase="`+name+`"}`, "coordinator round time by phase")
+}
+
+// Allocate runs one scatter/gather round over the registered clients and
+// returns them in ascending-ID order with the merged allocation aligned.
+// The job slice aliases the registry: read-only, valid until the next
+// Upsert or Remove.
+func (c *Coordinator) Allocate(pool cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
+	span := c.opts.Obs.Span("shard.round")
+	c.registry.Commit(nil)
+	jobs := c.registry.Jobs()
+	return jobs, c.scatterGather(span, jobs, pool), nil
 }
 
 // Step applies the diff between the registry and the active set, then runs
-// one scatter/gather round: each worker gets its shard's mutation batch and
-// 1/W of the pool, solves its partition on its own persistent engine, and
-// returns its allocation. Workers that miss the deadline (or fail) keep
-// serving last round's rows, flagged stale; a worker that reports being out
-// of sync is rebuilt from the registry first, inside the same deadline.
+// one round and returns the allocation in active-set order.
 func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster.Allocation, error) {
-	c.SetCluster(pool)
-	seen := make(map[int]bool, len(active))
-	for _, j := range active {
-		seen[j.ID] = true
-		if old, ok := c.registry[j.ID]; !ok || !jobsEqual(old, j) {
-			c.Upsert(j)
-		}
-	}
-	for id := range c.registry {
-		if !seen[id] {
-			c.Remove(id)
-		}
-	}
+	span := c.opts.Obs.Span("shard.round")
+	diff := phase(c.opts.Obs, "diff")
+	c.registry.Reconcile(active, c.Upsert, c.Remove)
+	c.registry.Commit(nil)
+	diff.End()
+	return c.scatterGather(span, active, pool), nil
+}
 
+// scatterGather is the round proper: each worker gets its shard's mutation
+// batch and 1/W of the pool, solves its partition on its own persistent
+// engine, and returns its allocation, which is merged onto order (the
+// registered clients, in whatever order the caller wants them). Workers
+// that miss the deadline (or fail, or answer garbage) keep serving last
+// round's rows, flagged stale; a worker that reports being out of sync is
+// rebuilt from the registry first, inside the same deadline. It ends span,
+// the caller's open "shard.round".
+func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cluster.Cluster) *cluster.Allocation {
+	c.c = pool
 	c.round++
 	round := c.round
 	sub := pool.Split(len(c.workers))
 	o := c.opts.Obs
-	span := o.Span("shard.round").Arg("round", round).Arg("workers", len(c.workers))
+	span.Arg("round", round).Arg("workers", len(c.workers))
 	start := time.Now()
 
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.deadline())
@@ -270,7 +277,7 @@ func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster
 			defer wg.Done()
 			wo := o.WithTID(baseTID + 1 + i)
 			sp := wo.Span("shard.gather").Arg("worker", i)
-			results[i] = c.gatherOne(ctx, i, round, sub)
+			results[i] = c.gatherOne(ctx, wo, i, round, sub)
 			sp.Arg("ok", results[i].err == nil).End()
 		}(i)
 	}
@@ -288,6 +295,7 @@ func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster
 			// unacked batch queued, and let the health of the next round
 			// decide whether a sync is needed (a crashed worker will 409).
 			w.stale = true
+			w.needSync = w.needSync || res.resync
 			w.stragglers++
 			stragglers++
 			o.Counter("pop_shard_stragglers_total", "worker rounds lost to the deadline or errors").Inc()
@@ -301,30 +309,22 @@ func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster
 		w.stats = resp.Stats
 		w.solveMs = resp.SolveMs
 		w.numJobs = resp.NumJobs
+		// Fresh maps, not cleared ones: a cold load's batch would otherwise
+		// keep its buckets allocated for the life of the worker.
 		w.pendUp = map[int]cluster.Job{}
 		w.pendRm = map[int]bool{}
 		// A worker holding a different client count than the registry says
 		// it owns has zombie or missing clients (e.g. the coordinator
 		// restarted with a cold registry); reconcile it next round.
 		w.needSync = resp.NumJobs != w.numOwned
-		width := 0
-		if len(resp.IDs) > 0 && len(resp.X) > 0 {
-			width = len(resp.X) / len(resp.IDs)
-		}
-		alloc := make(map[int]allocRow, len(resp.IDs))
-		for k, id := range resp.IDs {
-			row := allocRow{effThr: resp.EffThr[k]}
-			if width > 0 {
-				row.x = resp.X[k*width : (k+1)*width]
-			}
-			alloc[id] = row
-		}
-		w.alloc = alloc
+		w.last = res.cols
 		o.Histogram(`pop_shard_worker_seconds{worker="`+strconv.Itoa(i)+`"}`,
 			"per-worker round latency as observed by the coordinator").Observe(resp.SolveMs / 1000)
 	}
 
-	out, stale, staleJobs := c.merge(active)
+	mp := phase(o, "merge")
+	out, stale, staleJobs := c.merge(order)
+	mp.End()
 	c.lastStale, c.staleJobs = stale, staleJobs
 	dur := time.Since(start)
 	o.Counter("pop_shard_rounds_total", "completed scatter/gather rounds").Inc()
@@ -332,44 +332,74 @@ func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster
 	o.Gauge("pop_shard_stale_jobs", "clients served a stale allocation in the last round").Set(float64(staleJobs))
 	o.Gauge("pop_shard_stale_workers", "workers stale after the last round").Set(float64(stragglers))
 	span.Arg("stragglers", stragglers).Arg("stale_jobs", staleJobs).End()
-	c.log.Info("shard round", "round", round, "jobs", len(active),
+	c.log.Info("shard round", "round", round, "jobs", len(order),
 		"stragglers", stragglers, "stale_jobs", staleJobs,
 		"gather_ms", float64(dur.Microseconds())/1000)
-	return out, nil
+	return out
 }
 
+// responseLimit bounds a round response by what the worker should be
+// holding: the base64 of 8 bytes per id, throughput, and time fraction,
+// doubled, plus room for the envelope and the engine's stats. A worker that
+// answers with more is holding clients the registry never gave it.
+func responseLimit(owned, types int) int64 {
+	return 1<<20 + 2*int64(owned)*int64(8*(2+types)*4/3+4)
+}
+
+// errTooLarge marks a response that overran its size bound.
+var errTooLarge = errors.New("response exceeds its size bound")
+
 // gatherOne runs one worker's slice of the round: an optional registry sync
-// (when flagged, or on a 409), then the round request.
-func (c *Coordinator) gatherOne(ctx context.Context, i, round int, sub cluster.Cluster) gatherResult {
+// (when flagged, or on a 409), then the round request. Every error names
+// the worker; a response that does not validate is an error like any other.
+func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round int, sub cluster.Cluster) (res gatherResult) {
 	w := c.workers[i]
-	var rebuilds int64
+	fail := func(what string, err error) gatherResult {
+		res.err = fmt.Errorf("worker %d (%s): %s: %w", i, w.url, what, err)
+		res.resync = errors.Is(err, errTooLarge)
+		return res
+	}
 	if w.needSync {
-		if err := c.syncWorker(ctx, i, round-1, sub); err != nil {
-			return gatherResult{err: fmt.Errorf("sync: %w", err), rebuilds: rebuilds}
+		if err := c.syncWorker(ctx, o, i, round-1, sub); err != nil {
+			return fail("sync", err)
 		}
-		rebuilds++
+		res.rebuilds++
 	}
 	req := c.buildRound(i, round, sub)
-	var resp RoundResponse
-	status, err := c.post(ctx, w.url+PathRound, req, &resp)
+	resp := new(RoundResponse)
+	decode := func(body []byte) (err error) {
+		*resp = RoundResponse{}
+		if err = json.Unmarshal(body, resp); err != nil {
+			return err
+		}
+		if resp.Round != round {
+			return fmt.Errorf("answered round %d, asked for %d", resp.Round, round)
+		}
+		if res.cols, err = resp.columns(); err != nil {
+			return err
+		}
+		if res.cols.width != 0 && res.cols.width != sub.NumTypes() {
+			return fmt.Errorf("rows have %d types, pool has %d", res.cols.width, sub.NumTypes())
+		}
+		return nil
+	}
+	limit := responseLimit(w.numOwned, sub.NumTypes())
+	status, err := c.post(ctx, o, w, PathRound, req, limit, decode)
 	if status == http.StatusConflict {
 		// The worker is behind (fresh process, lost state): rebuild it from
 		// the registry, then retry the round inside the same deadline.
-		if err := c.syncWorker(ctx, i, round-1, sub); err != nil {
-			return gatherResult{err: fmt.Errorf("sync after conflict: %w", err), rebuilds: rebuilds}
+		if err := c.syncWorker(ctx, o, i, round-1, sub); err != nil {
+			return fail("sync after conflict", err)
 		}
-		rebuilds++
+		res.rebuilds++
 		req.PrevRound = round - 1
-		resp = RoundResponse{}
-		status, err = c.post(ctx, w.url+PathRound, req, &resp)
+		_, err = c.post(ctx, o, w, PathRound, req, limit, decode)
 	}
 	if err != nil {
-		return gatherResult{err: err, rebuilds: rebuilds}
+		return fail("round", err)
 	}
-	if status != http.StatusOK {
-		return gatherResult{err: fmt.Errorf("round status %d", status), rebuilds: rebuilds}
-	}
-	return gatherResult{resp: &resp, rebuilds: rebuilds}
+	res.resp = resp
+	return res
 }
 
 // buildRound assembles worker i's scatter payload: the queued batch in
@@ -408,27 +438,21 @@ func (c *Coordinator) buildRound(i, round int, sub cluster.Cluster) *RoundReques
 // client set of its shard, as of baseRound (this round's mutations are
 // already folded into the registry; the retried round request re-applies
 // them idempotently).
-func (c *Coordinator) syncWorker(ctx context.Context, i, baseRound int, sub cluster.Cluster) error {
+func (c *Coordinator) syncWorker(ctx context.Context, o *obs.Observer, i, baseRound int, sub cluster.Cluster) error {
 	w := c.workers[i]
-	ids := make([]int, 0, w.numOwned)
-	for id := range c.registry {
-		if c.ring.Owner(id) == i {
-			ids = append(ids, id)
+	req := &SyncRequest{Round: baseRound, TypeNames: sub.TypeNames, GPUs: sub.NumGPUs}
+	req.Jobs = make([]JobSpec, 0, w.numOwned)
+	for _, j := range c.registry.Jobs() { // committed before the scatter; read-only here
+		if c.ring.Owner(j.ID) == i {
+			req.Jobs = append(req.Jobs, SpecOf(j))
 		}
 	}
-	sort.Ints(ids)
-	req := &SyncRequest{Round: baseRound, TypeNames: sub.TypeNames, GPUs: sub.NumGPUs}
-	req.Jobs = make([]JobSpec, len(ids))
-	for k, id := range ids {
-		req.Jobs[k] = SpecOf(c.registry[id])
-	}
 	var resp SyncResponse
-	status, err := c.post(ctx, w.url+PathSync, req, &resp)
+	_, err := c.post(ctx, o, w, PathSync, req, 1<<16, func(body []byte) error {
+		return json.Unmarshal(body, &resp)
+	})
 	if err != nil {
 		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("sync status %d", status)
 	}
 	w.needSync = false
 	c.log.Info("shard rebuild", "worker", i, "url", w.url, "base_round", baseRound,
@@ -436,28 +460,35 @@ func (c *Coordinator) syncWorker(ctx context.Context, i, baseRound int, sub clus
 	return nil
 }
 
-// merge composes the per-worker allocations onto the active order — POP's
-// reduce step across processes. Clients of stale workers get their last
-// gathered row (or a zero row if the worker never allocated them), flagged.
-func (c *Coordinator) merge(active []cluster.Job) (*cluster.Allocation, []bool, int) {
-	r := c.c.NumTypes()
+// merge composes the per-worker allocations onto order — POP's reduce step
+// across processes — as one n×r slab. Each worker's last gather is sorted
+// by id, and order usually is too, so a per-worker cursor finds most rows
+// without searching; anything else falls back to a binary search. Clients
+// of stale workers get their last gathered row (or a zero row if the worker
+// never allocated them), flagged.
+func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, int) {
+	n, r := len(order), c.c.NumTypes()
+	slab := make([]float64, n*r)
 	out := &cluster.Allocation{
-		X:      make([][]float64, len(active)),
-		EffThr: make([]float64, len(active)),
+		X:      make([][]float64, n),
+		EffThr: make([]float64, n),
 	}
-	stale := make([]bool, len(active))
+	stale := make([]bool, n)
+	cursor := make([]int, len(c.workers))
 	staleJobs, haveX := 0, false
-	for pos, j := range active {
-		w := c.workers[c.ring.Owner(j.ID)]
-		row, ok := w.alloc[j.ID]
-		if ok && row.x != nil {
-			haveX = true
-			out.X[pos] = append([]float64(nil), row.x...)
-		} else {
-			out.X[pos] = make([]float64, r)
-		}
+	for pos, j := range order {
+		wi := c.ring.Owner(j.ID)
+		w := c.workers[wi]
+		g := &w.last
+		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
+		k, ok := g.find(j.ID, cursor[wi])
 		if ok {
-			out.EffThr[pos] = row.effThr
+			cursor[wi] = k + 1
+			out.EffThr[pos] = g.effThr[k]
+			if g.width > 0 {
+				haveX = true
+				copy(out.X[pos], g.x[k*g.width:(k+1)*g.width])
+			}
 		}
 		if w.stale || !ok {
 			stale[pos] = true
@@ -470,14 +501,19 @@ func (c *Coordinator) merge(active []cluster.Job) (*cluster.Allocation, []bool, 
 	return out, stale, staleJobs
 }
 
-// post sends one JSON request and decodes the JSON answer, returning the
-// HTTP status (0 on transport errors). Error bodies decode into err.
-func (c *Coordinator) post(ctx context.Context, url string, in, out any) (int, error) {
-	body, err := json.Marshal(in)
+// post sends one JSON request to worker w and hands the answer's body — at
+// most limit bytes — to decode. It
+// returns the HTTP status (0 on transport errors); any other outcome than a
+// decoded 200 is an error, with error bodies folded into it. The JSON work
+// on either side is a "shard.encode"/"shard.decode" phase on o's lane.
+func (c *Coordinator) post(ctx context.Context, o *obs.Observer, w *workerConn, path string, in any, limit int64, decode func([]byte) error) (int, error) {
+	ep := phase(o, "encode")
+	payload, err := json.Marshal(in)
+	ep.End()
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+path, bytes.NewReader(payload))
 	if err != nil {
 		return 0, err
 	}
@@ -492,27 +528,24 @@ func (c *Coordinator) post(ctx context.Context, url string, in, out any) (int, e
 		var e errorResponse
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("%s: %s", url, e.Error)
+			return resp.StatusCode, fmt.Errorf("%s: %s", path, e.Error)
 		}
-		return resp.StatusCode, fmt.Errorf("%s: status %d", url, resp.StatusCode)
+		return resp.StatusCode, fmt.Errorf("%s: status %d", path, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return resp.StatusCode, fmt.Errorf("%s: bad response: %w", url, err)
+	dp := phase(o, "decode")
+	defer dp.End()
+	var body bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= limit {
+		body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := body.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+		return resp.StatusCode, fmt.Errorf("%s: reading response: %w", path, err)
+	}
+	if int64(body.Len()) > limit {
+		return resp.StatusCode, fmt.Errorf("%s: %w (%d bytes)", path, errTooLarge, limit)
+	}
+	if err := decode(body.Bytes()); err != nil {
+		return resp.StatusCode, fmt.Errorf("%s: bad response: %w", path, err)
 	}
 	return resp.StatusCode, nil
-}
-
-// jobsEqual mirrors online.ClusterEngine's unchanged-resubmission check so
-// the coordinator's no-op detection matches the engines'.
-func jobsEqual(a, b cluster.Job) bool {
-	if a.Weight != b.Weight || a.Scale != b.Scale || a.NumSteps != b.NumSteps ||
-		a.Priority != b.Priority || a.MemFrac != b.MemFrac || len(a.Throughput) != len(b.Throughput) {
-		return false
-	}
-	for i := range a.Throughput {
-		if a.Throughput[i] != b.Throughput[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -16,27 +16,81 @@
 // Each worker wraps one engine (EngineBundle: the incremental LP engine
 // for maxmin/makespan/spacesharing, the price-discovery engine for price)
 // that stays warm in-process across rounds: LP bases and carried prices
-// survive between rounds exactly as they do in single-process mode, so
-// per-round work is proportional to churn, not population.
+// survive between rounds exactly as they do in single-process mode.
 //
 // # Round protocol
 //
-// A round is one scatter/gather (Coordinator.Step):
+// Every layer holds its client set between rounds in an ascending-id
+// table (cluster.Table): the coordinator its registry, each engine its
+// shard. A round therefore touches the population only where it changed —
+// what it costs outside the solver is O(churn), plus shipping the rows.
 //
-//  1. The coordinator diffs the submitted active set against its
-//     authoritative client registry and queues per-worker mutation
-//     batches (sorted by id, so every engine sees the same order the
-//     single-process engine would).
+// A round is one scatter/gather (Coordinator.Allocate over the registry
+// popserver keeps current with Upsert/Remove, or Coordinator.Step for
+// callers that hand over the whole active set each time):
+//
+//  1. Step only: the active set is diffed against the registry — an
+//     unchanged client costs one comparison and a round stamp, there is no
+//     per-round seen set — queueing per-worker mutation batches (sorted by
+//     id, so every engine sees the same order the single-process engine
+//     would).
 //  2. Scatter: each worker receives RoundRequest{Round, PrevRound,
 //     batch, its 1/W capacity slice} under a per-round deadline.
-//  3. Workers apply the batch to their engine, solve, and return the
-//     allocation in columnar form (ids, effective throughputs, one
-//     flattened X row per client) — at serving scale the JSON shape is
-//     first-order.
-//  4. Gather/merge: rows are recombined in active-set order.
+//  3. Workers apply the batch with Upsert/Remove and run the engine's
+//     held-state round (Engine.Allocate): the engine solves over the
+//     clients it holds and hands back its own id-ordered table with the
+//     allocation aligned, so the worker never copies, sorts, or re-diffs
+//     its shard. The allocation is answered in columnar form.
+//  4. Gather/merge: each worker's last gather is kept as its sorted id
+//     column plus one slab; the merge walks the requested order with a
+//     cursor per worker (binary search when the order is not by id) and
+//     writes one n×r slab.
 //
 // Mutations are idempotent, and a batch stays queued until the owning
 // worker acknowledges the round that carried it.
+//
+// # Wire format
+//
+// Requests and responses are single JSON documents over HTTP — the
+// popserver idiom, so curl, httptest, and the benchmark's wire tap all
+// read them, and plain encoding/json decodes every type in protocol.go.
+// A request is O(churn) and travels as ordinary JSON. A RoundResponse
+// carries n rows, the one inherently O(n) step of a round, so its three
+// columns travel packed: ids as little-endian int64s, eff_thr and x as
+// little-endian float64 bit patterns, each column one base64 string
+// ([]byte under encoding/json). A packed column moves at memcpy speed
+// where a JSON number array pays strconv per value on both ends, and
+// floats are bit-exact by construction rather than by round-tripping
+// through decimal. There is one encoding: no negotiation, no flag, no
+// number-array fallback. To read a column outside Go: base64-decode the
+// string, then read 8-byte little-endian values.
+//
+// A response is checked once, in RoundResponse.columns, before anything
+// indexes into it: every column a whole number of 8-byte values; as many
+// ids as num_jobs says and one eff_thr per id; x either absent or the
+// same width for every id (and, at the coordinator, the pool's width);
+// ids strictly ascending; every value finite; the round the one asked
+// for. Bodies are bounded on both ends — requests by a fixed cap on the
+// worker, responses by a cap derived from how many clients the registry
+// says the worker owns. A response failing any of this is not served:
+// the worker is a straggler for the round, with an error naming it (an
+// over-limit response also schedules a registry sync, since it means the
+// worker holds clients it was never given). Requests are checked the same
+// way on the worker (one throughput per GPU type, nothing negative)
+// before they reach an engine. FuzzRoundResponse and FuzzRoundRequest
+// hold both decoders to "never panic, never accept inconsistent columns".
+//
+// # Telemetry
+//
+// With an Observer set, a round is a "shard.round" span with children
+// shard.diff (Step's registry diff), per-worker shard.gather lanes holding
+// shard.encode and shard.decode (JSON work on either side of the HTTP
+// wait), and shard.merge; a worker's side of it is "shard.worker.round"
+// with apply, solve, extract, and encode children. Each phase is also a
+// histogram — pop_shard_phase_seconds{phase=...} on the coordinator,
+// pop_shard_worker_phase_seconds{phase=...} on the worker — so the
+// coordinator's share of a round is read directly instead of inferred by
+// subtraction. Without an Observer each hook is one pointer check.
 //
 // # Failure model
 //

@@ -15,10 +15,22 @@ import (
 // drives: the incremental LP engine (online.ClusterEngine), the
 // price-discovery engine (price.ClusterEngine), and the sharded Coordinator
 // itself all satisfy it, so every deployment shape runs the same round loop.
+//
+// An engine holds its client set between rounds. Serving paths edit it with
+// Upsert and Remove and call Allocate, which solves over the held set and
+// returns it in ascending-ID order with the allocation aligned — no
+// per-round copy, sort, or diff of the population. The returned jobs alias
+// engine state: read-only, valid until the next Upsert or Remove. Step is
+// Allocate for callers that hold the population themselves (benches, round
+// loops): it diffs active into the engine first and answers in active
+// order. Jobs returns a copy, for the rare paths that need one (registry
+// reconciles, snapshots).
 type Engine interface {
 	Upsert(cluster.Job)
 	Remove(id int) bool
+	NumJobs() int
 	Jobs() []cluster.Job
+	Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error)
 	Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error)
 }
 

@@ -476,6 +476,11 @@ func TestWorkerStateFileWarmRejoin(t *testing.T) {
 				active[i].ID, d)
 		}
 	}
+	// The barrier a shutdown uses: waits out the round's background
+	// checkpoint, so nothing writes into the temp dir while it is removed.
+	if err := f.workers[0].SaveState(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWorkerAuth: round and sync require the bearer token; health stays

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,10 @@ type Worker struct {
 	lastRound int
 
 	saving atomic.Bool
+	// fileMu orders state-file writes: the background checkpoint holds it
+	// while writing, so SaveState's final write lands after — never under —
+	// an older snapshot still in flight.
+	fileMu sync.Mutex
 }
 
 // NewWorker wraps an engine bundle in the shard protocol. If a state file
@@ -86,9 +91,34 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a round or sync request body. A sync carries a
+// shard's whole client set (~150 bytes a job), so the cap is sized for a
+// million-client shard with room to spare rather than for a round's churn.
+const maxRequestBytes = 1 << 30
+
+// readRequest decodes one bounded JSON request body.
+func readRequest(rw http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(v)
+}
+
+// phase opens one child of the worker's round: a "shard.worker.<name>"
+// span plus the matching pop_shard_worker_phase_seconds series.
+func (w *Worker) phase(name string) obs.Timed {
+	if w.opts.Obs == nil {
+		return obs.Timed{}
+	}
+	return w.opts.Obs.Timed("shard.worker."+name,
+		`pop_shard_worker_phase_seconds{phase="`+name+`"}`, "worker round time by phase")
+}
+
 func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
+	defer w.phase("round").End()
 	var req RoundRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := readRequest(rw, r, &req)
+	if err == nil {
+		err = validateSpecs(req.Upserts, req.GPUs, req.TypeNames)
+	}
+	if err != nil {
 		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad round request: %v", err)})
 		return
 	}
@@ -105,47 +135,34 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	ph := w.phase("apply")
 	for _, s := range req.Upserts {
 		w.b.Engine.Upsert(s.Job())
 	}
 	for _, id := range req.Removes {
 		w.b.Engine.Remove(id)
 	}
-	c := cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs}
-	jobs := w.b.Engine.Jobs()
-	resp := RoundResponse{
-		Round:   req.Round,
-		NumJobs: len(jobs),
-		Kind:    w.b.Kind,
-		IDs:     make([]int, len(jobs)),
-		EffThr:  make([]float64, len(jobs)),
+	ph.End()
+
+	// The held-state round: the engine solves over the clients it already
+	// holds and hands back its own ascending-id table, so nothing here
+	// copies, sorts, or re-diffs the shard.
+	ph = w.phase("solve")
+	var jobs []cluster.Job
+	var alloc *cluster.Allocation
+	if w.b.Engine.NumJobs() > 0 {
+		jobs, alloc, err = w.b.Engine.Allocate(cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs})
 	}
-	if len(jobs) > 0 {
-		alloc, err := w.b.Engine.Step(jobs, c)
-		if err != nil {
-			writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d failed: %v", req.Round, err)})
-			return
-		}
-		width := 0
-		if alloc.X != nil && len(alloc.X) == len(jobs) {
-			for _, row := range alloc.X {
-				if len(row) > width {
-					width = len(row)
-				}
-			}
-			resp.X = make([]float64, 0, len(jobs)*width)
-		}
-		for i, j := range jobs {
-			resp.IDs[i] = j.ID
-			resp.EffThr[i] = alloc.EffThr[i]
-			if resp.X != nil {
-				row := alloc.X[i]
-				resp.X = append(resp.X, row...)
-				for pad := len(row); pad < width; pad++ {
-					resp.X = append(resp.X, 0)
-				}
-			}
-		}
+	ph.End()
+	resp := RoundResponse{Round: req.Round, Kind: w.b.Kind}
+	if err == nil {
+		ph = w.phase("extract")
+		err = resp.pack(jobs, alloc)
+		ph.End()
+	}
+	if err != nil {
+		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d failed: %v", req.Round, err)})
+		return
 	}
 	w.lastRound = req.Round
 	resp.SolveMs = float64(time.Since(start).Microseconds()) / 1000
@@ -160,7 +177,20 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	w.log.Debug("shard round", "round", req.Round, "jobs", len(jobs),
 		"upserts", len(req.Upserts), "removes", len(req.Removes), "solve_ms", resp.SolveMs)
 	w.saveStateAsync()
-	writeJSON(rw, http.StatusOK, resp)
+
+	// Encode first and send with the length: one large write instead of a
+	// chunk per 4 KiB of encoder output. Nothing this size is kept between
+	// rounds — wire buffers are garbage, not live heap.
+	ph = w.phase("encode")
+	defer ph.End()
+	out, err := json.Marshal(&resp)
+	if err != nil {
+		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d: encode: %v", req.Round, err)})
+		return
+	}
+	rw.Header().Set("Content-Type", "application/json")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	_, _ = rw.Write(out) // a failed write is the coordinator's timeout to report
 }
 
 // handleSync reconciles the engine against the coordinator's registry:
@@ -169,7 +199,11 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 // straggle the coordinator mistook for a crash) is kept.
 func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 	var req SyncRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := readRequest(rw, r, &req)
+	if err == nil {
+		err = validateSpecs(req.Jobs, req.GPUs, req.TypeNames)
+	}
+	if err != nil {
 		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad sync request: %v", err)})
 		return
 	}
@@ -202,7 +236,7 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 	w.mu.Lock()
-	resp := HealthResponse{OK: true, LastRound: w.lastRound, NumJobs: len(w.b.Engine.Jobs()), Kind: w.b.Kind}
+	resp := HealthResponse{OK: true, LastRound: w.lastRound, NumJobs: w.b.Engine.NumJobs(), Kind: w.b.Kind}
 	w.mu.Unlock()
 	writeJSON(rw, http.StatusOK, resp)
 }
@@ -224,6 +258,8 @@ func (w *Worker) SaveState() error {
 	if err != nil {
 		return err
 	}
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
 	return writeFileAtomic(w.opts.StateFile, st)
 }
 
@@ -248,7 +284,9 @@ func (w *Worker) saveStateAsync() {
 		w.log.Warn("state snapshot failed", "err", err)
 		return
 	}
+	w.fileMu.Lock()
 	go func() {
+		defer w.fileMu.Unlock()
 		defer w.saving.Store(false)
 		if err := writeFileAtomic(w.opts.StateFile, st); err != nil {
 			w.log.Warn("state save failed", "err", err)
@@ -275,7 +313,7 @@ func (w *Worker) restoreState() {
 	}
 	w.lastRound = st.LastRound
 	w.log.Info("state restored", "file", w.opts.StateFile,
-		"round", st.LastRound, "jobs", len(w.b.Engine.Jobs()))
+		"round", st.LastRound, "jobs", w.b.Engine.NumJobs())
 }
 
 func (w *Worker) obsCounter(name, help string) *obs.Counter {
