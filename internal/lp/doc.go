@@ -57,7 +57,9 @@
 // is rejected outright and answered with a refactorization from scratch.
 // The update/reject/refactor-reason counters export through Options.Obs
 // (pop_lp_ft_updates_total, pop_lp_ft_rejects_total,
-// pop_lp_drift_refactors_total, pop_lp_fill_refactors_total).
+// pop_lp_drift_refactors_total, pop_lp_fill_refactors_total), next to each
+// refactorization's wall time (pop_lp_refactor_seconds, the lp.refactor
+// span) and resulting fill (pop_lp_factor_nnz).
 //
 // Dense is the reference backend: an explicit dense m×m basis inverse
 // updated by rank-1 eta transformations and rebuilt by Gauss-Jordan
@@ -73,6 +75,57 @@
 // Dense. AutoBackend (the Options zero value) resolves to SparseLU, so
 // every caller gets the fast path without opting in; SetDefaultBackend
 // rebinds it process-wide (cmd/popbench -backend).
+//
+// # Refactorization
+//
+// luFactor.refactor rebuilds L and U from the basis columns in time
+// proportional to nnz(B) + nnz(L) + nnz(U) plus the elimination flops (and
+// a log factor from one heap and one small sort per column) — it never
+// scans all m rows for one column. That matters because a refactorization
+// is not rare: every warm re-solve installs its basis with one, and every
+// branch-and-bound node starts from a fresh factor.
+//
+//   - Column order is a stable counting sort on column nonzero count
+//     (sparsest first, ties by basis position).
+//   - Column t is scattered into the row-space scratch x. Each row it
+//     touches goes, once, onto one of two worklists: a row already pivoted
+//     at step j puts j on a min-heap; an unpivoted row becomes a pivot
+//     candidate.
+//   - The left-looking sweep pops the heap. Step j's L column holds only
+//     rows that were unpivoted at step j, so applying it can put a nonzero
+//     only on the pivot row of a later step or on a candidate: everything
+//     pushed while step j is applied is larger than j. Popping the minimum
+//     therefore visits, in the same ascending order, exactly the steps a
+//     dense j = 0..t-1 scan would have found nonzero, and performs the same
+//     floating-point operations on the same operands — the factors are
+//     identical bit for bit to those of the dense-scan routine this
+//     replaced, which survives in refactor_ref_test.go as the oracle
+//     (TestRefactorMatchesReference, FuzzRefactor). A row whose value
+//     cancels to exactly zero before its step is popped is skipped, as the
+//     dense scan skipped it.
+//   - The pivot is chosen among the candidates by the threshold rule above,
+//     ties broken by (static row count, smallest row index); the remaining
+//     nonzero candidates, sorted by row, become L column t. The sort is
+//     part of the result: btran accumulates along L columns in stored
+//     order.
+//
+// Storage: all L and U columns of one factorization live back to back in
+// one slab (U column t, then L column t, in elimination order), and the
+// row-wise mirror of U that Forrest–Tomlin needs is counted, then filled,
+// into a second slab. lcols/ucols/urows are capacity-clipped views into the
+// slabs. L is frozen until the next refactor. A Forrest–Tomlin update edits
+// U lists in place inside their views; a list that outgrows its view (a
+// spike column longer than the column it replaces, a row that collects a
+// spike entry) moves, at twice the capacity, into a per-factor update arena
+// that the next refactor rewinds, so updates on a long-lived factor stop
+// allocating once the arena has grown to one refactor interval's worth.
+// Row-eta and product-form eta entries are still allocated per update. The
+// next refactor on the same factor reuses both slabs, the arena and all
+// scratch, so it allocates nothing unless fill grew; nothing is retained
+// across solves.
+//
+// TestRefactorWorkLinear pins the cost model with a count of entries
+// visited rather than a timing, at m ≈ 600, 2 400 and 9 600.
 //
 // # Warm starts
 //

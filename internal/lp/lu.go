@@ -2,7 +2,7 @@ package lp
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // luFactor is the sparse basis backend: B is factorized as P·B·Q = L·U by
@@ -25,9 +25,14 @@ import (
 //
 // On granular allocation LPs the basis columns hold only a handful of
 // nonzeros each, so per-iteration solve time scales with factor fill rather
-// than denseFactor's m². Refactorization keeps an O(m²) symbolic scan (the
-// left-looking sweep and pivot search touch every row per column) but with
-// a trivial constant — far below dense Gauss-Jordan's m³ flops.
+// than denseFactor's m². Refactorization does too: it costs
+// O(nnz(B) + nnz(L) + nnz(U)) plus the elimination flops and a logarithm.
+// Per column, the left-looking sweep pops a min-heap holding only the
+// elimination steps whose pivot row carries a nonzero, and the pivot
+// search, the L collection and the scratch clearing walk the list of rows
+// the column touched — nothing scans 0..m. Warm re-solves and
+// branch-and-bound nodes each start with one, so this is a per-solve cost,
+// not an occasional one. See doc.go, "Refactorization".
 //
 // Vector-space bookkeeping for the Forrest–Tomlin mode: L's elimination
 // steps are frozen at refactor time and double as row "handles" for U — row
@@ -79,6 +84,26 @@ type luFactor struct {
 	// Product-form updates since the last refactor, oldest first (eta mode).
 	etas   []etaTerm
 	etaNnz int
+
+	// Factor storage. slab holds every L and U column of the last refactor
+	// back to back in elimination order (U column t, then L column t);
+	// lcols/ucols are capacity-clipped views into it. rslab backs urows the
+	// same way. L never changes between refactors; a Forrest–Tomlin update
+	// edits U lists inside their views, and a list that outgrows its view
+	// moves into arena (roomFor), which the next refactor rewinds. All three
+	// are reused by the next refactor on this factor.
+	slab, rslab, arena []luEntry
+
+	// Refactor scratch, carved from one allocation: order is the column
+	// elimination order, rowCount the static row counts of the basis, mark
+	// stamps rows already on a worklist for the current column, heap is the
+	// min-heap of pending elimination steps, cand lists the unpivoted rows
+	// the current column touches, and ptr holds the slab offsets (2 per
+	// column) until the views are cut. work counts the entries the last
+	// refactor visited; only the linearity test reads it.
+	order, rowCount, mark []int32
+	heap, cand, ptr       []int32
+	work                  int
 
 	// Scratch: x is row-space (all zeros between calls), g and pos are
 	// handle/position-space, elim maps original row -> elimination
@@ -147,108 +172,159 @@ func (f *luFactor) refactor() bool {
 	f.rowEtaNnz = 0
 	f.ftrans = 0
 	f.drift = false
+	f.arena = f.arena[:0]
+	f.work = 0
 	if f.lcols == nil {
 		f.lcols = make([][]luEntry, m)
 		f.ucols = make([][]luEntry, m)
 		f.udiag = make([]float64, m)
 		f.pr = make([]int, m)
 		f.cperm = make([]int, m)
+		ints := make([]int32, 7*m+2)
+		f.order, f.rowCount, f.mark = ints[:m:m], ints[m:2*m:2*m], ints[2*m:3*m:3*m]
+		f.heap, f.cand, f.ptr = ints[3*m:3*m:4*m], ints[4*m:4*m:5*m], ints[5*m:]
 	}
 
 	// Column order: ascending nonzero count (approximate Markowitz), ties
-	// by position for determinism. Row counts feed the pivot tie-break.
-	order := make([]int, m)
-	colNnz := make([]int, m)
-	rowCount := make([]int, m)
+	// by position for determinism — a stable counting sort, with ptr
+	// doubling as the bucket array before it holds slab offsets. Row counts
+	// feed the pivot tie-break.
+	order, rowCount, mark, ptr := f.order, f.rowCount, f.mark, f.ptr
+	bucket := ptr[:m+2]
+	clear(bucket)
+	clear(rowCount)
+	clear(mark)
+	nnzB := 0
 	for pos := 0; pos < m; pos++ {
-		order[pos] = pos
 		ind, _ := f.basisCol(pos)
-		colNnz[pos] = len(ind)
+		bucket[len(ind)+1]++
+		nnzB += len(ind)
 		for _, r := range ind {
 			rowCount[r]++
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if colNnz[order[a]] != colNnz[order[b]] {
-			return colNnz[order[a]] < colNnz[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	for c := 1; c <= m; c++ {
+		bucket[c] += bucket[c-1]
+	}
+	for pos := 0; pos < m; pos++ {
+		ind, _ := f.basisCol(pos)
+		order[bucket[len(ind)]] = int32(pos)
+		bucket[len(ind)]++
+	}
+	f.work += 2*nnzB + 4*m
 
-	x := f.x
-	for i := range f.elim {
-		f.elim[i] = -1
+	x, elim, pr := f.x, f.elim, f.pr
+	for i := range elim {
+		elim[i] = -1
+	}
+	slab := f.slab[:0]
+	if cap(slab) < nnzB {
+		// nnz(L)+nnz(U) is at least nnz(B) less the m pivots, and little
+		// more on the sparse bases this backend exists for.
+		slab = make([]luEntry, 0, nnzB)
 	}
 	for t := 0; t < m; t++ {
-		pos := order[t]
+		pos := int(order[t])
 		ind, val := f.basisCol(pos)
+
+		// Scatter the column. A row touched for the first time joins one of
+		// two worklists, stamped in mark so it joins once: an already
+		// pivoted row queues its elimination step on the heap, an unpivoted
+		// one becomes a pivot candidate.
+		stamp := int32(t + 1)
+		heap, cand := f.heap[:0], f.cand[:0]
 		for k, r := range ind {
 			x[r] = val[k]
+			if mark[r] != stamp {
+				mark[r] = stamp
+				heap, cand = enlist(r, elim[r], heap, cand)
+			}
 		}
 
-		// Left-looking update: apply every earlier elimination step whose
-		// pivot row currently carries a nonzero. Fill lands only on pivot
-		// rows of later steps, so one ascending scan suffices.
-		ucol := f.ucols[t][:0]
-		for j := 0; j < t; j++ {
-			xj := x[f.pr[j]]
+		// Left-looking update: apply, in ascending order, every earlier
+		// elimination step whose pivot row currently carries a nonzero. L
+		// column j only holds rows still unpivoted at step j, so fill lands
+		// on pivot rows of later steps (or on candidates): everything pushed
+		// while step j is applied exceeds j, and popping the minimum replays
+		// exactly the arithmetic of a dense j = 0..t-1 scan.
+		ptr[2*t] = int32(len(slab))
+		f.work += len(ind)
+		for len(heap) > 0 {
+			var j int32
+			j, heap = heapPop(heap)
+			xj := x[pr[j]]
 			if xj == 0 {
 				continue
 			}
-			ucol = append(ucol, luEntry{int32(j), xj})
-			x[f.pr[j]] = 0 // consumed into U
-			for _, e := range f.lcols[j] {
+			slab = append(slab, luEntry{j, xj})
+			x[pr[j]] = 0 // consumed into U
+			lcol := slab[ptr[2*j+1]:ptr[2*j+2]]
+			f.work += len(lcol) + 1
+			for _, e := range lcol {
 				x[e.idx] -= e.val * xj
+				if mark[e.idx] != stamp {
+					mark[e.idx] = stamp
+					heap, cand = enlist(e.idx, elim[e.idx], heap, cand)
+				}
 			}
 		}
+		ptr[2*t+1] = int32(len(slab))
+		f.work += 3 * len(cand)
 
-		// Threshold partial pivoting among unpivoted rows: candidates
-		// within 10× of the largest magnitude, preferring the row with the
-		// fewest static nonzeros (Markowitz tie-break), then the smallest
-		// index for determinism.
+		// Threshold partial pivoting among the candidates (every other
+		// unpivoted row holds zero): those within 10× of the largest
+		// magnitude, preferring the row with the fewest static nonzeros
+		// (Markowitz tie-break), then the smallest index for determinism.
 		vmax := 0.0
-		for i := 0; i < m; i++ {
-			if f.elim[i] >= 0 {
-				continue
-			}
+		for _, i := range cand {
 			if v := math.Abs(x[i]); v > vmax {
 				vmax = v
 			}
 		}
 		if vmax < 1e-12 {
 			// Singular: zero out scratch before failing.
-			for i := range x {
+			for _, i := range cand {
 				x[i] = 0
 			}
-			f.ucols[t] = ucol
+			f.slab = slab
 			return false
 		}
-		piv := -1
-		for i := 0; i < m; i++ {
-			if f.elim[i] >= 0 || math.Abs(x[i]) < 0.1*vmax {
+		piv := int32(-1)
+		for _, i := range cand {
+			if math.Abs(x[i]) < 0.1*vmax {
 				continue
 			}
-			if piv < 0 || rowCount[i] < rowCount[piv] {
+			if piv < 0 || rowCount[i] < rowCount[piv] || rowCount[i] == rowCount[piv] && i < piv {
 				piv = i
 			}
 		}
 
+		// L column t in ascending row order: btran accumulates along it, so
+		// the order is part of the result.
 		d := x[piv]
-		lcol := f.lcols[t][:0]
-		for i := 0; i < m; i++ {
-			if i == piv || f.elim[i] >= 0 || x[i] == 0 {
+		slices.Sort(cand)
+		for _, i := range cand {
+			if i == piv || x[i] == 0 {
 				continue
 			}
-			lcol = append(lcol, luEntry{int32(i), x[i] / d})
+			slab = append(slab, luEntry{i, x[i] / d})
 			x[i] = 0
 		}
 		x[piv] = 0
-		f.elim[piv] = t
-		f.pr[t] = piv
+		elim[piv] = t
+		pr[t] = int(piv)
 		f.cperm[t] = pos
 		f.udiag[t] = d
-		f.lcols[t] = lcol
-		f.ucols[t] = ucol
+	}
+	ptr[2*m] = int32(len(slab))
+	f.slab = slab
+
+	// Per-column views into the slab, capacity-clipped so a Forrest–Tomlin
+	// append that outgrows one moves that list alone.
+	for t := 0; t < m; t++ {
+		u, l, e := ptr[2*t], ptr[2*t+1], ptr[2*t+2]
+		f.ucols[t] = slab[u:l:l]
+		f.lcols[t] = slab[l:e:e]
 	}
 	if f.ft {
 		f.initFT()
@@ -256,8 +332,61 @@ func (f *luFactor) refactor() bool {
 	return true
 }
 
+// enlist files a row the current column has just reached: a row pivoted at
+// step e queues that step on the heap, an unpivoted one (e < 0) becomes a
+// pivot candidate.
+func enlist(r int32, e int, heap, cand []int32) ([]int32, []int32) {
+	if e >= 0 {
+		return heapPush(heap, int32(e)), cand
+	}
+	return heap, append(cand, r)
+}
+
+// heapPush and heapPop maintain a binary min-heap of elimination steps.
+func heapPush(h []int32, v int32) []int32 {
+	h = append(h, v)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= v {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = v
+	return h
+}
+
+func heapPop(h []int32) (int32, []int32) {
+	top := h[0]
+	n := len(h) - 1
+	v := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= v {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = v
+	}
+	return top, h
+}
+
 // initFT (re)derives the Forrest–Tomlin bookkeeping from a fresh
-// factorization: identity triangular order, the row-wise mirror of U, the
+// factorization: identity triangular order, the row-wise mirror of U
+// (counted, then filled into its own slab in ascending column order), the
 // position→handle map, and the fill baseline the adaptive refactor trigger
 // measures growth against.
 func (f *luFactor) initFT() {
@@ -270,21 +399,42 @@ func (f *luFactor) initFT() {
 		f.spike = make([]float64, m)
 		f.rowAcc = make([]float64, m)
 	}
-	nnz := m // diagonal
+	next := f.ptr[:m+1] // the slab offsets are spent once the views exist
+	clear(next)
+	nnz := 0
 	for h := 0; h < m; h++ {
 		f.perm[h] = h
 		f.stepOf[h] = h
 		f.posH[f.cperm[h]] = h
-		f.urows[h] = f.urows[h][:0]
-	}
-	for h := 0; h < m; h++ {
 		for _, e := range f.ucols[h] {
-			f.urows[e.idx] = append(f.urows[e.idx], luEntry{int32(h), e.val})
+			next[e.idx+1]++
 		}
 		nnz += len(f.ucols[h])
 	}
-	f.unnz = nnz
-	f.unnz0 = nnz
+	for h := 1; h <= m; h++ {
+		next[h] += next[h-1]
+	}
+	if cap(f.rslab) < nnz {
+		// At least double, so fill creeping up from one refactor to the next
+		// does not buy a new slab every time.
+		f.rslab = make([]luEntry, max(nnz, 2*cap(f.rslab)))
+	}
+	rslab := f.rslab[:nnz]
+	for h := 0; h < m; h++ {
+		for _, e := range f.ucols[h] {
+			rslab[next[e.idx]] = luEntry{int32(h), e.val}
+			next[e.idx]++
+		}
+	}
+	// next[h] has advanced from row h's start to its end.
+	lo := int32(0)
+	for h := 0; h < m; h++ {
+		f.urows[h] = rslab[lo:next[h]:next[h]]
+		lo = next[h]
+	}
+	f.work += 2*nnz + 3*m
+	f.unnz = m + nnz // diagonal included
+	f.unnz0 = f.unnz
 }
 
 // solveLU solves B₀ x = v through L, the row etas, and U: v enters in row
@@ -619,8 +769,8 @@ func (f *luFactor) updateFT(leave int, w []float64) bool {
 		if v == 0 || h == h0 {
 			continue
 		}
-		ucol = append(ucol, luEntry{int32(h), v})
-		f.urows[h] = append(f.urows[h], luEntry{int32(h0), v})
+		ucol = append(f.roomFor(ucol), luEntry{int32(h), v})
+		f.urows[h] = append(f.roomFor(f.urows[h]), luEntry{int32(h0), v})
 	}
 	f.ucols[h0] = ucol
 	f.unnz += len(ucol)
@@ -680,6 +830,27 @@ func (f *luFactor) updateFT(leave int, w []float64) bool {
 	}
 	f.s.ftUpdates++
 	return true
+}
+
+// roomFor returns list with room for one more entry. A full list — one
+// that has outgrown its slab view — moves to twice the capacity inside the
+// update arena, so steady-state updates allocate nothing; the copy it
+// leaves behind is dead until the next refactor rewinds the arena.
+func (f *luFactor) roomFor(list []luEntry) []luEntry {
+	if len(list) < cap(list) {
+		return list
+	}
+	n := max(4, 2*cap(list))
+	if len(f.arena)+n > cap(f.arena) {
+		// Views into the old chunk stay valid; it is garbage after the next
+		// refactor.
+		f.arena = make([]luEntry, 0, max(n, 2*cap(f.arena), f.m))
+	}
+	off := len(f.arena)
+	f.arena = f.arena[:off+n]
+	moved := f.arena[off : off+len(list) : off+n]
+	copy(moved, list)
+	return moved
 }
 
 // removeHandle swap-removes the entry with index h from ents (entry order

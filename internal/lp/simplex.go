@@ -877,11 +877,13 @@ func (s *simplex) pivot(leave, q int) bool {
 // the dense rebuild also finds the basis singular.
 func (s *simplex) reinvert() bool {
 	s.refactors++
-	sp := s.opts.Obs.Span("lp.refactor")
-	defer sp.End()
+	tm := s.opts.Obs.Timed("lp.refactor", "pop_lp_refactor_seconds", "basis refactorization wall time")
+	defer tm.End()
 	ok := s.bas.refactor()
-	if !ok {
-		if _, dense := s.bas.(*denseFactor); !dense {
+	if f, sparse := s.bas.(*luFactor); sparse {
+		if ok {
+			s.opts.Obs.Gauge("pop_lp_factor_nnz", "L+U nonzeros of the latest sparse basis refactorization").Set(float64(len(f.slab) + f.m))
+		} else {
 			s.bas = newDenseFactor(s)
 			s.fellBack = true
 			ok = s.bas.refactor()

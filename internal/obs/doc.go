@@ -73,7 +73,9 @@
 // coordinator's registry and
 // pop_shard_worker_phase_seconds{phase="round|apply|solve|extract|encode"}
 // on the worker's, so the split a trace shows for one round is on /metrics
-// for all of them.
+// for all of them. lp.refactor is Timed the same way: every basis
+// refactorization is also an observation in pop_lp_refactor_seconds, and
+// the gauge pop_lp_factor_nnz holds the L+U fill of the latest one.
 //
 // # Observer
 //
