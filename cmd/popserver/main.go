@@ -5,6 +5,20 @@
 // models — capacity changes ride the dual simplex, data changes the primal
 // warm path.
 //
+// popserver is a coordinator (internal/shard); -workers decides whether its
+// workers are remote. Without it the daemon coordinates one worker inside
+// its own process; with it, clients are consistent-hashed onto shard-worker
+// processes (the `worker` subcommand). The round is the same code either
+// way: each worker gets its mutations in ascending-id order and 1/W of the
+// pool, and the allocations are gathered under a deadline. A worker that
+// misses it — or whose engine fails, in process or not — costs its clients
+// freshness, not the round: the tick answers 200, their rows flagged "stale"
+// (stale_jobs counts them), the batch still queued. Crashed worker processes
+// are rebuilt from the coordinator's client registry.
+//
+//	popserver worker -shard-addr :9001 [-policy ... -k ... -auth-token ... -state-file ...]
+//	popserver -workers http://host:9001,http://host:9002 [-shard-deadline 10s] [-auth-token ...]
+//
 // Endpoints:
 //
 //	POST   /v1/jobs            submit or update a job, or a JSON array of jobs (batched until the next round)
@@ -16,22 +30,11 @@
 //	GET    /v1/stats           engine and server counters
 //	GET    /healthz            liveness
 //
-// Deployment shapes. By default the daemon runs one in-process engine.
-// With -workers it becomes a shard coordinator instead: clients are
-// consistent-hashed onto shard-worker processes (started with the `worker`
-// subcommand), each round is a deadline-bounded scatter/gather across them,
-// and a worker that misses the deadline has its clients served last round's
-// allocation, flagged "stale" in /v1/allocation. Crashed workers are
-// rebuilt from the coordinator's client registry. See internal/shard.
-//
-//	popserver worker -shard-addr :9001 [-policy ... -k ... -auth-token ... -state-file ...]
-//	popserver -workers http://host:9001,http://host:9002 [-shard-deadline 10s] [-auth-token ...]
-//
 // Hardening: -auth-token requires a shared bearer token on every mutating
 // endpoint (and stamps coordinator→worker calls); -quota caps per-tenant
 // (X-Pop-Tenant header) submissions per round, answering 429 beyond it;
-// -state-file persists the engine's warm state (partitions, simplex bases,
-// prices) across restarts, in both single-process and worker modes.
+// -state-file persists a worker's warm state (clients, partitions, bases,
+// prices) across restarts — the in-process worker's or a `worker` process's.
 //
 // Observability: GET /metrics serves the server's counters, gauges, and
 // latency histograms (round latency, warm/cold sub-solve counters, LP pivot
@@ -96,11 +99,11 @@ func main() {
 		policyFl  = flag.String("policy", "maxmin", "scheduling policy: maxmin | makespan | spacesharing | price")
 		parallel  = flag.Bool("parallel", true, "solve dirty sub-problems concurrently")
 		rebalance = flag.Bool("rebalance", false, "move ≤1 job per round toward the least-loaded sub-problem")
-		workers   = flag.String("workers", "", "comma-separated shard-worker base URLs (coordinator mode)")
-		deadline  = flag.Duration("shard-deadline", 10*time.Second, "per-round scatter/gather deadline (coordinator mode)")
+		workers   = flag.String("workers", "", "comma-separated shard-worker base URLs (default: one worker in this process)")
+		deadline  = flag.Duration("shard-deadline", 10*time.Second, "per-round scatter/gather deadline")
 		authTok   = flag.String("auth-token", "", "bearer token required on mutating endpoints and used for worker calls")
 		quota     = flag.Int("quota", 0, "max job submissions per tenant per round (0 = unlimited)")
-		stateFile = flag.String("state-file", "", "persist engine warm state here across restarts (single-process mode)")
+		stateFile = flag.String("state-file", "", "persist the in-process worker's warm state here across restarts")
 		logLevel  = flag.String("log-level", "info", "log level: debug | info | warn | error")
 		debugAddr = flag.String("debug-addr", "", "optional second listener serving /debug/pprof/ and /metrics")
 	)

@@ -7,11 +7,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pop/internal/cluster"
@@ -44,8 +42,8 @@ type jobAlloc struct {
 }
 
 // snapshot is the allocation as of the last completed round, plus the
-// engine counters frozen at that instant (so stats reads never have to
-// touch the engine while a round is solving).
+// workers' state and engine counters frozen at that instant (so stats reads
+// never have to touch the coordinator while a round is solving).
 type snapshot struct {
 	Round       int                 `json:"round"`
 	ComputedAt  time.Time           `json:"computed_at"`
@@ -54,9 +52,7 @@ type snapshot struct {
 	StaleJobs   int                 `json:"stale_jobs,omitempty"`
 	Jobs        map[string]jobAlloc `json:"jobs"`
 
-	engStats   online.Stats
-	priceStats price.Stats
-	shardStats []shard.WorkerStatus
+	workers []shard.WorkerStatus
 }
 
 // mutation is one buffered state change (submit or remove).
@@ -65,17 +61,17 @@ type mutation struct {
 	remove int
 }
 
-// serverConfig selects the server's deployment shape and hardening knobs.
+// serverConfig selects where the workers run and the hardening knobs.
 type serverConfig struct {
 	// policy is maxmin | makespan | spacesharing | price.
 	policy string
-	// opts tune the in-process engine (ignored in coordinator mode, where
-	// the workers own the engines).
+	// opts tune the in-process worker's engine (ignored with workers set,
+	// where the worker processes own the engines).
 	opts online.Options
-	// workers, when non-empty, runs the server as a shard coordinator over
-	// these worker base URLs instead of an in-process engine.
+	// workers, when non-empty, are the base URLs of the shard-worker
+	// processes to coordinate; empty means one worker inside this process.
 	workers []string
-	// deadline bounds a sharded round's scatter/gather (0 = 10s).
+	// deadline bounds a round's scatter/gather (0 = 10s).
 	deadline time.Duration
 	// authToken, when non-empty, is required (as a bearer token) on every
 	// mutating endpoint and stamped on coordinator→worker requests.
@@ -83,16 +79,15 @@ type serverConfig struct {
 	// quota caps per-tenant job submissions per round (X-Pop-Tenant header,
 	// "default" when absent); exceeding it answers 429. 0 = unlimited.
 	quota int
-	// stateFile persists the in-process engine's warm state across restarts
-	// (single-process mode only; workers have their own -state-file).
+	// stateFile persists the in-process worker's warm state across restarts
+	// (worker processes have their own -state-file).
 	stateFile string
 }
 
-// server batches mutations between rounds and re-solves the engine once per
-// round — the per-round request batching the online engine is built for.
-// mu guards only the cheap shared state (pending queue, last snapshot,
-// tenant quotas), so submissions and reads never wait on a solve; engMu
-// serializes rounds, which are the only engine access.
+// server batches mutations between rounds and runs one coordinator round
+// per tick. mu guards only the cheap shared state (pending queue, last
+// snapshot, tenant quotas), so submissions and reads never wait on a solve;
+// roundMu serializes rounds, which are the only coordinator access.
 type server struct {
 	cfg serverConfig
 
@@ -101,36 +96,37 @@ type server struct {
 	snap    snapshot
 	tenants map[string]int // submissions per tenant since the last round
 
-	engMu sync.Mutex
-	eng   shard.Engine
-	// Exactly one of bundle/coord is set: bundle wraps the in-process engine
-	// (with its stats/snapshot hooks), coord fans rounds out to shard
-	// workers. engineKind is "lp", "price", or "sharded" for /v1/stats.
-	bundle     *shard.EngineBundle
-	coord      *shard.Coordinator
+	roundMu sync.Mutex
+	coord   *shard.Coordinator
+	// saveState is the shutdown save (called after drain): the in-process
+	// worker's -state-file, nothing when every worker is remote.
+	saveState func() error
+	// engineKind is the in-process engine's kind ("lp" or "price"), or
+	// "sharded" over remote workers — /v1/stats' engine_kind.
 	engineKind string
 
 	c       cluster.Cluster
 	started time.Time
 
-	// reg is the server's metrics registry (GET /metrics); the engine and
-	// its LP sub-solves book into it through the observer installed at
-	// construction. round mirrors snap.Round atomically so the request
-	// middleware can stamp X-Pop-Round without taking mu.
-	reg    *obs.Registry
-	log    *slog.Logger
-	round  atomic.Int64
-	saving atomic.Bool
+	// reg is the server's metrics registry (GET /metrics); the coordinator,
+	// the in-process worker, its engine, and the LP sub-solves book into it
+	// through the observer installed at construction.
+	reg *obs.Registry
+	log *slog.Logger
 }
 
-// newServer builds the daemon. With cfg.workers empty it constructs the
-// policy-selected in-process engine ("maxmin", "makespan", "spacesharing"
-// run the incremental LP engine, "price" the solver-free price-discovery
-// engine) and, when cfg.stateFile names an existing snapshot, restores its
-// warm state. With cfg.workers set it becomes a shard coordinator: clients
-// are consistent-hashed onto the workers and every round is a
-// scatter/gather across them.
+// newServer builds the daemon: a shard coordinator over the worker
+// processes cfg.workers names or, with none named, over one worker in this
+// process around the policy-selected engine (maxmin|makespan|spacesharing:
+// incremental LP; price: price discovery), restored from cfg.stateFile.
 func newServer(c cluster.Cluster, cfg serverConfig, logger *slog.Logger) (*server, error) {
+	return newServerWith(c, cfg, logger, shard.NewEngine)
+}
+
+// newServerWith takes the in-process worker's engine constructor, so tests
+// can keep a handle on the engine or hand in a failing one.
+func newServerWith(c cluster.Cluster, cfg serverConfig, logger *slog.Logger,
+	newEngine func(cluster.Cluster, shard.EngineConfig) (*shard.EngineBundle, error)) (*server, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
@@ -141,141 +137,41 @@ func newServer(c cluster.Cluster, cfg serverConfig, logger *slog.Logger) (*serve
 		reg = cfg.opts.Obs.Metrics // caller-supplied registry backs /metrics too
 	}
 	s := &server{
-		cfg:     cfg,
-		c:       c,
-		snap:    snapshot{Jobs: map[string]jobAlloc{}},
-		tenants: map[string]int{},
-		started: time.Now(),
-		reg:     reg,
-		log:     logger,
+		cfg:        cfg,
+		c:          c,
+		tenants:    map[string]int{},
+		saveState:  func() error { return nil },
+		engineKind: "sharded",
+		started:    time.Now(),
+		reg:        reg,
+		log:        logger,
 	}
+	copts := shard.CoordinatorOptions{Deadline: cfg.deadline, Token: cfg.authToken, Obs: cfg.opts.Obs, Log: logger}
+	var err error
 	if len(cfg.workers) > 0 {
-		coord, err := shard.NewCoordinator(cfg.workers, shard.CoordinatorOptions{
-			Deadline: cfg.deadline,
-			Token:    cfg.authToken,
-			Obs:      cfg.opts.Obs,
-			Log:      logger,
+		s.coord, err = shard.NewCoordinator(cfg.workers, copts)
+	} else {
+		var b *shard.EngineBundle
+		b, err = newEngine(c, shard.EngineConfig{
+			Policy:    cfg.policy,
+			K:         cfg.opts.K,
+			Parallel:  cfg.opts.Parallel,
+			Rebalance: cfg.opts.Rebalance,
+			Obs:       cfg.opts.Obs,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.coord, s.eng, s.engineKind = coord, coord, "sharded"
-		return s, nil
+		w := shard.NewWorker(b, shard.WorkerOptions{StateFile: cfg.stateFile, Obs: cfg.opts.Obs, Log: logger})
+		s.saveState, s.engineKind = w.SaveState, b.Kind
+		s.coord, err = shard.NewLocalCoordinator([]*shard.Worker{w}, copts)
 	}
-	b, err := shard.NewEngine(c, shard.EngineConfig{
-		Policy:    cfg.policy,
-		K:         cfg.opts.K,
-		Parallel:  cfg.opts.Parallel,
-		Rebalance: cfg.opts.Rebalance,
-		Obs:       cfg.opts.Obs,
-	})
 	if err != nil {
 		return nil, err
 	}
-	s.bundle, s.eng, s.engineKind = b, b.Engine, b.Kind
-	if cfg.stateFile != "" {
-		s.restoreState()
-	}
+	// A coordinator seeded from a restored worker resumes at its round.
+	s.snap = snapshot{Round: s.coord.Round(), Jobs: map[string]jobAlloc{}, workers: s.coord.Status()}
 	return s, nil
-}
-
-// serverState is the on-disk shape of a single-process -state-file.
-type serverState struct {
-	Round  int             `json:"round"`
-	Engine json.RawMessage `json:"engine"`
-}
-
-func (s *server) restoreState() {
-	raw, err := os.ReadFile(s.cfg.stateFile)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.log.Warn("state file unreadable; starting fresh", "file", s.cfg.stateFile, "err", err)
-		}
-		return
-	}
-	var st serverState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		s.log.Warn("state file corrupt; starting fresh", "file", s.cfg.stateFile, "err", err)
-		return
-	}
-	if err := s.bundle.Restore(st.Engine); err != nil {
-		s.log.Warn("state restore rejected; starting fresh", "file", s.cfg.stateFile, "err", err)
-		return
-	}
-	s.snap.Round = st.Round
-	s.round.Store(int64(st.Round))
-	s.log.Info("state restored", "file", s.cfg.stateFile, "round", st.Round, "jobs", s.eng.NumJobs())
-}
-
-// snapshotState marshals the engine state (caller holds engMu).
-func (s *server) snapshotState(round int) ([]byte, error) {
-	eng, err := s.bundle.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(serverState{Round: round, Engine: eng})
-}
-
-// saveStateAsync checkpoints after a round without blocking the next one:
-// the snapshot is taken synchronously (cheap struct copies, caller holds
-// engMu), the file write happens in the background, and at most one write
-// is in flight (a newer round's state supersedes, it never queues).
-func (s *server) saveStateAsync(round int) {
-	if s.cfg.stateFile == "" || s.bundle == nil || !s.saving.CompareAndSwap(false, true) {
-		return
-	}
-	st, err := s.snapshotState(round)
-	if err != nil {
-		s.saving.Store(false)
-		s.log.Warn("state snapshot failed", "err", err)
-		return
-	}
-	go func() {
-		defer s.saving.Store(false)
-		if err := writeFileAtomic(s.cfg.stateFile, st); err != nil {
-			s.log.Warn("state save failed", "err", err)
-		}
-	}()
-}
-
-// saveState synchronously persists the engine state (shutdown barrier;
-// called after drain, so no round holds the engine).
-func (s *server) saveState() error {
-	if s.cfg.stateFile == "" || s.bundle == nil {
-		return nil
-	}
-	s.engMu.Lock()
-	st, err := s.snapshotState(int(s.round.Load()))
-	s.engMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(s.cfg.stateFile, st)
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepathDir(path), ".state-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, path)
-}
-
-func filepathDir(path string) string {
-	if i := strings.LastIndexByte(path, os.PathSeparator); i > 0 {
-		return path[:i]
-	}
-	return "."
 }
 
 func (s *server) handler() http.Handler {
@@ -321,7 +217,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		w.Header().Set("X-Pop-Round", strconv.FormatInt(s.round.Load(), 10))
+		s.mu.Lock()
+		round := s.snap.Round
+		s.mu.Unlock()
+		w.Header().Set("X-Pop-Round", strconv.Itoa(round))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
@@ -509,89 +408,66 @@ func (s *server) handleSetCluster(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// drain blocks until no scheduling round holds the engine — the graceful
+// drain blocks until no scheduling round is running — the graceful
 // shutdown barrier: once it returns (with the ticker stopped and the HTTP
 // server shut down), no round is in flight and none can start.
 func (s *server) drain() {
-	s.engMu.Lock()
-	//lint:ignore SA2001 acquiring engMu is the barrier; nothing to do inside
-	s.engMu.Unlock()
+	s.roundMu.Lock()
+	//lint:ignore SA2001 acquiring roundMu is the barrier; nothing to do inside
+	s.roundMu.Unlock()
 }
 
-// tick applies the batched mutations and re-solves the dirtied
-// sub-problems (or, in coordinator mode, scatters the round over the shard
-// workers and gathers their allocations). It is called by the round ticker
-// (or POST /v1/tick).
+// tick folds the batched mutations into the coordinator's registry and runs
+// one round: scatter each worker's batch, gather and merge the allocations.
+// A worker that fails or misses the deadline costs its clients a stale row,
+// never the round. It is called by the round ticker (or POST /v1/tick).
 func (s *server) tick() (snapshot, error) {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
 
 	s.mu.Lock()
 	pending := s.pending
 	s.pending = nil
 	s.tenants = map[string]int{} // per-round quota window
-	round := s.snap.Round
 	c := s.c
 	s.mu.Unlock()
 
 	for _, m := range pending {
 		if m.submit != nil {
-			s.eng.Upsert(*m.submit)
+			s.coord.Upsert(*m.submit)
 		} else {
-			s.eng.Remove(m.remove)
+			s.coord.Remove(m.remove)
 		}
 	}
 
 	start := time.Now()
-	snap := snapshot{
-		Round:      round + 1,
-		ComputedAt: time.Now().UTC(),
-		NumJobs:    s.eng.NumJobs(),
-		Jobs:       make(map[string]jobAlloc, s.eng.NumJobs()),
+	jobs, alloc, err := s.coord.Allocate(c)
+	if err != nil {
+		// The mutations were applied; only the snapshot is lost.
+		return snapshot{}, err
 	}
-	if snap.NumJobs > 0 {
-		// The engine holds the client set; it solves over what the
-		// mutations above left in it and hands back its own id-ordered table.
-		jobs, alloc, err := s.eng.Allocate(c)
-		if err != nil {
-			// The mutations were applied; only the snapshot is lost.
-			return snapshot{}, err
+	stale := s.coord.LastStale()
+	snap := snapshot{
+		Round:      s.coord.Round(),
+		ComputedAt: time.Now().UTC(),
+		NumJobs:    len(jobs),
+		StaleJobs:  s.coord.StaleJobs(),
+		Jobs:       make(map[string]jobAlloc, len(jobs)),
+		workers:    s.coord.Status(),
+	}
+	for i, j := range jobs {
+		ja := jobAlloc{ID: j.ID, EffThr: alloc.EffThr[i], Stale: stale[i]}
+		if alloc.X != nil {
+			ja.X = alloc.X[i]
 		}
-		var staleMask []bool
-		if s.coord != nil {
-			staleMask = s.coord.LastStale()
-			snap.StaleJobs = s.coord.StaleJobs()
-		}
-		for i, j := range jobs {
-			ja := jobAlloc{ID: j.ID, EffThr: alloc.EffThr[i]}
-			if alloc.X != nil {
-				ja.X = alloc.X[i]
-			}
-			if i < len(staleMask) {
-				ja.Stale = staleMask[i]
-			}
-			snap.Jobs[strconv.Itoa(j.ID)] = ja
-		}
+		snap.Jobs[strconv.Itoa(j.ID)] = ja
 	}
 	snap.SolveTimeMs = float64(time.Since(start).Microseconds()) / 1000
-	if s.bundle != nil {
-		switch st := s.bundle.Stats().(type) {
-		case online.Stats:
-			snap.engStats = st
-		case price.Stats:
-			snap.priceStats = st
-		}
-	}
-	if s.coord != nil {
-		snap.shardStats = s.coord.Status()
-	}
 
 	s.mu.Lock()
 	s.snap = snap
 	queued := len(s.pending)
 	s.mu.Unlock()
-	s.round.Store(int64(snap.Round))
-	s.saveStateAsync(snap.Round)
 
 	s.reg.Counter("pop_rounds_total", "completed scheduling rounds").Inc()
 	s.reg.Histogram("pop_round_seconds", "scheduling round wall time", nil).
@@ -635,6 +511,16 @@ func (s *server) handleAllocationOne(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ja)
 }
 
+// engineBlock is the in-process engine's counters (WorkerStatus.Stats holds
+// its JSON) when it is of the given kind; otherwise — another kind, remote
+// workers, no round yet — zero, for a stable schema. Caller holds mu.
+func (s *server) engineBlock(kind string, zero any) any {
+	if st := s.snap.workers[0].Stats; s.engineKind == kind && st != nil {
+		return st
+	}
+	return zero
+}
+
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	resp := map[string]any{
@@ -646,13 +532,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"gpu_types":      s.c.TypeNames,
 		"gpus":           s.c.NumGPUs,
 		"engine_kind":    s.engineKind,
-		// engine marshals through online.Stats' JSON tags, so a field added
-		// there lands here without a matching edit.
-		"engine": s.snap.engStats,
-		// price mirrors the price engine's counters through price.Stats' JSON
-		// tags; all-zero under the LP engines, included unconditionally so
-		// clients see a stable schema.
-		"price": s.snap.priceStats,
+		// engine and price carry online.Stats' and price.Stats' JSON tags, so
+		// a field added there lands here without a matching edit.
+		"engine": s.engineBlock("lp", online.Stats{}),
+		"price":  s.engineBlock("price", price.Stats{}),
 		// search mirrors milp.SearchStats from the registry's counters. The
 		// bundled cluster policies are pure LPs, so these stay zero unless a
 		// MILP-backed policy runs with the server's observer; they are
@@ -665,11 +548,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"lp_pivots":        s.reg.Counter("pop_milp_lp_pivots_total", "").Value(),
 			"dual_pivots":      s.reg.Counter("pop_milp_dual_pivots_total", "").Value(),
 		},
-	}
-	if s.snap.shardStats != nil {
 		// workers is the coordinator's per-shard view: acked round, stale
 		// flag, job count, and each worker's own engine counters.
-		resp["workers"] = s.snap.shardStats
+		"workers": s.snap.workers,
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)

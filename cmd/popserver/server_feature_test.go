@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,34 +158,53 @@ func TestServerBatchSubmit(t *testing.T) {
 	}
 }
 
+// fileRound reads the round a -state-file was written at.
+func fileRound(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		LastRound int `json:"last_round"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.LastRound
+}
+
 // TestServerStateFileRestart: a server restarted with its -state-file picks
-// up at the saved round with the engine's warm state intact — the
-// single-process face of the worker snapshot machinery.
+// up at the saved round with the engine's warm state intact. The shutdown
+// save follows a burst of ticks with no pause, so background checkpoints of
+// earlier rounds are still in flight when it runs: the file must end up
+// holding the final round, not whichever write renamed last.
 func TestServerStateFileRestart(t *testing.T) {
 	stateFile := filepath.Join(t.TempDir(), "popserver.state")
 	cfg := serverConfig{policy: "maxmin", opts: online.Options{K: 2}, stateFile: stateFile}
 	c := cluster.NewCluster(4, 4, 4)
 
-	s1, err := newServer(c, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1, b1 := newEngineServer(t, c, cfg)
 	ts1 := httptest.NewServer(s1.handler())
 	for id := 0; id < 8; id++ {
 		do(t, "POST", ts1.URL+"/v1/jobs", jobSpec{ID: id, Throughput: []float64{1, 2, 3 + float64(id%3)}}, http.StatusAccepted)
 	}
-	do(t, "POST", ts1.URL+"/v1/tick", nil, http.StatusOK)
-	do(t, "POST", ts1.URL+"/v1/tick", nil, http.StatusOK)
-	before := do(t, "GET", ts1.URL+"/v1/allocation", nil, http.StatusOK)
+	const rounds = 12
+	for r := 0; r < rounds; r++ {
+		if _, err := s1.tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := s1.saveState(); err != nil {
 		t.Fatal(err)
 	}
+	if got := fileRound(t, stateFile); got != rounds {
+		t.Fatalf("state file holds round %d after the shutdown save, want the final round %d", got, rounds)
+	}
+	before := do(t, "GET", ts1.URL+"/v1/allocation", nil, http.StatusOK)
 	ts1.Close()
 
-	s2, err := newServer(c, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, b2 := newEngineServer(t, c, cfg)
 	ts2 := httptest.NewServer(s2.handler())
 	t.Cleanup(ts2.Close)
 
@@ -191,21 +214,24 @@ func TestServerStateFileRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Pop-Round"); got != "2" {
-		t.Fatalf("restored server at round %q, want 2", got)
+	if got := resp.Header.Get("X-Pop-Round"); got != strconv.Itoa(rounds) {
+		t.Fatalf("restored server at round %q, want %d", got, rounds)
 	}
 	// ...with the engine's jobs and counters, so the first tick needs no
 	// resubmission and continues the round sequence.
-	donorStats := s1.bundle.Stats().(online.Stats)
-	if got := s2.bundle.Stats().(online.Stats); got != donorStats {
+	donorStats := b1.Stats().(online.Stats)
+	if got := b2.Stats().(online.Stats); got != donorStats {
 		t.Fatalf("restored engine stats %+v, want %+v", got, donorStats)
 	}
 	tick := do(t, "POST", ts2.URL+"/v1/tick", nil, http.StatusOK)
-	if got := tick["round"].(float64); got != 3 {
-		t.Fatalf("first tick after restore is round %g, want 3", got)
+	if got := tick["round"].(float64); got != rounds+1 {
+		t.Fatalf("first tick after restore is round %g, want %d", got, rounds+1)
 	}
 	if got := tick["num_jobs"].(float64); got != 8 {
 		t.Fatalf("restored round has %g jobs, want 8", got)
+	}
+	if got := tick["stale_jobs"].(float64); got != 0 {
+		t.Fatalf("restored round served %g jobs stale", got)
 	}
 	after := do(t, "GET", ts2.URL+"/v1/allocation", nil, http.StatusOK)
 	beforeJobs := before["jobs"].(map[string]any)
@@ -219,6 +245,167 @@ func TestServerStateFileRestart(t *testing.T) {
 		if gotThr := gotJA["effective_throughput"].(float64); math.Abs(gotThr-wantThr) > 1e-6 {
 			t.Fatalf("job %s reallocated after restart: %g -> %g", id, wantThr, gotThr)
 		}
+	}
+	// The barrier a shutdown uses: waits out the tick's background
+	// checkpoint, so nothing writes into the temp dir while it is removed.
+	if err := s2.saveState(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerStateFileCompat: a -state-file is applied whole or rejected
+// whole. The fixture was written by the last single-process server that kept
+// its own envelope ({"round":N,"engine":…}); it is the only copy of that
+// server's client set, so it must still restore jobs and round. A garbled
+// envelope, or an engine snapshot the engine rejects, leaves worker,
+// registry, and round all empty — never the jobs at round 0.
+func TestServerStateFileCompat(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "single_process_v15.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		file        []byte
+		round, jobs int
+	}{
+		"legacy envelope":  {legacy, 3, 5},
+		"garbled envelope": {legacy[:len(legacy)/2], 0, 0},
+		"round not a number": {
+			bytes.Replace(legacy, []byte(`{"round":3,`), []byte(`{"round":"three",`), 1), 0, 0},
+		"engine rejects snapshot": {
+			bytes.Replace(legacy, []byte(`"partitions":[[0,2,4],[1,3]]`), []byte(`"partitions":[[0,2,4],[1,7]]`), 1), 0, 0},
+		"wrong policy": {
+			bytes.Replace(legacy, []byte(`"policy":"max-min-fairness"`), []byte(`"policy":"min-makespan"`), 1), 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			stateFile := filepath.Join(t.TempDir(), "popserver.state")
+			if err := os.WriteFile(stateFile, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4),
+				serverConfig{policy: "maxmin", opts: online.Options{K: 2}, stateFile: stateFile})
+			if got := b.Engine.NumJobs(); got != tc.jobs {
+				t.Fatalf("worker engine holds %d jobs, want %d", got, tc.jobs)
+			}
+			if got := s.coord.NumJobs(); got != tc.jobs {
+				t.Fatalf("registry holds %d jobs, want %d", got, tc.jobs)
+			}
+			if got := s.coord.Round(); got != tc.round {
+				t.Fatalf("coordinator at round %d, want %d", got, tc.round)
+			}
+			snap, err := s.tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Round != tc.round+1 || snap.NumJobs != tc.jobs || snap.StaleJobs != 0 {
+				t.Fatalf("first tick: round %d, %d jobs, %d stale; want round %d, %d jobs, none stale",
+					snap.Round, snap.NumJobs, snap.StaleJobs, tc.round+1, tc.jobs)
+			}
+			if ws := s.coord.Status()[0]; ws.Rebuilds != 0 || ws.Jobs != tc.jobs {
+				t.Fatalf("first tick needed a registry sync or lost jobs: %+v", ws)
+			}
+			if err := s.saveState(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fileRound(t, stateFile); got != tc.round+1 {
+				t.Fatalf("re-saved file holds last_round %d, want %d", got, tc.round+1)
+			}
+		})
+	}
+}
+
+// flakyEngine fails its rounds on demand.
+type flakyEngine struct {
+	shard.Engine
+	fail atomic.Bool
+}
+
+func (e *flakyEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
+	if e.fail.Load() {
+		return nil, nil, errors.New("solver exploded")
+	}
+	return e.Engine.Allocate(c)
+}
+
+// TestServerLocalEngineErrorServesStale: the in-process worker fails the way
+// a remote one does. Its engine returning an error costs the round's clients
+// a stale row — the tick still answers 200 — and the mutation batch stays
+// queued, so the next healthy tick is fresh and has applied it.
+func TestServerLocalEngineErrorServesStale(t *testing.T) {
+	flaky := &flakyEngine{}
+	s, err := newServerWith(cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}}, nil,
+		func(c cluster.Cluster, ec shard.EngineConfig) (*shard.EngineBundle, error) {
+			b, err := shard.NewEngine(c, ec)
+			if err == nil {
+				flaky.Engine, b.Engine = b.Engine, flaky
+			}
+			return b, err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+
+	for id := 0; id < 4; id++ {
+		do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: id, Throughput: []float64{1, 2, 3 + float64(id)}}, http.StatusAccepted)
+	}
+	do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
+	fresh := do(t, "GET", ts.URL+"/v1/allocation", nil, http.StatusOK)["jobs"].(map[string]any)
+
+	flaky.fail.Store(true)
+	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 9, Throughput: []float64{2, 2, 2}}, http.StatusAccepted)
+	tick := do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
+	if tick["round"].(float64) != 2 || tick["num_jobs"].(float64) != 5 || tick["stale_jobs"].(float64) != 5 {
+		t.Fatalf("failed round answered %v, want round 2 with all 5 jobs stale", tick)
+	}
+	served := do(t, "GET", ts.URL+"/v1/allocation", nil, http.StatusOK)["jobs"].(map[string]any)
+	if len(served) != 5 {
+		t.Fatalf("failed round served %d rows, want 5", len(served))
+	}
+	for id, v := range served {
+		ja := v.(map[string]any)
+		if stale, _ := ja["stale"].(bool); !stale {
+			t.Fatalf("job %s not flagged stale after its worker's engine failed", id)
+		}
+		want := 0.0 // job 9 has never been allocated
+		if prev, ok := fresh[id].(map[string]any); ok {
+			want = prev["effective_throughput"].(float64)
+		}
+		if got := ja["effective_throughput"].(float64); got != want {
+			t.Fatalf("job %s stale row is %g, want last round's %g", id, got, want)
+		}
+	}
+	metrics := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return string(raw)
+	}
+	if body := metrics(); !strings.Contains(body, "pop_shard_stragglers_total 1") {
+		t.Fatalf("failed round did not book one straggler:\n%s", body)
+	}
+
+	flaky.fail.Store(false)
+	tick = do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
+	if tick["round"].(float64) != 3 || tick["num_jobs"].(float64) != 5 || tick["stale_jobs"].(float64) != 0 {
+		t.Fatalf("recovery round answered %v, want round 3 with 5 fresh jobs", tick)
+	}
+	for id, v := range do(t, "GET", ts.URL+"/v1/allocation", nil, http.StatusOK)["jobs"].(map[string]any) {
+		ja := v.(map[string]any)
+		if stale, _ := ja["stale"].(bool); stale || ja["effective_throughput"].(float64) <= 0 {
+			t.Fatalf("job %s not served fresh after recovery: %v", id, ja)
+		}
+	}
+	ws := s.coord.Status()[0]
+	if ws.Stragglers != 1 || ws.Rebuilds != 0 || ws.Jobs != 5 {
+		t.Fatalf("worker after recovery: %+v, want one straggle, no rebuild, 5 jobs", ws)
+	}
+	if body := metrics(); !strings.Contains(body, "pop_shard_stragglers_total 1") {
+		t.Fatal("recovery round booked another straggler")
 	}
 }
 

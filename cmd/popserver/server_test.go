@@ -18,17 +18,32 @@ import (
 
 	"pop/internal/cluster"
 	"pop/internal/online"
+	"pop/internal/shard"
 )
 
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// newEngineServer builds a server over one in-process worker and keeps a
+// handle on that worker's engine bundle, which the server itself no longer
+// holds.
+func newEngineServer(t *testing.T, c cluster.Cluster, cfg serverConfig) (*server, *shard.EngineBundle) {
+	t.Helper()
+	var b *shard.EngineBundle
+	s, err := newServerWith(c, cfg, nil, func(c cluster.Cluster, ec shard.EngineConfig) (*shard.EngineBundle, error) {
+		var err error
+		b, err = shard.NewEngine(c, ec)
+		return b, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, b
 }
 
 func do(t *testing.T, method, url string, body any, wantCode int) map[string]any {
@@ -132,14 +147,16 @@ func TestServerRoundTrip(t *testing.T) {
 // TestServerBatchingSkipsCleanSubProblems: a second tick with no pending
 // mutations must not re-solve anything.
 func TestServerBatchingSkipsCleanSubProblems(t *testing.T) {
-	s, ts := newTestServer(t)
+	s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}})
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
 	for id := 0; id < 4; id++ {
 		do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: id, Throughput: []float64{1, 1, 1}}, http.StatusAccepted)
 	}
 	do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
-	before := s.bundle.Stats().(online.Stats).SubSolves
+	before := b.Stats().(online.Stats).SubSolves
 	do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
-	if after := s.bundle.Stats().(online.Stats).SubSolves; after != before {
+	if after := b.Stats().(online.Stats).SubSolves; after != before {
 		t.Fatalf("idle tick re-solved %d sub-problems", after-before)
 	}
 }
@@ -158,7 +175,9 @@ func TestServerValidation(t *testing.T) {
 // never lowering the max-min fair floor when capacity only grows; malformed
 // specs are rejected without touching the pool.
 func TestServerSetCluster(t *testing.T) {
-	s, ts := newTestServer(t)
+	s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}})
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
 	jobs := make([]cluster.Job, 6)
 	for id := 0; id < 6; id++ {
 		thr := []float64{1, 1.5 + float64(id)*0.2, 3}
@@ -177,7 +196,7 @@ func TestServerSetCluster(t *testing.T) {
 	}
 	do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
 	big := cluster.NewCluster(8, 8, 8)
-	if got := s.bundle.Engine.(*online.ClusterEngine).Cluster().NumGPUs[0]; got != 8 {
+	if got := b.Engine.(*online.ClusterEngine).Cluster().NumGPUs[0]; got != 8 {
 		t.Fatalf("engine cluster not updated: %g GPUs of type 0, want 8", got)
 	}
 	// The capacity change dirties both sub-problems.
@@ -194,7 +213,7 @@ func TestServerSetCluster(t *testing.T) {
 	do(t, "PUT", ts.URL+"/v1/cluster", clusterSpec{GPUs: []float64{8, 8}}, http.StatusBadRequest)
 	do(t, "PUT", ts.URL+"/v1/cluster", clusterSpec{GPUs: []float64{8, -1, 8}}, http.StatusBadRequest)
 	do(t, "PUT", ts.URL+"/v1/cluster", "not a cluster", http.StatusBadRequest)
-	if got := s.bundle.Engine.(*online.ClusterEngine).Cluster().NumGPUs[0]; got != 8 {
+	if got := b.Engine.(*online.ClusterEngine).Cluster().NumGPUs[0]; got != 8 {
 		t.Fatalf("rejected PUT changed the cluster: %g GPUs of type 0", got)
 	}
 }
@@ -615,7 +634,10 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if s.snap.NumJobs != 8 {
 		t.Fatalf("final snapshot has %d jobs, want 8", s.snap.NumJobs)
 	}
-	st := s.snap.engStats
+	var st online.Stats
+	if err := json.Unmarshal(s.snap.workers[0].Stats, &st); err != nil {
+		t.Fatal(err)
+	}
 	if st.Rounds < 1 || st.SubSolves < 1 {
 		t.Fatalf("engine never worked: %+v", st)
 	}

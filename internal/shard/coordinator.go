@@ -1,14 +1,11 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
 	"slices"
 	"sort"
 	"strconv"
@@ -19,57 +16,9 @@ import (
 	"pop/internal/obs"
 )
 
-// CoordinatorOptions configure a sharded round coordinator.
-type CoordinatorOptions struct {
-	// Deadline bounds each round's scatter/gather, including any registry
-	// sync a worker needs first. A worker that misses it is a straggler:
-	// its clients are served last round's allocation, flagged stale, and
-	// its unacked mutation batch stays queued for the next round. 0 means
-	// 10s.
-	Deadline time.Duration
-	// Token authenticates coordinator→worker requests.
-	Token Token
-	// Obs receives round telemetry: a "shard.round" span with per-worker
-	// "shard.gather" lanes, straggler/rebuild counters, and gather-latency
-	// histograms.
-	Obs *obs.Observer
-	Log *slog.Logger
-	// Client overrides the HTTP client (tests inject httptest transports).
-	Client *http.Client
-}
-
-func (o CoordinatorOptions) deadline() time.Duration {
-	if o.Deadline <= 0 {
-		return 10 * time.Second
-	}
-	return o.Deadline
-}
-
-// workerConn is the coordinator's view of one shard worker: its address,
-// the last round it acked, the allocation it last returned, and the
-// mutation batch queued for it. Batches clear only on ack — a straggling or
-// crashed worker's batch is re-sent (idempotently) until a round lands.
-type workerConn struct {
-	url      string
-	ackRound int
-	stale    bool
-	needSync bool
-	last     gather // the worker's last gathered allocation, by ascending id
-	numOwned int    // registry clients hashed onto this worker
-	kind     string
-	stats    json.RawMessage
-	solveMs  float64
-	numJobs  int
-
-	stragglers int64
-	rebuilds   int64
-
-	pendUp map[int]cluster.Job
-	pendRm map[int]bool
-}
-
 // WorkerStatus is one worker's externally visible state (served by
-// popserver's /v1/stats in coordinator mode).
+// popserver's /v1/stats): its address, the last round it acked, whether it
+// is serving stale rows, and what it last reported about itself.
 type WorkerStatus struct {
 	URL        string          `json:"url"`
 	Round      int             `json:"round"`
@@ -82,17 +31,30 @@ type WorkerStatus struct {
 	Stats      json.RawMessage `json:"stats,omitempty"`
 }
 
-// Coordinator fans scheduling rounds out over shard-worker processes. It
-// consistent-hashes clients onto workers, keeps the authoritative client
-// registry (the rebuild source for a crashed worker), and runs each round
-// as a deadline-bounded scatter/gather. It satisfies Engine, so popserver
-// drives it exactly like an in-process engine. Not safe for concurrent use
-// (popserver serializes rounds under its engine mutex).
+// workerConn is the coordinator's view of one shard worker: how to reach
+// it, its status, the allocation it last returned, and the mutation batch
+// queued for it. Batches clear only on ack — a straggling or crashed
+// worker's batch is re-sent (idempotently) until a round lands.
+type workerConn struct {
+	t Transport
+	WorkerStatus
+	needSync bool
+	last     gather // the worker's last gathered allocation, by ascending id
+	numOwned int    // registry clients hashed onto this worker
+
+	pendUp map[int]cluster.Job
+	pendRm map[int]bool
+}
+
+// Coordinator fans scheduling rounds out over shard workers, each behind a
+// Transport. It consistent-hashes clients onto workers, keeps the
+// authoritative client registry (the rebuild source for a crashed worker),
+// and runs each round as a deadline-bounded scatter/gather. It satisfies
+// Engine. Not safe for concurrent use (popserver serializes rounds under
+// its round mutex).
 type Coordinator struct {
-	opts   CoordinatorOptions
-	log    *slog.Logger
-	client *http.Client
-	ring   *Ring
+	opts CoordinatorOptions
+	ring *Ring
 
 	workers  []*workerConn
 	registry cluster.Table
@@ -103,43 +65,35 @@ type Coordinator struct {
 	staleJobs int
 }
 
-// NewCoordinator builds a coordinator over the given worker base URLs.
-func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator, error) {
-	if len(workerURLs) == 0 {
-		return nil, fmt.Errorf("shard: coordinator needs at least one worker URL")
+// newCoordinator builds a coordinator over one transport per worker.
+func newCoordinator(ts []Transport, opts CoordinatorOptions) (*Coordinator, error) {
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("shard: coordinator needs at least one worker")
 	}
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.DiscardHandler)
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
+	if opts.Deadline <= 0 {
+		opts.Deadline = 10 * time.Second
 	}
 	c := &Coordinator{
 		opts:    opts,
-		log:     opts.Log,
-		client:  client,
-		ring:    NewRing(len(workerURLs)),
-		workers: make([]*workerConn, len(workerURLs)),
+		ring:    NewRing(len(ts)),
+		workers: make([]*workerConn, len(ts)),
 	}
-	for i, u := range workerURLs {
+	for i, t := range ts {
 		c.workers[i] = &workerConn{
-			url:    u,
-			pendUp: map[int]cluster.Job{},
-			pendRm: map[int]bool{},
+			t:            t,
+			WorkerStatus: WorkerStatus{URL: t.String()},
+			pendUp:       map[int]cluster.Job{},
+			pendRm:       map[int]bool{},
 		}
 	}
 	return c, nil
 }
 
-// NumWorkers reports the shard count.
-func (c *Coordinator) NumWorkers() int { return len(c.workers) }
-
 // Round reports the last completed round.
 func (c *Coordinator) Round() int { return c.round }
-
-// Owner reports which worker a client id hashes to.
-func (c *Coordinator) Owner(id int) int { return c.ring.Owner(id) }
 
 // Upsert registers (or updates) a client and queues the mutation for its
 // shard's next round. Re-submitting unchanged data queues nothing.
@@ -190,17 +144,7 @@ func (c *Coordinator) StaleJobs() int { return c.staleJobs }
 func (c *Coordinator) Status() []WorkerStatus {
 	out := make([]WorkerStatus, len(c.workers))
 	for i, w := range c.workers {
-		out[i] = WorkerStatus{
-			URL:        w.url,
-			Round:      w.ackRound,
-			Stale:      w.stale,
-			Jobs:       w.numJobs,
-			SolveMs:    w.solveMs,
-			Stragglers: w.stragglers,
-			Rebuilds:   w.rebuilds,
-			Kind:       w.kind,
-			Stats:      w.stats,
-		}
+		out[i] = w.WorkerStatus
 	}
 	return out
 }
@@ -262,7 +206,7 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 	span.Arg("round", round).Arg("workers", len(c.workers))
 	start := time.Now()
 
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.deadline())
+	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Deadline)
 	defer cancel()
 
 	baseTID := 0
@@ -286,7 +230,7 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 	stragglers := 0
 	for i, w := range c.workers {
 		res := results[i]
-		w.rebuilds += res.rebuilds
+		w.Rebuilds += res.rebuilds
 		if res.rebuilds > 0 {
 			o.Counter("pop_shard_rebuilds_total", "workers rebuilt from the client registry").Add(res.rebuilds)
 		}
@@ -294,21 +238,21 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 			// Straggler or crash: keep last round's allocation, keep the
 			// unacked batch queued, and let the health of the next round
 			// decide whether a sync is needed (a crashed worker will 409).
-			w.stale = true
+			w.Stale = true
 			w.needSync = w.needSync || res.resync
-			w.stragglers++
+			w.Stragglers++
 			stragglers++
 			o.Counter("pop_shard_stragglers_total", "worker rounds lost to the deadline or errors").Inc()
-			c.log.Warn("shard straggler", "worker", i, "url", w.url, "round", round, "err", res.err)
+			c.opts.Log.Warn("shard straggler", "worker", i, "url", w.URL, "round", round, "err", res.err)
 			continue
 		}
 		resp := res.resp
-		w.stale = false
-		w.ackRound = round
-		w.kind = resp.Kind
-		w.stats = resp.Stats
-		w.solveMs = resp.SolveMs
-		w.numJobs = resp.NumJobs
+		w.Stale = false
+		w.Round = round
+		w.Kind = resp.Kind
+		w.Stats = resp.Stats
+		w.SolveMs = resp.SolveMs
+		w.Jobs = resp.NumJobs
 		// Fresh maps, not cleared ones: a cold load's batch would otherwise
 		// keep its buckets allocated for the life of the worker.
 		w.pendUp = map[int]cluster.Job{}
@@ -332,7 +276,7 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 	o.Gauge("pop_shard_stale_jobs", "clients served a stale allocation in the last round").Set(float64(staleJobs))
 	o.Gauge("pop_shard_stale_workers", "workers stale after the last round").Set(float64(stragglers))
 	span.Arg("stragglers", stragglers).Arg("stale_jobs", staleJobs).End()
-	c.log.Info("shard round", "round", round, "jobs", len(order),
+	c.opts.Log.Info("shard round", "round", round, "jobs", len(order),
 		"stragglers", stragglers, "stale_jobs", staleJobs,
 		"gather_ms", float64(dur.Microseconds())/1000)
 	return out
@@ -346,17 +290,15 @@ func responseLimit(owned, types int) int64 {
 	return 1<<20 + 2*int64(owned)*int64(8*(2+types)*4/3+4)
 }
 
-// errTooLarge marks a response that overran its size bound.
-var errTooLarge = errors.New("response exceeds its size bound")
-
 // gatherOne runs one worker's slice of the round: an optional registry sync
-// (when flagged, or on a 409), then the round request. Every error names
-// the worker; a response that does not validate is an error like any other.
+// (when flagged, or when the worker says it is out of sync), then the round
+// request. Every error names the worker; a response that does not validate
+// is an error like any other.
 func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round int, sub cluster.Cluster) (res gatherResult) {
 	w := c.workers[i]
 	fail := func(what string, err error) gatherResult {
-		res.err = fmt.Errorf("worker %d (%s): %s: %w", i, w.url, what, err)
-		res.resync = errors.Is(err, errTooLarge)
+		res.err = fmt.Errorf("worker %d (%s): %s: %w", i, w.URL, what, err)
+		res.resync = errors.Is(err, ErrTooLarge)
 		return res
 	}
 	if w.needSync {
@@ -366,26 +308,9 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 		res.rebuilds++
 	}
 	req := c.buildRound(i, round, sub)
-	resp := new(RoundResponse)
-	decode := func(body []byte) (err error) {
-		*resp = RoundResponse{}
-		if err = json.Unmarshal(body, resp); err != nil {
-			return err
-		}
-		if resp.Round != round {
-			return fmt.Errorf("answered round %d, asked for %d", resp.Round, round)
-		}
-		if res.cols, err = resp.columns(); err != nil {
-			return err
-		}
-		if res.cols.width != 0 && res.cols.width != sub.NumTypes() {
-			return fmt.Errorf("rows have %d types, pool has %d", res.cols.width, sub.NumTypes())
-		}
-		return nil
-	}
 	limit := responseLimit(w.numOwned, sub.NumTypes())
-	status, err := c.post(ctx, o, w, PathRound, req, limit, decode)
-	if status == http.StatusConflict {
+	resp, err := w.t.Round(ctx, o, req, limit)
+	if errors.Is(err, ErrOutOfSync) {
 		// The worker is behind (fresh process, lost state): rebuild it from
 		// the registry, then retry the round inside the same deadline.
 		if err := c.syncWorker(ctx, o, i, round-1, sub); err != nil {
@@ -393,7 +318,10 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 		}
 		res.rebuilds++
 		req.PrevRound = round - 1
-		_, err = c.post(ctx, o, w, PathRound, req, limit, decode)
+		resp, err = w.t.Round(ctx, o, req, limit)
+	}
+	if err == nil {
+		res.cols, err = resp.accept(round, sub.NumTypes())
 	}
 	if err != nil {
 		return fail("round", err)
@@ -402,14 +330,30 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 	return res
 }
 
+// accept checks a gathered response against what was asked — the round, the
+// column shapes, the pool's width — and unpacks it.
+func (r *RoundResponse) accept(round, types int) (gather, error) {
+	if r.Round != round {
+		return gather{}, fmt.Errorf("bad response: answered round %d, asked for %d", r.Round, round)
+	}
+	g, err := r.columns()
+	if err != nil {
+		return gather{}, fmt.Errorf("bad response: %w", err)
+	}
+	if g.width != 0 && g.width != types {
+		return gather{}, fmt.Errorf("bad response: rows have %d types, pool has %d", g.width, types)
+	}
+	return g, nil
+}
+
 // buildRound assembles worker i's scatter payload: the queued batch in
-// deterministic (ascending-id) order — the order the single-process engine
+// deterministic (ascending-id) order — the order the bare-engine
 // equivalence relies on — and the shard's capacity slice.
 func (c *Coordinator) buildRound(i, round int, sub cluster.Cluster) *RoundRequest {
 	w := c.workers[i]
 	req := &RoundRequest{
 		Round:     round,
-		PrevRound: w.ackRound,
+		PrevRound: w.Round,
 		TypeNames: sub.TypeNames,
 		GPUs:      sub.NumGPUs,
 	}
@@ -447,15 +391,12 @@ func (c *Coordinator) syncWorker(ctx context.Context, o *obs.Observer, i, baseRo
 			req.Jobs = append(req.Jobs, SpecOf(j))
 		}
 	}
-	var resp SyncResponse
-	_, err := c.post(ctx, o, w, PathSync, req, 1<<16, func(body []byte) error {
-		return json.Unmarshal(body, &resp)
-	})
+	resp, err := w.t.Sync(ctx, o, req)
 	if err != nil {
 		return err
 	}
 	w.needSync = false
-	c.log.Info("shard rebuild", "worker", i, "url", w.url, "base_round", baseRound,
+	c.opts.Log.Info("shard rebuild", "worker", i, "url", w.URL, "base_round", baseRound,
 		"jobs", len(req.Jobs), "kept_warm", resp.Kept)
 	return nil
 }
@@ -490,7 +431,7 @@ func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, i
 				copy(out.X[pos], g.x[k*g.width:(k+1)*g.width])
 			}
 		}
-		if w.stale || !ok {
+		if w.Stale || !ok {
 			stale[pos] = true
 			staleJobs++
 		}
@@ -499,53 +440,4 @@ func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, i
 		out.X = nil
 	}
 	return out, stale, staleJobs
-}
-
-// post sends one JSON request to worker w and hands the answer's body — at
-// most limit bytes — to decode. It
-// returns the HTTP status (0 on transport errors); any other outcome than a
-// decoded 200 is an error, with error bodies folded into it. The JSON work
-// on either side is a "shard.encode"/"shard.decode" phase on o's lane.
-func (c *Coordinator) post(ctx context.Context, o *obs.Observer, w *workerConn, path string, in any, limit int64, decode func([]byte) error) (int, error) {
-	ep := phase(o, "encode")
-	payload, err := json.Marshal(in)
-	ep.End()
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+path, bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.opts.Token.Set(req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("%s: %s", path, e.Error)
-		}
-		return resp.StatusCode, fmt.Errorf("%s: status %d", path, resp.StatusCode)
-	}
-	dp := phase(o, "decode")
-	defer dp.End()
-	var body bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= limit {
-		body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
-	}
-	if _, err := body.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
-		return resp.StatusCode, fmt.Errorf("%s: reading response: %w", path, err)
-	}
-	if int64(body.Len()) > limit {
-		return resp.StatusCode, fmt.Errorf("%s: %w (%d bytes)", path, errTooLarge, limit)
-	}
-	if err := decode(body.Bytes()); err != nil {
-		return resp.StatusCode, fmt.Errorf("%s: bad response: %w", path, err)
-	}
-	return resp.StatusCode, nil
 }

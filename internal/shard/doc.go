@@ -1,9 +1,12 @@
-// Package shard turns the single-process popserver into a coordinator
-// fanning scheduling rounds out over shard-worker processes — POP's
-// partitioned serving story at the process level: each worker owns an
-// independent slice of the client population and 1/W of the resource pool,
-// solves it on its own persistent engine, and the coordinator merges the
-// per-shard allocations into the cluster-wide answer.
+// Package shard is popserver's serving path: a coordinator fanning
+// scheduling rounds out over shard workers — POP's partitioned serving story
+// at the process level: each worker owns an independent slice of the client
+// population and 1/W of the resource pool, solves it on its own persistent
+// engine, and the coordinator merges the per-shard allocations. popserver is
+// always a coordinator; where its workers run is deployment. Coordinator and
+// Worker meet at Transport (round + sync): NewCoordinator reaches worker
+// processes over HTTP, NewLocalCoordinator calls Worker values in its own
+// process, and the code on either side of the seam is one copy.
 //
 // # Topology
 //
@@ -16,7 +19,7 @@
 // Each worker wraps one engine (EngineBundle: the incremental LP engine
 // for maxmin/makespan/spacesharing, the price-discovery engine for price)
 // that stays warm in-process across rounds: LP bases and carried prices
-// survive between rounds exactly as they do in single-process mode.
+// survive between rounds wherever the worker runs.
 //
 // # Round protocol
 //
@@ -32,8 +35,7 @@
 //  1. Step only: the active set is diffed against the registry — an
 //     unchanged client costs one comparison and a round stamp, there is no
 //     per-round seen set — queueing per-worker mutation batches (sorted by
-//     id, so every engine sees the same order the single-process engine
-//     would).
+//     id, so an engine sees the same order whatever the fleet's shape).
 //  2. Scatter: each worker receives RoundRequest{Round, PrevRound,
 //     batch, its 1/W capacity slice} under a per-round deadline.
 //  3. Workers apply the batch with Upsert/Remove and run the engine's
@@ -51,8 +53,9 @@
 //
 // # Wire format
 //
-// Requests and responses are single JSON documents over HTTP — the
-// popserver idiom, so curl, httptest, and the benchmark's wire tap all
+// The local transport passes the protocol structs by pointer (validated by
+// the same RoundResponse.columns). Over HTTP they are single JSON documents
+// — the popserver idiom, so curl, httptest, and the benchmark's wire tap all
 // read them, and plain encoding/json decodes every type in protocol.go.
 // A request is O(churn) and travels as ordinary JSON. A RoundResponse
 // carries n rows, the one inherently O(n) step of a round, so its three
@@ -85,17 +88,19 @@
 // With an Observer set, a round is a "shard.round" span with children
 // shard.diff (Step's registry diff), per-worker shard.gather lanes holding
 // shard.encode and shard.decode (JSON work on either side of the HTTP
-// wait), and shard.merge; a worker's side of it is "shard.worker.round"
-// with apply, solve, extract, and encode children. Each phase is also a
-// histogram — pop_shard_phase_seconds{phase=...} on the coordinator,
+// wait; the local transport has neither), and shard.merge; a worker's side
+// of it is "shard.worker.round" with apply, solve, extract, and (over HTTP)
+// encode children. Each phase is also a histogram —
+// pop_shard_phase_seconds{phase=...} on the coordinator,
 // pop_shard_worker_phase_seconds{phase=...} on the worker — so the
 // coordinator's share of a round is read directly instead of inferred by
 // subtraction. Without an Observer each hook is one pointer check.
 //
 // # Failure model
 //
-// Stragglers: a worker that misses the deadline keeps last round's rows
-// for its clients, each flagged Stale in the merged allocation — serving
+// Stragglers: a worker that misses the deadline — or fails the round, or
+// answers garbage; over either transport — keeps last round's rows for its
+// clients, each flagged Stale in the merged allocation — serving
 // degrades to slightly old allocations instead of blocking the round.
 // Its batch remains queued; PrevRound tracking makes re-application safe
 // whether the worker finished late (it is ahead and accepts the re-send)

@@ -11,10 +11,10 @@ import (
 	"pop/internal/price"
 )
 
-// Engine is the per-round surface a worker (or a single-process popserver)
-// drives: the incremental LP engine (online.ClusterEngine), the
-// price-discovery engine (price.ClusterEngine), and the sharded Coordinator
-// itself all satisfy it, so every deployment shape runs the same round loop.
+// Engine is the per-round surface of a client set that can be allocated: a
+// Worker drives the incremental LP engine (online.ClusterEngine) or the
+// price-discovery engine (price.ClusterEngine) through it, and popserver and
+// the benches drive the Coordinator, which satisfies it too.
 //
 // An engine holds its client set between rounds. Serving paths edit it with
 // Upsert and Remove and call Allocate, which solves over the held set and
@@ -69,8 +69,8 @@ type EngineConfig struct {
 }
 
 // NewEngine constructs the policy-selected round engine. It is the single
-// construction path shared by popserver (both single-process and worker
-// modes) and servebench's spawned workers.
+// construction path shared by popserver's workers (in-process or the
+// `worker` subcommand) and servebench's spawned ones.
 func NewEngine(c cluster.Cluster, cfg EngineConfig) (*EngineBundle, error) {
 	switch strings.ToLower(cfg.Policy) {
 	case "price":

@@ -238,7 +238,7 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 	}
 	owned := 0
 	for _, j := range active {
-		if coord.Owner(j.ID) == 0 {
+		if coord.ring.Owner(j.ID) == 0 {
 			owned++
 		}
 	}
@@ -291,7 +291,7 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 			t.Fatalf("%s: %d stale jobs, want worker 0's %d", name, coord.StaleJobs(), owned)
 		}
 		for i, j := range active {
-			if coord.Owner(j.ID) == 0 && (!coord.LastStale()[i] || got.EffThr[i] != good.EffThr[i]) {
+			if coord.ring.Owner(j.ID) == 0 && (!coord.LastStale()[i] || got.EffThr[i] != good.EffThr[i]) {
 				t.Fatalf("%s: job %d not served its last good row, flagged", name, j.ID)
 			}
 		}

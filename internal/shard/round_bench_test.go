@@ -2,19 +2,29 @@ package shard
 
 import (
 	"math/rand"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"pop/internal/cluster"
 )
 
-// servedFleet is a coordinator over in-process workers behind loopback HTTP
-// plus a replace-churn population (each round the oldest clients leave and
-// as many fresh ones arrive) — the serve workloads of the repository
-// benchmark, sized for `go test`.
+// servedRow is one way of serving the same population: a coordinator over
+// workers reached by HTTP or in process, or — the reference row — the bare
+// policy engine stepped directly over the whole pool.
+type servedRow struct {
+	name      string
+	transport string // "http", "local", or "" for the bare engine
+	workers   int
+}
+
+var servedRows = []servedRow{{"http×2", "http", 2}, {"local×1", "local", 1}, {"engine", "", 1}}
+
+// servedFleet is an Engine being served plus a replace-churn population
+// (each round the oldest clients leave and as many fresh ones arrive) — the
+// serve workloads of the repository benchmark, sized for `go test`.
 type servedFleet struct {
-	coord    *Coordinator
+	eng      Engine
+	coord    *Coordinator // nil on the bare-engine row
 	pool     cluster.Cluster
 	active   []cluster.Job
 	rnd      *rand.Rand
@@ -22,7 +32,7 @@ type servedFleet struct {
 	perRound int
 }
 
-func newServedFleet(tb testing.TB, policy string, k, clients, workers int, churn float64) *servedFleet {
+func newServedFleet(tb testing.TB, policy string, k, clients int, row servedRow, churn float64) *servedFleet {
 	tb.Helper()
 	per := float64(clients) / 8
 	f := &servedFleet{
@@ -31,19 +41,16 @@ func newServedFleet(tb testing.TB, policy string, k, clients, workers int, churn
 		rnd:      rand.New(rand.NewSource(1)),
 		perRound: max(1, int(float64(clients)*churn)),
 	}
-	var urls []string
-	for i := 0; i < workers; i++ {
-		b, err := NewEngine(f.pool.Split(workers), EngineConfig{Policy: policy, K: k})
+	cfg := EngineConfig{Policy: policy, K: k}
+	if row.transport == "" {
+		b, err := NewEngine(f.pool, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		srv := httptest.NewServer(NewWorker(b, WorkerOptions{}).Handler())
-		tb.Cleanup(srv.Close)
-		urls = append(urls, srv.URL)
-	}
-	var err error
-	if f.coord, err = NewCoordinator(urls, CoordinatorOptions{}); err != nil {
-		tb.Fatal(err)
+		f.eng = b.Engine
+	} else {
+		f.coord = newTestCoordinator(tb, row.transport, row.workers, f.pool.Split(row.workers), cfg, CoordinatorOptions{})
+		f.eng = f.coord
 	}
 	for i := range f.active {
 		f.active[i] = f.newJob()
@@ -71,38 +78,45 @@ func (f *servedFleet) churn() {
 }
 
 func (f *servedFleet) step(tb testing.TB) {
-	alloc, err := f.coord.Step(f.active, f.pool)
+	alloc, err := f.eng.Step(f.active, f.pool)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if n := f.coord.StaleJobs(); n != 0 || len(alloc.EffThr) != len(f.active) {
-		tb.Fatalf("round %d: %d stale jobs, %d rows for %d clients",
-			f.coord.Round(), n, len(alloc.EffThr), len(f.active))
+	if len(alloc.EffThr) != len(f.active) {
+		tb.Fatalf("%d rows for %d clients", len(alloc.EffThr), len(f.active))
+	}
+	if f.coord != nil && f.coord.StaleJobs() != 0 {
+		tb.Fatalf("round %d: %d stale jobs", f.coord.Round(), f.coord.StaleJobs())
 	}
 }
 
 // BenchmarkShardRound is one served churn round end to end — registry diff,
 // scatter, worker apply/solve/extract, packed gather, merge — at 20 000
-// clients, 1% churn, two workers. B/op and allocs/op cover the whole
-// process: coordinator, both workers, and net/http.
+// clients, 1% churn, over each servedRow: two workers behind HTTP (B/op and
+// allocs/op then cover coordinator, both workers, and net/http), one worker
+// in process (single-process popserver's round, which no workload of the
+// repository benchmark drives), and the bare Engine.Step both are measured
+// against.
 func BenchmarkShardRound(b *testing.B) {
 	for _, bc := range []struct {
 		policy string
 		k      int
 	}{{"price", 1}, {"maxmin", 16}} {
-		b.Run(bc.policy, func(b *testing.B) {
-			f := newServedFleet(b, bc.policy, bc.k, 20000, 2, 0.01)
-			for i := 0; i < 2; i++ { // warm the engines
-				f.churn()
-				f.step(b)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.churn()
-				f.step(b)
-			}
-		})
+		for _, row := range servedRows {
+			b.Run(bc.policy+"/"+row.name, func(b *testing.B) {
+				f := newServedFleet(b, bc.policy, bc.k, 20000, row, 0.01)
+				for i := 0; i < 2; i++ { // warm the engines
+					f.churn()
+					f.step(b)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f.churn()
+					f.step(b)
+				}
+			})
+		}
 	}
 }
 
@@ -111,30 +125,35 @@ func BenchmarkShardRound(b *testing.B) {
 // gather columns all held as slabs, nothing allocates per client, so a
 // per-row map entry or row slice creeping back into any layer shows up as
 // ≥ n objects. The bound (n/4 at n = 20 000, 1% churn) leaves ~25 objects
-// per churned client for JSON decode, HTTP, and the solver's scratch.
+// per churned client for JSON decode, HTTP, and the solver's scratch; it
+// holds over either transport.
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20 000-client fleet")
 	}
 	const clients = 20000
-	f := newServedFleet(t, "price", 1, clients, 2, 0.01)
-	for i := 0; i < 3; i++ {
-		f.churn()
-		f.step(t)
-	}
-	const rounds = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		f.churn()
-		f.step(t)
-	}
-	runtime.ReadMemStats(&after)
-	perRound := float64(after.Mallocs-before.Mallocs) / rounds
-	t.Logf("%.0f objects, %.2f MB per round at %d clients", perRound,
-		float64(after.TotalAlloc-before.TotalAlloc)/rounds/(1<<20), clients)
-	if perRound >= clients/4 {
-		t.Fatalf("a steady-state round allocates %.0f objects at %d clients; want < %d (O(churn), not O(n))",
-			perRound, clients, clients/4)
+	for _, row := range servedRows[:2] {
+		t.Run(row.name, func(t *testing.T) {
+			f := newServedFleet(t, "price", 1, clients, row, 0.01)
+			for i := 0; i < 3; i++ {
+				f.churn()
+				f.step(t)
+			}
+			const rounds = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				f.churn()
+				f.step(t)
+			}
+			runtime.ReadMemStats(&after)
+			perRound := float64(after.Mallocs-before.Mallocs) / rounds
+			t.Logf("%.0f objects, %.2f MB per round at %d clients", perRound,
+				float64(after.TotalAlloc-before.TotalAlloc)/rounds/(1<<20), clients)
+			if perRound >= clients/4 {
+				t.Fatalf("a steady-state round allocates %.0f objects at %d clients; want < %d (O(churn), not O(n))",
+					perRound, clients, clients/4)
+			}
+		})
 	}
 }

@@ -3,12 +3,17 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,22 +127,60 @@ func churn(live map[int]cluster.Job, nextID *int, rnd *rand.Rand) {
 	}
 }
 
-// runEquivalence drives the full sharded path — coordinator, HTTP, workers,
-// merge — against reference in-process engines partitioned by the same ring
-// over the same capacity split, and requires identical allocations. The
-// wire is JSON over float64, which round-trips exactly, so the sharded
-// stack must agree with single-process POP to (well under) 1e-6.
-func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed int64) {
+// newTestCoordinator builds numWorkers fresh workers and a coordinator that
+// reaches them over the named transport: "http" (each worker behind its own
+// loopback server) or "local" (direct calls into the *Worker values).
+func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluster.Cluster, cfg EngineConfig, opts CoordinatorOptions) *Coordinator {
 	t.Helper()
-	cfg := EngineConfig{Policy: policy, K: 2}
-	f := newFleet(t, numWorkers, cfg, WorkerOptions{})
-	coord, err := NewCoordinator(f.urls, CoordinatorOptions{Deadline: 30 * time.Second})
+	var urls []string
+	var workers []*Worker
+	for i := 0; i < numWorkers; i++ {
+		b, err := NewEngine(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorker(b, WorkerOptions{})
+		workers = append(workers, w)
+		if transport == "http" {
+			ts := httptest.NewServer(w.Handler())
+			t.Cleanup(ts.Close)
+			urls = append(urls, ts.URL)
+		}
+	}
+	var coord *Coordinator
+	var err error
+	switch transport {
+	case "http":
+		coord, err = NewCoordinator(urls, opts)
+	case "local":
+		coord, err = NewLocalCoordinator(workers, opts)
+	default:
+		t.Fatalf("unknown transport %q", transport)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	return coord
+}
 
-	// Reference: one in-process engine per shard, fed the identical
-	// (ascending-id) mutation order over the identical 1/W capacity slice.
+// runEquivalence drives the full sharded path — coordinator, transport,
+// workers, merge — against reference in-process engines partitioned by the
+// same ring over the same capacity split, each fed its shard's population
+// through Step (the same ascending-id batches a RoundRequest carries), and
+// requires identical allocations: to 1e-6 over HTTP (sharded == single), bit
+// for bit over the local transport, where nothing sits between the
+// coordinator and the engine but struct hand-offs. With one worker the
+// reference is the bare engine over the whole pool. It returns every
+// round's merged allocation, so two transports can be compared exactly.
+func runEquivalence(t *testing.T, policy, transport string, numWorkers, rounds int, seed int64) []*cluster.Allocation {
+	t.Helper()
+	cfg := EngineConfig{Policy: policy, K: 2}
+	coord := newTestCoordinator(t, transport, numWorkers, testCluster(), cfg, CoordinatorOptions{Deadline: 30 * time.Second})
+	tol := 1e-6
+	if transport == "local" {
+		tol = 0
+	}
+
 	ring := NewRing(numWorkers)
 	refs := make([]Engine, numWorkers)
 	for i := range refs {
@@ -153,6 +196,7 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 	rnd := rand.New(rand.NewSource(seed))
 	live := map[int]cluster.Job{}
 	nextID := 0
+	var allocs []*cluster.Allocation
 	for round := 1; round <= rounds; round++ {
 		churn(live, &nextID, rnd)
 		active := sortedJobs(live)
@@ -164,6 +208,7 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 		if coord.StaleJobs() != 0 {
 			t.Fatalf("round %d: %d stale jobs on a healthy fleet", round, coord.StaleJobs())
 		}
+		allocs = append(allocs, got)
 
 		type row struct {
 			x      []float64
@@ -193,7 +238,6 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 			}
 		}
 
-		const tol = 1e-6
 		for pos, j := range active {
 			ref, ok := want[j.ID]
 			if !ok {
@@ -203,29 +247,49 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 				t.Fatalf("round %d: job %d effThr diverged by %g (sharded %g, single %g)",
 					round, j.ID, d, got.EffThr[pos], ref.effThr)
 			}
-			if ref.x != nil {
-				for k := range ref.x {
-					if d := math.Abs(got.X[pos][k] - ref.x[k]); d > tol {
-						t.Fatalf("round %d: job %d x[%d] diverged by %g", round, j.ID, k, d)
-					}
+			if (got.X == nil) != (ref.x == nil) {
+				t.Fatalf("round %d: job %d: sharded has X rows %v, single %v", round, j.ID, got.X != nil, ref.x != nil)
+			}
+			for k := range ref.x {
+				if d := math.Abs(got.X[pos][k] - ref.x[k]); d > tol {
+					t.Fatalf("round %d: job %d x[%d] diverged by %g", round, j.ID, k, d)
 				}
 			}
 		}
 	}
+	return allocs
 }
 
-// TestShardedMatchesSingleProcessLP: the LP engines, one and several shards.
+// runTransports is runEquivalence over both transports on the same churn
+// sequence, plus the cross-check: local ×W and HTTP ×W answer bit for bit
+// the same.
+func runTransports(t *testing.T, policy string, numWorkers, rounds int, seed int64) {
+	t.Helper()
+	overHTTP := runEquivalence(t, policy, "http", numWorkers, rounds, seed)
+	local := runEquivalence(t, policy, "local", numWorkers, rounds, seed)
+	for r := range local {
+		if !reflect.DeepEqual(local[r], overHTTP[r]) {
+			t.Fatalf("round %d: local and HTTP transports allocate differently:\nlocal %+v\nhttp  %+v", r+1, local[r], overHTTP[r])
+		}
+	}
+}
+
+// TestShardedMatchesSingleProcessLP: the LP engines, one and several shards,
+// over both transports.
 func TestShardedMatchesSingleProcessLP(t *testing.T) {
-	t.Run("maxmin/1worker", func(t *testing.T) { runEquivalence(t, "maxmin", 1, 10, 1) })
-	t.Run("maxmin/3workers", func(t *testing.T) { runEquivalence(t, "maxmin", 3, 12, 2) })
-	t.Run("makespan/2workers", func(t *testing.T) { runEquivalence(t, "makespan", 2, 10, 3) })
+	t.Run("maxmin/1worker", func(t *testing.T) { runTransports(t, "maxmin", 1, 10, 1) })
+	t.Run("maxmin/3workers", func(t *testing.T) { runTransports(t, "maxmin", 3, 12, 2) })
+	t.Run("makespan/1worker", func(t *testing.T) { runTransports(t, "makespan", 1, 8, 12) })
+	t.Run("makespan/2workers", func(t *testing.T) { runTransports(t, "makespan", 2, 10, 3) })
+	t.Run("spacesharing/1worker", func(t *testing.T) { runTransports(t, "spacesharing", 1, 8, 13) })
+	t.Run("spacesharing/2workers", func(t *testing.T) { runTransports(t, "spacesharing", 2, 10, 14) })
 }
 
-// TestShardedMatchesSingleProcessPrice: the price-discovery engine over the
-// wire (X rows ride the columnar encoding).
+// TestShardedMatchesSingleProcessPrice: the price-discovery engine (X rows
+// ride the columnar encoding).
 func TestShardedMatchesSingleProcessPrice(t *testing.T) {
-	t.Run("1worker", func(t *testing.T) { runEquivalence(t, "price", 1, 8, 4) })
-	t.Run("2workers", func(t *testing.T) { runEquivalence(t, "price", 2, 10, 5) })
+	t.Run("1worker", func(t *testing.T) { runTransports(t, "price", 1, 8, 4) })
+	t.Run("2workers", func(t *testing.T) { runTransports(t, "price", 2, 10, 5) })
 }
 
 // TestShardedSpaceSharing: pair-slot allocations have no per-type X rows;
@@ -554,5 +618,63 @@ func TestWorkerHealth(t *testing.T) {
 	}
 	if !h.OK || h.LastRound != 1 || h.NumJobs != 3 || h.Kind != "price" {
 		t.Fatalf("health = %+v, want ok round=1 jobs=3 kind=price", h)
+	}
+}
+
+// TestStateFileStagedBesideTarget: the one writeFileAtomic in the repository
+// stages the replacement in the target's own directory — the rename never
+// crosses a filesystem, and an absolute path never leaves a temp file in the
+// working directory (the defect of the copy popserver used to carry, which
+// staged "/x" in ".").
+func TestStateFileStagedBesideTarget(t *testing.T) {
+	cwd, elsewhere := t.TempDir(), t.TempDir()
+	t.Chdir(cwd)
+	if err := os.Mkdir("dir", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ls := func(dir string) string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+	for _, tc := range []struct{ path, dir, cwdAfter string }{
+		{"x", ".", "dir x"},
+		{"dir/x", "dir", "dir x"},
+		{filepath.Join(elsewhere, "x"), elsewhere, "dir x"},
+	} {
+		for _, data := range []string{"first", "second"} { // create, then replace
+			if err := writeFileAtomic(tc.path, []byte(data)); err != nil {
+				t.Fatalf("%s: %v", tc.path, err)
+			}
+			if got, err := os.ReadFile(tc.path); err != nil || string(got) != data {
+				t.Fatalf("%s holds %q (%v), want %q", tc.path, got, err, data)
+			}
+		}
+		if got := ls(tc.dir); !strings.HasSuffix(got, "x") || strings.Contains(got, ".state-") {
+			t.Fatalf("%s: its directory holds %q, want the target and no temp file", tc.path, got)
+		}
+		if got := ls("."); got != tc.cwdAfter {
+			t.Fatalf("%s: working directory holds %q, want %q", tc.path, got, tc.cwdAfter)
+		}
+	}
+
+	// A root-level target stages in "/", not in the working directory. Only
+	// checkable where "/" is not writable: the failure names the temp path.
+	if os.Geteuid() == 0 {
+		t.Log("running as root: skipping the /x case rather than writing to /")
+		return
+	}
+	var pe *fs.PathError
+	if err := writeFileAtomic("/x", nil); !errors.As(err, &pe) || filepath.Dir(pe.Path) != "/" {
+		t.Fatalf("writeFileAtomic(/x) = %v, want a failure to stage in /", err)
+	}
+	if got := ls("."); got != "dir x" {
+		t.Fatalf("/x: working directory holds %q, want it untouched", got)
 	}
 }

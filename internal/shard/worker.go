@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -9,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pop/internal/cluster"
@@ -37,13 +37,11 @@ type WorkerOptions struct {
 type Worker struct {
 	b    *EngineBundle
 	opts WorkerOptions
-	log  *slog.Logger
 
 	// mu serializes rounds and syncs — the engine is single-threaded state.
 	mu        sync.Mutex
 	lastRound int
 
-	saving atomic.Bool
 	// fileMu orders state-file writes: the background checkpoint holds it
 	// while writing, so SaveState's final write lands after — never under —
 	// an older snapshot still in flight.
@@ -58,7 +56,7 @@ func NewWorker(b *EngineBundle, opts WorkerOptions) *Worker {
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.DiscardHandler)
 	}
-	w := &Worker{b: b, opts: opts, log: opts.Log}
+	w := &Worker{b: b, opts: opts}
 	if opts.StateFile != "" {
 		w.restoreState()
 	}
@@ -96,9 +94,28 @@ func (w *Worker) Handler() http.Handler {
 // million-client shard with room to spare rather than for a round's churn.
 const maxRequestBytes = 1 << 30
 
+// badRequestError: refused before touching the engine (400 on the wire).
+type badRequestError struct{ error }
+
 // readRequest decodes one bounded JSON request body.
 func readRequest(rw http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(v)
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(v); err != nil {
+		return badRequestError{err}
+	}
+	return nil
+}
+
+// writeError answers a failed round or sync with 400, 409, or 500.
+func (w *Worker) writeError(rw http.ResponseWriter, what string, err error) {
+	var bad badRequestError
+	switch {
+	case errors.As(err, &bad):
+		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad %s request: %v", what, bad.error)})
+	case errors.Is(err, ErrOutOfSync):
+		writeJSON(rw, http.StatusConflict, errorResponse{Error: ErrOutOfSync.Error(), LastRound: w.LastRound()})
+	default:
+		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	}
 }
 
 // phase opens one child of the worker's round: a "shard.worker.<name>"
@@ -111,28 +128,49 @@ func (w *Worker) phase(name string) obs.Timed {
 		`pop_shard_worker_phase_seconds{phase="`+name+`"}`, "worker round time by phase")
 }
 
+// handleRound is the HTTP shell around round: decode, run, encode.
 func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	defer w.phase("round").End()
 	var req RoundRequest
+	var resp *RoundResponse
 	err := readRequest(rw, r, &req)
 	if err == nil {
-		err = validateSpecs(req.Upserts, req.GPUs, req.TypeNames)
+		resp, err = w.round(&req)
 	}
 	if err != nil {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad round request: %v", err)})
+		w.writeError(rw, "round", err)
 		return
+	}
+	// Encode first and send with the length: one large write instead of a
+	// chunk per 4 KiB of encoder output. Nothing this size is kept between
+	// rounds — wire buffers are garbage, not live heap.
+	defer w.phase("encode").End()
+	out, err := json.Marshal(resp)
+	if err != nil {
+		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d: encode: %v", req.Round, err)})
+		return
+	}
+	rw.Header().Set("Content-Type", "application/json")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	_, _ = rw.Write(out) // a failed write is the coordinator's timeout to report
+}
+
+// round is the transport-independent core of a round: validate the batch,
+// apply it, solve over the held clients, pack the allocation, checkpoint.
+func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
+	if err := validateSpecs(req.Upserts, req.GPUs, req.TypeNames); err != nil {
+		return nil, badRequestError{err}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Behind the coordinator: a mutation batch passed us by (crash, lost
-	// state). 409 tells the coordinator to sync us from the registry.
-	// Ahead (the coordinator wrote a previous round of ours off as
-	// straggling after we finished it) is fine: unacked batches are
-	// re-queued and idempotent, so applying this one is safe.
+	// state); the coordinator must sync us from the registry first. Ahead
+	// (the coordinator wrote a previous round of ours off as straggling
+	// after we finished it) is fine: unacked batches are re-queued and
+	// idempotent, so applying this one is safe.
 	if req.PrevRound > w.lastRound {
-		w.obsCounter("pop_shard_worker_out_of_sync_total", "rounds rejected pending a registry sync").Inc()
-		writeJSON(rw, http.StatusConflict, errorResponse{Error: "out of sync", LastRound: w.lastRound})
-		return
+		w.opts.Obs.Counter("pop_shard_worker_out_of_sync_total", "rounds rejected pending a registry sync").Inc()
+		return nil, ErrOutOfSync
 	}
 	start := time.Now()
 	ph := w.phase("apply")
@@ -150,62 +188,57 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	ph = w.phase("solve")
 	var jobs []cluster.Job
 	var alloc *cluster.Allocation
+	var err error
 	if w.b.Engine.NumJobs() > 0 {
 		jobs, alloc, err = w.b.Engine.Allocate(cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs})
 	}
 	ph.End()
-	resp := RoundResponse{Round: req.Round, Kind: w.b.Kind}
+	resp := &RoundResponse{Round: req.Round, Kind: w.b.Kind}
 	if err == nil {
 		ph = w.phase("extract")
 		err = resp.pack(jobs, alloc)
 		ph.End()
 	}
 	if err != nil {
-		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d failed: %v", req.Round, err)})
-		return
+		return nil, fmt.Errorf("round %d failed: %w", req.Round, err)
 	}
 	w.lastRound = req.Round
 	resp.SolveMs = float64(time.Since(start).Microseconds()) / 1000
 	if stats, err := json.Marshal(w.b.Stats()); err == nil {
 		resp.Stats = stats
 	}
-	w.obsCounter("pop_shard_worker_rounds_total", "rounds this worker applied").Inc()
+	w.opts.Obs.Counter("pop_shard_worker_rounds_total", "rounds this worker applied").Inc()
 	if o := w.opts.Obs; o != nil {
 		o.Histogram("pop_shard_worker_round_seconds", "per-round apply+solve wall time").
 			Observe(time.Since(start).Seconds())
 	}
-	w.log.Debug("shard round", "round", req.Round, "jobs", len(jobs),
+	w.opts.Log.Debug("shard round", "round", req.Round, "jobs", len(jobs),
 		"upserts", len(req.Upserts), "removes", len(req.Removes), "solve_ms", resp.SolveMs)
 	w.saveStateAsync()
-
-	// Encode first and send with the length: one large write instead of a
-	// chunk per 4 KiB of encoder output. Nothing this size is kept between
-	// rounds — wire buffers are garbage, not live heap.
-	ph = w.phase("encode")
-	defer ph.End()
-	out, err := json.Marshal(&resp)
-	if err != nil {
-		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d: encode: %v", req.Round, err)})
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	_, _ = rw.Write(out) // a failed write is the coordinator's timeout to report
+	return resp, nil
 }
 
-// handleSync reconciles the engine against the coordinator's registry:
-// upsert everything listed, remove everything else. Unchanged jobs no-op in
-// the engines, so whatever warm state survived (a state-file restore, or a
-// straggle the coordinator mistook for a crash) is kept.
 func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 	var req SyncRequest
+	var resp *SyncResponse
 	err := readRequest(rw, r, &req)
 	if err == nil {
-		err = validateSpecs(req.Jobs, req.GPUs, req.TypeNames)
+		resp, err = w.sync(&req)
 	}
 	if err != nil {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad sync request: %v", err)})
+		w.writeError(rw, "sync", err)
 		return
+	}
+	writeJSON(rw, http.StatusOK, resp)
+}
+
+// sync reconciles the engine against the coordinator's registry: upsert
+// everything listed, remove everything else. Unchanged jobs no-op in the
+// engines, so whatever warm state survived (a state-file restore, or a
+// straggle the coordinator mistook for a crash) is kept.
+func (w *Worker) sync(req *SyncRequest) (*SyncResponse, error) {
+	if err := validateSpecs(req.Jobs, req.GPUs, req.TypeNames); err != nil {
+		return nil, badRequestError{err}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -213,7 +246,7 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 	for _, j := range w.b.Engine.Jobs() {
 		held[j.ID] = true
 	}
-	resp := SyncResponse{Round: req.Round}
+	resp := &SyncResponse{Round: req.Round}
 	for _, s := range req.Jobs {
 		if held[s.ID] {
 			resp.Kept++
@@ -228,10 +261,10 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 		resp.Removed++
 	}
 	w.lastRound = req.Round
-	w.obsCounter("pop_shard_worker_syncs_total", "registry reconciles applied").Inc()
-	w.log.Info("shard sync", "round", req.Round,
+	w.opts.Obs.Counter("pop_shard_worker_syncs_total", "registry reconciles applied").Inc()
+	w.opts.Log.Info("shard sync", "round", req.Round,
 		"kept", resp.Kept, "added", resp.Added, "removed", resp.Removed)
-	writeJSON(rw, http.StatusOK, resp)
+	return resp, nil
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
@@ -241,9 +274,11 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 	writeJSON(rw, http.StatusOK, resp)
 }
 
-// workerState is the on-disk shape of a worker's -state-file.
+// workerState is the on-disk shape of a -state-file. Round is read, never
+// written: single-process popserver's envelope before PR 16.
 type workerState struct {
 	LastRound int             `json:"last_round"`
+	Round     int             `json:"round,omitempty"`
 	Engine    json.RawMessage `json:"engine"`
 }
 
@@ -275,21 +310,19 @@ func (w *Worker) snapshotLocked() ([]byte, error) {
 // writes in the background, skipping when a write is already in flight —
 // a best-effort checkpoint, with SaveState as the synchronous barrier.
 func (w *Worker) saveStateAsync() {
-	if w.opts.StateFile == "" || !w.saving.CompareAndSwap(false, true) {
+	if w.opts.StateFile == "" || !w.fileMu.TryLock() {
 		return
 	}
 	st, err := w.snapshotLocked()
 	if err != nil {
-		w.saving.Store(false)
-		w.log.Warn("state snapshot failed", "err", err)
+		w.fileMu.Unlock()
+		w.opts.Log.Warn("state snapshot failed", "err", err)
 		return
 	}
-	w.fileMu.Lock()
 	go func() {
 		defer w.fileMu.Unlock()
-		defer w.saving.Store(false)
 		if err := writeFileAtomic(w.opts.StateFile, st); err != nil {
-			w.log.Warn("state save failed", "err", err)
+			w.opts.Log.Warn("state save failed", "err", err)
 		}
 	}()
 }
@@ -298,26 +331,22 @@ func (w *Worker) restoreState() {
 	raw, err := os.ReadFile(w.opts.StateFile)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			w.log.Warn("state file unreadable; starting fresh", "file", w.opts.StateFile, "err", err)
+			w.opts.Log.Warn("state file unreadable; starting fresh", "file", w.opts.StateFile, "err", err)
 		}
 		return
 	}
 	var st workerState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		w.log.Warn("state file corrupt; starting fresh", "file", w.opts.StateFile, "err", err)
+		w.opts.Log.Warn("state file corrupt; starting fresh", "file", w.opts.StateFile, "err", err)
 		return
 	}
 	if err := w.b.Restore(st.Engine); err != nil {
-		w.log.Warn("state restore rejected; starting fresh", "file", w.opts.StateFile, "err", err)
+		w.opts.Log.Warn("state restore rejected; starting fresh", "file", w.opts.StateFile, "err", err)
 		return
 	}
-	w.lastRound = st.LastRound
-	w.log.Info("state restored", "file", w.opts.StateFile,
-		"round", st.LastRound, "jobs", w.b.Engine.NumJobs())
-}
-
-func (w *Worker) obsCounter(name, help string) *obs.Counter {
-	return w.opts.Obs.Counter(name, help)
+	w.lastRound = max(st.LastRound, st.Round)
+	w.opts.Log.Info("state restored", "file", w.opts.StateFile,
+		"round", w.lastRound, "jobs", w.b.Engine.NumJobs())
 }
 
 func writeFileAtomic(path string, data []byte) error {
