@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench bench-check ci
+.PHONY: all build test test-short test-race vet lint yaml-check fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench bench-check ci
 
 all: build
 
@@ -19,14 +19,20 @@ test-race:
 vet:
 	$(GO) vet ./...
 
-# lint runs vet plus staticcheck when it is installed (CI installs it in a
-# dedicated blocking job; locally it is optional).
-lint: vet
+# lint runs vet, the workflow-file parse, and staticcheck when it is
+# installed (CI installs it in a dedicated blocking job; locally it is
+# optional).
+lint: vet yaml-check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2025.1)"; \
 	fi
+
+# yaml-check parses the CI workflow: an unquoted step name containing ": "
+# once made the whole file invalid without anything noticing.
+yaml-check:
+	python3 -c 'import yaml; yaml.safe_load(open(".github/workflows/ci.yml"))'
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -119,10 +119,12 @@
 // spike entry) moves, at twice the capacity, into a per-factor update arena
 // that the next refactor rewinds, so updates on a long-lived factor stop
 // allocating once the arena has grown to one refactor interval's worth.
-// Row-eta and product-form eta entries are still allocated per update. The
-// next refactor on the same factor reuses both slabs, the arena and all
-// scratch, so it allocates nothing unless fill grew; nothing is retained
-// across solves.
+// Row-eta entries are appended to a buffer rewound the same way;
+// product-form eta entries (the legacy EtaUpdate path) are still allocated
+// per update. The next refactor on the same factor reuses both slabs, the
+// arena and all scratch, so it allocates nothing unless fill grew — and the
+// factor lives in the solve's recycled workspace (see "What a re-solve
+// reuses" below), so the next solve on that workspace does too.
 //
 // TestRefactorWorkLinear pins the cost model with a count of entries
 // visited rather than a timing, at m ≈ 600, 2 400 and 9 600.
@@ -180,6 +182,52 @@
 //     outcome equals a cold solve of a fresh build of the current state —
 //     the mutation-equivalence suite (model_test.go) holds mutate==rebuild
 //     to 1e-6 over randomized delta chains.
+//
+// What a re-solve reuses, and what it rebuilds. A warm re-solve of a model
+// that took a block splice pivots a handful of times, so everything else it
+// does is kept proportional to that, not to the model:
+//
+//   - The standardized form. A structural edit (a block spliced in or out,
+//     a coefficient fill-in) still means a full re-standardize, but that is
+//     two passes over the builder rows with a per-variable stamp array —
+//     no map — writing into the buffers of the form it replaces, which only
+//     grow. The result is bit for bit what a fresh build gives
+//     (FuzzStandardize holds it to the map-based routine it replaced, kept
+//     in standardize_ref_test.go, over dirty destination buffers). A model
+//     whose matrix is shared with clones cuts new matrix arrays instead:
+//     the clones still read the old ones.
+//   - The setters' scratch. SetCoeffs keeps per-variable and per-pair
+//     arrays on the model; fill-ins are appended in argument order, so two
+//     identical edit sequences leave identical models (CopyProblem,
+//     WriteMPS bytes).
+//   - The solver's working memory. Every solve — Problem or Model, cold or
+//     warm, a branch-and-bound node or a served re-solve — takes one
+//     workspace (status, x, cost, basis, y/w/rhs, pricing weights, dual
+//     candidate lists, and the sparse factor with its slabs, update arena
+//     and scratch) from a package-level free list when its simplex is built
+//     and returns it once the Solution has been copied out. The workspace
+//     belongs to the solving goroutine, not to the model: k persistent
+//     models cost k standardized forms but only as many workspaces as solve
+//     at once. The list holds them by weak pointer, so a garbage collection
+//     frees every workspace not in use: recycling adds nothing to what a
+//     process keeps (sync.Pool would carry each workspace through one more
+//     collection, which doubled the live heap of the batch TE path), and
+//     costs one re-grown workspace per solving goroutine per GC cycle.
+//     Each start strategy reshapes and clears the buffers it uses, so
+//     nothing is trusted from the previous solve; the test suites run with
+//     every released workspace overwritten with NaN and -1 to prove it
+//     (TestMain here, the lp_poison build tag for other packages), and a
+//     solve that panics leaves its workspace to the garbage collector
+//     rather than recycle it half-written.
+//   - The stored basis and shadow prices are overwritten in place.
+//
+// What is rebuilt every time: the factorization. installBasis refactors
+// the warm basis from scratch (O(fill), see "Refactorization") because a
+// factorization does not survive a structural edit; keeping one alive
+// across rhs/bound-only re-solves is open. The returned Solution (X, Dual,
+// ReducedCost, Basis) is freshly allocated and belongs to the caller.
+// TestWarmResolveAllocations pins the rest to a constant number of objects
+// per re-solve.
 //
 // A Model is not safe for concurrent use. Options.Scale solves a clone of
 // the cached form (scaling rescales the matrix in place), trading the

@@ -79,15 +79,12 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 			}
 		}
 	}
-	if s.opts.DualPricing.resolve() == DualDevex {
+	s.dualDevex = s.opts.DualPricing.resolve() == DualDevex
+	if s.dualDevex {
 		// Fresh reference framework per install — weights describe this
 		// basis only.
-		if len(s.dualW) != s.m {
-			s.dualW = make([]float64, s.m)
-		}
+		s.dualW = sized(s.dualW, s.m)
 		s.resetDualDevex()
-	} else {
-		s.dualW = nil
 	}
 	return true
 }
@@ -101,9 +98,7 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 func (s *simplex) dualIterate() Status {
 	tolP := s.opts.TolPivot
 	tolF := s.opts.TolFeas
-	if s.dualRho == nil {
-		s.dualRho = make([]float64, s.m)
-	}
+	s.dualRho = sized(s.dualRho, s.m)
 	rho := s.dualRho
 
 	for {
@@ -255,7 +250,7 @@ func (s *simplex) dualIterate() Status {
 			}
 			return Numerical
 		}
-		if s.dualW != nil {
+		if s.dualDevex {
 			s.updateDualDevex(r)
 		}
 		step := delta / wr

@@ -90,17 +90,20 @@ type luFactor struct {
 	// lcols/ucols are capacity-clipped views into it. rslab backs urows the
 	// same way. L never changes between refactors; a Forrest–Tomlin update
 	// edits U lists inside their views, and a list that outgrows its view
-	// moves into arena (roomFor), which the next refactor rewinds. All three
-	// are reused by the next refactor on this factor.
-	slab, rslab, arena []luEntry
+	// moves into arena (roomFor), which the next refactor rewinds. etaEnts
+	// holds the row etas' entries back to back and is rewound with it. All
+	// four are reused by the next refactor on this factor, and — the factor
+	// living in a recycled workspace — by the next solve.
+	slab, rslab, arena, etaEnts []luEntry
 
-	// Refactor scratch, carved from one allocation: order is the column
+	// Refactor scratch, carved from one allocation (ints): order is the column
 	// elimination order, rowCount the static row counts of the basis, mark
 	// stamps rows already on a worklist for the current column, heap is the
 	// min-heap of pending elimination steps, cand lists the unpivoted rows
 	// the current column touches, and ptr holds the slab offsets (2 per
 	// column) until the views are cut. work counts the entries the last
 	// refactor visited; only the linearity test reads it.
+	ints                  []int32
 	order, rowCount, mark []int32
 	heap, cand, ptr       []int32
 	work                  int
@@ -141,14 +144,35 @@ type rowEta struct {
 	ents   []luEntry
 }
 
+// newLUFactor returns a factor of its own for s's basis, outside any
+// workspace.
 func newLUFactor(s *simplex) *luFactor {
+	return new(luFactor).reset(s)
+}
+
+// reset points the factor at solver s and reshapes every buffer to s's row
+// count, keeping the arrays that are large enough. Nothing the factor held
+// before is trusted: the accumulators that must read zero between calls are
+// cleared here, and everything else is written by refactor before it is
+// read.
+func (f *luFactor) reset(s *simplex) *luFactor {
 	m := s.m
-	return &luFactor{
-		s: s, m: m,
-		ft: s.opts.Update.resolve() == ForrestTomlin,
-		x:  make([]float64, m), g: make([]float64, m), pos: make([]float64, m),
-		elim: make([]int, m),
+	f.s, f.m = s, m
+	f.ft = s.opts.Update.resolve() == ForrestTomlin
+	f.x = zeroed(f.x, m)
+	f.g, f.pos, f.udiag = sized(f.g, m), sized(f.pos, m), sized(f.udiag, m)
+	f.elim, f.pr, f.cperm = sized(f.elim, m), sized(f.pr, m), sized(f.cperm, m)
+	f.lcols, f.ucols = sized(f.lcols, m), sized(f.ucols, m)
+	ints := sized(f.ints, 7*m+2)
+	f.ints = ints
+	f.order, f.rowCount, f.mark = ints[:m:m], ints[m:2*m:2*m], ints[2*m:3*m:3*m]
+	f.heap, f.cand, f.ptr = ints[3*m:3*m:4*m], ints[4*m:4*m:5*m], ints[5*m:]
+	if f.ft {
+		f.perm, f.stepOf, f.posH = sized(f.perm, m), sized(f.stepOf, m), sized(f.posH, m)
+		f.urows = sized(f.urows, m)
+		f.spike, f.rowAcc = zeroed(f.spike, m), zeroed(f.rowAcc, m)
 	}
+	return f
 }
 
 // basisCol returns the sparse column of the basis occupying position pos.
@@ -173,17 +197,8 @@ func (f *luFactor) refactor() bool {
 	f.ftrans = 0
 	f.drift = false
 	f.arena = f.arena[:0]
+	f.etaEnts = f.etaEnts[:0]
 	f.work = 0
-	if f.lcols == nil {
-		f.lcols = make([][]luEntry, m)
-		f.ucols = make([][]luEntry, m)
-		f.udiag = make([]float64, m)
-		f.pr = make([]int, m)
-		f.cperm = make([]int, m)
-		ints := make([]int32, 7*m+2)
-		f.order, f.rowCount, f.mark = ints[:m:m], ints[m:2*m:2*m], ints[2*m:3*m:3*m]
-		f.heap, f.cand, f.ptr = ints[3*m:3*m:4*m], ints[4*m:4*m:5*m], ints[5*m:]
-	}
 
 	// Column order: ascending nonzero count (approximate Markowitz), ties
 	// by position for determinism — a stable counting sort, with ptr
@@ -391,14 +406,6 @@ func heapPop(h []int32) (int32, []int32) {
 // measures growth against.
 func (f *luFactor) initFT() {
 	m := f.m
-	if f.perm == nil {
-		f.perm = make([]int, m)
-		f.stepOf = make([]int, m)
-		f.posH = make([]int, m)
-		f.urows = make([][]luEntry, m)
-		f.spike = make([]float64, m)
-		f.rowAcc = make([]float64, m)
-	}
 	next := f.ptr[:m+1] // the slab offsets are spent once the views exist
 	clear(next)
 	nnz := 0
@@ -780,7 +787,7 @@ func (f *luFactor) updateFT(leave int, w []float64) bool {
 	// everything else is fill tracked in racc. Entries below the drop
 	// tolerance are discarded (the sampled drift check guards the
 	// accumulated error).
-	var ents []luEntry
+	eta0 := len(f.etaEnts)
 	for t := t0; t < m-1; t++ {
 		h := f.perm[t]
 		v := racc[h]
@@ -797,11 +804,12 @@ func (f *luFactor) updateFT(leave int, w []float64) bool {
 				racc[rr] = 0
 			}
 			f.rlist = rtouch[:0]
+			f.etaEnts = f.etaEnts[:eta0]
 			f.s.ftRejects++
 			f.s.opts.Obs.Instant("lp.ft-reject", nil)
 			return false
 		}
-		ents = append(ents, luEntry{int32(h), mult})
+		f.etaEnts = append(f.etaEnts, luEntry{int32(h), mult})
 		for _, e := range f.urows[h] {
 			if int(e.idx) == h0 {
 				d -= mult * e.val
@@ -819,12 +827,15 @@ func (f *luFactor) updateFT(leave int, w []float64) bool {
 	f.rlist = rtouch[:0]
 
 	if math.Abs(d) < 1e-11 {
+		f.etaEnts = f.etaEnts[:eta0]
 		f.s.ftRejects++
 		f.s.opts.Obs.Instant("lp.ft-reject", nil)
 		return false
 	}
 	f.udiag[h0] = d
-	if len(ents) > 0 {
+	// The eta's entries stay where they were appended; a later append that
+	// moves etaEnts to a larger array leaves this view on the old one.
+	if ents := f.etaEnts[eta0:len(f.etaEnts):len(f.etaEnts)]; len(ents) > 0 {
 		f.rowEtas = append(f.rowEtas, rowEta{target: h0, ents: ents})
 		f.rowEtaNnz += len(ents)
 	}

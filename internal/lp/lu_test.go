@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// newSimplex standardizes p and returns a solver over it. The tests keep the
+// solver — and so its workspace, never released — past solve() to inspect
+// the state it ended in.
+func newSimplex(p *Problem, opts Options) *simplex {
+	return newSimplexStd(p.standardize(nil), opts)
+}
+
 // solvedLU runs a SparseLU solve to completion and hands back the simplex
 // with its final basis factorization (which has seen refactorizations and
 // eta updates along the way).

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 )
@@ -12,7 +11,8 @@ import (
 // right-hand sides, or whole variable/constraint blocks in place and
 // re-solve the delta. The model maintains its standardized form
 // incrementally (numeric edits patch the sparse matrix directly; structural
-// edits rebuild it lazily at the next solve), keeps the last optimal basis,
+// edits rebuild it lazily at the next solve, into the buffers of the form it
+// replaces), keeps the last optimal basis,
 // and classifies the deltas applied since that basis was taken:
 //
 //   - rhs/bound-only deltas re-solve with the dual simplex from the stale
@@ -48,12 +48,15 @@ type Model struct {
 	// warmHostile samples incoming coefficients against to decide whether
 	// the basis is still worth a warm repair.
 
-	// touchedRows is the set of constraint rows with at least one matrix
-	// coefficient whose value actually changed since basis was stored —
-	// warmHostile's churn-volume signal. Warm-repair cost tracks how many
-	// rows moved under the basic columns, so broad row churn marks the
-	// basis hostile regardless of reduced-cost signs.
-	touchedRows map[int]struct{}
+	// touchedRow flags the constraint rows with at least one matrix
+	// coefficient whose value actually changed since basis was stored, and
+	// touched counts them — warmHostile's churn-volume signal. Warm-repair
+	// cost tracks how many rows moved under the basic columns, so broad row
+	// churn marks the basis hostile regardless of reduced-cost signs. A
+	// structural edit shifts rows under the flags, but warmHostile only reads
+	// the count when none happened since the basis was stored.
+	touchedRow []bool
+	touched    int
 
 	// Delta classes applied since basis was taken. rhs/bound edits need no
 	// flag: the dual path is eligible whenever neither of these is set.
@@ -61,9 +64,13 @@ type Model struct {
 	sinceStruct bool // variables or constraints added/removed
 
 	// SetCoeffs scratch, reused across calls (a Model is single-threaded).
-	scWant  map[int]float64
-	scFirst map[int]int
-	scCur   map[int]float64
+	// scSlot is per variable and all zero between calls: 1 + the index of
+	// the last (idx, val) pair naming the variable. scFirst and scCur are per
+	// pair: the variable's first position in the row (-1 when absent) and
+	// its merged current coefficient.
+	scSlot  []int32
+	scFirst []int32
+	scCur   []float64
 }
 
 // NewModel returns an empty mutable model with the given objective
@@ -114,7 +121,8 @@ func (m *Model) Clone() *Model {
 		stdDirty:    m.stdDirty,
 		basis:       m.basis.Clone(),
 		lastY:       append([]float64(nil), m.lastY...),
-		touchedRows: maps.Clone(m.touchedRows),
+		touchedRow:  append([]bool(nil), m.touchedRow...),
+		touched:     m.touched,
 		sinceCoeff:  m.sinceCoeff,
 		sinceStruct: m.sinceStruct,
 	}
@@ -124,6 +132,7 @@ func (m *Model) Clone() *Model {
 		std.lb = append([]float64(nil), m.std.lb...)
 		std.ub = append([]float64(nil), m.std.ub...)
 		std.b = append([]float64(nil), m.std.b...)
+		std.stamp = nil
 		q.std = &std
 	}
 	m.sharedMatrix = true
@@ -184,7 +193,10 @@ func (m *Model) HasBasis() bool { return m.basis != nil }
 // ForgetBasis discards the stored basis, forcing the next solve to start
 // cold. Benchmark baselines and churn-heavy callers (where a stale basis
 // loses to a fresh phase 1) use this; it never changes solve outcomes.
-func (m *Model) ForgetBasis() { m.basis, m.lastY, m.touchedRows = nil, nil, nil }
+func (m *Model) ForgetBasis() {
+	m.basis, m.lastY = nil, nil
+	m.resetTouched()
+}
 
 // Basis returns a copy of the basis snapshot the next solve would
 // warm-start from (the last optimal solve's basis, or whatever SetBasis
@@ -495,15 +507,6 @@ func (m *Model) SetCoeffs(row int, idx []int, val []float64) {
 		return
 	}
 	nv := m.p.NumVariables()
-	if m.scWant == nil {
-		m.scWant = make(map[int]float64, len(idx))
-		m.scFirst = make(map[int]int, len(idx))
-		m.scCur = make(map[int]float64, len(idx))
-	}
-	want, first, cur := m.scWant, m.scFirst, m.scCur
-	clear(want)
-	clear(first)
-	clear(cur)
 	for t, v := range idx {
 		if v < 0 || v >= nv {
 			panic(fmt.Sprintf("lp: row %d references unknown variable %d", row, v))
@@ -511,79 +514,99 @@ func (m *Model) SetCoeffs(row int, idx []int, val []float64) {
 		if math.IsNaN(val[t]) || math.IsInf(val[t], 0) {
 			panic(fmt.Sprintf("lp: row %d: non-finite coefficient %g for variable %d", row, val[t], v))
 		}
-		want[v] = val[t]
+	}
+	if len(m.scSlot) < nv {
+		m.scSlot = make([]int32, nv)
+	}
+	slot := m.scSlot
+	first, cur := sized(m.scFirst, len(idx)), sized(m.scCur, len(idx))
+	m.scFirst, m.scCur = first, cur
+	for t, v := range idx {
+		slot[v] = int32(t + 1) // a later pair for the same variable overwrites
+		first[t], cur[t] = -1, 0
 	}
 	r := &m.p.rows[row]
 	// Pass 1: merged current value and first position of every targeted
 	// variable present in the row.
 	for t, id := range r.idx {
-		if _, ok := want[id]; !ok {
+		k := int(slot[id]) - 1
+		if k < 0 {
 			continue
 		}
-		if _, ok := first[id]; !ok {
-			first[id] = t
+		if first[k] < 0 {
+			first[k] = int32(t)
 		}
-		cur[id] += r.val[t]
+		cur[k] += r.val[t]
 	}
-	// Pass 2: apply changes — first occurrence carries the value, duplicate
-	// occurrences are zeroed, absent nonzeros append as fill-ins. A matrix
-	// shared with clones is copied first, but only when something actually
-	// changes (pure no-op refreshes stay free).
-	for id, w := range want {
-		if c, present := cur[id]; (present && c != w) || (!present && w != 0) {
-			m.ensureOwnedMatrix()
+	// A matrix shared with clones is copied before the first write, but only
+	// when something actually changes (pure no-op refreshes stay free).
+	changed := false
+	for t, v := range idx {
+		if int(slot[v]) != t+1 {
+			continue // superseded by a later pair
+		}
+		if (first[t] >= 0 && cur[t] != val[t]) || (first[t] < 0 && val[t] != 0) {
+			changed = true
 			break
 		}
 	}
-	fresh := m.freshStd()
-	changed := false
-	for t, id := range r.idx {
-		ft, ok := first[id]
-		if !ok || cur[id] == want[id] {
-			continue
-		}
-		if t == ft {
-			r.val[t] = want[id]
-		} else if r.val[t] != 0 {
-			r.val[t] = 0
-		}
-	}
-	for id, w := range want {
-		if _, ok := first[id]; ok {
-			if cur[id] != w {
-				changed = true
-				if fresh {
-					m.std.setEntry(row, id, w)
-				}
-			}
-			continue
-		}
-		if w == 0 {
-			continue
-		}
-		r.idx = append(r.idx, id)
-		r.val = append(r.val, w)
-		m.p.nnz++
-		m.stdDirty = true
-		changed = true
-	}
 	if changed {
+		m.ensureOwnedMatrix()
+		fresh := m.freshStd()
+		// Pass 2: first occurrence carries the value, duplicate occurrences
+		// are zeroed, absent nonzeros append as fill-ins in idx order.
+		for t, id := range r.idx {
+			k := int(slot[id]) - 1
+			if k < 0 || cur[k] == val[k] {
+				continue
+			}
+			if t == int(first[k]) {
+				r.val[t] = val[k]
+			} else {
+				r.val[t] = 0
+			}
+		}
+		for t, v := range idx {
+			switch {
+			case int(slot[v]) != t+1:
+			case first[t] >= 0:
+				if cur[t] != val[t] && fresh {
+					m.std.setEntry(row, v, val[t])
+				}
+			case val[t] != 0:
+				r.idx = append(r.idx, v)
+				r.val = append(r.val, val[t])
+				m.p.nnz++
+				m.stdDirty = true
+			}
+		}
 		m.sinceCoeff = true
 		m.touchRow(row)
+	}
+	for _, v := range idx {
+		slot[v] = 0
 	}
 }
 
 // touchRow books a value-level coefficient change in a constraint row for
 // warmHostile's churn-volume signal. Only meaningful while a basis is
-// stored; the set resets whenever a new basis is taken or forgotten.
+// stored; the flags reset whenever a new basis is taken or forgotten.
 func (m *Model) touchRow(row int) {
 	if m.basis == nil {
 		return
 	}
-	if m.touchedRows == nil {
-		m.touchedRows = make(map[int]struct{})
+	if row >= len(m.touchedRow) {
+		m.touchedRow = append(m.touchedRow, make([]bool, m.p.NumConstraints()-len(m.touchedRow))...)
 	}
-	m.touchedRows[row] = struct{}{}
+	if !m.touchedRow[row] {
+		m.touchedRow[row] = true
+		m.touched++
+	}
+}
+
+func (m *Model) resetTouched() {
+	clear(m.touchedRow)
+	m.touched = 0
 }
 
 // structEdit books a structural change: the standardized form must be
@@ -635,10 +658,13 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 		return nil, fmt.Errorf("lp: model has no variables")
 	}
 	if m.std == nil || m.stdDirty {
-		sp := opts.Obs.Span("lp.standardize")
-		m.std = m.p.standardize()
+		if m.std != nil && m.sharedMatrix {
+			// Clones of this model still read the old matrix arrays: leave
+			// those to them and cut a new set.
+			m.std.colPtr, m.std.rowInd, m.std.values = nil, nil, nil
+		}
+		m.std = m.p.standardizeObs(opts.Obs, m.std)
 		m.stdDirty = false
-		sp.End()
 	}
 	if opts.WarmBasis == nil && m.basis != nil {
 		if m.warmHostile() {
@@ -669,11 +695,15 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 		// the model's structural edits splice its stored basis in place —
 		// retaining the caller's pointer would let those edits corrupt the
 		// caller's snapshot, and vice versa.
-		m.basis = sol.Basis.Clone()
+		if m.basis == nil {
+			m.basis = &Basis{}
+		}
+		m.basis.VarStatus = append(m.basis.VarStatus[:0], sol.Basis.VarStatus...)
+		m.basis.SlackStatus = append(m.basis.SlackStatus[:0], sol.Basis.SlackStatus...)
 		m.lastY = append(m.lastY[:0], sol.Dual...)
 		m.sinceCoeff = false
 		m.sinceStruct = false
-		clear(m.touchedRows)
+		m.resetTouched()
 	} else if sol.Status != Optimal {
 		m.ForgetBasis()
 	}
@@ -717,7 +747,7 @@ func (m *Model) warmHostile() bool {
 	// are rewritten, dual feasibility barely moves, and the warm repair
 	// still loses to a cold start. The minimum count keeps small models on
 	// the warm path: their repair is cheap enough that dropping never pays.
-	if t := len(m.touchedRows); t >= 8 && 4*t >= m.p.NumConstraints() {
+	if t := m.touched; t >= 8 && 4*t >= m.p.NumConstraints() {
 		return true
 	}
 	std := m.std
@@ -769,6 +799,5 @@ func (m *Model) run(opts Options) *Solution {
 	if opts.Scale {
 		std = std.clone()
 	}
-	s := newSimplexStd(std, opts)
-	return s.solve()
+	return solveStd(std, opts)
 }

@@ -591,21 +591,19 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	if len(p.obj) == 0 {
 		return nil, fmt.Errorf("lp: model has no variables")
 	}
-	s := newSimplex(p, opts)
-	sol := s.solve()
+	sol := solveStd(p.standardizeObs(opts.Obs, nil), opts)
 	// Last line of the SparseLU fallback policy: if the sparse backend (or
 	// its mid-solve dense fallback) still ended in numerical failure,
 	// re-solve once from scratch with the dense backend, whose pivot
 	// sequence differs enough to escape most bad factorizations. A
 	// warm-started dense solve gets the same one retry (cold), so a stale
 	// basis can never change the solve outcome.
-	if sol.Status == Numerical && (s.backend != Dense || opts.WarmBasis != nil) {
+	if sol.Status == Numerical && (opts.Backend.resolve() != Dense || opts.WarmBasis != nil) {
 		opts.Obs.Instant("lp.dense-retry", nil)
 		opts.Backend = Dense
 		opts.WarmBasis = nil // a bad warm basis must not poison the retry
 		opts.Dual = false
-		s = newSimplex(p, opts)
-		sol = s.solve()
+		sol = solveStd(p.standardizeObs(opts.Obs, nil), opts)
 	}
 	return sol, nil
 }
@@ -627,78 +625,103 @@ type standardized struct {
 
 	maximize bool
 	objSign  float64 // -1 when maximize (c was negated), else +1
+
+	// stamp is standardize's per-variable scratch (the last row that touched
+	// the variable), kept with the buffers so a Model's rebuilds reuse it.
+	stamp []int32
 }
 
-// standardize converts the builder into equality form.
-func (p *Problem) standardize() *standardized {
+// standardizeObs is standardize under its "lp.standardize" span.
+func (p *Problem) standardizeObs(o *obs.Observer, into *standardized) *standardized {
+	sp := o.Span("lp.standardize")
+	std := p.standardize(into)
+	sp.End()
+	return std
+}
+
+// standardize converts the builder into equality form. It writes into the
+// buffers of `into` — a previous build the caller no longer needs, dirty
+// leftovers of any shape — growing only those that are too small, and
+// returns `into`; nil builds a fresh form.
+//
+// Two passes over the rows, no maps: the first counts each column's entries,
+// the second fills them. Rows are visited in order, so every column's row
+// indices ascend. A per-variable stamp of the last row that touched the
+// variable detects duplicate indices within a row; a later duplicate adds
+// into the slot its first occurrence opened, in row order.
+func (p *Problem) standardize(into *standardized) *standardized {
 	m := len(p.rows)
 	n := len(p.obj)
-	s := &standardized{
-		m:        m,
-		n:        n,
-		ncols:    n + m,
-		c:        make([]float64, n+m),
-		lb:       make([]float64, n+m),
-		ub:       make([]float64, n+m),
-		b:        make([]float64, m),
-		maximize: p.objective == Maximize,
-		objSign:  1,
+	s := into
+	if s == nil {
+		s = &standardized{}
 	}
+	s.m, s.n, s.ncols = m, n, n+m
+	s.maximize = p.objective == Maximize
+	s.objSign = 1
 	if s.maximize {
 		s.objSign = -1
 	}
+	s.c = sized(s.c, n+m)
+	s.lb = sized(s.lb, n+m)
+	s.ub = sized(s.ub, n+m)
+	s.b = sized(s.b, m)
 	for j := 0; j < n; j++ {
 		s.c[j] = s.objSign * p.obj[j]
 		s.lb[j] = p.lb[j]
 		s.ub[j] = p.ub[j]
 	}
 
-	// Accumulate rows into a column-count pass, then fill.
-	counts := make([]int32, n+m+1)
-	for i, r := range p.rows {
-		seen := map[int]bool{}
-		for _, v := range r.idx {
-			if !seen[v] {
-				counts[v+1]++
-				seen[v] = true
+	s.stamp = sized(s.stamp, n)
+	stamp := s.stamp
+	clear(stamp)
+
+	// Pass 1: entries per column, counted into colPtr[j+1].
+	colPtr := sized(s.colPtr, n+m+1)
+	s.colPtr = colPtr
+	clear(colPtr[:n+1])
+	for i := range p.rows {
+		row := int32(i + 1)
+		for _, v := range p.rows[i].idx {
+			if stamp[v] != row {
+				stamp[v] = row
+				colPtr[v+1]++
 			}
 		}
-		_ = i
 	}
-	// One slack per row.
-	for i := 0; i < m; i++ {
-		counts[n+i+1]++
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
 	}
-	s.colPtr = make([]int32, n+m+1)
-	for j := 0; j < n+m; j++ {
-		s.colPtr[j+1] = s.colPtr[j] + counts[j+1]
+	for i := 0; i < m; i++ { // one slack per row
+		colPtr[n+i+1] = colPtr[n+i] + 1
 	}
-	total := s.colPtr[n+m]
-	s.rowInd = make([]int32, total)
-	s.values = make([]float64, total)
-	fill := make([]int32, n+m)
-	copy(fill, s.colPtr[:n+m])
+	total := int(colPtr[n+m])
+	s.rowInd = sized(s.rowInd, total)
+	s.values = sized(s.values, total)
 
-	// Merge duplicate indices within a row while filling.
-	merged := map[int]float64{}
-	for i, r := range p.rows {
-		clear(merged)
+	// Pass 2: fill, with colPtr[j] as column j's cursor: it ends at column
+	// j+1's start and is shifted back afterwards. Stamps continue past pass
+	// 1's (row i is now m+i+1), so the array needs no second clear.
+	for i := range p.rows {
+		r := &p.rows[i]
+		row := int32(m + i + 1)
 		for t, v := range r.idx {
-			merged[v] += r.val[t]
-		}
-		for v, coef := range merged {
-			pos := fill[v]
-			s.rowInd[pos] = int32(i)
-			s.values[pos] = coef
-			fill[v]++
+			if stamp[v] != row {
+				stamp[v] = row
+				s.rowInd[colPtr[v]] = int32(i)
+				s.values[colPtr[v]] = 0 // merged sums start from +0, as 0 + (-0) does
+				colPtr[v]++
+			}
+			s.values[colPtr[v]-1] += r.val[t]
 		}
 		s.b[i] = r.rhs
 
 		// Slack column.
 		sc := n + i
-		pos := fill[sc]
-		fill[sc]++
+		pos := colPtr[sc]
+		colPtr[sc]++
 		s.rowInd[pos] = int32(i)
+		s.c[sc] = 0
 		switch r.sense {
 		case LE:
 			s.values[pos] = 1
@@ -709,8 +732,13 @@ func (p *Problem) standardize() *standardized {
 		case EQ:
 			s.values[pos] = 1
 			s.lb[sc], s.ub[sc] = 0, 0
+		default: // not a Sense: the empty column a fresh build would leave
+			s.values[pos] = 0
+			s.lb[sc], s.ub[sc] = 0, 0
 		}
 	}
+	copy(colPtr[1:], colPtr[:n+m])
+	colPtr[0] = 0
 	return s
 }
 
@@ -731,5 +759,6 @@ func (s *standardized) clone() *standardized {
 	c.lb = append([]float64(nil), s.lb...)
 	c.ub = append([]float64(nil), s.ub...)
 	c.b = append([]float64(nil), s.b...)
+	c.stamp = nil
 	return &c
 }

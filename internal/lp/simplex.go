@@ -17,6 +17,11 @@ type simplex struct {
 	std  *standardized
 	opts Options
 
+	// The working vectors (status, x, cost, basis, artSign, y/w/rhs, pricing
+	// weights, dual candidate lists) and the sparse factor live in a recycled
+	// workspace for the length of the solve.
+	*workspace
+
 	// Scaling factors when opts.Scale is set (nil otherwise); solutions are
 	// unscaled in extract.
 	rowScale, colScale []float64
@@ -24,44 +29,18 @@ type simplex struct {
 	m, ncols int
 	phase    int // 1 or 2
 
-	// Per-column state; artificial columns live at indices ncols..ncols+m-1.
-	status []int8
-	x      []float64
-
-	// cost is the objective being minimized in the current phase.
-	cost []float64
-
-	// Basis: basis[i] is the column occupying row position i.
-	basis []int
-
 	// bas maintains the basis factorization (dense inverse or sparse LU,
 	// per backend). fellBack records a mid-solve SparseLU→Dense switch.
 	bas      basisFactor
 	backend  SolverBackend
 	fellBack bool
 
-	// artStart is the first artificial column index; artSign[i] is the
-	// coefficient (±1) of the artificial for row i.
+	// artStart is the first artificial column index.
 	artStart int
-	artSign  []float64
 
-	// Scratch buffers.
-	y, w, rhs []float64
-
-	// Devex reference weights (nil unless opts.Devex); devexRow is the
-	// btranUnit scratch for the pivot row, allocated on first use.
-	devexW   []float64
-	devexRow []float64
-
-	// Dual devex reference weights over basis positions (nil unless the
-	// dual phase runs with devex pricing); see initWarmDual.
-	dualW []float64
-
-	// Harris dual ratio test scratch: eligible entering candidates stashed
-	// by the relaxed pass so the exact pass need not recompute pivot rows.
-	dualCandJ []int32
-	dualCandA []float64
-	dualCandD []float64
+	// dualDevex is set while the dual phase ranks rows by devex weights
+	// (workspace.dualW); see initWarmDual.
+	dualDevex bool
 
 	iters          int
 	dualPivots     int
@@ -75,27 +54,27 @@ type simplex struct {
 	blandMode      bool
 	numericTrouble bool
 	warmStarted    bool
-
-	// dualRho is the btranUnit scratch of the dual simplex pivot row,
-	// allocated on first use.
-	dualRho []float64
 }
 
-func newSimplex(p *Problem, opts Options) *simplex {
-	sp := opts.Obs.Span("lp.standardize")
-	std := p.standardize()
-	sp.End()
-	return newSimplexStd(std, opts)
+// solveStd runs one simplex attempt over an already-standardized model on a
+// recycled workspace — the one path every solve in the package takes.
+func solveStd(std *standardized, opts Options) *Solution {
+	s := newSimplexStd(std, opts)
+	sol := s.solve()
+	// Not deferred: a panic mid-solve must not recycle a half-written
+	// workspace.
+	s.release()
+	return sol
 }
 
-// newSimplexStd builds a solver over an already-standardized model; Model
-// re-solves hand their incrementally-maintained form here, skipping the
-// per-solve standardize pass.
+// newSimplexStd builds a solver over an already-standardized model, with a
+// workspace from the free list; the caller releases it after the solve.
 func newSimplexStd(std *standardized, opts Options) *simplex {
 	s := &simplex{
-		std:   std,
-		m:     std.m,
-		ncols: std.ncols,
+		std:       std,
+		workspace: acquireWorkspace(),
+		m:         std.m,
+		ncols:     std.ncols,
 	}
 	s.opts = opts.withDefaults(std.m, std.ncols)
 	s.backend = s.opts.Backend.resolve()
@@ -103,6 +82,16 @@ func newSimplexStd(std *standardized, opts Options) *simplex {
 		s.rowScale, s.colScale = applyScaling(std)
 	}
 	return s
+}
+
+// installFactor points s.bas at an unfactorized basis representation for
+// the current shape: the workspace's sparse factor, or a dense inverse.
+func (s *simplex) installFactor() {
+	if s.backend == Dense {
+		s.bas = newDenseFactor(s)
+	} else {
+		s.bas = s.lu.reset(s)
+	}
 }
 
 // lbOf and ubOf extend the bound arrays over artificial columns: [0, +Inf)
@@ -266,10 +255,10 @@ func (s *simplex) resetStart() {
 	s.warmStarted = false
 	s.degenerateRun = 0
 	s.blandMode = s.opts.BlandOnly
-	if s.devexW != nil {
+	if s.opts.Devex {
 		s.resetDevex()
 	}
-	if s.dualW != nil {
+	if s.dualDevex {
 		s.resetDualDevex()
 	}
 }
@@ -321,8 +310,8 @@ func (s *simplex) initPhase1() {
 
 	// Nonbasic placement for every real column: nearest finite bound, or
 	// free at zero.
-	s.status = make([]int8, s.ncols+m)
-	s.x = make([]float64, s.ncols+m)
+	s.status = zeroed(s.status, s.ncols+m)
+	s.x = zeroed(s.x, s.ncols+m)
 	for j := 0; j < s.ncols; j++ {
 		lb, ub := std.lb[j], std.ub[j]
 		switch {
@@ -339,7 +328,10 @@ func (s *simplex) initPhase1() {
 	}
 
 	// Residual r = b - A·x_N decides each artificial's sign.
-	r := make([]float64, m)
+	s.y = zeroed(s.y, m)
+	s.w = zeroed(s.w, m)
+	s.rhs = zeroed(s.rhs, m)
+	r := s.rhs
 	copy(r, std.b)
 	for j := 0; j < s.ncols; j++ {
 		if s.x[j] == 0 {
@@ -352,9 +344,9 @@ func (s *simplex) initPhase1() {
 	}
 
 	s.artStart = s.ncols
-	s.basis = make([]int, m)
-	s.cost = make([]float64, s.ncols+m)
-	s.artSign = make([]float64, m)
+	s.basis = zeroed(s.basis, m)
+	s.cost = zeroed(s.cost, s.ncols+m)
+	s.artSign = zeroed(s.artSign, m)
 	for i := 0; i < m; i++ {
 		sign := 1.0
 		if r[i] < 0 {
@@ -386,19 +378,12 @@ func (s *simplex) initPhase1() {
 		s.status[a] = statBasic
 		s.x[a] = math.Abs(r[i])
 	}
-	s.y = make([]float64, m)
-	s.w = make([]float64, m)
-	s.rhs = make([]float64, m)
 	if s.opts.Devex {
 		s.initDevex()
 	}
 	// The starting basis is diagonal (slacks and artificials only), so the
 	// initial factorization cannot fail.
-	if s.backend == Dense {
-		s.bas = newDenseFactor(s)
-	} else {
-		s.bas = newLUFactor(s)
-	}
+	s.installFactor()
 	sp := s.opts.Obs.Span("lp.factor")
 	s.bas.refactor()
 	sp.End()
@@ -408,9 +393,8 @@ func (s *simplex) initPhase1() {
 // start. Every basis-install path goes through here so weights from an
 // earlier (possibly different) basis never leak into a new start.
 func (s *simplex) initDevex() {
-	if len(s.devexW) != s.ncols {
-		s.devexW = make([]float64, s.ncols)
-	}
+	s.devexW = sized(s.devexW, s.ncols)
+	s.devexRow = sized(s.devexRow, s.m)
 	s.resetDevex()
 }
 
@@ -507,7 +491,7 @@ func (s *simplex) iterate() Status {
 				s.x[q] = s.std.lb[q]
 			}
 		} else {
-			if s.devexW != nil {
+			if s.opts.Devex {
 				s.updateDevex(leave, q, s.w[leave])
 			}
 			if !s.pivot(leave, q) {
@@ -592,7 +576,7 @@ func (s *simplex) price() (int, float64) {
 			return j, d
 		}
 		score := viol
-		if s.devexW != nil {
+		if s.opts.Devex {
 			score = viol * viol / s.devexW[j]
 		}
 		if score > bestScore {
@@ -611,9 +595,6 @@ func (s *simplex) price() (int, float64) {
 func (s *simplex) updateDevex(leave, q int, alphaQ float64) {
 	if alphaQ == 0 {
 		return
-	}
-	if s.devexRow == nil {
-		s.devexRow = make([]float64, s.m)
 	}
 	rowr := s.devexRow
 	s.bas.btranUnit(leave, rowr)

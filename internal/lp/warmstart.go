@@ -142,10 +142,10 @@ func (s *simplex) installBasis(b *Basis) bool {
 
 	s.phase = 2 // artificials stay pinned to [0,0] throughout a warm solve
 	s.artStart = s.ncols
-	s.status = make([]int8, s.ncols+m)
-	s.x = make([]float64, s.ncols+m)
-	s.cost = make([]float64, s.ncols+m)
-	s.artSign = make([]float64, m)
+	s.status = zeroed(s.status, s.ncols+m)
+	s.x = zeroed(s.x, s.ncols+m)
+	s.cost = zeroed(s.cost, s.ncols+m)
+	s.artSign = sized(s.artSign, m)
 	for i := range s.artSign {
 		s.artSign[i] = 1
 	}
@@ -212,27 +212,23 @@ func (s *simplex) installBasis(b *Basis) bool {
 		return false
 	}
 
-	s.basis = make([]int, 0, m)
+	s.basis = sized(s.basis, m)[:0]
 	for j := 0; j < s.ncols; j++ {
 		if s.status[j] == statBasic {
 			s.basis = append(s.basis, j)
 		}
 	}
 
-	s.y = make([]float64, m)
-	s.w = make([]float64, m)
-	s.rhs = make([]float64, m)
+	s.y = zeroed(s.y, m)
+	s.w = zeroed(s.w, m)
+	s.rhs = zeroed(s.rhs, m)
 	if s.opts.Devex {
 		// Explicit reset on every install: weights tuned to a previous basis
 		// (an earlier start strategy, or a caller-supplied SetBasis chain)
 		// must not rank pivots for this one.
 		s.initDevex()
 	}
-	if s.backend == Dense {
-		s.bas = newDenseFactor(s)
-	} else {
-		s.bas = newLUFactor(s)
-	}
+	s.installFactor()
 	// reinvert factorizes (falling back SparseLU→Dense on numerical trouble)
 	// and recomputes x_B = B⁻¹(b - N x_N); a singular stale basis fails here.
 	return s.reinvert()
@@ -260,6 +256,13 @@ func (s *simplex) maxBoundViolation() float64 {
 	return worst
 }
 
+// savedBound is one column's true bounds, set aside while warmRepair has
+// them relaxed.
+type savedBound struct {
+	j      int
+	lb, ub float64
+}
+
 // warmRepair drives a bound-infeasible warm basis back into the feasible
 // region with a bound-shifting phase 1: every out-of-bounds column has its
 // bounds temporarily relaxed to the interval between its current value and
@@ -273,10 +276,6 @@ func (s *simplex) maxBoundViolation() float64 {
 func (s *simplex) warmRepair() bool {
 	const maxPasses = 8
 	tol := s.opts.TolFeas
-	type savedBound struct {
-		j      int
-		lb, ub float64
-	}
 	prevViol := math.Inf(1)
 	for pass := 0; pass < maxPasses; pass++ {
 		// Read-only pass: measure the remaining violation.
@@ -302,7 +301,7 @@ func (s *simplex) warmRepair() bool {
 		prevViol = viol
 
 		// Relax the violators and install the composite phase-1 costs.
-		var sv []savedBound
+		sv := s.saved[:0]
 		for j := 0; j < s.ncols; j++ {
 			s.cost[j] = 0
 			lb, ub := s.std.lb[j], s.std.ub[j]
@@ -319,6 +318,7 @@ func (s *simplex) warmRepair() bool {
 				s.cost[j] = 1
 			}
 		}
+		s.saved = sv
 		s.degenerateRun = 0
 		s.blandMode = s.opts.BlandOnly
 		st := s.iterate()

@@ -1,8 +1,7 @@
 package online
 
 import (
-	"math"
-	"slices"
+	"sync"
 	"time"
 
 	"pop/internal/lp"
@@ -48,8 +47,9 @@ type Block struct {
 // engine owns partitions, dirty tracking, the rebuild-vs-splice decision,
 // solve timing, and stats; the adapter owns the LP formulation:
 //
-//   - Layout declares the block sequence a partition's model must hold for
-//     its current members — the block-shape contract. Layouts must be
+//   - Layout appends to buf (an empty slice the engine recycles between
+//     sub-solves) the block sequence a partition's model must hold for its
+//     current members — the block-shape contract. Layouts must be
 //     deterministic in (p, ids) and keep a departing member's blocks
 //     removable and an arriving member's blocks insertable without
 //     reordering survivors (append-ordered enumerations have this
@@ -72,7 +72,7 @@ type Block struct {
 //     all-zero-width — a vacuous sub-problem the engine did not solve.
 //   - Clear resets partition p's cached result to empty (no members).
 type Adapter interface {
-	Layout(p int, ids []int) []Block
+	Layout(p int, ids []int, buf []Block) []Block
 	BuildModel(p int, layout []Block) *lp.Model
 	SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int)
 	RefreshModel(m *lp.Model, p int, layout []Block)
@@ -85,6 +85,26 @@ type Adapter interface {
 type sub struct {
 	model  *lp.Model
 	blocks []Block
+}
+
+// drop discards the model; the next sync rebuilds fresh.
+func (s *sub) drop() {
+	s.model = nil
+	s.blocks = s.blocks[:0]
+}
+
+// syncScratch is what bringing one partition's model in line with its layout
+// needs and nothing keeps afterwards: the wanted layout, its index by key,
+// and where each current block sits in it. One is taken from the engine's
+// pool per sub-solve, so an engine holds as many as it solves partitions at
+// once rather than one per partition (a partition's worth is about 100 bytes
+// per client).
+type syncScratch struct {
+	want    []Block
+	wantPos map[BlockKey]int
+	// wantAt[i] is the position of the model's block i in want, or -1 once
+	// the block is known to leave; filled by overlap, read by splice.
+	wantAt []int32
 }
 
 // engine is the domain-independent online engine: a tracker for stable
@@ -101,6 +121,8 @@ type engine struct {
 	// restored engine's first round attempts warm starts instead of solving
 	// cold. A seed whose dimensions no longer fit is dropped by the solver.
 	seeds []*lp.Basis
+	// scratch recycles syncScratch values between sub-solves.
+	scratch sync.Pool
 }
 
 func newEngine(ad Adapter, opts Options, lpOpts lp.Options) (*engine, error) {
@@ -119,8 +141,8 @@ func newEngine(ad Adapter, opts Options, lpOpts lp.Options) (*engine, error) {
 // sync rebuilds fresh). Domain engines call it when a shared-structure input
 // changes shape — e.g. lb's server pool, which sets the per-block width.
 func (e *engine) invalidateModels() {
-	for p := range e.subs {
-		e.subs[p] = &sub{}
+	for _, s := range e.subs {
+		s.drop()
 	}
 }
 
@@ -180,27 +202,33 @@ func (e *engine) subSolve(p int, ids []int) (subReport, error) {
 }
 
 func (e *engine) subSolveObs(po *obs.Observer, p int, ids []int) (subReport, error) {
+	s := e.subs[p]
 	if len(ids) == 0 {
-		e.subs[p] = &sub{}
+		s.drop()
 		e.ad.Clear(p)
 		return subReport{}, nil
 	}
 	start := time.Now()
-	want := e.ad.Layout(p, ids)
+	sc, _ := e.scratch.Get().(*syncScratch)
+	if sc == nil {
+		sc = &syncScratch{wantPos: make(map[BlockKey]int)}
+	}
+	defer e.scratch.Put(sc) // rebuilt from scratch by its next user, so safe to recycle on any exit
+	sc.want = e.ad.Layout(p, ids, sc.want[:0])
+	want := sc.want
 	if blockVars(want) == 0 {
 		// Vacuous sub-problem (e.g. every commodity unroutable): nothing to
 		// solve, but the adapter still records the empty result.
-		e.subs[p] = &sub{}
+		s.drop()
 		if err := e.ad.Extract(p, want, nil, 0); err != nil {
 			return subReport{}, err
 		}
 		return subReport{buildNs: time.Since(start).Nanoseconds()}, nil
 	}
-	s := e.subs[p]
 	switch {
-	case s.model == nil || e.t.opts.NoWarmStart || keyOverlap(s.blocks, want) < 0.5:
+	case s.model == nil || e.t.opts.NoWarmStart || sc.overlap(s.blocks) < 0.5:
 		e.rebuildObs(po, s, p, want)
-	case !e.spliceObs(po, s, p, want):
+	case !e.spliceObs(po, s, p, sc):
 		e.rebuildObs(po, s, p, want)
 	default:
 		rsp := po.Span("online.refresh")
@@ -238,7 +266,7 @@ func (e *engine) subSolveObs(po *obs.Observer, p int, ids []int) (subReport, err
 
 func (e *engine) rebuild(s *sub, p int, want []Block) {
 	s.model = e.ad.BuildModel(p, want)
-	s.blocks = slices.Clone(want)
+	s.blocks = append(s.blocks[:0], want...) // want's array goes back to the scratch pool
 	if p < len(e.seeds) && e.seeds[p] != nil {
 		s.model.SetBasis(e.seeds[p])
 		e.seeds[p] = nil
@@ -252,69 +280,76 @@ func (e *engine) rebuildObs(po *obs.Observer, s *sub, p int, want []Block) {
 	sp.End()
 }
 
-func (e *engine) spliceObs(po *obs.Observer, s *sub, p int, want []Block) bool {
+func (e *engine) spliceObs(po *obs.Observer, s *sub, p int, sc *syncScratch) bool {
 	sp := po.Span("online.splice")
-	ok := e.splice(s, p, want)
+	ok := e.splice(s, p, sc)
 	sp.Arg("ok", ok).End()
 	return ok
 }
 
-// splice mutates s.model toward the want layout: blocks that vanished —
-// or whose shape or content generation changed, making their structure
-// stale — are removed back-to-front, missing blocks are inserted at their
-// layout positions, and surviving blocks keep their variables, rows, and
-// basis statuses. It reports false — the caller rebuilds — when the
-// survivors' relative order differs from want's.
-func (e *engine) splice(s *sub, p int, want []Block) bool {
-	wantPos := make(map[BlockKey]int, len(want))
-	for i, b := range want {
-		wantPos[b.Key] = i
-	}
+// splice mutates s.model toward the layout sc.want, which sc.overlap has
+// just matched against s.blocks: blocks that vanished — or whose shape or
+// content generation changed, making their structure stale — are removed
+// back-to-front, missing blocks are inserted at their layout positions, and
+// surviving blocks keep their variables, rows, and basis statuses. It
+// reports false — the caller rebuilds — when the survivors' relative order
+// differs from want's.
+func (e *engine) splice(s *sub, p int, sc *syncScratch) bool {
+	want, wantAt := sc.want, sc.wantAt
 	// Classify survivors (must match the wanted block exactly) and verify
 	// their relative order before touching the model, so a doomed splice
 	// never half-mutates it.
-	keep := make([]bool, len(s.blocks))
 	last := -1
+	varEnd, rowEnd := 0, 0
 	for i, b := range s.blocks {
-		wi, ok := wantPos[b.Key]
-		if !ok || want[wi] != b {
-			continue // vanished, reshaped, or regenerated: remove + resplice
+		varEnd += b.Vars
+		rowEnd += b.Rows
+		wi := int(wantAt[i])
+		if wi < 0 || want[wi] != b {
+			wantAt[i] = -1 // vanished, reshaped, or regenerated: remove + resplice
+			continue
 		}
 		if wi <= last {
 			return false
 		}
 		last = wi
-		keep[i] = true
 	}
-	// Remove non-survivors back-to-front so earlier offsets stay valid.
-	varOff := make([]int, len(s.blocks)+1)
-	rowOff := make([]int, len(s.blocks)+1)
-	for i, b := range s.blocks {
-		varOff[i+1] = varOff[i] + b.Vars
-		rowOff[i+1] = rowOff[i] + b.Rows
-	}
+	// Remove non-survivors back-to-front so earlier offsets stay valid, a run
+	// of adjacent ones in one cut (each cut walks the whole matrix).
 	for bi := len(s.blocks) - 1; bi >= 0; bi-- {
-		if keep[bi] {
-			continue
+		vars, rows := 0, 0
+		for ; bi >= 0 && wantAt[bi] < 0; bi-- {
+			vars += s.blocks[bi].Vars
+			rows += s.blocks[bi].Rows
 		}
-		s.model.RemoveConstraints(rowOff[bi], s.blocks[bi].Rows)
-		s.model.RemoveVariables(varOff[bi], s.blocks[bi].Vars)
-		s.blocks = slices.Delete(s.blocks, bi, bi+1)
-		keep = slices.Delete(keep, bi, bi+1)
+		varEnd -= vars
+		rowEnd -= rows
+		s.model.RemoveConstraints(rowEnd, rows)
+		s.model.RemoveVariables(varEnd, vars)
+		if bi >= 0 {
+			varEnd -= s.blocks[bi].Vars
+			rowEnd -= s.blocks[bi].Rows
+		}
 	}
-	// Walk want, inserting the blocks the survivors do not cover.
+	kept := s.blocks[:0]
+	for i, b := range s.blocks {
+		if wantAt[i] >= 0 {
+			kept = append(kept, b)
+		}
+	}
+	// Walk want, inserting the blocks the survivors do not cover; the model
+	// then holds exactly want.
 	varAt, rowAt, ci := 0, 0, 0
 	for _, b := range want {
-		if ci < len(s.blocks) && s.blocks[ci].Key == b.Key {
+		if ci < len(kept) && kept[ci].Key == b.Key {
 			ci++
 		} else {
 			e.ad.SpliceBlock(s.model, p, b, varAt, rowAt)
-			s.blocks = slices.Insert(s.blocks, ci, b)
-			ci++
 		}
 		varAt += b.Vars
 		rowAt += b.Rows
 	}
+	s.blocks = append(kept[:0], want...)
 	return true
 }
 
@@ -326,24 +361,30 @@ func blockVars(layout []Block) int {
 	return n
 }
 
-// keyOverlap is the fraction of the larger layout whose block keys both
-// layouts share — the churn heuristic behind the rebuild-vs-splice decision.
-// For one-block-per-client layouts it equals the member overlap; pair
-// layouts churn faster (one departure takes all its pair blocks along),
-// which correctly biases them toward rebuilding.
-func keyOverlap(cur, want []Block) float64 {
-	if len(cur) == 0 || len(want) == 0 {
+// overlap is the fraction of the larger layout whose block keys the current
+// layout cur and the wanted one share — the churn heuristic behind the
+// rebuild-vs-splice decision. For one-block-per-client layouts it equals the
+// member overlap; pair layouts churn faster (one departure takes all its pair
+// blocks along), which correctly biases them toward rebuilding. It leaves
+// every current block's position in want in sc.wantAt for splice.
+func (sc *syncScratch) overlap(cur []Block) float64 {
+	if len(cur) == 0 || len(sc.want) == 0 {
 		return 0
 	}
-	in := make(map[BlockKey]bool, len(cur))
-	for _, b := range cur {
-		in[b.Key] = true
+	clear(sc.wantPos)
+	for i, b := range sc.want {
+		sc.wantPos[b.Key] = i
 	}
+	sc.wantAt = sc.wantAt[:0]
 	shared := 0
-	for _, b := range want {
-		if in[b.Key] {
+	for _, b := range cur {
+		wi, ok := sc.wantPos[b.Key]
+		if ok {
 			shared++
+		} else {
+			wi = -1
 		}
+		sc.wantAt = append(sc.wantAt, int32(wi))
 	}
-	return float64(shared) / math.Max(float64(len(cur)), float64(len(want)))
+	return float64(shared) / float64(max(len(cur), len(sc.want)))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"pop/internal/cluster"
 	"pop/internal/lp"
@@ -38,12 +39,27 @@ func (p ClusterPolicy) String() string {
 	return fmt.Sprintf("ClusterPolicy(%d)", int8(p))
 }
 
-// clusterSubResult caches one sub-problem's last allocation.
+// clusterSubResult caches one sub-problem's last allocation. The solo
+// adapter writes each new allocation over the last one — X's rows are views
+// of slab, EffThr is left to ClusterEngine.Allocate, which has the jobs at
+// hand. Nothing outside the engine holds these arrays: Allocate copies rows
+// out.
 type clusterSubResult struct {
 	ids       []int
 	index     map[int]int // id -> position in ids
 	alloc     *cluster.Allocation
 	objective float64
+	slab      []float64 // backs alloc.X (solo adapter)
+}
+
+// soloScratch is the working memory of one soloAdapter.RefreshModel call:
+// the members behind the layout — one table lookup each per sub-solve — and
+// the bulk setter's arguments.
+type soloScratch struct {
+	members []cluster.Job
+	coefs   []float64
+	idxs    []int
+	scales  []float64
 }
 
 // clusterState is the domain state shared by the cluster adapters: the
@@ -59,6 +75,9 @@ type clusterState struct {
 	haveC   bool
 	jobs    cluster.Table
 	results []*clusterSubResult
+	// refresh recycles soloScratch values: one per concurrent sub-solve, not
+	// one per partition.
+	refresh sync.Pool
 }
 
 // member returns the live job held under id (the adapters only ask for
@@ -90,8 +109,30 @@ func (st *clusterState) soloMembers(layout []Block) []cluster.Job {
 	return members
 }
 
+// result returns partition p's result record, creating it empty.
+func (st *clusterState) result(p int) *clusterSubResult {
+	if st.results[p] == nil {
+		st.results[p] = &clusterSubResult{index: map[int]int{}}
+	}
+	return st.results[p]
+}
+
+// clear empties partition p's result and keeps its arrays.
 func (st *clusterState) clear(p int) {
-	st.results[p] = &clusterSubResult{index: map[int]int{}}
+	res := st.result(p)
+	res.ids = res.ids[:0]
+	clear(res.index)
+	res.alloc = nil
+	res.objective = 0
+}
+
+// resize returns s with length n, on a new array of exactly that size when
+// s is too small. The entries are whatever s held; callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ClusterEngine incrementally maintains a POP allocation for the GPU
@@ -246,7 +287,7 @@ func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.All
 		}
 		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
 		copy(out.X[pos], res.alloc.X[i])
-		out.EffThr[pos] = res.alloc.EffThr[i]
+		out.EffThr[pos] = cluster.EffectiveThroughput(j, out.X[pos])
 		if !counted[p] {
 			counted[p] = true
 			out.LPVariables += res.alloc.LPVariables
@@ -324,11 +365,10 @@ type soloAdapter struct {
 	*clusterState
 }
 
-func (ad *soloAdapter) Layout(p int, ids []int) []Block {
+func (ad *soloAdapter) Layout(p int, ids []int, layout []Block) []Block {
 	r := ad.sub.NumTypes()
-	layout := make([]Block, len(ids))
-	for i, id := range ids {
-		layout[i] = Block{Key: BlockKey{id, NoPartner}, Vars: r, Rows: 2}
+	for _, id := range ids {
+		layout = append(layout, Block{Key: BlockKey{id, NoPartner}, Vars: r, Rows: 2})
 	}
 	return layout
 }
@@ -361,66 +401,84 @@ func (ad *soloAdapter) SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int
 // the shared capacity rows through the bulk setter (one pass per row, not
 // per member).
 func (ad *soloAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
-	members := ad.soloMembers(layout)
+	sc, _ := ad.refresh.Get().(*soloScratch)
+	if sc == nil {
+		sc = new(soloScratch)
+	}
+	defer ad.refresh.Put(sc)
+	members := sc.members[:0]
+	for _, b := range layout {
+		members = append(members, ad.member(b.Key.A))
+	}
+	sc.members = members
 	n := len(members)
 	r := ad.sub.NumTypes()
 	tv := n * r
 	eq := cluster.EqualShare(members, ad.sub)
+	coefs := resize(sc.coefs, r)
+	sc.coefs = coefs
 	for i, j := range members {
-		coefs, tc := clusterObjCoefs(ad.policy, j, eq)
+		tc := clusterObjCoefs(ad.policy, j, eq, coefs)
 		row := 2*i + 1
 		for k := 0; k < r; k++ {
 			m.SetCoeff(row, i*r+k, coefs[k])
 		}
 		m.SetCoeff(row, tv, tc)
 	}
-	idxs := make([]int, n)
-	scales := make([]float64, n)
+	sc.idxs, sc.scales = resize(sc.idxs, n), resize(sc.scales, n)
+	for i, j := range members {
+		sc.scales[i] = j.Scale
+	}
 	for k := 0; k < r; k++ {
-		for i, j := range members {
-			idxs[i] = i*r + k
-			scales[i] = j.Scale
+		for i := range sc.idxs {
+			sc.idxs[i] = i*r + k
 		}
-		m.SetCoeffs(2*n+k, idxs, scales)
+		m.SetCoeffs(2*n+k, sc.idxs, sc.scales)
 		m.SetRHS(2*n+k, ad.sub.NumGPUs[k])
 	}
 }
 
+// Extract copies the solution's block variables over the partition's previous
+// rows and re-indexes the members only when they changed.
 func (ad *soloAdapter) Extract(p int, layout []Block, sol *lp.Solution, nVars int) error {
 	if sol.Status != lp.Optimal {
 		return fmt.Errorf("%v LP %v", ad.policy, sol.Status)
 	}
-	ids := soloIDs(layout)
-	r := ad.sub.NumTypes()
-	alloc := &cluster.Allocation{
-		X:           make([][]float64, len(ids)),
-		EffThr:      make([]float64, len(ids)),
-		LPVariables: nVars,
+	res := ad.result(p)
+	n, r := len(layout), ad.sub.NumTypes()
+	same := len(res.ids) == n
+	for i := 0; same && i < n; i++ {
+		same = res.ids[i] == layout[i].Key.A
 	}
-	index := make(map[int]int, len(ids))
-	for i, id := range ids {
-		index[id] = i
-		alloc.X[i] = make([]float64, r)
-		copy(alloc.X[i], sol.X[i*r:(i+1)*r])
-		alloc.EffThr[i] = cluster.EffectiveThroughput(ad.member(id), alloc.X[i])
+	if !same {
+		res.ids = res.ids[:0]
+		clear(res.index)
+		for i, b := range layout {
+			res.ids = append(res.ids, b.Key.A)
+			res.index[b.Key.A] = i
+		}
 	}
-	ad.results[p] = &clusterSubResult{
-		ids:       slices.Clone(ids),
-		index:     index,
-		alloc:     alloc,
-		objective: sol.Objective,
+	res.slab = resize(res.slab, n*r)
+	copy(res.slab, sol.X)
+	if res.alloc == nil {
+		res.alloc = &cluster.Allocation{}
 	}
+	res.alloc.X = resize(res.alloc.X, n)
+	for i := range res.alloc.X {
+		res.alloc.X[i] = res.slab[i*r : (i+1)*r : (i+1)*r]
+	}
+	res.alloc.LPVariables = nVars
+	res.objective = sol.Objective
 	return nil
 }
 
 func (ad *soloAdapter) Clear(p int) { ad.clear(p) }
 
 // clusterObjCoefs computes a member's objective-row coefficients: its r
-// throughput ratios and the epigraph coefficient. Degenerate jobs (no
+// throughput ratios, written into coefs, and the epigraph coefficient. Degenerate jobs (no
 // remaining steps, or zero equal-share throughput) get an all-zero row —
 // the vacuous 0 ≥ 0 that keeps the block layout without constraining t.
-func clusterObjCoefs(policy ClusterPolicy, j cluster.Job, eqShare []float64) ([]float64, float64) {
-	r := len(j.Throughput)
+func clusterObjCoefs(policy ClusterPolicy, j cluster.Job, eqShare, coefs []float64) float64 {
 	var denom float64
 	switch policy {
 	case MinMakespan:
@@ -428,14 +486,14 @@ func clusterObjCoefs(policy ClusterPolicy, j cluster.Job, eqShare []float64) ([]
 	default:
 		denom = j.Weight * cluster.EffectiveThroughput(j, eqShare) * j.Scale
 	}
-	coefs := make([]float64, r)
 	if denom <= 0 {
-		return coefs, 0
+		clear(coefs)
+		return 0
 	}
-	for i := 0; i < r; i++ {
+	for i := range coefs {
 		coefs[i] = j.Throughput[i] / denom
 	}
-	return coefs, -1
+	return -1
 }
 
 // buildClusterModel assembles the solo policy epigraph LP as a mutable
@@ -462,9 +520,9 @@ func buildClusterModel(policy ClusterPolicy, members []cluster.Job, sub cluster.
 		}
 		m.AddConstraint(vars, ones, lp.LE, 1, "time")
 
-		coefs, tc := clusterObjCoefs(policy, j, eq)
-		idxs := append(append([]int(nil), vars...), tv)
-		m.AddConstraint(idxs, append(coefs, tc), lp.GE, 0, "obj")
+		coefs := make([]float64, r+1)
+		coefs[r] = clusterObjCoefs(policy, j, eq, coefs[:r])
+		m.AddConstraint(append(vars, tv), coefs, lp.GE, 0, "obj")
 	}
 	for i := 0; i < r; i++ {
 		idxs := make([]int, len(members))

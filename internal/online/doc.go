@@ -39,8 +39,8 @@
 // rebuild-vs-splice decision, solve timing, and Stats. A domain plugs in by
 // implementing Adapter:
 //
-//   - Layout(p, ids) declares the partition's block sequence — each Block a
-//     keyed run of Vars variables and Rows rows. Keys name the owning
+//   - Layout(p, ids, buf) appends the partition's block sequence to buf —
+//     each Block a keyed run of Vars variables and Rows rows. Keys name the owning
 //     client (BlockKey{id, NoPartner}) or client pair (BlockKey{a, b}); one
 //     client may own many blocks, which is what lets the space-sharing LP —
 //     a slot block per job plus one per single-GPU pair — live online.
@@ -72,6 +72,23 @@
 // from the previous basis; coefficient and objective deltas take the primal
 // warm path; the lp solver owns correctness, falling back primal-warm then
 // cold, so warm starts change solve speed, never solve outcomes.
+//
+// The sync itself allocates nothing in steady state and keeps nothing per
+// partition beyond the model and its block list. What it needs for the
+// length of one sub-solve — the wanted layout, its index by block key, the
+// position of every current block in it — is a syncScratch taken from a
+// pool on the engine and put back when the sub-solve returns; the solo
+// cluster adapter pools its refresh buffers (the members behind the layout,
+// fetched from the job table once per sub-solve, and the bulk setter's
+// arguments) the same way. Scratch is pooled rather than held in each sub
+// for the reason lp recycles solver workspaces instead of keeping one per
+// model: it is about 100 bytes per client, and an engine needs one per
+// sub-solve in flight, not one per partition. Adjacent departing blocks are cut out of the model in one
+// RemoveConstraints/RemoveVariables pair (each walks the whole matrix), and
+// the solo adapter's Extract writes a partition's rows over its previous
+// ones, re-indexing members only when they changed; ClusterEngine.Allocate
+// copies rows out and computes effective throughputs from the jobs it has
+// at hand, so nothing a caller holds is ever rewritten.
 //
 // # Warm-hostile refreshes
 //

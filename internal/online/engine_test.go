@@ -379,3 +379,73 @@ func TestEngineOptionValidation(t *testing.T) {
 		t.Fatal("K=-1 accepted")
 	}
 }
+
+// TestClusterEngineAllocationsOutliveLaterRounds: the solo adapter writes
+// each round's rows over the partition's previous ones and the sync scratch
+// is recycled between sub-solves, so what Allocate hands out must be a copy
+// — an allocation a caller kept stays as it was while later rounds churn the
+// engine — and a parallel engine, whose sub-solves share the scratch pools,
+// must serve the very rows a sequential one does.
+func TestClusterEngineAllocationsOutliveLaterRounds(t *testing.T) {
+	c := cluster.NewCluster(12, 12, 12)
+	pool := cluster.GenerateJobs(64, 9, 0.2)
+	rng := rand.New(rand.NewSource(77))
+	seq, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Parallel: true}, lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []*ClusterEngine{seq, par}
+	live := map[int]cluster.Job{}
+	nextID := 0
+	type served struct {
+		alloc *cluster.Allocation
+		x     [][]float64
+		thr   []float64
+	}
+	var kept []served
+	for round := 0; round < 12; round++ {
+		for b := 0; b < 6; b++ {
+			driveRandomDeltas(rng, engines, pool, live, &nextID)
+		}
+		jobs, a, err := seq.Allocate(c)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		_, b, err := par.Allocate(c)
+		if err != nil {
+			t.Fatalf("round %d parallel: %v", round, err)
+		}
+		if len(a.X) != len(jobs) || len(b.X) != len(jobs) {
+			t.Fatalf("round %d: %d and %d rows for %d jobs", round, len(a.X), len(b.X), len(jobs))
+		}
+		s := served{alloc: a, thr: append([]float64(nil), a.EffThr...)}
+		for i, j := range jobs {
+			for k := range a.X[i] {
+				if math.Float64bits(a.X[i][k]) != math.Float64bits(b.X[i][k]) {
+					t.Fatalf("round %d job %d: sequential row %v, parallel row %v", round, j.ID, a.X[i], b.X[i])
+				}
+			}
+			if want := cluster.EffectiveThroughput(j, a.X[i]); a.EffThr[i] != want || b.EffThr[i] != want {
+				t.Fatalf("round %d job %d: throughput %v / %v, rows give %v", round, j.ID, a.EffThr[i], b.EffThr[i], want)
+			}
+			s.x = append(s.x, append([]float64(nil), a.X[i]...))
+		}
+		kept = append(kept, s)
+	}
+	for round, s := range kept {
+		for i := range s.x {
+			for k := range s.x[i] {
+				if s.alloc.X[i][k] != s.x[i][k] {
+					t.Fatalf("round %d's allocation changed under later rounds: row %d now %v, was %v", round, i, s.alloc.X[i], s.x[i])
+				}
+			}
+			if s.alloc.EffThr[i] != s.thr[i] {
+				t.Fatalf("round %d's throughputs changed under later rounds", round)
+			}
+		}
+	}
+}

@@ -194,11 +194,10 @@ type lbAdapter struct {
 	*lbState
 }
 
-func (ad *lbAdapter) Layout(p int, ids []int) []Block {
+func (ad *lbAdapter) Layout(p int, ids []int, layout []Block) []Block {
 	mS := len(ad.groups[p])
-	layout := make([]Block, len(ids))
-	for i, id := range ids {
-		layout[i] = Block{Key: BlockKey{id, NoPartner}, Vars: 2 * mS, Rows: mS + 1}
+	for _, id := range ids {
+		layout = append(layout, Block{Key: BlockKey{id, NoPartner}, Vars: 2 * mS, Rows: mS + 1})
 	}
 	return layout
 }

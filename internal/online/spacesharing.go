@@ -29,9 +29,8 @@ type pairAdapter struct {
 	*clusterState
 }
 
-func (ad *pairAdapter) Layout(p int, ids []int) []Block {
+func (ad *pairAdapter) Layout(p int, ids []int, layout []Block) []Block {
 	r := ad.sub.NumTypes()
-	layout := make([]Block, 0, len(ids)+len(ids)*len(ids)/2)
 	for _, id := range ids {
 		layout = append(layout, Block{Key: BlockKey{id, NoPartner}, Vars: r, Rows: 2})
 	}

@@ -208,9 +208,8 @@ func (ad *teAdapter) objCoef() float64 {
 	return 0
 }
 
-func (ad *teAdapter) Layout(p int, ids []int) []Block {
+func (ad *teAdapter) Layout(p int, ids []int, layout []Block) []Block {
 	rows := ad.rowsPer()
-	layout := make([]Block, 0, len(ids))
 	for _, id := range ids {
 		np := len(ad.dpaths[id])
 		if np == 0 {
