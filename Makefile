@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint yaml-check fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench bench-check ci
+.PHONY: all build test test-short test-race vet lint yaml-check fmt-check bench-online bench-milp bench-price bench-serve bench bench-check ci
 
 all: build
 
@@ -37,11 +37,6 @@ yaml-check:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench-lp regenerates BENCH_lp.json, the LP backend perf trajectory
-# (Dense vs SparseLU on te/cluster/lb-shaped instances at three sizes).
-bench-lp:
-	$(GO) run ./cmd/lpbench -reps 3 -o BENCH_lp.json
-
 # bench-online regenerates BENCH_online.json, the online engine perf
 # trajectory (warm incremental vs cold full re-solve across a dirty-fraction
 # sweep on cluster, capacity-jitter, lb, TE demand-churn, and space-sharing
@@ -57,8 +52,8 @@ bench-milp:
 
 # bench-price regenerates BENCH_price.json, the price-discovery engine's
 # quality-vs-latency trajectory (price vs warm LP POP vs the global solve on
-# cluster and lb online rounds, plus price-only scale rows up to 1M clients
-# and the price-seeded hybrid LP).
+# cluster and lb online rounds, plus price-only scale rows up to 1M
+# clients).
 bench-price:
 	$(GO) run ./cmd/pricebench -reps 3 -o BENCH_price.json
 

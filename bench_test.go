@@ -93,8 +93,7 @@ func BenchmarkPOPFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkLPPricing compares Dantzig pricing with Bland's rule on the same
-// model (the simplex's main pivoting design choice).
+// BenchmarkLPPricing times a cold solve, Dantzig-priced, of one model.
 func BenchmarkLPPricing(b *testing.B) {
 	build := func() *lp.Problem {
 		// A mid-size structured LP comparable to a TE sub-problem.
@@ -114,16 +113,12 @@ func BenchmarkLPPricing(b *testing.B) {
 		}
 		return p
 	}
-	for _, bland := range []bool{false, true} {
-		b.Run(fmt.Sprintf("bland=%v", bland), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := build()
-				sol, err := p.SolveWithOptions(lp.Options{BlandOnly: bland})
-				if err != nil || sol.Status != lp.Optimal {
-					b.Fatalf("err=%v status=%v", err, sol.Status)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		p := build()
+		sol, err := p.Solve()
+		if err != nil || sol.Status != lp.Optimal {
+			b.Fatalf("err=%v status=%v", err, sol.Status)
+		}
 	}
 }
 

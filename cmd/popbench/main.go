@@ -19,26 +19,15 @@ import (
 	"time"
 
 	"pop/internal/experiments"
-	"pop/internal/lp"
 )
 
 func main() {
 	var (
 		expName   = flag.String("exp", "", "experiment to run (see -list), or 'all'")
 		scaleName = flag.String("scale", "medium", "problem scale: small|medium|large")
-		backend   = flag.String("backend", "auto", "LP basis backend: auto|sparselu|dense")
 		list      = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
-
-	be, err := lp.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if be != lp.AutoBackend {
-		lp.SetDefaultBackend(be)
-	}
 
 	if *list || *expName == "" {
 		fmt.Println("available experiments:")

@@ -7,8 +7,8 @@
 // Scales: Small keeps the full suite runnable in minutes (used by tests and
 // benchmarks), Medium is the popbench default, Large approaches the paper's
 // problem sizes. Large-scale runtime is dominated by LP sub-problem solves,
-// which since the sparse-LU basis backend (internal/lp, lp.SparseLU) scale
-// with constraint-matrix fill rather than the cube of the row count.
+// which with the sparse-LU basis factor (internal/lp) scale with
+// constraint-matrix fill rather than the cube of the row count.
 package experiments
 
 import (

@@ -40,6 +40,11 @@ func coverageError(a *Assignment) (worst float64, shard int) {
 // it also shows under milp.Options.ColdNodes, which points at lp), so the
 // offending sub-problem is rebuilt and re-solved alone here, its shape
 // logged, and under -v its relaxation written as MPS for cmd/popsolve.
+// Reading a popsolve run of that file: `popsolve -relax` solves it with
+// lp.Options{Scale: true}, and no caller on the lb/milp path sets Scale
+// (milp.Options.LP is never assigned), so that run is not a replay of the
+// configuration the defect shows under — and tolerances applied in scaled
+// space cannot be what produces it here.
 //
 // The sparse refactorization rewrite that added this test computes factors
 // bit-identical to its predecessor's, so it must not — and does not — move

@@ -5,8 +5,9 @@ import "math"
 // basisFactor maintains a factorized representation of the current basis
 // matrix B (columns s.basis[0..m-1] of the standardized constraint matrix,
 // including artificials). The simplex core is written against this
-// interface; denseFactor keeps an explicit inverse, luFactor keeps a sparse
-// LU factorization with product-form (eta) updates.
+// interface; luFactor, the factor every solve starts on, keeps a sparse LU
+// factorization with Forrest–Tomlin updates, and denseFactor, the one a
+// solve in numerical trouble falls back to, keeps an explicit inverse.
 //
 // Vector spaces: "row space" indexes original constraint rows, "position
 // space" indexes basis positions (w[i] pairs with s.basis[i]). B maps
@@ -25,7 +26,7 @@ type basisFactor interface {
 	// current phase costs of the basic columns.
 	btranCost(y []float64)
 	// btranUnit computes z = B⁻ᵀ e_r into z (row space) for basis
-	// position r; zᵀ is row r of B⁻¹, needed by devex pricing.
+	// position r; zᵀ is row r of B⁻¹, the dual simplex pivot row.
 	btranUnit(r int, z []float64)
 	// update records the pivot that replaced the column at basis position
 	// `leave` with the column whose ftran is w. It returns false if the
@@ -37,10 +38,10 @@ type basisFactor interface {
 	wantRefactor() bool
 }
 
-// denseFactor is the reference backend: an explicit dense m×m basis inverse,
-// row-major in position-major order (binv[i*m+k] = (B⁻¹)[position i][row k]),
-// maintained by rank-1 eta transformations and rebuilt by Gauss-Jordan
-// elimination.
+// denseFactor is the fallback factor and the tests' reference: an explicit
+// dense m×m basis inverse, row-major in position-major order
+// (binv[i*m+k] = (B⁻¹)[position i][row k]), maintained by rank-1
+// transformations and rebuilt by Gauss-Jordan elimination.
 type denseFactor struct {
 	s    *simplex
 	binv []float64

@@ -7,16 +7,16 @@ import (
 	"pop/internal/lp/gen"
 )
 
-// The backend regression benchmarks: one solve of each case-study-shaped
-// instance (te, cluster, lb at small/medium/large) per backend. cmd/lpbench
-// runs the same generators and writes BENCH_lp.json so PRs can compare.
+// The solve regression benchmarks: one solve of each case-study-shaped
+// instance (te, cluster, lb at small/medium/large) on the default path and
+// on the dense reference inverse.
 
-func benchBackend(b *testing.B, backend lp.SolverBackend) {
+func benchBackend(b *testing.B, opts lp.Options) {
 	for _, in := range gen.All(1) {
 		b.Run(in.Name(), func(b *testing.B) {
 			b.ReportMetric(float64(in.P.NumConstraints()), "rows")
 			for i := 0; i < b.N; i++ {
-				sol, err := in.P.SolveWithOptions(lp.Options{Backend: backend})
+				sol, err := in.P.SolveWithOptions(opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -28,5 +28,5 @@ func benchBackend(b *testing.B, backend lp.SolverBackend) {
 	}
 }
 
-func BenchmarkLPSolveDense(b *testing.B)    { benchBackend(b, lp.Dense) }
-func BenchmarkLPSolveSparseLU(b *testing.B) { benchBackend(b, lp.SparseLU) }
+func BenchmarkLPSolveDense(b *testing.B)    { benchBackend(b, lp.Options{}.Dense()) }
+func BenchmarkLPSolveSparseLU(b *testing.B) { benchBackend(b, lp.Options{}) }

@@ -3,90 +3,20 @@ package lp
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// TestDevexAgreesWithDantzig: pricing strategy must not change the optimum.
-func TestDevexAgreesWithDantzig(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 25; trial++ {
-		p1 := randomFeasibleLP(rng, 10, 30)
-		p2 := cloneProblem(p1)
-		s1, err := p1.SolveWithOptions(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := p2.SolveWithOptions(Options{Devex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1.Status != s2.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, s1.Status, s2.Status)
-		}
-		if s1.Status == Optimal && !approxEq(s1.Objective, s2.Objective, 1e-6) {
-			t.Fatalf("trial %d: obj %.10g vs %.10g", trial, s1.Objective, s2.Objective)
-		}
-	}
-}
-
-// TestDevexPropertyFeasible: devex solutions satisfy the same feasibility
-// certificates as Dantzig ones.
-func TestDevexPropertyFeasible(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomFeasibleLP(rng, 6, 18)
-		sol, err := p.SolveWithOptions(Options{Devex: true})
-		if err != nil || sol.Status != Optimal {
-			return false
-		}
-		return p.CheckFeasible(sol.X, 1e-6) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDevexWeightsResetOnInstall: installing a basis snapshot must reset the
-// primal devex reference framework — weights tuned while pricing a previous
-// basis (an earlier start strategy in the same solve, or a SetBasis chain)
-// must not rank pivots for the newly installed one. Regression test for the
-// install paths silently inheriting stale weights.
-func TestDevexWeightsResetOnInstall(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	p := randomFeasibleLP(rng, 10, 24)
-	sol, err := cloneProblem(p).SolveWithOptions(Options{Backend: SparseLU})
-	if err != nil || sol.Status != Optimal || sol.Basis == nil {
-		t.Fatalf("setup solve: err=%v status=%v", err, sol.Status)
-	}
-
-	s := newSimplex(p, Options{Backend: SparseLU, Devex: true})
-	// Poison the framework as a failed earlier start strategy would leave it.
-	s.devexW = make([]float64, s.ncols)
-	for j := range s.devexW {
-		s.devexW[j] = 1e6 * float64(j+1)
-	}
-	if !s.installBasis(sol.Basis) {
-		t.Fatal("installBasis rejected a fresh optimal snapshot")
-	}
-	for j, w := range s.devexW {
-		if w != 1 {
-			t.Fatalf("devexW[%d] = %g after install, want 1", j, w)
-		}
-	}
-}
-
-// TestDualDevexWeightsResetOnWarmInstall mirrors the primal reset check for
-// the dual reference framework: entering the dual phase through initWarmDual
-// must start from all-ones weights, whatever a previous phase left behind.
+// TestDualDevexWeightsResetOnWarmInstall: entering the dual phase through
+// initWarmDual must start from all-ones reference weights, whatever an
+// earlier solve on the same workspace left behind.
 func TestDualDevexWeightsResetOnWarmInstall(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	p := randomFeasibleLP(rng, 10, 24)
-	sol, err := cloneProblem(p).SolveWithOptions(Options{Backend: SparseLU})
+	sol, err := cloneProblem(p).SolveWithOptions(Options{})
 	if err != nil || sol.Status != Optimal || sol.Basis == nil {
 		t.Fatalf("setup solve: err=%v status=%v", err, sol.Status)
 	}
 
-	s := newSimplex(p, Options{Backend: SparseLU})
+	s := newSimplex(p, Options{})
 	s.dualW = make([]float64, s.m)
 	for i := range s.dualW {
 		s.dualW[i] = 1e6 * float64(i+1)
@@ -99,74 +29,4 @@ func TestDualDevexWeightsResetOnWarmInstall(t *testing.T) {
 			t.Fatalf("dualW[%d] = %g after dual warm install, want 1", i, w)
 		}
 	}
-}
-
-// TestDevexSetBasisChainAgrees: re-solving through a chain of SetBasis
-// installs with devex pricing on must match the devex-less outcomes — the
-// end-to-end shape of the weight-reset guarantee.
-func TestDevexSetBasisChainAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 10; trial++ {
-		p := randomFeasibleLP(rng, 10, 24)
-		m1 := NewModelFromProblem(p)
-		sol, err := m1.SolveWithOptions(Options{Backend: SparseLU, Devex: true})
-		if err != nil || sol.Status != Optimal {
-			t.Fatalf("trial %d: err=%v status=%v", trial, err, sol.Status)
-		}
-		snap := sol.Basis
-		for step := 0; step < 4; step++ {
-			v := rng.Intn(p.NumVariables())
-			m1.SetBounds(v, 0, 1+4*rng.Float64())
-			if step%2 == 1 {
-				m1.SetBasis(snap) // jump back to the old snapshot mid-chain
-			}
-			warm, err := m1.SolveWithOptions(Options{Backend: SparseLU, Devex: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := m1.CopyProblem().SolveWithOptions(Options{Backend: SparseLU})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.Status != cold.Status {
-				t.Fatalf("trial %d step %d: status %v vs cold %v", trial, step, warm.Status, cold.Status)
-			}
-			if warm.Status == Optimal && !approxEq(warm.Objective, cold.Objective, 1e-6) {
-				t.Fatalf("trial %d step %d: obj %.10g vs cold %.10g", trial, step, warm.Objective, cold.Objective)
-			}
-		}
-	}
-}
-
-// TestDevexWithScalingAndStatuses: devex composes with equilibration and
-// preserves infeasible/unbounded detection.
-func TestDevexWithScalingAndStatuses(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := p.AddVariable(1e5, 0, 1, "x")
-	y := p.AddVariable(1, 0, 1e4, "y")
-	p.AddConstraint([]int{x, y}, []float64{1e5, 1e-2}, LE, 1e5+50, "")
-	sol, err := p.SolveWithOptions(Options{Devex: true, Scale: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireObj(t, sol, 109950) // x=0.9995 frees y to its full 1e4
-
-	inf := NewProblem(Maximize)
-	v := inf.AddVariable(1, 0, 10, "v")
-	inf.AddConstraint([]int{v}, []float64{1}, GE, 20, "")
-	s2, err := inf.SolveWithOptions(Options{Devex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireStatus(t, s2, Infeasible)
-
-	unb := NewProblem(Maximize)
-	u := unb.AddVariable(1, 0, Inf, "u")
-	w := unb.AddVariable(0, 0, Inf, "w")
-	unb.AddConstraint([]int{u, w}, []float64{1, -1}, LE, 1, "")
-	s3, err := unb.SolveWithOptions(Options{Devex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireStatus(t, s3, Unbounded)
 }

@@ -12,13 +12,13 @@
 //   - Phase 1 starts from an all-artificial basis and minimizes the sum of
 //     infeasibilities; phase 2 optimizes the real objective.
 //   - The constraint matrix is stored column-wise and sparse; the basis is
-//     maintained behind the basisFactor interface by one of two backends
-//     (see below), selected with Options.Backend.
+//     maintained behind the basisFactor interface as a sparse LU
+//     factorization, with a dense inverse as the numerical fallback (see
+//     below).
 //   - Pricing is Dantzig (most-negative reduced cost) with an automatic
 //     switch to Bland's rule after a run of degenerate pivots, which
-//     guarantees termination; Options.Devex enables devex pricing. The dual
-//     phase prices its leaving rows with dual devex reference weights by
-//     default (Options.DualPricing).
+//     guarantees termination. The dual phase prices its leaving rows with
+//     dual devex reference weights.
 //   - The ratio tests — primal and dual — are Harris-style two-pass bounded
 //     tests: the first pass finds the loosest step admissible with every
 //     competing bound relaxed by the feasibility tolerance, the second takes
@@ -30,11 +30,15 @@
 //     allocation problems, where 0 ≤ A ≤ 1) never enter the basis just to
 //     move between their bounds.
 //
-// # Basis backends
+// There is one solver configuration. Options carries tolerances, the
+// iteration cap, Scale, the warm-start pair WarmBasis/Dual and Obs; nothing
+// in it selects an algorithm, and TestOptionsSurface keeps it that way.
 //
-// SparseLU (the default) factorizes the basis as P·B·Q = L·U with
-// left-looking sparse Gaussian elimination: columns are processed
-// sparsest-first and the pivot row is chosen by threshold partial pivoting
+// # The basis factor and its fallback
+//
+// The basis is factorized as P·B·Q = L·U with left-looking sparse Gaussian
+// elimination: columns are processed sparsest-first and the pivot row is
+// chosen by threshold partial pivoting
 // (candidates within 10× of the column's largest magnitude, preferring the
 // row with the fewest nonzeros) — an approximate Markowitz ordering that
 // keeps fill low on the extremely sparse bases granular allocation LPs
@@ -43,14 +47,11 @@
 // spiked column rotates to the last triangular position, and the leaving
 // row is eliminated by a recorded row transformation — so ftran/btran stay
 // sparse triangular solves through factors whose size tracks actual fill,
-// not pivot count. Options.Update selects the strategy: ForrestTomlin (the
-// default) or EtaUpdate, the legacy product-form eta file that appends the
-// entering column's ftran per pivot and regrows without bound between
-// rebuilds.
+// not pivot count.
 //
-// Refactorization is scheduled adaptively, not just by the fixed
-// Options.ReinvertEvery cadence: the FT path rebuilds when U's fill grows
-// past a budget tied to its post-factorization size, or when a sampled
+// Refactorization is scheduled adaptively, on top of a fixed cadence of 512
+// pivots: the factor is rebuilt when U's fill grows past a budget tied to
+// its post-factorization size, or when a sampled
 // ftran residual ‖B·w − a_q‖∞ drifts past tolerance — measured numerical
 // trouble, caught before it can leak into pivot decisions. An update whose
 // elimination multiplier or final diagonal is too extreme to absorb stably
@@ -61,20 +62,22 @@
 // refactorization's wall time (pop_lp_refactor_seconds, the lp.refactor
 // span) and resulting fill (pop_lp_factor_nnz).
 //
-// Dense is the reference backend: an explicit dense m×m basis inverse
-// updated by rank-1 eta transformations and rebuilt by Gauss-Jordan
-// elimination with partial pivoting. It is O(m²) per iteration and O(m³)
-// per rebuild, but numerically transparent; the cross-backend equivalence
-// suite (equivalence_test.go) holds both backends to identical statuses and
-// objectives within 1e-6 on fixture and randomized models.
-//
-// Fallback policy: if the sparse factorization finds the basis singular or
-// rejects an update pivot, the solve refactorizes; if that fails it switches
-// to the dense backend mid-solve; and if a SparseLU solve still ends in
-// numerical failure, SolveWithOptions re-solves once from scratch with
-// Dense. AutoBackend (the Options zero value) resolves to SparseLU, so
-// every caller gets the fast path without opting in; SetDefaultBackend
-// rebinds it process-wide (cmd/popbench -backend).
+// The fallback is denseFactor: an explicit dense m×m basis inverse updated
+// by rank-1 transformations and rebuilt by Gauss-Jordan elimination with
+// partial pivoting. It is O(m²) per iteration and O(m³) per rebuild, but
+// numerically transparent. No caller can select it; the solver reaches for
+// it in two places. If the sparse factorization rejects an update pivot the
+// solve refactorizes, and if a refactorization finds the basis singular the
+// solve switches to the dense inverse for its remaining pivots
+// (pop_lp_dense_fallbacks_total); and if a solve still ends in numerical
+// failure, SolveWithOptions re-solves once from scratch on the dense
+// inverse, cold (the lp.dense-retry instant). The same type is the tests'
+// reference: through the unexported Options.dense the equivalence suite
+// (equivalence_test.go) holds the sparse factor and the dense inverse to
+// identical statuses and objectives within 1e-6 on fixture and randomized
+// models. Bland's rule, the anti-cycling fallback above, is likewise forced
+// from the first pivot by the unexported Options.blandOnly, and the refactor
+// cadence shortened by Options.reinvertEvery, for tests only.
 //
 // # Refactorization
 //
@@ -119,9 +122,8 @@
 // spike entry) moves, at twice the capacity, into a per-factor update arena
 // that the next refactor rewinds, so updates on a long-lived factor stop
 // allocating once the arena has grown to one refactor interval's worth.
-// Row-eta entries are appended to a buffer rewound the same way;
-// product-form eta entries (the legacy EtaUpdate path) are still allocated
-// per update. The next refactor on the same factor reuses both slabs, the
+// Row-eta entries are appended to a buffer rewound the same way. The next
+// refactor on the same factor reuses both slabs, the
 // arena and all scratch, so it allocates nothing unless fill grew — and the
 // factor lives in the solve's recycled workspace (see "What a re-solve
 // reuses" below), so the next solve on that workspace does too.
@@ -251,9 +253,8 @@
 // a load or capacity shift in a handful of pivots where the primal warm
 // path would run its bound-shifting repair phase and the cold path a full
 // phase 1. Leaving rows are ranked violation²/weight under dual devex
-// reference weights (Options.DualPricing; DualDantzig recovers the raw
-// largest-violation rule), and the entering column comes from the dual
-// Harris two-pass ratio test described above.
+// reference weights, and the entering column comes from the dual Harris
+// two-pass ratio test described above.
 //
 // Entry conditions (all must hold, else the solve falls back to the primal
 // warm path and then cold, so outcomes never change):

@@ -14,10 +14,10 @@ import "math"
 // pivots where a primal warm repair would grind through a composite
 // phase 1.
 //
-// Leaving-row selection uses dual devex weights by default
-// (Options.DualPricing): rows are ranked by violation²/weight, where the
-// reference-framework weights grow as rows participate in pivots — the dual
-// analogue of the primal devex pricing in simplex.go. Entering-column
+// Leaving-row selection uses dual devex weights: rows are ranked by
+// violation²/weight, where the reference-framework weights (Forrest–Goldfarb)
+// grow as rows participate in pivots, which steers long delta chains away
+// from repeatedly hammering the same degenerate rows. Entering-column
 // selection is a Harris two-pass bounded ratio test: pass 1 relaxes every
 // reduced cost by the dual tolerance to find the loosest admissible ratio,
 // pass 2 takes the largest-pivot candidate under it, trading a ≤ TolOpt
@@ -79,13 +79,10 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 			}
 		}
 	}
-	s.dualDevex = s.opts.DualPricing.resolve() == DualDevex
-	if s.dualDevex {
-		// Fresh reference framework per install — weights describe this
-		// basis only.
-		s.dualW = sized(s.dualW, s.m)
-		s.resetDualDevex()
-	}
+	// Fresh reference framework per install — weights describe this basis
+	// only.
+	s.dualW = sized(s.dualW, s.m)
+	s.resetDualDevex()
 	return true
 }
 
@@ -106,9 +103,9 @@ func (s *simplex) dualIterate() Status {
 			return IterLimit
 		}
 
-		// Leaving row: devex-scored bound violation (violation²/weight), raw
-		// largest violation under DualDantzig, first violation under Bland
-		// mode (guaranteeing finite termination under degeneracy).
+		// Leaving row: devex-scored bound violation (violation²/weight), first
+		// violation under Bland mode (guaranteeing finite termination under
+		// degeneracy).
 		r := -1
 		above := false // true when the violation is past the upper bound
 		worst := 0.0
@@ -128,11 +125,7 @@ func (s *simplex) dualIterate() Status {
 				r, above = i, up
 				break
 			}
-			score := viol
-			if s.dualW != nil {
-				score = viol * viol / s.dualW[i]
-			}
-			if score > worst {
+			if score := viol * viol / s.dualW[i]; score > worst {
 				worst, r, above = score, i, up
 			}
 		}
@@ -250,9 +243,7 @@ func (s *simplex) dualIterate() Status {
 			}
 			return Numerical
 		}
-		if s.dualDevex {
-			s.updateDualDevex(r)
-		}
+		s.updateDualDevex(r)
 		step := delta / wr
 		for i := 0; i < s.m; i++ {
 			if wi := s.w[i]; wi != 0 {
@@ -278,7 +269,7 @@ func (s *simplex) dualIterate() Status {
 			}
 		} else {
 			s.degenerateRun = 0
-			if !s.opts.BlandOnly {
+			if !s.opts.blandOnly {
 				s.blandMode = false
 			}
 		}
@@ -290,7 +281,7 @@ func (s *simplex) dualIterate() Status {
 		}
 		s.iters++
 		s.sinceReinvert++
-		if s.sinceReinvert >= s.opts.ReinvertEvery || s.bas.wantRefactor() {
+		if s.sinceReinvert >= s.opts.reinvertEvery || s.bas.wantRefactor() {
 			if !s.reinvert() {
 				return Numerical
 			}
@@ -327,5 +318,12 @@ func (s *simplex) updateDualDevex(r int) {
 	// Reset the framework when weights blow up (standard devex hygiene).
 	if maxW > 1e8 {
 		s.resetDualDevex()
+	}
+}
+
+// resetDualDevex restores the dual reference framework (all row weights 1).
+func (s *simplex) resetDualDevex() {
+	for i := range s.dualW {
+		s.dualW[i] = 1
 	}
 }

@@ -41,8 +41,10 @@ func perturbBoundsOnly(p *Problem, rng *rand.Rand) *Problem {
 // objective exactly (to 1e-6), and the dual path must actually engage on a
 // healthy fraction of the trials.
 func TestDualResolveMatchesColdOnRHSAndBoundPerturbations(t *testing.T) {
-	for _, backend := range []SolverBackend{Dense, SparseLU} {
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, f := range factors {
+		t.Run(f.name, func(t *testing.T) {
+			dualOpts := f.opts
+			dualOpts.Dual = true
 			rng := rand.New(rand.NewSource(777))
 			dualEngaged, dualPivots := 0, 0
 			trials := 40
@@ -51,7 +53,7 @@ func TestDualResolveMatchesColdOnRHSAndBoundPerturbations(t *testing.T) {
 			}
 			for trial := 0; trial < trials; trial++ {
 				p := randomFeasibleLP(rng, 6+rng.Intn(10), 8+rng.Intn(12))
-				sol, err := p.SolveWithOptions(Options{Backend: backend})
+				sol, err := p.SolveWithOptions(f.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,11 +65,12 @@ func TestDualResolveMatchesColdOnRHSAndBoundPerturbations(t *testing.T) {
 				if trial%2 == 1 {
 					q = perturbBoundsOnly(p, rng)
 				}
-				cold, err := cloneProblem(q).SolveWithOptions(Options{Backend: backend})
+				cold, err := cloneProblem(q).SolveWithOptions(f.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dual, err := cloneProblem(q).SolveWithOptions(Options{Backend: backend, WarmBasis: basis, Dual: true})
+				dualOpts.WarmBasis = basis
+				dual, err := cloneProblem(q).SolveWithOptions(dualOpts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,21 +8,28 @@ import (
 )
 
 // Cross-solver equivalence harness: every MPS fixture and ~200 randomly
-// generated feasible/infeasible/unbounded/degenerate LPs run through both
-// basis backends, which must report the same status and (when optimal)
-// objectives within 1e-6.
+// generated feasible/infeasible/unbounded/degenerate LPs run through the
+// sparse LU factor every solve starts on and through the dense inverse it
+// falls back to (Options.dense), which must report the same status and (when
+// optimal) objectives within 1e-6.
 
-// solveBoth solves independent clones of p with each backend and checks the
+// factors names the two basis factors a test can start a solve on.
+var factors = []struct {
+	name string
+	opts Options
+}{{"dense", Options{dense: true}}, {"sparselu", Options{}}}
+
+// solveBoth solves independent clones of p on each factor and checks the
 // agreement contract, returning the two solutions for extra assertions.
 func solveBoth(t *testing.T, label string, p *Problem) (dense, sparse *Solution) {
 	t.Helper()
 	pd, ps := cloneProblem(p), cloneProblem(p)
 	var err error
-	dense, err = pd.SolveWithOptions(Options{Backend: Dense})
+	dense, err = pd.SolveWithOptions(Options{dense: true})
 	if err != nil {
 		t.Fatalf("%s: dense: %v", label, err)
 	}
-	sparse, err = ps.SolveWithOptions(Options{Backend: SparseLU})
+	sparse, err = ps.SolveWithOptions(Options{})
 	if err != nil {
 		t.Fatalf("%s: sparselu: %v", label, err)
 	}
@@ -44,7 +51,7 @@ func solveBoth(t *testing.T, label string, p *Problem) (dense, sparse *Solution)
 }
 
 // mpsFixtures is the fixture corpus: name, MPS source, and the status both
-// backends must report.
+// factors must report.
 var mpsFixtures = []struct {
 	name   string
 	src    string
@@ -301,63 +308,28 @@ func TestBackendsAgreeOnRandomLPs(t *testing.T) {
 	}
 }
 
-// TestBackendsAgreeWithScalingAndDevex runs the option cross-product so the
-// backends stay interchangeable under every pricing/scaling combination.
-func TestBackendsAgreeWithScalingAndDevex(t *testing.T) {
+// TestBackendsAgreeWithScaling: the two factors stay interchangeable with
+// equilibration on and off.
+func TestBackendsAgreeWithScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
 		p := randomFeasibleLP(rng, 8, 14)
 		for _, scale := range []bool{false, true} {
-			for _, devex := range []bool{false, true} {
-				pd, ps := cloneProblem(p), cloneProblem(p)
-				sd, err := pd.SolveWithOptions(Options{Backend: Dense, Scale: scale, Devex: devex})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ss, err := ps.SolveWithOptions(Options{Backend: SparseLU, Scale: scale, Devex: devex})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sd.Status != ss.Status {
-					t.Fatalf("trial %d scale=%v devex=%v: status %v vs %v", trial, scale, devex, sd.Status, ss.Status)
-				}
-				if sd.Status == Optimal && !approxEq(sd.Objective, ss.Objective, 1e-6) {
-					t.Fatalf("trial %d scale=%v devex=%v: obj %.12g vs %.12g", trial, scale, devex, sd.Objective, ss.Objective)
-				}
+			pd, ps := cloneProblem(p), cloneProblem(p)
+			sd, err := pd.SolveWithOptions(Options{dense: true, Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := ps.SolveWithOptions(Options{Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd.Status != ss.Status {
+				t.Fatalf("trial %d scale=%v: status %v vs %v", trial, scale, sd.Status, ss.Status)
+			}
+			if sd.Status == Optimal && !approxEq(sd.Objective, ss.Objective, 1e-6) {
+				t.Fatalf("trial %d scale=%v: obj %.12g vs %.12g", trial, scale, sd.Objective, ss.Objective)
 			}
 		}
-	}
-}
-
-func TestBackendParseAndString(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SolverBackend
-	}{{"auto", AutoBackend}, {"", AutoBackend}, {"sparselu", SparseLU}, {"LU", SparseLU}, {"Dense", Dense}} {
-		got, err := ParseBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseBackend("qr"); err == nil {
-		t.Fatal("expected error for unknown backend")
-	}
-	if SparseLU.String() != "sparselu" || Dense.String() != "dense" || AutoBackend.String() != "auto" {
-		t.Fatal("backend String() drifted")
-	}
-}
-
-func TestSetDefaultBackend(t *testing.T) {
-	prev := SetDefaultBackend(Dense)
-	defer SetDefaultBackend(prev)
-	if AutoBackend.resolve() != Dense {
-		t.Fatal("SetDefaultBackend(Dense) not picked up by AutoBackend")
-	}
-	if SetDefaultBackend(AutoBackend) != Dense {
-		t.Fatal("SetDefaultBackend should return the previous default")
-	}
-	// Resetting with AutoBackend restores the hard default, SparseLU.
-	if AutoBackend.resolve() != SparseLU {
-		t.Fatalf("AutoBackend resolves to %v, want sparselu", AutoBackend.resolve())
 	}
 }

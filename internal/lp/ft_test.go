@@ -23,7 +23,7 @@ func colOf(s *simplex, q int) []float64 {
 
 // TestFTPivotChainMatchesRefactor is the Forrest–Tomlin equivalence
 // property suite: starting from a solved basis, apply a long randomized
-// chain of basis exchanges through updateFT and verify after every accepted
+// chain of basis exchanges through luFactor.update and verify after every accepted
 // update that ftran still inverts the true basis (B·(B⁻¹a_q) = a_q) and
 // btran its transpose — then refactor from scratch and check the updated
 // factors and the fresh ones solve identically. A rejected update (the FT
@@ -32,10 +32,7 @@ func TestFTPivotChainMatchesRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 6; trial++ {
 		s, f := solvedLU(t, rng, 12+rng.Intn(10), 20+rng.Intn(16),
-			Options{ReinvertEvery: 1 << 30})
-		if !f.ft {
-			t.Fatal("default update strategy is not Forrest–Tomlin")
-		}
+			Options{reinvertEvery: 1 << 30})
 		w := make([]float64, s.m)
 		w2 := make([]float64, s.m)
 		z := make([]float64, s.m)
@@ -124,30 +121,30 @@ func TestFTPivotChainMatchesRefactor(t *testing.T) {
 	}
 }
 
-// TestFTAgreesWithEtaFile: the update strategy is a performance choice, not
-// a semantic one — Forrest–Tomlin and the legacy product-form eta file must
-// return the same statuses and objectives over randomized instances, warm
-// and cold.
-func TestFTAgreesWithEtaFile(t *testing.T) {
+// TestFTAgreesWithDense: updating U in place is a performance choice, not a
+// semantic one — full solves on Forrest–Tomlin-updated factors and on the
+// dense reference inverse must return the same statuses and objectives over
+// randomized instances.
+func TestFTAgreesWithDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		p1 := randomFeasibleLP(rng, 8+rng.Intn(12), 14+rng.Intn(20))
 		p2 := cloneProblem(p1)
 		// A small reinvert cadence keeps both paths exercising updates and
 		// refactorizations within these small instances.
-		s1, err := p1.SolveWithOptions(Options{Backend: SparseLU, ReinvertEvery: 11})
+		s1, err := p1.SolveWithOptions(Options{reinvertEvery: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p2.SolveWithOptions(Options{Backend: SparseLU, Update: EtaUpdate, ReinvertEvery: 11})
+		s2, err := p2.SolveWithOptions(Options{dense: true, reinvertEvery: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s1.Status != s2.Status {
-			t.Fatalf("trial %d: status %v (ft) vs %v (eta)", trial, s1.Status, s2.Status)
+			t.Fatalf("trial %d: status %v (ft) vs %v (dense)", trial, s1.Status, s2.Status)
 		}
 		if s1.Status == Optimal && !approxEq(s1.Objective, s2.Objective, 1e-6) {
-			t.Fatalf("trial %d: obj %.10g (ft) vs %.10g (eta)", trial, s1.Objective, s2.Objective)
+			t.Fatalf("trial %d: obj %.10g (ft) vs %.10g (dense)", trial, s1.Objective, s2.Objective)
 		}
 	}
 }
@@ -189,7 +186,7 @@ func degenerateLP(rng *rand.Rand, m, n int) *Problem {
 // TestHarrisRatioTestDegenerateFuzz: on the degenerate family, the Harris
 // two-pass ratio tests (primal and, through warm re-solves, dual) must
 // terminate within the iteration budget and agree with Bland's rule and the
-// dense backend — the two references whose termination and correctness are
+// dense inverse — the two references whose termination and correctness are
 // known. A cycling or stalling regression shows up as IterLimit or an
 // objective mismatch.
 func TestHarrisRatioTestDegenerateFuzz(t *testing.T) {
@@ -198,15 +195,15 @@ func TestHarrisRatioTestDegenerateFuzz(t *testing.T) {
 		p1 := degenerateLP(rng, 6+rng.Intn(11), 8+rng.Intn(17))
 		p2 := cloneProblem(p1)
 		p3 := cloneProblem(p1)
-		s1, err := p1.SolveWithOptions(Options{Backend: SparseLU})
+		s1, err := p1.SolveWithOptions(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p2.SolveWithOptions(Options{Backend: SparseLU, BlandOnly: true})
+		s2, err := p2.SolveWithOptions(Options{blandOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s3, err := p3.SolveWithOptions(Options{Backend: Dense})
+		s3, err := p3.SolveWithOptions(Options{dense: true})
 		if err != nil {
 			t.Fatal(err)
 		}

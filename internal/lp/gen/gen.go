@@ -1,8 +1,8 @@
 // Package gen synthesizes LP instances shaped like the three POP case
 // studies — traffic engineering (path-based max flow), cluster scheduling
 // (max-min fairness epigraph), and shard load balancing (fractional
-// assignment) — at graded sizes. The lp benchmarks and cmd/lpbench use the
-// same generators so BENCH_lp.json numbers line up with `go test -bench`.
+// assignment) — at graded sizes, for the lp benchmarks and the suites that
+// hold the solver to its references on case-study shapes.
 package gen
 
 import (

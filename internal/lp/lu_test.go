@@ -13,13 +13,12 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	return newSimplexStd(p.standardize(nil), opts)
 }
 
-// solvedLU runs a SparseLU solve to completion and hands back the simplex
-// with its final basis factorization (which has seen refactorizations and
-// eta updates along the way).
+// solvedLU runs a solve to completion and hands back the simplex with its
+// final sparse factorization (which has seen refactorizations and
+// Forrest–Tomlin updates along the way).
 func solvedLU(t *testing.T, rng *rand.Rand, m, n int, opts Options) (*simplex, *luFactor) {
 	t.Helper()
 	p := randomFeasibleLP(rng, m, n)
-	opts.Backend = SparseLU
 	s := newSimplex(p, opts)
 	sol := s.solve()
 	if sol.Status != Optimal {
@@ -74,12 +73,12 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestLUFtranRoundTrip: B·(B⁻¹ a_q) must reproduce a_q for structural,
 // slack, and artificial columns, through both the fresh factors and the
-// accumulated eta file.
+// accumulated updates.
 func TestLUFtranRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
-		// Small ReinvertEvery so the final factorization carries etas.
-		s, f := solvedLU(t, rng, 10+rng.Intn(10), 16+rng.Intn(16), Options{ReinvertEvery: 7})
+		// A short cadence, so the final factorization carries updates.
+		s, f := solvedLU(t, rng, 10+rng.Intn(10), 16+rng.Intn(16), Options{reinvertEvery: 7})
 		w := make([]float64, s.m)
 		for q := 0; q < s.ncols+s.m; q += 1 + rng.Intn(3) {
 			f.ftranCol(q, w)
@@ -101,11 +100,11 @@ func TestLUFtranRoundTrip(t *testing.T) {
 }
 
 // TestLUBtranRoundTrip: Bᵀ·(B⁻ᵀ c) must reproduce c for the phase cost
-// vector and for unit vectors (the devex pivot-row solve).
+// vector and for unit vectors (the dual simplex pivot-row solve).
 func TestLUBtranRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 8; trial++ {
-		s, f := solvedLU(t, rng, 10+rng.Intn(10), 16+rng.Intn(16), Options{ReinvertEvery: 7})
+		s, f := solvedLU(t, rng, 10+rng.Intn(10), 16+rng.Intn(16), Options{reinvertEvery: 7})
 		y := make([]float64, s.m)
 		f.btranCost(y)
 		got := mulBasisT(f, y)
@@ -130,13 +129,13 @@ func TestLUBtranRoundTrip(t *testing.T) {
 }
 
 // TestLURefactorResidualInvariant: refactorizing must not move the basic
-// solution — the eta-composed factorization and a fresh LU agree on
+// solution — the updated factorization and a fresh LU agree on
 // x_B = B⁻¹(b - N x_N) to tight tolerance, and the refactored basis
 // reproduces the right-hand side.
 func TestLURefactorResidualInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
-		s, f := solvedLU(t, rng, 12+rng.Intn(8), 20+rng.Intn(12), Options{ReinvertEvery: 9})
+		s, f := solvedLU(t, rng, 12+rng.Intn(8), 20+rng.Intn(12), Options{reinvertEvery: 9})
 		xbBefore := make([]float64, s.m)
 		for i, j := range s.basis {
 			xbBefore[i] = s.x[j]
@@ -144,8 +143,8 @@ func TestLURefactorResidualInvariant(t *testing.T) {
 		if !s.reinvert() {
 			t.Fatalf("trial %d: refactor failed on a solved basis", trial)
 		}
-		if len(f.etas) != 0 {
-			t.Fatalf("trial %d: refactor left %d etas", trial, len(f.etas))
+		if len(f.rowEtas) != 0 {
+			t.Fatalf("trial %d: refactor left %d row etas", trial, len(f.rowEtas))
 		}
 		xbAfter := make([]float64, s.m)
 		for i, j := range s.basis {
@@ -182,7 +181,7 @@ func TestLUSingularBasisFailsAndFallsBack(t *testing.T) {
 	y := p.AddVariable(1, 0, 10, "y")
 	p.AddConstraint([]int{x, y}, []float64{1, 1}, LE, 6, "")
 	p.AddConstraint([]int{x, y}, []float64{2, 2}, LE, 12, "")
-	s := newSimplex(p, Options{Backend: SparseLU}.withDefaults(2, 4))
+	s := newSimplex(p, Options{}.withDefaults(2, 4))
 	s.initPhase1()
 	// Force the same structural column into both basis positions.
 	s.basis[0], s.basis[1] = x, x
@@ -201,19 +200,18 @@ func TestLUSingularBasisFailsAndFallsBack(t *testing.T) {
 	}
 }
 
-// TestLUReinvertCadenceAgrees mirrors TestReinversionMidSolve for the
-// sparse backend: aggressive refactorization cadence must not change
-// results.
+// TestLUReinvertCadenceAgrees: aggressive refactorization cadence must not
+// change results.
 func TestLUReinvertCadenceAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		p1 := randomFeasibleLP(rng, 12, 24)
 		p2 := cloneProblem(p1)
-		s1, err := p1.SolveWithOptions(Options{Backend: SparseLU})
+		s1, err := p1.SolveWithOptions(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p2.SolveWithOptions(Options{Backend: SparseLU, ReinvertEvery: 3})
+		s2, err := p2.SolveWithOptions(Options{reinvertEvery: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,28 +224,24 @@ func TestLUReinvertCadenceAgrees(t *testing.T) {
 	}
 }
 
-// TestLUFillTriggersRefactor: the fill-based refactor trigger must fire in
-// both update modes once accumulated update storage outgrows its budget —
-// the eta file past its nnz cutoff, the Forrest–Tomlin U past its
-// fill-growth bound.
+// TestLUFillTriggersRefactor: the fill-based refactor trigger must fire once
+// the Forrest–Tomlin U outgrows its fill-growth bound.
 func TestLUFillTriggersRefactor(t *testing.T) {
-	for _, upd := range []UpdateStrategy{ForrestTomlin, EtaUpdate} {
-		rng := rand.New(rand.NewSource(17))
-		s, f := solvedLU(t, rng, 8, 14, Options{Update: upd})
-		if f.wantRefactor() {
-			t.Fatalf("%v: fresh factorization already wants refactor", upd)
+	rng := rand.New(rand.NewSource(17))
+	s, f := solvedLU(t, rng, 8, 14, Options{})
+	if f.wantRefactor() {
+		t.Fatal("fresh factorization already wants refactor")
+	}
+	w := make([]float64, s.m)
+	for i := range w {
+		w[i] = 1
+	}
+	for i := 0; !f.wantRefactor(); i++ {
+		if !f.update(i%s.m, w) {
+			t.Fatal("update rejected a unit pivot")
 		}
-		w := make([]float64, s.m)
-		for i := range w {
-			w[i] = 1
-		}
-		for i := 0; !f.wantRefactor(); i++ {
-			if !f.update(i%s.m, w) {
-				t.Fatalf("%v: update rejected a unit pivot", upd)
-			}
-			if i > 100*s.m {
-				t.Fatalf("%v: fill trigger never fired", upd)
-			}
+		if i > 100*s.m {
+			t.Fatal("fill trigger never fired")
 		}
 	}
 }

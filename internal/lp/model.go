@@ -682,11 +682,7 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 		}
 	}
 	sol := m.run(opts)
-	if sol.Status == Numerical && (opts.Backend.resolve() != Dense || opts.WarmBasis != nil) {
-		opts.Obs.Instant("lp.dense-retry", nil)
-		opts.Backend = Dense
-		opts.WarmBasis = nil // a bad warm basis must not poison the retry
-		opts.Dual = false
+	if opts.denseRetry(sol.Status) {
 		sol = m.run(opts)
 	}
 	if sol.Status == Optimal && sol.Basis != nil {

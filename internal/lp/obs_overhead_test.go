@@ -17,7 +17,7 @@ import (
 // and still allows only modest slack, so a hook leaking into the pivot
 // loop — the only way to regress by whole factors — fails loudly. The
 // threshold is generous (1.5x on best-of-N) because CI wall clocks are
-// noisy; real budgets are tracked by `make bench-lp` trajectories.
+// noisy; real budgets are tracked by the repository benchmark (bench/).
 //
 // Gated behind OBS_OVERHEAD_GUARD=1 so the default test run stays fast and
 // timing-free.
@@ -29,7 +29,7 @@ func TestObsOverheadGuard(t *testing.T) {
 
 	solve := func(o *obs.Observer) time.Duration {
 		start := time.Now()
-		sol, err := in.SolveWithOptions(lp.Options{Backend: lp.SparseLU, Obs: o})
+		sol, err := in.SolveWithOptions(lp.Options{Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}

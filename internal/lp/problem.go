@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"pop/internal/obs"
 )
@@ -323,180 +322,12 @@ type Solution struct {
 	DualPivots int
 }
 
-// SolverBackend selects the basis-factorization engine of the simplex.
-type SolverBackend int8
-
-const (
-	// AutoBackend resolves to the package default, SparseLU (overridable
-	// with SetDefaultBackend). It is the zero value, so Options{} picks
-	// the sparse backend everywhere without callers changing.
-	AutoBackend SolverBackend = iota
-	// SparseLU factorizes the basis as a sparse LU (Markowitz-ordered
-	// Gaussian elimination) and absorbs pivots as product-form eta terms.
-	// Per-iteration cost scales with basis fill rather than m². On
-	// numerical trouble the solve transparently falls back to Dense.
-	SparseLU
-	// Dense maintains an explicit dense basis inverse rebuilt by
-	// Gauss-Jordan elimination: the slow but simple reference backend,
-	// kept for differential testing and as the fallback target.
-	Dense
-)
-
-func (b SolverBackend) String() string {
-	switch b {
-	case AutoBackend:
-		return "auto"
-	case SparseLU:
-		return "sparselu"
-	case Dense:
-		return "dense"
-	}
-	return fmt.Sprintf("SolverBackend(%d)", int8(b))
-}
-
-// ParseBackend parses "auto", "sparselu", or "dense".
-func ParseBackend(s string) (SolverBackend, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return AutoBackend, nil
-	case "sparselu", "sparse", "lu":
-		return SparseLU, nil
-	case "dense":
-		return Dense, nil
-	}
-	return AutoBackend, fmt.Errorf("lp: unknown backend %q (want auto|sparselu|dense)", s)
-}
-
-// defaultBackend is what AutoBackend resolves to; see SetDefaultBackend.
-var defaultBackend = SparseLU
-
-// SetDefaultBackend changes what AutoBackend resolves to for every
-// subsequent solve and returns the previous default. It is meant for
-// process-wide configuration (benchmark harnesses, command-line flags)
-// before solving starts; it is not synchronized with concurrent solves.
-func SetDefaultBackend(b SolverBackend) SolverBackend {
-	prev := defaultBackend
-	if b == AutoBackend {
-		b = SparseLU
-	}
-	defaultBackend = b
-	return prev
-}
-
-func (b SolverBackend) resolve() SolverBackend {
-	if b == AutoBackend {
-		return defaultBackend
-	}
-	return b
-}
-
-// UpdateStrategy selects how the SparseLU backend absorbs simplex pivots
-// between refactorizations.
-type UpdateStrategy int8
-
-const (
-	// AutoUpdate resolves to the package default, ForrestTomlin. It is the
-	// zero value, so Options{} picks the in-place update everywhere.
-	AutoUpdate UpdateStrategy = iota
-	// ForrestTomlin folds each pivot into the stored U factor in place
-	// (spike column plus a row-elimination eta), keeping ftran/btran cost
-	// proportional to the factor's true fill. Updates that would be
-	// numerically unstable (tiny final diagonal, huge eliminator) are
-	// rejected and answered with a refactorization from scratch, so the
-	// strategy never changes solve outcomes.
-	ForrestTomlin
-	// EtaUpdate is the legacy product-form file: each pivot appends an eta
-	// term and solves replay the whole file. Kept for differential testing
-	// against ForrestTomlin.
-	EtaUpdate
-)
-
-func (u UpdateStrategy) String() string {
-	switch u {
-	case AutoUpdate:
-		return "auto"
-	case ForrestTomlin:
-		return "forrest-tomlin"
-	case EtaUpdate:
-		return "eta"
-	}
-	return fmt.Sprintf("UpdateStrategy(%d)", int8(u))
-}
-
-// ParseUpdate parses "auto", "forrest-tomlin" (or "ft"), or "eta".
-func ParseUpdate(s string) (UpdateStrategy, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return AutoUpdate, nil
-	case "forrest-tomlin", "forresttomlin", "ft":
-		return ForrestTomlin, nil
-	case "eta", "product-form", "pfi":
-		return EtaUpdate, nil
-	}
-	return AutoUpdate, fmt.Errorf("lp: unknown update strategy %q (want auto|forrest-tomlin|eta)", s)
-}
-
-func (u UpdateStrategy) resolve() UpdateStrategy {
-	if u == AutoUpdate {
-		return ForrestTomlin
-	}
-	return u
-}
-
-// DualPricing selects the leaving-row rule of the dual simplex phase.
-type DualPricing int8
-
-const (
-	// AutoDualPricing resolves to the package default, DualDevex.
-	AutoDualPricing DualPricing = iota
-	// DualDevex ranks bound-violating basic rows by the devex score
-	// violation²/weight, the dual analogue of the primal reference
-	// framework: weights track how much each row has already been worked
-	// by recent pivots, which steers long delta chains away from repeatedly
-	// hammering the same degenerate rows and cuts dual pivot counts.
-	DualDevex
-	// DualDantzig picks the largest raw bound violation: the legacy rule,
-	// kept for differential testing.
-	DualDantzig
-)
-
-func (d DualPricing) String() string {
-	switch d {
-	case AutoDualPricing:
-		return "auto"
-	case DualDevex:
-		return "devex"
-	case DualDantzig:
-		return "dantzig"
-	}
-	return fmt.Sprintf("DualPricing(%d)", int8(d))
-}
-
-// ParseDualPricing parses "auto", "devex", or "dantzig".
-func ParseDualPricing(s string) (DualPricing, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return AutoDualPricing, nil
-	case "devex":
-		return DualDevex, nil
-	case "dantzig":
-		return DualDantzig, nil
-	}
-	return AutoDualPricing, fmt.Errorf("lp: unknown dual pricing %q (want auto|devex|dantzig)", s)
-}
-
-func (d DualPricing) resolve() DualPricing {
-	if d == AutoDualPricing {
-		return DualDevex
-	}
-	return d
-}
-
-// Options tune the solver. The zero value selects sensible defaults.
+// Options tune the solver. The zero value selects sensible defaults, and is
+// what every solve in this repository but cmd/popsolve's passes. There is one
+// solver configuration — sparse LU with Forrest–Tomlin updates, Dantzig primal
+// pricing, dual devex — so a new field here must displace an old one
+// (TestOptionsSurface).
 type Options struct {
-	// Backend selects the basis-factorization engine. The zero value
-	// (AutoBackend) resolves to SparseLU.
-	Backend SolverBackend
 	// MaxIters bounds total pivots; 0 means 50·(m+n)+10000.
 	MaxIters int
 	// TolFeas is the primal feasibility tolerance (default 1e-7).
@@ -505,34 +336,17 @@ type Options struct {
 	TolOpt float64
 	// TolPivot is the smallest acceptable pivot magnitude (default 1e-8).
 	TolPivot float64
-	// ReinvertEvery rebuilds the basis inverse after this many pivots
-	// (default 512). Rebuilds also happen on detected drift.
-	ReinvertEvery int
-	// BlandOnly forces Bland's rule from the first pivot. Slower but useful
-	// for differential testing against the default pricing.
-	BlandOnly bool
 	// Scale applies geometric-mean equilibration (powers of two) before
 	// solving and unscales the solution afterwards. Recommended for models
 	// whose coefficients span several orders of magnitude.
 	Scale bool
-	// Devex enables reference devex pricing (Forrest–Goldfarb) instead of
-	// Dantzig's rule. Devex approximates steepest-edge at a fraction of the
-	// cost and typically cuts iteration counts substantially on the
-	// allocation LPs in this repository.
-	Devex bool
 	// WarmBasis optionally seeds the solve from a basis snapshot, typically
 	// Solution.Basis of a previous solve of a similar problem. A snapshot
 	// that no longer fits (wrong dimensions, singular, or unrepairably
 	// infeasible after the data changed) is silently discarded in favour of
 	// a cold phase 1, so warm starts never change the solve outcome — only
-	// its speed. Works with both backends.
+	// its speed.
 	WarmBasis *Basis
-	// Obs, when non-nil, receives per-solve telemetry: phase spans
-	// (standardize, factor, refactor, phase1, phase2, dual, warm-repair),
-	// warm-path instants (cold-fallback, dual-reject), and solve-level
-	// counters/histograms. The nil default costs one pointer check per
-	// hook site. See internal/obs.
-	Obs *obs.Observer
 	// Dual attempts a dual simplex re-solve from WarmBasis before the
 	// primal warm path: the snapshot's statuses are installed, and if they
 	// are still dual feasible (which an optimal basis remains under
@@ -545,19 +359,23 @@ type Options struct {
 	// sets this automatically when only rhs/bounds changed since the
 	// basis was taken.
 	Dual bool
-	// Update selects how the SparseLU backend absorbs pivots between
-	// refactorizations. The zero value (AutoUpdate) resolves to
-	// ForrestTomlin: in-place U updates with an adaptive refactorization
-	// trigger (measured U fill growth and ftran residual drift) and
-	// automatic refactor-from-scratch on numerically unstable updates.
-	// EtaUpdate restores the legacy product-form eta file with its fixed
-	// fill cutoff. Ignored by the Dense backend.
-	Update UpdateStrategy
-	// DualPricing selects the dual simplex leaving-row rule. The zero value
-	// (AutoDualPricing) resolves to DualDevex; DualDantzig restores the raw
-	// largest-violation rule. Ignored unless the dual phase runs (Dual with
-	// WarmBasis).
-	DualPricing DualPricing
+	// Obs, when non-nil, receives per-solve telemetry: phase spans
+	// (standardize, factor, refactor, phase1, phase2, dual, warm-repair),
+	// warm-path instants (cold-fallback, dual-reject), and solve-level
+	// counters/histograms. The nil default costs one pointer check per
+	// hook site. See internal/obs.
+	Obs *obs.Observer
+
+	// The solver's two fallbacks and its refactor cadence, reachable from
+	// this package's tests only. dense starts the solve on the dense basis
+	// inverse — where a sparse solve in numerical trouble ends up — which
+	// the equivalence suites use as their reference; blandOnly prices by
+	// Bland's rule from the first pivot instead of after a degenerate run;
+	// reinvertEvery is the pivot count between scheduled refactorizations
+	// (default 512).
+	dense         bool
+	blandOnly     bool
+	reinvertEvery int
 }
 
 func (o Options) withDefaults(m, n int) Options {
@@ -573,8 +391,8 @@ func (o Options) withDefaults(m, n int) Options {
 	if o.TolPivot == 0 {
 		o.TolPivot = 1e-8
 	}
-	if o.ReinvertEvery == 0 {
-		o.ReinvertEvery = 512
+	if o.reinvertEvery == 0 {
+		o.reinvertEvery = 512
 	}
 	return o
 }
@@ -592,20 +410,29 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 		return nil, fmt.Errorf("lp: model has no variables")
 	}
 	sol := solveStd(p.standardizeObs(opts.Obs, nil), opts)
-	// Last line of the SparseLU fallback policy: if the sparse backend (or
-	// its mid-solve dense fallback) still ended in numerical failure,
-	// re-solve once from scratch with the dense backend, whose pivot
-	// sequence differs enough to escape most bad factorizations. A
-	// warm-started dense solve gets the same one retry (cold), so a stale
-	// basis can never change the solve outcome.
-	if sol.Status == Numerical && (opts.Backend.resolve() != Dense || opts.WarmBasis != nil) {
-		opts.Obs.Instant("lp.dense-retry", nil)
-		opts.Backend = Dense
-		opts.WarmBasis = nil // a bad warm basis must not poison the retry
-		opts.Dual = false
+	if opts.denseRetry(sol.Status) {
 		sol = solveStd(p.standardizeObs(opts.Obs, nil), opts)
 	}
 	return sol, nil
+}
+
+// denseRetry is the last line of the fallback policy, shared by Problem and
+// Model solves: it reports whether a solve that ended in status st under o
+// earns one more attempt, and rewrites o for it. A solve that still ended in
+// numerical failure — after the sparse factor's own mid-solve switch to the
+// dense inverse — is re-run once from scratch on the dense inverse, whose
+// pivot sequence differs enough to escape most bad factorizations. A
+// warm-started dense solve gets the same one retry (cold), so a stale basis
+// can never change the solve outcome.
+func (o *Options) denseRetry(st Status) bool {
+	if st != Numerical || (o.dense && o.WarmBasis == nil) {
+		return false
+	}
+	o.Obs.Instant("lp.dense-retry", nil)
+	o.dense = true
+	o.WarmBasis = nil // a bad warm basis must not poison the retry
+	o.Dual = false
+	return true
 }
 
 // standardized holds the equality-form model  min cᵀx, Ax = b, l ≤ x ≤ u.

@@ -163,7 +163,6 @@ func teShapedLP(commodities, edges int, seed int64) *Problem {
 // phase1Simplex standardizes p and stops at the all-slack/artificial start,
 // ready to have s.basis overwritten with the basis under test.
 func phase1Simplex(p *Problem, opts Options) *simplex {
-	opts.Backend = SparseLU
 	s := newSimplex(p, opts)
 	s.initPhase1()
 	return s
@@ -197,7 +196,7 @@ func solvedCases(tb testing.TB) []refactorCase {
 		{"lb-48x12", lbShapedLP(48, 12, 1)},
 		{"te-250", teShapedLP(250, 170, 1)},
 	} {
-		s := newSimplex(c.p, Options{Backend: SparseLU})
+		s := newSimplex(c.p, Options{})
 		if sol := s.solve(); sol.Status != Optimal {
 			tb.Fatalf("%s: setup solve status %v", c.name, sol.Status)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRefactorMatchesReferenceOnGenFamilies runs the refactor oracle check
-// along solves of every lp/gen family in both update modes. Large instances
+// along solves of every lp/gen family. Large instances
 // are left to the allocation-shaped cases of TestRefactorMatchesReference,
 // which reach m ≈ 9 600 without a minutes-long solve.
 func TestRefactorMatchesReferenceOnGenFamilies(t *testing.T) {
@@ -17,9 +17,7 @@ func TestRefactorMatchesReferenceOnGenFamilies(t *testing.T) {
 		if in.Size == gen.Large || testing.Short() && in.Size != gen.Small {
 			continue
 		}
-		for _, upd := range []lp.UpdateStrategy{lp.ForrestTomlin, lp.EtaUpdate} {
-			lp.CheckRefactorOracle(t, in.Name()+"/"+upd.String(), in.P, lp.Options{Update: upd})
-		}
+		lp.CheckRefactorOracle(t, in.Name(), in.P, lp.Options{})
 	}
 }
 
@@ -29,13 +27,13 @@ func TestRefactorTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	o := &obs.Observer{Metrics: reg}
 	p := gen.Cluster(gen.Small, 1)
-	sol, err := p.SolveWithOptions(lp.Options{Obs: o, ReinvertEvery: 8})
+	sol, err := p.SolveWithOptions(lp.Options{Obs: o}.ReinvertEvery(8))
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("solve: %v, %v", sol, err)
 	}
 	refactors := o.Counter("pop_lp_refactors_total", "").Value()
 	if refactors == 0 {
-		t.Fatal("no refactorization in a 73-pivot solve at ReinvertEvery=8")
+		t.Fatal("no refactorization in a 73-pivot solve refactoring every 8")
 	}
 	if n := o.Histogram("pop_lp_refactor_seconds", "").Count(); n != refactors {
 		t.Fatalf("pop_lp_refactor_seconds has %d observations, pop_lp_refactors_total = %d", n, refactors)

@@ -6,14 +6,13 @@ import (
 )
 
 // refactorRef and initFTRef are luFactor.refactor and initFT as they stood
-// before the sparse rewrite, moved here verbatim as the differential oracle:
+// before the sparse rewrite (less the eta-file branches, which went with the
+// eta file), moved here as the differential oracle:
 // four dense 0..m scans per column and independently grown per-column
 // slices. TestRefactorMatchesReference and FuzzRefactor hold the production
 // routine to this one bit for bit.
 func (f *luFactor) refactorRef() bool {
 	m := f.m
-	f.etas = f.etas[:0]
-	f.etaNnz = 0
 	f.rowEtas = f.rowEtas[:0]
 	f.rowEtaNnz = 0
 	f.ftrans = 0
@@ -121,9 +120,7 @@ func (f *luFactor) refactorRef() bool {
 		f.lcols[t] = lcol
 		f.ucols[t] = ucol
 	}
-	if f.ft {
-		f.initFTRef()
-	}
+	f.initFTRef()
 	return true
 }
 

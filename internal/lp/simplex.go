@@ -29,18 +29,13 @@ type simplex struct {
 	m, ncols int
 	phase    int // 1 or 2
 
-	// bas maintains the basis factorization (dense inverse or sparse LU,
-	// per backend). fellBack records a mid-solve SparseLU→Dense switch.
+	// bas maintains the basis factorization: the workspace's sparse LU, or
+	// the dense inverse once fellBack records a mid-solve switch to it.
 	bas      basisFactor
-	backend  SolverBackend
 	fellBack bool
 
 	// artStart is the first artificial column index.
 	artStart int
-
-	// dualDevex is set while the dual phase ranks rows by devex weights
-	// (workspace.dualW); see initWarmDual.
-	dualDevex bool
 
 	iters          int
 	dualPivots     int
@@ -77,7 +72,6 @@ func newSimplexStd(std *standardized, opts Options) *simplex {
 		ncols:     std.ncols,
 	}
 	s.opts = opts.withDefaults(std.m, std.ncols)
-	s.backend = s.opts.Backend.resolve()
 	if s.opts.Scale {
 		s.rowScale, s.colScale = applyScaling(std)
 	}
@@ -87,7 +81,7 @@ func newSimplexStd(std *standardized, opts Options) *simplex {
 // installFactor points s.bas at an unfactorized basis representation for
 // the current shape: the workspace's sparse factor, or a dense inverse.
 func (s *simplex) installFactor() {
-	if s.backend == Dense {
+	if s.opts.dense {
 		s.bas = newDenseFactor(s)
 	} else {
 		s.bas = s.lu.reset(s)
@@ -187,7 +181,7 @@ func (s *simplex) solveInner() *Solution {
 		}
 		copy(s.cost, s.std.c)
 		s.degenerateRun = 0
-		s.blandMode = s.opts.BlandOnly
+		s.blandMode = s.opts.blandOnly
 
 		sp := s.opts.Obs.Span("lp.phase2")
 		st := s.iterate()
@@ -244,23 +238,16 @@ func (s *simplex) solutionFinite() bool {
 // resetStart returns the solver to a pristine pre-start state after a
 // rejected or failed warm/dual start, so the next start strategy behaves
 // exactly as if it had been the first: full iteration budget, clean
-// numerical-trouble flag, no dual pivots booked, and pricing weights back
-// at the reference framework — weights drifted during a failed start refer
-// to a basis the next strategy will not install, so carrying them over
-// would silently mis-rank its first pivots.
+// numerical-trouble flag, no dual pivots booked. The dual devex weights of a
+// failed dual start need no reset: the dual phase runs at most once per
+// solve, and initWarmDual resets them on every install.
 func (s *simplex) resetStart() {
 	s.iters = 0
 	s.dualPivots = 0
 	s.numericTrouble = false
 	s.warmStarted = false
 	s.degenerateRun = 0
-	s.blandMode = s.opts.BlandOnly
-	if s.opts.Devex {
-		s.resetDevex()
-	}
-	if s.dualDevex {
-		s.resetDualDevex()
-	}
+	s.blandMode = s.opts.blandOnly
 }
 
 // solveUnconstrained handles models with no constraints: each variable moves
@@ -378,39 +365,12 @@ func (s *simplex) initPhase1() {
 		s.status[a] = statBasic
 		s.x[a] = math.Abs(r[i])
 	}
-	if s.opts.Devex {
-		s.initDevex()
-	}
 	// The starting basis is diagonal (slacks and artificials only), so the
 	// initial factorization cannot fail.
 	s.installFactor()
 	sp := s.opts.Obs.Span("lp.factor")
 	s.bas.refactor()
 	sp.End()
-}
-
-// initDevex (re)establishes the primal reference framework for a fresh
-// start. Every basis-install path goes through here so weights from an
-// earlier (possibly different) basis never leak into a new start.
-func (s *simplex) initDevex() {
-	s.devexW = sized(s.devexW, s.ncols)
-	s.devexRow = sized(s.devexRow, s.m)
-	s.resetDevex()
-}
-
-// resetDevex restores the reference framework (all weights 1), done at
-// start and whenever the weights have drifted too far to be trustworthy.
-func (s *simplex) resetDevex() {
-	for j := range s.devexW {
-		s.devexW[j] = 1
-	}
-}
-
-// resetDualDevex restores the dual reference framework (all row weights 1).
-func (s *simplex) resetDualDevex() {
-	for i := range s.dualW {
-		s.dualW[i] = 1
-	}
 }
 
 // initialFeasible reports whether the initial point already satisfies all
@@ -475,7 +435,7 @@ func (s *simplex) iterate() Status {
 			}
 		} else {
 			s.degenerateRun = 0
-			if !s.opts.BlandOnly {
+			if !s.opts.blandOnly {
 				s.blandMode = false
 			}
 		}
@@ -491,9 +451,6 @@ func (s *simplex) iterate() Status {
 				s.x[q] = s.std.lb[q]
 			}
 		} else {
-			if s.opts.Devex {
-				s.updateDevex(leave, q, s.w[leave])
-			}
 			if !s.pivot(leave, q) {
 				// The factorization refused the pivot as unstable; rebuild
 				// from the (already updated) basis instead.
@@ -504,7 +461,7 @@ func (s *simplex) iterate() Status {
 		}
 		s.iters++
 		s.sinceReinvert++
-		if s.sinceReinvert >= s.opts.ReinvertEvery || s.bas.wantRefactor() {
+		if s.sinceReinvert >= s.opts.reinvertEvery || s.bas.wantRefactor() {
 			if !s.reinvert() {
 				return Numerical
 			}
@@ -543,13 +500,13 @@ func (s *simplex) reducedCost(j int) float64 {
 
 // price selects the entering column, returning (-1, 0) at optimality. Only
 // structural and slack columns are eligible; artificials never re-enter.
-// Eligibility is always judged on the raw reduced cost against TolOpt;
-// ranking among eligible columns uses Dantzig (largest violation) or, with
-// opts.Devex, the devex score d²/w.
+// Eligibility is judged on the raw reduced cost against TolOpt; among
+// eligible columns Dantzig's rule takes the largest violation, Bland mode
+// the first.
 func (s *simplex) price() (int, float64) {
 	tol := s.opts.TolOpt
 	best := -1
-	bestScore := math.Inf(-1)
+	bestViol := math.Inf(-1)
 	var bestD float64
 	for j := 0; j < s.ncols; j++ {
 		st := s.status[j]
@@ -575,62 +532,13 @@ func (s *simplex) price() (int, float64) {
 		if s.blandMode {
 			return j, d
 		}
-		score := viol
-		if s.opts.Devex {
-			score = viol * viol / s.devexW[j]
-		}
-		if score > bestScore {
-			bestScore = score
+		if viol > bestViol {
+			bestViol = viol
 			best = j
 			bestD = d
 		}
 	}
 	return best, bestD
-}
-
-// updateDevex refreshes the reference weights after a pivot in row `leave`
-// with entering column q. alphaQ is the pivot element (w[leave]). The pivot
-// row of the tableau, αⱼ = (e_r B⁻¹)·Aⱼ, is computed against the pre-pivot
-// inverse, so this must run before the eta update.
-func (s *simplex) updateDevex(leave, q int, alphaQ float64) {
-	if alphaQ == 0 {
-		return
-	}
-	rowr := s.devexRow
-	s.bas.btranUnit(leave, rowr)
-	wq := s.devexW[q]
-	inv2 := 1 / (alphaQ * alphaQ)
-	maxW := 1.0
-	for j := 0; j < s.ncols; j++ {
-		if s.status[j] == statBasic || j == q {
-			continue
-		}
-		var alpha float64
-		ind, val := s.std.col(j)
-		for t, i := range ind {
-			alpha += rowr[i] * val[t]
-		}
-		if alpha == 0 {
-			continue
-		}
-		cand := alpha * alpha * inv2 * wq
-		if cand > s.devexW[j] {
-			s.devexW[j] = cand
-		}
-		if s.devexW[j] > maxW {
-			maxW = s.devexW[j]
-		}
-	}
-	// The leaving variable becomes nonbasic with weight max(wq/αq², 1).
-	out := wq * inv2
-	if out < 1 {
-		out = 1
-	}
-	s.devexW[s.basis[leave]] = out
-	// Reset the framework when weights blow up (standard devex hygiene).
-	if maxW > 1e8 {
-		s.resetDevex()
-	}
 }
 
 // ftran computes w = B⁻¹ A_q into s.w.
@@ -647,8 +555,9 @@ func (s *simplex) ftran(q int) {
 // feasibility tolerance; pass 2 picks, among the rows whose exact ratio
 // fits under that relaxed step, the one with the largest pivot magnitude.
 // Degenerate vertices thus cost a tiny (≤ tolF) bound excursion instead of
-// a tiny pivot, which is where eta/FT update instability is born. Bland
-// mode keeps the strict smallest-ratio test for its termination guarantee.
+// a tiny pivot, which is where Forrest–Tomlin update instability is born.
+// Bland mode keeps the strict smallest-ratio test for its termination
+// guarantee.
 func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip bool) {
 	if s.blandMode {
 		return s.ratioTestBland(q, sigma)
@@ -828,9 +737,8 @@ func (s *simplex) applyStep(q int, sigma, t float64) {
 }
 
 // pivot makes q basic in the `leave` row position and folds the change into
-// the basis factorization (a product-form/eta transformation in both
-// backends). It reports whether the factorization accepted the update; on
-// false the caller must refactor.
+// the basis factorization. It reports whether the factorization accepted the
+// update; on false the caller must refactor.
 func (s *simplex) pivot(leave, q int) bool {
 	out := s.basis[leave]
 
@@ -853,9 +761,9 @@ func (s *simplex) pivot(leave, q int) bool {
 }
 
 // reinvert rebuilds the basis factorization from scratch and recomputes
-// basic values. A SparseLU backend that fails numerically falls back to the
-// dense backend for the rest of the solve; reinvert returns false only if
-// the dense rebuild also finds the basis singular.
+// basic values. A sparse factor that fails numerically hands the rest of the
+// solve to the dense inverse; reinvert returns false only if the dense
+// rebuild also finds the basis singular.
 func (s *simplex) reinvert() bool {
 	s.refactors++
 	tm := s.opts.Obs.Timed("lp.refactor", "pop_lp_refactor_seconds", "basis refactorization wall time")

@@ -255,7 +255,7 @@ func TestBlandOnlyAgreesWithDantzig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p2.SolveWithOptions(Options{BlandOnly: true})
+		s2, err := p2.SolveWithOptions(Options{blandOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestReinversionMidSolve(t *testing.T) {
 		p1 := randomFeasibleLP(rng, 12, 24)
 		p2 := cloneProblem(p1)
 		s1, _ := p1.SolveWithOptions(Options{})
-		s2, _ := p2.SolveWithOptions(Options{ReinvertEvery: 3})
+		s2, _ := p2.SolveWithOptions(Options{reinvertEvery: 3})
 		if s1.Status != s2.Status {
 			t.Fatalf("trial %d: status %v vs %v", trial, s1.Status, s2.Status)
 		}

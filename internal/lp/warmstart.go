@@ -222,15 +222,10 @@ func (s *simplex) installBasis(b *Basis) bool {
 	s.y = zeroed(s.y, m)
 	s.w = zeroed(s.w, m)
 	s.rhs = zeroed(s.rhs, m)
-	if s.opts.Devex {
-		// Explicit reset on every install: weights tuned to a previous basis
-		// (an earlier start strategy, or a caller-supplied SetBasis chain)
-		// must not rank pivots for this one.
-		s.initDevex()
-	}
 	s.installFactor()
-	// reinvert factorizes (falling back SparseLU→Dense on numerical trouble)
-	// and recomputes x_B = B⁻¹(b - N x_N); a singular stale basis fails here.
+	// reinvert factorizes (falling back to the dense inverse on numerical
+	// trouble) and recomputes x_B = B⁻¹(b - N x_N); a singular stale basis
+	// fails here.
 	return s.reinvert()
 }
 
@@ -320,7 +315,7 @@ func (s *simplex) warmRepair() bool {
 		}
 		s.saved = sv
 		s.degenerateRun = 0
-		s.blandMode = s.opts.BlandOnly
+		s.blandMode = s.opts.blandOnly
 		st := s.iterate()
 
 		// Restore the true bounds and re-derive the status of every relaxed

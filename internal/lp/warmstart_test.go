@@ -33,14 +33,14 @@ func perturb(p *Problem, rng *rand.Rand) *Problem {
 // with a cold solve of the same data — warm starts change speed, never the
 // answer.
 func TestWarmStartMatchesColdAcrossPerturbations(t *testing.T) {
-	for _, backend := range []SolverBackend{Dense, SparseLU} {
-		backend := backend
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, f := range factors {
+		t.Run(f.name, func(t *testing.T) {
+			warmOpts := f.opts
 			rng := rand.New(rand.NewSource(4242))
 			warmUsed := 0
 			for trial := 0; trial < 25; trial++ {
 				p := randomFeasibleLP(rng, 5+rng.Intn(10), 8+rng.Intn(14))
-				sol, err := p.SolveWithOptions(Options{Backend: backend})
+				sol, err := p.SolveWithOptions(f.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,11 +51,12 @@ func TestWarmStartMatchesColdAcrossPerturbations(t *testing.T) {
 				cur := p
 				for round := 0; round < 4; round++ {
 					cur = perturb(cur, rng)
-					cold, err := cloneProblem(cur).SolveWithOptions(Options{Backend: backend})
+					cold, err := cloneProblem(cur).SolveWithOptions(f.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					warm, err := cloneProblem(cur).SolveWithOptions(Options{Backend: backend, WarmBasis: basis})
+					warmOpts.WarmBasis = basis
+					warm, err := cloneProblem(cur).SolveWithOptions(warmOpts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -152,52 +153,51 @@ func TestWarmStartRejectsBadSnapshots(t *testing.T) {
 	cases["half-random"] = hr
 
 	for name, b := range cases {
-		for _, backend := range []SolverBackend{Dense, SparseLU} {
-			sol, err := cloneProblem(p).SolveWithOptions(Options{Backend: backend, WarmBasis: b})
+		for _, f := range factors {
+			opts := f.opts
+			opts.WarmBasis = b
+			sol, err := cloneProblem(p).SolveWithOptions(opts)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", name, backend, err)
+				t.Fatalf("%s/%s: %v", name, f.name, err)
 			}
 			if sol.Status != Optimal || !approxEq(sol.Objective, ref.Objective, 1e-6) {
-				t.Fatalf("%s/%v: status %v obj %.12g, want optimal %.12g",
-					name, backend, sol.Status, sol.Objective, ref.Objective)
+				t.Fatalf("%s/%s: status %v obj %.12g, want optimal %.12g",
+					name, f.name, sol.Status, sol.Objective, ref.Objective)
 			}
 		}
 	}
 }
 
-// TestWarmStartWithScalingAndDevex crosses the warm path with the other
-// solver options.
-func TestWarmStartWithScalingAndDevex(t *testing.T) {
+// TestWarmStartWithScaling crosses the warm path with equilibration.
+func TestWarmStartWithScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {
 		p := randomFeasibleLP(rng, 8, 14)
 		for _, scale := range []bool{false, true} {
-			for _, devex := range []bool{false, true} {
-				opts := Options{Scale: scale, Devex: devex}
-				sol, err := cloneProblem(p).SolveWithOptions(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sol.Status != Optimal {
-					continue
-				}
-				q := perturb(p, rng)
-				cold, err := cloneProblem(q).SolveWithOptions(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wopts := opts
-				wopts.WarmBasis = sol.Basis
-				warm, err := cloneProblem(q).SolveWithOptions(wopts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cold.Status != warm.Status {
-					t.Fatalf("scale=%v devex=%v: %v vs %v", scale, devex, cold.Status, warm.Status)
-				}
-				if cold.Status == Optimal && !approxEq(cold.Objective, warm.Objective, 1e-6) {
-					t.Fatalf("scale=%v devex=%v: %.12g vs %.12g", scale, devex, cold.Objective, warm.Objective)
-				}
+			opts := Options{Scale: scale}
+			sol, err := cloneProblem(p).SolveWithOptions(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != Optimal {
+				continue
+			}
+			q := perturb(p, rng)
+			cold, err := cloneProblem(q).SolveWithOptions(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wopts := opts
+			wopts.WarmBasis = sol.Basis
+			warm, err := cloneProblem(q).SolveWithOptions(wopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Status != warm.Status {
+				t.Fatalf("scale=%v: %v vs %v", scale, cold.Status, warm.Status)
+			}
+			if cold.Status == Optimal && !approxEq(cold.Objective, warm.Objective, 1e-6) {
+				t.Fatalf("scale=%v: %.12g vs %.12g", scale, cold.Objective, warm.Objective)
 			}
 		}
 	}

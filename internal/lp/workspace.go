@@ -33,14 +33,8 @@ type workspace struct {
 	// Scratch buffers.
 	y, w, rhs []float64
 
-	// Devex reference weights (meaningful only under opts.Devex); devexRow is
-	// the btranUnit scratch for the pivot row.
-	devexW   []float64
-	devexRow []float64
-
-	// Dual devex reference weights over basis positions (meaningful only
-	// while simplex.dualDevex is set; see initWarmDual) and the btranUnit
-	// scratch of the dual simplex pivot row.
+	// Dual devex reference weights over basis positions (sized and reset by
+	// initWarmDual) and the btranUnit scratch of the dual simplex pivot row.
 	dualW   []float64
 	dualRho []float64
 
@@ -136,8 +130,7 @@ func fill[T any](v T, bufs ...[]T) {
 func (ws *workspace) poison() {
 	f := &ws.lu
 	nan := math.NaN()
-	fill(nan, ws.x, ws.cost, ws.artSign, ws.y, ws.w, ws.rhs, ws.devexW, ws.devexRow,
-		ws.dualW, ws.dualRho, ws.dualCandA, ws.dualCandD,
+	fill(nan, ws.x, ws.cost, ws.artSign, ws.y, ws.w, ws.rhs, ws.dualW, ws.dualRho, ws.dualCandA, ws.dualCandD,
 		f.udiag, f.x, f.g, f.pos, f.spike, f.rowAcc)
 	fill(-1, ws.status)
 	fill(-1, ws.dualCandJ, f.ints)
@@ -146,6 +139,5 @@ func (ws *workspace) poison() {
 	fill(savedBound{-1, nan, nan}, ws.saved)
 	fill(nil, f.lcols, f.ucols, f.urows)
 	fill(rowEta{}, f.rowEtas)
-	fill(etaTerm{}, f.etas)
 	f.m, f.unnz, f.unnz0, f.rowEtaNnz, f.ftrans = -1, -1, -1, -1, -1
 }

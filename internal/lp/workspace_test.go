@@ -61,10 +61,8 @@ var workspaceOptionSets = []struct {
 	opts Options
 }{
 	{"default", Options{}},
-	{"devex", Options{Devex: true}},
-	{"eta+bland", Options{Update: EtaUpdate, BlandOnly: true}},
-	{"dense+scale", Options{Backend: Dense, Scale: true}},
-	{"dual-dantzig+reinvert", Options{DualPricing: DualDantzig, ReinvertEvery: 7}},
+	{"dense+scale", Options{dense: true, Scale: true}},
+	{"bland+reinvert", Options{blandOnly: true, reinvertEvery: 7}},
 }
 
 // TestWorkspaceRecycledMatchesFresh: a large cold solve followed by a small
@@ -142,7 +140,7 @@ func TestWorkspaceSurvivesFailedSolves(t *testing.T) {
 	}
 
 	reference := clusterShapedLP(20, 3, 2).standardize(nil)
-	want := solveOn(new(workspace), reference, Options{Devex: true})
+	want := solveOn(new(workspace), reference, Options{})
 
 	ws := new(workspace)
 	for _, c := range []struct {
@@ -153,9 +151,9 @@ func TestWorkspaceSurvivesFailedSolves(t *testing.T) {
 	}{
 		{"iteration limit", clusterShapedLP(60, 3, 4), Options{MaxIters: 5}, IterLimit},
 		{"infeasible", infeasible, Options{}, Infeasible},
-		{"unbounded", unbounded, Options{Devex: true}, Unbounded},
+		{"unbounded", unbounded, Options{}, Unbounded},
 		{"non-finite rhs", nonFinite, Options{}, Numerical},
-		{"non-finite rhs, dense", nonFinite, Options{Backend: Dense}, Numerical},
+		{"non-finite rhs, dense", nonFinite, Options{dense: true}, Numerical},
 		{"singular warm basis", clusterShapedLP(20, 3, 5), Options{WarmBasis: singular, Dual: true}, Optimal},
 	} {
 		sol := solveOn(ws, c.p.standardize(nil), c.opts)
@@ -165,7 +163,7 @@ func TestWorkspaceSurvivesFailedSolves(t *testing.T) {
 		if c.opts.WarmBasis != nil && sol.WarmStarted {
 			t.Fatalf("%s: warm start accepted", c.name)
 		}
-		if err := diffSolutions(solveOn(ws, reference, Options{Devex: true}), want); err != nil {
+		if err := diffSolutions(solveOn(ws, reference, Options{}), want); err != nil {
 			t.Fatalf("after %s: %v", c.name, err)
 		}
 	}

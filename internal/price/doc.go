@@ -116,13 +116,4 @@
 // bit-identical regardless of Options.Parallel or GOMAXPROCS: chunked
 // reduction fixes the summation order, cold-start jitter derives from the
 // seed, and best responses are pure functions.
-//
-// # Hybrid mode
-//
-// HybridMaxMin feeds the converged market back to the exact LP: the
-// demand supports and binding pattern become a combinatorial basis guess
-// (CrossoverBasis) for cluster.MaxMinFairness, so the simplex warm-starts
-// from the market's near-optimal vertex. The LP result is identical to a
-// cold solve — an unusable basis is repaired or dropped by the solver —
-// only the pivot count changes.
 package price
