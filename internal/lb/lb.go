@@ -133,7 +133,7 @@ func (inst *Instance) ShiftLoads(seed int64) {
 //
 // It returns the problem plus the A and M variable index matrices
 // (aVar[i][j], mVar[i][j]). The builder is shared by SolveMILP, the
-// stateful MILPSolver, the equivalence suite, and cmd/milpbench, so every
+// stateful MILPSolver, the equivalence suite, and BenchmarkSearch, so every
 // consumer sees the identical variable and row order — which is what lets a
 // basis snapshot from one round's relaxation seed the next round's search.
 func BuildMILP(inst *Instance) (prob *milp.Problem, aVar, mVar [][]int) {

@@ -116,10 +116,6 @@ type Options struct {
 	// RelGap stops when (bound-incumbent)/max(1,|incumbent|) falls below it;
 	// 0 means 1e-6.
 	RelGap float64
-	// AbsGap stops when bound-incumbent falls below it; 0 means 1e-9.
-	AbsGap float64
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
 	// Incumbent optionally warm-starts the search with a known feasible
 	// point (e.g. from a domain heuristic); it is validated before use and
 	// lets the search prune aggressively from the first node.
@@ -132,11 +128,10 @@ type Options struct {
 	RootBasis *lp.Basis
 	// ColdNodes disables every warm start inside the search: each node's
 	// relaxation solves from scratch, reproducing the pre-persistent-model
-	// cold-per-node search. The equivalence suite and cmd/milpbench use it
-	// as the baseline; outcomes never differ, only pivot counts and time.
+	// cold-per-node search. The equivalence suite and lb's BenchmarkSearch
+	// use it as the baseline; outcomes never differ, only pivot counts and
+	// time.
 	ColdNodes bool
-	// LP propagates options to the relaxation solver.
-	LP lp.Options
 	// Obs, when non-nil, receives search telemetry: a "milp.search" span
 	// per solve, per-node "milp.node" spans on per-worker trace lanes
 	// (TID+1+worker), steal/fathom/incumbent instants, and search-level
@@ -155,14 +150,16 @@ func (o Options) withDefaults() Options {
 	if o.RelGap == 0 {
 		o.RelGap = 1e-6
 	}
-	if o.AbsGap == 0 {
-		o.AbsGap = 1e-9
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
 	return o
 }
+
+const (
+	// absGap stops the search when bound-incumbent falls below it (the
+	// absolute companion of Options.RelGap).
+	absGap = 1e-9
+	// intTol is the integrality tolerance.
+	intTol = 1e-6
+)
 
 // Status reports the outcome of a MILP solve.
 type Status int8
@@ -201,7 +198,7 @@ func (s Status) String() string {
 // were solved, how many of them actually started warm, and where the time
 // went. At Workers>1 each worker accumulates privately and the totals are
 // merged in worker order on exit. It mirrors online.Stats' build-vs-pivot
-// split so BENCH rows across the repository attribute time the same way.
+// split so benchmarks across the repository attribute time the same way.
 type SearchStats struct {
 	// Nodes counts solved node relaxations. HeuristicSolves counts LP
 	// re-solves made by primal heuristics (root rounding); they are booked

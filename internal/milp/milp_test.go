@@ -3,6 +3,8 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"pop/internal/lp"
@@ -273,5 +275,21 @@ func TestBoundReporting(t *testing.T) {
 	}
 	if !approxEq(sol.Bound, sol.Objective, 1e-6) {
 		t.Fatalf("bound %g != objective %g at optimality", sol.Bound, sol.Objective)
+	}
+}
+
+// TestOptionsSurface pins the exported fields of Options, as lp's test of
+// the same name does: every field is a configuration the suites and the
+// benchmark must cover, so a new one displaces an old one.
+func TestOptionsSurface(t *testing.T) {
+	want := []string{"Workers", "MaxNodes", "TimeLimit", "RelGap", "Incumbent", "RootBasis", "ColdNodes", "Obs"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported Options fields = %v, want exactly %v", got, want)
 	}
 }

@@ -143,10 +143,10 @@ func TestWorkersOneDeterministic(t *testing.T) {
 }
 
 // TestRelGapFathomingPrunes is the fathoming regression test: the old prune
-// compared node bounds only against incumbent+AbsGap, so a loose RelGap
+// compared node bounds only against incumbent+absGap, so a loose RelGap
 // terminated the search but never pruned with it. With the combined cutoff
 // a RelGap-limited run must explore strictly fewer nodes than the
-// prove-to-AbsGap run and still land inside the requested gap.
+// prove-to-absGap run and still land inside the requested gap.
 func TestRelGapFathomingPrunes(t *testing.T) {
 	inst := lb.NewInstance(13, 4, 0.04, 123)
 	prob, _, _ := lb.BuildMILP(inst)

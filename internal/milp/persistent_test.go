@@ -267,9 +267,9 @@ func TestRootBasisSeeding(t *testing.T) {
 	}
 }
 
-// TestWarmSearchCutsPivots is the perf contract behind BENCH_milp.json: on
-// an lb instance with a real search tree, the persistent-model search must
-// spend well under half the cold baseline's pivots.
+// TestWarmSearchCutsPivots is the perf contract lb's BenchmarkSearch reports
+// on: on an lb instance with a real search tree, the persistent-model search
+// must spend well under half the cold baseline's pivots.
 func TestWarmSearchCutsPivots(t *testing.T) {
 	inst := lb.NewInstance(14, 4, 0.05, 71)
 	inst.ShiftLoads(72)

@@ -26,20 +26,16 @@ type worker struct {
 	// it. Written and consumed under search.mu.
 	dive  *node
 	stats SearchStats
-	// obs is the search observer shifted onto this worker's trace lane
-	// (nil when the search runs without one); lpOpts is s.opts.LP with that
-	// observer threaded in, so node relaxations trace on the worker's lane.
-	obs    *obs.Observer
-	lpOpts lp.Options
+	// obs is the search observer shifted onto this worker's trace lane (nil
+	// when the search runs without one); node relaxations are solved with
+	// it, so they trace on the worker's lane.
+	obs *obs.Observer
 }
 
-// initWorker derives the worker's trace lane and LP options from the
-// search's observer; a no-op wiring of s.opts.LP when none is attached.
+// initWorker derives the worker's trace lane from the search's observer.
 func (s *search) initWorker(w *worker) {
-	w.lpOpts = s.opts.LP
 	if o := s.opts.Obs; o != nil {
 		w.obs = o.WithTID(o.TID + 1 + w.id)
-		w.lpOpts.Obs = w.obs
 	}
 }
 
@@ -258,7 +254,7 @@ func (s *search) finishNode(w *worker, n *node, sol *lp.Solution) {
 		s.pc.observe(n.pcVar, n.pcUp, n.pcDist, math.Max(0, n.bound-obj))
 	}
 	n.bound = obj
-	v, f := s.pc.selectBranch(s.intVars, sol.X, s.opts.IntTol)
+	v, f := s.pc.selectBranch(s.intVars, sol.X, intTol)
 	if v < 0 {
 		// Integer feasible.
 		if obj > s.incumbentObj {
@@ -305,10 +301,10 @@ func (s *search) branchLocked(w *worker, n *node, sol *lp.Solution, v int, f flo
 // cutoffLocked is the fathoming threshold: a node whose bound cannot beat
 // the incumbent by more than the combined absolute/relative gap tolerance
 // is pruned — the same predicate gapClosedLocked uses, so fathoming and
-// termination agree (the sequential search compared against AbsGap alone
+// termination agree (the sequential search compared against absGap alone
 // and pointlessly solved nodes inside the relative gap).
 func (s *search) cutoffLocked() float64 {
-	return s.incumbentObj + math.Max(s.opts.AbsGap, s.opts.RelGap*math.Max(1, math.Abs(s.incumbentObj)))
+	return s.incumbentObj + math.Max(absGap, s.opts.RelGap*math.Max(1, math.Abs(s.incumbentObj)))
 }
 
 // bestBoundLocked is the most optimistic bound over all unexplored and
@@ -339,7 +335,7 @@ func (s *search) gapClosedLocked() bool {
 		return true
 	}
 	gap := s.bestBoundLocked() - s.incumbentObj
-	return gap <= s.opts.AbsGap || gap <= s.opts.RelGap*math.Max(1, math.Abs(s.incumbentObj))
+	return gap <= absGap || gap <= s.opts.RelGap*math.Max(1, math.Abs(s.incumbentObj))
 }
 
 // retireLocked drops a node without solving it (fathomed at pop). The
@@ -414,7 +410,7 @@ func (w *worker) solveNodeInner(s *search, n *node, heuristic bool) (*lp.Solutio
 	}
 
 	t0 = time.Now()
-	sol, err := w.model.SolveWithOptions(w.lpOpts)
+	sol, err := w.model.SolveWithOptions(lp.Options{Obs: w.obs})
 	w.stats.SolveNs += time.Since(t0).Nanoseconds()
 	if err != nil {
 		return nil, err
@@ -495,7 +491,7 @@ func (s *search) tryIncumbent() {
 		return
 	}
 	for _, v := range s.intVars {
-		if math.Abs(x[v]-math.Round(x[v])) > s.opts.IntTol {
+		if math.Abs(x[v]-math.Round(x[v])) > intTol {
 			return
 		}
 	}

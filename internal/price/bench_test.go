@@ -7,16 +7,22 @@ import (
 	"pop/internal/cluster"
 )
 
-// BenchmarkWarmRound times one warm engine round (2% churn) at the sizes
-// pricebench gaps against the LP — the per-round latency the online path
-// pays once prices are carried.
+// BenchmarkWarmRound times one warm engine round (2% churn) — the per-round
+// latency the online path pays once prices are carried — at three sizes an
+// LP engine also serves, and at 1M clients, far past where the LP is run: the
+// measuring path of the in-process scale claim. Best responses fan out over
+// GOMAXPROCS (sweep it with -cpu; the allocation is bit-identical at any
+// setting).
 func BenchmarkWarmRound(b *testing.B) {
-	for _, n := range []int{400, 1600, 6400} {
+	for _, n := range []int{400, 1600, 6400, 1_000_000} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			if n >= 1_000_000 && testing.Short() {
+				b.Skip("1M clients: a few hundred MB and seconds of set-up")
+			}
 			g := float64(n) / 5
 			c := cluster.NewCluster(g, g, g)
 			jobs := cluster.GenerateJobs(n, 1, 0.2)
-			eng, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 1}})
+			eng, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 1, Parallel: true}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -47,7 +53,7 @@ func BenchmarkWarmRound(b *testing.B) {
 func BenchmarkBestResponse(b *testing.B) {
 	jobs := cluster.GenerateJobs(1024, 1, 0.2)
 	c := cluster.NewCluster(200, 200, 200)
-	d := oneShotDomain(jobs, c, 32)
+	d := oneShotDomain(jobs, c, maxMinAlpha)
 	price := []float64{0.3, 1.7, 0.9}
 	d.PrepareIteration(price)
 	out := make([]float64, 3)

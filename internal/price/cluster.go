@@ -14,8 +14,8 @@ type ClusterPolicy int8
 
 const (
 	// MaxMinFairness approximates the heterogeneity-aware least-attained-
-	// service policy through an alpha-fair utility (Options.Alpha) over the
-	// normalized throughput ratios.
+	// service policy through an alpha-fair utility (exponent maxMinAlpha)
+	// over the normalized throughput ratios.
 	MaxMinFairness ClusterPolicy = iota
 	// ProportionalFairness is the §4.1 sum-of-logs policy, solved exactly
 	// in the limit (log utility is the Eisenberg-Gale market).
@@ -70,8 +70,8 @@ type clusterDomain struct {
 	//   zRoot[j]    = z_j^(−1/α)
 	// and pRoot_i = sigma^(1/α−1)·price_i^(−1/α) is refreshed once per
 	// iteration by PrepareIteration instead of once per client (utilScale,
-	// sigma^(1−α)/(1−α), once per load). When α is a power of two the
-	// remaining per-pair root s^(−1/α) runs as a √-chain (sqrtSteps hardware
+	// sigma^(1−α)/(1−α), once per load). α is a power of two, so the
+	// remaining per-pair root s^(−1/α) runs as a √-chain (alphaSqrts hardware
 	// square roots) instead of a Pow call.
 	tPow, tUtil []float64
 	zRoot       []float64
@@ -82,31 +82,34 @@ type clusterDomain struct {
 	// dtRoot holds |t_a−t_b|^(1/α) per client pair (load time) and pairRoot
 	// sigma^(1/α)·|p_a−p_b|^(−1/α) per pair (each PrepareIteration) — no
 	// roots remain in the per-client hot path.
-	dtRoot    []float64 // n×npairs row-major
-	pairRoot  []float64 // npairs
-	npairs    int
-	sqrtSteps int // k with α == 2^k, or 0 to fall back to math.Pow
+	dtRoot   []float64 // n×npairs row-major
+	pairRoot []float64 // npairs
+	npairs   int
 }
+
+const (
+	// maxMinAlpha is the alpha-fair exponent of the max-min market: larger
+	// approximates max-min more closely but conditions the best responses
+	// worse. It is 2^alphaSqrts so that invAlphaRoot needs no math.Pow.
+	alphaSqrts  = 5
+	maxMinAlpha = 1 << alphaSqrts
+)
 
 func (d *clusterDomain) Dims() (int, int)       { return d.n, d.r }
 func (d *clusterDomain) Capacity(out []float64) { copy(out, d.cap) }
 func (d *clusterDomain) DemandHint() float64    { return d.hint }
 
+// phi is the weighted-log utility of the proportional-fair market (the
+// alpha-fair one never evaluates its utility: see bestResponseAlpha).
 func (d *clusterDomain) phi(j int, u float64) float64 {
 	if u <= 0 {
 		return math.Inf(-1)
 	}
-	if d.alpha > 0 {
-		return math.Pow(u, 1-d.alpha) / (1 - d.alpha)
-	}
 	return d.w[j] * math.Log(u)
 }
 
-// invPhiPrime inverts the marginal utility: the u with φ'(u) = s, s > 0.
+// invPhiPrime inverts phi's marginal utility: the u with φ'(u) = s, s > 0.
 func (d *clusterDomain) invPhiPrime(j int, s float64) float64 {
-	if d.alpha > 0 {
-		return math.Pow(s, -1/d.alpha)
-	}
 	return d.w[j] / s
 }
 
@@ -183,15 +186,15 @@ func (d *clusterDomain) PrepareIteration(price []float64) {
 	if d.alpha <= 0 {
 		return
 	}
-	sigmaRoot := 1 / d.invAlphaRoot(d.sigma) // sigma^(1/α)
+	sigmaRoot := 1 / invAlphaRoot(d.sigma) // sigma^(1/α)
 	for i, p := range price {
-		d.pRoot[i] = d.invAlphaRoot(p) * sigmaRoot / d.sigma
+		d.pRoot[i] = invAlphaRoot(p) * sigmaRoot / d.sigma
 	}
 	pi := 0
 	for a := 0; a < d.r; a++ {
 		for b := a + 1; b < d.r; b++ {
 			if dp := math.Abs(price[a] - price[b]); dp > 0 {
-				d.pairRoot[pi] = d.invAlphaRoot(dp) * sigmaRoot
+				d.pairRoot[pi] = invAlphaRoot(dp) * sigmaRoot
 			} else {
 				d.pairRoot[pi] = 0 // equal prices: pair degenerate, skipped
 			}
@@ -200,16 +203,13 @@ func (d *clusterDomain) PrepareIteration(price []float64) {
 	}
 }
 
-// invAlphaRoot computes s^(−1/α): a √-chain when α is a power of two (the
-// default 32 costs five hardware square roots), math.Pow otherwise.
-func (d *clusterDomain) invAlphaRoot(s float64) float64 {
-	if d.sqrtSteps > 0 {
-		for k := 0; k < d.sqrtSteps; k++ {
-			s = math.Sqrt(s)
-		}
-		return 1 / s
+// invAlphaRoot computes s^(−1/maxMinAlpha) as a chain of alphaSqrts
+// hardware square roots.
+func invAlphaRoot(s float64) float64 {
+	for k := 0; k < alphaSqrts; k++ {
+		s = math.Sqrt(s)
 	}
-	return math.Pow(s, -1/d.alpha)
+	return 1 / s
 }
 
 // bestResponseAlpha is the alpha-fair best response with all price- and
@@ -305,7 +305,7 @@ func (d *clusterDomain) ScaleElasticity() float64 {
 }
 
 // newClusterDomain allocates an empty market over r resources: the
-// alpha-fair (max-min) market when alpha > 0, the weighted-log
+// alpha-fair (max-min) market when alpha is maxMinAlpha, the weighted-log
 // (proportional-fair) one when alpha == 0. Rows are installed by load —
 // all at once for a one-shot solve, or only where the client table changed
 // when an engine keeps the domain between rounds.
@@ -317,17 +317,6 @@ func newClusterDomain(r int, alpha float64) *clusterDomain {
 	d.pRoot = make([]float64, r)
 	d.npairs = r * (r - 1) / 2
 	d.pairRoot = make([]float64, d.npairs)
-	if a := alpha; a == math.Trunc(a) && a >= 2 {
-		for k, v := 0, a; v >= 2; k, v = k+1, v/2 {
-			if v == 2 {
-				d.sqrtSteps = k + 1
-				break
-			}
-			if math.Mod(v, 2) != 0 {
-				break
-			}
-		}
-	}
 	return d
 }
 
@@ -447,7 +436,7 @@ func (d *clusterDomain) setRow(idx int, j cluster.Job) {
 	}
 	d.zRoot[idx] = 0
 	if j.Scale > 0 {
-		d.zRoot[idx] = d.invAlphaRoot(j.Scale)
+		d.zRoot[idx] = invAlphaRoot(j.Scale)
 	}
 	dtRoot := d.dtRoot[idx*d.npairs : (idx+1)*d.npairs]
 	pi := 0
@@ -456,7 +445,7 @@ func (d *clusterDomain) setRow(idx int, j cluster.Job) {
 			dtRoot[pi] = 0
 			if dt := math.Abs(t[a] - t[b]); dt > 0 {
 				// |Δt|^(1/α) = 1/invAlphaRoot(|Δt|).
-				dtRoot[pi] = 1 / d.invAlphaRoot(dt)
+				dtRoot[pi] = 1 / invAlphaRoot(dt)
 			}
 			pi++
 		}
@@ -464,7 +453,7 @@ func (d *clusterDomain) setRow(idx int, j cluster.Job) {
 }
 
 // oneShotDomain builds the market of a single solve over jobs: alpha-fair
-// (max-min) for alpha > 0, proportional-fair for alpha == 0.
+// (max-min) for alpha == maxMinAlpha, proportional-fair for alpha == 0.
 func oneShotDomain(jobs []cluster.Job, c cluster.Cluster, alpha float64) *clusterDomain {
 	d := newClusterDomain(c.NumTypes(), alpha)
 	d.resize(len(jobs))
@@ -472,16 +461,11 @@ func oneShotDomain(jobs []cluster.Job, c cluster.Cluster, alpha float64) *cluste
 	return d
 }
 
-// maxMinDefaults resolves the max-min adapter's solver defaults.
-func maxMinDefaults(opts Options) Options {
-	if opts.Alpha == 0 {
-		opts.Alpha = 32
-	}
-	if opts.Step == 0 {
-		// Alpha-fair demand elasticity is 1/α, so an unset step scales with
-		// Alpha to keep the effective price motion constant across exponents.
-		opts.Step = opts.Alpha / 12
-	}
+// withMaxMinStep gives the max-min market its price step: alpha-fair demand
+// elasticity is 1/α, so the step scales with the exponent to keep the
+// effective price motion what the unit-elasticity markets see.
+func withMaxMinStep(opts Options) Options {
+	opts.step = maxMinAlpha / 12.0
 	return opts
 }
 
@@ -489,8 +473,7 @@ func maxMinDefaults(opts Options) Options {
 // LP, per-job closed-form best responses. The returned Solution carries the
 // prices (warm start for the next round) and convergence accounting.
 func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	opts = maxMinDefaults(opts)
-	return solveCluster(oneShotDomain(jobs, c, opts.Alpha), jobs, c, opts)
+	return solveCluster(oneShotDomain(jobs, c, maxMinAlpha), jobs, c, withMaxMinStep(opts))
 }
 
 // SolvePropFair approximates cluster.ProportionalFairness by price

@@ -17,16 +17,17 @@
 //
 //	p_i ← clamp(p_i · exp(η_t · clip((demand_i − cap_i)/cap_i, ±1)))
 //
-// with a diminishing step η_t = Step/√(t0+t). Multiplicative updates keep
+// with a diminishing step η_t = step/√(t0+t). Multiplicative updates keep
 // prices positive and let them traverse orders of magnitude in few
 // iterations — necessary because low-elasticity utilities (the alpha-fair
-// max-min approximation, Options.Alpha default 32, with Step scaled as
-// Alpha/12 to hold the effective price motion constant across exponents)
-// need large price swings to move demand: at equilibrium their marginal
-// utilities scale as u^-α, so clearing prices legitimately sit many orders
-// of magnitude above the demand-seeded cold start. Prices are therefore
-// clamped to a deliberately vast [1e-18, 1e18]× band around that scale —
-// a tight ceiling silently caps the walk and freezes the residual.
+// max-min approximation, exponent α = 32, whose adapter sets the step to
+// α/12 where the unit-elasticity markets use ½, holding the effective
+// price motion constant) need large price swings to move demand: at
+// equilibrium their marginal utilities scale as u^-α, so clearing prices
+// legitimately sit many orders of magnitude above the demand-seeded cold
+// start. Prices are therefore clamped to a deliberately vast [1e-18, 1e18]×
+// band around that scale — a tight ceiling silently caps the walk and
+// freezes the residual.
 //
 // Domains with a known aggregate elasticity (both cluster adapters:
 // interior alpha-fair demand scales as p^(−1/α), log-utility as p^(−1))
@@ -53,8 +54,8 @@
 // # Clearing tolerance
 //
 // Convergence is declared when the averaged market's complementarity
-// residual falls below Options.Tol (default 1%): the worst relative
-// overdemand, or on underdemanded resources the relative idle capacity
+// residual falls below 1% (clearTol): the worst relative overdemand, or
+// on underdemanded resources the relative idle capacity
 // weighted by price/(price+p0) — idle capacity only violates clearing
 // while its price remains meaningfully above the cold-start scale p0.
 // Solves that exhaust MaxIters (default 1200) return the residual with
@@ -75,8 +76,8 @@
 // (cold start), never an error. The online engines carry prices across
 // rounds automatically and drop them — mirroring lp.Model's warm-hostile
 // basis drop — when membership churn (arrivals + departures, relative to
-// the client count) reaches EngineOptions.ColdChurnFrac (default ¼);
-// capacity changes rescale carried prices instead of dropping them. Data
+// the client count) reaches coldChurnFrac (¼); capacity changes rescale
+// carried prices instead of dropping them. Data
 // jitter on surviving clients never drops prices: absorbing it is the
 // warm start's job, and on low-churn rounds warm prices cut
 // iterations-to-clearing by an order of magnitude.

@@ -16,25 +16,18 @@ type EngineOptions struct {
 	// by the engine; Solver.Obs also receives the engine's round telemetry
 	// ("price.round" spans, round counters, round-latency histograms).
 	Solver Options
-	// ColdChurnFrac is the membership-churn fraction (arrivals plus
-	// departures relative to the post-diff client count) at or above which
-	// a round drops the carried prices and solves cold — the price-engine
-	// mirror of lp.Model's warm-hostile basis drop. 0 means 0.25. Data
-	// changes on surviving clients never trigger the drop: absorbing them
-	// is what the warm start is for.
-	ColdChurnFrac float64
 	// NoWarmPrice disables price carrying entirely; every round solves
 	// cold. Used for the cold baseline in benchmarks and the warm-vs-cold
 	// property tests.
 	NoWarmPrice bool
 }
 
-func (o EngineOptions) coldChurnFrac() float64 {
-	if o.ColdChurnFrac == 0 {
-		return 0.25
-	}
-	return o.ColdChurnFrac
-}
+// coldChurnFrac is the membership-churn fraction (arrivals plus departures
+// relative to the post-diff client count) at or above which a round drops
+// the carried prices and solves cold — the price-engine mirror of lp.Model's
+// warm-hostile basis drop. Data changes on surviving clients never trigger
+// the drop: absorbing them is what the warm start is for.
+const coldChurnFrac = 0.25
 
 // Stats counts a price engine's work since creation. The JSON tags fix the
 // wire names popserver's /v1/stats exposes, matching online.Stats' pattern.
@@ -98,7 +91,7 @@ func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts EngineOption
 		return nil, fmt.Errorf("price: unsupported cluster policy %v", policy)
 	}
 	if policy == MaxMinFairness {
-		opts.Solver = maxMinDefaults(opts.Solver)
+		opts.Solver = withMaxMinStep(opts.Solver)
 	}
 	e := &ClusterEngine{policy: policy, opts: opts}
 	e.SetCluster(c)
@@ -184,7 +177,7 @@ func (e *ClusterEngine) commit() []cluster.Job {
 	if all {
 		alpha := 0.0
 		if e.policy == MaxMinFairness {
-			alpha = e.opts.Solver.Alpha
+			alpha = maxMinAlpha
 		}
 		e.dom = newClusterDomain(r, alpha)
 	}
@@ -253,7 +246,7 @@ func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*c
 func (e *ClusterEngine) solverOptions(clients, resources int) (Options, bool) {
 	so := e.opts.Solver
 	warm := e.havePrice && !e.opts.NoWarmPrice && len(e.price) == resources &&
-		float64(e.churn) < e.opts.coldChurnFrac()*float64(max(clients, 1))
+		float64(e.churn) < coldChurnFrac*float64(max(clients, 1))
 	if warm {
 		so.WarmPrice = e.price
 	} else {
@@ -367,7 +360,7 @@ func (e *LBEngine) Step(inst *lb.Instance) (*lb.Assignment, error) {
 
 	so := e.opts.Solver
 	warm := e.havePrice && !e.opts.NoWarmPrice && len(e.price) == len(inst.Servers) &&
-		float64(e.churn) < e.opts.coldChurnFrac()*float64(max(len(inst.Shards), 1))
+		float64(e.churn) < coldChurnFrac*float64(max(len(inst.Shards), 1))
 	if warm {
 		so.WarmPrice = e.price
 	} else {

@@ -47,6 +47,14 @@ const (
 	// transient roughly 4× faster than plain t-weighting while still damping
 	// the bang-bang oscillation of low-elasticity best responses.
 	avgPow = 8.0
+	// minIters is the iteration count before convergence may be declared (a
+	// guard against a lucky first-iterate residual); clearTol is the clearing
+	// tolerance, the averaged market's complementarity residual at which a
+	// solve stops. defaultStep is the initial multiplicative price-update
+	// step of a market that does not bring its own (see Options.step).
+	minIters    = 4
+	clearTol    = 0.01
+	defaultStep = 0.5
 )
 
 // Domain is the market a price-discovery solve runs over: clients demand
@@ -93,20 +101,9 @@ type scaleElastic interface {
 
 // Options tune a price-discovery solve.
 type Options struct {
-	// MaxIters bounds price-update iterations; 0 means 1200.
+	// MaxIters bounds price-update iterations; 0 means 1200 (200 for the
+	// shard market, see SolveLB).
 	MaxIters int
-	// MinIters is the minimum iteration count before convergence may be
-	// declared (guards against a lucky first-iterate residual); 0 means 4.
-	MinIters int
-	// Tol is the clearing tolerance: the solve stops once the averaged
-	// market's complementarity residual falls below it; 0 means 0.01.
-	Tol float64
-	// Step is the initial multiplicative price-update step; 0 means 0.5.
-	Step float64
-	// Alpha is the alpha-fair utility exponent used by the max-min cluster
-	// adapter (larger approximates max-min more closely but conditions the
-	// best responses worse); 0 means 32.
-	Alpha float64
 	// Seed fixes the deterministic cold-price jitter. Identical inputs,
 	// Seed, and WarmPrice produce bit-identical output regardless of
 	// Parallel.
@@ -121,23 +118,19 @@ type Options struct {
 	// "price.bestresponse" children, iteration counters, and the clearing
 	// residual gauge. Nil costs one pointer check per use.
 	Obs *obs.Observer
+
+	// step is the initial multiplicative price-update step, set by the
+	// market's own adapter (the max-min one scales it with its exponent);
+	// 0 means defaultStep.
+	step float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 1200
 	}
-	if o.MinIters == 0 {
-		o.MinIters = 4
-	}
-	if o.Tol == 0 {
-		o.Tol = 0.01
-	}
-	if o.Step == 0 {
-		o.Step = 0.5
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 32
+	if o.step == 0 {
+		o.step = defaultStep
 	}
 	return o
 }
@@ -152,7 +145,7 @@ type Solution struct {
 	Iterations int
 	// Residual is the clearing residual of the averaged market at exit.
 	Residual float64
-	// Converged reports whether Residual reached Tol within MaxIters.
+	// Converged reports whether Residual reached clearTol within MaxIters.
 	Converged bool
 	// WarmStarted reports whether the solve started from WarmPrice.
 	WarmStarted bool
@@ -183,7 +176,7 @@ func (s *Solution) AggregateDemand() []float64 {
 // iterate into a polynomially weighted running average, and moves every
 // price multiplicatively against its relative excess demand with a
 // diminishing step. The averaged market's complementarity residual is the
-// clearing measure; the solve stops when it reaches Tol or MaxIters runs
+// clearing measure; the solve stops when it reaches clearTol or MaxIters runs
 // out (Converged reports which).
 func Solve(d Domain, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
@@ -319,7 +312,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		}
 
 		resid = clearingResidual(avgDemand, capacity, price, p0)
-		if t >= opts.MinIters && resid <= opts.Tol {
+		if t >= minIters && resid <= clearTol {
 			converged = true
 			break
 		}
@@ -361,7 +354,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 
 		// Multiplicative tâtonnement on the instantaneous market: price_i
 		// moves by exp(η_t · clip(relative excess demand)), η_t diminishing.
-		eta := opts.Step / math.Sqrt(t0+float64(t))
+		eta := opts.step / math.Sqrt(t0+float64(t))
 		for i := range price {
 			z := (demand[i] - capacity[i]) / math.Max(capacity[i], capFloor)
 			if z > 1 {

@@ -3,6 +3,8 @@ package price
 import (
 	"math"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +193,29 @@ func TestPriceMetricsGuard(t *testing.T) {
 	} {
 		if !strings.Contains(out, metric) {
 			t.Errorf("Prometheus export missing %s:\n%s", metric, out)
+		}
+	}
+}
+
+// TestOptionsSurface pins the exported fields of Options and EngineOptions,
+// as lp's test of the same name does: every field is a configuration the
+// suites and the benchmark must cover, so a new one displaces an old one.
+func TestOptionsSurface(t *testing.T) {
+	for _, tc := range []struct {
+		opts any
+		want []string
+	}{
+		{Options{}, []string{"MaxIters", "Seed", "Parallel", "WarmPrice", "Obs"}},
+		{EngineOptions{}, []string{"Solver", "NoWarmPrice"}},
+	} {
+		var got []string
+		for _, f := range reflect.VisibleFields(reflect.TypeOf(tc.opts)) {
+			if f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("exported %T fields = %v, want exactly %v", tc.opts, got, tc.want)
 		}
 	}
 }

@@ -19,8 +19,10 @@
 //
 //   - SolveFrankWolfe: conditional gradient over the feasible polytope,
 //     reusing the package lp simplex for the linear subproblems. Provably
-//     convergent (O(1/t)); used as the reference in tests and as the
-//     default solver for the Figure-7 experiments.
+//     convergent (O(1/t)); the reference in this package's tests. The
+//     Figure-7 experiments and cluster.SolvePOPPropFairness use
+//     SolvePriceDiscovery, the more accurate of the two at their sizes
+//     (POP's own gap there is smaller than Frank–Wolfe's at its defaults).
 package propfair
 
 import (

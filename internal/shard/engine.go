@@ -70,7 +70,7 @@ type EngineConfig struct {
 
 // NewEngine constructs the policy-selected round engine. It is the single
 // construction path shared by popserver's workers (in-process or the
-// `worker` subcommand) and servebench's spawned ones.
+// `worker` subcommand) and the repository benchmark's.
 func NewEngine(c cluster.Cluster, cfg EngineConfig) (*EngineBundle, error) {
 	switch strings.ToLower(cfg.Policy) {
 	case "price":

@@ -21,10 +21,10 @@ func SolvePOPWithNCFlow(inst *Instance, opts core.Options, nc NCFlowOptions) (*A
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	k := opts.K
 	virtual := splitDemands(inst, opts.SplitT)
-	groups := core.Partition(len(virtual), k, opts.Strategy, opts.Seed,
+	groups := core.Partition(len(virtual), opts.K, opts.Strategy, opts.Seed,
 		func(i int) float64 { return virtual[i].amount })
+	k := len(groups) // Partition clamps k to the commodity count
 
 	// Resource splitting for a sub-solver that reads capacities from the
 	// topology itself: one scaled copy of the topology, shared by all

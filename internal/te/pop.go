@@ -35,11 +35,10 @@ func SolvePOP(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Option
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	k := opts.K
-
 	virtual := splitDemands(inst, opts.SplitT)
-	groups := core.Partition(len(virtual), k, opts.Strategy, opts.Seed,
+	groups := core.Partition(len(virtual), opts.K, opts.Strategy, opts.Seed,
 		func(i int) float64 { return virtual[i].amount })
+	k := len(groups) // Partition clamps k to the commodity count
 
 	subInsts := make([]*Instance, k)
 	for p, g := range groups {
@@ -111,8 +110,10 @@ func SolveSharded(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Op
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	k := opts.K
 	g := inst.Topo.G
+	// core.Partition clamps k to its client count; clamp to the smaller of
+	// the two populations first so both partitions have the same k groups.
+	k := min(opts.K, max(1, len(inst.Demands)), max(1, len(g.Edges)))
 
 	edgeGroups := core.Partition(len(g.Edges), k, core.Random, opts.Seed+1, nil)
 	demGroups := core.Partition(len(inst.Demands), k, opts.Strategy, opts.Seed,

@@ -111,18 +111,40 @@ func TestPOPFeasibleAndNearOptimal(t *testing.T) {
 	}
 }
 
+// TestPOPK1MatchesExact: a single sub-problem is the exact LP, whether K = 1
+// was asked for or K was clamped to a lone commodity — whose sub-problem must
+// then see the whole capacity, not 1/K of it. With fewer commodities than K
+// (3 vs 8) every clamped sub-problem still solves and the result is feasible.
+// The NCFlow composition is a heuristic, so it is held to feasibility only.
 func TestPOPK1MatchesExact(t *testing.T) {
-	inst := tinyInstance(t, 8, tm.Uniform)
-	exact, err := SolveLP(inst, MaxTotalFlow, lp.Options{})
-	if err != nil {
-		t.Fatal(err)
+	const ncflow = "pop+ncflow"
+	solvers := map[string]func(*Instance, Objective, core.Options, lp.Options) (*Allocation, error){
+		"pop": SolvePOP, "sharded": SolveSharded,
+		ncflow: func(inst *Instance, _ Objective, opts core.Options, _ lp.Options) (*Allocation, error) {
+			return SolvePOPWithNCFlow(inst, opts, NCFlowOptions{})
+		},
 	}
-	a, err := SolvePOP(inst, MaxTotalFlow, core.Options{K: 1, Seed: 9}, lp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.TotalFlow-exact.TotalFlow) > 1e-6*(1+exact.TotalFlow) {
-		t.Fatalf("POP-1 %g != exact %g", a.TotalFlow, exact.TotalFlow)
+	for _, tc := range []struct {
+		commodities, k int
+		exact          bool
+	}{{8, 1, true}, {1, 8, true}, {3, 8, false}} {
+		inst := tinyInstance(t, tc.commodities, tm.Uniform)
+		exact, err := SolveLP(inst, MaxTotalFlow, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, solve := range solvers {
+			a, err := solve(inst, MaxTotalFlow, core.Options{K: tc.k, Seed: 9}, lp.Options{})
+			if err != nil {
+				t.Fatalf("%s n=%d K=%d: %v", name, tc.commodities, tc.k, err)
+			}
+			if err := a.VerifyFeasible(inst, 1e-6); err != nil {
+				t.Fatalf("%s n=%d K=%d: %v", name, tc.commodities, tc.k, err)
+			}
+			if tc.exact && name != ncflow && math.Abs(a.TotalFlow-exact.TotalFlow) > 1e-6*(1+exact.TotalFlow) {
+				t.Fatalf("%s n=%d K=%d: %g != exact %g", name, tc.commodities, tc.k, a.TotalFlow, exact.TotalFlow)
+			}
+		}
 	}
 }
 
