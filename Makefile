@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint yaml-check fmt-check bench bench-check ci
+.PHONY: all build test test-short test-race vet lint yaml-check fmt-check examples bench bench-check ci
 
 all: build
 
@@ -36,6 +36,12 @@ yaml-check:
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# examples runs the four example programs (each a second or less once
+# built). examples/quickstart is the only program on the public pop.Solve,
+# and nothing else executes it.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 # bench-check vets and tests the repository benchmark (bench/, a module of
 # its own that the root ./... patterns never compile), so a change to the

@@ -189,7 +189,7 @@ func BenchmarkPOPComposition(b *testing.B) {
 	})
 	b.Run("pop-geo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := te.SolvePOPGeo(inst, te.MaxTotalFlow, 8, 1, true, lp.Options{}); err != nil {
+			if _, err := te.SolvePOPGeo(inst, te.MaxTotalFlow, core.Options{K: 8, Seed: 1, Parallel: true}, lp.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,65 +16,43 @@ import (
 //
 // expressed as an epigraph LP with a free auxiliary t.
 func MaxMinFairness(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error) {
+	eq := EqualShare(jobs, c)
+	return solveEpigraph(jobs, c, opts, "max-min", func(j Job) float64 {
+		return j.Weight * EffectiveThroughput(j, eq) * j.Scale
+	})
+}
+
+// MinMakespan solves the §4.1 makespan policy. Minimizing
+// max_j num_steps_j / thr(j,A) equals maximizing θ = min_j thr(j,A)/steps_j,
+// the same epigraph LP with another denominator; the resulting makespan is
+// 1/θ*.
+func MinMakespan(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error) {
+	return solveEpigraph(jobs, c, opts, "makespan", func(j Job) float64 { return j.NumSteps })
+}
+
+// solveEpigraph maximizes t subject to t ≤ thr(j,A)/denom(j) for every job
+// whose denominator is positive, over the solo time-fraction polytope. Both
+// LP policies are this model; the variable and row order is theirs.
+func solveEpigraph(jobs []Job, c Cluster, opts lp.Options, name string, denom func(Job) float64) (*Allocation, error) {
 	if len(jobs) == 0 {
 		return emptyAllocation(), nil
 	}
 	r := c.NumTypes()
-	eq := EqualShare(jobs, c)
-
 	p := lp.NewModel(lp.Maximize)
 	varOf := soloVars(p, len(jobs), r)
 	tv := p.AddVariable(1, math.Inf(-1), lp.Inf, "t")
 
 	addSoloCaps(p, jobs, c, varOf)
 	for idx, j := range jobs {
-		eqThr := EffectiveThroughput(j, eq)
-		if eqThr <= 0 {
+		d := denom(j)
+		if d <= 0 {
 			continue
 		}
 		idxs := make([]int, 0, r+1)
 		coefs := make([]float64, 0, r+1)
 		for i := 0; i < r; i++ {
 			idxs = append(idxs, varOf[idx][i])
-			coefs = append(coefs, j.Throughput[i]/(j.Weight*eqThr*j.Scale))
-		}
-		idxs = append(idxs, tv)
-		coefs = append(coefs, -1)
-		p.AddConstraint(idxs, coefs, lp.GE, 0, "fair")
-	}
-
-	sol, err := p.SolveWithOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("cluster: max-min LP %v", sol.Status)
-	}
-	return soloAllocation(jobs, r, varOf, sol, p.NumVariables()), nil
-}
-
-// MinMakespan solves the §4.1 makespan policy. Minimizing
-// max_j num_steps_j / thr(j,A) equals maximizing θ = min_j thr(j,A)/steps_j,
-// another epigraph LP; the resulting makespan is 1/θ*.
-func MinMakespan(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error) {
-	if len(jobs) == 0 {
-		return emptyAllocation(), nil
-	}
-	r := c.NumTypes()
-	p := lp.NewModel(lp.Maximize)
-	varOf := soloVars(p, len(jobs), r)
-	tv := p.AddVariable(1, math.Inf(-1), lp.Inf, "theta")
-
-	addSoloCaps(p, jobs, c, varOf)
-	for idx, j := range jobs {
-		if j.NumSteps <= 0 {
-			continue
-		}
-		idxs := make([]int, 0, r+1)
-		coefs := make([]float64, 0, r+1)
-		for i := 0; i < r; i++ {
-			idxs = append(idxs, varOf[idx][i])
-			coefs = append(coefs, j.Throughput[i]/j.NumSteps)
+			coefs = append(coefs, j.Throughput[i]/d)
 		}
 		idxs = append(idxs, tv)
 		coefs = append(coefs, -1)
@@ -86,7 +64,7 @@ func MinMakespan(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error) {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("cluster: makespan LP %v", sol.Status)
+		return nil, fmt.Errorf("cluster: %s LP %v", name, sol.Status)
 	}
 	return soloAllocation(jobs, r, varOf, sol, p.NumVariables()), nil
 }

@@ -9,33 +9,21 @@ import (
 // PolicyFunc solves a scheduling policy on one (sub-)instance.
 type PolicyFunc func(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error)
 
-// SolvePOP applies POP to any solo-allocation policy: jobs are partitioned
-// randomly into k groups (weighted by Scale so GPU demand balances),
-// the cluster is split into k equal sub-clusters with 1/k of every GPU
-// type, each sub-problem is solved with the unchanged policy formulation,
-// and allocations are concatenated. The coalesced allocation is feasible by
-// construction since sub-cluster capacities sum to the original.
+// SolvePOP applies POP to any allocation policy: the runner partitions the
+// jobs into k groups (balancing Scale, so GPU demand balances), every
+// sub-problem runs the unchanged policy on its jobs over a sub-cluster with
+// 1/k of every GPU type, and the allocations are concatenated. The coalesced
+// allocation is feasible by construction since sub-cluster capacities sum to
+// the original.
 func SolvePOP(jobs []Job, c Cluster, policy PolicyFunc, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	k := opts.K
-	groups := core.Partition(len(jobs), k, opts.Strategy, opts.Seed,
-		func(i int) float64 { return jobs[i].Scale })
-	k = len(groups) // Partition clamps k when there are fewer jobs than sub-problems
-	subCluster := c.Split(k)
-	subJobs := core.Gather(jobs, groups)
-
-	subAllocs := make([]*Allocation, k)
-	err := core.ParallelMap(k, opts.Parallel, func(p int) error {
-		a, err := policy(subJobs[p], subCluster, lpOpts)
-		subAllocs[p] = a
-		return err
+	spec := core.Spec[Job]{Clients: jobs, Load: func(j Job) float64 { return j.Scale }}
+	subs, allocs, err := core.Run(spec, opts, func(s core.Sub[Job]) (*Allocation, error) {
+		return policy(s.Clients, c.Split(s.K), lpOpts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeAllocations(jobs, groups, subAllocs), nil
+	return mergeAllocations(len(jobs), subs, allocs), nil
 }
 
 // SolvePOPSpaceSharing applies POP to the pair-variable space-sharing
@@ -59,16 +47,16 @@ func SolvePOPPropFairness(jobs []Job, c Cluster, opts core.Options, pd propfair.
 // mergeAllocations coalesces per-partition allocations onto the original
 // job order (POP's reduce step). Solo and pair allocations are both
 // supported; partitions must agree on the representation.
-func mergeAllocations(jobs []Job, groups [][]int, subs []*Allocation) *Allocation {
-	out := &Allocation{EffThr: make([]float64, len(jobs))}
-	solo := subs[0] != nil && subs[0].X != nil
+func mergeAllocations(n int, subs []core.Sub[Job], allocs []*Allocation) *Allocation {
+	out := &Allocation{EffThr: make([]float64, n)}
+	solo := allocs[0].X != nil
 	if solo {
-		out.X = make([][]float64, len(jobs))
+		out.X = make([][]float64, n)
 	}
-	for p, g := range groups {
-		sa := subs[p]
+	for p, s := range subs {
+		sa := allocs[p]
 		out.LPVariables += sa.LPVariables
-		for t, j := range g {
+		for t, j := range s.Orig {
 			out.EffThr[j] = sa.EffThr[t]
 			if solo {
 				out.X[j] = sa.X[t]

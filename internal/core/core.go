@@ -1,11 +1,16 @@
 // Package core implements the POP (Partitioned Optimization Problems)
-// machinery from the paper: partitioning clients and resources into k
-// sub-problems, granularization transforms (client splitting, Algorithm 2,
-// and resource splitting), the parallel map step, and coalescing helpers.
+// procedure from the paper, once: Run validates the options, optionally
+// splits large clients (Algorithm 2), fixes the number of sub-problems k,
+// partitions the clients (and deals out any resources that are partitioned
+// rather than split 1/k), solves the sub-problems in a bounded parallel map,
+// and hands the ordered sub-results back for the caller's reduce.
 //
-// The domain case studies (packages te, cluster, lb) build their POP
-// variants out of these primitives; the root package pop re-exports the
-// public surface.
+// Every POP entry point in the tree — cluster.SolvePOP, lb.SolvePOP, the
+// four in package te, and the public pop.Solve — is Run plus the two things
+// only its domain knows: how to cut a sub-instance out of a Sub, and how to
+// sum the sub-results back. Partition, SplitClients, Gather and ParallelMap
+// are the steps Run is made of; the root package pop re-exports them, and
+// SplitResource for callers that hold their resources as a slice.
 package core
 
 import (
@@ -141,20 +146,6 @@ func Gather[T any](items []T, groups [][]int) [][]T {
 	return out
 }
 
-// EvenSplit partitions m indistinguishable resource units across k
-// sub-problems as evenly as possible (the first m%k sub-problems get one
-// extra unit).
-func EvenSplit(m, k int) []int {
-	out := make([]int, k)
-	for p := range out {
-		out[p] = m / k
-		if p < m%k {
-			out[p]++
-		}
-	}
-	return out
-}
-
 // SplitResource implements the paper's resource splitting: every sub-problem
 // receives a copy of each resource scaled to 1/k of its capacity, so the
 // coalesced allocation remains feasible by construction. scale must return a
@@ -266,19 +257,11 @@ func (h *maxHeap[C]) Pop() any {
 	return it
 }
 
-// CoalesceByOrig sums per-virtual-client scalar allocations back onto the n
-// real clients.
-func CoalesceByOrig[C any](virtual []VirtualClient[C], alloc []float64, n int) []float64 {
-	out := make([]float64, n)
-	for i, vc := range virtual {
-		out[vc.Orig] += alloc[i]
-	}
-	return out
-}
-
-// Options bundles the standard POP knobs shared by the domain adapters.
+// Options bundles the standard POP knobs shared by every entry point.
 type Options struct {
-	// K is the number of sub-problems (POP-k in the paper's figures).
+	// K is the number of sub-problems asked for (POP-k in the paper's
+	// figures). Run solves min(K, clients, partitioned resources) of them,
+	// so no sub-problem is ever empty.
 	K int
 	// Strategy is the client partitioning strategy; Random is the default.
 	Strategy Strategy
@@ -287,11 +270,14 @@ type Options struct {
 	// Parallel solves sub-problems concurrently (the paper's map step).
 	Parallel bool
 	// SplitT is the client-splitting threshold t from Algorithm 2: the ratio
-	// of extra virtual clients allowed. 0 disables client splitting.
+	// of extra virtual clients allowed. 0 disables client splitting. Only
+	// te.SolvePOP and te.SolvePOPWithNCFlow split (they halve a commodity's
+	// demand); every other entry point — cluster, lb, te.SolvePOPGeo,
+	// te.SolveSharded, pop.Solve — rejects SplitT > 0 rather than ignore it.
 	SplitT float64
 }
 
-// Validate checks the option invariants shared by all adapters.
+// Validate checks the option invariants shared by all entry points.
 func (o Options) Validate() error {
 	if o.K <= 0 {
 		return fmt.Errorf("pop: K must be ≥ 1, got %d", o.K)
@@ -300,4 +286,97 @@ func (o Options) Validate() error {
 		return fmt.Errorf("pop: SplitT must be ≥ 0, got %g", o.SplitT)
 	}
 	return nil
+}
+
+// Spec describes a problem's clients, and how many of its resources are
+// partitioned, to Run.
+type Spec[C any] struct {
+	// Clients are the problem's clients in the caller's order.
+	Clients []C
+	// Load reads a client's size: what PowerOfTwo and Skewed balance and
+	// what Algorithm 2 halves. Nil is allowed unless Split is set.
+	Load func(C) float64
+	// Split returns two copies of c with Load halved. Setting it is what
+	// makes an entry point a splitting one.
+	Split func(c C) (C, C)
+	// Groups, when non-nil, replaces the seeded Partition (lb's
+	// load-balanced deal, TE's geographic k-means): given the clamped k it
+	// returns at most k groups of indices into Clients, and what it returns
+	// fixes k. It excludes Split.
+	Groups func(k int) [][]int
+	// Resources counts the resources that are partitioned — dealt out whole,
+	// round-robin, as Sub.Resources — rather than split 1/k; they bound k.
+	// Zero when every resource is split.
+	Resources int
+}
+
+// Sub is one sub-problem of a Run.
+type Sub[C any] struct {
+	// Part of K identifies the sub-problem; split resources are scaled 1/K.
+	Part, K int
+	// Clients are this sub-problem's (possibly split) clients; Clients[t] is
+	// (a share of) Spec.Clients[Orig[t]].
+	Clients []C
+	Orig    []int
+	// Resources indexes the partitioned resources dealt to this sub-problem.
+	Resources []int
+}
+
+// Run is the POP procedure. It validates opts, splits clients when
+// opts.SplitT > 0, clamps k to min(opts.K, clients, spec.Resources) — one
+// sub-problem when there are no clients at all — partitions, and calls
+// solve on every sub-problem, concurrently when opts.Parallel. It returns
+// the sub-problems and their results in part order for the caller to
+// reduce, or the error of the lowest-numbered failing part.
+func Run[C, S any](spec Spec[C], opts Options, solve func(Sub[C]) (S, error)) ([]Sub[C], []S, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, nil, err
+	}
+	clients, orig := spec.Clients, []int(nil)
+	if opts.SplitT > 0 {
+		if spec.Split == nil || spec.Groups != nil {
+			return nil, nil, fmt.Errorf("pop: SplitT %g passed to an entry point that does not split clients", opts.SplitT)
+		}
+		virtual := SplitClients(spec.Clients, opts.SplitT, spec.Load, spec.Split)
+		clients, orig = make([]C, len(virtual)), make([]int, len(virtual))
+		for i, v := range virtual {
+			clients[i], orig[i] = v.Client, v.Orig
+		}
+	}
+
+	k := min(opts.K, max(1, len(clients)))
+	if spec.Resources > 0 {
+		k = min(k, spec.Resources)
+	}
+	var groups [][]int
+	if spec.Groups != nil && len(clients) > 0 {
+		groups = spec.Groups(k)
+		k = len(groups)
+	} else {
+		var load func(int) float64
+		if spec.Load != nil {
+			load = func(i int) float64 { return spec.Load(clients[i]) }
+		}
+		groups = Partition(len(clients), k, opts.Strategy, opts.Seed, load)
+	}
+	dealt := Partition(spec.Resources, k, RoundRobin, 0, nil)
+
+	subClients, subOrig := Gather(clients, groups), groups
+	if orig != nil {
+		subOrig = Gather(orig, groups)
+	}
+	subs := make([]Sub[C], k)
+	for p := range subs {
+		subs[p] = Sub[C]{Part: p, K: k, Clients: subClients[p], Orig: subOrig[p], Resources: dealt[p]}
+	}
+	results := make([]S, k)
+	err := ParallelMap(k, opts.Parallel, func(p int) error {
+		var err error
+		results[p], err = solve(subs[p])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return subs, results, nil
 }

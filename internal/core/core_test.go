@@ -2,9 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -128,47 +132,6 @@ func TestGather(t *testing.T) {
 	got := Gather(items, groups)
 	if got[0][0] != "d" || got[0][1] != "a" || got[1][0] != "b" {
 		t.Fatalf("gather wrong: %v", got)
-	}
-}
-
-func TestEvenSplit(t *testing.T) {
-	got := EvenSplit(10, 4)
-	want := []int{3, 3, 2, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("EvenSplit = %v, want %v", got, want)
-		}
-	}
-	total := 0
-	for _, v := range got {
-		total += v
-	}
-	if total != 10 {
-		t.Fatal("split loses units")
-	}
-}
-
-func TestEvenSplitProperty(t *testing.T) {
-	f := func(m uint8, k uint8) bool {
-		if k == 0 {
-			return true
-		}
-		parts := EvenSplit(int(m), int(k))
-		sum := 0
-		min, max := int(m)+1, -1
-		for _, p := range parts {
-			sum += p
-			if p < min {
-				min = p
-			}
-			if p > max {
-				max = p
-			}
-		}
-		return sum == int(m) && max-min <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -341,18 +304,6 @@ func TestSplitClientsLoadConservedProperty(t *testing.T) {
 	}
 }
 
-func TestCoalesceByOrig(t *testing.T) {
-	virtual := []VirtualClient[fakeClient]{
-		{Orig: 0, Client: fakeClient{}},
-		{Orig: 1, Client: fakeClient{}},
-		{Orig: 0, Client: fakeClient{}},
-	}
-	got := CoalesceByOrig(virtual, []float64{1, 5, 2}, 2)
-	if got[0] != 3 || got[1] != 5 {
-		t.Fatalf("coalesce = %v", got)
-	}
-}
-
 func TestOptionsValidate(t *testing.T) {
 	if err := (Options{K: 0}).Validate(); err == nil {
 		t.Fatal("K=0 should fail")
@@ -362,5 +313,211 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{K: 2}).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOptionsSurface pins the POP knobs: a sixth field is a new
+// configuration every one of the seven entry points has to honour or reject.
+func TestOptionsSurface(t *testing.T) {
+	want := []string{"K", "Strategy", "Seed", "Parallel", "SplitT"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported Options fields = %v, want exactly %v", got, want)
+	}
+}
+
+func halve(c fakeClient) (fakeClient, fakeClient) {
+	return fakeClient{c.loadv / 2}, fakeClient{c.loadv / 2}
+}
+
+// runShape runs a spec with a sub-solver that returns its own part number.
+func runShape(t *testing.T, spec Spec[fakeClient], opts Options) []Sub[fakeClient] {
+	t.Helper()
+	subs, parts, err := Run(spec, opts, func(s Sub[fakeClient]) (int, error) { return s.Part, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, s := range subs {
+		if parts[p] != p || s.Part != p || s.K != len(subs) || len(s.Clients) != len(s.Orig) {
+			t.Fatalf("sub %d: result %d, Part %d, K %d of %d, %d clients / %d origins",
+				p, parts[p], s.Part, s.K, len(subs), len(s.Clients), len(s.Orig))
+		}
+	}
+	return subs
+}
+
+// TestRunClampsK pins the one k rule: min(K, clients, partitioned
+// resources), every sub-problem non-empty, every client and every
+// partitioned resource in exactly one of them — and a single empty
+// sub-problem when there are no clients at all.
+func TestRunClampsK(t *testing.T) {
+	for _, tc := range []struct{ clients, resources, K, want int }{
+		{clients: 10, K: 4, want: 4},
+		{clients: 3, K: 8, want: 3},
+		{clients: 10, resources: 2, K: 4, want: 2},
+		{clients: 2, resources: 5, K: 4, want: 2},
+		{clients: 10, resources: 7, K: 1, want: 1},
+		{clients: 0, resources: 3, K: 4, want: 1},
+	} {
+		spec := Spec[fakeClient]{Clients: make([]fakeClient, tc.clients), Resources: tc.resources}
+		for i := range spec.Clients {
+			spec.Clients[i].loadv = float64(i)
+		}
+		for _, parallel := range []bool{false, true} {
+			subs := runShape(t, spec, Options{K: tc.K, Seed: 3, Parallel: parallel})
+			if len(subs) != tc.want {
+				t.Fatalf("%+v: %d sub-problems", tc, len(subs))
+			}
+			var clients, resources []int
+			for _, s := range subs {
+				if tc.clients > 0 && len(s.Clients) == 0 || tc.resources > 0 && len(s.Resources) == 0 {
+					t.Fatalf("%+v: empty sub-problem %+v", tc, s)
+				}
+				for pos, i := range s.Orig {
+					if s.Clients[pos] != spec.Clients[i] {
+						t.Fatalf("%+v: client %d of part %d is not Clients[%d]", tc, pos, s.Part, i)
+					}
+				}
+				clients = append(clients, s.Orig...)
+				resources = append(resources, s.Resources...)
+			}
+			slices.Sort(clients)
+			slices.Sort(resources)
+			for i, c := range clients {
+				if c != i {
+					t.Fatalf("%+v: clients dealt = %v", tc, clients)
+				}
+			}
+			for i, r := range resources {
+				if r != i {
+					t.Fatalf("%+v: resources dealt = %v", tc, resources)
+				}
+			}
+			if len(clients) != tc.clients || len(resources) != tc.resources {
+				t.Fatalf("%+v: dealt %d clients, %d resources", tc, len(clients), len(resources))
+			}
+		}
+	}
+}
+
+// TestRunMatchesPartition: without a Groups hook the sub-problems are exactly
+// the seeded Partition over the client loads, for every strategy.
+func TestRunMatchesPartition(t *testing.T) {
+	clients := make([]fakeClient, 41)
+	for i := range clients {
+		clients[i].loadv = float64(i*7%13) + 1
+	}
+	spec := Spec[fakeClient]{Clients: clients, Load: func(c fakeClient) float64 { return c.loadv }}
+	for _, strat := range []Strategy{Random, PowerOfTwo, Skewed, RoundRobin} {
+		subs := runShape(t, spec, Options{K: 5, Seed: 11, Strategy: strat})
+		want := Partition(len(clients), 5, strat, 11, func(i int) float64 { return clients[i].loadv })
+		for p, s := range subs {
+			if !slices.Equal(s.Orig, want[p]) {
+				t.Fatalf("%v part %d: %v, Partition says %v", strat, p, s.Orig, want[p])
+			}
+		}
+	}
+}
+
+// TestRunGroupsHook: caller-supplied groups see the clamped k, fix the number
+// of sub-problems (resources are dealt over what the hook returned), and are
+// not consulted when there is nothing to group.
+func TestRunGroupsHook(t *testing.T) {
+	var sawK int
+	spec := Spec[fakeClient]{
+		Clients:   make([]fakeClient, 6),
+		Resources: 4,
+		Groups: func(k int) [][]int {
+			sawK = k
+			return [][]int{{5, 0}, {1, 2, 3, 4}}
+		},
+	}
+	subs := runShape(t, spec, Options{K: 9})
+	if sawK != 4 {
+		t.Fatalf("hook saw k = %d, want min(9, 6 clients, 4 resources)", sawK)
+	}
+	if len(subs) != 2 || !slices.Equal(subs[0].Orig, []int{5, 0}) || !slices.Equal(subs[1].Resources, []int{1, 3}) {
+		t.Fatalf("subs = %+v", subs)
+	}
+	spec.Clients = nil
+	spec.Groups = func(int) [][]int { panic("Groups called without clients") }
+	if subs := runShape(t, spec, Options{K: 9}); len(subs) != 1 {
+		t.Fatalf("%d sub-problems without clients", len(subs))
+	}
+}
+
+// TestRunSplitsClients: with SplitT and a splitter, sub-problems hold
+// Algorithm 2's virtual clients, Orig maps each back to its original, and
+// load is conserved per original; k clamps to the virtual count.
+func TestRunSplitsClients(t *testing.T) {
+	spec := Spec[fakeClient]{
+		Clients: []fakeClient{{8}, {1}, {1}},
+		Load:    func(c fakeClient) float64 { return c.loadv },
+		Split:   halve,
+	}
+	subs := runShape(t, spec, Options{K: 5, SplitT: 1, Seed: 2})
+	if len(subs) != 5 {
+		t.Fatalf("%d sub-problems, want 5 of the 6 virtual clients' worth", len(subs))
+	}
+	perOrig := make([]float64, 3)
+	virtual := 0
+	for _, s := range subs {
+		for i, c := range s.Clients {
+			perOrig[s.Orig[i]] += c.loadv
+			virtual++
+		}
+	}
+	if virtual != 6 || !slices.Equal(perOrig, []float64{8, 1, 1}) {
+		t.Fatalf("%d virtual clients, load per original %v", virtual, perOrig)
+	}
+}
+
+// TestRunRejectsOptions: the runner is the one place options are checked.
+// SplitT on a spec that cannot split is an error, never ignored.
+func TestRunRejectsOptions(t *testing.T) {
+	splitter := Spec[fakeClient]{Clients: make([]fakeClient, 4), Load: func(c fakeClient) float64 { return c.loadv }, Split: halve}
+	plain := Spec[fakeClient]{Clients: make([]fakeClient, 4)}
+	grouped := splitter
+	grouped.Groups = func(k int) [][]int { return [][]int{{0, 1, 2, 3}} }
+	for _, tc := range []struct {
+		name string
+		spec Spec[fakeClient]
+		opts Options
+		want string
+	}{
+		{"K=0", splitter, Options{K: 0}, "K must be ≥ 1"},
+		{"SplitT<0", splitter, Options{K: 2, SplitT: -1}, "SplitT must be ≥ 0"},
+		{"no splitter", plain, Options{K: 2, SplitT: 0.5}, "does not split clients"},
+		{"groups exclude split", grouped, Options{K: 2, SplitT: 0.5}, "does not split clients"},
+	} {
+		_, _, err := Run(tc.spec, tc.opts, func(Sub[fakeClient]) (int, error) {
+			t.Fatalf("%s: sub-solver ran", tc.name)
+			return 0, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunFirstErrorByPart: a failing map step returns the lowest failing
+// part's error and no results, serial or parallel.
+func TestRunFirstErrorByPart(t *testing.T) {
+	spec := Spec[fakeClient]{Clients: make([]fakeClient, 16)}
+	for _, parallel := range []bool{false, true} {
+		subs, parts, err := Run(spec, Options{K: 8, Parallel: parallel}, func(s Sub[fakeClient]) (int, error) {
+			if s.Part == 2 || s.Part == 6 {
+				return 0, fmt.Errorf("part %d failed", s.Part)
+			}
+			return s.Part, nil
+		})
+		if err == nil || err.Error() != "part 2 failed" || subs != nil || parts != nil {
+			t.Fatalf("parallel=%v: subs %v, results %v, err %v", parallel, subs, parts, err)
+		}
 	}
 }

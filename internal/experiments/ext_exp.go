@@ -69,7 +69,7 @@ func Extensions(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	if err := addTE(fmt.Sprintf("POP-%d geo", k), "§3.2 future work", func() (*te.Allocation, error) {
-		return te.SolvePOPGeo(inst, te.MaxTotalFlow, k, 5, true, lp.Options{})
+		return te.SolvePOPGeo(inst, te.MaxTotalFlow, core.Options{K: k, Seed: 5, Parallel: true}, lp.Options{})
 	}); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // SolveLPRounding is the natural non-MILP baseline: solve the continuous
-// relaxation of the §4.3 formulation (placement indicators in [0,1]) and
+// relaxation of BuildMILP's §4.3 model (placement indicators in [0,1]) and
 // materialize a shard on every server that serves any of its queries. At
 // the relaxation's optimum the indicator equals the served fraction, so
 // rounding up inflates the movement count — demonstrating why the paper's
@@ -18,51 +18,9 @@ func SolveLPRounding(inst *Instance, opts lp.Options) (*Assignment, error) {
 	if n == 0 || m == 0 {
 		return nil, fmt.Errorf("lb: empty instance")
 	}
-	L := inst.AvgLoad()
-	eps := inst.TolFrac * L
+	prob, aVar, _ := BuildMILP(inst)
 
-	prob := lp.NewModel(lp.Minimize)
-	aVar := make([][]int, n)
-	mVar := make([][]int, n)
-	for i := 0; i < n; i++ {
-		aVar[i] = make([]int, m)
-		mVar[i] = make([]int, m)
-		for j := 0; j < m; j++ {
-			aVar[i][j] = prob.AddVariable(0, 0, 1, "")
-			cost := inst.Shards[i].Mem
-			if inst.Placement[i][j] {
-				cost = 0
-			}
-			mVar[i][j] = prob.AddVariable(cost, 0, 1, "") // relaxed indicator
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			prob.AddConstraint([]int{aVar[i][j], mVar[i][j]}, []float64{1, -1}, lp.LE, 0, "link")
-		}
-		coef := make([]float64, m)
-		for j := range coef {
-			coef[j] = 1
-		}
-		prob.AddConstraint(aVar[i], coef, lp.EQ, 1, "cover")
-	}
-	for j := 0; j < m; j++ {
-		idxs := make([]int, n)
-		loads := make([]float64, n)
-		midx := make([]int, n)
-		mems := make([]float64, n)
-		for i := 0; i < n; i++ {
-			idxs[i] = aVar[i][j]
-			loads[i] = inst.Shards[i].Load
-			midx[i] = mVar[i][j]
-			mems[i] = inst.Shards[i].Mem
-		}
-		prob.AddConstraint(idxs, loads, lp.LE, L+eps, "loadhi")
-		prob.AddConstraint(idxs, loads, lp.GE, L-eps, "loadlo")
-		prob.AddConstraint(midx, mems, lp.LE, inst.Servers[j].MemCap, "mem")
-	}
-
-	sol, err := prob.SolveWithOptions(opts)
+	sol, err := prob.LP.SolveWithOptions(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +33,7 @@ func SolveLPRounding(inst *Instance, opts lp.Options) (*Assignment, error) {
 	out := &Assignment{
 		Frac:      make([][]float64, n),
 		Placed:    make([][]bool, n),
-		Variables: prob.NumVariables(),
+		Variables: prob.LP.NumVariables(),
 	}
 	for i := 0; i < n; i++ {
 		out.Frac[i] = make([]float64, m)

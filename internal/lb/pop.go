@@ -9,7 +9,7 @@ import (
 )
 
 // SolvePOP applies the POP procedure to a balancing instance: servers are
-// divided evenly into k sub-clusters, shards are partitioned so that every
+// partitioned evenly into k sub-clusters, shards are dealt so that every
 // subset carries (approximately) the same total load — the paper's §4.3
 // requirement — and each sub-problem is solved with the unchanged MILP
 // formulation against its own sub-average load band. Shards whose current
@@ -17,49 +17,31 @@ import (
 // POP's movement count grows with k on small instances (visible in
 // Figure 13).
 func SolvePOP(inst *Instance, opts core.Options, milpOpts milp.Options) (*Assignment, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	k := opts.K
 	n, m := len(inst.Shards), len(inst.Servers)
-	if k > m {
-		k = m
+	spec := core.Spec[Shard]{
+		Clients:   inst.Shards,
+		Groups:    func(k int) [][]int { return balancedShardPartition(inst, k, opts.Seed) },
+		Resources: m,
 	}
-
-	// POP's map step and the MILP search now both parallelize; dividing the
-	// worker budget across concurrent sub-searches keeps the total thread
-	// demand at milpOpts.Workers instead of k× that.
-	if opts.Parallel && k > 1 && milpOpts.Workers > 1 {
-		milpOpts.Workers = max(1, milpOpts.Workers/k)
-	}
-
-	serverGroups := core.Partition(m, k, core.RoundRobin, opts.Seed, nil)
-	shardGroups := balancedShardPartition(inst, k, opts.Seed)
-
-	subAssignments := make([]*Assignment, k)
-	subInsts := make([]*Instance, k)
-	for p := 0; p < k; p++ {
-		sub := &Instance{TolFrac: inst.TolFrac}
-		for _, i := range shardGroups[p] {
-			sub.Shards = append(sub.Shards, inst.Shards[i])
-		}
-		for _, j := range serverGroups[p] {
+	subs, parts, err := core.Run(spec, opts, func(s core.Sub[Shard]) (*Assignment, error) {
+		sub := &Instance{TolFrac: inst.TolFrac, Shards: s.Clients, Placement: make([][]bool, len(s.Clients))}
+		for _, j := range s.Resources {
 			sub.Servers = append(sub.Servers, inst.Servers[j])
 		}
-		sub.Placement = make([][]bool, len(sub.Shards))
-		for si, i := range shardGroups[p] {
-			sub.Placement[si] = make([]bool, len(sub.Servers))
-			for sj, j := range serverGroups[p] {
+		for si, i := range s.Orig {
+			sub.Placement[si] = make([]bool, len(s.Resources))
+			for sj, j := range s.Resources {
 				sub.Placement[si][sj] = inst.Placement[i][j]
 			}
 		}
-		subInsts[p] = sub
-	}
-
-	err := core.ParallelMap(k, opts.Parallel, func(p int) error {
-		a, err := SolveMILP(subInsts[p], milpOpts)
-		subAssignments[p] = a
-		return err
+		// POP's map step and the MILP search both parallelize; dividing the
+		// worker budget across concurrent sub-searches keeps the total thread
+		// demand at milpOpts.Workers instead of k× that.
+		o := milpOpts
+		if opts.Parallel && s.K > 1 && o.Workers > 1 {
+			o.Workers = max(1, o.Workers/s.K)
+		}
+		return SolveMILP(sub, o)
 	})
 	if err != nil {
 		return nil, err
@@ -74,13 +56,13 @@ func SolvePOP(inst *Instance, opts core.Options, milpOpts milp.Options) (*Assign
 		out.Frac[i] = make([]float64, m)
 		out.Placed[i] = make([]bool, m)
 	}
-	for p := 0; p < k; p++ {
-		sa := subAssignments[p]
+	for p, s := range subs {
+		sa := parts[p]
 		out.Variables += sa.Variables
 		out.Optimal = out.Optimal && sa.Optimal
 		out.Search.Add(sa.Search)
-		for si, i := range shardGroups[p] {
-			for sj, j := range serverGroups[p] {
+		for si, i := range s.Orig {
+			for sj, j := range s.Resources {
 				out.Frac[i][j] = sa.Frac[si][sj]
 				out.Placed[i][j] = sa.Placed[si][sj]
 			}

@@ -1,13 +1,10 @@
 package te
 
 import (
-	"math"
 	"sort"
 
 	"pop/internal/core"
-	"pop/internal/graph"
 	"pop/internal/lp"
-	"pop/internal/tm"
 	"pop/internal/topo"
 )
 
@@ -18,68 +15,12 @@ import (
 // exact LP. The combination keeps POP's generality while inheriting
 // NCFlow's cheaper per-problem cost.
 func SolvePOPWithNCFlow(inst *Instance, opts core.Options, nc NCFlowOptions) (*Allocation, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	virtual := splitDemands(inst, opts.SplitT)
-	groups := core.Partition(len(virtual), opts.K, opts.Strategy, opts.Seed,
-		func(i int) float64 { return virtual[i].amount })
-	k := len(groups) // Partition clamps k to the commodity count
-
-	// Resource splitting for a sub-solver that reads capacities from the
-	// topology itself: one scaled copy of the topology, shared by all
-	// sub-problems (NCFlow reads Topo.G.Edges[...].Capacity directly).
-	scaled := scaleTopology(inst.Topo, float64(k))
-
-	subInsts := make([]*Instance, k)
-	for p, g := range groups {
-		sub := &Instance{Topo: scaled, NumPaths: inst.NumPaths}
-		sub.Demands = make([]tm.Demand, len(g))
-		sub.Paths = make([][]*graph.Path, len(g))
-		for t, vi := range g {
-			v := virtual[vi]
-			od := inst.Demands[v.orig]
-			sub.Demands[t] = tm.Demand{Src: od.Src, Dst: od.Dst, Amount: v.amount}
-			sub.Paths[t] = inst.Paths[v.orig]
-		}
-		subInsts[p] = sub
-	}
-
-	subAllocs := make([]*Allocation, k)
-	err := core.ParallelMap(k, opts.Parallel, func(p int) error {
-		a, err := SolveNCFlow(subInsts[p], nc)
-		subAllocs[p] = a
-		return err
+	return solvePOP(inst, opts, nil, false, func(sub *Instance, k int) (*Allocation, error) {
+		// Resource splitting for a sub-solver that reads capacities from the
+		// topology itself (Topo.G.Edges[...].Capacity): a 1/k-scaled copy.
+		sub.Topo = scaleTopology(inst.Topo, float64(k))
+		return SolveNCFlow(sub, nc)
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Coalesce flows per original demand; edge flows sum across
-	// sub-problems (each sub saw 1/k capacities, so the sum is feasible).
-	out := newAllocation(inst)
-	out.MinFraction = math.Inf(1)
-	for p, g := range groups {
-		sa := subAllocs[p]
-		out.LPVariables += sa.LPVariables
-		for t, vi := range g {
-			orig := virtual[vi].orig
-			out.Flow[orig] += sa.Flow[t]
-		}
-		for e, f := range sa.EdgeFlow {
-			out.EdgeFlow[e] += f
-		}
-	}
-	for j, d := range inst.Demands {
-		out.TotalFlow += out.Flow[j]
-		if d.Amount > 0 {
-			out.MinFraction = math.Min(out.MinFraction, out.Flow[j]/d.Amount)
-		}
-	}
-	if math.IsInf(out.MinFraction, 1) {
-		out.MinFraction = 0
-	}
-	return out, nil
 }
 
 // GeoPartition assigns commodities to sub-problems by geographic proximity
@@ -115,44 +56,13 @@ func GeoPartition(inst *Instance, k int, seed int64) [][]int {
 	return out
 }
 
-// SolvePOPGeo runs POP with the geographic partitioner instead of a random
-// one (resource splitting unchanged).
-func SolvePOPGeo(inst *Instance, obj Objective, k int, seed int64, parallel bool, lpOpts lp.Options) (*Allocation, error) {
-	groups := GeoPartition(inst, k, seed)
-	k = len(groups)
-
-	subInsts := make([]*Instance, k)
-	for p, g := range groups {
-		sub := &Instance{Topo: inst.Topo, NumPaths: inst.NumPaths}
-		sub.Demands = make([]tm.Demand, len(g))
-		sub.Paths = make([][]*graph.Path, len(g))
-		for t, j := range g {
-			sub.Demands[t] = inst.Demands[j]
-			sub.Paths[t] = inst.Paths[j]
-		}
-		subInsts[p] = sub
-	}
-	subAllocs := make([]*Allocation, k)
-	err := core.ParallelMap(k, parallel, func(p int) error {
-		a, err := solveScaled(subInsts[p], obj, float64(k), nil, lpOpts)
-		subAllocs[p] = a
-		return err
+// SolvePOPGeo runs POP with the geographic partitioner instead of
+// opts.Strategy (resource splitting unchanged).
+func SolvePOPGeo(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
+	groups := func(k int) [][]int { return GeoPartition(inst, k, opts.Seed) }
+	return solvePOP(inst, opts, groups, true, func(sub *Instance, k int) (*Allocation, error) {
+		return solveScaled(sub, obj, float64(k), nil, lpOpts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := newAllocation(inst)
-	for p, g := range groups {
-		sa := subAllocs[p]
-		out.LPVariables += sa.LPVariables
-		for t, j := range g {
-			for pi, f := range sa.PathFlow[t] {
-				out.PathFlow[j][pi] += f
-			}
-		}
-	}
-	out.finalize(inst)
-	return out, nil
 }
 
 // scaleTopology clones the topology with every edge capacity divided by f.

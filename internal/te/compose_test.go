@@ -60,7 +60,7 @@ func TestGeoPartitionCoversAll(t *testing.T) {
 
 func TestSolvePOPGeoFeasible(t *testing.T) {
 	inst := smallWAN(t, 300, tm.Gravity, 47)
-	geo, err := SolvePOPGeo(inst, MaxTotalFlow, 4, 2, true, lp.Options{})
+	geo, err := SolvePOPGeo(inst, MaxTotalFlow, core.Options{K: 4, Seed: 2, Parallel: true}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestGeoVsRandomPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo, err := SolvePOPGeo(inst, MaxTotalFlow, 4, 2, true, lp.Options{})
+	geo, err := SolvePOPGeo(inst, MaxTotalFlow, core.Options{K: 4, Seed: 2, Parallel: true}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,19 +193,9 @@ func SolveNCFlow(inst *Instance, opts NCFlowOptions) (*Allocation, error) {
 		}
 	}
 
-	// Recompute aggregates. finalize() would wipe the intra-cluster flows
-	// (they are not expressed in PathFlow), so total directly.
-	out.TotalFlow = 0
-	out.MinFraction = math.Inf(1)
-	for j, d := range inst.Demands {
-		out.TotalFlow += out.Flow[j]
-		if d.Amount > 0 {
-			out.MinFraction = math.Min(out.MinFraction, out.Flow[j]/d.Amount)
-		}
-	}
-	if math.IsInf(out.MinFraction, 1) {
-		out.MinFraction = 0
-	}
+	// finalize() would wipe the intra-cluster flows (they are not expressed
+	// in PathFlow), so total from Flow directly.
+	out.totals(inst)
 	out.LPVariables = lpVars
 	return out, nil
 }

@@ -1,19 +1,14 @@
 package te
 
 import (
+	"math/rand"
+
 	"pop/internal/core"
 	"pop/internal/graph"
 	"pop/internal/lp"
 	"pop/internal/tm"
 	"pop/internal/topo"
 )
-
-// vdem is a virtual commodity: a (possibly split) share of an original
-// demand's traffic. Virtual demands reuse the original's precomputed paths.
-type vdem struct {
-	orig   int
-	amount float64
-}
 
 // SolvePOP applies the POP procedure to a TE instance:
 //
@@ -32,72 +27,70 @@ type vdem struct {
 // The coalesced allocation is feasible by construction (capacities were
 // pre-divided); VerifyFeasible is cheap and tests assert it.
 func SolvePOP(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	virtual := splitDemands(inst, opts.SplitT)
-	groups := core.Partition(len(virtual), opts.K, opts.Strategy, opts.Seed,
-		func(i int) float64 { return virtual[i].amount })
-	k := len(groups) // Partition clamps k to the commodity count
+	return solvePOP(inst, opts, nil, true, func(sub *Instance, k int) (*Allocation, error) {
+		return solveScaled(sub, obj, float64(k), nil, lpOpts)
+	})
+}
 
-	subInsts := make([]*Instance, k)
-	for p, g := range groups {
-		sub := &Instance{Topo: inst.Topo, NumPaths: inst.NumPaths}
-		sub.Demands = make([]tm.Demand, len(g))
-		sub.Paths = make([][]*graph.Path, len(g))
-		for t, vi := range g {
-			v := virtual[vi]
-			od := inst.Demands[v.orig]
-			sub.Demands[t] = tm.Demand{Src: od.Src, Dst: od.Dst, Amount: v.amount}
-			sub.Paths[t] = inst.Paths[v.orig]
+// amount is a commodity's size: what partitions balance and Algorithm 2
+// halves.
+func amount(d tm.Demand) float64 { return d.Amount }
+
+// solvePOP is POP over a TE instance's commodities for any sub-solver: the
+// runner splits and partitions the demands (by groups when given, else by
+// opts.Strategy), each group becomes a sub-instance that reuses its
+// demands' precomputed paths, solve runs on it knowing k, and the flows are
+// summed back onto the original demands. byPath says which flows solve
+// reports: an LP sub-solver expresses everything in PathFlow; NCFlow only
+// fills Flow and EdgeFlow.
+func solvePOP(inst *Instance, opts core.Options, groups func(k int) [][]int, byPath bool,
+	solve func(sub *Instance, k int) (*Allocation, error)) (*Allocation, error) {
+	spec := core.Spec[tm.Demand]{
+		Clients: inst.Demands,
+		Load:    amount,
+		Split: func(d tm.Demand) (tm.Demand, tm.Demand) {
+			d.Amount /= 2
+			return d, d
+		},
+		Groups: groups,
+	}
+	subs, allocs, err := core.Run(spec, opts, func(s core.Sub[tm.Demand]) (*Allocation, error) {
+		sub := &Instance{Topo: inst.Topo, NumPaths: inst.NumPaths, Demands: s.Clients}
+		sub.Paths = make([][]*graph.Path, len(s.Orig))
+		for t, j := range s.Orig {
+			sub.Paths[t] = inst.Paths[j]
 		}
-		subInsts[p] = sub
-	}
-
-	subAllocs := make([]*Allocation, k)
-	err := core.ParallelMap(k, opts.Parallel, func(p int) error {
-		a, err := solveScaled(subInsts[p], obj, float64(k), nil, lpOpts)
-		subAllocs[p] = a
-		return err
+		return solve(sub, s.K)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := newAllocation(inst)
-	for p, g := range groups {
-		sa := subAllocs[p]
+	for p, s := range subs {
+		sa := allocs[p]
 		out.LPVariables += sa.LPVariables
-		for t, vi := range g {
-			orig := virtual[vi].orig
-			for pi, f := range sa.PathFlow[t] {
-				out.PathFlow[orig][pi] += f
+		if byPath {
+			for t, j := range s.Orig {
+				for pi, f := range sa.PathFlow[t] {
+					out.PathFlow[j][pi] += f
+				}
 			}
+			continue
+		}
+		for t, j := range s.Orig {
+			out.Flow[j] += sa.Flow[t]
+		}
+		for e, f := range sa.EdgeFlow {
+			out.EdgeFlow[e] += f
 		}
 	}
-	out.finalize(inst)
+	if byPath {
+		out.finalize(inst)
+	} else {
+		out.totals(inst)
+	}
 	return out, nil
-}
-
-func splitDemands(inst *Instance, t float64) []vdem {
-	base := make([]vdem, len(inst.Demands))
-	for j, d := range inst.Demands {
-		base[j] = vdem{orig: j, amount: d.Amount}
-	}
-	if t <= 0 {
-		return base
-	}
-	split := core.SplitClients(base, t,
-		func(c vdem) float64 { return c.amount },
-		func(c vdem) (vdem, vdem) {
-			h := c.amount / 2
-			return vdem{c.orig, h}, vdem{c.orig, h}
-		})
-	out := make([]vdem, len(split))
-	for i, vc := range split {
-		out[i] = vc.Client
-	}
-	return out
 }
 
 // SolveSharded is the Figure-15 ablation: POP *without* resource splitting.
@@ -107,53 +100,25 @@ func splitDemands(inst *Instance, t float64) []vdem {
 // commodity's useful links often land in other sub-problems, total flow
 // collapses as k grows — which is the point of the ablation.
 func SolveSharded(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	g := inst.Topo.G
-	// core.Partition clamps k to its client count; clamp to the smaller of
-	// the two populations first so both partitions have the same k groups.
-	k := min(opts.K, max(1, len(inst.Demands)), max(1, len(g.Edges)))
-
-	edgeGroups := core.Partition(len(g.Edges), k, core.Random, opts.Seed+1, nil)
-	demGroups := core.Partition(len(inst.Demands), k, opts.Strategy, opts.Seed,
-		func(i int) float64 { return inst.Demands[i].Amount })
-
-	type subResult struct {
-		inst  *Instance
-		alloc *Allocation
-		// edgeMap maps sub-graph edge IDs back to original edge IDs.
-		edgeMap []int
-		g       []int // demand indices
+	// The runner deals partitioned resources round-robin by index; dealing
+	// them out of a seeded shuffle is the random edge partition.
+	edgeOrder := rand.New(rand.NewSource(opts.Seed + 1)).Perm(len(g.Edges))
+	spec := core.Spec[tm.Demand]{
+		Clients:   inst.Demands,
+		Load:      amount,
+		Resources: len(g.Edges),
 	}
-	results := make([]subResult, k)
-
-	for p := 0; p < k; p++ {
-		// Build the sub-graph containing only this partition's edges.
+	subs, allocs, err := core.Run(spec, opts, func(s core.Sub[tm.Demand]) (*Allocation, error) {
+		// The sub-graph holds only this partition's edges, so its edge se is
+		// original edge edgeOrder[s.Resources[se]].
 		subG := graph.New(g.N)
-		edgeMap := make([]int, 0, len(edgeGroups[p]))
-		for _, eid := range edgeGroups[p] {
-			e := g.Edges[eid]
+		for _, r := range s.Resources {
+			e := g.Edges[edgeOrder[r]]
 			subG.AddEdge(e.From, e.To, e.Capacity, e.Weight)
-			edgeMap = append(edgeMap, eid)
 		}
 		subTopo := &topo.Topology{Name: inst.Topo.Name, G: subG, Coords: inst.Topo.Coords}
-
-		demands := make([]tm.Demand, len(demGroups[p]))
-		for t, j := range demGroups[p] {
-			demands[t] = inst.Demands[j]
-		}
-		results[p] = subResult{
-			inst:    NewInstance(subTopo, demands, inst.NumPaths),
-			edgeMap: edgeMap,
-			g:       demGroups[p],
-		}
-	}
-
-	err := core.ParallelMap(k, opts.Parallel, func(p int) error {
-		a, err := SolveLP(results[p].inst, obj, lpOpts)
-		results[p].alloc = a
-		return err
+		return SolveLP(NewInstance(subTopo, s.Clients, inst.NumPaths), obj, lpOpts)
 	})
 	if err != nil {
 		return nil, err
@@ -164,15 +129,15 @@ func SolveSharded(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Op
 	// loads, not PathFlow.
 	out := newAllocation(inst)
 	out.MinFraction = 1
-	for p := range results {
-		r := results[p]
-		out.LPVariables += r.alloc.LPVariables
-		for t, j := range r.g {
-			out.Flow[j] = r.alloc.Flow[t]
-			out.TotalFlow += r.alloc.Flow[t]
+	for p, s := range subs {
+		sa := allocs[p]
+		out.LPVariables += sa.LPVariables
+		for t, j := range s.Orig {
+			out.Flow[j] = sa.Flow[t]
+			out.TotalFlow += sa.Flow[t]
 		}
-		for se, f := range r.alloc.EdgeFlow {
-			out.EdgeFlow[r.edgeMap[se]] += f
+		for se, f := range sa.EdgeFlow {
+			out.EdgeFlow[edgeOrder[s.Resources[se]]] += f
 		}
 	}
 	for j, d := range inst.Demands {

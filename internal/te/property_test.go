@@ -91,8 +91,9 @@ func TestPropertyShardedNeverBeatsResourceSplit(t *testing.T) {
 	}
 }
 
-// TestPropertyClientSplittingPreservesDemand: total virtual demand equals
-// total original demand for any threshold.
+// TestPropertyClientSplittingPreservesDemand: the demand handed to the
+// sub-solvers totals the original demand for any threshold, and every
+// virtual commodity keeps its original's endpoints and paths.
 func TestPropertyClientSplittingPreservesDemand(t *testing.T) {
 	tp := topo.Tiny()
 	f := func(seed int64, tRaw uint8) bool {
@@ -102,15 +103,19 @@ func TestPropertyClientSplittingPreservesDemand(t *testing.T) {
 		})
 		inst := NewInstance(tp, ds, 2)
 		splitT := float64(tRaw%20) / 10
-		virtual := splitDemands(inst, splitT)
-		total := 0.0
-		for _, v := range virtual {
-			total += v.amount
-			if v.orig < 0 || v.orig >= len(ds) {
-				return false
-			}
-		}
-		return total > 99.9999 && total < 100.0001 && len(virtual) >= len(ds)
+		total, virtual, ok := 0.0, 0, true
+		_, err := solvePOP(inst, core.Options{K: 3, Seed: seed, SplitT: splitT}, nil, true,
+			func(sub *Instance, _ int) (*Allocation, error) {
+				for j, d := range sub.Demands {
+					total += d.Amount
+					virtual++
+					for _, p := range sub.Paths[j] {
+						ok = ok && p.Nodes[0] == d.Src && p.Nodes[len(p.Nodes)-1] == d.Dst
+					}
+				}
+				return newAllocation(sub), nil
+			})
+		return err == nil && ok && total > 99.9999 && total < 100.0001 && virtual >= len(ds)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

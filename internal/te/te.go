@@ -144,13 +144,11 @@ func newAllocation(inst *Instance) *Allocation {
 	return a
 }
 
-// finalize computes the aggregate metrics from PathFlow.
+// finalize computes Flow, EdgeFlow and the aggregate metrics from PathFlow.
 func (a *Allocation) finalize(inst *Instance) {
 	for e := range a.EdgeFlow {
 		a.EdgeFlow[e] = 0
 	}
-	a.TotalFlow = 0
-	a.MinFraction = math.Inf(1)
 	for j := range inst.Demands {
 		fj := 0.0
 		for p, f := range a.PathFlow[j] {
@@ -160,9 +158,19 @@ func (a *Allocation) finalize(inst *Instance) {
 			}
 		}
 		a.Flow[j] = fj
-		a.TotalFlow += fj
-		if d := inst.Demands[j].Amount; d > 0 {
-			a.MinFraction = math.Min(a.MinFraction, fj/d)
+	}
+	a.totals(inst)
+}
+
+// totals computes TotalFlow and MinFraction from Flow, for allocations whose
+// flows are not (all) expressed in PathFlow.
+func (a *Allocation) totals(inst *Instance) {
+	a.TotalFlow = 0
+	a.MinFraction = math.Inf(1)
+	for j, d := range inst.Demands {
+		a.TotalFlow += a.Flow[j]
+		if d.Amount > 0 {
+			a.MinFraction = math.Min(a.MinFraction, a.Flow[j]/d.Amount)
 		}
 	}
 	if math.IsInf(a.MinFraction, 1) {

@@ -11,10 +11,11 @@
 //
 // This package exposes the domain-independent machinery:
 //
-//   - Options, Strategy, Partition: client partitioning,
-//   - SplitClients (Algorithm 2) and SplitResource: granularization,
-//   - Solve: the generic partition → map → reduce runner,
-//   - ParallelMap, Gather, EvenSplit: building blocks for custom adapters.
+//   - Solve: the POP procedure over your clients, resources and solver. It
+//     is the same runner (core.Run) the case-study adapters are written on,
+//   - Options, Strategy: how many sub-problems and how clients are dealt,
+//   - Partition, SplitClients (Algorithm 2), SplitResource, Gather: the
+//     runner's steps, for callers that want one of them alone.
 //
 // Complete case-study adapters (traffic engineering, cluster scheduling,
 // shard load balancing), the LP/MILP solvers they are built on, and the
@@ -71,17 +72,6 @@ func Gather[T any](items []T, groups [][]int) [][]T {
 	return core.Gather(items, groups)
 }
 
-// EvenSplit divides m indistinguishable resource units across k
-// sub-problems as evenly as possible.
-func EvenSplit(m, k int) []int {
-	return core.EvenSplit(m, k)
-}
-
-// ParallelMap runs f(part) for part in [0,k), concurrently when parallel.
-func ParallelMap(k int, parallel bool, f func(part int) error) error {
-	return core.ParallelMap(k, parallel, f)
-}
-
 // Problem describes a granular allocation problem to the generic Solve
 // runner. Clients are partitioned per Options; Resources are either split
 // (each sub-problem sees every resource at 1/k capacity, when ScaleResource
@@ -106,42 +96,39 @@ type Problem[C, R, A any] struct {
 	Coalesce func(allocs []A, groups [][]int) (A, error)
 }
 
-// Solve runs the POP procedure: partition clients, split or partition
-// resources, map (optionally in parallel), and reduce.
+// Solve runs the POP procedure on p: the runner validates opts, clamps k to
+// the client (and partitioned-resource) count, partitions the clients, and
+// maps SolveSub over the sub-problems; Solve itself only turns the runner's
+// resource indices into values and hands the ordered results to Coalesce.
+// Options.SplitT must be 0: split clients with SplitClients beforehand.
 func Solve[C, R, A any](p Problem[C, R, A], opts Options) (A, error) {
-	var zero A
-	if err := opts.Validate(); err != nil {
-		return zero, err
-	}
 	if p.SolveSub == nil || p.Coalesce == nil {
 		panic("pop: Problem requires SolveSub and Coalesce")
 	}
-	k := opts.K
-	load := p.ClientLoad
-	var loadFn func(int) float64
-	if load != nil {
-		loadFn = func(i int) float64 { return load(p.Clients[i]) }
+	spec := core.Spec[C]{Clients: p.Clients, Load: p.ClientLoad}
+	if p.ScaleResource == nil {
+		spec.Resources = len(p.Resources)
 	}
-	groups := core.Partition(len(p.Clients), k, opts.Strategy, opts.Seed, loadFn)
-	k = len(groups)
-	clientSets := core.Gather(p.Clients, groups)
-
-	var resourceSets [][]R
-	if p.ScaleResource != nil {
-		resourceSets = core.SplitResource(p.Resources, k, p.ScaleResource)
-	} else {
-		rGroups := core.Partition(len(p.Resources), k, core.RoundRobin, opts.Seed, nil)
-		resourceSets = core.Gather(p.Resources, rGroups)
-	}
-
-	allocs := make([]A, k)
-	err := core.ParallelMap(k, opts.Parallel, func(part int) error {
-		a, err := p.SolveSub(clientSets[part], resourceSets[part], part)
-		allocs[part] = a
-		return err
+	subs, allocs, err := core.Run(spec, opts, func(s core.Sub[C]) (A, error) {
+		var resources []R
+		if p.ScaleResource != nil {
+			for _, r := range p.Resources {
+				resources = append(resources, p.ScaleResource(r, s.K))
+			}
+		} else {
+			for _, i := range s.Resources {
+				resources = append(resources, p.Resources[i])
+			}
+		}
+		return p.SolveSub(s.Clients, resources, s.Part)
 	})
 	if err != nil {
+		var zero A
 		return zero, err
+	}
+	groups := make([][]int, len(subs))
+	for i, s := range subs {
+		groups[i] = s.Orig
 	}
 	return p.Coalesce(allocs, groups)
 }

@@ -159,13 +159,6 @@ func TestSplitClientsReExport(t *testing.T) {
 	}
 }
 
-func TestEvenSplitReExport(t *testing.T) {
-	parts := pop.EvenSplit(7, 3)
-	if parts[0]+parts[1]+parts[2] != 7 {
-		t.Fatalf("EvenSplit = %v", parts)
-	}
-}
-
 func TestSplitResourceReExport(t *testing.T) {
 	out := pop.SplitResource([]qWorker{{10}}, 5, func(w qWorker, k int) qWorker {
 		return qWorker{capacity: w.capacity / float64(k)}
