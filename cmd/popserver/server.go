@@ -7,9 +7,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pop/internal/cluster"
@@ -41,18 +43,30 @@ type jobAlloc struct {
 	Stale  bool      `json:"stale,omitempty"`
 }
 
-// snapshot is the allocation as of the last completed round, plus the
-// workers' state and engine counters frozen at that instant (so stats reads
-// never have to touch the coordinator while a round is solving).
-type snapshot struct {
-	Round       int                 `json:"round"`
-	ComputedAt  time.Time           `json:"computed_at"`
-	SolveTimeMs float64             `json:"solve_time_ms"`
-	NumJobs     int                 `json:"num_jobs"`
-	StaleJobs   int                 `json:"stale_jobs,omitempty"`
-	Jobs        map[string]jobAlloc `json:"jobs"`
+// epoch is one completed round, published whole behind server.epoch and
+// never written again — the merged allocation, the ascending id column it
+// is aligned with, the workers' state and engine counters of that instant —
+// so reads take no lock and never touch the coordinator. The exported
+// fields head the GET /v1/allocation document.
+type epoch struct {
+	Round       int       `json:"round"`
+	ComputedAt  time.Time `json:"computed_at"`
+	SolveTimeMs float64   `json:"solve_time_ms"`
+	NumJobs     int       `json:"num_jobs"`
+	StaleJobs   int       `json:"stale_jobs,omitempty"`
 
+	ids     []int
+	alloc   *cluster.Allocation
+	stale   []bool
 	workers []shard.WorkerStatus
+}
+
+func (e *epoch) row(k int) jobAlloc {
+	ja := jobAlloc{ID: e.ids[k], EffThr: e.alloc.EffThr[k], Stale: e.stale[k]}
+	if e.alloc.X != nil {
+		ja.X = e.alloc.X[k]
+	}
+	return ja
 }
 
 // mutation is one buffered state change (submit or remove).
@@ -85,16 +99,18 @@ type serverConfig struct {
 }
 
 // server batches mutations between rounds and runs one coordinator round
-// per tick. mu guards only the cheap shared state (pending queue, last
-// snapshot, tenant quotas), so submissions and reads never wait on a solve;
+// per tick. mu guards only the cheap shared state (pending queue, cluster,
+// tenant quotas), so submissions never wait on a solve, and allocation reads
+// take no lock at all: each round is published as an immutable epoch.
 // roundMu serializes rounds, which are the only coordinator access.
 type server struct {
 	cfg serverConfig
 
 	mu      sync.Mutex
 	pending []mutation
-	snap    snapshot
 	tenants map[string]int // submissions per tenant since the last round
+
+	epoch atomic.Pointer[epoch] // the last completed round; never nil
 
 	roundMu sync.Mutex
 	coord   *shard.Coordinator
@@ -170,7 +186,7 @@ func newServerWith(c cluster.Cluster, cfg serverConfig, logger *slog.Logger,
 		return nil, err
 	}
 	// A coordinator seeded from a restored worker resumes at its round.
-	s.snap = snapshot{Round: s.coord.Round(), Jobs: map[string]jobAlloc{}, workers: s.coord.Status()}
+	s.epoch.Store(&epoch{Round: s.coord.Round(), alloc: &cluster.Allocation{}, workers: s.coord.Status()})
 	return s, nil
 }
 
@@ -217,10 +233,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.mu.Lock()
-		round := s.snap.Round
-		s.mu.Unlock()
-		w.Header().Set("X-Pop-Round", strconv.Itoa(round))
+		w.Header().Set("X-Pop-Round", strconv.Itoa(s.epoch.Load().Round))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
@@ -401,10 +414,9 @@ func (s *server) handleSetCluster(w http.ResponseWriter, r *http.Request) {
 		NumGPUs:   append([]float64(nil), spec.GPUs...),
 	}
 	c := s.c
-	round := s.snap.Round
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"gpu_types": c.TypeNames, "gpus": c.NumGPUs, "effective_after_round": round,
+		"gpu_types": c.TypeNames, "gpus": c.NumGPUs, "effective_after_round": s.epoch.Load().Round,
 	})
 }
 
@@ -421,7 +433,7 @@ func (s *server) drain() {
 // one round: scatter each worker's batch, gather and merge the allocations.
 // A worker that fails or misses the deadline costs its clients a stale row,
 // never the round. It is called by the round ticker (or POST /v1/tick).
-func (s *server) tick() (snapshot, error) {
+func (s *server) tick() (*epoch, error) {
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
 
@@ -443,99 +455,103 @@ func (s *server) tick() (snapshot, error) {
 	start := time.Now()
 	jobs, alloc, err := s.coord.Allocate(c)
 	if err != nil {
-		// The mutations were applied; only the snapshot is lost.
-		return snapshot{}, err
+		// The mutations were applied; only the epoch is lost.
+		return nil, err
 	}
-	stale := s.coord.LastStale()
-	snap := snapshot{
+	// alloc and the stale flags are this round's own; jobs aliases the registry.
+	e := &epoch{
 		Round:      s.coord.Round(),
 		ComputedAt: time.Now().UTC(),
 		NumJobs:    len(jobs),
 		StaleJobs:  s.coord.StaleJobs(),
-		Jobs:       make(map[string]jobAlloc, len(jobs)),
+		ids:        make([]int, len(jobs)),
+		alloc:      alloc,
+		stale:      s.coord.LastStale(),
 		workers:    s.coord.Status(),
 	}
 	for i, j := range jobs {
-		ja := jobAlloc{ID: j.ID, EffThr: alloc.EffThr[i], Stale: stale[i]}
-		if alloc.X != nil {
-			ja.X = alloc.X[i]
-		}
-		snap.Jobs[strconv.Itoa(j.ID)] = ja
+		e.ids[i] = j.ID
 	}
-	snap.SolveTimeMs = float64(time.Since(start).Microseconds()) / 1000
+	e.SolveTimeMs = float64(time.Since(start).Microseconds()) / 1000
+	s.epoch.Store(e)
 
 	s.mu.Lock()
-	s.snap = snap
 	queued := len(s.pending)
 	s.mu.Unlock()
-
 	s.reg.Counter("pop_rounds_total", "completed scheduling rounds").Inc()
 	s.reg.Histogram("pop_round_seconds", "scheduling round wall time", nil).
-		Observe(snap.SolveTimeMs / 1000)
-	s.reg.Gauge("pop_jobs", "jobs in the last completed round").Set(float64(snap.NumJobs))
+		Observe(e.SolveTimeMs / 1000)
+	s.reg.Gauge("pop_jobs", "jobs in the last completed round").Set(float64(e.NumJobs))
 	s.reg.Gauge("pop_pending_mutations", "mutations queued for the next round").Set(float64(queued))
 	s.log.Info("round",
-		"round", snap.Round, "jobs", snap.NumJobs, "stale", snap.StaleJobs,
-		"solve_ms", snap.SolveTimeMs, "applied", len(pending))
-	return snap, nil
+		"round", e.Round, "jobs", e.NumJobs, "stale", e.StaleJobs,
+		"solve_ms", e.SolveTimeMs, "applied", len(pending))
+	return e, nil
 }
 
 func (s *server) handleTick(w http.ResponseWriter, _ *http.Request) {
-	snap, err := s.tick()
+	e, err := s.tick()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "round failed: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"round": snap.Round, "num_jobs": snap.NumJobs, "stale_jobs": snap.StaleJobs,
-		"solve_time_ms": snap.SolveTimeMs,
+		"round": e.Round, "num_jobs": e.NumJobs, "stale_jobs": e.StaleJobs,
+		"solve_time_ms": e.SolveTimeMs,
 	})
 }
 
+// handleAllocation renders the whole epoch, rows keyed by id string.
 func (s *server) handleAllocation(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	snap := s.snap
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, snap)
+	e := s.epoch.Load()
+	jobs := make(map[string]jobAlloc, len(e.ids))
+	for k, id := range e.ids {
+		jobs[strconv.Itoa(id)] = e.row(k)
+	}
+	writeJSON(w, http.StatusOK, struct {
+		*epoch
+		Jobs map[string]jobAlloc `json:"jobs"`
+	}{e, jobs})
 }
 
 func (s *server) handleAllocationOne(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ja, ok := s.snap.Jobs[r.PathValue("id")]
-	round := s.snap.Round
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "job %s has no allocation (round %d)", r.PathValue("id"), round)
+	e := s.epoch.Load()
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if k, ok := slices.BinarySearch(e.ids, id); ok && err == nil {
+		writeJSON(w, http.StatusOK, e.row(k))
 		return
 	}
-	writeJSON(w, http.StatusOK, ja)
+	writeErr(w, http.StatusNotFound, "job %s has no allocation (round %d)", r.PathValue("id"), e.Round)
 }
 
 // engineBlock is the in-process engine's counters (WorkerStatus.Stats holds
 // its JSON) when it is of the given kind; otherwise — another kind, remote
-// workers, no round yet — zero, for a stable schema. Caller holds mu.
-func (s *server) engineBlock(kind string, zero any) any {
-	if st := s.snap.workers[0].Stats; s.engineKind == kind && st != nil {
+// workers, no round yet — zero, for a stable schema.
+func (s *server) engineBlock(e *epoch, kind string, zero any) any {
+	if st := e.workers[0].Stats; s.engineKind == kind && st != nil {
 		return st
 	}
 	return zero
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	e := s.epoch.Load()
 	s.mu.Lock()
-	resp := map[string]any{
+	pending, c := len(s.pending), s.c
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(s.started).Seconds(),
-		"round":          s.snap.Round,
-		"num_jobs":       s.snap.NumJobs,
-		"stale_jobs":     s.snap.StaleJobs,
-		"pending":        len(s.pending),
-		"gpu_types":      s.c.TypeNames,
-		"gpus":           s.c.NumGPUs,
+		"round":          e.Round,
+		"num_jobs":       e.NumJobs,
+		"stale_jobs":     e.StaleJobs,
+		"pending":        pending,
+		"gpu_types":      c.TypeNames,
+		"gpus":           c.NumGPUs,
 		"engine_kind":    s.engineKind,
 		// engine and price carry online.Stats' and price.Stats' JSON tags, so
 		// a field added there lands here without a matching edit.
-		"engine": s.engineBlock("lp", online.Stats{}),
-		"price":  s.engineBlock("price", price.Stats{}),
+		"engine": s.engineBlock(e, "lp", online.Stats{}),
+		"price":  s.engineBlock(e, "price", price.Stats{}),
 		// search mirrors milp.SearchStats from the registry's counters. The
 		// bundled cluster policies are pure LPs, so these stay zero unless a
 		// MILP-backed policy runs with the server's observer; they are
@@ -550,8 +566,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		},
 		// workers is the coordinator's per-shard view: acked round, stale
 		// flag, job count, and each worker's own engine counters.
-		"workers": s.snap.workers,
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+		"workers": e.workers,
+	})
 }

@@ -508,10 +508,60 @@ func TestServerShardedEndToEnd(t *testing.T) {
 		"pop_shard_rounds_total 2",
 		"pop_shard_gather_seconds",
 		"pop_shard_stale_jobs 0",
+		"pop_shard_response_bytes_count 4", // two workers, two rounds
 		`pop_shard_worker_seconds_bucket{worker="0"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("coordinator /metrics missing %q", want)
+		}
+	}
+}
+
+// fixedEngine holds whatever it is given and allocates every client the same
+// row: a tick over it costs what serving costs around the solver.
+type fixedEngine struct {
+	jobs  []cluster.Job // the benchmark submits ascending ids
+	alloc cluster.Allocation
+}
+
+func (e *fixedEngine) Upsert(j cluster.Job) {
+	e.jobs = append(e.jobs, j)
+	e.alloc.EffThr = append(e.alloc.EffThr, 1)
+	e.alloc.X = append(e.alloc.X, []float64{0.5, 0.25, 0.25})
+}
+func (e *fixedEngine) Remove(int) bool     { return false }
+func (e *fixedEngine) NumJobs() int        { return len(e.jobs) }
+func (e *fixedEngine) Jobs() []cluster.Job { return e.jobs }
+func (e *fixedEngine) Allocate(cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
+	return e.jobs, &e.alloc, nil
+}
+func (e *fixedEngine) Step([]cluster.Job, cluster.Cluster) (*cluster.Allocation, error) {
+	return nil, errors.New("not a round loop")
+}
+
+// BenchmarkTickPublish is one tick of a single-process server holding 50 000
+// jobs over an engine that costs nothing: the in-process round trip (pack,
+// accept, merge) plus publishing the round for readers — the part of a tick
+// that is not the solver.
+func BenchmarkTickPublish(b *testing.B) {
+	s, err := newServerWith(cluster.NewCluster(4, 4, 4), serverConfig{policy: "price"}, nil,
+		func(cluster.Cluster, shard.EngineConfig) (*shard.EngineBundle, error) {
+			return &shard.EngineBundle{Engine: &fixedEngine{}, Kind: "price", Stats: func() any { return struct{}{} }}, nil
+		})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := 0; id < 50000; id++ {
+		s.pending = append(s.pending, mutation{submit: &cluster.Job{ID: id, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1}})
+	}
+	if e, err := s.tick(); err != nil || e.NumJobs != 50000 || e.StaleJobs != 0 {
+		b.Fatalf("load tick: %v, %+v", err, e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.tick(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

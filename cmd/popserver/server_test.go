@@ -125,6 +125,7 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("allocation/3 returned id %g", got)
 	}
 	do(t, "GET", ts.URL+"/v1/allocation/99", nil, http.StatusNotFound)
+	do(t, "GET", ts.URL+"/v1/allocation/three", nil, http.StatusNotFound)
 
 	// Remove two jobs; the next round shrinks.
 	do(t, "DELETE", ts.URL+"/v1/jobs/0", nil, http.StatusAccepted)
@@ -362,20 +363,16 @@ func TestServerAllocationFeasible(t *testing.T) {
 	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 77, Throughput: []float64{5, 5, 5}}, http.StatusAccepted)
 	do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
 
-	s.mu.Lock()
-	snap := s.snap
-	s.mu.Unlock()
+	e := s.epoch.Load()
 	used := make([]float64, 3)
-	for idStr, ja := range snap.Jobs {
-		var id int
-		fmt.Sscanf(idStr, "%d", &id)
+	for k, id := range e.ids {
 		scale := 1 + float64(id%2)
 		if id == 77 {
 			scale = 1
 		}
-		for i, v := range ja.X {
+		for i, v := range e.row(k).X {
 			if v < -1e-9 {
-				t.Fatalf("job %s negative fraction %g", idStr, v)
+				t.Fatalf("job %d negative fraction %g", id, v)
 			}
 			used[i] += v * scale
 		}
@@ -601,10 +598,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	// still queued for the next one.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.mu.Lock()
-		done := s.snap.NumJobs == 8
-		s.mu.Unlock()
-		if done {
+		if s.epoch.Load().NumJobs == 8 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -629,13 +623,12 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 	// And the drained engine state is consistent: the last snapshot holds
 	// every submitted job.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snap.NumJobs != 8 {
-		t.Fatalf("final snapshot has %d jobs, want 8", s.snap.NumJobs)
+	e := s.epoch.Load()
+	if e.NumJobs != 8 {
+		t.Fatalf("final epoch has %d jobs, want 8", e.NumJobs)
 	}
 	var st online.Stats
-	if err := json.Unmarshal(s.snap.workers[0].Stats, &st); err != nil {
+	if err := json.Unmarshal(e.workers[0].Stats, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Rounds < 1 || st.SubSolves < 1 {

@@ -39,7 +39,7 @@ type workerConn struct {
 	t Transport
 	WorkerStatus
 	needSync bool
-	last     gather // the worker's last gathered allocation, by ascending id
+	last     gather // the worker's last gathered allocation, by ascending id, in the frame it came in
 	numOwned int    // registry clients hashed onto this worker
 
 	pendUp map[int]cluster.Job
@@ -283,11 +283,11 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 }
 
 // responseLimit bounds a round response by what the worker should be
-// holding: the base64 of 8 bytes per id, throughput, and time fraction,
-// doubled, plus room for the envelope and the engine's stats. A worker that
-// answers with more is holding clients the registry never gave it.
+// holding: a full header, plus 8 bytes per id, throughput, and time fraction
+// of every client the registry gave it, doubled. A worker that answers with
+// more is holding clients the registry never gave it.
 func responseLimit(owned, types int) int64 {
-	return 1<<20 + 2*int64(owned)*int64(8*(2+types)*4/3+4)
+	return maxHeaderBytes + 2*int64(owned)*int64(8*(2+types))
 }
 
 // gatherOne runs one worker's slice of the round: an optional registry sync
@@ -321,29 +321,15 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 		resp, err = w.t.Round(ctx, o, req, limit)
 	}
 	if err == nil {
-		res.cols, err = resp.accept(round, sub.NumTypes())
+		if res.cols, err = resp.accept(round, sub.NumTypes()); err != nil {
+			err = fmt.Errorf("bad response: %w", err)
+		}
 	}
 	if err != nil {
 		return fail("round", err)
 	}
 	res.resp = resp
 	return res
-}
-
-// accept checks a gathered response against what was asked — the round, the
-// column shapes, the pool's width — and unpacks it.
-func (r *RoundResponse) accept(round, types int) (gather, error) {
-	if r.Round != round {
-		return gather{}, fmt.Errorf("bad response: answered round %d, asked for %d", r.Round, round)
-	}
-	g, err := r.columns()
-	if err != nil {
-		return gather{}, fmt.Errorf("bad response: %w", err)
-	}
-	if g.width != 0 && g.width != types {
-		return gather{}, fmt.Errorf("bad response: rows have %d types, pool has %d", g.width, types)
-	}
-	return g, nil
 }
 
 // buildRound assembles worker i's scatter payload: the queued batch in
@@ -425,10 +411,12 @@ func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, i
 		k, ok := g.find(j.ID, cursor[wi])
 		if ok {
 			cursor[wi] = k + 1
-			out.EffThr[pos] = g.effThr[k]
+			out.EffThr[pos] = f64(g.effThr, k)
 			if g.width > 0 {
 				haveX = true
-				copy(out.X[pos], g.x[k*g.width:(k+1)*g.width])
+				for t := range min(r, g.width) {
+					out.X[pos][t] = f64(g.x, k*g.width+t)
+				}
 			}
 		}
 		if w.Stale || !ok {

@@ -43,58 +43,70 @@
 //     clients it holds and hands back its own id-ordered table with the
 //     allocation aligned, so the worker never copies, sorts, or re-diffs
 //     its shard. The allocation is answered in columnar form.
-//  4. Gather/merge: each worker's last gather is kept as its sorted id
-//     column plus one slab; the merge walks the requested order with a
-//     cursor per worker (binary search when the order is not by id) and
-//     writes one n×r slab.
+//  4. Gather/merge: each worker's last gather is kept as the frame it
+//     arrived in, validated where it lies; the merge walks the requested
+//     order with a cursor per worker (binary search when the order is not
+//     by id) and reads the frames into one n×r slab.
 //
 // Mutations are idempotent, and a batch stays queued until the owning
 // worker acknowledges the round that carried it.
 //
 // # Wire format
 //
-// The local transport passes the protocol structs by pointer (validated by
-// the same RoundResponse.columns). Over HTTP they are single JSON documents
-// — the popserver idiom, so curl, httptest, and the benchmark's wire tap all
-// read them, and plain encoding/json decodes every type in protocol.go.
-// A request is O(churn) and travels as ordinary JSON. A RoundResponse
-// carries n rows, the one inherently O(n) step of a round, so its three
-// columns travel packed: ids as little-endian int64s, eff_thr and x as
-// little-endian float64 bit patterns, each column one base64 string
-// ([]byte under encoding/json). A packed column moves at memcpy speed
-// where a JSON number array pays strconv per value on both ends, and
-// floats are bit-exact by construction rather than by round-tripping
-// through decimal. There is one encoding: no negotiation, no flag, no
-// number-array fallback. To read a column outside Go: base64-decode the
-// string, then read 8-byte little-endian values.
+// Requests, sync and health answers, and error bodies are single JSON
+// documents — the popserver idiom, O(churn) in size. The 200 answer to
+// PathRound carries n rows, the one inherently O(n) step of a round, so it
+// is a frame (Content-Type application/vnd.pop.round-frame):
 //
-// A response is checked once, in RoundResponse.columns, before anything
-// indexes into it: every column a whole number of 8-byte values; as many
-// ids as num_jobs says and one eff_thr per id; x either absent or the
-// same width for every id (and, at the coordinator, the pool's width);
-// ids strictly ascending; every value finite; the round the one asked
-// for. Bodies are bounded on both ends — requests by a fixed cap on the
-// worker, responses by a cap derived from how many clients the registry
-// says the worker owns. A response failing any of this is not served:
-// the worker is a straggler for the round, with an error naming it (an
-// over-limit response also schedules a registry sync, since it means the
-// worker holds clients it was never given). Requests are checked the same
-// way on the worker (one throughput per GPU type, nothing negative)
-// before they reach an engine. FuzzRoundResponse and FuzzRoundRequest
-// hold both decoders to "never panic, never accept inconsistent columns".
+//	{"wire":1,"round":…,"num_jobs":…,"solve_ms":…,"kind":…,"stats":{…},
+//	 "ids_bytes":…,"eff_thr_bytes":…,"x_bytes":…}   one JSON object, ≤ 64 KiB
+//	ids      ids_bytes      little-endian int64, ascending
+//	eff_thr  eff_thr_bytes  little-endian float64 bit patterns
+//	x        x_bytes        the same, row-major n × width
+//
+// with nothing between the closing brace and the first column or after the
+// last. No value passes through text, so floats are bit-exact, and a row's
+// bytes are touched once a side: the worker packs the columns into one
+// buffer, lays the header against them, and sends it in one write; the
+// coordinator reads the body once into a buffer sized from Content-Length,
+// decodes the header with a streaming json.Decoder (it stops at the
+// object's end), and validates the columns where they lie. The local
+// transport hands the same struct and bytes across by pointer. There is one
+// encoding: no negotiation, no flag, no fallback. "wire" is its version: a
+// coordinator answers any other value (or a 200 that is not a frame) with
+// "wire version N, want 1" as that worker's straggler error, and one from
+// before the frame rejects it whole (json.Unmarshal sees bytes after the
+// top-level value). By hand, `curl -s … | head -c 400` prints the header; a
+// script decodes the body's first JSON value and reads 8-byte values after.
+//
+// A response is checked once, in RoundResponse.accept, before anything
+// indexes into it: declared lengths filling the body exactly, column shapes
+// against num_jobs and the pool's width, ids strictly ascending, every
+// value finite, the round the one asked for. Bodies are bounded on both
+// ends — requests by a fixed cap on the worker, responses by a header
+// allowance plus twice the raw columns of the clients the registry says the
+// worker owns, enforced before the body is buffered. A response failing any
+// of this is not served: the worker is a straggler for the round, with an
+// error naming it (an over-limit response also schedules a registry sync,
+// since it means the worker holds clients it was never given). Requests are
+// checked the same way on the worker (one throughput per GPU type, nothing
+// negative) before they reach an engine. FuzzRoundResponse and
+// FuzzRoundRequest hold both readers to "never panic, never accept
+// inconsistent columns".
 //
 // # Telemetry
 //
 // With an Observer set, a round is a "shard.round" span with children
 // shard.diff (Step's registry diff), per-worker shard.gather lanes holding
-// shard.encode and shard.decode (JSON work on either side of the HTTP
-// wait; the local transport has neither), and shard.merge; a worker's side
+// shard.encode and shard.decode (the request's JSON before the HTTP wait,
+// reading the answer after it; the local transport has neither), and
+// shard.merge; a worker's side
 // of it is "shard.worker.round" with apply, solve, extract, and (over HTTP)
 // encode children. Each phase is also a histogram —
 // pop_shard_phase_seconds{phase=...} on the coordinator,
 // pop_shard_worker_phase_seconds{phase=...} on the worker — so the
 // coordinator's share of a round is read directly instead of inferred by
-// subtraction. Without an Observer each hook is one pointer check.
+// subtraction; pop_shard_response_bytes sizes every frame a worker sent. Without an Observer each hook is one pointer check.
 //
 // # Failure model
 //

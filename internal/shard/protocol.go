@@ -1,21 +1,24 @@
 package shard
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
+	"sort"
 
 	"pop/internal/cluster"
 )
 
-// Wire paths of the coordinator↔worker protocol. HTTP/JSON matches the
-// popserver idiom: the same tooling (curl, httptest) drives both surfaces.
+// Wire paths of the coordinator↔worker protocol. Everything but the 200
+// answer to PathRound is a JSON document, the popserver idiom.
 const (
 	// PathRound is the scatter step: one POST per worker per round carrying
 	// that shard's mutation batch and sub-capacity, answered with the
-	// shard's fresh allocation.
+	// shard's fresh allocation as a framed RoundResponse (JSON header, then
+	// raw columns; `curl … | head -c 400` shows the header).
 	PathRound = "/shard/v1/round"
 	// PathSync is the rebuild step: the coordinator's authoritative client
 	// registry for the shard, reconciled idempotently into the worker.
@@ -39,31 +42,11 @@ type JobSpec struct {
 	Priority   float64   `json:"priority,omitempty"`
 }
 
-// Job converts the wire spec to the engine type.
-func (s JobSpec) Job() cluster.Job {
-	return cluster.Job{
-		ID:         s.ID,
-		Throughput: s.Throughput,
-		Weight:     s.Weight,
-		Scale:      s.Scale,
-		NumSteps:   s.NumSteps,
-		MemFrac:    s.MemFrac,
-		Priority:   s.Priority,
-	}
-}
+// Job converts the wire spec to the engine type, SpecOf back; the
+// conversions compile only while the two structs match field for field.
+func (s JobSpec) Job() cluster.Job { return cluster.Job(s) }
 
-// SpecOf converts an engine job to its wire form.
-func SpecOf(j cluster.Job) JobSpec {
-	return JobSpec{
-		ID:         j.ID,
-		Throughput: j.Throughput,
-		Weight:     j.Weight,
-		Scale:      j.Scale,
-		NumSteps:   j.NumSteps,
-		MemFrac:    j.MemFrac,
-		Priority:   j.Priority,
-	}
-}
+func SpecOf(j cluster.Job) JobSpec { return JobSpec(j) }
 
 // RoundRequest is the scatter payload for one worker: the round to run, the
 // mutations batched for its shard since the last acked round, and the
@@ -87,122 +70,172 @@ type RoundRequest struct {
 	Removes   []int     `json:"removes,omitempty"`
 }
 
-// RoundResponse is one shard's gather payload. The allocation is columnar,
-// and the columns travel packed: each is the little-endian bytes of its
-// values (int64 ids, float64 bit patterns), which encoding/json carries as
-// one base64 string. Shipping n rows is the one inherently O(n) step of a
-// served round, and a packed column moves at memcpy speed where a JSON
-// number array costs a strconv call per value on each end; floats are
-// bit-exact by construction. It is still one JSON document that
-// encoding/json decodes, so curl, httptest, and the benchmark's wire tap
-// keep working on it.
+// RoundResponse is one shard's gather payload and the JSON header of its
+// wire form (package doc, "Wire format"): a PathRound answer is this struct
+// as one small JSON object, then the ids, eff_thr and x columns as raw
+// little-endian bytes, which the header sizes and which fill the rest of
+// the body exactly. In process the struct is handed over with the same
+// bytes behind it. Receivers go through accept.
 type RoundResponse struct {
+	// Wire is the frame layout's version. A coordinator refuses any value
+	// but wireVersion, so a mixed-version fleet fails by name.
+	Wire    int     `json:"wire"`
 	Round   int     `json:"round"`
 	NumJobs int     `json:"num_jobs"`
 	SolveMs float64 `json:"solve_ms"`
-	// IDs, EffThr, and X carry the shard's allocation in ascending-id
-	// order: 8 bytes per value, so job k's id is IDs[8k:8k+8], its effective
-	// throughput EffThr[8k:8k+8], and its per-type time fractions the
-	// width = len(X)/len(IDs) values from X[8k·width:] (absent for policies
-	// that do not expose per-type rows). Receivers go through columns,
-	// which checks all of that before anything is indexed.
-	IDs    []byte `json:"ids"`
-	EffThr []byte `json:"eff_thr"`
-	X      []byte `json:"x,omitempty"`
 	// Kind names the engine ("lp" or "price"); Stats is its counter
 	// snapshot, opaque to the coordinator (merged into /v1/stats as-is).
 	Kind  string          `json:"kind,omitempty"`
 	Stats json.RawMessage `json:"stats,omitempty"`
+	// The columns' byte lengths, in wire order. Rows ascend by id at 8 bytes
+	// a value: job k's id is ids[8k:], its throughput eff_thr[8k:], its time
+	// fractions the x_bytes/ids_bytes values from x[8k·width:] (none for
+	// policies without per-type rows).
+	IDsBytes    int `json:"ids_bytes"`
+	EffThrBytes int `json:"eff_thr_bytes"`
+	XBytes      int `json:"x_bytes"`
+
+	// frame[head:] is the columns; frame[:head] a sender's room for encode
+	// to lay the header against them, or the header a receiver read.
+	frame []byte
+	head  int
 }
 
-// pack fills the columns from a held-state round's result: jobs in
-// ascending-id order with the allocation aligned to them.
+const (
+	// A header without the field decodes as version 0: the one-document
+	// form (base64 columns inside the JSON) that preceded the frame.
+	wireVersion      = 1
+	frameContentType = "application/vnd.pop.round-frame"
+	// maxHeaderBytes is as far as the coordinator scans for the header's
+	// end, stats blob included. headerRoom covers its keys and numbers at
+	// their longest; pack adds kind and stats.
+	maxHeaderBytes = 64 << 10
+	headerRoom     = 512
+)
+
+// pack fills the columns from a held-state round's result (ascending-id
+// jobs, the allocation aligned). Kind and Stats size the header's room.
 func (r *RoundResponse) pack(jobs []cluster.Job, alloc *cluster.Allocation) error {
-	n := len(jobs)
-	r.NumJobs = n
-	r.IDs = make([]byte, 0, 8*n)
-	r.EffThr = make([]byte, 0, 8*n)
+	n, width := len(jobs), 0
 	if alloc == nil {
-		if n > 0 {
-			return fmt.Errorf("no allocation for %d jobs", n)
-		}
-		return nil
+		alloc = &cluster.Allocation{}
 	}
 	if len(alloc.EffThr) != n || (alloc.X != nil && len(alloc.X) != n) {
 		return fmt.Errorf("allocation has %d throughputs and %d rows for %d jobs", len(alloc.EffThr), len(alloc.X), n)
 	}
-	for k, j := range jobs {
-		r.IDs = binary.LittleEndian.AppendUint64(r.IDs, uint64(j.ID))
-		r.EffThr = binary.LittleEndian.AppendUint64(r.EffThr, math.Float64bits(alloc.EffThr[k]))
+	if n > 0 && alloc.X != nil {
+		width = len(alloc.X[0])
 	}
-	if n == 0 || alloc.X == nil {
+	r.NumJobs = n
+	r.IDsBytes, r.EffThrBytes, r.XBytes = 8*n, 8*n, 8*n*width
+	r.head = headerRoom + len(r.Kind) + len(r.Stats)
+	r.frame = make([]byte, r.head+8*n*(2+width))
+	ids := r.frame[r.head:]
+	eff, x := ids[8*n:], ids[16*n:]
+	for k, j := range jobs {
+		binary.LittleEndian.PutUint64(ids[8*k:], uint64(j.ID))
+		binary.LittleEndian.PutUint64(eff[8*k:], math.Float64bits(alloc.EffThr[k]))
+	}
+	if width == 0 {
 		return nil
 	}
-	width := len(alloc.X[0])
-	r.X = make([]byte, 0, 8*n*width)
 	for k, row := range alloc.X {
 		if len(row) != width {
 			return fmt.Errorf("job %d: row has %d types, job %d has %d", jobs[k].ID, len(row), jobs[0].ID, width)
 		}
-		for _, v := range row {
-			r.X = binary.LittleEndian.AppendUint64(r.X, math.Float64bits(v))
+		for t, v := range row {
+			binary.LittleEndian.PutUint64(x[8*(k*width+t):], math.Float64bits(v))
 		}
 	}
 	return nil
 }
 
-// gather is a validated, unpacked RoundResponse allocation: the ascending
-// id column and one slab holding the throughput column followed by the
-// row-major n×width time fractions.
-type gather struct {
-	ids    []int
-	effThr []float64 // slab[:n]
-	x      []float64 // slab[n:], n×width (empty when width == 0)
-	width  int
+// encode returns the wire form. The header goes into the room pack left in
+// front of the columns, which are sent from where they were written; a
+// response without that room has them appended to the header instead.
+func (r *RoundResponse) encode() ([]byte, error) {
+	h, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(h) > r.head {
+		return append(h, r.frame[r.head:]...), nil
+	}
+	start := r.head - len(h)
+	copy(r.frame[start:], h)
+	return r.frame[start:], nil
 }
 
-// columns validates the response's shape and unpacks it. It is the only
-// reader of the packed bytes: column lengths must agree with each other and
-// with NumJobs, ids must be strictly ascending, and every value must be
-// finite — a response that fails any of it is rejected whole.
-func (r *RoundResponse) columns() (gather, error) {
-	if len(r.IDs)%8 != 0 {
-		return gather{}, fmt.Errorf("ids column is %d bytes, not a multiple of 8", len(r.IDs))
+// decodeFrame is encode's inverse over a whole body: it decodes the header
+// (a streaming decoder stops at the JSON object's end, and is shown at most
+// maxHeaderBytes) and keeps the body; accept is what reads the columns.
+func decodeFrame(contentType string, body []byte) (*RoundResponse, error) {
+	if contentType != frameContentType {
+		return nil, fmt.Errorf("wire version 0 (content type %q), want %d", contentType, wireVersion)
 	}
-	n := len(r.IDs) / 8
-	if r.NumJobs != n {
-		return gather{}, fmt.Errorf("num_jobs %d but %d ids", r.NumJobs, n)
+	r := new(RoundResponse)
+	dec := json.NewDecoder(bytes.NewReader(body[:min(len(body), maxHeaderBytes)]))
+	if err := dec.Decode(r); err != nil {
+		return nil, fmt.Errorf("bad response: header: %w", err)
 	}
-	if len(r.EffThr) != 8*n {
-		return gather{}, fmt.Errorf("eff_thr column is %d bytes for %d ids", len(r.EffThr), n)
+	if r.Wire != wireVersion {
+		return nil, fmt.Errorf("wire version %d, want %d", r.Wire, wireVersion)
 	}
-	g := gather{}
-	if len(r.X) > 0 {
-		if n == 0 || len(r.X)%(8*n) != 0 {
-			return gather{}, fmt.Errorf("x column is %d bytes for %d ids", len(r.X), n)
+	r.frame, r.head = body, int(dec.InputOffset())
+	return r, nil
+}
+
+// gather is an accepted response's allocation, read in place: the columns
+// of the frame it arrived in, 8 bytes a value (x is n×width, row-major).
+type gather struct {
+	ids, effThr, x []byte
+	width          int
+}
+
+func (g *gather) id(k int) int { return int(int64(binary.LittleEndian.Uint64(g.ids[8*k:]))) }
+
+// f64 reads value k of a float column.
+func f64(col []byte, k int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(col[8*k:]))
+}
+
+// accept checks a gathered response, where it lies, against what was asked:
+// the round; declared lengths that fill the frame exactly and agree with
+// each other and NumJobs; strictly ascending ids; finite values; the pool's
+// width. It is the only reader of the packed bytes, and a response failing
+// any of it is rejected whole.
+func (r *RoundResponse) accept(round, types int) (gather, error) {
+	if r.Round != round {
+		return gather{}, fmt.Errorf("answered round %d, asked for %d", r.Round, round)
+	}
+	cols := r.frame[r.head:]
+	if r.IDsBytes < 0 || r.EffThrBytes < 0 || r.XBytes < 0 ||
+		r.IDsBytes > len(cols) || r.EffThrBytes > len(cols)-r.IDsBytes ||
+		r.XBytes != len(cols)-r.IDsBytes-r.EffThrBytes {
+		return gather{}, fmt.Errorf("header declares columns of %d, %d and %d bytes, %d follow it",
+			r.IDsBytes, r.EffThrBytes, r.XBytes, len(cols))
+	}
+	n := r.IDsBytes / 8
+	if r.NumJobs != n || r.IDsBytes%8 != 0 || r.EffThrBytes != r.IDsBytes {
+		return gather{}, fmt.Errorf("num_jobs %d but ids and eff_thr columns of %d and %d bytes", r.NumJobs, r.IDsBytes, r.EffThrBytes)
+	}
+	g := gather{ids: cols[: 8*n : 8*n], effThr: cols[8*n : 16*n : 16*n], x: cols[16*n:]}
+	if r.XBytes > 0 {
+		if r.XBytes != 8*n*types {
+			return gather{}, fmt.Errorf("x column is %d bytes for %d ids in a pool of %d types", r.XBytes, n, types)
 		}
-		g.width = len(r.X) / (8 * n)
+		g.width = types
 	}
-	g.ids = make([]int, n)
-	for k := range g.ids {
-		g.ids[k] = int(int64(binary.LittleEndian.Uint64(r.IDs[8*k:])))
-		if k > 0 && g.ids[k] <= g.ids[k-1] {
-			return gather{}, fmt.Errorf("ids not strictly ascending at row %d (%d after %d)", k, g.ids[k], g.ids[k-1])
+	for k := 1; k < n; k++ {
+		if g.id(k) <= g.id(k-1) {
+			return gather{}, fmt.Errorf("ids not strictly ascending at row %d (%d after %d)", k, g.id(k), g.id(k-1))
 		}
 	}
-	slab := make([]float64, n*(1+g.width))
-	g.effThr, g.x = slab[:n:n], slab[n:]
-	for _, col := range []struct {
-		name string
-		dst  []float64
-		src  []byte
-	}{{"eff_thr", g.effThr, r.EffThr}, {"x", g.x, r.X}} {
-		for k := range col.dst {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(col.src[8*k:]))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return gather{}, fmt.Errorf("%s[%d] is %v", col.name, k, v)
+	for i, col := range [][]byte{g.effThr, g.x} {
+		for k := range len(col) / 8 {
+			if v := f64(col, k); math.IsNaN(v) || math.IsInf(v, 0) {
+				return gather{}, fmt.Errorf("%s[%d] is %v", [...]string{"eff_thr", "x"}[i], k, v)
 			}
-			col.dst[k] = v
 		}
 	}
 	return g, nil
@@ -211,11 +244,11 @@ func (r *RoundResponse) columns() (gather, error) {
 // find locates id's row: the cursor position when the caller is walking ids
 // in order (the usual case), a binary search otherwise.
 func (g *gather) find(id int, cursor int) (int, bool) {
-	if cursor < len(g.ids) && g.ids[cursor] == id {
+	n := len(g.ids) / 8
+	if cursor < n && g.id(cursor) == id {
 		return cursor, true
 	}
-	k, ok := slices.BinarySearch(g.ids, id)
-	return k, ok
+	return sort.Find(n, func(k int) int { return cmp.Compare(id, g.id(k)) })
 }
 
 // validateSpecs checks a batch of wire jobs against the pool shape: one

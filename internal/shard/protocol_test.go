@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -10,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,27 +18,53 @@ import (
 	"pop/internal/obs"
 )
 
-// wireRoundTrip packs an allocation, pushes it through encoding/json both
-// ways, and unpacks it.
-func wireRoundTrip(t *testing.T, jobs []cluster.Job, alloc *cluster.Allocation) gather {
+// unpacked is a gather read out value by value, the way merge reads it.
+type unpacked struct {
+	ids    []int
+	effThr []float64
+	x      []float64
+	width  int
+}
+
+func unpack(g gather) unpacked {
+	u := unpacked{ids: make([]int, len(g.ids)/8), effThr: make([]float64, len(g.effThr)/8), x: make([]float64, len(g.x)/8), width: g.width}
+	for k := range u.ids {
+		u.ids[k] = g.id(k)
+	}
+	for k := range u.effThr {
+		u.effThr[k] = f64(g.effThr, k)
+	}
+	for k := range u.x {
+		u.x[k] = f64(g.x, k)
+	}
+	return u
+}
+
+// wireRoundTrip packs an allocation, pushes it through the frame encoder and
+// decoder, and unpacks it.
+func wireRoundTrip(t *testing.T, jobs []cluster.Job, alloc *cluster.Allocation) unpacked {
 	t.Helper()
-	var out RoundResponse
+	out := RoundResponse{Wire: wireVersion}
 	if err := out.pack(jobs, alloc); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(&out)
+	raw, err := out.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in RoundResponse
-	if err := json.Unmarshal(raw, &in); err != nil {
+	in, err := decodeFrame(frameContentType, raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := in.columns()
+	width := 0
+	if alloc != nil && alloc.X != nil {
+		width = len(alloc.X[0])
+	}
+	g, err := in.accept(0, width)
 	if err != nil {
 		t.Fatalf("valid response rejected: %v", err)
 	}
-	return g
+	return unpack(g)
 }
 
 // TestWireRoundTripBitExact: every float64 bit pattern a solver can emit
@@ -102,38 +129,71 @@ func leIDs(ids ...int) []byte {
 	return b
 }
 
-// TestResponseValidation: columns never accepts columns that disagree.
+// framed puts the three columns behind r, with a header that declares
+// exactly them.
+func framed(r RoundResponse, ids, effThr, x []byte) *RoundResponse {
+	r.Wire = wireVersion
+	r.IDsBytes, r.EffThrBytes, r.XBytes = len(ids), len(effThr), len(x)
+	r.frame, r.head = slices.Concat(ids, effThr, x), 0
+	return &r
+}
+
+// TestResponseValidation: accept never takes columns that disagree —
+// with each other, with num_jobs, or with the lengths the header declares.
 func TestResponseValidation(t *testing.T) {
-	ok := RoundResponse{NumJobs: 2, IDs: leIDs(1, 2), EffThr: le(1, 2), X: le(1, 2, 3, 4, 5, 6)}
-	if g, err := ok.columns(); err != nil || g.width != 3 {
+	ok := framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1, 2), le(1, 2, 3, 4, 5, 6))
+	if g, err := ok.accept(0, 3); err != nil || g.width != 3 {
 		t.Fatalf("valid response: width %d, err %v", g.width, err)
 	}
-	for name, r := range map[string]RoundResponse{
-		"ragged ids":        {NumJobs: 2, IDs: leIDs(1, 2)[:15], EffThr: le(1, 2)},
-		"num_jobs mismatch": {NumJobs: 3, IDs: leIDs(1, 2), EffThr: le(1, 2)},
-		"negative num_jobs": {NumJobs: -1},
-		"short eff_thr":     {NumJobs: 2, IDs: leIDs(1, 2), EffThr: le(1)},
-		"long eff_thr":      {NumJobs: 2, IDs: leIDs(1, 2), EffThr: le(1, 2, 3)},
-		"ragged x":          {NumJobs: 2, IDs: leIDs(1, 2), EffThr: le(1, 2), X: le(1, 2, 3)},
-		"x byte tail":       {NumJobs: 2, IDs: leIDs(1, 2), EffThr: le(1, 2), X: le(1, 2, 3, 4)[:31]},
-		"x without ids":     {X: le(1)},
-		"descending ids":    {NumJobs: 2, IDs: leIDs(2, 1), EffThr: le(1, 2)},
-		"duplicate ids":     {NumJobs: 2, IDs: leIDs(2, 2), EffThr: le(1, 2)},
-		"NaN throughput":    {NumJobs: 1, IDs: leIDs(1), EffThr: le(math.NaN())},
-		"Inf fraction":      {NumJobs: 1, IDs: leIDs(1), EffThr: le(1), X: le(math.Inf(1))},
+	lie := func(mutate func(r *RoundResponse)) *RoundResponse {
+		r := framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1, 2), le(1, 2, 3, 4, 5, 6))
+		mutate(r)
+		return r
+	}
+	for name, r := range map[string]*RoundResponse{
+		"ragged ids":        framed(RoundResponse{NumJobs: 2}, leIDs(1, 2)[:15], le(1, 2), nil),
+		"num_jobs mismatch": framed(RoundResponse{NumJobs: 3}, leIDs(1, 2), le(1, 2), nil),
+		"negative num_jobs": framed(RoundResponse{NumJobs: -1}, nil, nil, nil),
+		"short eff_thr":     framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1), nil),
+		"long eff_thr":      framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1, 2, 3), nil),
+		"ragged x":          framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1, 2), le(1, 2, 3)),
+		"x byte tail":       framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1, 2), le(1, 2, 3, 4)[:31]),
+		"x without ids":     framed(RoundResponse{}, nil, nil, le(1)),
+		"descending ids":    framed(RoundResponse{NumJobs: 2}, leIDs(2, 1), le(1, 2), nil),
+		"duplicate ids":     framed(RoundResponse{NumJobs: 2}, leIDs(2, 2), le(1, 2), nil),
+		"NaN throughput":    framed(RoundResponse{NumJobs: 1}, leIDs(1), le(math.NaN()), nil),
+		"Inf fraction":      framed(RoundResponse{NumJobs: 1}, leIDs(1), le(1), le(math.Inf(1))),
+
+		"x declared short":     lie(func(r *RoundResponse) { r.XBytes -= 8 }), // trailing bytes
+		"x declared long":      lie(func(r *RoundResponse) { r.XBytes += 8 }),
+		"ids past the frame":   lie(func(r *RoundResponse) { r.IDsBytes = len(r.frame) + 8 }),
+		"negative ids length":  lie(func(r *RoundResponse) { r.IDsBytes = -16; r.XBytes += 32 }),
+		"lengths overflow int": lie(func(r *RoundResponse) { r.IDsBytes, r.EffThrBytes = math.MaxInt, math.MaxInt }),
+		"lengths wrap to fit": lie(func(r *RoundResponse) {
+			r.IDsBytes, r.EffThrBytes, r.XBytes = math.MaxInt, math.MaxInt, len(r.frame)+2
+		}),
+		"columns shifted": lie(func(r *RoundResponse) { r.IDsBytes += 8; r.XBytes -= 8 }),
+		"wrong round":     lie(func(r *RoundResponse) { r.Round = 1 }),
+		"wrong width":     framed(RoundResponse{NumJobs: 2}, leIDs(1, 2), le(1, 2), le(1, 2, 3, 4)),
 	} {
-		if _, err := r.columns(); err == nil {
+		if _, err := r.accept(0, 3); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// TestWorkerResponseIsPlainJSON is the contract outside tooling relies on
-// (curl, the benchmark's wire tap): a worker's raw round response is one
-// JSON document that plain encoding/json decodes into RoundResponse and
-// re-encodes to the same bytes, and its columns are ordinary base64 of
-// little-endian values.
-func TestWorkerResponseIsPlainJSON(t *testing.T) {
+// TestWorkerResponseIsFramed is the wire contract of a round's answer, the
+// one outside tooling (the benchmark's wire tap, a script) relies on: the
+// body is a JSON header that a streaming json.Decoder reads into
+// RoundResponse, stopping at the object's end, followed by exactly the
+// ids_bytes + eff_thr_bytes + x_bytes bytes it declares — little-endian
+// int64 ids, then float64 bit patterns. The header re-encodes to the bytes
+// it came as. `curl | jq` no longer reads this internal endpoint; by hand:
+// `curl -s ... | head -c 400` prints the header, and a script does what this
+// test does — json.NewDecoder(body).Decode(&header), then
+// io.MultiReader(dec.Buffered(), body) is positioned on the ids column
+// (Python: json.JSONDecoder().raw_decode on the first KiB gives the offset).
+func TestWorkerResponseIsFramed(t *testing.T) {
 	b, err := NewEngine(testCluster(), EngineConfig{Policy: "price"})
 	if err != nil {
 		t.Fatal(err)
@@ -154,35 +214,49 @@ func TestWorkerResponseIsPlainJSON(t *testing.T) {
 	if err != nil || httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("round: status %d, err %v, body %s", httpResp.StatusCode, err, raw)
 	}
+	if ct := httpResp.Header.Get("Content-Type"); ct != frameContentType {
+		t.Fatalf("content type %q, want %q", ct, frameContentType)
+	}
+	if httpResp.ContentLength != int64(len(raw)) {
+		t.Fatalf("Content-Length %d for a %d-byte body", httpResp.ContentLength, len(raw))
+	}
 
 	var resp RoundResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		t.Fatalf("raw response is not plain JSON for RoundResponse: %v\n%s", err, raw)
+	stream := bytes.NewReader(raw)
+	dec := json.NewDecoder(stream)
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("the body does not begin with a JSON header for RoundResponse: %v\n%q", err, raw)
 	}
+	header := raw[:dec.InputOffset()]
 	again, err := json.Marshal(&resp)
-	if err != nil || !bytes.Equal(again, raw) {
-		t.Fatalf("re-encoding changed the document (err %v):\n got %s\nwant %s", err, again, raw)
+	if err != nil || !bytes.Equal(again, header) {
+		t.Fatalf("re-encoding changed the header (err %v):\n got %s\nwant %s", err, again, header)
 	}
-	g, err := resp.columns()
+	if resp.Wire != wireVersion || resp.NumJobs != 2 || resp.Kind != "price" || len(resp.Stats) == 0 {
+		t.Fatalf("header %s", header)
+	}
+	cols, err := io.ReadAll(io.MultiReader(dec.Buffered(), stream))
+	if err != nil || !bytes.Equal(cols, raw[len(header):]) || len(cols) != resp.IDsBytes+resp.EffThrBytes+resp.XBytes {
+		t.Fatalf("%d bytes follow the header, which declares %d+%d+%d", len(cols), resp.IDsBytes, resp.EffThrBytes, resp.XBytes)
+	}
+	if ids := cols[:resp.IDsBytes]; !bytes.Equal(ids, leIDs(3, 7)) {
+		t.Fatalf("ids column is not little-endian int64s in ascending order: % x", ids)
+	}
+	if resp.EffThrBytes != 16 || resp.XBytes != 48 {
+		t.Fatalf("2 jobs × 3 types declared as eff_thr %d, x %d bytes", resp.EffThrBytes, resp.XBytes)
+	}
+
+	// And it is what the coordinator's reader accepts.
+	in, err := decodeFrame(frameContentType, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.NumJobs != 2 || g.ids[0] != 3 || g.ids[1] != 7 || g.width != 3 || resp.Kind != "price" {
-		t.Fatalf("decoded %+v / %+v", resp, g)
+	g, err := in.accept(1, 3)
+	if err != nil || g.id(0) != 3 || g.id(1) != 7 || g.width != 3 {
+		t.Fatalf("accept: %v, %+v", err, unpack(g))
 	}
-
-	// The same bytes, read the way a script would.
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := base64.StdEncoding.DecodeString(doc["ids"].(string))
-	if err != nil || !bytes.Equal(ids, leIDs(3, 7)) {
-		t.Fatalf("ids column is not base64 of little-endian int64s: % x (err %v)", ids, err)
-	}
-	eff, err := base64.StdEncoding.DecodeString(doc["eff_thr"].(string))
-	if err != nil || !bytes.Equal(eff, le(g.effThr...)) {
-		t.Fatalf("eff_thr column is not base64 of little-endian float64s (err %v)", err)
+	if !bytes.Equal(g.effThr, cols[16:32]) || f64(g.effThr, 0) <= 0 {
+		t.Fatalf("eff_thr column % x", g.effThr)
 	}
 }
 
@@ -249,28 +323,66 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 	}
 
 	real := f.handlers[0].h.Load().(http.Handler)
-	bad := func(mutate func(r *RoundResponse)) http.Handler {
+	// Each hostile handler answers the round asked with a well-formed frame,
+	// spoiled one way: in its header or columns before encoding (mutate; the
+	// header declares the columns' real lengths unless mutate declares its
+	// own), or in the encoded bytes (cut bytes dropped off the end).
+	type cols struct{ ids, effThr, x []byte }
+	bad := func(mutate func(r *RoundResponse, c *cols), cut int) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 			var rr RoundRequest
 			_ = json.NewDecoder(req.Body).Decode(&rr)
-			resp := RoundResponse{Round: rr.Round, NumJobs: owned, IDs: leIDs(ids...), EffThr: le(thr...)}
-			mutate(&resp)
-			writeJSON(rw, http.StatusOK, &resp)
+			c := cols{ids: leIDs(ids...), effThr: le(thr...)}
+			h := RoundResponse{Round: rr.Round, NumJobs: owned}
+			mutate(&h, &c)
+			lengths := [3]int{h.IDsBytes, h.EffThrBytes, h.XBytes}
+			resp := framed(h, c.ids, c.effThr, c.x)
+			if lengths != [3]int{} {
+				resp.IDsBytes, resp.EffThrBytes, resp.XBytes = lengths[0], lengths[1], lengths[2]
+			}
+			out, _ := resp.encode()
+			rw.Header().Set("Content-Type", frameContentType)
+			_, _ = rw.Write(out[:len(out)-cut])
 		})
 	}
 	cases := map[string]http.Handler{
-		"truncated eff_thr": bad(func(r *RoundResponse) { r.EffThr = r.EffThr[:len(r.EffThr)-8] }),
-		"ragged x":          bad(func(r *RoundResponse) { r.X = le(1, 2, 3) }),
-		"x byte tail":       bad(func(r *RoundResponse) { r.X = make([]byte, 8*3*owned-1) }),
-		"unsorted ids":      bad(func(r *RoundResponse) { copy(r.IDs, leIDs(ids[1], ids[0])) }),
-		"NaN throughput":    bad(func(r *RoundResponse) { copy(r.EffThr, le(math.NaN())) }),
-		"wrong round":       bad(func(r *RoundResponse) { r.Round += 7 }),
-		"wrong width":       bad(func(r *RoundResponse) { r.X = make([]byte, 8*2*owned) }),
-		"num_jobs lies":     bad(func(r *RoundResponse) { r.NumJobs++ }),
-		"not json": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-			_, _ = rw.Write([]byte(`{"round":1,"ids":"!!!not base64"}`))
+		"truncated eff_thr": bad(func(_ *RoundResponse, c *cols) { c.effThr = c.effThr[:len(c.effThr)-8] }, 0),
+		"ragged x":          bad(func(_ *RoundResponse, c *cols) { c.x = le(1, 2, 3) }, 0),
+		"x byte tail":       bad(func(_ *RoundResponse, c *cols) { c.x = make([]byte, 8*3*owned-1) }, 0),
+		"unsorted ids":      bad(func(_ *RoundResponse, c *cols) { copy(c.ids, leIDs(ids[1], ids[0])) }, 0),
+		"NaN throughput":    bad(func(_ *RoundResponse, c *cols) { copy(c.effThr, le(math.NaN())) }, 0),
+		"wrong round":       bad(func(r *RoundResponse, _ *cols) { r.Round += 7 }, 0),
+		"wrong width":       bad(func(_ *RoundResponse, c *cols) { c.x = make([]byte, 8*2*owned) }, 0),
+		"num_jobs lies":     bad(func(r *RoundResponse, _ *cols) { r.NumJobs++ }, 0),
+		"truncated frame":   bad(func(_ *RoundResponse, c *cols) { c.x = make([]byte, 8*3*owned) }, 8*owned),
+		"cut inside header": bad(func(*RoundResponse, *cols) {}, 16*owned+10),
+		"lengths overrun": bad(func(r *RoundResponse, c *cols) {
+			r.IDsBytes, r.EffThrBytes, r.XBytes = len(c.ids), len(c.effThr), 8*3*owned
+		}, 0),
+		"lengths underrun": bad(func(r *RoundResponse, c *cols) {
+			c.x = make([]byte, 8*3*owned+8)
+			r.IDsBytes, r.EffThrBytes, r.XBytes = len(c.ids), len(c.effThr), 8*3*owned
+		}, 0),
+		"short write": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", frameContentType)
+			rw.Header().Set("Content-Length", "4096")
+			_, _ = rw.Write([]byte(`{"wire":1,"round":`))
 		}),
-		"oversized": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		"not a frame": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", frameContentType)
+			_, _ = rw.Write([]byte(`{"wire":1,"round":1,"ids_bytes":"!!!"}`))
+		}),
+		"endless header": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", frameContentType)
+			_, _ = rw.Write([]byte(`{"wire":1,"kind":"` + strings.Repeat("a", maxHeaderBytes)))
+		}),
+		"oversized": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) { // chunked: no declared length
+			rw.Header().Set("Content-Type", frameContentType)
+			_, _ = rw.Write(bytes.Repeat([]byte(" "), 4<<20))
+		}),
+		"oversized, declared": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", frameContentType)
+			rw.Header().Set("Content-Length", strconv.Itoa(4<<20))
 			_, _ = rw.Write(bytes.Repeat([]byte(" "), 4<<20))
 		}),
 	}
@@ -308,6 +420,120 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 	}
 	if coord.Status()[0].Rebuilds == 0 {
 		t.Fatal("an over-limit response did not schedule a registry sync")
+	}
+}
+
+// oldRoundResponse is the one-document wire form this frame replaced:
+// columns as base64 strings inside the JSON.
+type oldRoundResponse struct {
+	Round   int             `json:"round"`
+	NumJobs int             `json:"num_jobs"`
+	SolveMs float64         `json:"solve_ms"`
+	IDs     []byte          `json:"ids"`
+	EffThr  []byte          `json:"eff_thr"`
+	X       []byte          `json:"x,omitempty"`
+	Kind    string          `json:"kind,omitempty"`
+	Stats   json.RawMessage `json:"stats,omitempty"`
+}
+
+// TestMixedVersionFleetFailsByName: a coordinator handed the old
+// one-document form — under its old content type, or relabelled as a frame —
+// or any 200 without a wire version names the version in that worker's
+// straggler error instead of calling the body malformed; and the coordinator
+// that preceded the frame, which read the body with json.Unmarshal, rejects a
+// framed response whole rather than decoding its header as an empty shard.
+func TestMixedVersionFleetFailsByName(t *testing.T) {
+	old, _ := json.Marshal(&oldRoundResponse{Round: 1, NumJobs: 1, SolveMs: 0.5, IDs: leIDs(0), EffThr: le(1), X: le(1, 0, 0), Kind: "price"})
+	for name, answer := range map[string]struct{ contentType, body, want string }{
+		"old worker":                {"application/json", string(old), `round: wire version 0 (content type "application/json"), want 1`},
+		"old form, new label":       {frameContentType, string(old), "round: wire version 0, want 1"},
+		"versionless header":        {frameContentType, `{"round":1,"num_jobs":0}`, "round: wire version 0, want 1"},
+		"a version from the future": {frameContentType, `{"wire":2,"round":1}`, "round: wire version 2, want 1"},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", answer.contentType)
+			_, _ = rw.Write([]byte(answer.body))
+		}))
+		var logs bytes.Buffer
+		coord, err := NewCoordinator([]string{srv.URL}, CoordinatorOptions{Log: slog.New(slog.NewTextHandler(&logs, nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.Upsert(cluster.Job{ID: 0, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1})
+		if _, _, err := coord.Allocate(testCluster()); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if want := "worker 0 (" + srv.URL + "): " + answer.want; coord.StaleJobs() != 1 || !strings.Contains(strings.ReplaceAll(logs.String(), `\"`, `"`), want) {
+			t.Errorf("%s: %d stale jobs; log %s\nwant it to say %s", name, coord.StaleJobs(), logs.String(), want)
+		}
+	}
+
+	resp := RoundResponse{Wire: wireVersion, Round: 1}
+	if err := resp.pack([]cluster.Job{{ID: 0}}, &cluster.Allocation{EffThr: []float64{1}, X: [][]float64{{1, 0, 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	frame, _ := resp.encode()
+	var got oldRoundResponse
+	if err := json.Unmarshal(frame, &got); err == nil {
+		t.Fatalf("a pre-frame coordinator would decode a frame as %+v", got)
+	}
+}
+
+// blockedWriter is a ResponseWriter whose Write parks, holding the caller's
+// slice, until released — a response still on its way out.
+type blockedWriter struct {
+	*httptest.ResponseRecorder
+	writing, release chan struct{}
+}
+
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	close(w.writing)
+	<-w.release
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestOverlappingRoundsKeepTheirFrames: handleRound writes after round has
+// released the worker's lock, and a worker the coordinator wrote off as a
+// straggler can still be writing round r when round r+1 arrives. The frame
+// being written must not be repacked under that write: round r's bytes go
+// out as round r's, whatever the worker has done since (run with -race).
+func TestOverlappingRoundsKeepTheirFrames(t *testing.T) {
+	b, err := NewEngine(testCluster(), EngineConfig{Policy: "price"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewWorker(b, WorkerOptions{}).Handler()
+	request := func(round int, upserts ...JobSpec) *http.Request {
+		body, _ := json.Marshal(&RoundRequest{Round: round, PrevRound: round - 1, GPUs: []float64{4, 4, 4}, Upserts: upserts})
+		return httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(body))
+	}
+	spec := func(id int) JobSpec { return JobSpec{ID: id, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1} }
+
+	slow := &blockedWriter{httptest.NewRecorder(), make(chan struct{}), make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(slow, request(1, spec(1), spec(2)))
+	}()
+	<-slow.writing
+	for round := 2; round <= 4; round++ { // the worker moves on: more clients, other rows
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, request(round, spec(10*round), spec(10*round+1)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, rec.Code, rec.Body)
+		}
+	}
+	close(slow.release)
+	<-done
+
+	resp, err := decodeFrame(slow.Header().Get("Content-Type"), slow.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := resp.accept(1, 3)
+	if err != nil || len(g.ids)/8 != 2 || g.id(0) != 1 || g.id(1) != 2 {
+		t.Fatalf("round 1's answer, written late, is no longer round 1's: %v, header %+v", err, resp)
 	}
 }
 
@@ -378,6 +604,7 @@ func TestRoundPhaseSpans(t *testing.T) {
 		`pop_shard_phase_seconds_count{phase="merge"} 1`,
 		`pop_shard_worker_phase_seconds_count{phase="solve"} 2`,
 		`pop_shard_worker_phase_seconds_count{phase="encode"} 2`,
+		`pop_shard_response_bytes_count 2`,
 	} {
 		if !strings.Contains(prom.String(), series) {
 			t.Errorf("metrics export lacks %s", series)
@@ -385,65 +612,102 @@ func TestRoundPhaseSpans(t *testing.T) {
 	}
 }
 
-// seedResponses are well-formed and subtly broken gather documents.
+// seedResponses are well-formed and subtly broken round response bodies.
 func seedResponses() [][]byte {
-	valid, _ := json.Marshal(&RoundResponse{
-		Round: 3, NumJobs: 2, SolveMs: 1.5, IDs: leIDs(4, 9), EffThr: le(0.5, 2),
-		X: le(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), Kind: "price", Stats: json.RawMessage(`{"rounds":3}`),
-	})
-	empty, _ := json.Marshal(&RoundResponse{Round: 1})
-	noX, _ := json.Marshal(&RoundResponse{Round: 2, NumJobs: 1, IDs: leIDs(5), EffThr: le(3)})
+	body := func(r *RoundResponse) []byte {
+		out, _ := r.encode()
+		return out
+	}
+	full := func() *RoundResponse {
+		return framed(RoundResponse{Round: 3, NumJobs: 2, SolveMs: 1.5, Kind: "price", Stats: json.RawMessage(`{"rounds":3}`)},
+			leIDs(4, 9), le(0.5, 2), le(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+	}
+	valid := body(full())
+	lie := func(mutate func(r *RoundResponse)) []byte {
+		r := full()
+		mutate(r)
+		return body(r)
+	}
 	return [][]byte{
-		valid, empty, noX,
+		valid,
+		body(framed(RoundResponse{Round: 1}, nil, nil, nil)),
+		body(framed(RoundResponse{Round: 2, NumJobs: 1}, leIDs(5), le(3), nil)),
 		bytes.Replace(valid, []byte(`"num_jobs":2`), []byte(`"num_jobs":3`), 1),
-		bytes.Replace(valid, []byte(`"eff_thr":"`), []byte(`"eff_thr":"AAAA`), 1),
-		[]byte(`{"round":1,"num_jobs":1,"ids":"AQAAAAAAAAA=","eff_thr":"AAAAAAAA+H8="}`), // NaN
-		[]byte(`{"ids":[1,2,3]}`), []byte(`{"ids":"*"}`), []byte(`null`), []byte(`[]`), {},
+		valid[:len(valid)-20],                  // truncated columns
+		append(bytes.Clone(valid), 0, 0, 0, 0), // trailing bytes after the last column
+		body(framed(RoundResponse{Round: 1, NumJobs: 1}, leIDs(1), le(math.NaN()), nil)),
+		body(framed(RoundResponse{Round: 1, NumJobs: 1}, leIDs(1), le(1), le(math.Inf(-1)))),
+		body(framed(RoundResponse{Round: 1, NumJobs: 2}, leIDs(9, 4), le(1, 2), nil)),            // non-ascending ids
+		body(framed(RoundResponse{Round: 1, NumJobs: 2}, leIDs(4, 9), le(1, 2), le(1, 2, 3, 4))), // width ≠ pool
+		lie(func(r *RoundResponse) { r.XBytes = -48; r.IDsBytes += 96 }),
+		lie(func(r *RoundResponse) { r.IDsBytes, r.EffThrBytes = math.MaxInt, math.MaxInt }),
+		lie(func(r *RoundResponse) { r.XBytes += 1 << 20 }), // lengths sum past the body
+		bytes.Replace(valid, []byte(`"ids_bytes":16`), []byte(`"ids_bytes":92233720368547758070`), 1),
+		bytes.Replace(valid, []byte(`"wire":1`), []byte(`"wire":2`), 1),
+		[]byte(`{"wire":1,"kind":"` + strings.Repeat("a", 1<<20) + `"}`), // a 1 MB "header"
+		// The one-document form this frame replaced.
+		[]byte(`{"round":1,"num_jobs":1,"ids":"AQAAAAAAAAA=","eff_thr":"AAAAAAAA+H8="}`),
+		[]byte(`{"ids":[1,2,3]}`), []byte(`null`), []byte(`[]`), {},
 	}
 }
 
-// FuzzRoundResponse: the gather decoder never panics, and whatever it
-// accepts is self-consistent — one throughput and one row per id, ids
-// strictly ascending, every value finite.
+// checkAccepted holds whatever the coordinator's reader accepted to being
+// self-consistent: one throughput and one row per id, ids strictly
+// ascending, every value finite, every id findable.
+func checkAccepted(t *testing.T, resp *RoundResponse, g gather) {
+	t.Helper()
+	u := unpack(g)
+	n := len(u.ids)
+	if resp.NumJobs != n || len(u.effThr) != n || len(u.x) != n*u.width {
+		t.Fatalf("accepted inconsistent columns: num_jobs %d, %d ids, %d throughputs, %d fractions at width %d",
+			resp.NumJobs, n, len(u.effThr), len(u.x), u.width)
+	}
+	for k := 1; k < n; k++ {
+		if u.ids[k] <= u.ids[k-1] {
+			t.Fatalf("accepted ids out of order at %d", k)
+		}
+	}
+	for _, v := range append(u.effThr, u.x...) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("accepted non-finite value %v", v)
+		}
+	}
+	for k, id := range u.ids {
+		if at, ok := g.find(id, 0); !ok || at != k {
+			t.Fatalf("find(%d) = %d, %v; want row %d", id, at, ok, k)
+		}
+	}
+}
+
+// FuzzRoundResponse: the frame reader — header decode, then accept, as the
+// coordinator runs them on a body — never panics, and whatever it accepts
+// is self-consistent and of the pool's width.
 func FuzzRoundResponse(f *testing.F) {
 	for _, seed := range seedResponses() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var resp RoundResponse
-		if json.Unmarshal(data, &resp) != nil {
-			return
-		}
-		g, err := resp.columns()
+		resp, err := decodeFrame(frameContentType, data)
 		if err != nil {
 			return
 		}
-		n := len(g.ids)
-		if resp.NumJobs != n || len(g.effThr) != n || len(g.x) != n*g.width {
-			t.Fatalf("accepted inconsistent columns: num_jobs %d, %d ids, %d throughputs, %d fractions at width %d",
-				resp.NumJobs, n, len(g.effThr), len(g.x), g.width)
+		g, err := resp.accept(resp.Round, 3)
+		if err != nil {
+			return
 		}
-		for k := 1; k < n; k++ {
-			if g.ids[k] <= g.ids[k-1] {
-				t.Fatalf("accepted ids out of order at %d", k)
-			}
+		if g.width != 0 && g.width != 3 {
+			t.Fatalf("accepted rows of width %d into a pool of 3 types", g.width)
 		}
-		for _, v := range append(append([]float64(nil), g.effThr...), g.x...) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("accepted non-finite value %v", v)
-			}
+		if got := len(g.ids) + len(g.effThr) + len(g.x); got != len(data)-resp.head {
+			t.Fatalf("accepted %d column bytes out of the %d behind the header", got, len(data)-resp.head)
 		}
-		for k, id := range g.ids {
-			if at, ok := g.find(id, 0); !ok || at != k {
-				t.Fatalf("find(%d) = %d, %v; want row %d", id, at, ok, k)
-			}
-		}
+		checkAccepted(t, resp, g)
 	})
 }
 
 // FuzzRoundRequest: the worker answers any request body — valid, hostile,
 // or garbage — with a status, never a panic, and a 200 always carries a
-// response the coordinator's own decoder accepts.
+// frame the coordinator's own reader accepts.
 func FuzzRoundRequest(f *testing.F) {
 	valid, _ := json.Marshal(&RoundRequest{Round: 1, GPUs: []float64{2, 2, 2}, Upserts: []JobSpec{
 		{ID: 1, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1, NumSteps: 10, Priority: 1},
@@ -473,12 +737,16 @@ func FuzzRoundRequest(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			return
 		}
-		var resp RoundResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		resp, err := decodeFrame(rec.Header().Get("Content-Type"), rec.Body.Bytes())
+		if err != nil {
 			t.Fatalf("200 with an undecodable body: %v", err)
 		}
-		if _, err := resp.columns(); err != nil {
+		var req RoundRequest // decoded the way the handler did: it answered 200
+		_ = json.NewDecoder(bytes.NewReader(data)).Decode(&req)
+		g, err := resp.accept(req.Round, len(req.GPUs))
+		if err != nil {
 			t.Fatalf("200 with a response the coordinator would reject: %v", err)
 		}
+		checkAccepted(t, resp, g)
 	})
 }

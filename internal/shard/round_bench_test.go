@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
+	"pop/internal/obs"
 )
 
 // servedRow is one way of serving the same population: a coordinator over
@@ -24,7 +25,8 @@ var servedRows = []servedRow{{"http×2", "http", 2}, {"local×1", "local", 1}, {
 // serve workloads of the repository benchmark, sized for `go test`.
 type servedFleet struct {
 	eng      Engine
-	coord    *Coordinator // nil on the bare-engine row
+	coord    *Coordinator  // nil on the bare-engine row
+	reg      *obs.Registry // the coordinator's metrics
 	pool     cluster.Cluster
 	active   []cluster.Job
 	rnd      *rand.Rand
@@ -36,6 +38,7 @@ func newServedFleet(tb testing.TB, policy string, k, clients int, row servedRow,
 	tb.Helper()
 	per := float64(clients) / 8
 	f := &servedFleet{
+		reg:      obs.NewRegistry(),
 		pool:     cluster.NewCluster(per, per, per),
 		active:   make([]cluster.Job, clients),
 		rnd:      rand.New(rand.NewSource(1)),
@@ -49,7 +52,8 @@ func newServedFleet(tb testing.TB, policy string, k, clients int, row servedRow,
 		}
 		f.eng = b.Engine
 	} else {
-		f.coord = newTestCoordinator(tb, row.transport, row.workers, f.pool.Split(row.workers), cfg, CoordinatorOptions{})
+		f.coord = newTestCoordinator(tb, row.transport, row.workers, f.pool.Split(row.workers), cfg,
+			CoordinatorOptions{Obs: &obs.Observer{Metrics: f.reg}})
 		f.eng = f.coord
 	}
 	for i := range f.active {
@@ -91,8 +95,9 @@ func (f *servedFleet) step(tb testing.TB) {
 }
 
 // BenchmarkShardRound is one served churn round end to end — registry diff,
-// scatter, worker apply/solve/extract, packed gather, merge — at 20 000
-// clients, 1% churn, over each servedRow: two workers behind HTTP (B/op and
+// scatter, worker apply/solve/extract, framed gather, merge — at 20 000
+// clients, 1% churn, over each servedRow (resp-B/op: response bytes on the
+// wire per round, all workers): two workers behind HTTP (B/op and
 // allocs/op then cover coordinator, both workers, and net/http), one worker
 // in process (single-process popserver's round, which no workload of the
 // repository benchmark drives), and the bare Engine.Step both are measured
@@ -109,11 +114,16 @@ func BenchmarkShardRound(b *testing.B) {
 					f.churn()
 					f.step(b)
 				}
+				wire := f.reg.Histogram("pop_shard_response_bytes", "", nil)
+				before := wire.Sum()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					f.churn()
 					f.step(b)
+				}
+				if sent := wire.Sum() - before; sent > 0 { // only HTTP rows put bytes on a wire
+					b.ReportMetric(sent/float64(b.N), "resp-B/op")
 				}
 			})
 		}
@@ -131,6 +141,14 @@ func BenchmarkShardRound(b *testing.B) {
 // recycled solver workspace that is a few thousand objects (returned
 // solutions, spliced rows), where per-row maps and per-solve vectors made it
 // 2.5 per client — the bound there is n/2. Both hold over either transport.
+//
+// The price rows also bound bytes: a round's rows are written once by the
+// worker (pack) and read where they arrive (one body buffer over HTTP, the
+// worker's own frame in process), 0.8 MB a copy at this size, beside the
+// engine's ~2.2 MB and the merged allocation's ~1.1 MB. One more pass that
+// copies the columns — a text encoding, an unpacked gather — breaks the
+// bound. (The LP rows' bytes follow GC timing through the solver's pooled
+// workspaces, so they are logged, not bounded.)
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20 000-client fleet")
@@ -140,8 +158,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 		policy string
 		k      int
 		bound  float64
-	}{{"price", 1, clients / 4}, {"maxmin", 16, clients / 2}} {
-		for _, row := range servedRows[:2] {
+		mb     []float64 // per servedRow; nil: not bounded
+	}{{"price", 1, clients / 4, []float64{5.6, 4.5}}, {"maxmin", 16, clients / 2, nil}} {
+		for r, row := range servedRows[:2] {
 			name := row.name // the price rows keep the names they have always had
 			if pc.policy != "price" {
 				name = pc.policy + "/" + row.name
@@ -168,11 +187,17 @@ func TestSteadyStateAllocations(t *testing.T) {
 				}
 				runtime.ReadMemStats(&after)
 				perRound := float64(after.Mallocs-before.Mallocs) / rounds
-				t.Logf("%.0f objects, %.2f MB per round at %d clients", perRound,
-					float64(after.TotalAlloc-before.TotalAlloc)/rounds/(1<<20), clients)
+				mb := float64(after.TotalAlloc-before.TotalAlloc) / rounds / (1 << 20)
+				t.Logf("%.0f objects, %.2f MB per round at %d clients", perRound, mb, clients)
 				if perRound >= pc.bound {
 					t.Fatalf("a steady-state round allocates %.0f objects at %d clients; want < %.0f (O(churn), not O(n))",
 						perRound, clients, pc.bound)
+				}
+				// Not under -race: there bytes.Buffer's grow (append of a make)
+				// allocates the coordinator's body buffer twice.
+				if pc.mb != nil && !raceEnabled && mb >= pc.mb[r] {
+					t.Fatalf("a steady-state round allocates %.2f MB at %d clients; want < %.1f (the rows are copied once a side)",
+						mb, clients, pc.mb[r])
 				}
 			})
 		}

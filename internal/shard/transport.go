@@ -29,8 +29,8 @@ var (
 	ErrTooLarge = errors.New("response exceeds its size bound")
 )
 
-// localTransport hands the structs across as they are — no JSON, no base64
-// — to the round core the HTTP handler wraps. It cannot abandon a running
+// localTransport hands the structs across as they are — no JSON, the packed
+// columns by reference — to the round core the HTTP handler wraps. It cannot abandon a running
 // solve: past the deadline the round waits for it and serves it fresh.
 type localTransport struct{ w *Worker }
 

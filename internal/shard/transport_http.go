@@ -45,8 +45,8 @@ func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator,
 	return newCoordinator(ts, opts)
 }
 
-// httpTransport reaches a worker process through its Handler: one JSON
-// document each way per call.
+// httpTransport reaches a worker process through its Handler: a JSON
+// document each way per call, except that a round's answer is a frame.
 type httpTransport struct {
 	client *http.Client
 	url    string
@@ -56,18 +56,31 @@ type httpTransport struct {
 func (t *httpTransport) String() string { return t.url }
 
 func (t *httpTransport) Round(ctx context.Context, o *obs.Observer, req *RoundRequest, limit int64) (*RoundResponse, error) {
-	return post(ctx, o, t, PathRound, req, limit, new(RoundResponse))
+	resp, err := post(ctx, o, t, PathRound, req, limit, decodeFrame)
+	if err == nil && o != nil {
+		o.Metrics.Histogram("pop_shard_response_bytes", "round response body size, per worker per round",
+			responseBytesBuckets).Observe(float64(len(resp.frame)))
+	}
+	return resp, err
 }
+
+var responseBytesBuckets = obs.ExpBuckets(1<<10, 4, 12) // 1 KiB to 4 GiB
 
 func (t *httpTransport) Sync(ctx context.Context, o *obs.Observer, req *SyncRequest) (*SyncResponse, error) {
-	return post(ctx, o, t, PathSync, req, 1<<16, new(SyncResponse))
+	return post(ctx, o, t, PathSync, req, 1<<16, func(_ string, body []byte) (*SyncResponse, error) {
+		out := new(SyncResponse)
+		return out, json.Unmarshal(body, out)
+	})
 }
 
-// post sends one JSON request and decodes the answer's body — at most limit
-// bytes — into out. Any outcome other than a decoded 200 is an error, with
-// error bodies folded into it and a 409 reported as ErrOutOfSync. The JSON
-// work on either side is a "shard.encode"/"shard.decode" phase on o's lane.
-func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path string, in any, limit int64, out *T) (*T, error) {
+// post sends one JSON request and hands the answer's body — at most limit
+// bytes, read once into a buffer sized from Content-Length — to decode. Any
+// outcome other than a decoded 200 is an error, with error bodies folded
+// into it and a 409 reported as ErrOutOfSync. Encoding the request, and
+// reading and decoding the answer, are a "shard.encode" and a "shard.decode"
+// phase on o's lane.
+func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path string, in any, limit int64,
+	decode func(contentType string, body []byte) (*T, error)) (*T, error) {
 	ep := phase(o, "encode")
 	payload, err := json.Marshal(in)
 	ep.End()
@@ -99,17 +112,15 @@ func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path st
 	dp := phase(o, "decode")
 	defer dp.End()
 	var body bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= limit {
-		body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	n := resp.ContentLength
+	if n <= limit { // a declared length over the limit is refused unread
+		body.Grow(int(max(n, 0)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+		if _, err := body.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+			return nil, fmt.Errorf("%s: reading response: %w", path, err)
+		}
 	}
-	if _, err := body.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
-		return nil, fmt.Errorf("%s: reading response: %w", path, err)
-	}
-	if int64(body.Len()) > limit {
+	if n > limit || int64(body.Len()) > limit {
 		return nil, fmt.Errorf("%s: %w (%d bytes)", path, ErrTooLarge, limit)
 	}
-	if err := json.Unmarshal(body.Bytes(), out); err != nil {
-		return nil, fmt.Errorf("%s: bad response: %w", path, err)
-	}
-	return out, nil
+	return decode(resp.Header.Get("Content-Type"), body.Bytes())
 }

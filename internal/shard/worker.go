@@ -141,16 +141,16 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 		w.writeError(rw, "round", err)
 		return
 	}
-	// Encode first and send with the length: one large write instead of a
-	// chunk per 4 KiB of encoder output. Nothing this size is kept between
-	// rounds — wire buffers are garbage, not live heap.
+	// One write of the whole frame, with its length. The frame is this
+	// round's own — a round the coordinator gave up on may still be writing
+	// when the next one packs — and garbage after the write, not live heap.
 	defer w.phase("encode").End()
-	out, err := json.Marshal(resp)
+	out, err := resp.encode()
 	if err != nil {
 		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d: encode: %v", req.Round, err)})
 		return
 	}
-	rw.Header().Set("Content-Type", "application/json")
+	rw.Header().Set("Content-Type", frameContentType)
 	rw.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	_, _ = rw.Write(out) // a failed write is the coordinator's timeout to report
 }
@@ -193,8 +193,11 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 		jobs, alloc, err = w.b.Engine.Allocate(cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs})
 	}
 	ph.End()
-	resp := &RoundResponse{Round: req.Round, Kind: w.b.Kind}
+	resp := &RoundResponse{Wire: wireVersion, Round: req.Round, Kind: w.b.Kind}
 	if err == nil {
+		if stats, err := json.Marshal(w.b.Stats()); err == nil {
+			resp.Stats = stats
+		}
 		ph = w.phase("extract")
 		err = resp.pack(jobs, alloc)
 		ph.End()
@@ -204,9 +207,6 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	}
 	w.lastRound = req.Round
 	resp.SolveMs = float64(time.Since(start).Microseconds()) / 1000
-	if stats, err := json.Marshal(w.b.Stats()); err == nil {
-		resp.Stats = stats
-	}
 	w.opts.Obs.Counter("pop_shard_worker_rounds_total", "rounds this worker applied").Inc()
 	if o := w.opts.Obs; o != nil {
 		o.Histogram("pop_shard_worker_round_seconds", "per-round apply+solve wall time").
