@@ -83,20 +83,6 @@ func ProportionalFairness(jobs []Job, c Cluster, opts propfair.PDOptions) (*Allo
 	return fromPropfair(jobs, sol), nil
 }
 
-// ProportionalFairnessFW is the Frank-Wolfe variant (reference quality,
-// slower).
-func ProportionalFairnessFW(jobs []Job, c Cluster, opts propfair.FWOptions) (*Allocation, error) {
-	if len(jobs) == 0 {
-		return emptyAllocation(), nil
-	}
-	prob := toPropfair(jobs, c)
-	sol, err := prob.SolveFrankWolfe(opts)
-	if err != nil {
-		return nil, err
-	}
-	return fromPropfair(jobs, sol), nil
-}
-
 // LogUtility evaluates Σ_j w_j·log(thr_j) for an allocation — the
 // proportional-fairness objective plotted in Figure 7.
 func LogUtility(jobs []Job, a *Allocation) float64 {

@@ -96,9 +96,6 @@ func (p *Problem) AddBinary(c float64, name string) int {
 	return v
 }
 
-// NumInteger reports how many variables are integer-constrained.
-func (p *Problem) NumInteger() int { return len(p.integer) }
-
 // Options tune the branch-and-bound search.
 type Options struct {
 	// Workers is the number of branch-and-bound worker goroutines; 0 means

@@ -105,9 +105,6 @@ func (e *TEEngine) Remove(id int) bool {
 	return e.eng.t.remove(id)
 }
 
-// NumDemands reports the number of live commodities.
-func (e *TEEngine) NumDemands() int { return len(e.st.demands) }
-
 // MarkAllDirty forces a full re-solve on the next Solve (benchmark and
 // testing hook).
 func (e *TEEngine) MarkAllDirty() { e.eng.t.markAllDirty() }

@@ -22,10 +22,7 @@ func BenchmarkWarmRound(b *testing.B) {
 			g := float64(n) / 5
 			c := cluster.NewCluster(g, g, g)
 			jobs := cluster.GenerateJobs(n, 1, 0.2)
-			eng, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 1, Parallel: true}})
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := NewClusterEngine(c, Options{Seed: 1, Parallel: true})
 			if _, err := eng.Step(jobs, c); err != nil {
 				b.Fatal(err)
 			}
@@ -53,7 +50,7 @@ func BenchmarkWarmRound(b *testing.B) {
 func BenchmarkBestResponse(b *testing.B) {
 	jobs := cluster.GenerateJobs(1024, 1, 0.2)
 	c := cluster.NewCluster(200, 200, 200)
-	d := oneShotDomain(jobs, c, maxMinAlpha)
+	d := oneShotDomain(jobs, c)
 	price := []float64{0.3, 1.7, 0.9}
 	d.PrepareIteration(price)
 	out := make([]float64, 3)

@@ -1,51 +1,26 @@
 package price
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
 	"pop/internal/cluster"
 )
 
-// ClusterPolicy selects which §4.1 scheduling objective a cluster-domain
-// price solve approximates.
-type ClusterPolicy int8
-
-const (
-	// MaxMinFairness approximates the heterogeneity-aware least-attained-
-	// service policy through an alpha-fair utility (exponent maxMinAlpha)
-	// over the normalized throughput ratios.
-	MaxMinFairness ClusterPolicy = iota
-	// ProportionalFairness is the §4.1 sum-of-logs policy, solved exactly
-	// in the limit (log utility is the Eisenberg-Gale market).
-	ProportionalFairness
-)
-
-func (p ClusterPolicy) String() string {
-	switch p {
-	case MaxMinFairness:
-		return "max-min-fairness"
-	case ProportionalFairness:
-		return "proportional-fairness"
-	}
-	return fmt.Sprintf("ClusterPolicy(%d)", int8(p))
-}
-
-// clusterDomain prices the GPU-type capacities: client j's best response
-// maximizes φ(Σ_i t_ji·x_i) − Σ_i z_j·price_i·x_i over Σ_i x_i ≤ 1, x ≥ 0,
-// where t is the (policy-normalized) throughput row. By the KKT conditions
-// the optimum is supported on at most two resources, so enumerating
-// singleton and pair supports is exact — each call is O(r²) closed forms,
-// no solver.
+// clusterDomain is the max-min GPU market: it prices the GPU-type
+// capacities, and client j's best response maximizes φ(Σ_i t_ji·x_i) −
+// Σ_i z_j·price_i·x_i over Σ_i x_i ≤ 1, x ≥ 0, where φ is the alpha-fair
+// utility u^(1−α)/(1−α) with α = maxMinAlpha — a smooth stand-in for the
+// heterogeneity-aware least-attained-service policy — and t is the
+// normalized throughput row. By the KKT conditions the optimum is
+// supported on at most two resources, so enumerating singleton and pair
+// supports is exact — each call is O(r²) closed forms, no solver.
 type clusterDomain struct {
-	t     []float64 // n×r row-major throughputs (alpha > 0: ÷ the reference normaliser)
-	z     []float64 // per-job resource scale z_j
-	w     []float64 // log-utility weights (alpha == 0)
-	cap   []float64
-	n, r  int
-	alpha float64 // > 0: alpha-fair utility u^(1-α)/(1-α); 0: w·log(u)
-	hint  float64
+	t    []float64 // n×r row-major throughputs ÷ the reference normaliser
+	z    []float64 // per-job resource scale z_j
+	cap  []float64
+	n, r int
+	hint float64
 
 	// The max-min market's normalized throughput t̃_ji = T_ji/(w_j·eqThr_j·z_j)
 	// depends on the whole population through the equal-share row inside
@@ -62,9 +37,8 @@ type clusterDomain struct {
 	eqRef []float64 // reference equal-share row
 	sigma float64   // current equal-share denominator / the reference one
 
-	// Alpha-fair fast path (alpha > 0): the per-iteration cost of a best
-	// response is dominated by math.Pow, so everything price-independent is
-	// hoisted here when a row is loaded —
+	// The per-iteration cost of a best response is dominated by math.Pow,
+	// so everything price-independent is hoisted here when a row is loaded —
 	//   tPow[j][i]  = t_ji^(1/α − 1)  (interior singleton demand factor)
 	//   tUtil[j][i] = t_ji^(1−α)      (clamped singleton utility)
 	//   zRoot[j]    = z_j^(−1/α)
@@ -91,101 +65,17 @@ const (
 	// maxMinAlpha is the alpha-fair exponent of the max-min market: larger
 	// approximates max-min more closely but conditions the best responses
 	// worse. It is 2^alphaSqrts so that invAlphaRoot needs no math.Pow.
-	alphaSqrts  = 5
-	maxMinAlpha = 1 << alphaSqrts
+	alphaSqrts          = 5
+	maxMinAlpha float64 = 1 << alphaSqrts
 )
 
 func (d *clusterDomain) Dims() (int, int)       { return d.n, d.r }
 func (d *clusterDomain) Capacity(out []float64) { copy(out, d.cap) }
 func (d *clusterDomain) DemandHint() float64    { return d.hint }
 
-// phi is the weighted-log utility of the proportional-fair market (the
-// alpha-fair one never evaluates its utility: see bestResponseAlpha).
-func (d *clusterDomain) phi(j int, u float64) float64 {
-	if u <= 0 {
-		return math.Inf(-1)
-	}
-	return d.w[j] * math.Log(u)
-}
-
-// invPhiPrime inverts phi's marginal utility: the u with φ'(u) = s, s > 0.
-func (d *clusterDomain) invPhiPrime(j int, s float64) float64 {
-	return d.w[j] / s
-}
-
-func (d *clusterDomain) BestResponse(j int, price []float64, out []float64) {
-	if d.alpha > 0 {
-		d.bestResponseAlpha(j, price, out)
-		return
-	}
-	r := d.r
-	t := d.t[j*r : (j+1)*r]
-	z := d.z[j]
-	for i := range out {
-		out[i] = 0
-	}
-	bestVal := math.Inf(-1)
-	bestA, bestB := -1, -1
-	var xA, xB float64
-
-	// Singletons: t_i·φ'(t_i·x) = c_i, clamped to the time budget.
-	for i := 0; i < r; i++ {
-		if t[i] <= 0 {
-			continue
-		}
-		ci := z * price[i]
-		x := 1.0
-		if ci > 0 {
-			x = math.Min(1, d.invPhiPrime(j, ci/t[i])/t[i])
-		}
-		if x <= 0 {
-			continue
-		}
-		if v := d.phi(j, t[i]*x) - ci*x; v > bestVal {
-			bestVal, bestA, bestB, xA, xB = v, i, -1, x, 0
-		}
-	}
-	// Pairs on the time boundary x_a + x_b = 1: stationarity gives
-	// φ'(u*) = (c_a-c_b)/(t_a-t_b); interior mixes only.
-	for a := 0; a < r; a++ {
-		if t[a] <= 0 {
-			continue
-		}
-		ca := z * price[a]
-		for b := a + 1; b < r; b++ {
-			if t[b] <= 0 {
-				continue
-			}
-			cb := z * price[b]
-			dt, dc := t[a]-t[b], ca-cb
-			if dt == 0 || dc == 0 || (dt > 0) != (dc > 0) {
-				continue // degenerate or dominated: singletons cover it
-			}
-			u := d.invPhiPrime(j, dc/dt)
-			xa := (u - t[b]) / dt
-			if xa <= 0 || xa >= 1 {
-				continue // boundary cases are the singleton candidates
-			}
-			xb := 1 - xa
-			if v := d.phi(j, t[a]*xa+t[b]*xb) - ca*xa - cb*xb; v > bestVal {
-				bestVal, bestA, bestB, xA, xB = v, a, b, xa, xb
-			}
-		}
-	}
-	if bestA >= 0 {
-		out[bestA] = z * xA
-		if bestB >= 0 {
-			out[bestB] = z * xB
-		}
-	}
-}
-
-// PrepareIteration caches price_i^(−1/α) for the iteration's best responses
-// (alpha-fair fast path). Solve calls it single-threaded before each fan-out.
+// PrepareIteration caches price_i^(−1/α) for the iteration's best
+// responses. Solve calls it single-threaded before each fan-out.
 func (d *clusterDomain) PrepareIteration(price []float64) {
-	if d.alpha <= 0 {
-		return
-	}
 	sigmaRoot := 1 / invAlphaRoot(d.sigma) // sigma^(1/α)
 	for i, p := range price {
 		d.pRoot[i] = invAlphaRoot(p) * sigmaRoot / d.sigma
@@ -212,11 +102,11 @@ func invAlphaRoot(s float64) float64 {
 	return 1 / s
 }
 
-// bestResponseAlpha is the alpha-fair best response with all price- and
+// BestResponse evaluates the closed forms with all price- and
 // client-invariant powers hoisted (see the clusterDomain field comment).
 // Values compare through the stationarity identity u^(1−α) = u·φ'(u), so a
 // candidate costs multiplies — plus one root per admissible pair.
-func (d *clusterDomain) bestResponseAlpha(j int, price []float64, out []float64) {
+func (d *clusterDomain) BestResponse(j int, price []float64, out []float64) {
 	r := d.r
 	t := d.t[j*r : (j+1)*r]
 	tPow := d.tPow[j*r : (j+1)*r]
@@ -228,7 +118,7 @@ func (d *clusterDomain) bestResponseAlpha(j int, price []float64, out []float64)
 	}
 	// φ(u) − cost at the interior stationary point φ'(u) = s reduces to
 	// (α/(1−α))·u·s − K, so candidates compare without evaluating powers.
-	scale := d.alpha / (1 - d.alpha)
+	const scale = maxMinAlpha / (1 - maxMinAlpha)
 	bestVal := math.Inf(-1)
 	bestA, bestB := -1, -1
 	var xA, xB float64
@@ -295,25 +185,14 @@ func (d *clusterDomain) bestResponseAlpha(j int, price []float64, out []float64)
 
 // ScaleElasticity reports the market's aggregate demand elasticity under
 // a uniform price rescale: interior alpha-fair demand scales as p^(−1/α),
-// and the log-utility (prop-fair) demand as p^(−1), so Solve's common-mode
-// Newton rescale is exact in the interior for both policies.
-func (d *clusterDomain) ScaleElasticity() float64 {
-	if d.alpha > 0 {
-		return d.alpha
-	}
-	return 1
-}
+// so Solve's common-mode Newton rescale is exact in the interior.
+func (d *clusterDomain) ScaleElasticity() float64 { return maxMinAlpha }
 
-// newClusterDomain allocates an empty market over r resources: the
-// alpha-fair (max-min) market when alpha is maxMinAlpha, the weighted-log
-// (proportional-fair) one when alpha == 0. Rows are installed by load —
-// all at once for a one-shot solve, or only where the client table changed
-// when an engine keeps the domain between rounds.
-func newClusterDomain(r int, alpha float64) *clusterDomain {
-	d := &clusterDomain{r: r, alpha: alpha}
-	if alpha <= 0 {
-		return d
-	}
+// newClusterDomain allocates an empty market over r resources. Rows are
+// installed by load — all at once for a one-shot solve, or only where the
+// client table changed when an engine keeps the domain between rounds.
+func newClusterDomain(r int) *clusterDomain {
+	d := &clusterDomain{r: r}
 	d.pRoot = make([]float64, r)
 	d.npairs = r * (r - 1) / 2
 	d.pairRoot = make([]float64, d.npairs)
@@ -331,14 +210,10 @@ func (d *clusterDomain) resize(n int) {
 	d.n = n
 	d.t = fit(d.t, n*d.r)
 	d.z = fit(d.z, n)
-	if d.alpha > 0 {
-		d.tPow = fit(d.tPow, n*d.r)
-		d.tUtil = fit(d.tUtil, n*d.r)
-		d.zRoot = fit(d.zRoot, n)
-		d.dtRoot = fit(d.dtRoot, n*d.npairs)
-	} else {
-		d.w = fit(d.w, n)
-	}
+	d.tPow = fit(d.tPow, n*d.r)
+	d.tUtil = fit(d.tUtil, n*d.r)
+	d.zRoot = fit(d.zRoot, n)
+	d.dtRoot = fit(d.dtRoot, n*d.npairs)
 }
 
 // move shifts the constants of rows [src, src+n) to [dst, dst+n) — the
@@ -350,53 +225,44 @@ func (d *clusterDomain) move(dst, src, n int) {
 	}
 	shift(d.t, d.r)
 	shift(d.z, 1)
-	if d.alpha > 0 {
-		shift(d.tPow, d.r)
-		shift(d.tUtil, d.r)
-		shift(d.zRoot, 1)
-		shift(d.dtRoot, d.npairs)
-	} else {
-		shift(d.w, 1)
-	}
+	shift(d.tPow, d.r)
+	shift(d.tUtil, d.r)
+	shift(d.zRoot, 1)
+	shift(d.dtRoot, d.npairs)
 }
 
 // load points the domain at jobs over pool c. With all set every client's
 // constants are recomputed; otherwise only the listed rows (the positions
 // the client table reported as new or changed) are, the rest keeping what
-// an earlier load gave them. The max-min market normalizes throughputs the
-// way the max-min LP does — t̃_ji = T_ji/(w_j·eqThr_j·z_j), so a unit of
-// utility is a unit of the normalized ratio the policy maximizes the
-// minimum of — against the reference row (see the field comment), so kept
-// rows go stale only when that reference moves: the pool changed, or the
-// total scale crossed a power of two. Then everything is recomputed
-// regardless. Degenerate jobs (zero equal-share throughput) get a zero row
-// and demand nothing, mirroring the LP skipping their fair row. The
-// proportional-fair market uses raw throughputs with the weighted log
-// utility — the Eisenberg-Gale market whose equilibrium is the
-// proportional-fair optimum.
+// an earlier load gave them. Throughputs are normalized the way the
+// max-min LP does — t̃_ji = T_ji/(w_j·eqThr_j·z_j), so a unit of utility is
+// a unit of the normalized ratio the policy maximizes the minimum of —
+// against the reference row (see the field comment), so kept rows go stale
+// only when that reference moves: the pool changed, or the total scale
+// crossed a power of two. Then everything is recomputed regardless.
+// Degenerate jobs (zero equal-share throughput) get a zero row and demand
+// nothing, mirroring the LP skipping their fair row.
 func (d *clusterDomain) load(jobs []cluster.Job, c cluster.Cluster, rows []int, all bool) {
 	d.cap = append(d.cap[:0], c.NumGPUs...)
 	d.hint = 0
 	for _, j := range jobs {
 		d.hint += j.Scale
 	}
-	if d.alpha > 0 {
-		bucket := d.hint // the total scale, rounded up to a power of two
-		if frac, exp := math.Frexp(bucket); frac != 0.5 {
-			bucket = math.Ldexp(1, exp)
-		}
-		if ref := cluster.EqualShareOf(bucket, c); all || !slices.Equal(ref, d.eqRef) {
-			d.eqRef, all = ref, true
-		}
-		d.sigma = 1
-		for i, e := range cluster.EqualShareOf(d.hint, c) {
-			if e > 0 {
-				d.sigma = d.eqRef[i] / e
-				break
-			}
-		}
-		d.utilScale = math.Pow(d.sigma, 1-d.alpha) / (1 - d.alpha)
+	bucket := d.hint // the total scale, rounded up to a power of two
+	if frac, exp := math.Frexp(bucket); frac != 0.5 {
+		bucket = math.Ldexp(1, exp)
 	}
+	if ref := cluster.EqualShareOf(bucket, c); all || !slices.Equal(ref, d.eqRef) {
+		d.eqRef, all = ref, true
+	}
+	d.sigma = 1
+	for i, e := range cluster.EqualShareOf(d.hint, c) {
+		if e > 0 {
+			d.sigma = d.eqRef[i] / e
+			break
+		}
+	}
+	d.utilScale = math.Pow(d.sigma, 1-maxMinAlpha) / (1 - maxMinAlpha)
 	if all {
 		for idx, j := range jobs {
 			d.setRow(idx, j)
@@ -413,25 +279,20 @@ func (d *clusterDomain) setRow(idx int, j cluster.Job) {
 	r := d.r
 	t := d.t[idx*r : (idx+1)*r]
 	d.z[idx] = j.Scale
-	if d.alpha <= 0 {
-		d.w[idx] = j.Weight
-		copy(t, j.Throughput)
-		return
-	}
 	clear(t)
 	if denom := j.Weight * cluster.EffectiveThroughput(j, d.eqRef) * j.Scale; denom > 0 {
 		for i := range t {
 			t[i] = j.Throughput[i] / denom
 		}
 	}
-	// Alpha-fair fast-path caches (see the clusterDomain field comment).
+	// Hoisted powers and roots (see the clusterDomain field comment).
 	tPow := d.tPow[idx*r : (idx+1)*r]
 	tUtil := d.tUtil[idx*r : (idx+1)*r]
 	for i, v := range t {
 		tPow[i], tUtil[i] = 0, 0
 		if v > 0 {
-			tPow[i] = math.Pow(v, 1/d.alpha-1)
-			tUtil[i] = math.Pow(v, 1-d.alpha)
+			tPow[i] = math.Pow(v, 1/maxMinAlpha-1)
+			tUtil[i] = math.Pow(v, 1-maxMinAlpha)
 		}
 	}
 	d.zRoot[idx] = 0
@@ -452,18 +313,17 @@ func (d *clusterDomain) setRow(idx int, j cluster.Job) {
 	}
 }
 
-// oneShotDomain builds the market of a single solve over jobs: alpha-fair
-// (max-min) for alpha == maxMinAlpha, proportional-fair for alpha == 0.
-func oneShotDomain(jobs []cluster.Job, c cluster.Cluster, alpha float64) *clusterDomain {
-	d := newClusterDomain(c.NumTypes(), alpha)
+// oneShotDomain builds the market of a single solve over jobs.
+func oneShotDomain(jobs []cluster.Job, c cluster.Cluster) *clusterDomain {
+	d := newClusterDomain(c.NumTypes())
 	d.resize(len(jobs))
 	d.load(jobs, c, nil, true)
 	return d
 }
 
-// withMaxMinStep gives the max-min market its price step: alpha-fair demand
+// withMaxMinStep gives the market its price step: alpha-fair demand
 // elasticity is 1/α, so the step scales with the exponent to keep the
-// effective price motion what the unit-elasticity markets see.
+// effective price motion what a unit-elasticity market sees.
 func withMaxMinStep(opts Options) Options {
 	opts.step = maxMinAlpha / 12.0
 	return opts
@@ -473,17 +333,7 @@ func withMaxMinStep(opts Options) Options {
 // LP, per-job closed-form best responses. The returned Solution carries the
 // prices (warm start for the next round) and convergence accounting.
 func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	return solveCluster(oneShotDomain(jobs, c, maxMinAlpha), jobs, c, withMaxMinStep(opts))
-}
-
-// SolvePropFair approximates cluster.ProportionalFairness by price
-// discovery over the Eisenberg-Gale market.
-func SolvePropFair(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	return solveCluster(oneShotDomain(jobs, c, 0), jobs, c, opts)
-}
-
-func solveCluster(d *clusterDomain, jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	sol, err := Solve(d, opts)
+	sol, err := Solve(oneShotDomain(jobs, c), withMaxMinStep(opts))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,11 @@
 // forms evaluated independently per client, so the inner loop is
 // embarrassingly parallel and scales to millions of clients per round.
 //
+// The package serves one market: max-min GPU scheduling, approximated by
+// an alpha-fair utility over normalized throughput ratios (SolveMaxMin for
+// one solve, ClusterEngine across rounds). Solve itself runs over any
+// Domain.
+//
 // # Price update rule
 //
 // Each iteration t computes every client's exact best response under the
@@ -20,18 +25,18 @@
 // with a diminishing step η_t = step/√(t0+t). Multiplicative updates keep
 // prices positive and let them traverse orders of magnitude in few
 // iterations — necessary because low-elasticity utilities (the alpha-fair
-// max-min approximation, exponent α = 32, whose adapter sets the step to
-// α/12 where the unit-elasticity markets use ½, holding the effective
-// price motion constant) need large price swings to move demand: at
+// max-min approximation, exponent α = 32, whose step is α/12 where a
+// unit-elasticity market would use ½, holding the effective price motion
+// constant) need large price swings to move demand: at
 // equilibrium their marginal utilities scale as u^-α, so clearing prices
 // legitimately sit many orders of magnitude above the demand-seeded cold
 // start. Prices are therefore clamped to a deliberately vast [1e-18, 1e18]×
 // band around that scale — a tight ceiling silently caps the walk and
 // freezes the residual.
 //
-// Domains with a known aggregate elasticity (both cluster adapters:
-// interior alpha-fair demand scales as p^(−1/α), log-utility as p^(−1))
-// additionally get a common-mode damped Newton rescale each iteration:
+// Domains with a known aggregate elasticity (the max-min market: interior
+// alpha-fair demand scales as p^(−1/α)) additionally get a common-mode
+// damped Newton rescale each iteration:
 // the whole price vector is multiplied by exp(½·E·mean(log(demand/cap))),
 // with the underdemand side of the mean weighted by price/(price+p0) as
 // in the clearing residual. A uniform rescale leaves relative prices —
@@ -45,9 +50,8 @@
 // Primal iterates fold into a polynomially weighted running average
 // (iterate t gets weight ∝ t^8), so late, well-priced responses dominate
 // and the cold-start transient is forgotten quickly; the averaged demands
-// are the allocation. Adapters finish with a cheap
-// feasibility projection (cluster: capacity-column scaling; lb: a
-// deterministic band-repair pass), so reported allocations are always
+// are the allocation. The market finishes with a cheap feasibility
+// projection (capacity-column scaling), so reported allocations are always
 // feasible and quality gaps show up in the objective, never as constraint
 // violations.
 //
@@ -59,10 +63,7 @@
 // weighted by price/(price+p0) — idle capacity only violates clearing
 // while its price remains meaningfully above the cold-start scale p0.
 // Solves that exhaust MaxIters (default 1200) return the residual with
-// Converged=false; nothing is hidden. The lb adapter runs a short walk
-// (200 iterations unless set): its integral shard market plateaus early
-// and the deterministic band repair does the final leveling, so it
-// routinely reports Converged=false with a fully acceptable assignment.
+// Converged=false; nothing is hidden.
 //
 // # Warm-start contract
 //
@@ -73,8 +74,8 @@
 // never the clearing criterion: warm and cold runs converge to the same
 // tolerance against the same market, differing only in iterations spent.
 // A WarmPrice of the wrong shape or with non-positive entries is ignored
-// (cold start), never an error. The online engines carry prices across
-// rounds automatically and drop them — mirroring lp.Model's warm-hostile
+// (cold start), never an error. ClusterEngine carries prices across
+// rounds automatically and drops them — mirroring lp.Model's warm-hostile
 // basis drop — when membership churn (arrivals + departures, relative to
 // the client count) reaches coldChurnFrac (¼); capacity changes rescale
 // carried prices instead of dropping them. Data

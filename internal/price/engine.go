@@ -1,26 +1,12 @@
 package price
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
 	"pop/internal/cluster"
-	"pop/internal/lb"
 	"pop/internal/obs"
 )
-
-// EngineOptions configure an online price engine.
-type EngineOptions struct {
-	// Solver tunes the per-round price solve. Solver.WarmPrice is managed
-	// by the engine; Solver.Obs also receives the engine's round telemetry
-	// ("price.round" spans, round counters, round-latency histograms).
-	Solver Options
-	// NoWarmPrice disables price carrying entirely; every round solves
-	// cold. Used for the cold baseline in benchmarks and the warm-vs-cold
-	// property tests.
-	NoWarmPrice bool
-}
 
 // coldChurnFrac is the membership-churn fraction (arrivals plus departures
 // relative to the post-diff client count) at or above which a round drops
@@ -43,7 +29,7 @@ type Stats struct {
 	ConvergedRounds int `json:"converged_rounds"`
 	// WarmPriceRounds counts rounds solved from carried prices;
 	// ColdPriceRounds counts cold starts (first round, heavy churn, or
-	// NoWarmPrice).
+	// MarkAllDirty).
 	WarmPriceRounds int `json:"warm_price_rounds"`
 	ColdPriceRounds int `json:"cold_price_rounds"`
 	// Arrivals, Departures, and Updates count the applied deltas.
@@ -52,8 +38,8 @@ type Stats struct {
 	Updates    int `json:"updates"`
 }
 
-// ClusterEngine maintains a price-discovery allocation for the GPU
-// scheduling policies across rounds: jobs arrive, depart, and change; each
+// ClusterEngine maintains a price-discovery allocation for max-min GPU
+// scheduling across rounds: jobs arrive, depart, and change; each
 // round re-solves the whole market from the previous round's price vector
 // (cold on heavy membership churn). It exposes the same round surface as
 // online.ClusterEngine so popserver and round loops can hold either. Not
@@ -68,8 +54,10 @@ type Stats struct {
 // normalized by the equal-share row, so when that row moves (total scale or
 // capacity changed) every client is recomputed.
 type ClusterEngine struct {
-	policy ClusterPolicy
-	opts   EngineOptions
+	// opts tunes every round's solve. WarmPrice is managed by the engine;
+	// Obs also receives the engine's round telemetry ("price.round" spans,
+	// round counters, round-latency histograms).
+	opts Options
 
 	c     cluster.Cluster
 	haveC bool
@@ -84,21 +72,15 @@ type ClusterEngine struct {
 	stats   Stats
 }
 
-// NewClusterEngine creates a price engine for cluster c running the given
-// policy.
-func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts EngineOptions) (*ClusterEngine, error) {
-	if policy != MaxMinFairness && policy != ProportionalFairness {
-		return nil, fmt.Errorf("price: unsupported cluster policy %v", policy)
-	}
-	if policy == MaxMinFairness {
-		opts.Solver = withMaxMinStep(opts.Solver)
-	}
-	e := &ClusterEngine{policy: policy, opts: opts}
+// NewClusterEngine creates a price engine for cluster c whose rounds solve
+// with opts.
+func NewClusterEngine(c cluster.Cluster, opts Options) *ClusterEngine {
+	e := &ClusterEngine{opts: withMaxMinStep(opts)}
 	e.SetCluster(c)
-	return e, nil
+	return e
 }
 
-func (e *ClusterEngine) obs() *obs.Observer { return e.opts.Solver.Obs }
+func (e *ClusterEngine) obs() *obs.Observer { return e.opts.Obs }
 
 // SetCluster installs a new resource pool. Carried prices are rescaled by
 // the inverse capacity change per type (scarcer capacity means a
@@ -158,15 +140,11 @@ func (e *ClusterEngine) NumJobs() int { return e.tab.Len() }
 // Jobs returns a copy of the live jobs in ascending-ID order.
 func (e *ClusterEngine) Jobs() []cluster.Job { return slices.Clone(e.commit()) }
 
-// Cluster returns the current resource pool.
-func (e *ClusterEngine) Cluster() cluster.Cluster { return e.c }
-
 // Stats returns the engine's work counters.
 func (e *ClusterEngine) Stats() Stats { return e.stats }
 
-// Objective reports the policy objective of the last round: the minimum
-// normalized ratio under max-min fairness, Σ w·log(thr) under proportional
-// fairness.
+// Objective reports the max-min objective of the last round: the minimum
+// normalized throughput ratio (MaxMinObjective).
 func (e *ClusterEngine) Objective() float64 { return e.lastObj }
 
 // commit folds pending table changes in, carrying the domain's rows along,
@@ -175,11 +153,7 @@ func (e *ClusterEngine) commit() []cluster.Job {
 	r := e.c.NumTypes()
 	all := e.dom == nil || e.dom.r != r
 	if all {
-		alpha := 0.0
-		if e.policy == MaxMinFairness {
-			alpha = maxMinAlpha
-		}
-		e.dom = newClusterDomain(r, alpha)
+		e.dom = newClusterDomain(r)
 	}
 	e.dom.resize(max(e.dom.n, e.tab.Len()))
 	fresh := e.tab.Commit(e.dom.move)
@@ -211,12 +185,7 @@ func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.All
 	e.havePrice = true
 	e.churn = 0
 	e.bookRound(sol, warm, start)
-
-	if e.policy == ProportionalFairness {
-		e.lastObj = cluster.LogUtility(jobs, alloc)
-	} else {
-		e.lastObj = MaxMinObjective(jobs, e.c, alloc)
-	}
+	e.lastObj = MaxMinObjective(jobs, e.c, alloc)
 	span.Arg("warm", warm).Arg("iterations", sol.Iterations)
 	return jobs, alloc, nil
 }
@@ -233,19 +202,11 @@ func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.
 	return alloc.InOrder(jobs, active), nil
 }
 
-// Policy adapts the engine to gavelsim's round loop, like
-// online.ClusterEngine.Policy.
-func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-		return e.Step(jobs, c)
-	}
-}
-
 // solverOptions assembles the round's solve options, deciding warm vs cold
 // from the membership churn accumulated since the last solve.
 func (e *ClusterEngine) solverOptions(clients, resources int) (Options, bool) {
-	so := e.opts.Solver
-	warm := e.havePrice && !e.opts.NoWarmPrice && len(e.price) == resources &&
+	so := e.opts
+	warm := e.havePrice && len(e.price) == resources &&
 		float64(e.churn) < coldChurnFrac*float64(max(clients, 1))
 	if warm {
 		so.WarmPrice = e.price
@@ -256,10 +217,7 @@ func (e *ClusterEngine) solverOptions(clients, resources int) (Options, bool) {
 }
 
 func (e *ClusterEngine) bookRound(sol *Solution, warm bool, start time.Time) {
-	bookRound(&e.stats, e.obs(), sol, warm, start)
-}
-
-func bookRound(st *Stats, o *obs.Observer, sol *Solution, warm bool, start time.Time) {
+	st := &e.stats
 	st.Rounds++
 	st.Iterations += sol.Iterations
 	st.LastIterations = sol.Iterations
@@ -272,7 +230,7 @@ func bookRound(st *Stats, o *obs.Observer, sol *Solution, warm bool, start time.
 	} else {
 		st.ColdPriceRounds++
 	}
-	if o != nil {
+	if o := e.obs(); o != nil {
 		o.Counter("pop_price_rounds_total", "price-engine rounds").Inc()
 		if warm {
 			o.Counter("pop_price_warm_rounds_total", "rounds solved from carried prices").Inc()
@@ -282,104 +240,4 @@ func bookRound(st *Stats, o *obs.Observer, sol *Solution, warm bool, start time.
 		o.Histogram("pop_price_round_seconds", "price-engine round latency").
 			Observe(time.Since(start).Seconds())
 	}
-}
-
-// LBEngine maintains a price-discovery shard-balancing assignment across
-// rounds, carrying server prices between Steps. Load jitter on surviving
-// shards rides the warm start (relative excess demand is what prices
-// clear); only membership churn or a server-set change drops the prices.
-// Not safe for concurrent use.
-type LBEngine struct {
-	opts EngineOptions
-
-	servers []lb.Server
-	shards  map[int]lb.Shard
-
-	price     []float64
-	havePrice bool
-	churn     int
-
-	lastObj float64
-	stats   Stats
-}
-
-// NewLBEngine creates a price-discovery shard-balancing engine.
-func NewLBEngine(opts EngineOptions) (*LBEngine, error) {
-	return &LBEngine{
-		opts:   opts,
-		shards: make(map[int]lb.Shard),
-	}, nil
-}
-
-func (e *LBEngine) obs() *obs.Observer { return e.opts.Solver.Obs }
-
-// Stats returns the engine's work counters.
-func (e *LBEngine) Stats() Stats { return e.stats }
-
-// MarkAllDirty drops the carried prices (cold next round).
-func (e *LBEngine) MarkAllDirty() { e.havePrice = false }
-
-// Objective reports the moved bytes of the last Step's assignment.
-func (e *LBEngine) Objective() float64 { return e.lastObj }
-
-// Step diffs the instance against engine state, solves the server market
-// warm from the previous round's prices, and returns the assignment. It has
-// lb.Solver's shape via Solver.
-func (e *LBEngine) Step(inst *lb.Instance) (*lb.Assignment, error) {
-	if len(inst.Shards) == 0 || len(inst.Servers) == 0 {
-		return nil, fmt.Errorf("price: empty instance")
-	}
-	span := e.obs().Span("price.round").Arg("clients", len(inst.Shards))
-	defer span.End()
-	start := time.Now()
-
-	if !slices.Equal(e.servers, inst.Servers) {
-		e.servers = append([]lb.Server(nil), inst.Servers...)
-		e.havePrice = false
-	}
-	seen := make(map[int]bool, len(inst.Shards))
-	for _, s := range inst.Shards {
-		seen[s.ID] = true
-		old, ok := e.shards[s.ID]
-		e.shards[s.ID] = s
-		switch {
-		case !ok:
-			e.stats.Arrivals++
-			e.churn++
-		case old.Load != s.Load || old.Mem != s.Mem:
-			e.stats.Updates++
-		}
-	}
-	for id := range e.shards {
-		if !seen[id] {
-			delete(e.shards, id)
-			e.stats.Departures++
-			e.churn++
-		}
-	}
-
-	so := e.opts.Solver
-	warm := e.havePrice && !e.opts.NoWarmPrice && len(e.price) == len(inst.Servers) &&
-		float64(e.churn) < coldChurnFrac*float64(max(len(inst.Shards), 1))
-	if warm {
-		so.WarmPrice = e.price
-	} else {
-		so.WarmPrice = nil
-	}
-	a, sol, err := SolveLB(inst, so)
-	if err != nil {
-		return nil, err
-	}
-	e.price = sol.Price
-	e.havePrice = true
-	e.churn = 0
-	bookRound(&e.stats, e.obs(), sol, warm, start)
-	e.lastObj = a.MovedBytes
-	span.Arg("warm", warm).Arg("iterations", sol.Iterations)
-	return a, nil
-}
-
-// Solver adapts the engine to lb.RunRounds' round loop.
-func (e *LBEngine) Solver() lb.Solver {
-	return func(inst *lb.Instance) (*lb.Assignment, error) { return e.Step(inst) }
 }

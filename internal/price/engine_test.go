@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lb"
 )
 
 // stepRounds plays a low-churn round sequence against an engine: each round
 // replaces a couple of jobs and jitters one weight, the membership churn
-// staying well under ColdChurnFrac.
-func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int) []float64 {
+// staying well under ColdChurnFrac. With cold set, every round first drops
+// the carried prices.
+func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int, cold bool) []float64 {
 	t.Helper()
 	jobs := cluster.GenerateJobs(160, 21, 0.3)
 	nextID := 10_000
@@ -27,6 +27,9 @@ func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int) [
 			jobs = append(jobs[2:], fresh...)
 			jobs[0].Weight *= 1.1
 		}
+		if cold {
+			e.MarkAllDirty()
+		}
 		a, err := e.Step(jobs, c)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
@@ -41,17 +44,11 @@ func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int) [
 
 func TestClusterEngineWarmVsCold(t *testing.T) {
 	c := cluster.NewCluster(32, 32, 32)
-	warmEng, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 21, Parallel: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldEng, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 21, Parallel: true}, NoWarmPrice: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmEng := NewClusterEngine(c, Options{Seed: 21, Parallel: true})
+	coldEng := NewClusterEngine(c, Options{Seed: 21, Parallel: true})
 	const rounds = 6
-	warmObjs := stepRounds(t, warmEng, c, rounds)
-	coldObjs := stepRounds(t, coldEng, c, rounds)
+	warmObjs := stepRounds(t, warmEng, c, rounds, false)
+	coldObjs := stepRounds(t, coldEng, c, rounds, true)
 
 	ws, cs := warmEng.Stats(), coldEng.Stats()
 	t.Logf("warm engine: %+v", ws)
@@ -80,10 +77,7 @@ func TestClusterEngineWarmVsCold(t *testing.T) {
 
 func TestClusterEngineChurnFallback(t *testing.T) {
 	c := cluster.NewCluster(16, 16, 16)
-	e, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewClusterEngine(c, Options{Seed: 3})
 	jobs := cluster.GenerateJobs(80, 3, 0.3)
 	if _, err := e.Step(jobs, c); err != nil {
 		t.Fatal(err)
@@ -113,10 +107,7 @@ func TestClusterEngineChurnFallback(t *testing.T) {
 
 func TestClusterEngineCapacityRescale(t *testing.T) {
 	c := cluster.NewCluster(16, 16, 16)
-	e, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewClusterEngine(c, Options{Seed: 9})
 	jobs := cluster.GenerateJobs(60, 9, 0.3)
 	if _, err := e.Step(jobs, c); err != nil {
 		t.Fatal(err)
@@ -139,45 +130,5 @@ func TestClusterEngineCapacityRescale(t *testing.T) {
 	}
 	if st := e.Stats(); st.ColdPriceRounds != 2 {
 		t.Errorf("MarkAllDirty should force a cold round: %+v", st)
-	}
-}
-
-func TestClusterEnginePropFair(t *testing.T) {
-	c := cluster.NewCluster(16, 16, 16)
-	e, err := NewClusterEngine(c, ProportionalFairness, EngineOptions{Solver: Options{Seed: 13, Parallel: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepRounds(t, e, c, 3)
-	if st := e.Stats(); st.Rounds != 3 || st.WarmPriceRounds != 2 {
-		t.Errorf("propfair engine rounds: %+v", st)
-	}
-	if _, err := NewClusterEngine(c, ClusterPolicy(99), EngineOptions{}); err == nil {
-		t.Error("unknown policy should be rejected")
-	}
-}
-
-func TestLBEngineRounds(t *testing.T) {
-	inst := lb.NewInstance(300, 12, 0.05, 17)
-	e, err := NewLBEngine(EngineOptions{Solver: Options{Seed: 17, Parallel: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := lb.RunRounds(inst, 6, 17, e.Solver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	t.Logf("lb rounds: avgDev=%.4f avgMoved=%.1f stats=%+v", res.AvgDeviation, res.AvgMovedBytes, st)
-	if st.Rounds != 6 || st.ColdPriceRounds != 1 || st.WarmPriceRounds != 5 {
-		t.Errorf("lb engine should go warm after the first round: %+v", st)
-	}
-	if res.AvgDeviation > inst.TolFrac+0.02 {
-		t.Errorf("average deviation %.4f well outside tolerance %.4f", res.AvgDeviation, inst.TolFrac)
-	}
-	// Load jitter lands as updates, not churn: ShiftLoads touches loads on
-	// surviving shards only.
-	if st.Arrivals != 300 || st.Departures != 0 {
-		t.Errorf("unexpected membership churn: %+v", st)
 	}
 }

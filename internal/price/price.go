@@ -101,8 +101,7 @@ type scaleElastic interface {
 
 // Options tune a price-discovery solve.
 type Options struct {
-	// MaxIters bounds price-update iterations; 0 means 1200 (200 for the
-	// shard market, see SolveLB).
+	// MaxIters bounds price-update iterations; 0 means 1200.
 	MaxIters int
 	// Seed fixes the deterministic cold-price jitter. Identical inputs,
 	// Seed, and WarmPrice produce bit-identical output regardless of
@@ -120,8 +119,8 @@ type Options struct {
 	Obs *obs.Observer
 
 	// step is the initial multiplicative price-update step, set by the
-	// market's own adapter (the max-min one scales it with its exponent);
-	// 0 means defaultStep.
+	// max-min market's entry points (withMaxMinStep scales it with the
+	// exponent); 0 means defaultStep.
 	step float64
 }
 

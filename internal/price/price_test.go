@@ -197,16 +197,15 @@ func TestPriceMetricsGuard(t *testing.T) {
 	}
 }
 
-// TestOptionsSurface pins the exported fields of Options and EngineOptions,
-// as lp's test of the same name does: every field is a configuration the
-// suites and the benchmark must cover, so a new one displaces an old one.
+// TestOptionsSurface pins the exported fields of Options, as lp's test of
+// the same name does: every field is a configuration the suites and the
+// benchmark must cover, so a new one displaces an old one.
 func TestOptionsSurface(t *testing.T) {
 	for _, tc := range []struct {
 		opts any
 		want []string
 	}{
 		{Options{}, []string{"MaxIters", "Seed", "Parallel", "WarmPrice", "Obs"}},
-		{EngineOptions{}, []string{"Solver", "NoWarmPrice"}},
 	} {
 		var got []string
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(tc.opts)) {

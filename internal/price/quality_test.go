@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lb"
 	"pop/internal/lp"
-	"pop/internal/propfair"
 )
 
 // maxMinGapTol is the documented quality tolerance of the price engine on
@@ -44,64 +42,6 @@ func TestMaxMinQualityVsLP(t *testing.T) {
 			if gap > maxMinGapTol {
 				t.Errorf("n=%d seed=%d: max-min gap %.2f%% exceeds %.0f%% tolerance (lp=%.4f price=%.4f)",
 					n, seed, 100*gap, 100*maxMinGapTol, lpObj, pObj)
-			}
-		}
-	}
-}
-
-func TestPropFairQualityVsFW(t *testing.T) {
-	for _, n := range []int{24, 80} {
-		for seed := int64(1); seed <= 2; seed++ {
-			jobs := cluster.GenerateJobs(n, seed, 0.3)
-			c := cluster.NewCluster(float64(n)/5, float64(n)/5, float64(n)/5)
-
-			fwA, err := cluster.ProportionalFairnessFW(jobs, c, propfair.FWOptions{})
-			if err != nil {
-				t.Fatalf("n=%d seed=%d: FW: %v", n, seed, err)
-			}
-			fwObj := cluster.LogUtility(jobs, fwA)
-
-			pa, sol, err := SolvePropFair(jobs, c, Options{Seed: seed})
-			if err != nil {
-				t.Fatalf("n=%d seed=%d: price: %v", n, seed, err)
-			}
-			if err := cluster.VerifyFeasible(jobs, c, pa, 1e-6); err != nil {
-				t.Fatalf("n=%d seed=%d: infeasible price allocation: %v", n, seed, err)
-			}
-			pObj := cluster.LogUtility(jobs, pa)
-			// Log utilities are near-linear in weighted log throughput; compare
-			// as an absolute gap per job, which is scale-free across n.
-			gap := (fwObj - pObj) / float64(n)
-			t.Logf("n=%d seed=%d: fw=%.4f price=%.4f gap/job=%.4f iters=%d converged=%v",
-				n, seed, fwObj, pObj, gap, sol.Iterations, sol.Converged)
-			if gap > 0.05 {
-				t.Errorf("n=%d seed=%d: propfair log-utility gap %.4f/job exceeds 0.05 (fw=%.4f price=%.4f)",
-					n, seed, gap, fwObj, pObj)
-			}
-		}
-	}
-}
-
-func TestLBQuality(t *testing.T) {
-	for _, nm := range [][2]int{{100, 10}, {400, 16}} {
-		for seed := int64(1); seed <= 3; seed++ {
-			inst := lb.NewInstance(nm[0], nm[1], 0.05, seed)
-			inst.ShiftLoads(seed + 100)
-
-			pa, sol, err := SolveLB(inst, Options{Seed: seed})
-			if err != nil {
-				t.Fatalf("n=%d m=%d seed=%d: %v", nm[0], nm[1], seed, err)
-			}
-			if err := lb.VerifyFeasible(inst, pa, 1e-6); err != nil {
-				t.Fatalf("n=%d m=%d seed=%d: infeasible assignment: %v", nm[0], nm[1], seed, err)
-			}
-			g := lb.SolveGreedy(inst)
-			t.Logf("n=%d m=%d seed=%d: price moved=%.1f dev=%.4f iters=%d converged=%v | greedy moved=%.1f dev=%.4f",
-				nm[0], nm[1], seed, pa.MovedBytes, pa.MaxDeviation, sol.Iterations, sol.Converged,
-				g.MovedBytes, g.MaxDeviation)
-			if pa.MaxDeviation > inst.TolFrac+0.02 {
-				t.Errorf("n=%d m=%d seed=%d: max deviation %.4f well outside band tolerance %.4f",
-					nm[0], nm[1], seed, pa.MaxDeviation, inst.TolFrac)
 			}
 		}
 	}

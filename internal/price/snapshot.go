@@ -24,6 +24,11 @@ type ClusterState struct {
 	Stats     Stats         `json:"stats"`
 }
 
+// snapshotPolicy names the engine's market in ClusterState.Policy. The
+// engine serves only the max-min market, but the field stays: state files
+// carry it, and Restore refuses a snapshot that names another policy.
+const snapshotPolicy = "max-min-fairness"
+
 // Marshal encodes the state as JSON.
 func (s *ClusterState) Marshal() ([]byte, error) { return json.Marshal(s) }
 
@@ -31,7 +36,7 @@ func (s *ClusterState) Marshal() ([]byte, error) { return json.Marshal(s) }
 // aliases nothing.
 func (e *ClusterEngine) Snapshot() *ClusterState {
 	st := &ClusterState{
-		Policy: e.policy.String(),
+		Policy: snapshotPolicy,
 		Jobs:   e.Jobs(),
 		Stats:  e.stats,
 	}
@@ -46,11 +51,11 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 }
 
 // Restore installs a snapshot, replacing the engine's jobs, carried prices,
-// and counters. The snapshot must match the engine's policy; on mismatch
+// and counters. The snapshot must name the engine's policy; on mismatch
 // the engine is unchanged.
 func (e *ClusterEngine) Restore(st *ClusterState) error {
-	if st.Policy != e.policy.String() {
-		return fmt.Errorf("price: snapshot policy %q does not match engine policy %q", st.Policy, e.policy)
+	if st.Policy != snapshotPolicy {
+		return fmt.Errorf("price: snapshot policy %q does not match engine policy %q", st.Policy, snapshotPolicy)
 	}
 	e.tab.Reset(st.Jobs)
 	e.dom = nil // rows no longer line up with the table

@@ -1,6 +1,7 @@
 package price
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,10 +25,7 @@ func snapJob(id int, rnd *rand.Rand) cluster.Job {
 // allocation.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	c := cluster.NewCluster(16, 16, 16)
-	donor, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 17}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	donor := NewClusterEngine(c, Options{Seed: 17})
 	rnd := rand.New(rand.NewSource(17))
 	jobs := make([]cluster.Job, 0, 30)
 	for id := 0; id < 30; id++ {
@@ -46,10 +44,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 17}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := NewClusterEngine(c, Options{Seed: 17})
 	if err := restored.RestoreBytes(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +78,22 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRejectsPolicyMismatch: a snapshot from a different
+// TestSnapshotRestoreRejectsPolicyMismatch: a snapshot naming another
 // policy leaves the engine unchanged.
 func TestSnapshotRestoreRejectsPolicyMismatch(t *testing.T) {
 	c := cluster.NewCluster(8, 8, 8)
-	donor, err := NewClusterEngine(c, MaxMinFairness, EngineOptions{Solver: Options{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	donor := NewClusterEngine(c, Options{Seed: 1})
 	rnd := rand.New(rand.NewSource(1))
 	if _, err := donor.Step([]cluster.Job{snapJob(0, rnd), snapJob(1, rnd)}, c); err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewClusterEngine(c, ProportionalFairness, EngineOptions{Solver: Options{Seed: 1}})
+	raw, err := donor.Snapshot().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Restore(donor.Snapshot()); err == nil {
+	raw = bytes.Replace(raw, []byte(`"policy":"max-min-fairness"`), []byte(`"policy":"proportional-fairness"`), 1)
+	other := NewClusterEngine(c, Options{Seed: 1})
+	if err := other.RestoreBytes(raw); err == nil {
 		t.Fatal("policy-mismatched restore succeeded")
 	}
 	if other.NumJobs() != 0 {

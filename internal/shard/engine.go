@@ -41,7 +41,8 @@ type Engine interface {
 type EngineBundle struct {
 	Engine Engine
 	// Kind is "lp" for the incremental LP engines, "price" for the
-	// price-discovery engine.
+	// price-discovery engine. A worker's -state-file records it and
+	// restores only into a bundle of the same kind.
 	Kind string
 	// Stats returns the engine's counter struct (JSON-marshalable).
 	Stats func() any
@@ -74,12 +75,7 @@ type EngineConfig struct {
 func NewEngine(c cluster.Cluster, cfg EngineConfig) (*EngineBundle, error) {
 	switch strings.ToLower(cfg.Policy) {
 	case "price":
-		eng, err := price.NewClusterEngine(c, price.MaxMinFairness, price.EngineOptions{
-			Solver: price.Options{Parallel: cfg.Parallel, Obs: cfg.Obs},
-		})
-		if err != nil {
-			return nil, err
-		}
+		eng := price.NewClusterEngine(c, price.Options{Parallel: cfg.Parallel, Obs: cfg.Obs})
 		return &EngineBundle{
 			Engine:   eng,
 			Kind:     "price",

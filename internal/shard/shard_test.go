@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -544,6 +545,91 @@ func TestWorkerStateFileWarmRejoin(t *testing.T) {
 	// checkpoint, so nothing writes into the temp dir while it is removed.
 	if err := f.workers[0].SaveState(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStateFileEngineKind: a -state-file restores only into the kind of
+// engine that wrote it. The LP and price snapshots share JSON names
+// ("policy":"max-min-fairness", rounds, iterations, arrivals), so an LP
+// file decodes into a price engine without complaint, LP pivots reading
+// back as price iterations; the envelope's kind is what tells them apart.
+// A file without a kind predates the field and restores as it always did.
+func TestStateFileEngineKind(t *testing.T) {
+	lpCfg := EngineConfig{Policy: "maxmin", K: 2}
+	priceCfg := EngineConfig{Policy: "price"}
+	// saved runs one 20-job round on a cfg worker and returns its state file.
+	saved := func(cfg EngineConfig) func(*testing.T) string {
+		return func(t *testing.T) string {
+			path := filepath.Join(t.TempDir(), "worker.state")
+			b, err := NewEngine(testCluster(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewWorker(b, WorkerOptions{StateFile: path})
+			rnd := rand.New(rand.NewSource(20))
+			req := &RoundRequest{Round: 1, GPUs: testCluster().NumGPUs}
+			for id := 0; id < 20; id++ {
+				req.Upserts = append(req.Upserts, SpecOf(randJob(id, rnd)))
+			}
+			if _, err := w.round(req); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+	}
+	// legacy is single-process popserver's last own envelope: an LP max-min
+	// engine at round 3 with 5 jobs, and no kind.
+	legacy := func(t *testing.T) string {
+		raw, err := os.ReadFile(filepath.Join("..", "..", "cmd", "popserver", "testdata", "single_process_v15.state"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte(`"kind"`)) {
+			t.Fatal("legacy fixture already records a kind")
+		}
+		path := filepath.Join(t.TempDir(), "worker.state")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name        string
+		file        func(*testing.T) string
+		cfg         EngineConfig
+		round, jobs int
+	}{
+		{"lp file, lp worker", saved(lpCfg), lpCfg, 1, 20},
+		{"price file, price worker", saved(priceCfg), priceCfg, 1, 20},
+		{"lp file, price worker", saved(lpCfg), priceCfg, 0, 0},
+		{"price file, lp worker", saved(priceCfg), lpCfg, 0, 0},
+		{"legacy file, lp worker", legacy, lpCfg, 3, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tc.file(t)
+			b, err := NewEngine(testCluster(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var logs bytes.Buffer
+			w := NewWorker(b, WorkerOptions{StateFile: path, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+			if got := b.Engine.NumJobs(); got != tc.jobs {
+				t.Fatalf("worker holds %d jobs, want %d; stats %+v", got, tc.jobs, b.Stats())
+			}
+			if got := w.LastRound(); got != tc.round {
+				t.Fatalf("worker at round %d, want %d", got, tc.round)
+			}
+			rejected := tc.jobs == 0
+			if got := strings.Contains(logs.String(), "state restore rejected; starting fresh"); got != rejected {
+				t.Fatalf("restore rejected = %v, want %v; log:\n%s", got, rejected, logs.String())
+			}
+			if rejected && !reflect.ValueOf(b.Stats()).IsZero() {
+				t.Fatalf("rejected restore left counters behind: %+v", b.Stats())
+			}
+		})
 	}
 }
 

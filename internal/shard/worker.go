@@ -274,11 +274,17 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 	writeJSON(rw, http.StatusOK, resp)
 }
 
-// workerState is the on-disk shape of a -state-file. Round is read, never
-// written: single-process popserver's envelope before PR 16.
+// workerState is the on-disk shape of a -state-file. Kind is the
+// EngineBundle.Kind that wrote it: a file from another kind of engine is
+// rejected whole, since the engine snapshots share JSON names (policy,
+// rounds, iterations, …) and one would half-decode into the other. Files
+// without it predate the field and restore as before. Round is read, never
+// written: the envelope single-process popserver kept before it became a
+// coordinator over an in-process worker.
 type workerState struct {
 	LastRound int             `json:"last_round"`
 	Round     int             `json:"round,omitempty"`
+	Kind      string          `json:"kind,omitempty"`
 	Engine    json.RawMessage `json:"engine"`
 }
 
@@ -303,7 +309,7 @@ func (w *Worker) snapshotLocked() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(workerState{LastRound: w.lastRound, Engine: eng})
+	return json.Marshal(workerState{LastRound: w.lastRound, Kind: w.b.Kind, Engine: eng})
 }
 
 // saveStateAsync snapshots under the held lock (cheap struct copies) and
@@ -340,7 +346,12 @@ func (w *Worker) restoreState() {
 		w.opts.Log.Warn("state file corrupt; starting fresh", "file", w.opts.StateFile, "err", err)
 		return
 	}
-	if err := w.b.Restore(st.Engine); err != nil {
+	if st.Kind != "" && st.Kind != w.b.Kind {
+		err = fmt.Errorf("state file holds a %q engine, this worker runs %q", st.Kind, w.b.Kind)
+	} else {
+		err = w.b.Restore(st.Engine)
+	}
+	if err != nil {
 		w.opts.Log.Warn("state restore rejected; starting fresh", "file", w.opts.StateFile, "err", err)
 		return
 	}

@@ -298,18 +298,3 @@ func solveScaled(inst *Instance, obj Objective, capScale float64, sub []int, opt
 	a.LPVariables = p.NumVariables()
 	return a, nil
 }
-
-// ConcurrentFraction computes min_j Flow[j]/D_j for demands restricted to
-// the given subset (used to score POP sub-allocations).
-func ConcurrentFraction(inst *Instance, a *Allocation, sub []int) float64 {
-	frac := math.Inf(1)
-	for _, j := range sub {
-		if d := inst.Demands[j].Amount; d > 0 {
-			frac = math.Min(frac, a.Flow[j]/d)
-		}
-	}
-	if math.IsInf(frac, 1) {
-		return 0
-	}
-	return frac
-}
