@@ -26,12 +26,13 @@ type basisFactor interface {
 	// current phase costs of the basic columns.
 	btranCost(y []float64)
 	// btranUnit computes z = B⁻ᵀ e_r into z (row space) for basis
-	// position r; zᵀ is row r of B⁻¹, the dual simplex pivot row.
+	// position r; zᵀ is row r of B⁻¹, from which every pivot row is priced.
 	btranUnit(r int, z []float64)
 	// update records the pivot that replaced the column at basis position
-	// `leave` with the column whose ftran is w. It returns false if the
-	// pivot is too unstable to absorb, in which case the caller must
-	// refactor.
+	// `leave` with the column whose ftran is w, which must be the column
+	// the last ftranCol solved (luFactor installs what that call saved).
+	// It returns false if the pivot is too unstable to absorb, in which
+	// case the caller must refactor.
 	update(leave int, w []float64) bool
 	// wantRefactor reports that accumulated update fill makes an early
 	// refactorization worthwhile.

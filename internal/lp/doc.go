@@ -19,6 +19,21 @@
 //     switch to Bland's rule after a run of degenerate pivots, which
 //     guarantees termination. The dual phase prices its leaving rows with
 //     dual devex reference weights.
+//   - Reduced costs are maintained, not recomputed per pivot. A basis change
+//     in position r computes the pivot row αᵣ = ρᵀA, ρ = B⁻ᵀeᵣ, walking a
+//     row-wise copy of A over the rows where ρ ≠ 0, and updates
+//     d_j −= (d_q/w_r)·α_rj over the columns it touched (d_q becomes 0, the
+//     leaving column's −d_q/w_r); a bound flip leaves d alone. Primal and dual
+//     pivots share this one kernel: the dual ratio test reads its α row and
+//     its ratios from it. Every d_j is re-priced from a fresh y = B⁻ᵀc_B on
+//     entry to each primal phase (and each warm-repair pass), after every
+//     refactorization, and before an Optimal or unbounded-ray verdict that
+//     would otherwise rest on maintained values — a re-pricing that finds an
+//     improving column overturns it. The dual start's feasibility test,
+//     Solution.Dual/ReducedCost and Model's hostile-refresh sampler price
+//     fresh, so no reported number and no verdict depends on maintained
+//     values (pop_lp_price_refreshes_total, pop_lp_price_overturns_total;
+//     TestMaintainedReducedCosts).
 //   - The ratio tests — primal and dual — are Harris-style two-pass bounded
 //     tests: the first pass finds the loosest step admissible with every
 //     competing bound relaxed by the feasibility tolerance, the second takes
@@ -47,7 +62,12 @@
 // spiked column rotates to the last triangular position, and the leaving
 // row is eliminated by a recorded row transformation — so ftran/btran stay
 // sparse triangular solves through factors whose size tracks actual fill,
-// not pivot count.
+// not pivot count. The spike is ftran's own partial result: ftranCol solves
+// through L and the row etas, keeps that handle-space vector (which is U·w)
+// for the update, then finishes with the U solve. A refactorization or an
+// update spends it, and an update with none saved is refused, answered like
+// an unstable one by a refactorization (TestSavedSpikeMatchesUw holds it to
+// U·w formed explicitly).
 //
 // Refactorization is scheduled adaptively, on top of a fixed cadence of 512
 // pivots: the factor is rebuilt when U's fill grows past a budget tied to
@@ -60,7 +80,10 @@
 // (pop_lp_ft_updates_total, pop_lp_ft_rejects_total,
 // pop_lp_drift_refactors_total, pop_lp_fill_refactors_total), next to each
 // refactorization's wall time (pop_lp_refactor_seconds, the lp.refactor
-// span) and resulting fill (pop_lp_factor_nnz).
+// span) and resulting fill (pop_lp_factor_nnz), and the pricing counters:
+// full re-pricings of the maintained reduced costs
+// (pop_lp_price_refreshes_total, far fewer than pivots) and verdicts a
+// re-pricing overturned (pop_lp_price_overturns_total).
 //
 // The fallback is denseFactor: an explicit dense m×m basis inverse updated
 // by rank-1 transformations and rebuilt by Gauss-Jordan elimination with
@@ -204,10 +227,12 @@
 //     WriteMPS bytes).
 //   - The solver's working memory. Every solve — Problem or Model, cold or
 //     warm, a branch-and-bound node or a served re-solve — takes one
-//     workspace (status, x, cost, basis, y/w/rhs, pricing weights, dual
-//     candidate lists, and the sparse factor with its slabs, update arena
-//     and scratch) from a package-level free list when its simplex is built
-//     and returns it once the Solution has been copied out. The workspace
+//     workspace (status, x, cost, basis, y/w/rhs, the reduced costs and
+//     pivot-row buffers with the row-wise copy of A, pricing weights, dual
+//     candidate lists, and the sparse factor with its slabs, update arena,
+//     saved spike and scratch) from a package-level free list when its
+//     simplex is built and returns it once the Solution has been copied
+//     out. The workspace
 //     belongs to the solving goroutine, not to the model: k persistent
 //     models cost k standardized forms but only as many workspaces as solve
 //     at once. The list holds them by weak pointer, so a garbage collection
@@ -223,11 +248,17 @@
 //     rather than recycle it half-written.
 //   - The stored basis and shadow prices are overwritten in place.
 //
-// What is rebuilt every time: the factorization. installBasis refactors
-// the warm basis from scratch (O(fill), see "Refactorization") because a
-// factorization does not survive a structural edit; keeping one alive
-// across rhs/bound-only re-solves is open. The returned Solution (X, Dual,
-// ReducedCost, Basis) is freshly allocated and belongs to the caller.
+// What is rebuilt every time: the factorization, and the row-wise copy of
+// A the pivot rows are priced from. installBasis refactors the warm basis
+// from scratch (O(fill), see "Refactorization") because a factorization
+// does not survive a structural edit; keeping one alive across
+// rhs/bound-only re-solves is open. The row-wise copy is built by a solve's
+// first basis change (a re-solve that pivots zero times never builds it),
+// O(nnz(A)) into the workspace's buffers, and like every pricing buffer
+// (the reduced costs, ρ, the α row and its column list) it is derived
+// afresh by each solve, never read from the last. The returned Solution
+// (X, Dual, ReducedCost, Basis) is freshly allocated and belongs to the
+// caller.
 // TestWarmResolveAllocations pins the rest to a constant number of objects
 // per re-solve.
 //

@@ -15,8 +15,9 @@ import (
 // and objectives to 1e-6, and the FT solutions must satisfy the original
 // constraints to the same residual bound — so in-place U modification never
 // trades correctness for its per-pivot win. The FT run carries a metrics
-// registry, and the guard also asserts the refactor/update counters actually
-// export, which is what popserver's /metrics surfaces.
+// registry, and the guard also asserts the refactor/update and pricing
+// counters actually export, which is what popserver's /metrics surfaces, and
+// that full re-pricings are fewer than pivots.
 //
 // Skipped under -short: it re-solves every small+medium instance twice.
 func TestNumericalDriftGuard(t *testing.T) {
@@ -57,6 +58,8 @@ func TestNumericalDriftGuard(t *testing.T) {
 	for _, series := range []string{
 		"pop_lp_refactors_total",
 		"pop_lp_ft_updates_total",
+		"pop_lp_price_refreshes_total",
+		"pop_lp_price_overturns_total",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(series)) {
 			t.Fatalf("metrics export missing %s", series)
@@ -64,5 +67,11 @@ func TestNumericalDriftGuard(t *testing.T) {
 	}
 	if o.Counter("pop_lp_ft_updates_total", "").Value() == 0 {
 		t.Fatal("FT runs over the gen instances booked zero FT updates")
+	}
+	// Pricing is incremental: a full re-pricing is the exception, not the
+	// per-pivot rule.
+	refreshes := o.Counter("pop_lp_price_refreshes_total", "").Value()
+	if pivots := o.Counter("pop_lp_pivots_total", "").Value(); refreshes >= pivots {
+		t.Fatalf("%d full re-pricings over %d pivots: reduced costs are not maintained", refreshes, pivots)
 	}
 }

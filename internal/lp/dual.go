@@ -54,16 +54,16 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 	s.phase = 2
 	copy(s.cost, s.std.c)
 
-	// Dual feasibility check against the real costs. An optimal snapshot
+	// Dual feasibility check against the real costs, priced fresh; these
+	// are the reduced costs dualIterate then maintains. An optimal snapshot
 	// perturbed only in b/l/u passes exactly; anything else that happens to
 	// pass is equally safe to pivot on.
-	s.btran()
+	s.reprice()
 	tol := 10 * s.opts.TolOpt
-	for j := 0; j < s.ncols; j++ {
+	for j, d := range s.dj {
 		if s.status[j] == statBasic || s.std.lb[j] == s.std.ub[j] {
 			continue
 		}
-		d := s.reducedCost(j)
 		switch s.status[j] {
 		case statLower:
 			if d < -tol {
@@ -91,16 +91,22 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 // primal cleanup that follows typically takes zero pivots) or the phase
 // fails. Infeasible here means no entering column could absorb the
 // violation — a certificate the caller re-derives through the primal path
-// rather than trusting a warm start with.
+// rather than trusting a warm start with. Its ratios read the reduced costs
+// initWarmDual priced, maintained from each pivot row and re-priced after
+// every refactorization; no verdict here rests on them.
 func (s *simplex) dualIterate() Status {
 	tolP := s.opts.TolPivot
 	tolF := s.opts.TolFeas
-	s.dualRho = sized(s.dualRho, s.m)
-	rho := s.dualRho
 
 	for {
 		if s.iters >= s.opts.MaxIters {
 			return IterLimit
+		}
+		if s.prices == pricesStale {
+			s.reprice()
+		}
+		if pricingHook != nil {
+			pricingHook(s)
 		}
 
 		// Leaving row: devex-scored bound violation (violation²/weight), first
@@ -144,9 +150,7 @@ func (s *simplex) dualIterate() Status {
 		}
 		delta := s.x[out] - bound // sign matches vdir
 
-		// Duals for the ratio test, and the pivot row ρ = B⁻ᵀe_r.
-		s.btran()
-		s.bas.btranUnit(r, rho)
+		s.pivotRow(r)
 
 		// Entering column, Harris two-pass. Pass 1 collects every column
 		// whose movement can absorb the violation and the loosest
@@ -160,16 +164,12 @@ func (s *simplex) dualIterate() Status {
 		candD := s.dualCandD[:0]
 		thetaMax := math.Inf(1)
 		tolD := s.opts.TolOpt
-		for j := 0; j < s.ncols; j++ {
+		for _, j := range s.alphaJ {
 			st := s.status[j]
 			if st == statBasic || s.std.lb[j] == s.std.ub[j] {
 				continue
 			}
-			var alpha float64
-			ind, val := s.std.col(j)
-			for t, i := range ind {
-				alpha += rho[i] * val[t]
-			}
+			alpha := s.alpha[j]
 			abar := alpha * vdir
 			switch st {
 			case statLower:
@@ -185,11 +185,11 @@ func (s *simplex) dualIterate() Status {
 					continue
 				}
 			}
-			dj := math.Abs(s.reducedCost(j))
+			dj := math.Abs(s.dj[j])
 			if t := (dj + tolD) / math.Abs(alpha); t < thetaMax {
 				thetaMax = t
 			}
-			candJ = append(candJ, int32(j))
+			candJ = append(candJ, j)
 			candA = append(candA, alpha)
 			candD = append(candD, dj)
 		}
@@ -244,6 +244,7 @@ func (s *simplex) dualIterate() Status {
 			return Numerical
 		}
 		s.updateDualDevex(r)
+		s.updatePrices(q, out, wr)
 		step := delta / wr
 		for i := 0; i < s.m; i++ {
 			if wi := s.w[i]; wi != 0 {

@@ -5,6 +5,8 @@ package lp
 
 var CheckRefactorOracle = checkRefactorOracle
 
+var CheckMaintainedPrices = checkMaintainedPrices
+
 // Dense returns o starting on the dense reference inverse.
 func (o Options) Dense() Options { o.dense = true; return o }
 

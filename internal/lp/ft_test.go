@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -119,6 +120,107 @@ func TestFTPivotChainMatchesRefactor(t *testing.T) {
 			t.Fatalf("trial %d: FT vs refactor btranCost differ by %g", trial, d)
 		}
 	}
+}
+
+// spikeUw is the oracle for the Forrest–Tomlin spike: U·w formed
+// explicitly, with the entering column's ftran w gathered from position
+// into handle space.
+func spikeUw(f *luFactor, w []float64) []float64 {
+	spike := make([]float64, f.m)
+	for p, wp := range w {
+		if wp == 0 {
+			continue
+		}
+		h := f.posH[p]
+		spike[h] += f.udiag[h] * wp
+		for _, e := range f.ucols[h] {
+			spike[e.idx] += e.val * wp
+		}
+	}
+	return spike
+}
+
+// TestSavedSpikeMatchesUw: along randomized pivot chains like
+// TestFTPivotChainMatchesRefactor's — with the updates the stability guard
+// rejects and a refactorization every few steps — the spike ftranCol saves
+// equals the oracle's U·w to 1e-10 relative, and an update with no spike
+// saved since the last refactor or update is refused.
+func TestSavedSpikeMatchesUw(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rejects := 0
+	for trial := 0; trial < 6; trial++ {
+		s, f := solvedLU(t, rng, 12+rng.Intn(10), 20+rng.Intn(16),
+			Options{reinvertEvery: 1 << 30})
+		w := make([]float64, s.m)
+		steps, checked := 0, 0
+		for attempt := 0; attempt < 400 && steps < 3*s.m; attempt++ {
+			q := rng.Intn(s.ncols + s.m)
+			if slices.Contains(s.basis, q) {
+				continue
+			}
+			f.ftranCol(q, w)
+			saved := make([]float64, s.m)
+			for _, e := range f.spike {
+				saved[e.idx] = e.val
+			}
+			want := spikeUw(f, w)
+			if d, scale := maxAbsDiff(saved, want), math.Max(1, maxAbs(want)); d > 1e-10*scale {
+				t.Fatalf("trial %d step %d: saved spike of column %d is %g from U·w (scale %g)",
+					trial, steps, q, d, scale)
+			}
+			checked++
+			// Mostly the largest pivot; every fourth attempt a zero one,
+			// which would make the basis singular: the guard must reject it.
+			leave, best := -1, 0.1
+			for i, wi := range w {
+				if a := math.Abs(wi); a > best {
+					best, leave = a, i
+				}
+			}
+			if attempt%4 == 3 {
+				if i := slices.Index(w, 0); i >= 0 {
+					leave = i
+				}
+			}
+			if leave < 0 {
+				continue
+			}
+			if !f.update(leave, w) {
+				rejects++
+				if !f.refactor() {
+					t.Fatalf("trial %d: refactor failed after FT rejection", trial)
+				}
+				continue
+			}
+			if f.update(leave, w) {
+				t.Fatalf("trial %d step %d: a second update installed a spike already spent", trial, steps)
+			}
+			s.basis[leave] = q
+			steps++
+			if steps%7 == 0 {
+				if !f.refactor() {
+					t.Fatalf("trial %d step %d: refactor failed on an FT-updated basis", trial, steps)
+				}
+				if f.update(leave, w) {
+					t.Fatalf("trial %d step %d: update after a refactor installed a stale spike", trial, steps)
+				}
+			}
+		}
+		if checked < s.m {
+			t.Fatalf("trial %d: only %d spikes checked", trial, checked)
+		}
+	}
+	if rejects == 0 {
+		t.Fatal("no update was rejected: the chains never refactored after a reject")
+	}
+}
+
+func maxAbs(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }
 
 // TestFTAgreesWithDense: updating U in place is a performance choice, not a

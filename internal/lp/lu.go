@@ -99,17 +99,23 @@ type luFactor struct {
 
 	// Scratch: x is row-space (all zeros between calls), g and pos are
 	// handle/position-space, elim maps original row -> elimination
-	// step (-1 while unpivoted during factor). spike/rowAcc are FT
-	// handle-space accumulators with their touched-index lists tlist/rlist.
-	// artInd/artVal back the one-entry column returned by basisCol for
+	// step (-1 while unpivoted during factor). rowAcc is the FT row
+	// elimination's handle-space accumulator with its touched-index list
+	// rlist. artInd/artVal back the one-entry column returned by basisCol for
 	// artificials.
-	x, g, pos    []float64
-	elim         []int
-	spike        []float64
-	rowAcc       []float64
-	tlist, rlist []int
-	artInd       [1]int32
-	artVal       [1]float64
+	x, g, pos []float64
+	elim      []int
+	rowAcc    []float64
+	rlist     []int
+	artInd    [1]int32
+	artVal    [1]float64
+
+	// spike is the Forrest–Tomlin spike of the column the last ftranCol
+	// solved: its handle-space nonzeros after L and the row etas, which is
+	// U·w without forming it. spikeOK says it describes the current factor;
+	// refactor and update clear it.
+	spike   []luEntry
+	spikeOK bool
 }
 
 type luEntry struct {
@@ -149,7 +155,8 @@ func (f *luFactor) reset(s *simplex) *luFactor {
 	f.heap, f.cand, f.ptr = ints[3*m:3*m:4*m], ints[4*m:4*m:5*m], ints[5*m:]
 	f.perm, f.stepOf, f.posH = sized(f.perm, m), sized(f.stepOf, m), sized(f.posH, m)
 	f.urows = sized(f.urows, m)
-	f.spike, f.rowAcc = zeroed(f.spike, m), zeroed(f.rowAcc, m)
+	f.rowAcc = zeroed(f.rowAcc, m)
+	f.spike, f.spikeOK = f.spike[:0], false
 	return f
 }
 
@@ -172,6 +179,7 @@ func (f *luFactor) refactor() bool {
 	f.rowEtaNnz = 0
 	f.ftrans = 0
 	f.drift = false
+	f.spikeOK = false
 	f.arena = f.arena[:0]
 	f.etaEnts = f.etaEnts[:0]
 	f.work = 0
@@ -421,6 +429,14 @@ func (f *luFactor) initFT() {
 // ftranDense solves B x = v through L, the row etas, and U: v enters in row
 // space and leaves in position space.
 func (f *luFactor) ftranDense(v []float64) {
+	f.ftranLower(v)
+	f.ftranUpper(v)
+}
+
+// ftranLower is ftranDense's first half: it solves L y = v and replays the
+// row etas, leaving the handle-indexed result in f.g (v is consumed as
+// scratch).
+func (f *luFactor) ftranLower(v []float64) {
 	m := f.m
 	g := f.g
 	// Forward: L y = v. The output is handle-indexed (handles are L steps).
@@ -443,6 +459,13 @@ func (f *luFactor) ftranDense(v []float64) {
 		}
 		g[e.target] = acc
 	}
+}
+
+// ftranUpper is ftranDense's second half: it solves U z = f.g and scatters z
+// into v in position space.
+func (f *luFactor) ftranUpper(v []float64) {
+	m := f.m
+	g := f.g
 	// Backward: U z = y, columns visited in reverse triangular order.
 	for ti := m - 1; ti >= 0; ti-- {
 		h := f.perm[ti]
@@ -532,7 +555,17 @@ func (f *luFactor) ftranCol(q int, w []float64) {
 	for i := range x {
 		x[i] = 0
 	}
-	f.ftranDense(w)
+	f.ftranLower(w)
+	// Halfway through, f.g holds the column in the factor's internal frame:
+	// the spike a Forrest–Tomlin update installs if this column enters.
+	spike := f.spike[:0]
+	for h, v := range f.g[:f.m] {
+		if v != 0 {
+			spike = append(spike, luEntry{int32(h), v})
+		}
+	}
+	f.spike, f.spikeOK = spike, true
+	f.ftranUpper(w)
 	if !f.drift {
 		// Sampled drift measurement: every 64th column solve verifies the
 		// factorization against the actual basis by computing the true
@@ -591,40 +624,22 @@ func (f *luFactor) measureDrift(q int, w []float64) {
 	}
 }
 
-// update folds one pivot into the stored factors in place. The column at
-// handle h0 (basis position `leave`) is replaced by the entering column's
-// spike s = U·w (w already solved through the whole factorization, so U·w
-// re-expresses it in the factor's internal frame), h0 is rotated to the
-// last triangular position, and the now out-of-place old row h0 is
-// eliminated by row operations recorded as one rowEta. Returns false —
-// leaving the caller to refactor from scratch, which rebuilds all state —
-// when the elimination is numerically unstable (huge multiplier) or the
-// final diagonal is negligible.
-func (f *luFactor) update(leave int, w []float64) bool {
+// update folds one pivot into the stored factors in place. The entering
+// column is the one the last ftranCol solved (its ftran w is not read): the
+// column at handle h0 (basis position `leave`) is replaced by the spike that
+// ftranCol saved, h0 is rotated to the last triangular position, and the
+// now out-of-place old row h0 is eliminated by row operations recorded as
+// one rowEta. Returns false — leaving the caller to refactor from scratch,
+// which rebuilds all state — when no spike was saved since the last refactor
+// or update, when the elimination is numerically unstable (huge multiplier),
+// or when the final diagonal is negligible.
+func (f *luFactor) update(leave int, _ []float64) bool {
+	if !f.spikeOK {
+		return false
+	}
+	f.spikeOK = false
 	m := f.m
 	h0 := f.posH[leave]
-
-	// Spike: s = U·(w gathered into handle space).
-	s := f.spike
-	touched := f.tlist[:0]
-	for p := 0; p < m; p++ {
-		zp := w[p]
-		if zp == 0 {
-			continue
-		}
-		h := f.posH[p]
-		if s[h] == 0 {
-			touched = append(touched, h)
-		}
-		s[h] += f.udiag[h] * zp
-		for _, e := range f.ucols[h] {
-			if s[e.idx] == 0 {
-				touched = append(touched, int(e.idx))
-			}
-			s[e.idx] += e.val * zp
-		}
-	}
-	f.tlist = touched[:0]
 
 	// Drop the old column h0 — the spike replaces it wholesale — and detach
 	// the old row h0 from the column lists; its entries seed the
@@ -658,19 +673,16 @@ func (f *luFactor) update(leave int, w []float64) bool {
 	f.stepOf[h0] = m - 1
 
 	// Install the spike as the new column h0 (every other handle now sits
-	// at an earlier step, so all entries are above the diagonal). Scratch
-	// is zeroed as it is consumed, which also makes duplicate touched
-	// indices harmless.
-	d := s[h0]
+	// at an earlier step, so all entries are above the diagonal).
+	d := 0.0
 	ucol := f.ucols[h0]
-	for _, h := range touched {
-		v := s[h]
-		s[h] = 0
-		if v == 0 || h == h0 {
+	for _, e := range f.spike {
+		if int(e.idx) == h0 {
+			d = e.val
 			continue
 		}
-		ucol = append(f.roomFor(ucol), luEntry{int32(h), v})
-		f.urows[h] = append(f.roomFor(f.urows[h]), luEntry{int32(h0), v})
+		ucol = append(f.roomFor(ucol), e)
+		f.urows[e.idx] = append(f.roomFor(f.urows[e.idx]), luEntry{int32(h0), e.val})
 	}
 	f.ucols[h0] = ucol
 	f.unnz += len(ucol)

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -225,7 +226,9 @@ func TestLUReinvertCadenceAgrees(t *testing.T) {
 }
 
 // TestLUFillTriggersRefactor: the fill-based refactor trigger must fire once
-// the Forrest–Tomlin U outgrows its fill-growth bound.
+// the Forrest–Tomlin U outgrows its fill-growth bound. The updates are real
+// basis exchanges: each entering column is solved by ftranCol, whose saved
+// spike update installs, and leaves at its largest pivot.
 func TestLUFillTriggersRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s, f := solvedLU(t, rng, 8, 14, Options{})
@@ -233,15 +236,31 @@ func TestLUFillTriggersRefactor(t *testing.T) {
 		t.Fatal("fresh factorization already wants refactor")
 	}
 	w := make([]float64, s.m)
-	for i := range w {
-		w[i] = 1
-	}
+	fills := s.fillRefactors
 	for i := 0; !f.wantRefactor(); i++ {
-		if !f.update(i%s.m, w) {
-			t.Fatal("update rejected a unit pivot")
-		}
 		if i > 100*s.m {
 			t.Fatal("fill trigger never fired")
 		}
+		q := rng.Intn(s.ncols)
+		if slices.Contains(s.basis, q) {
+			continue
+		}
+		f.ftranCol(q, w)
+		leave, best := -1, 0.1
+		for p, wp := range w {
+			if a := math.Abs(wp); a > best {
+				leave, best = p, a
+			}
+		}
+		if leave < 0 {
+			continue
+		}
+		if !f.update(leave, w) {
+			t.Fatalf("update rejected pivot %d (column %d, |w| %g)", i, q, best)
+		}
+		s.basis[leave] = q
+	}
+	if s.fillRefactors == fills {
+		t.Fatal("the trigger fired on drift, not on fill")
 	}
 }

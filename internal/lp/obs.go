@@ -19,6 +19,8 @@ func (s *simplex) bookSolve(o *obs.Observer, sol *Solution, dur time.Duration) {
 	o.Counter("pop_lp_ft_rejects_total", "Forrest–Tomlin updates rejected as unstable").Add(int64(s.ftRejects))
 	o.Counter("pop_lp_drift_refactors_total", "refactorizations triggered by measured ftran residual drift").Add(int64(s.driftRefactors))
 	o.Counter("pop_lp_fill_refactors_total", "refactorizations triggered by U fill growth").Add(int64(s.fillRefactors))
+	o.Counter("pop_lp_price_refreshes_total", "full re-pricings of the maintained reduced costs").Add(int64(s.priceRefreshes))
+	o.Counter("pop_lp_price_overturns_total", "Optimal/Unbounded verdicts on maintained reduced costs that a fresh re-pricing overturned").Add(int64(s.priceOverturns))
 	if sol.WarmStarted {
 		o.Counter("pop_lp_warm_solves_total", "solves that started from a warm basis").Inc()
 	} else if s.opts.WarmBasis != nil {

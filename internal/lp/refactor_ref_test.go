@@ -131,7 +131,6 @@ func (f *luFactor) initFTRef() {
 		f.stepOf = make([]int, m)
 		f.posH = make([]int, m)
 		f.urows = make([][]luEntry, m)
-		f.spike = make([]float64, m)
 		f.rowAcc = make([]float64, m)
 	}
 	nnz := m // diagonal

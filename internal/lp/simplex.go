@@ -37,6 +37,11 @@ type simplex struct {
 	// artStart is the first artificial column index.
 	artStart int
 
+	// prices is the standing of the workspace's reduced costs dj, and
+	// rowwise records that this solve has built its row-wise copy of A.
+	prices  priceState
+	rowwise bool
+
 	iters          int
 	dualPivots     int
 	refactors      int // reinvert() calls, booked to metrics at solve end
@@ -44,6 +49,8 @@ type simplex struct {
 	ftRejects      int // FT updates rejected as unstable (answered by refactor)
 	driftRefactors int // refactors triggered by measured ftran residual drift
 	fillRefactors  int // refactors triggered by U fill growth
+	priceRefreshes int // full re-pricings of dj from a fresh y
+	priceOverturns int // Optimal/Unbounded verdicts on maintained dj a re-pricing overturned
 	sinceReinvert  int
 	degenerateRun  int
 	blandMode      bool
@@ -393,30 +400,46 @@ func (s *simplex) phase1Objective() float64 {
 }
 
 // iterate runs simplex pivots until the current-phase objective is optimal.
+// It prices from the maintained reduced costs, re-pricing them in full on
+// entry (the phase's costs are new), after every refactorization, and before
+// it declares Optimal or an unbounded ray on maintained values.
 func (s *simplex) iterate() Status {
+	s.reprice()
 	for {
 		if s.iters >= s.opts.MaxIters {
 			return IterLimit
 		}
-		s.btran()
+		if s.prices == pricesStale {
+			s.reprice()
+		}
+		if pricingHook != nil {
+			pricingHook(s)
+		}
 		q, dq := s.price()
 		if q < 0 {
-			return Optimal
+			if s.prices == pricesFresh {
+				return Optimal
+			}
+			s.reprice()
+			if q, dq = s.price(); q < 0 {
+				return Optimal
+			}
+			s.priceOverturns++
 		}
 		s.ftran(q)
 
-		sigma := 1.0 // direction of movement of x[q]
-		switch s.status[q] {
-		case statUpper:
-			sigma = -1
-		case statFree:
-			if dq > 0 {
-				sigma = -1
-			}
-		}
-
+		sigma := direction(s.status[q], dq) // direction of movement of x[q]
 		leave, tmax, flip := s.ratioTest(q, sigma)
 		if leave < 0 && !flip {
+			if s.prices != pricesFresh {
+				// The ray is exact, but whether q improves along it was read
+				// off maintained prices: confirm that before the verdict.
+				s.reprice()
+				if -sigma*s.dj[q] <= s.opts.TolOpt {
+					s.priceOverturns++
+					continue
+				}
+			}
 			if s.phase == 1 {
 				// Phase-1 objective is bounded below by 0; an unbounded ray
 				// means numerical trouble.
@@ -451,6 +474,8 @@ func (s *simplex) iterate() Status {
 				s.x[q] = s.std.lb[q]
 			}
 		} else {
+			s.pivotRow(leave)
+			s.updatePrices(q, s.basis[leave], s.w[leave])
 			if !s.pivot(leave, q) {
 				// The factorization refused the pivot as unstable; rebuild
 				// from the (already updated) basis instead.
@@ -498,36 +523,153 @@ func (s *simplex) reducedCost(j int) float64 {
 	return d
 }
 
-// price selects the entering column, returning (-1, 0) at optimality. Only
-// structural and slack columns are eligible; artificials never re-enter.
-// Eligibility is judged on the raw reduced cost against TolOpt; among
-// eligible columns Dantzig's rule takes the largest violation, Bland mode
-// the first.
+// priceState is the standing of the maintained reduced costs s.dj.
+type priceState int8
+
+const (
+	pricesStale      priceState = iota // invalid: re-price before reading
+	pricesMaintained                   // carried across pivots by updatePrices
+	pricesFresh                        // priced from a fresh y, no pivot since
+)
+
+// pricingHook, when set, sees the solver each time a pricing pass is about
+// to read s.dj. It is a test hook: the pricing suite checks the maintained
+// values against fresh ones there, and corrupts one to prove no verdict
+// rests on them.
+var pricingHook func(*simplex)
+
+// reprice recomputes every structural and slack reduced cost from a fresh
+// y = B⁻ᵀc_B.
+func (s *simplex) reprice() {
+	s.btran()
+	s.dj = sized(s.dj, s.ncols)
+	for j := range s.dj {
+		s.dj[j] = s.reducedCost(j)
+	}
+	s.prices = pricesFresh
+	s.priceRefreshes++
+}
+
+// pivotRow computes the pivot row of basis position r on the current basis,
+// αᵣ = ρᵀA with ρ = B⁻ᵀeᵣ, into s.alpha over the columns it lists in
+// s.alphaJ. It walks A row-wise over the rows where ρ ≠ 0, so it costs
+// their nonzeros, not nnz(A). A column whose sum cancels to zero and then
+// recovers is listed twice; every reader of the list tolerates that.
+func (s *simplex) pivotRow(r int) {
+	if !s.rowwise {
+		s.buildRows()
+	}
+	alpha := s.alpha
+	for _, j := range s.alphaJ {
+		alpha[j] = 0
+	}
+	list := s.alphaJ[:0]
+	s.bas.btranUnit(r, s.rho)
+	for i, ri := range s.rho {
+		if ri == 0 {
+			continue
+		}
+		lo, hi := s.rowPtr[i], s.rowPtr[i+1]
+		cols, vals := s.rowCol[lo:hi], s.rowVal[lo:hi]
+		vals = vals[:len(cols)]
+		for t, j := range cols {
+			if alpha[j] == 0 {
+				list = append(list, j)
+			}
+			alpha[j] += ri * vals[t]
+		}
+	}
+	s.alphaJ = list
+}
+
+// buildRows builds the row-wise copy of A's structural and slack columns
+// that pivotRow walks, each row's columns ascending, and sizes the pivot-row
+// scratch. A solve does this once, on its first basis change.
+func (s *simplex) buildRows() {
+	std, m := s.std, s.m
+	nnz := int(std.colPtr[s.ncols])
+	ptr := zeroed(s.rowPtr, m+1)
+	for _, i := range std.rowInd[:nnz] {
+		ptr[i+1]++
+	}
+	for i := 0; i < m; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	// Fill with ptr[i] as row i's cursor: it ends at row i+1's start and is
+	// shifted back afterwards.
+	col, val := sized(s.rowCol, nnz), sized(s.rowVal, nnz)
+	for j := 0; j < s.ncols; j++ {
+		ind, v := std.col(j)
+		for t, i := range ind {
+			col[ptr[i]], val[ptr[i]] = int32(j), v[t]
+			ptr[i]++
+		}
+	}
+	copy(ptr[1:], ptr[:m])
+	ptr[0] = 0
+	s.rowPtr, s.rowCol, s.rowVal = ptr, col, val
+	s.alpha = zeroed(s.alpha, s.ncols)
+	s.alphaJ = s.alphaJ[:0]
+	s.rho = sized(s.rho, m)
+	s.rowwise = true
+}
+
+// updatePrices carries s.dj across the basis change that brings q in for
+// out, whose pivot row is in s.alpha and whose pivot element is wr:
+// d_j −= (d_q/wr)·α_rj, then d_q = 0 and d_out = −d_q/wr. It consumes the
+// pivot row.
+func (s *simplex) updatePrices(q, out int, wr float64) {
+	step := s.dj[q] / wr
+	for _, j := range s.alphaJ {
+		if a := s.alpha[j]; a != 0 {
+			s.dj[j] -= step * a
+			s.alpha[j] = 0
+		}
+	}
+	s.alphaJ = s.alphaJ[:0]
+	s.dj[q] = 0
+	if out < s.ncols { // an artificial leaving never re-enters
+		s.dj[out] = -step
+	}
+	s.prices = pricesMaintained
+}
+
+// direction is the way a nonbasic column with status st and reduced cost d
+// moves when it enters: up from a lower bound, down from an upper one, and
+// against d when free.
+func direction(st int8, d float64) float64 {
+	if st == statUpper || st == statFree && d > 0 {
+		return -1
+	}
+	return 1
+}
+
+// price selects the entering column from the maintained reduced costs,
+// returning (-1, 0) at optimality. Only structural and slack columns are
+// eligible; artificials never re-enter. Eligibility is judged on the raw
+// reduced cost against TolOpt; among eligible columns Dantzig's rule takes
+// the largest violation, Bland mode the first.
 func (s *simplex) price() (int, float64) {
 	tol := s.opts.TolOpt
 	best := -1
 	bestViol := math.Inf(-1)
 	var bestD float64
-	for j := 0; j < s.ncols; j++ {
-		st := s.status[j]
-		if st == statBasic {
-			continue
-		}
-		if s.std.lb[j] == s.std.ub[j] {
-			continue // fixed variables can never improve
-		}
-		d := s.reducedCost(j)
+	dj := s.dj[:s.ncols]
+	status, lb, ub := s.status[:len(dj)], s.std.lb[:len(dj)], s.std.ub[:len(dj)]
+	for j, d := range dj {
 		var viol float64
-		switch st {
+		switch status[j] {
+		case statBasic:
+			continue
 		case statLower:
 			viol = -d
 		case statUpper:
 			viol = d
-		case statFree:
+		default: // statFree
 			viol = math.Abs(d)
 		}
-		if viol <= tol {
-			continue
+		if viol <= tol || lb[j] == ub[j] {
+			continue // fixed variables can never improve
 		}
 		if s.blandMode {
 			return j, d
@@ -763,9 +905,11 @@ func (s *simplex) pivot(leave, q int) bool {
 // reinvert rebuilds the basis factorization from scratch and recomputes
 // basic values. A sparse factor that fails numerically hands the rest of the
 // solve to the dense inverse; reinvert returns false only if the dense
-// rebuild also finds the basis singular.
+// rebuild also finds the basis singular. The maintained reduced costs go
+// stale with the old factor: the next pricing pass re-prices them.
 func (s *simplex) reinvert() bool {
 	s.refactors++
+	s.prices = pricesStale
 	tm := s.opts.Obs.Timed("lp.refactor", "pop_lp_refactor_seconds", "basis refactorization wall time")
 	defer tm.End()
 	ok := s.bas.refactor()

@@ -33,13 +33,23 @@ type workspace struct {
 	// Scratch buffers.
 	y, w, rhs []float64
 
+	// Pricing. dj holds the reduced costs of the structural and slack
+	// columns, kept up to date across pivots (see pivotRow). rowPtr, rowCol
+	// and rowVal are a row-wise copy of those columns of A, built by a
+	// solve's first pivot. rho is the btranUnit scratch of a pivot row ρ,
+	// and alpha holds the pivot row αᵣ = ρᵀA on the columns listed in
+	// alphaJ (zero elsewhere).
+	dj, rho, alpha []float64
+	alphaJ         []int32
+	rowPtr, rowCol []int32
+	rowVal         []float64
+
 	// Dual devex reference weights over basis positions (sized and reset by
-	// initWarmDual) and the btranUnit scratch of the dual simplex pivot row.
-	dualW   []float64
-	dualRho []float64
+	// initWarmDual).
+	dualW []float64
 
 	// Harris dual ratio test scratch: eligible entering candidates stashed
-	// by the relaxed pass so the exact pass need not recompute pivot rows.
+	// by the relaxed pass so the exact pass walks only those.
 	dualCandJ []int32
 	dualCandA []float64
 	dualCandD []float64
@@ -130,14 +140,15 @@ func fill[T any](v T, bufs ...[]T) {
 func (ws *workspace) poison() {
 	f := &ws.lu
 	nan := math.NaN()
-	fill(nan, ws.x, ws.cost, ws.artSign, ws.y, ws.w, ws.rhs, ws.dualW, ws.dualRho, ws.dualCandA, ws.dualCandD,
-		f.udiag, f.x, f.g, f.pos, f.spike, f.rowAcc)
+	fill(nan, ws.x, ws.cost, ws.artSign, ws.y, ws.w, ws.rhs, ws.dj, ws.rho, ws.alpha, ws.rowVal,
+		ws.dualW, ws.dualCandA, ws.dualCandD, f.udiag, f.x, f.g, f.pos, f.rowAcc)
 	fill(-1, ws.status)
-	fill(-1, ws.dualCandJ, f.ints)
-	fill(-1, ws.basis, f.pr, f.cperm, f.perm, f.stepOf, f.posH, f.elim, f.tlist, f.rlist)
-	fill(luEntry{-1, nan}, f.slab, f.rslab, f.arena, f.etaEnts)
+	fill(-1, ws.alphaJ, ws.rowPtr, ws.rowCol, ws.dualCandJ, f.ints)
+	fill(-1, ws.basis, f.pr, f.cperm, f.perm, f.stepOf, f.posH, f.elim, f.rlist)
+	fill(luEntry{-1, nan}, f.slab, f.rslab, f.arena, f.etaEnts, f.spike)
 	fill(savedBound{-1, nan, nan}, ws.saved)
 	fill(nil, f.lcols, f.ucols, f.urows)
 	fill(rowEta{}, f.rowEtas)
 	f.m, f.unnz, f.unnz0, f.rowEtaNnz, f.ftrans = -1, -1, -1, -1, -1
+	f.spikeOK = true // an update that trusts a spike it did not save installs NaN
 }
