@@ -147,22 +147,33 @@ func (t *Table) Remove(id int) bool {
 }
 
 // Reconcile makes the table hold exactly the active set by calling upsert
-// for every active job and then remove for every member none of them
-// named. The callbacks are the owner's own Upsert and Remove (which book
-// their stats and call back into the table); an unchanged job costs one
-// comparison. It reports whether active was in strictly ascending ID order
-// — in which case it is, element for element, what Jobs returns after the
-// next Commit.
+// for every active job that may differ from what is held, and then remove
+// for every member none of them named. The callbacks are the owner's own
+// Upsert and Remove (which book their stats and call back into the table).
+// A job held unchanged in the row at the cursor — the common case when
+// active ascends by id — is stamped here without a callback, since every
+// owner treats Unchanged as a no-op; dead, changed, new, and out-of-order
+// jobs go through upsert. It reports whether active was in strictly
+// ascending ID order — in which case it is, element for element, what Jobs
+// returns after the next Commit.
 func (t *Table) Reconcile(active []Job, upsert func(Job), remove func(id int) bool) (ordered bool) {
 	t.epoch++
 	if t.epoch == 0 { // wrapped: no stale stamp may alias the new epoch
 		clear(t.stamp)
 		t.epoch = 1
 	}
+	if len(t.stamp) < len(t.rows) {
+		t.stamp = append(t.stamp, make([]uint32, len(t.rows)-len(t.stamp))...)
+	}
 	ordered = true
 	for i, j := range active {
 		if i > 0 && active[i-1].ID >= j.ID {
 			ordered = false
+		}
+		if c := t.cur; c < len(t.rows) && t.rows[c].ID == j.ID && !t.dead[c] && t.rows[c].Equal(j) {
+			t.stamp[c] = t.epoch
+			t.cur = c + 1
+			continue
 		}
 		upsert(j)
 	}
@@ -171,7 +182,7 @@ func (t *Table) Reconcile(active []Job, upsert func(Job), remove func(id int) bo
 	}
 	var gone []int
 	for pos := range t.rows {
-		if !t.dead[pos] && (pos >= len(t.stamp) || t.stamp[pos] != t.epoch) {
+		if !t.dead[pos] && t.stamp[pos] != t.epoch {
 			gone = append(gone, t.rows[pos].ID)
 		}
 	}

@@ -181,6 +181,46 @@ func TestTableReconcile(t *testing.T) {
 	}
 }
 
+// TestReconcileCallsUpsertOffCursor: Reconcile stamps a job held unchanged
+// in the row at its cursor itself and hands upsert exactly the rest —
+// changed, revived after a removal, new, and out of order — and the
+// committed table is what a Reset of the active set builds.
+func TestReconcileCallsUpsertOffCursor(t *testing.T) {
+	rnd := rand.New(rand.NewSource(8))
+	var tab Table
+	held := map[int]Job{}
+	for id := 0; id < 100; id += 10 {
+		held[id] = tableJob(id, rnd)
+		tab.Upsert(held[id])
+	}
+	tab.Commit(nil)
+	tab.Remove(30) // dead, awaiting Commit
+	changed := tableJob(20, rnd)
+	active := []Job{
+		held[0], held[10], // unchanged, at the cursor
+		changed,           // changed
+		held[30],          // revived: its row is dead
+		held[40],          // unchanged, at the cursor again
+		tableJob(45, rnd), // new: the cursor stays on 50
+		held[50],          // unchanged, at the cursor
+		held[70],          // 60 departs, so 70 is not at the cursor
+		held[90],          // out of order: the cursor is on 80
+		held[80],          // the cursor is past the end
+	}
+	var called []int
+	ordered := tab.Reconcile(active, func(j Job) { called = append(called, j.ID); tab.Upsert(j) },
+		func(id int) bool { called = append(called, -id); return tab.Remove(id) })
+	if want := []int{20, 30, 45, 70, 90, 80, -60}; ordered || !slices.Equal(called, want) {
+		t.Fatalf("callbacks %v (ordered %v), want %v (upserts, then -id for removes)", called, ordered, want)
+	}
+	tab.Commit(nil)
+	var ref Table
+	ref.Reset(active)
+	if !slices.EqualFunc(tab.Jobs(), ref.Jobs(), func(a, b Job) bool { return a.ID == b.ID && a.Equal(b) }) {
+		t.Fatalf("reconciled table %v, a Reset of the active set %v", tab.Jobs(), ref.Jobs())
+	}
+}
+
 func TestAllocationInOrder(t *testing.T) {
 	jobs := []Job{{ID: 1}, {ID: 4}, {ID: 9}}
 	a := &Allocation{X: [][]float64{{1}, {4}, {9}}, EffThr: []float64{10, 40, 90}, LPVariables: 7}

@@ -63,10 +63,10 @@
 //	shard.round                      one coordinator scatter/gather round, with children:
 //	shard.diff                       Step's registry diff (engine tid)
 //	shard.gather                     one worker's request, lane tid base+1+worker, holding
-//	shard.{encode,decode}            the JSON work either side of its HTTP wait
+//	shard.{encode,decode}            packing the request frame; reading the answer (HTTP only)
 //	shard.merge                      composing the gathered columns (engine tid)
 //	shard.worker.round               a worker's side of a round, with children:
-//	shard.worker.{apply,solve,extract,encode}   batch, engine round, packing, JSON
+//	shard.worker.{apply,solve,extract,encode}   batch, engine round, packing, header
 //
 // The shard phases are Timed: each is also a latency histogram,
 // pop_shard_phase_seconds{phase="diff|encode|decode|merge"} on the

@@ -68,8 +68,7 @@ type ClusterEngine struct {
 	havePrice bool
 	churn     int // arrivals + departures since the last solve
 
-	lastObj float64
-	stats   Stats
+	stats Stats
 }
 
 // NewClusterEngine creates a price engine for cluster c whose rounds solve
@@ -143,10 +142,6 @@ func (e *ClusterEngine) Jobs() []cluster.Job { return slices.Clone(e.commit()) }
 // Stats returns the engine's work counters.
 func (e *ClusterEngine) Stats() Stats { return e.stats }
 
-// Objective reports the max-min objective of the last round: the minimum
-// normalized throughput ratio (MaxMinObjective).
-func (e *ClusterEngine) Objective() float64 { return e.lastObj }
-
 // commit folds pending table changes in, carrying the domain's rows along,
 // and returns the client rows with the domain loaded for them.
 func (e *ClusterEngine) commit() []cluster.Job {
@@ -185,7 +180,6 @@ func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.All
 	e.havePrice = true
 	e.churn = 0
 	e.bookRound(sol, warm, start)
-	e.lastObj = MaxMinObjective(jobs, e.c, alloc)
 	span.Arg("warm", warm).Arg("iterations", sol.Iterations)
 	return jobs, alloc, nil
 }

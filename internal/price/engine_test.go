@@ -37,7 +37,7 @@ func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int, c
 		if err := cluster.VerifyFeasible(jobs, c, a, 1e-6); err != nil {
 			t.Fatalf("round %d: infeasible: %v", r, err)
 		}
-		objs = append(objs, e.Objective())
+		objs = append(objs, MaxMinObjective(jobs, c, a))
 	}
 	return objs
 }

@@ -1,13 +1,14 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -307,7 +308,10 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 		}
 		res.rebuilds++
 	}
-	req := c.buildRound(i, round, sub)
+	req, err := c.buildRound(o, i, round, w.Round, sub)
+	if err != nil {
+		return fail("round", err)
+	}
 	limit := responseLimit(w.numOwned, sub.NumTypes())
 	resp, err := w.t.Round(ctx, o, req, limit)
 	if errors.Is(err, ErrOutOfSync) {
@@ -317,8 +321,9 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 			return fail("sync after conflict", err)
 		}
 		res.rebuilds++
-		req.PrevRound = round - 1
-		resp, err = w.t.Round(ctx, o, req, limit)
+		if req, err = c.buildRound(o, i, round, round-1, sub); err == nil {
+			resp, err = w.t.Round(ctx, o, req, limit)
+		}
 	}
 	if err == nil {
 		if res.cols, err = resp.accept(round, sub.NumTypes()); err != nil {
@@ -332,36 +337,15 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 	return res
 }
 
-// buildRound assembles worker i's scatter payload: the queued batch in
-// deterministic (ascending-id) order — the order the bare-engine
-// equivalence relies on — and the shard's capacity slice.
-func (c *Coordinator) buildRound(i, round int, sub cluster.Cluster) *RoundRequest {
+// buildRound packs worker i's scatter payload, a "shard.encode" phase on
+// its lane: the queued batch in deterministic (ascending-id) order — the
+// order the bare-engine equivalence relies on — and the shard's capacity
+// slice.
+func (c *Coordinator) buildRound(o *obs.Observer, i, round, prevRound int, sub cluster.Cluster) (*RoundRequest, error) {
+	defer phase(o, "encode").End()
 	w := c.workers[i]
-	req := &RoundRequest{
-		Round:     round,
-		PrevRound: w.Round,
-		TypeNames: sub.TypeNames,
-		GPUs:      sub.NumGPUs,
-	}
-	if len(w.pendUp) > 0 {
-		ids := make([]int, 0, len(w.pendUp))
-		for id := range w.pendUp {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		req.Upserts = make([]JobSpec, len(ids))
-		for k, id := range ids {
-			req.Upserts[k] = SpecOf(w.pendUp[id])
-		}
-	}
-	if len(w.pendRm) > 0 {
-		req.Removes = make([]int, 0, len(w.pendRm))
-		for id := range w.pendRm {
-			req.Removes = append(req.Removes, id)
-		}
-		sort.Ints(req.Removes)
-	}
-	return req
+	ups := slices.SortedFunc(maps.Values(w.pendUp), func(a, b cluster.Job) int { return cmp.Compare(a.ID, b.ID) })
+	return newRequest(round, prevRound, sub, ups, slices.Sorted(maps.Keys(w.pendRm)))
 }
 
 // syncWorker rebuilds worker i from the authoritative registry: the full
@@ -370,12 +354,17 @@ func (c *Coordinator) buildRound(i, round int, sub cluster.Cluster) *RoundReques
 // them idempotently).
 func (c *Coordinator) syncWorker(ctx context.Context, o *obs.Observer, i, baseRound int, sub cluster.Cluster) error {
 	w := c.workers[i]
-	req := &SyncRequest{Round: baseRound, TypeNames: sub.TypeNames, GPUs: sub.NumGPUs}
-	req.Jobs = make([]JobSpec, 0, w.numOwned)
+	ep := phase(o, "encode")
+	jobs := make([]cluster.Job, 0, w.numOwned)
 	for _, j := range c.registry.Jobs() { // committed before the scatter; read-only here
 		if c.ring.Owner(j.ID) == i {
-			req.Jobs = append(req.Jobs, SpecOf(j))
+			jobs = append(jobs, j)
 		}
+	}
+	req, err := newRequest(baseRound, 0, sub, jobs, nil)
+	ep.End()
+	if err != nil {
+		return err
 	}
 	resp, err := w.t.Sync(ctx, o, req)
 	if err != nil {
@@ -383,16 +372,21 @@ func (c *Coordinator) syncWorker(ctx context.Context, o *obs.Observer, i, baseRo
 	}
 	w.needSync = false
 	c.opts.Log.Info("shard rebuild", "worker", i, "url", w.URL, "base_round", baseRound,
-		"jobs", len(req.Jobs), "kept_warm", resp.Kept)
+		"jobs", len(jobs), "kept_warm", resp.Kept)
 	return nil
 }
 
 // merge composes the per-worker allocations onto order — POP's reduce step
-// across processes — as one n×r slab. Each worker's last gather is sorted
-// by id, and order usually is too, so a per-worker cursor finds most rows
-// without searching; anything else falls back to a binary search. Clients
-// of stale workers get their last gathered row (or a zero row if the worker
-// never allocated them), flagged.
+// across processes — as one n×r slab, by cursor rather than by hashing.
+// Each worker's last gather is sorted by id, and order usually is too, so
+// each row is read from whichever worker's cursor holds its id: W compares,
+// no hash. Only a row no cursor holds (order is not by id, or a stale
+// worker never allocated the client) is looked up the long way, by owner
+// and binary search. A worker whose client count disagrees with the
+// registry (needSync) may hold clients it does not own, so its cursor is
+// not consulted; its rows, too, are found by owner. Clients of stale
+// workers get their last gathered row (or a zero row if the worker never
+// allocated them), flagged.
 func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, int) {
 	n, r := len(order), c.c.NumTypes()
 	slab := make([]float64, n*r)
@@ -404,11 +398,20 @@ func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, i
 	cursor := make([]int, len(c.workers))
 	staleJobs, haveX := 0, false
 	for pos, j := range order {
-		wi := c.ring.Owner(j.ID)
+		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
+		wi, k, ok := 0, 0, false
+		for i, w := range c.workers {
+			if k = cursor[i]; !w.needSync && k < w.last.n() && w.last.id(k) == j.ID {
+				wi, ok = i, true
+				break
+			}
+		}
+		if !ok {
+			wi = c.ring.Owner(j.ID)
+			k, ok = c.workers[wi].last.find(j.ID, cursor[wi])
+		}
 		w := c.workers[wi]
 		g := &w.last
-		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
-		k, ok := g.find(j.ID, cursor[wi])
 		if ok {
 			cursor[wi] = k + 1
 			out.EffThr[pos] = f64(g.effThr, k)

@@ -44,69 +44,97 @@
 //     allocation aligned, so the worker never copies, sorts, or re-diffs
 //     its shard. The allocation is answered in columnar form.
 //  4. Gather/merge: each worker's last gather is kept as the frame it
-//     arrived in, validated where it lies; the merge walks the requested
-//     order with a cursor per worker (binary search when the order is not
-//     by id) and reads the frames into one n×r slab.
+//     arrived in, validated where it lies. The merge walks the requested
+//     order with a cursor per worker and takes each row from whichever
+//     cursor holds its id — W compares, no hashing — into one n×r slab.
+//     Only a row no cursor holds (an order not by id, a client a stale
+//     worker never allocated) is looked up by owner (Ring.Owner) and binary
+//     search, as are all rows of a worker whose client count disagrees
+//     with the registry, since it may hold clients it does not own.
 //
 // Mutations are idempotent, and a batch stays queued until the owning
-// worker acknowledges the round that carried it.
+// worker acknowledges the round that carried it. What is left of a round
+// that is O(n) is shipping the rows back and merging them: one copy of each
+// row per side.
 //
 // # Wire format
 //
-// Requests, sync and health answers, and error bodies are single JSON
-// documents — the popserver idiom, O(churn) in size. The 200 answer to
-// PathRound carries n rows, the one inherently O(n) step of a round, so it
-// is a frame (Content-Type application/vnd.pop.round-frame):
+// Health and sync answers and error bodies are single JSON documents, the
+// popserver idiom. Both requests and the 200 answer to PathRound are frames
+// (Content-Type application/vnd.pop.round-frame): one small JSON header,
+// then raw little-endian columns that the header sizes, with nothing
+// between the closing brace and the first column or after the last. The
+// header's "wire" is the layout's version, 2 in both directions.
 //
-//	{"wire":1,"round":…,"num_jobs":…,"solve_ms":…,"kind":…,"stats":{…},
+// A round or sync request (RoundRequest; a sync is the same frame, removing
+// nothing) carries the shard's mutations:
+//
+//	{"wire":2,"round":…,"prev_round":…,"gpu_types":[…],"gpus":[…],
+//	 "removes_bytes":…,"ids_bytes":…,"throughput_bytes":…}   ≤ 64 KiB
+//	removes     removes_bytes     int64 ids to drop, ascending
+//	ids         ids_bytes         int64 ids upserted, ascending
+//	throughput  throughput_bytes  float64, row-major n × len(gpus)
+//	weight, scale, num_steps, mem_frac, priority   float64, ids_bytes each
+//
+// so a batch of u upserts and d removes is the header plus
+// 8·(u·(6+width) + d) bytes. The header holds nothing time- or
+// run-dependent, so a round's request size repeats exactly. A round answer
+// (RoundResponse) carries the shard's allocation:
+//
+//	{"wire":2,"round":…,"num_jobs":…,"solve_ms":…,"kind":…,"stats":{…},
 //	 "ids_bytes":…,"eff_thr_bytes":…,"x_bytes":…}   one JSON object, ≤ 64 KiB
 //	ids      ids_bytes      little-endian int64, ascending
 //	eff_thr  eff_thr_bytes  little-endian float64 bit patterns
 //	x        x_bytes        the same, row-major n × width
 //
-// with nothing between the closing brace and the first column or after the
-// last. No value passes through text, so floats are bit-exact, and a row's
-// bytes are touched once a side: the worker packs the columns into one
-// buffer, lays the header against them, and sends it in one write; the
-// coordinator reads the body once into a buffer sized from Content-Length,
-// decodes the header with a streaming json.Decoder (it stops at the
-// object's end), and validates the columns where they lie. The local
-// transport hands the same struct and bytes across by pointer. There is one
-// encoding: no negotiation, no flag, no fallback. "wire" is its version: a
-// coordinator answers any other value (or a 200 that is not a frame) with
-// "wire version N, want 1" as that worker's straggler error, and one from
-// before the frame rejects it whole (json.Unmarshal sees bytes after the
-// top-level value). By hand, `curl -s … | head -c 400` prints the header; a
-// script decodes the body's first JSON value and reads 8-byte values after.
+// No value passes through text, so floats are bit-exact, and a row's bytes
+// are touched once a side: the sender packs the columns into one buffer
+// with the header in front of them and sends it in one write; the receiver
+// reads the body once into a buffer sized from Content-Length, decodes the
+// header with a streaming json.Decoder (it stops at the object's end), and
+// validates the columns where they lie. The local transport hands the same
+// struct and bytes across by pointer, through the same readers. There is
+// one encoding: no negotiation, no flag, no fallback. A worker answers a
+// request of another version — a JSON body, which has none, included —
+// with a 400 saying "wire version N, want 2"; a coordinator answers a
+// response of another version (or a 200 that is not a frame) with the same
+// words as that worker's straggler error, and one from before the frame
+// rejects it whole (json.Unmarshal sees bytes after the top-level value).
+// By hand, `curl -s … | head -c 400` prints a response's header; a script
+// decodes the body's first JSON value and reads 8-byte values after.
 //
-// A response is checked once, in RoundResponse.accept, before anything
-// indexes into it: declared lengths filling the body exactly, column shapes
-// against num_jobs and the pool's width, ids strictly ascending, every
-// value finite, the round the one asked for. Bodies are bounded on both
-// ends — requests by a fixed cap on the worker, responses by a header
-// allowance plus twice the raw columns of the clients the registry says the
-// worker owns, enforced before the body is buffered. A response failing any
-// of this is not served: the worker is a straggler for the round, with an
-// error naming it (an over-limit response also schedules a registry sync,
-// since it means the worker holds clients it was never given). Requests are
-// checked the same way on the worker (one throughput per GPU type, nothing
-// negative) before they reach an engine. FuzzRoundResponse and
-// FuzzRoundRequest hold both readers to "never panic, never accept
-// inconsistent columns".
+// Each direction is checked once, where it lies, before anything indexes
+// into it. A request, in RoundRequest.read on the worker before any engine
+// sees a job: the version; capacities ≥ 0, a name for each or none;
+// declared lengths filling the body exactly; throughput rows of the pool's
+// width; both id columns strictly ascending; every value finite and ≥ 0.
+// A response, in RoundResponse.accept: declared lengths filling the body
+// exactly, column shapes against num_jobs and the pool's width, ids
+// strictly ascending, every value finite, the round the one asked for.
+// Bodies are bounded on both ends — requests by a fixed cap on the worker,
+// responses by a header allowance plus twice the raw columns of the clients
+// the registry says the worker owns, enforced before the body is buffered.
+// A request failing any of this is answered 400. A response failing any of
+// it is not served: the worker is a straggler for the round, with an error
+// naming it (an over-limit response also schedules a registry sync, since
+// it means the worker holds clients it was never given). FuzzRoundRequest,
+// FuzzSyncRequest and FuzzRoundResponse hold the readers to "never panic,
+// never accept inconsistent columns".
 //
 // # Telemetry
 //
 // With an Observer set, a round is a "shard.round" span with children
 // shard.diff (Step's registry diff), per-worker shard.gather lanes holding
-// shard.encode and shard.decode (the request's JSON before the HTTP wait,
-// reading the answer after it; the local transport has neither), and
-// shard.merge; a worker's side
+// shard.encode (packing the request frame) and, over HTTP, shard.decode
+// (reading the answer after the HTTP wait), and shard.merge; a worker's side
 // of it is "shard.worker.round" with apply, solve, extract, and (over HTTP)
 // encode children. Each phase is also a histogram —
 // pop_shard_phase_seconds{phase=...} on the coordinator,
 // pop_shard_worker_phase_seconds{phase=...} on the worker — so the
 // coordinator's share of a round is read directly instead of inferred by
-// subtraction; pop_shard_response_bytes sizes every frame a worker sent. Without an Observer each hook is one pointer check.
+// subtraction; pop_shard_request_bytes and pop_shard_response_bytes size
+// every round frame sent to and by a worker over HTTP. Without an Observer
+// each hook is one pointer check.
 //
 // # Failure model
 //

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
+	"maps"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -200,12 +203,11 @@ func TestWorkerResponseIsFramed(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewWorker(b, WorkerOptions{}).Handler())
 	defer srv.Close()
-	req := RoundRequest{Round: 1, GPUs: []float64{4, 4, 4}, Upserts: []JobSpec{
-		{ID: 7, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1},
+	req := mustRequest(t, 1, 0, cluster.NewCluster(4, 4, 4), []cluster.Job{
 		{ID: 3, Throughput: []float64{3, 2, 1}, Weight: 1, Scale: 2},
-	}}
-	body, _ := json.Marshal(&req)
-	httpResp, err := http.Post(srv.URL+PathRound, "application/json", bytes.NewReader(body))
+		{ID: 7, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1},
+	}, nil)
+	httpResp, err := http.Post(srv.URL+PathRound, frameContentType, bytes.NewReader(req.frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,29 +262,144 @@ func TestWorkerResponseIsFramed(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsBadRequests: requests that would index past a short
-// throughput row (or carry nonsense) are refused at the door.
+// mustRequest is newRequest for a test's own, well-formed batches.
+func mustRequest(t testing.TB, round, prevRound int, pool cluster.Cluster, upserts []cluster.Job, removes []int) *RoundRequest {
+	t.Helper()
+	r, err := newRequest(round, prevRound, pool, upserts, removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// relabel re-lays r's frame under its header as mutated, for building
+// hostile requests out of well-formed ones.
+func relabel(r *RoundRequest, mutate func(h *RoundRequest)) []byte {
+	h := *r
+	mutate(&h)
+	head, _ := json.Marshal(&h)
+	return append(head, r.frame[r.head:]...)
+}
+
+// badRequests are request bodies a worker must refuse with a 400, by name.
+func badRequests(t testing.TB) map[string][]byte {
+	pool := cluster.NewCluster(1, 1, 1)
+	job := func(id int) cluster.Job {
+		return cluster.Job{ID: id, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1, NumSteps: 10, Priority: 1}
+	}
+	valid := mustRequest(t, 1, 0, pool, []cluster.Job{job(1), job(2)}, []int{7, 9})
+	spoil := func(mutate func(j *cluster.Job)) []byte {
+		j := job(1)
+		mutate(&j)
+		return mustRequest(t, 1, 0, pool, []cluster.Job{j}, nil).frame
+	}
+	narrow := mustRequest(t, 1, 0, cluster.Cluster{NumGPUs: []float64{1, 1}}, []cluster.Job{{ID: 1, Throughput: []float64{1, 2}, Scale: 1}}, nil)
+	return map[string][]byte{
+		"not json":          []byte(`{"round":`),
+		"JSON body":         []byte(`{"round":1,"gpus":[1,1,1],"upserts":[{"id":1,"throughput":[1,2,3],"scale":1,"weight":1}]}`),
+		"wire 1":            relabel(valid, func(h *RoundRequest) { h.Wire = 1 }),
+		"wire 3":            relabel(valid, func(h *RoundRequest) { h.Wire = 3 }),
+		"big header":        append([]byte(`{"wire":2,"gpu_types":["`+strings.Repeat("a", maxHeaderBytes)+`"]}`), valid.frame[valid.head:]...),
+		"short throughput":  relabel(narrow, func(h *RoundRequest) { h.GPUs = []float64{1, 1, 1} }),
+		"negative scale":    spoil(func(j *cluster.Job) { j.Scale = -1 }),
+		"NaN weight":        spoil(func(j *cluster.Job) { j.Weight = math.NaN() }),
+		"+Inf throughput":   spoil(func(j *cluster.Job) { j.Throughput[1] = math.Inf(1) }),
+		"-Inf priority":     spoil(func(j *cluster.Job) { j.Priority = math.Inf(-1) }),
+		"+Inf num_steps":    spoil(func(j *cluster.Job) { j.NumSteps = math.Inf(1) }),
+		"negative mem_frac": spoil(func(j *cluster.Job) { j.MemFrac = -0.5 }),
+		"negative capacity": mustRequest(t, 1, 0, cluster.NewCluster(1, -1, 1), nil, nil).frame,
+		"type name count":   relabel(valid, func(h *RoundRequest) { h.TypeNames = []string{"a"} }),
+		"short body":        valid.frame[:len(valid.frame)-8],
+		"overlong body":     append(bytes.Clone(valid.frame), 0, 0, 0, 0, 0, 0, 0, 0),
+		"ids unsorted":      mustRequest(t, 1, 0, pool, []cluster.Job{job(2), job(1)}, nil).frame,
+		"ids repeat":        mustRequest(t, 1, 0, pool, []cluster.Job{job(2), job(2)}, nil).frame,
+		"removes repeat":    mustRequest(t, 1, 0, pool, nil, []int{4, 4}).frame,
+		"removes unsorted":  mustRequest(t, 1, 0, pool, nil, []int{5, 4}).frame,
+		"columns shifted":   relabel(valid, func(h *RoundRequest) { h.RemovesBytes += 8; h.IDsBytes -= 8 }),
+		"ragged ids":        relabel(valid, func(h *RoundRequest) { h.RemovesBytes += 4; h.IDsBytes -= 4 }),
+		"negative length":   relabel(valid, func(h *RoundRequest) { h.RemovesBytes = -16; h.IDsBytes += 16 }),
+		"lengths overflow":  relabel(valid, func(h *RoundRequest) { h.RemovesBytes, h.IDsBytes = math.MaxInt-7, math.MaxInt-7 }),
+		"throughput lies":   relabel(valid, func(h *RoundRequest) { h.ThroughputBytes += 8 }),
+	}
+}
+
+// TestWorkerRejectsBadRequests: a request that would index past a short
+// throughput row, or carries nonsense — a non-finite or negative value, ids
+// out of order, lengths that do not fill the body, a JSON body, another wire
+// version — is refused at the door, on either path, before an engine sees
+// a job; a wrong version is refused by name.
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	b, err := NewEngine(testCluster(), EngineConfig{Policy: "maxmin", K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := NewWorker(b, WorkerOptions{}).Handler()
-	for name, body := range map[string]string{
-		"not json":          `{"round":`,
-		"short throughput":  `{"round":1,"gpus":[1,1,1],"upserts":[{"id":1,"throughput":[1,2],"scale":1,"weight":1}]}`,
-		"negative scale":    `{"round":1,"gpus":[1,1,1],"upserts":[{"id":1,"throughput":[1,2,3],"scale":-1}]}`,
-		"negative capacity": `{"round":1,"gpus":[1,-1,1]}`,
-		"type name count":   `{"round":1,"gpus":[1,1,1],"gpu_types":["a"]}`,
-	} {
+	for name, body := range badRequests(t) {
 		for _, path := range []string{PathRound, PathSync} {
-			if path == PathSync {
-				body = strings.Replace(body, `"upserts"`, `"jobs"`, 1)
-			}
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("%s on %s: status %d, want 400", name, path, rec.Code)
+			}
+			want := map[string]string{"JSON body": "wire version 0, want 2", "wire 1": "wire version 1, want 2", "wire 3": "wire version 3, want 2"}[name]
+			if !strings.Contains(rec.Body.String(), want) {
+				t.Errorf("%s on %s: %s does not say %q", name, path, rec.Body, want)
+			}
+		}
+	}
+	if b.Engine.NumJobs() != 0 {
+		t.Fatalf("refused requests left %d jobs in the engine", b.Engine.NumJobs())
+	}
+	// A sync lists the clients to keep; removes are a round's business.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathSync,
+		bytes.NewReader(mustRequest(t, 1, 0, testCluster(), nil, []int{3}).frame)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("sync with removes: status %d, want 400", rec.Code)
+	}
+}
+
+// TestRequestFrameSize: a request of u upserts and d removes is its header
+// plus 8·(u·(6+width) + d) bytes — ids, throughputs and five attributes a
+// job, an id a remove — whatever the values, and the header does not grow
+// with the batch.
+func TestRequestFrameSize(t *testing.T) {
+	pool := testCluster()
+	rnd := rand.New(rand.NewSource(30))
+	empty := mustRequest(t, 9, 8, pool, nil, nil)
+	for _, tc := range []struct{ u, d int }{{0, 0}, {1, 0}, {0, 1}, {250, 250}, {5000, 17}} {
+		ups := make([]cluster.Job, tc.u)
+		for k := range ups {
+			ups[k] = randJob(2*k, rnd)
+		}
+		rms := make([]int, tc.d)
+		for k := range rms {
+			rms[k] = 2*k + 1
+		}
+		r := mustRequest(t, 9, 8, pool, ups, rms)
+		width := pool.NumTypes()
+		if want := 8 * (tc.u*(6+width) + tc.d); len(r.frame)-r.head != want {
+			t.Errorf("u=%d d=%d: %d column bytes, want %d", tc.u, tc.d, len(r.frame)-r.head, want)
+		}
+		if h := r.head - empty.head; h < 0 || h > 2*len(strconv.Itoa(len(r.frame))) {
+			t.Errorf("u=%d d=%d: header of %d bytes, an empty batch's is %d", tc.u, tc.d, r.head, empty.head)
+		}
+		b, err := r.read()
+		if err != nil {
+			t.Fatalf("u=%d d=%d: %v", tc.u, tc.d, err)
+		}
+		got := b.upserts()
+		if len(got) != tc.u || b.numRemoves() != tc.d {
+			t.Fatalf("u=%d d=%d: read back %d upserts, %d removes", tc.u, tc.d, len(got), b.numRemoves())
+		}
+		for k, j := range got {
+			if j.ID != ups[k].ID || !j.Equal(ups[k]) {
+				t.Fatalf("u=%d d=%d: job %d read back as %+v, sent %+v", tc.u, tc.d, k, j, ups[k])
+			}
+		}
+		for k := range tc.d {
+			if b.remove(k) != rms[k] {
+				t.Fatalf("u=%d d=%d: remove %d read back as %d", tc.u, tc.d, rms[k], b.remove(k))
 			}
 		}
 	}
@@ -366,15 +483,15 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 		"short write": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", frameContentType)
 			rw.Header().Set("Content-Length", "4096")
-			_, _ = rw.Write([]byte(`{"wire":1,"round":`))
+			_, _ = rw.Write([]byte(`{"wire":2,"round":`))
 		}),
 		"not a frame": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", frameContentType)
-			_, _ = rw.Write([]byte(`{"wire":1,"round":1,"ids_bytes":"!!!"}`))
+			_, _ = rw.Write([]byte(`{"wire":2,"round":1,"ids_bytes":"!!!"}`))
 		}),
 		"endless header": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", frameContentType)
-			_, _ = rw.Write([]byte(`{"wire":1,"kind":"` + strings.Repeat("a", maxHeaderBytes)))
+			_, _ = rw.Write([]byte(`{"wire":2,"kind":"` + strings.Repeat("a", maxHeaderBytes)))
 		}),
 		"oversized": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) { // chunked: no declared length
 			rw.Header().Set("Content-Type", frameContentType)
@@ -445,10 +562,11 @@ type oldRoundResponse struct {
 func TestMixedVersionFleetFailsByName(t *testing.T) {
 	old, _ := json.Marshal(&oldRoundResponse{Round: 1, NumJobs: 1, SolveMs: 0.5, IDs: leIDs(0), EffThr: le(1), X: le(1, 0, 0), Kind: "price"})
 	for name, answer := range map[string]struct{ contentType, body, want string }{
-		"old worker":                {"application/json", string(old), `round: wire version 0 (content type "application/json"), want 1`},
-		"old form, new label":       {frameContentType, string(old), "round: wire version 0, want 1"},
-		"versionless header":        {frameContentType, `{"round":1,"num_jobs":0}`, "round: wire version 0, want 1"},
-		"a version from the future": {frameContentType, `{"wire":2,"round":1}`, "round: wire version 2, want 1"},
+		"old worker":                {"application/json", string(old), `round: wire version 0 (content type "application/json"), want 2`},
+		"old form, new label":       {frameContentType, string(old), "round: wire version 0, want 2"},
+		"versionless header":        {frameContentType, `{"round":1,"num_jobs":0}`, "round: wire version 0, want 2"},
+		"a version-1 worker":        {frameContentType, `{"wire":1,"round":1}`, "round: wire version 1, want 2"},
+		"a version from the future": {frameContentType, `{"wire":3,"round":1}`, "round: wire version 3, want 2"},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", answer.contentType)
@@ -504,11 +622,13 @@ func TestOverlappingRoundsKeepTheirFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewWorker(b, WorkerOptions{}).Handler()
-	request := func(round int, upserts ...JobSpec) *http.Request {
-		body, _ := json.Marshal(&RoundRequest{Round: round, PrevRound: round - 1, GPUs: []float64{4, 4, 4}, Upserts: upserts})
+	request := func(round int, upserts ...cluster.Job) *http.Request {
+		body := mustRequest(t, round, round-1, cluster.NewCluster(4, 4, 4), upserts, nil).frame
 		return httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(body))
 	}
-	spec := func(id int) JobSpec { return JobSpec{ID: id, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1} }
+	spec := func(id int) cluster.Job {
+		return cluster.Job{ID: id, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1}
+	}
 
 	slow := &blockedWriter{httptest.NewRecorder(), make(chan struct{}), make(chan struct{})}
 	done := make(chan struct{})
@@ -605,6 +725,7 @@ func TestRoundPhaseSpans(t *testing.T) {
 		`pop_shard_worker_phase_seconds_count{phase="solve"} 2`,
 		`pop_shard_worker_phase_seconds_count{phase="encode"} 2`,
 		`pop_shard_response_bytes_count 2`,
+		`pop_shard_request_bytes_count 2`,
 	} {
 		if !strings.Contains(prom.String(), series) {
 			t.Errorf("metrics export lacks %s", series)
@@ -643,8 +764,8 @@ func seedResponses() [][]byte {
 		lie(func(r *RoundResponse) { r.IDsBytes, r.EffThrBytes = math.MaxInt, math.MaxInt }),
 		lie(func(r *RoundResponse) { r.XBytes += 1 << 20 }), // lengths sum past the body
 		bytes.Replace(valid, []byte(`"ids_bytes":16`), []byte(`"ids_bytes":92233720368547758070`), 1),
-		bytes.Replace(valid, []byte(`"wire":1`), []byte(`"wire":2`), 1),
-		[]byte(`{"wire":1,"kind":"` + strings.Repeat("a", 1<<20) + `"}`), // a 1 MB "header"
+		bytes.Replace(valid, []byte(`"wire":2`), []byte(`"wire":3`), 1),
+		[]byte(`{"wire":2,"kind":"` + strings.Repeat("a", 1<<20) + `"}`), // a 1 MB "header"
 		// The one-document form this frame replaced.
 		[]byte(`{"round":1,"num_jobs":1,"ids":"AQAAAAAAAAA=","eff_thr":"AAAAAAAA+H8="}`),
 		[]byte(`{"ids":[1,2,3]}`), []byte(`null`), []byte(`[]`), {},
@@ -705,25 +826,36 @@ func FuzzRoundResponse(f *testing.F) {
 	})
 }
 
-// FuzzRoundRequest: the worker answers any request body — valid, hostile,
-// or garbage — with a status, never a panic, and a 200 always carries a
-// frame the coordinator's own reader accepts.
-func FuzzRoundRequest(f *testing.F) {
-	valid, _ := json.Marshal(&RoundRequest{Round: 1, GPUs: []float64{2, 2, 2}, Upserts: []JobSpec{
-		{ID: 1, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: 1, NumSteps: 10, Priority: 1},
-		{ID: 2, Throughput: []float64{2, 1, 1}, Weight: 2, Scale: 2, NumSteps: 10, Priority: 1},
-	}, Removes: []int{9}})
-	for _, seed := range [][]byte{
-		valid,
-		[]byte(`{"round":1,"gpus":[1,1,1]}`),
-		[]byte(`{"round":2,"prev_round":1,"gpus":[1,1,1]}`),
-		[]byte(`{"round":1,"gpus":[1,1,1],"upserts":[{"id":1,"throughput":[1]}]}`),
-		[]byte(`{"round":1,"gpus":[0,0,0],"upserts":[{"id":1,"throughput":[0,0,0]}]}`),
-		[]byte(`{"round":1,"gpus":[],"upserts":[{"id":1,"throughput":[]}]}`),
-		[]byte(`{"round":1,"gpus":[1e308,1e308],"upserts":[{"id":-5,"throughput":[1e308,1e-320],"scale":1e308,"weight":1e-320}]}`),
-		[]byte(`{"round":-1,"gpus":null,"removes":[1,1,1]}`),
-		[]byte(`[]`), {},
-	} {
+// requestSeeds are well-formed and hostile request bodies, in a fixed order.
+func requestSeeds(t testing.TB) [][]byte {
+	job := func(id int, thr ...float64) cluster.Job {
+		return cluster.Job{ID: id, Throughput: thr, Weight: 1, Scale: 1, NumSteps: 10, Priority: 1}
+	}
+	pool := cluster.NewCluster(2, 2, 2)
+	seeds := [][]byte{
+		mustRequest(t, 1, 0, pool, []cluster.Job{job(1, 1, 2, 3), job(2, 2, 1, 1)}, []int{9}).frame,
+		mustRequest(t, 1, 0, pool, nil, nil).frame,
+		mustRequest(t, 2, 1, pool, []cluster.Job{job(4, 1, 1, 1)}, nil).frame, // behind: 409
+		mustRequest(t, 1, 0, cluster.NewCluster(0, 0, 0), []cluster.Job{job(1, 0, 0, 0)}, nil).frame,
+		mustRequest(t, 1, 0, cluster.Cluster{}, []cluster.Job{job(1)}, nil).frame,
+		mustRequest(t, 1, 0, cluster.Cluster{NumGPUs: []float64{1e308, 1e308}}, []cluster.Job{
+			{ID: -5, Throughput: []float64{1e308, 1e-320}, Scale: 1e308, Weight: 1e-320}}, nil).frame,
+		mustRequest(t, -1, 0, cluster.Cluster{TypeNames: []string{"a", "b"}, NumGPUs: []float64{1, 1}}, nil, []int{-3, 1, 2}).frame,
+	}
+	bad := badRequests(t)
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		seeds = append(seeds, bad[name])
+	}
+	return append(seeds, []byte(`null`), []byte(`[]`), nil)
+}
+
+// fuzzRequest: the worker answers any body on path — valid, hostile, or
+// garbage — with a status, never a panic; a 400 exactly when the request
+// reader refuses the body (a sync also when it removes anything); and a 200
+// carries what the coordinator reads: a round's frame its accept takes, a
+// sync's ack counting every client listed.
+func fuzzRequest(f *testing.F, path string) {
+	for _, seed := range requestSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -733,16 +865,34 @@ func FuzzRoundRequest(f *testing.F) {
 		}
 		h := NewWorker(b, WorkerOptions{}).Handler()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(data)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+
+		req, err := decodeRequest(data)
+		var in batch
+		if err == nil {
+			in, err = req.read()
+		}
+		if err == nil && path == PathSync && in.numRemoves() > 0 {
+			err = errors.New("a sync with removes")
+		}
+		if (rec.Code == http.StatusBadRequest) != (err != nil) {
+			t.Fatalf("status %d (%s) for a body the reader judges %v", rec.Code, rec.Body, err)
+		}
 		if rec.Code != http.StatusOK {
+			return
+		}
+		if path == PathSync {
+			var ack SyncResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Round != req.Round ||
+				ack.Kept+ack.Added != len(in.ids)/8 || b.Engine.NumJobs() != len(in.ids)/8 {
+				t.Fatalf("sync of %d clients acked as %s (err %v); engine holds %d", len(in.ids)/8, rec.Body, err, b.Engine.NumJobs())
+			}
 			return
 		}
 		resp, err := decodeFrame(rec.Header().Get("Content-Type"), rec.Body.Bytes())
 		if err != nil {
 			t.Fatalf("200 with an undecodable body: %v", err)
 		}
-		var req RoundRequest // decoded the way the handler did: it answered 200
-		_ = json.NewDecoder(bytes.NewReader(data)).Decode(&req)
 		g, err := resp.accept(req.Round, len(req.GPUs))
 		if err != nil {
 			t.Fatalf("200 with a response the coordinator would reject: %v", err)
@@ -750,3 +900,7 @@ func FuzzRoundRequest(f *testing.F) {
 		checkAccepted(t, resp, g)
 	})
 }
+
+func FuzzRoundRequest(f *testing.F) { fuzzRequest(f, PathRound) }
+
+func FuzzSyncRequest(f *testing.F) { fuzzRequest(f, PathSync) }

@@ -96,8 +96,9 @@ func (f *servedFleet) step(tb testing.TB) {
 
 // BenchmarkShardRound is one served churn round end to end — registry diff,
 // scatter, worker apply/solve/extract, framed gather, merge — at 20 000
-// clients, 1% churn, over each servedRow (resp-B/op: response bytes on the
-// wire per round, all workers): two workers behind HTTP (B/op and
+// clients, 1% churn, over each servedRow (req-B/op and resp-B/op: request
+// and response bytes on the wire per round, all workers): two workers
+// behind HTTP (B/op and
 // allocs/op then cover coordinator, both workers, and net/http), one worker
 // in process (single-process popserver's round, which no workload of the
 // repository benchmark drives), and the bare Engine.Step both are measured
@@ -114,15 +115,17 @@ func BenchmarkShardRound(b *testing.B) {
 					f.churn()
 					f.step(b)
 				}
-				wire := f.reg.Histogram("pop_shard_response_bytes", "", nil)
-				before := wire.Sum()
+				req := f.reg.Histogram("pop_shard_request_bytes", "", nil)
+				resp := f.reg.Histogram("pop_shard_response_bytes", "", nil)
+				reqBefore, respBefore := req.Sum(), resp.Sum()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					f.churn()
 					f.step(b)
 				}
-				if sent := wire.Sum() - before; sent > 0 { // only HTTP rows put bytes on a wire
+				if sent := resp.Sum() - respBefore; sent > 0 { // only HTTP rows put bytes on a wire
+					b.ReportMetric((req.Sum()-reqBefore)/float64(b.N), "req-B/op")
 					b.ReportMetric(sent/float64(b.N), "resp-B/op")
 				}
 			})

@@ -567,11 +567,11 @@ func TestStateFileEngineKind(t *testing.T) {
 			}
 			w := NewWorker(b, WorkerOptions{StateFile: path})
 			rnd := rand.New(rand.NewSource(20))
-			req := &RoundRequest{Round: 1, GPUs: testCluster().NumGPUs}
+			var jobs []cluster.Job
 			for id := 0; id < 20; id++ {
-				req.Upserts = append(req.Upserts, SpecOf(randJob(id, rnd)))
+				jobs = append(jobs, randJob(id, rnd))
 			}
-			if _, err := w.round(req); err != nil {
+			if _, err := w.round(mustRequest(t, 1, 0, testCluster(), jobs, nil)); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.SaveState(); err != nil {
@@ -640,7 +640,7 @@ func TestWorkerAuth(t *testing.T) {
 	f := newFleet(t, 1, EngineConfig{Policy: "maxmin", K: 1}, WorkerOptions{Token: token})
 
 	post := func(tok string) int {
-		body, _ := json.Marshal(&RoundRequest{Round: 1, GPUs: []float64{1, 1, 1}})
+		body := mustRequest(t, 1, 0, cluster.NewCluster(1, 1, 1), nil, nil).frame
 		req, _ := http.NewRequest(http.MethodPost, f.urls[0]+PathRound, bytes.NewReader(body))
 		if tok != "" {
 			Token(tok).Set(req)

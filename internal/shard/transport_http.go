@@ -45,8 +45,9 @@ func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator,
 	return newCoordinator(ts, opts)
 }
 
-// httpTransport reaches a worker process through its Handler: a JSON
-// document each way per call, except that a round's answer is a frame.
+// httpTransport reaches a worker process through its Handler: requests go
+// as the frames the coordinator packed, a round's answer comes back as one,
+// and a sync's answer as a JSON document.
 type httpTransport struct {
 	client *http.Client
 	url    string
@@ -56,15 +57,19 @@ type httpTransport struct {
 func (t *httpTransport) String() string { return t.url }
 
 func (t *httpTransport) Round(ctx context.Context, o *obs.Observer, req *RoundRequest, limit int64) (*RoundResponse, error) {
+	if o != nil {
+		o.Metrics.Histogram("pop_shard_request_bytes", "round request body size, per worker per round",
+			wireBytesBuckets).Observe(float64(len(req.frame)))
+	}
 	resp, err := post(ctx, o, t, PathRound, req, limit, decodeFrame)
 	if err == nil && o != nil {
 		o.Metrics.Histogram("pop_shard_response_bytes", "round response body size, per worker per round",
-			responseBytesBuckets).Observe(float64(len(resp.frame)))
+			wireBytesBuckets).Observe(float64(len(resp.frame)))
 	}
 	return resp, err
 }
 
-var responseBytesBuckets = obs.ExpBuckets(1<<10, 4, 12) // 1 KiB to 4 GiB
+var wireBytesBuckets = obs.ExpBuckets(1<<10, 4, 12) // 1 KiB to 4 GiB
 
 func (t *httpTransport) Sync(ctx context.Context, o *obs.Observer, req *SyncRequest) (*SyncResponse, error) {
 	return post(ctx, o, t, PathSync, req, 1<<16, func(_ string, body []byte) (*SyncResponse, error) {
@@ -73,25 +78,18 @@ func (t *httpTransport) Sync(ctx context.Context, o *obs.Observer, req *SyncRequ
 	})
 }
 
-// post sends one JSON request and hands the answer's body — at most limit
+// post sends one request frame and hands the answer's body — at most limit
 // bytes, read once into a buffer sized from Content-Length — to decode. Any
 // outcome other than a decoded 200 is an error, with error bodies folded
-// into it and a 409 reported as ErrOutOfSync. Encoding the request, and
-// reading and decoding the answer, are a "shard.encode" and a "shard.decode"
-// phase on o's lane.
-func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path string, in any, limit int64,
+// into it and a 409 reported as ErrOutOfSync. Reading and decoding the
+// answer is a "shard.decode" phase on o's lane.
+func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path string, in *RoundRequest, limit int64,
 	decode func(contentType string, body []byte) (*T, error)) (*T, error) {
-	ep := phase(o, "encode")
-	payload, err := json.Marshal(in)
-	ep.End()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.url+path, bytes.NewReader(in.frame))
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.url+path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", frameContentType)
 	t.token.Set(req)
 	resp, err := t.client.Do(req)
 	if err != nil {

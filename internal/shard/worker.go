@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,19 +91,29 @@ func (w *Worker) Handler() http.Handler {
 }
 
 // maxRequestBytes bounds a round or sync request body. A sync carries a
-// shard's whole client set (~150 bytes a job), so the cap is sized for a
-// million-client shard with room to spare rather than for a round's churn.
+// shard's whole client set (72 bytes a job at three GPU types), so the cap
+// is sized for a million-client shard with room to spare rather than for a
+// round's churn.
 const maxRequestBytes = 1 << 30
 
 // badRequestError: refused before touching the engine (400 on the wire).
 type badRequestError struct{ error }
 
-// readRequest decodes one bounded JSON request body.
-func readRequest(rw http.ResponseWriter, r *http.Request, v any) error {
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(v); err != nil {
-		return badRequestError{err}
+// readRequest reads one bounded request body, into a buffer sized from
+// Content-Length, and decodes its header; round and sync read the columns.
+func readRequest(rw http.ResponseWriter, r *http.Request) (*RoundRequest, error) {
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+		body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
-	return nil
+	if _, err := body.ReadFrom(http.MaxBytesReader(rw, r.Body, maxRequestBytes)); err != nil {
+		return nil, badRequestError{err}
+	}
+	req, err := decodeRequest(body.Bytes())
+	if err != nil {
+		return nil, badRequestError{err}
+	}
+	return req, nil
 }
 
 // writeError answers a failed round or sync with 400, 409, or 500.
@@ -131,11 +142,10 @@ func (w *Worker) phase(name string) obs.Timed {
 // handleRound is the HTTP shell around round: decode, run, encode.
 func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	defer w.phase("round").End()
-	var req RoundRequest
 	var resp *RoundResponse
-	err := readRequest(rw, r, &req)
+	req, err := readRequest(rw, r)
 	if err == nil {
-		resp, err = w.round(&req)
+		resp, err = w.round(req)
 	}
 	if err != nil {
 		w.writeError(rw, "round", err)
@@ -155,10 +165,11 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	_, _ = rw.Write(out) // a failed write is the coordinator's timeout to report
 }
 
-// round is the transport-independent core of a round: validate the batch,
+// round is the transport-independent core of a round: read the batch,
 // apply it, solve over the held clients, pack the allocation, checkpoint.
 func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
-	if err := validateSpecs(req.Upserts, req.GPUs, req.TypeNames); err != nil {
+	b, err := req.read()
+	if err != nil {
 		return nil, badRequestError{err}
 	}
 	w.mu.Lock()
@@ -174,11 +185,12 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	}
 	start := time.Now()
 	ph := w.phase("apply")
-	for _, s := range req.Upserts {
-		w.b.Engine.Upsert(s.Job())
+	upserts := b.upserts()
+	for _, j := range upserts {
+		w.b.Engine.Upsert(j)
 	}
-	for _, id := range req.Removes {
-		w.b.Engine.Remove(id)
+	for k := range b.numRemoves() {
+		w.b.Engine.Remove(b.remove(k))
 	}
 	ph.End()
 
@@ -188,7 +200,6 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	ph = w.phase("solve")
 	var jobs []cluster.Job
 	var alloc *cluster.Allocation
-	var err error
 	if w.b.Engine.NumJobs() > 0 {
 		jobs, alloc, err = w.b.Engine.Allocate(cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs})
 	}
@@ -213,17 +224,16 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 			Observe(time.Since(start).Seconds())
 	}
 	w.opts.Log.Debug("shard round", "round", req.Round, "jobs", len(jobs),
-		"upserts", len(req.Upserts), "removes", len(req.Removes), "solve_ms", resp.SolveMs)
+		"upserts", len(upserts), "removes", b.numRemoves(), "solve_ms", resp.SolveMs)
 	w.saveStateAsync()
 	return resp, nil
 }
 
 func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
-	var req SyncRequest
 	var resp *SyncResponse
-	err := readRequest(rw, r, &req)
+	req, err := readRequest(rw, r)
 	if err == nil {
-		resp, err = w.sync(&req)
+		resp, err = w.sync(req)
 	}
 	if err != nil {
 		w.writeError(rw, "sync", err)
@@ -237,7 +247,11 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 // engines, so whatever warm state survived (a state-file restore, or a
 // straggle the coordinator mistook for a crash) is kept.
 func (w *Worker) sync(req *SyncRequest) (*SyncResponse, error) {
-	if err := validateSpecs(req.Jobs, req.GPUs, req.TypeNames); err != nil {
+	b, err := req.read()
+	if err == nil && b.numRemoves() > 0 {
+		err = fmt.Errorf("a sync lists the clients to keep, not %d to remove", b.numRemoves())
+	}
+	if err != nil {
 		return nil, badRequestError{err}
 	}
 	w.mu.Lock()
@@ -247,14 +261,14 @@ func (w *Worker) sync(req *SyncRequest) (*SyncResponse, error) {
 		held[j.ID] = true
 	}
 	resp := &SyncResponse{Round: req.Round}
-	for _, s := range req.Jobs {
-		if held[s.ID] {
+	for _, j := range b.upserts() {
+		if held[j.ID] {
 			resp.Kept++
-			delete(held, s.ID)
+			delete(held, j.ID)
 		} else {
 			resp.Added++
 		}
-		w.b.Engine.Upsert(s.Job())
+		w.b.Engine.Upsert(j)
 	}
 	for id := range held {
 		w.b.Engine.Remove(id)
