@@ -75,6 +75,24 @@ type Job struct {
 	Priority float64
 }
 
+// CheckJobs holds jobs from outside the wire (a restored state file) to the
+// rules a worker holds wire jobs to: one throughput per GPU type of a pool
+// numTypes wide, and every number finite and ≥ 0. The policies index
+// Throughput by GPU type, so a short row would panic the first round.
+func CheckJobs(jobs []Job, numTypes int) error {
+	for _, j := range jobs {
+		if len(j.Throughput) != numTypes {
+			return fmt.Errorf("job %d: %d throughputs for %d gpu types", j.ID, len(j.Throughput), numTypes)
+		}
+		for _, v := range append([]float64{j.Weight, j.Scale, j.NumSteps, j.MemFrac, j.Priority}, j.Throughput...) {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("job %d: value %v is not finite and ≥ 0", j.ID, v)
+			}
+		}
+	}
+	return nil
+}
+
 // GenerateJobs synthesizes n jobs with Gavel-like heterogeneity: each job
 // model has a base K80 throughput and distinct P100/V100 speedups, so
 // different jobs prefer different GPU types by different ratios.

@@ -151,23 +151,16 @@ type ClusterEngine struct {
 // NewClusterEngine creates an engine for cluster c running the given policy
 // with K sub-problems.
 func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts Options, lpOpts lp.Options) (*ClusterEngine, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	st := &clusterState{
-		policy:  policy,
-		results: make([]*clusterSubResult, opts.K),
-	}
-	var ad Adapter
+	st := &clusterState{policy: policy}
+	var ad Adapter = &soloAdapter{st}
 	if policy == SpaceSharing {
 		ad = &pairAdapter{st}
-	} else {
-		ad = &soloAdapter{st}
 	}
 	eng, err := newEngine(ad, opts, lpOpts)
 	if err != nil {
 		return nil, err
 	}
+	st.results = make([]*clusterSubResult, opts.K)
 	e := &ClusterEngine{st: st, eng: eng}
 	e.SetCluster(c)
 	return e, nil
@@ -181,9 +174,9 @@ func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
 		return
 	}
 	e.st.c = c
-	e.st.sub = c.Split(e.eng.t.opts.K)
+	e.st.sub = c.Split(e.eng.opts.K)
 	e.st.haveC = true
-	e.eng.t.markAllDirty()
+	e.eng.markAllDirty()
 }
 
 func clustersEqual(a, b cluster.Cluster) bool {
@@ -203,21 +196,22 @@ func clustersEqual(a, b cluster.Cluster) bool {
 func (e *ClusterEngine) Upsert(j cluster.Job) {
 	switch e.st.jobs.Upsert(j) {
 	case cluster.Arrived:
-		e.eng.t.upsert(j.ID, j.Scale)
+		e.eng.upsert(j.ID, j.Scale)
 	case cluster.Updated:
-		e.eng.t.upsert(j.ID, j.Scale)
-		e.eng.t.touch(j.ID)
+		e.eng.upsert(j.ID, j.Scale)
+		e.eng.touch(j.ID)
 	}
 }
 
 // Remove drops the job; survivors keep their sub-problems.
 func (e *ClusterEngine) Remove(id int) bool {
-	return e.st.jobs.Remove(id) && e.eng.t.remove(id)
+	return e.st.jobs.Remove(id) && e.eng.remove(id)
 }
 
-// MarkAllDirty forces a full re-solve on the next Solve (benchmark and
-// testing hook).
-func (e *ClusterEngine) MarkAllDirty() { e.eng.t.markAllDirty() }
+// MarkAllDirty makes the next Solve rebuild and solve every sub-problem
+// cold: it drops every model and any restore seed. It is the cold baseline
+// the equivalence tests and BenchmarkOnlineRound hold warm rounds to.
+func (e *ClusterEngine) MarkAllDirty() { e.eng.markAllCold() }
 
 // NumJobs reports the number of jobs currently held.
 func (e *ClusterEngine) NumJobs() int { return e.st.jobs.Len() }
@@ -232,12 +226,12 @@ func (e *ClusterEngine) Jobs() []cluster.Job {
 func (e *ClusterEngine) Cluster() cluster.Cluster { return e.st.c }
 
 // Stats returns the engine's work counters.
-func (e *ClusterEngine) Stats() Stats { return e.eng.t.stats }
+func (e *ClusterEngine) Stats() Stats { return e.eng.stats }
 
 // Solve re-solves every dirty sub-problem from its persistent model,
 // leaving clean ones untouched.
 func (e *ClusterEngine) Solve() error {
-	e.eng.t.rebalance()
+	e.eng.rebalance()
 	return e.eng.solveRound()
 }
 
@@ -310,7 +304,7 @@ func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.
 
 // resultOf locates job id's cached sub-problem result and its local index.
 func (e *ClusterEngine) resultOf(id int) (*clusterSubResult, int, int, error) {
-	p, ok := e.eng.t.partOf[id]
+	p, ok := e.eng.partOf[id]
 	if !ok || e.st.results[p] == nil {
 		return nil, 0, 0, fmt.Errorf("online: job %d has no sub-problem result", id)
 	}

@@ -2,12 +2,12 @@
 // POP-partitioned problem alive across scheduling rounds, accepts deltas
 // (client arrive/depart, load change, resource capacity change), and
 // re-solves only the sub-problems the deltas touched, each warm-started
-// from its previous optimal basis. One generic engine drives all three of
-// the paper's case studies through the Adapter contract: ClusterEngine
-// (solo GPU scheduling and pair-variable space sharing), LBEngine (shard
-// balancing), and TEEngine (traffic engineering). It is the round-loop
-// driver behind gavelsim's online policies, lb's online balancer, and
-// cmd/popserver.
+// from its previous optimal basis. One generic engine drives the two case
+// studies that run round after round through the Adapter contract:
+// ClusterEngine (solo GPU scheduling and pair-variable space sharing) and
+// LBEngine (shard balancing). It is the round-loop driver behind gavelsim's
+// online policies, lb's online balancer, and cmd/popserver. Traffic
+// engineering (§4.2) is planned in batch by te.SolvePOP.
 //
 // # Stable partitions
 //
@@ -34,47 +34,52 @@
 //
 // # The adapter contract
 //
-// The generic engine owns everything domain-independent: the tracker,
-// dirty marking, one persistent lp.Model per partition, the
-// rebuild-vs-splice decision, solve timing, and Stats. A domain plugs in by
-// implementing Adapter:
+// The generic engine owns everything domain-independent: one record per
+// sub-problem (its members, load, dirty mark, persistent lp.Model and the
+// blocks that model holds), the stable placement, the rebuild-vs-splice
+// decision, solve timing, and Stats. A domain plugs in by implementing
+// Adapter:
 //
-//   - Layout(p, ids, buf) appends the partition's block sequence to buf —
-//     each Block a keyed run of Vars variables and Rows rows. Keys name the owning
-//     client (BlockKey{id, NoPartner}) or client pair (BlockKey{a, b}); one
-//     client may own many blocks, which is what lets the space-sharing LP —
-//     a slot block per job plus one per single-GPU pair — live online.
+//   - Layout(p, ids, buf) appends the sub-problem's block sequence to buf —
+//     each Block a keyed run of Vars variables and Rows rows. Keys name the
+//     owning client (BlockKey{id, NoPartner}) or client pair
+//     (BlockKey{a, b}); one client may own many blocks, which is what lets
+//     the space-sharing LP — a slot block per job plus one per single-GPU
+//     pair — live online.
 //   - BuildModel constructs a fresh model for a layout; SpliceBlock inserts
 //     one block's structure into a live model at engine-computed positions;
 //     RefreshModel rewrites every data-dependent value afterward.
-//   - Extract caches a partition's solution; Clear empties it.
+//   - Extract caches a sub-problem's solution; Clear empties it.
 //
 // Block-shape rules: a model lays out its blocks contiguously in layout
-// order — block variables first, then shared variables (an epigraph t, a
-// min-fraction t); block rows first, then shared rows (capacity rows, band
-// rows). Shared structure must keep a fixed shape across membership churn
-// (TEEngine keeps one capacity row per topology edge even when empty, so
-// the shared-row region never moves). A block's rows may reference other
-// blocks' variables — a job's fairness row spans every slot containing it —
-// because RefreshModel rewrites all data-dependent coefficients and
-// lp.Model setters no-op on unchanged values, keeping the delta class the
-// solver sees exact. Layouts must enumerate blocks so survivors keep their
-// relative order as members arrive and depart (member-order and canonical
-// pair-order enumerations do); a layout that cannot is rebuilt fresh, never
-// answered wrong.
+// order — block variables first, then shared variables (the cluster
+// epigraph t); block rows first, then shared rows (GPU capacity rows, lb's
+// per-server band and memory rows). Shared structure must keep a fixed
+// shape across membership churn (one capacity row per GPU type, three rows
+// per server, however many members the sub-problem holds), so the
+// shared-row region never moves. A block's structure is a pure function of
+// its key and shape: a surviving block is kept as it is, so anything that
+// can change under an unchanged key belongs in RefreshModel. A block's rows
+// may reference other blocks' variables — a job's fairness row spans every
+// slot containing it — because RefreshModel rewrites all data-dependent
+// coefficients and lp.Model setters no-op on unchanged values, keeping the
+// delta class the solver sees exact. Layouts must enumerate blocks so
+// survivors keep their relative order as members arrive and depart
+// (member-order and canonical pair-order enumerations do); a layout that
+// cannot is rebuilt fresh, never answered wrong.
 //
-// Per dirty partition the engine then picks a sync path: build fresh (no
-// model yet, warm starts disabled, or block-key overlap < 0.5), or splice
-// departed blocks out / new blocks in — the stored basis spliced in
-// lockstep — and refresh the rest in place. A re-solve therefore pays
-// pivots, not construction: rhs/bound-only deltas (capacity jitter under
-// MinMakespan, lb tolerance shifts, TE demand shifts) ride the dual simplex
-// from the previous basis; coefficient and objective deltas take the primal
-// warm path; the lp solver owns correctness, falling back primal-warm then
+// Per dirty sub-problem the engine then picks a sync path: build fresh (no
+// model yet — the first round, or after MarkAllDirty — or block-key overlap
+// < 0.5), or splice departed blocks out / new blocks in — the stored basis
+// spliced in lockstep — and refresh the rest in place. A re-solve therefore
+// pays pivots, not construction: rhs/bound-only deltas (capacity jitter
+// under MinMakespan, lb tolerance shifts) ride the dual simplex from the
+// previous basis; coefficient and objective deltas take the primal warm
+// path; the lp solver owns correctness, falling back primal-warm then
 // cold, so warm starts change solve speed, never solve outcomes.
 //
 // The sync itself allocates nothing in steady state and keeps nothing per
-// partition beyond the model and its block list. What it needs for the
+// sub-problem beyond the model and its block list. What it needs for the
 // length of one sub-solve — the wanted layout, its index by block key, the
 // position of every current block in it — is a syncScratch taken from a
 // pool on the engine and put back when the sub-solve returns; the solo
@@ -83,12 +88,13 @@
 // arguments) the same way. Scratch is pooled rather than held in each sub
 // for the reason lp recycles solver workspaces instead of keeping one per
 // model: it is about 100 bytes per client, and an engine needs one per
-// sub-solve in flight, not one per partition. Adjacent departing blocks are cut out of the model in one
-// RemoveConstraints/RemoveVariables pair (each walks the whole matrix), and
-// the solo adapter's Extract writes a partition's rows over its previous
-// ones, re-indexing members only when they changed; ClusterEngine.Allocate
-// copies rows out and computes effective throughputs from the jobs it has
-// at hand, so nothing a caller holds is ever rewritten.
+// sub-solve in flight, not one per sub-problem. Adjacent departing blocks
+// are cut out of the model in one RemoveConstraints/RemoveVariables pair
+// (each walks the whole matrix), and the solo adapter's Extract writes a
+// sub-problem's rows over its previous ones, re-indexing members only when
+// they changed; ClusterEngine.Allocate copies rows out and computes
+// effective throughputs from the jobs it has at hand, so nothing a caller
+// holds is ever rewritten.
 //
 // # Warm-hostile refreshes
 //
@@ -105,15 +111,16 @@
 // duals shows a majority flipped (a global rotation, like the equal-share
 // denominator shifts above, even when few entries changed).
 //
-// # Adding a fourth adapter
+// # Adding an adapter
 //
-// Pick the client granularity (the tracker id), decide the block shape per
-// client — fixed-width like cluster (r vars, 2 rows) and lb (2m vars, m+1
-// rows), variable-width like TE (one var per candidate path), or multi-
-// block like space sharing — and put everything data-dependent behind
-// RefreshModel. Wrap the engine with the domain's delta API (Upsert /
-// Remove / Solve) the way te.go does in ~150 lines; the equivalence suites'
-// pattern (warm engine vs NoWarmStart engine, 1e-6 objective agreement over
+// Pick the client granularity (the id the engine places), decide the block
+// shape per client — fixed-width like cluster (r vars, 2 rows) and lb (2m
+// vars, m+1 rows), or multi-block like space sharing — and put everything
+// data-dependent behind RefreshModel. Wrap the engine with the domain's
+// delta API the way lb.go does (Step diffs an instance into upsert / touch /
+// remove, then solveRound), and give it a MarkAllDirty that calls
+// markAllCold. The equivalence suites' pattern (a warm engine against a twin
+// that calls MarkAllDirty before every round, 1e-6 objective agreement over
 // randomized delta sequences) transfers unchanged and should be the first
 // test written.
 //
@@ -125,12 +132,12 @@
 // round loop. LBEngine runs the §4.3 shard balancer on the continuous
 // relaxation (the MILP's integer search cannot reuse a simplex basis; the
 // relaxation is where the paper's round-over-round latency lives); its
-// Solver method plugs into lb.RunRounds. TEEngine runs the §4.2 path
-// formulation over a fixed topology with every edge at 1/k capacity;
-// demand-amount shifts are single rhs edits — the dual-simplex fast path —
-// while endpoint changes re-route by re-splicing the commodity's block.
-// Engine stats split each round into model build/mutation time and solver
-// time (Stats.BuildNs / Stats.SolveNs) — the mutation path exists to shrink
-// the former. Engines are not safe for concurrent use; callers like
-// cmd/popserver serialize rounds themselves.
+// Solver method plugs into lb.RunRounds. Both have a MarkAllDirty that
+// drops every model (and any restored basis), so the next round rebuilds
+// and solves every sub-problem cold — the baseline the equivalence tests
+// and BenchmarkOnlineRound hold the warm path to. Engine stats split each
+// round into model build/mutation time and solver time (Stats.BuildNs /
+// Stats.SolveNs) — the mutation path exists to shrink the former. Engines
+// are not safe for concurrent use; callers like cmd/popserver serialize
+// rounds themselves.
 package online

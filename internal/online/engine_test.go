@@ -3,9 +3,12 @@ package online
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"pop/internal/cluster"
+	"pop/internal/lb"
 	"pop/internal/lp"
 )
 
@@ -78,7 +81,7 @@ func TestClusterEngineMatchesColdFullSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, NoWarmStart: true}, lp.Options{})
+		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +175,7 @@ func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 // TestStablePartitionInvariants: arrivals go to the least-loaded
 // sub-problem; departures never move survivors; updates never migrate.
 func TestStablePartitionInvariants(t *testing.T) {
-	tr, err := newTracker(Options{K: 3})
+	tr, err := newEngine(nil, Options{K: 3}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestStablePartitionInvariants(t *testing.T) {
 		t.Fatalf("arrival after departure to %d, want 1", p)
 	}
 	// Order inside a partition is stable.
-	if got := tr.parts[2].ids; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := tr.subs[2].ids; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("partition 2 order drifted: %v", got)
 	}
 }
@@ -220,7 +223,7 @@ func TestStablePartitionInvariants(t *testing.T) {
 // settles below the lightest member of the heaviest partition — the drift
 // bound.
 func TestRebalanceBoundsLoadDrift(t *testing.T) {
-	tr, err := newTracker(Options{K: 3, Rebalance: true})
+	tr, err := newEngine(nil, Options{K: 3, Rebalance: true}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +243,9 @@ func TestRebalanceBoundsLoadDrift(t *testing.T) {
 
 	spread := func() float64 {
 		hi, lo := math.Inf(-1), math.Inf(1)
-		for _, part := range tr.parts {
-			hi = math.Max(hi, part.load)
-			lo = math.Min(lo, part.load)
+		for _, s := range tr.subs {
+			hi = math.Max(hi, s.load)
+			lo = math.Min(lo, s.load)
 		}
 		return hi - lo
 	}
@@ -269,22 +272,22 @@ func TestRebalanceBoundsLoadDrift(t *testing.T) {
 	// At the fixpoint the spread is below the lightest member of the
 	// heaviest partition (otherwise that member would still move).
 	hi := 0
-	for p := range tr.parts {
-		if tr.parts[p].load > tr.parts[hi].load {
+	for p := range tr.subs {
+		if tr.subs[p].load > tr.subs[hi].load {
 			hi = p
 		}
 	}
 	lightest := math.Inf(1)
-	for _, id := range tr.parts[hi].ids {
+	for _, id := range tr.subs[hi].ids {
 		lightest = math.Min(lightest, tr.loadOf[id])
 	}
-	if len(tr.parts[hi].ids) > 0 && prev > lightest+1e-9 {
+	if len(tr.subs[hi].ids) > 0 && prev > lightest+1e-9 {
 		t.Fatalf("spread %g did not settle below the heaviest partition's lightest member %g", prev, lightest)
 	}
 	// Sanity: partition bookkeeping survived the moves.
 	for id, p := range tr.partOf {
 		found := false
-		for _, m := range tr.parts[p].ids {
+		for _, m := range tr.subs[p].ids {
 			if m == id {
 				found = true
 			}
@@ -306,7 +309,7 @@ func TestClusterEngineRebalanceMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Rebalance: true, NoWarmStart: true}, lp.Options{})
+	cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Rebalance: true}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,6 +381,128 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := NewLBEngine(Options{K: -1}, lp.Options{}); err == nil {
 		t.Fatal("K=-1 accepted")
 	}
+}
+
+// TestOptionsSurface pins the exported Options fields: a cold baseline is
+// MarkAllDirty before a round, not an option.
+func TestOptionsSurface(t *testing.T) {
+	want := []string{"K", "Obs", "Parallel", "Rebalance"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported Options fields = %v, want exactly %v", got, want)
+	}
+}
+
+// TestMarkAllDirtyMeansCold: after warm churn rounds, MarkAllDirty makes the
+// next round rebuild and solve all K sub-problems cold — no warm attempt,
+// neither from a kept model nor from a restored basis — and the cold round
+// lands on the objective of a twin engine that stayed warm.
+func TestMarkAllDirtyMeansCold(t *testing.T) {
+	coldRound := func(t *testing.T, k int, cold interface{ Stats() Stats }, round func() error, objs func() (float64, float64)) {
+		t.Helper()
+		before := cold.Stats()
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+		after := cold.Stats()
+		if got := after.WarmAttempts - before.WarmAttempts; got != 0 {
+			t.Fatalf("cold round made %d warm attempts, want 0", got)
+		}
+		if got := after.SubSolves - before.SubSolves; got != k {
+			t.Fatalf("cold round re-solved %d sub-problems, want K=%d", got, k)
+		}
+		if w, c := objs(); !approxEq(w, c, 1e-6) {
+			t.Fatalf("warm objective %.12g != cold %.12g", w, c)
+		}
+	}
+
+	t.Run("cluster", func(t *testing.T) {
+		c := cluster.NewCluster(12, 12, 12)
+		pool := cluster.GenerateJobs(64, 9, 0.2)
+		rng := rand.New(rand.NewSource(31))
+		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []*ClusterEngine{warm, cold}
+		live := map[int]cluster.Job{}
+		nextID := 0
+		for round := 0; round < 4; round++ {
+			for b := 0; b < 4; b++ {
+				driveRandomDeltas(rng, engines, pool, live, &nextID)
+			}
+			for _, e := range engines {
+				if err := e.Solve(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if cold.Stats().WarmAttempts == 0 {
+			t.Fatal("churn rounds never attempted a warm start")
+		}
+		driveRandomDeltas(rng, engines, pool, live, &nextID)
+		if err := warm.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		objs := func() (float64, float64) { return warm.Objective(), cold.Objective() }
+		coldRound(t, 4, cold, func() error { cold.MarkAllDirty(); return cold.Solve() }, objs)
+
+		// A restored engine's seeds are dropped too.
+		restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(warm.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		objs = func() (float64, float64) { return warm.Objective(), restored.Objective() }
+		coldRound(t, 4, restored, func() error { restored.MarkAllDirty(); return restored.Solve() }, objs)
+	})
+
+	t.Run("lb", func(t *testing.T) {
+		inst := lb.NewInstance(32, 8, 0.05, 305)
+		warm, err := NewLBEngine(Options{K: 2}, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := NewLBEngine(Options{K: 2}, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 4; round++ {
+			inst.ShiftLoads(int64(round))
+			wa, err := warm.Step(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cold.Step(inst); err != nil {
+				t.Fatal(err)
+			}
+			inst.Placement = wa.Placed
+		}
+		if cold.Stats().WarmAttempts == 0 {
+			t.Fatal("churn rounds never attempted a warm start")
+		}
+		inst.ShiftLoads(4)
+		if _, err := warm.Step(inst); err != nil {
+			t.Fatal(err)
+		}
+		step := func() error {
+			cold.MarkAllDirty()
+			_, err := cold.Step(inst)
+			return err
+		}
+		coldRound(t, 2, cold, step, func() (float64, float64) { return warm.Objective(), cold.Objective() })
+	})
 }
 
 // TestClusterEngineAllocationsOutliveLaterRounds: the solo adapter writes

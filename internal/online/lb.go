@@ -49,27 +49,22 @@ type LBEngine struct {
 
 // NewLBEngine creates a shard-balancing engine with K sub-problems.
 func NewLBEngine(opts Options, lpOpts lp.Options) (*LBEngine, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	st := &lbState{
-		shards:  make(map[int]lb.Shard),
-		placed:  make(map[int][]bool),
-		results: make([]*lbSubResult, opts.K),
-	}
+	st := &lbState{shards: make(map[int]lb.Shard), placed: make(map[int][]bool)}
 	eng, err := newEngine(&lbAdapter{st}, opts, lpOpts)
 	if err != nil {
 		return nil, err
 	}
+	st.results = make([]*lbSubResult, opts.K)
 	return &LBEngine{st: st, eng: eng}, nil
 }
 
 // Stats returns the engine's work counters.
-func (e *LBEngine) Stats() Stats { return e.eng.t.stats }
+func (e *LBEngine) Stats() Stats { return e.eng.stats }
 
-// MarkAllDirty forces a full re-solve on the next Step (benchmark and
-// testing hook).
-func (e *LBEngine) MarkAllDirty() { e.eng.t.markAllDirty() }
+// MarkAllDirty makes the next Step rebuild and solve every sub-problem cold:
+// it drops every model. It is the cold baseline the equivalence tests and
+// BenchmarkOnlineRound hold warm rounds to.
+func (e *LBEngine) MarkAllDirty() { e.eng.markAllCold() }
 
 // Objective sums the sub-problem objectives (relaxed moved bytes) — the
 // checksum the equivalence tests compare against a cold full solve.
@@ -87,7 +82,7 @@ func (e *LBEngine) Objective() float64 {
 // every sub-problem and invalidates the persistent models (the per-server
 // block shape may have changed).
 func (e *LBEngine) syncServers(servers []lb.Server) error {
-	k := e.eng.t.opts.K
+	k := e.eng.opts.K
 	if len(servers) < k {
 		return fmt.Errorf("online: %d servers cannot back %d sub-problems", len(servers), k)
 	}
@@ -96,8 +91,7 @@ func (e *LBEngine) syncServers(servers []lb.Server) error {
 	}
 	e.st.servers = append([]lb.Server(nil), servers...)
 	e.st.groups = core.Partition(len(servers), k, core.RoundRobin, 0, nil)
-	e.eng.invalidateModels()
-	e.eng.t.markAllDirty()
+	e.eng.markAllCold()
 	return nil
 }
 
@@ -113,10 +107,10 @@ func (e *LBEngine) Step(inst *lb.Instance) (*lb.Assignment, error) {
 	if err := e.syncServers(inst.Servers); err != nil {
 		return nil, err
 	}
-	t := e.eng.t
+	eng := e.eng
 	if !e.st.haveTol || e.st.tolFrac != inst.TolFrac {
 		if e.st.haveTol {
-			t.markAllDirty()
+			eng.markAllDirty()
 		}
 		e.st.tolFrac = inst.TolFrac
 		e.st.haveTol = true
@@ -130,14 +124,14 @@ func (e *LBEngine) Step(inst *lb.Instance) (*lb.Assignment, error) {
 		rowOf[s.ID] = row
 		old, ok := e.st.shards[s.ID]
 		e.st.shards[s.ID] = s
-		p := t.upsert(s.ID, s.Load)
+		p := eng.upsert(s.ID, s.Load)
 		if ok && (old.Load != s.Load || old.Mem != s.Mem) {
-			t.touch(s.ID)
+			eng.touch(s.ID)
 		}
 		// Placement drift dirties too: it anchors the movement costs.
 		local := localPlacement(inst.Placement[row], e.st.groups[p])
 		if ok && !slices.Equal(e.st.placed[s.ID], local) {
-			t.touch(s.ID)
+			eng.touch(s.ID)
 		}
 		e.st.placed[s.ID] = local
 	}
@@ -151,16 +145,16 @@ func (e *LBEngine) Step(inst *lb.Instance) (*lb.Assignment, error) {
 	for _, id := range gone {
 		delete(e.st.shards, id)
 		delete(e.st.placed, id)
-		t.remove(id)
+		eng.remove(id)
 	}
 
 	// A rebalance move changes a shard's partition, and with it the local
 	// coordinates of its placement anchor; move first, then refresh the
 	// anchors so the dirtied sub-problems solve against consistent costs.
-	if t.opts.Rebalance {
-		t.rebalance()
+	if eng.opts.Rebalance {
+		eng.rebalance()
 		for id, row := range rowOf {
-			e.st.placed[id] = localPlacement(inst.Placement[row], e.st.groups[t.partOf[id]])
+			e.st.placed[id] = localPlacement(inst.Placement[row], e.st.groups[eng.partOf[id]])
 		}
 	}
 	if err := e.eng.solveRound(); err != nil {

@@ -50,7 +50,7 @@ func TestLBEngineMatchesColdFullSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewLBEngine(Options{K: 2, NoWarmStart: true}, lp.Options{})
+		cold, err := NewLBEngine(Options{K: 2}, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,6 @@ import (
 	"pop/internal/lb"
 	"pop/internal/lp"
 	"pop/internal/obs"
-	"pop/internal/te"
-	"pop/internal/tm"
-	"pop/internal/topo"
 )
 
 // roundSeq is an engine loaded with one family's clients, plus the two
@@ -27,12 +24,12 @@ type roundSeq struct {
 	solve func() error
 }
 
-// roundFamilies are the round sequences of the paper's three case studies:
-// cluster job churn, a capacity-jitter sequence whose rhs-only deltas ride
-// the dual simplex, lb shard-load jitter, TE demand shifts (rhs-only again),
-// and weight churn through the pair-block space-sharing policy. Churn is
-// stationary (loads and demands jitter around their first value), so a round
-// costs the same whatever b.N is.
+// roundFamilies are the round sequences of the two case studies the online
+// engine serves: cluster job churn, a capacity-jitter sequence whose
+// rhs-only deltas ride the dual simplex, lb shard-load jitter, and weight
+// churn through the pair-block space-sharing policy. Churn is stationary
+// (loads jitter around their first value), so a round costs the same
+// whatever b.N is.
 var roundFamilies = []struct {
 	name  string
 	k     int
@@ -78,28 +75,6 @@ var roundFamilies = []struct {
 			},
 		}
 	}},
-	{"te", 4, 18, []float64{0.05, 0.25, 1}, func(tb testing.TB, opts Options) roundSeq {
-		tp := topo.GenerateScaled("Deltacom", 0.5)
-		e, err := NewTEEngine(tp, te.MaxTotalFlow, 4, opts, lp.Options{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		base := tm.Generate(tm.Config{
-			Nodes: tp.G.N, Commodities: 192, Model: tm.Gravity,
-			TotalDemand: tp.TotalCapacity() * 0.4, Seed: 6,
-		})
-		for id, d := range base {
-			e.Upsert(id, d)
-		}
-		return roundSeq{eng: e, solve: e.Solve, churn: func(rng *rand.Rand, frac float64) {
-			for t := touches(frac, len(base)); t > 0; t-- {
-				id := rng.Intn(len(base))
-				d := base[id]
-				d.Amount *= math.Exp(rng.NormFloat64() * 0.25)
-				e.Upsert(id, d)
-			}
-		}}
-	}},
 	{"spacesharing", 4, 24, []float64{0.05, 0.25, 1}, func(tb testing.TB, opts Options) roundSeq {
 		return clusterSeq(tb, SpaceSharing, opts, 96, 24, 0.1, 1)
 	}},
@@ -139,8 +114,9 @@ func clusterSeq(tb testing.TB, policy ClusterPolicy, opts Options, nJobs int, gp
 // BenchmarkOnlineRound times one round of every family at each dirty
 // fraction (the share of clients whose data changes per round), on the
 // persistent-model path (warm: mutate in place, re-solve from the last basis
-// or by dual simplex) and on the baseline it replaces (cold: every
-// sub-problem rebuilt and solved from scratch each round). The churn itself
+// or by dual simplex) and on the baseline it replaces (cold: MarkAllDirty
+// before every round, so every sub-problem is rebuilt and solved from
+// scratch). The churn itself
 // is not timed. That the two agree on every objective is the job of the
 // *MatchesColdFullSolve tests, not of this benchmark.
 func BenchmarkOnlineRound(b *testing.B) {
@@ -149,7 +125,7 @@ func BenchmarkOnlineRound(b *testing.B) {
 			for _, mode := range []string{"warm", "cold"} {
 				b.Run(fmt.Sprintf("%s/dirty=%g/%s", fam.name, frac, mode), func(b *testing.B) {
 					cold := mode == "cold"
-					seq := fam.start(b, Options{K: fam.k, NoWarmStart: cold})
+					seq := fam.start(b, Options{K: fam.k})
 					rng := rand.New(rand.NewSource(fam.seed))
 					round := func() {
 						if cold {

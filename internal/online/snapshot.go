@@ -1,6 +1,7 @@
 package online
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -40,21 +41,21 @@ func (s *ClusterState) Marshal() ([]byte, error) { return json.Marshal(s) }
 func (e *ClusterEngine) Snapshot() *ClusterState {
 	st := &ClusterState{
 		Policy:     e.st.policy.String(),
-		K:          e.eng.t.opts.K,
+		K:          e.eng.opts.K,
 		Jobs:       e.Jobs(),
-		Partitions: make([][]int, e.eng.t.opts.K),
-		Stats:      e.eng.t.stats,
+		Partitions: make([][]int, e.eng.opts.K),
+		Stats:      e.eng.stats,
 	}
 	if e.st.haveC {
 		st.TypeNames = slices.Clone(e.st.c.TypeNames)
 		st.GPUs = slices.Clone(e.st.c.NumGPUs)
 	}
 	haveBasis := false
-	bases := make([]*lp.Basis, e.eng.t.opts.K)
-	for p, part := range e.eng.t.parts {
-		st.Partitions[p] = slices.Clone(part.ids)
-		if m := e.eng.subs[p].model; m != nil && m.HasBasis() {
-			bases[p] = m.Basis()
+	bases := make([]*lp.Basis, e.eng.opts.K)
+	for p, s := range e.eng.subs {
+		st.Partitions[p] = slices.Clone(s.ids)
+		if s.model != nil && s.model.HasBasis() {
+			bases[p] = s.model.Basis()
 			haveBasis = true
 		}
 	}
@@ -68,40 +69,46 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 // partition assignment, and counters; the snapshot's bases are kept as
 // seeds for the partitions' first model builds, so the next Solve attempts
 // warm starts immediately. The snapshot must match the engine's policy and
-// K and be internally consistent (every partitioned id has a job and vice
-// versa); on error the engine is left empty but usable.
+// K, its jobs must fit the pool it restores (cluster.CheckJobs), and it must
+// be internally consistent (every partitioned id has a job and vice versa).
+// A snapshot failing the first checks leaves the engine unchanged; one
+// failing the last leaves it empty but usable.
 func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if st.Policy != e.st.policy.String() {
 		return fmt.Errorf("online: snapshot policy %q does not match engine policy %q", st.Policy, e.st.policy)
 	}
-	if st.K != e.eng.t.opts.K {
-		return fmt.Errorf("online: snapshot K=%d does not match engine K=%d", st.K, e.eng.t.opts.K)
+	if st.K != e.eng.opts.K {
+		return fmt.Errorf("online: snapshot K=%d does not match engine K=%d", st.K, e.eng.opts.K)
 	}
 	if len(st.Partitions) != st.K {
 		return fmt.Errorf("online: snapshot has %d partitions, want %d", len(st.Partitions), st.K)
 	}
+	// The jobs must fit the pool the snapshot installs, or else the engine's.
+	if err := cluster.CheckJobs(st.Jobs, cmp.Or(len(st.GPUs), e.st.c.NumTypes())); err != nil {
+		return fmt.Errorf("online: snapshot %w", err)
+	}
 	e.resetState()
 	var jobs cluster.Table
 	jobs.Reset(st.Jobs)
-	t := e.eng.t
+	eng := e.eng
 	placed := 0
 	for p, ids := range st.Partitions {
-		part := t.parts[p]
-		part.ids = slices.Clone(ids)
-		part.dirty = true
+		s := &eng.subs[p]
+		s.ids = slices.Clone(ids)
+		s.dirty = true
 		for _, id := range ids {
 			j, ok := jobs.Get(id)
 			if !ok {
 				e.resetState()
 				return fmt.Errorf("online: snapshot partition %d holds unknown job %d", p, id)
 			}
-			if _, dup := t.partOf[id]; dup {
+			if _, dup := eng.partOf[id]; dup {
 				e.resetState()
 				return fmt.Errorf("online: snapshot places job %d in two partitions", id)
 			}
-			t.partOf[id] = p
-			t.loadOf[id] = j.Scale
-			part.load += j.Scale
+			eng.partOf[id] = p
+			eng.loadOf[id] = j.Scale
+			s.load += j.Scale
 			placed++
 		}
 	}
@@ -110,13 +117,13 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", placed, jobs.Len())
 	}
 	e.st.jobs = jobs
-	t.stats = st.Stats
+	eng.stats = st.Stats
 	if len(st.Bases) == st.K {
 		seeds := make([]*lp.Basis, st.K)
 		for p, b := range st.Bases {
 			seeds[p] = b.Clone()
 		}
-		e.eng.seeds = seeds
+		eng.seeds = seeds
 	}
 	if len(st.GPUs) > 0 {
 		e.SetCluster(cluster.Cluster{TypeNames: slices.Clone(st.TypeNames), NumGPUs: slices.Clone(st.GPUs)})
@@ -136,14 +143,7 @@ func (e *ClusterEngine) RestoreBytes(raw []byte) error {
 // resetState returns the engine to empty: no jobs, fresh partitions, no
 // models, no basis seeds. Counters and the installed cluster survive.
 func (e *ClusterEngine) resetState() {
-	t := e.eng.t
-	for p := range t.parts {
-		t.parts[p] = &partition{}
-	}
-	t.partOf = make(map[int]int)
-	t.loadOf = make(map[int]float64)
+	e.eng.reset()
 	e.st.jobs = cluster.Table{}
-	e.st.results = make([]*clusterSubResult, t.opts.K)
-	e.eng.invalidateModels()
-	e.eng.seeds = nil
+	e.st.results = make([]*clusterSubResult, e.eng.opts.K)
 }

@@ -17,7 +17,7 @@ import (
 // Block layout, for n members over r GPU types: one solo slot block per
 // member (in member order), then one shared slot block per pair of
 // single-GPU members (canonical i<j member order, which stays splice-able
-// under arrivals and departures because the tracker appends members). Every
+// under arrivals and departures because the engine appends members). Every
 // block holds the slot's r time-fraction variables; a member's two rows —
 // the time budget and the fairness row over all slots containing it — live
 // in its solo block, pair blocks carry no rows. The shared epigraph t trails

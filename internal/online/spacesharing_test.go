@@ -29,7 +29,7 @@ func TestSpaceSharingEngineMatchesColdFullSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 3, NoWarmStart: true}, lp.Options{})
+		cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 3}, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestSpaceSharingScaleFlipRelayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 1, NoWarmStart: true}, lp.Options{})
+	cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 1}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

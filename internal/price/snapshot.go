@@ -1,6 +1,7 @@
 package price
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -51,11 +52,16 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 }
 
 // Restore installs a snapshot, replacing the engine's jobs, carried prices,
-// and counters. The snapshot must name the engine's policy; on mismatch
-// the engine is unchanged.
+// and counters. The snapshot must name the engine's policy, and its jobs
+// must fit the pool it restores (cluster.CheckJobs); otherwise the engine
+// is unchanged.
 func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if st.Policy != snapshotPolicy {
 		return fmt.Errorf("price: snapshot policy %q does not match engine policy %q", st.Policy, snapshotPolicy)
+	}
+	// The jobs must fit the pool the snapshot installs, or else the engine's.
+	if err := cluster.CheckJobs(st.Jobs, cmp.Or(len(st.GPUs), e.c.NumTypes())); err != nil {
+		return fmt.Errorf("price: snapshot %w", err)
 	}
 	e.tab.Reset(st.Jobs)
 	e.dom = nil // rows no longer line up with the table

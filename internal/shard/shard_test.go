@@ -557,28 +557,8 @@ func TestWorkerStateFileWarmRejoin(t *testing.T) {
 func TestStateFileEngineKind(t *testing.T) {
 	lpCfg := EngineConfig{Policy: "maxmin", K: 2}
 	priceCfg := EngineConfig{Policy: "price"}
-	// saved runs one 20-job round on a cfg worker and returns its state file.
 	saved := func(cfg EngineConfig) func(*testing.T) string {
-		return func(t *testing.T) string {
-			path := filepath.Join(t.TempDir(), "worker.state")
-			b, err := NewEngine(testCluster(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := NewWorker(b, WorkerOptions{StateFile: path})
-			rnd := rand.New(rand.NewSource(20))
-			var jobs []cluster.Job
-			for id := 0; id < 20; id++ {
-				jobs = append(jobs, randJob(id, rnd))
-			}
-			if _, err := w.round(mustRequest(t, 1, 0, testCluster(), jobs, nil)); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.SaveState(); err != nil {
-				t.Fatal(err)
-			}
-			return path
-		}
+		return func(t *testing.T) string { return savedStateFile(t, cfg) }
 	}
 	// legacy is single-process popserver's last own envelope: an LP max-min
 	// engine at round 3 with 5 jobs, and no kind.
@@ -628,6 +608,92 @@ func TestStateFileEngineKind(t *testing.T) {
 			}
 			if rejected && !reflect.ValueOf(b.Stats()).IsZero() {
 				t.Fatalf("rejected restore left counters behind: %+v", b.Stats())
+			}
+		})
+	}
+}
+
+// stateJobs are the 20 jobs savedStateFile's round submits.
+func stateJobs() []cluster.Job {
+	rnd := rand.New(rand.NewSource(20))
+	var jobs []cluster.Job
+	for id := 0; id < 20; id++ {
+		jobs = append(jobs, randJob(id, rnd))
+	}
+	return jobs
+}
+
+// savedStateFile runs one round of stateJobs on a cfg worker and returns
+// its state file.
+func savedStateFile(t *testing.T, cfg EngineConfig) string {
+	path := filepath.Join(t.TempDir(), "worker.state")
+	b, err := NewEngine(testCluster(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(b, WorkerOptions{StateFile: path})
+	if _, err := w.round(mustRequest(t, 1, 0, testCluster(), stateJobs(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestStateFileJobsMustFitPool: a -state-file whose jobs do not fit the
+// pool it restores — here one job with two throughputs for three GPU types —
+// is refused the way a round request carrying that job would be, not
+// restored cleanly only to panic the worker's first round.
+func TestStateFileJobsMustFitPool(t *testing.T) {
+	for _, cfg := range []EngineConfig{{Policy: "maxmin", K: 2}, {Policy: "price"}} {
+		t.Run(cfg.Policy, func(t *testing.T) {
+			path := savedStateFile(t, cfg)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env map[string]json.RawMessage
+			var eng map[string]any
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(env["engine"], &eng); err != nil {
+				t.Fatal(err)
+			}
+			eng["jobs"].([]any)[7].(map[string]any)["Throughput"] = []float64{1, 2}
+			if env["engine"], err = json.Marshal(eng); err != nil {
+				t.Fatal(err)
+			}
+			if raw, err = json.Marshal(env); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			b, err := NewEngine(testCluster(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var logs bytes.Buffer
+			w := NewWorker(b, WorkerOptions{StateFile: path, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+			if got := b.Engine.NumJobs(); got != 0 || w.LastRound() != 0 {
+				t.Fatalf("worker restored %d jobs at round %d from a file with a short throughput row", got, w.LastRound())
+			}
+			if !strings.Contains(logs.String(), "state restore rejected; starting fresh") || !strings.Contains(logs.String(), "job 7") {
+				t.Fatalf("restore not rejected by the bad job; log:\n%s", logs.String())
+			}
+			if _, err := w.round(mustRequest(t, 1, 0, testCluster(), stateJobs(), nil)); err != nil {
+				t.Fatalf("fresh worker failed its first round: %v", err)
+			}
+			if got := b.Engine.NumJobs(); got != 20 {
+				t.Fatalf("fresh worker holds %d jobs after its first round, want 20", got)
+			}
+			// Waits out the round's background checkpoint before the temp
+			// dir is removed.
+			if err := w.SaveState(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -49,57 +49,24 @@ type Instance struct {
 	Paths [][]*graph.Path
 }
 
-// PathCache memoizes k-shortest path sets per (src, dst) pair over one
-// topology. It is the shared path-computation core of NewInstance and of the
-// online TE engine, which routes commodities as they arrive instead of
-// against a frozen demand list. Endpoints outside the topology yield an
-// empty path set rather than a panic, so online callers can feed it
-// unvalidated demands.
-type PathCache struct {
-	t     *topo.Topology
-	k     int
-	cache map[[2]int][]*graph.Path
-}
-
-// NewPathCache creates a cache computing up to numPaths shortest paths per
-// commodity (the paper's path budget; ≤ 0 selects the default of 4).
-func NewPathCache(t *topo.Topology, numPaths int) *PathCache {
+// NewInstance precomputes up to numPaths shortest paths (the paper's path
+// budget; ≤ 0 selects the default of 4) for every commodity, once per
+// (src, dst) pair. Commodities whose endpoints are disconnected or outside
+// the topology get an empty path list (and can never receive flow).
+func NewInstance(t *topo.Topology, demands []tm.Demand, numPaths int) *Instance {
 	if numPaths <= 0 {
 		numPaths = 4
 	}
-	return &PathCache{t: t, k: numPaths, cache: map[[2]int][]*graph.Path{}}
-}
-
-// NumPaths reports the per-commodity path budget.
-func (pc *PathCache) NumPaths() int { return pc.k }
-
-// Topology returns the topology the cache routes over.
-func (pc *PathCache) Topology() *topo.Topology { return pc.t }
-
-// Paths returns the cached path set from src to dst, computing it on first
-// use. Disconnected or out-of-range endpoints get an empty set.
-func (pc *PathCache) Paths(src, dst int) []*graph.Path {
-	key := [2]int{src, dst}
-	if p, ok := pc.cache[key]; ok {
-		return p
-	}
-	var p []*graph.Path
-	if src >= 0 && dst >= 0 && src < pc.t.G.N && dst < pc.t.G.N {
-		p = pc.t.G.KShortestPaths(src, dst, pc.k)
-	}
-	pc.cache[key] = p
-	return p
-}
-
-// NewInstance precomputes paths for every commodity. Commodities whose
-// endpoints are disconnected get an empty path list (and can never receive
-// flow). Path sets are cached per (src, dst) pair.
-func NewInstance(t *topo.Topology, demands []tm.Demand, numPaths int) *Instance {
-	pc := NewPathCache(t, numPaths)
-	inst := &Instance{Topo: t, Demands: demands, NumPaths: pc.NumPaths()}
-	inst.Paths = make([][]*graph.Path, len(demands))
+	inst := &Instance{Topo: t, Demands: demands, NumPaths: numPaths, Paths: make([][]*graph.Path, len(demands))}
+	memo := map[[2]int][]*graph.Path{}
 	for j, d := range demands {
-		inst.Paths[j] = pc.Paths(d.Src, d.Dst)
+		key := [2]int{d.Src, d.Dst}
+		p, ok := memo[key]
+		if !ok && d.Src >= 0 && d.Dst >= 0 && d.Src < t.G.N && d.Dst < t.G.N {
+			p = t.G.KShortestPaths(d.Src, d.Dst, numPaths)
+		}
+		memo[key] = p
+		inst.Paths[j] = p
 	}
 	return inst
 }
