@@ -1,14 +1,16 @@
 // Command popsolve solves a linear or mixed-integer program given in
 // free-format MPS, using this repository's from-scratch simplex and
-// branch-and-bound. It demonstrates that the solver substrate underneath
+// sequential branch and bound — the same solver configuration every POP
+// sub-problem runs. It demonstrates that the solver substrate underneath
 // the POP experiments is a usable standalone tool.
 //
 // Usage:
 //
-//	popsolve model.mps            # solve, print status/objective/nonzeros
-//	popsolve -all model.mps       # also print zero-valued variables
-//	popsolve -relax model.mps     # ignore integrality markers
-//	echo "..." | popsolve -       # read from stdin
+//	popsolve model.mps              # solve, print status/objective/nonzeros
+//	popsolve -all model.mps         # also print zero-valued variables
+//	popsolve -relax model.mps       # ignore integrality markers, solve the LP
+//	popsolve -timelimit 10 m.mps    # stop branch and bound after 10 s
+//	echo "..." | popsolve -         # read from stdin
 package main
 
 import (
@@ -44,7 +46,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: popsolve [-all] [-relax] <model.mps | ->")
+		fmt.Fprintln(stderr, "usage: popsolve [-all] [-relax] [-timelimit seconds] <model.mps | ->")
 		return 2
 	}
 
@@ -91,7 +93,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			time.Duration(sol.BuildNs).Round(time.Microsecond),
 			time.Duration(sol.SolveNs).Round(time.Microsecond))
 	} else {
-		sol, err := prob.SolveWithOptions(lp.Options{Scale: true})
+		sol, err := prob.Solve()
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

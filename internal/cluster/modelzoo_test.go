@@ -1,48 +1,33 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
 	"pop/internal/core"
 	"pop/internal/lp"
 )
 
-func TestModelZooStructure(t *testing.T) {
-	for _, m := range ModelZoo() {
-		if m.Base <= 0 || m.P100Speedup <= 1 || m.V100Speedup <= m.P100Speedup {
-			t.Fatalf("%s: implausible speedups %+v", m.Name, m)
-		}
-		if m.MemFrac <= 0 || m.MemFrac >= 1 {
-			t.Fatalf("%s: memfrac %g", m.Name, m.MemFrac)
-		}
-		if len(m.ScaleChoices) == 0 {
-			t.Fatalf("%s: no scale choices", m.Name)
-		}
+// zooJobs synthesizes n single-GPU jobs from training-job archetypes with
+// Gavel-like heterogeneity: jobs disagree not just on speed but on which GPU
+// they prefer and by how much (vision models gain 3–5× from K80 to V100,
+// transformers 6–10×, RL workloads little). Each archetype is its K80
+// steps/sec and its P100 and V100 speedups.
+func zooJobs(n int, seed int64) []Job {
+	zoo := [][3]float64{
+		{1.0, 2.4, 4.5}, {2.2, 2.1, 3.8}, {0.6, 3.0, 8.5}, {1.4, 2.2, 5.0},
+		{3.0, 1.8, 3.2}, {4.0, 1.3, 1.6}, {0.8, 2.6, 5.5},
 	}
-}
-
-func TestGenerateJobsFromZoo(t *testing.T) {
-	jobs := GenerateJobsFromZoo(60, 3, false)
-	if len(jobs) != 60 {
-		t.Fatalf("got %d jobs", len(jobs))
+	rng := rand.New(rand.NewSource(seed))
+	jitter := func() float64 { return 0.85 + 0.3*rng.Float64() }
+	jobs := make([]Job, n)
+	for j := range jobs {
+		t := zoo[rng.Intn(len(zoo))]
+		base := t[0] * jitter()
+		jobs[j] = Job{ID: j, Throughput: []float64{base, base * t[1] * jitter(), base * t[2] * jitter()},
+			Weight: 1, Scale: 1, NumSteps: (0.5 + rng.Float64()) * 60000, Priority: 1}
 	}
-	sawMulti := false
-	for _, j := range jobs {
-		if j.Throughput[2] <= j.Throughput[1] || j.Throughput[1] <= 0 {
-			t.Fatalf("job %d: nonmonotone throughputs %v", j.ID, j.Throughput)
-		}
-		if j.Scale > 1 {
-			sawMulti = true
-		}
-	}
-	if !sawMulti {
-		t.Fatal("zoo never produced a multi-GPU job")
-	}
-	for _, j := range GenerateJobsFromZoo(40, 5, true) {
-		if j.Scale != 1 {
-			t.Fatalf("singleGPUOnly violated: scale %g", j.Scale)
-		}
-	}
+	return jobs
 }
 
 func TestZooHeterogeneityMatters(t *testing.T) {
@@ -52,7 +37,7 @@ func TestZooHeterogeneityMatters(t *testing.T) {
 	// random assignment proxy — here, simply assert the exact LP finds a
 	// feasible allocation with min ratio > 0 and that jobs with the largest
 	// V100 speedup get at least as much V100 share as those with the least.
-	jobs := GenerateJobsFromZoo(30, 11, true)
+	jobs := zooJobs(30, 11)
 	c := NewCluster(10, 10, 10)
 	a, err := MaxMinFairness(jobs, c, lp.Options{})
 	if err != nil {
@@ -89,7 +74,7 @@ func TestZooHeterogeneityMatters(t *testing.T) {
 }
 
 func TestZooUnderPOPSpaceSharing(t *testing.T) {
-	jobs := GenerateJobsFromZoo(24, 17, true)
+	jobs := zooJobs(24, 17)
 	c := NewCluster(6, 6, 6)
 	a, err := SolvePOPSpaceSharing(jobs, c, core.Options{K: 2, Seed: 1, Parallel: true}, lp.Options{})
 	if err != nil {

@@ -22,22 +22,6 @@ import (
 // Policy computes an allocation for the active jobs.
 type Policy func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error)
 
-// OnlineAllocator is a stateful allocation engine that carries solver state
-// (stable partitions, warm simplex bases) across scheduling rounds — the
-// incremental counterpart of Policy. online.ClusterEngine implements it;
-// the interface is structural so this package needs no dependency on the
-// engine.
-type OnlineAllocator interface {
-	Step(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error)
-}
-
-// RunOnline plays the trace against a stateful engine: each round the
-// engine receives the active set, derives the deltas (arrivals,
-// completions) itself, and re-solves only what changed.
-func RunOnline(cfg Config, eng OnlineAllocator) (*Result, error) {
-	return Run(cfg, eng.Step)
-}
-
 // Config describes a simulation.
 type Config struct {
 	Cluster cluster.Cluster

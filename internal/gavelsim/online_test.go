@@ -24,7 +24,7 @@ func TestRunOnlineDrivesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnline(cfg, eng)
+	res, err := Run(cfg, eng.Step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRunOnlineMatchesBatchPOPShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunOnline(cfg, eng)
+	on, err := Run(cfg, eng.Step)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,47 +276,3 @@ func (g *Graph) Connected() bool {
 	}
 	return count == g.N
 }
-
-// WidestPath finds the path from src to dst maximizing the bottleneck of
-// residual capacities, given per-edge residuals. Used by the CSPF heuristic.
-// Returns nil if no path with positive residual exists.
-func (g *Graph) WidestPath(src, dst int, residual []float64) *Path {
-	width := make([]float64, g.N)
-	prev := make([]int, g.N)
-	for i := range width {
-		width[i] = 0
-		prev[i] = -1
-	}
-	width[src] = math.Inf(1)
-	q := &pq{{src, math.Inf(-1)}} // dist = -width for the min-heap
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if -it.dist < width[it.node] {
-			continue
-		}
-		for _, eid := range g.out[it.node] {
-			r := residual[eid]
-			if r <= 0 {
-				continue
-			}
-			e := &g.Edges[eid]
-			w := math.Min(width[it.node], r)
-			if w > width[e.To] {
-				width[e.To] = w
-				prev[e.To] = eid
-				heap.Push(q, pqItem{e.To, -w})
-			}
-		}
-	}
-	if width[dst] <= 0 {
-		return nil
-	}
-	var edges []int
-	for v := dst; v != src; {
-		eid := prev[v]
-		edges = append(edges, eid)
-		v = g.Edges[eid].From
-	}
-	reverse(edges)
-	return g.makePath(src, edges, width[dst])
-}

@@ -146,35 +146,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestWidestPath(t *testing.T) {
-	g := New(4)
-	e1 := g.AddEdge(0, 1, 10, 1)
-	e2 := g.AddEdge(1, 3, 10, 1)
-	e3 := g.AddEdge(0, 2, 10, 1)
-	e4 := g.AddEdge(2, 3, 10, 1)
-	residual := make([]float64, len(g.Edges))
-	residual[e1], residual[e2] = 5, 2 // top path bottleneck 2
-	residual[e3], residual[e4] = 3, 4 // bottom path bottleneck 3
-	p := g.WidestPath(0, 3, residual)
-	if p == nil {
-		t.Fatal("no path")
-	}
-	if p.Weight != 3 {
-		t.Fatalf("bottleneck = %g, want 3", p.Weight)
-	}
-	if p.Nodes[1] != 2 {
-		t.Fatalf("wrong path: %v", p.Nodes)
-	}
-}
-
-func TestWidestPathExhausted(t *testing.T) {
-	g := lineGraph(3)
-	residual := make([]float64, len(g.Edges))
-	if p := g.WidestPath(0, 2, residual); p != nil {
-		t.Fatalf("expected nil on zero residuals, got %+v", p)
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := lineGraph(4)
 	c := g.Clone()

@@ -106,48 +106,3 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWidestPathIsMaximal: no single path found by enumeration has a larger
-// bottleneck than WidestPath's.
-func TestWidestPathIsMaximal(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomSmallGraph(rng)
-		residual := make([]float64, len(g.Edges))
-		for i := range residual {
-			residual[i] = rng.Float64() * 10
-		}
-		src, dst := 0, g.N-1
-
-		// Brute-force best bottleneck.
-		best := 0.0
-		visited := make([]bool, g.N)
-		var dfs func(v int, width float64)
-		dfs = func(v int, width float64) {
-			if v == dst {
-				if width > best {
-					best = width
-				}
-				return
-			}
-			visited[v] = true
-			for _, eid := range g.Out(v) {
-				e := g.Edges[eid]
-				if !visited[e.To] && residual[eid] > 0 {
-					dfs(e.To, math.Min(width, residual[eid]))
-				}
-			}
-			visited[v] = false
-		}
-		dfs(src, math.Inf(1))
-
-		got := g.WidestPath(src, dst, residual)
-		if best == 0 {
-			return got == nil
-		}
-		return got != nil && math.Abs(got.Weight-best) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}

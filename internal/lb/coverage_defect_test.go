@@ -52,7 +52,7 @@ func coverageError(a *Assignment) (worst float64, shard int) {
 // test one constant away.
 func TestPOPCoverageDefect(t *testing.T) {
 	const k = 4
-	milpOpts := milp.Options{MaxNodes: 400, Workers: 1}
+	milpOpts := milp.Options{MaxNodes: 400}
 	worst, worstInst, worstShard := 0.0, (*Instance)(nil), -1
 	var worstSeed int64
 	for i := 24; i < 28; i++ {

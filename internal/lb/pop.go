@@ -34,14 +34,7 @@ func SolvePOP(inst *Instance, opts core.Options, milpOpts milp.Options) (*Assign
 				sub.Placement[si][sj] = inst.Placement[i][j]
 			}
 		}
-		// POP's map step and the MILP search both parallelize; dividing the
-		// worker budget across concurrent sub-searches keeps the total thread
-		// demand at milpOpts.Workers instead of k× that.
-		o := milpOpts
-		if opts.Parallel && s.K > 1 && o.Workers > 1 {
-			o.Workers = max(1, o.Workers/s.K)
-		}
-		return SolveMILP(sub, o)
+		return SolveMILP(sub, milpOpts)
 	})
 	if err != nil {
 		return nil, err

@@ -46,8 +46,10 @@
 //     move between their bounds.
 //
 // There is one solver configuration. Options carries tolerances, the
-// iteration cap, Scale, the warm-start pair WarmBasis/Dual and Obs; nothing
-// in it selects an algorithm, and TestOptionsSurface keeps it that way.
+// iteration cap, the warm-start pair WarmBasis/Dual and Obs; nothing in it
+// selects an algorithm, and TestOptionsSurface keeps it that way. There is
+// no equilibration: every caller solves the model as built (a model whose
+// coefficients span nine orders of magnitude is in the suite).
 //
 // # The basis factor and its fallback
 //
@@ -218,9 +220,7 @@
 //     no map — writing into the buffers of the form it replaces, which only
 //     grow. The result is bit for bit what a fresh build gives
 //     (FuzzStandardize holds it to the map-based routine it replaced, kept
-//     in standardize_ref_test.go, over dirty destination buffers). A model
-//     whose matrix is shared with clones cuts new matrix arrays instead:
-//     the clones still read the old ones.
+//     in standardize_ref_test.go, over dirty destination buffers).
 //   - The setters' scratch. SetCoeffs keeps per-variable and per-pair
 //     arrays on the model; fill-ins are appended in argument order, so two
 //     identical edit sequences leave identical models (CopyProblem,
@@ -262,9 +262,8 @@
 // TestWarmResolveAllocations pins the rest to a constant number of objects
 // per re-solve.
 //
-// A Model is not safe for concurrent use. Options.Scale solves a clone of
-// the cached form (scaling rescales the matrix in place), trading the
-// incremental-build saving for conditioning on that solve.
+// A Model is not safe for concurrent use, and there is no way to copy one:
+// concurrent solves (POP's sub-problems) each build their own.
 //
 // Basis() and SetBasis() expose the stored snapshot for search-tree use:
 // take the basis at one point, keep mutating and re-solving down one path,

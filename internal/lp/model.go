@@ -26,20 +26,11 @@ import (
 // Every re-solve path falls back (primal warm, then cold) inside the
 // solver, so mutate-then-resolve always returns the same status and
 // objective as building the current state from scratch and solving cold —
-// only faster. A Model is not safe for concurrent use; Clone gives each
-// goroutine its own cheap copy (mutable state is copied, the coefficient
-// matrix is shared copy-on-write) for fan-out.
+// only faster. A Model is not safe for concurrent use.
 type Model struct {
 	p        *Problem
 	std      *standardized
 	stdDirty bool // std no longer matches p structurally; rebuild at solve
-
-	// sharedMatrix marks the coefficient arrays (builder row idx/val and the
-	// standardized CSC) as shared with other clones: they may be read by any
-	// clone concurrently but must be copied (ensureOwnedMatrix) before this
-	// model writes to them. Bounds, rhs, objective, and basis state are
-	// always private to one model.
-	sharedMatrix bool
 
 	basis *Basis // last optimal basis (model-owned copy), spliced across structural edits
 	lastY []float64
@@ -91,75 +82,6 @@ func NewModelFromProblem(p *Problem) *Model {
 // plain Problem — the "fresh build" twin the mutation-equivalence tests
 // solve cold to cross-check mutate-then-resolve.
 func (m *Model) CopyProblem() *Problem { return m.p.Clone() }
-
-// Clone returns an independent model over the same current state, built for
-// fan-out: per-model mutable state (bounds, objective, rhs, basis, delta
-// bookkeeping, and the standardized bound/cost/rhs vectors the solver
-// shifts during warm repair) is copied, while the coefficient matrix — the
-// builder rows' index/value arrays and the standardized CSC structure, by
-// far the bulk of a model — is shared between the clones. The share is
-// copy-on-write: the first coefficient or structural edit on either model
-// materializes a private copy, so clones never observe each other's edits.
-//
-// A cloned model re-solves exactly like the original (same standardized
-// cache, same warm basis), which is what the parallel branch-and-bound
-// leans on: one clone per worker, each applying its own bound deltas and
-// basis snapshots concurrently. Each clone is still single-threaded; the
-// only safe concurrency is different goroutines using different clones.
-func (m *Model) Clone() *Model {
-	q := &Model{
-		p: &Problem{
-			objective: m.p.objective,
-			obj:       append([]float64(nil), m.p.obj...),
-			lb:        append([]float64(nil), m.p.lb...),
-			ub:        append([]float64(nil), m.p.ub...),
-			varNames:  append([]string(nil), m.p.varNames...),
-			rows:      append([]row(nil), m.p.rows...),
-			rowNames:  append([]string(nil), m.p.rowNames...),
-			nnz:       m.p.nnz,
-		},
-		stdDirty:    m.stdDirty,
-		basis:       m.basis.Clone(),
-		lastY:       append([]float64(nil), m.lastY...),
-		touchedRow:  append([]bool(nil), m.touchedRow...),
-		touched:     m.touched,
-		sinceCoeff:  m.sinceCoeff,
-		sinceStruct: m.sinceStruct,
-	}
-	if m.std != nil {
-		std := *m.std
-		std.c = append([]float64(nil), m.std.c...)
-		std.lb = append([]float64(nil), m.std.lb...)
-		std.ub = append([]float64(nil), m.std.ub...)
-		std.b = append([]float64(nil), m.std.b...)
-		std.stamp = nil
-		q.std = &std
-	}
-	m.sharedMatrix = true
-	q.sharedMatrix = true
-	return q
-}
-
-// ensureOwnedMatrix materializes a private copy of the coefficient arrays
-// shared with other clones. Called before any write to builder row idx/val
-// storage or the standardized CSC; a no-op for a model that already owns
-// its matrix.
-func (m *Model) ensureOwnedMatrix() {
-	if !m.sharedMatrix {
-		return
-	}
-	m.sharedMatrix = false
-	for i := range m.p.rows {
-		r := &m.p.rows[i]
-		r.idx = append([]int(nil), r.idx...)
-		r.val = append([]float64(nil), r.val...)
-	}
-	if m.std != nil {
-		m.std.colPtr = append([]int32(nil), m.std.colPtr...)
-		m.std.rowInd = append([]int32(nil), m.std.rowInd...)
-		m.std.values = append([]float64(nil), m.std.values...)
-	}
-}
 
 // NumVariables reports the number of variables currently in the model.
 func (m *Model) NumVariables() int { return m.p.NumVariables() }
@@ -219,9 +141,9 @@ func (m *Model) Basis() *Basis { return m.basis.Clone() }
 // the current state is rejected inside the solver (dual → primal warm →
 // cold), so SetBasis never changes solve outcomes. The snapshot is cloned
 // on install: the model never retains the caller's pointer, so one
-// snapshot can be installed into any number of models (the parallel
-// search's workers install the same parent snapshot concurrently) and
-// later caller-side mutation of it cannot corrupt a solve.
+// snapshot can be installed any number of times (branch and bound hands
+// the same parent snapshot to both children) and later caller-side
+// mutation of it cannot corrupt a solve.
 func (m *Model) SetBasis(b *Basis) {
 	m.basis = b.Clone()
 	// The snapshot's shadow prices are unknown, so the hostile-refresh
@@ -282,7 +204,6 @@ func (m *Model) InsertVariables(at, n int, c, lb, ub float64) int {
 	if at == nv {
 		return m.AddVariables(n, c, lb, ub)
 	}
-	m.ensureOwnedMatrix() // row idx entries shift in place below
 	p := m.p
 	p.obj = slices.Insert(p.obj, at, slices.Repeat([]float64{c}, n)...)
 	p.lb = slices.Insert(p.lb, at, slices.Repeat([]float64{lb}, n)...)
@@ -315,7 +236,6 @@ func (m *Model) RemoveVariables(at, n int) {
 	if n == 0 {
 		return
 	}
-	m.ensureOwnedMatrix() // rows are compacted in place below
 	p := m.p
 	p.obj = slices.Delete(p.obj, at, at+n)
 	p.lb = slices.Delete(p.lb, at, at+n)
@@ -461,7 +381,6 @@ func (m *Model) SetCoeff(row, v int, coef float64) {
 		if coef == 0 {
 			return
 		}
-		m.ensureOwnedMatrix()
 		r.idx = append(r.idx, v)
 		r.val = append(r.val, coef)
 		m.p.nnz++
@@ -473,7 +392,6 @@ func (m *Model) SetCoeff(row, v int, coef float64) {
 	if cur == coef {
 		return
 	}
-	m.ensureOwnedMatrix()
 	r.val[first] = coef
 	for t := first + 1; t < len(r.idx); t++ {
 		if r.idx[t] == v {
@@ -538,8 +456,8 @@ func (m *Model) SetCoeffs(row int, idx []int, val []float64) {
 		}
 		cur[k] += r.val[t]
 	}
-	// A matrix shared with clones is copied before the first write, but only
-	// when something actually changes (pure no-op refreshes stay free).
+	// A refresh that changes nothing leaves the delta class alone, so the
+	// dual path stays eligible.
 	changed := false
 	for t, v := range idx {
 		if int(slot[v]) != t+1 {
@@ -551,7 +469,6 @@ func (m *Model) SetCoeffs(row int, idx []int, val []float64) {
 		}
 	}
 	if changed {
-		m.ensureOwnedMatrix()
 		fresh := m.freshStd()
 		// Pass 2: first occurrence carries the value, duplicate occurrences
 		// are zeroed, absent nonzeros append as fill-ins in idx order.
@@ -658,11 +575,6 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 		return nil, fmt.Errorf("lp: model has no variables")
 	}
 	if m.std == nil || m.stdDirty {
-		if m.std != nil && m.sharedMatrix {
-			// Clones of this model still read the old matrix arrays: leave
-			// those to them and cut a new set.
-			m.std.colPtr, m.std.rowInd, m.std.values = nil, nil, nil
-		}
 		m.std = m.p.standardizeObs(opts.Obs, m.std)
 		m.stdDirty = false
 	}
@@ -681,9 +593,9 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 			opts.Dual = !m.sinceCoeff && !m.sinceStruct
 		}
 	}
-	sol := m.run(opts)
+	sol := solveStd(m.std, opts)
 	if opts.denseRetry(sol.Status) {
-		sol = m.run(opts)
+		sol = solveStd(m.std, opts)
 	}
 	if sol.Status == Optimal && sol.Basis != nil {
 		// Keep a private copy: Solution.Basis belongs to the caller (node
@@ -786,14 +698,4 @@ func (m *Model) warmHostile() bool {
 		}
 	}
 	return sampled >= 8 && 2*viol >= sampled
-}
-
-// run executes one simplex attempt over the cached standardized form.
-// Scaling mutates the matrix in place, so that option solves a clone.
-func (m *Model) run(opts Options) *Solution {
-	std := m.std
-	if opts.Scale {
-		std = std.clone()
-	}
-	return solveStd(std, opts)
 }

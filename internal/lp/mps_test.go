@@ -204,42 +204,15 @@ func TestReadMPSErrors(t *testing.T) {
 	}
 }
 
-func TestScalingMatchesUnscaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 20; trial++ {
-		p1 := randomFeasibleLP(rng, 8, 14)
-		p2 := cloneProblem(p1)
-		s1, err := p1.SolveWithOptions(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := p2.SolveWithOptions(Options{Scale: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1.Status != s2.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, s1.Status, s2.Status)
-		}
-		if s1.Status != Optimal {
-			continue
-		}
-		if !approxEq(s1.Objective, s2.Objective, 1e-6) {
-			t.Fatalf("trial %d: obj %g vs %g", trial, s1.Objective, s2.Objective)
-		}
-		if err := p2.CheckFeasible(s2.X, 1e-6); err != nil {
-			t.Fatalf("trial %d: scaled solution infeasible: %v", trial, err)
-		}
-	}
-}
-
 func TestScalingBadlyScaledModel(t *testing.T) {
-	// Coefficients spanning 9 orders of magnitude; equilibration keeps the
-	// pivots sane. max 1e6·x + y s.t. 1e6·x + 1e-3·y <= 1e6, x <= 1, y <= 1e3.
+	// Coefficients spanning 9 orders of magnitude, solved as every caller
+	// solves: unscaled. max 1e6·x + y s.t. 1e6·x + 1e-3·y <= 1e6+1, x <= 1,
+	// y <= 1e3.
 	p := NewProblem(Maximize)
 	x := p.AddVariable(1e6, 0, 1, "x")
 	y := p.AddVariable(1, 0, 1e3, "y")
 	p.AddConstraint([]int{x, y}, []float64{1e6, 1e-3}, LE, 1e6+1, "big")
-	sol, err := p.SolveWithOptions(Options{Scale: true})
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // caller pass the zero value, so the set does not grow: a new option
 // displaces an old one, here, in the same change.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"MaxIters", "TolFeas", "TolOpt", "TolPivot", "Scale", "WarmBasis", "Dual", "Obs"}
+	want := []string{"MaxIters", "TolFeas", "TolOpt", "TolPivot", "WarmBasis", "Dual", "Obs"}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
 		if f.IsExported() {

@@ -133,22 +133,6 @@ func (p *Problem) ObjectiveSense() Objective { return p.objective }
 // Bounds returns the current bounds of variable v.
 func (p *Problem) Bounds(v int) (lb, ub float64) { return p.lb[v], p.ub[v] }
 
-// ObjectiveCoeff returns the objective coefficient of variable v.
-func (p *Problem) ObjectiveCoeff(v int) float64 { return p.obj[v] }
-
-// Constraint returns copies of row i's index/value lists plus its sense and
-// right-hand side. Duplicate indices from construction are preserved as
-// stored (consumers that need merged coefficients must sum them). It is the
-// read half of AddConstraint, used by transformation passes (e.g. the MILP
-// presolve) that rebuild a reduced problem through the builder API.
-func (p *Problem) Constraint(i int) (idx []int, val []float64, sense Sense, rhs float64) {
-	r := p.rows[i]
-	return append([]int(nil), r.idx...), append([]float64(nil), r.val...), r.sense, r.rhs
-}
-
-// ConstraintName returns the name row i was added with (may be empty).
-func (p *Problem) ConstraintName(i int) string { return p.rowNames[i] }
-
 // AddVariable adds a variable with objective coefficient c and bounds
 // [lb, ub], returning its index. Use -Inf / +Inf for unbounded sides.
 // name may be empty; it is only used in diagnostics.
@@ -336,10 +320,6 @@ type Options struct {
 	TolOpt float64
 	// TolPivot is the smallest acceptable pivot magnitude (default 1e-8).
 	TolPivot float64
-	// Scale applies geometric-mean equilibration (powers of two) before
-	// solving and unscales the solution afterwards. Recommended for models
-	// whose coefficients span several orders of magnitude.
-	Scale bool
 	// WarmBasis optionally seeds the solve from a basis snapshot, typically
 	// Solution.Basis of a previous solve of a similar problem. A snapshot
 	// that no longer fits (wrong dimensions, singular, or unrepairably
@@ -573,19 +553,4 @@ func (p *Problem) standardize(into *standardized) *standardized {
 func (s *standardized) col(j int) ([]int32, []float64) {
 	lo, hi := s.colPtr[j], s.colPtr[j+1]
 	return s.rowInd[lo:hi], s.values[lo:hi]
-}
-
-// clone deep-copies the standardized form. Model solves clone before any
-// option (Scale) that would mutate the shared arrays in place.
-func (s *standardized) clone() *standardized {
-	c := *s
-	c.colPtr = append([]int32(nil), s.colPtr...)
-	c.rowInd = append([]int32(nil), s.rowInd...)
-	c.values = append([]float64(nil), s.values...)
-	c.c = append([]float64(nil), s.c...)
-	c.lb = append([]float64(nil), s.lb...)
-	c.ub = append([]float64(nil), s.ub...)
-	c.b = append([]float64(nil), s.b...)
-	c.stamp = nil
-	return &c
 }

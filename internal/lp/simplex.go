@@ -22,10 +22,6 @@ type simplex struct {
 	// workspace for the length of the solve.
 	*workspace
 
-	// Scaling factors when opts.Scale is set (nil otherwise); solutions are
-	// unscaled in extract.
-	rowScale, colScale []float64
-
 	m, ncols int
 	phase    int // 1 or 2
 
@@ -79,9 +75,6 @@ func newSimplexStd(std *standardized, opts Options) *simplex {
 		ncols:     std.ncols,
 	}
 	s.opts = opts.withDefaults(std.m, std.ncols)
-	if s.opts.Scale {
-		s.rowScale, s.colScale = applyScaling(std)
-	}
 	return s
 }
 
@@ -971,7 +964,7 @@ func (s *simplex) extract() *Solution {
 	}
 	obj := 0.0
 	for j := 0; j < n; j++ {
-		obj += std.c[j] * s.x[j] // invariant under scaling: c'·x' = c·x
+		obj += std.c[j] * s.x[j]
 	}
 	sol.Objective = obj * std.objSign
 
@@ -983,16 +976,6 @@ func (s *simplex) extract() *Solution {
 	}
 	for j := 0; j < n; j++ {
 		sol.ReducedCost[j] = s.reducedCost(j) * std.objSign
-	}
-	// Unscale: x = C·x', y = R·y', d = d'/C.
-	if s.colScale != nil {
-		for j := 0; j < n; j++ {
-			sol.X[j] *= s.colScale[j]
-			sol.ReducedCost[j] /= s.colScale[j]
-		}
-		for i := 0; i < s.m; i++ {
-			sol.Dual[i] *= s.rowScale[i]
-		}
 	}
 	return sol
 }

@@ -243,28 +243,6 @@ func TestStandardizeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStandardizeClonesKeepTheirMatrix: a model whose matrix is shared with
-// clones must cut new matrix arrays when it re-standardizes, because the
-// clones still read the old ones.
-func TestStandardizeClonesKeepTheirMatrix(t *testing.T) {
-	m := NewModelFromProblem(clusterShapedLP(6, 3, 1))
-	if _, err := m.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	clone := m.Clone()
-	before := clone.std.clone()
-	m.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 1, "")
-	if _, err := m.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := diffStandardized(clone.std, before); err != nil {
-		t.Fatalf("the original's rebuild wrote through the clone's matrix: %v", err)
-	}
-	if err := diffStandardized(m.std, m.p.standardizeRef()); err != nil {
-		t.Fatalf("rebuilt form: %v", err)
-	}
-}
-
 // wideRowModel is one constraint over `vars` variables that stores only
 // variable 0, so every other variable set in it is a fill-in.
 func wideRowModel(vars int) *Model {

@@ -21,10 +21,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// solveOn runs one solve of (a copy of) std on the given workspace, the way
-// solveStd does on a pooled one, and leaves the workspace poisoned.
+// solveOn runs one solve of std on the given workspace, the way solveStd
+// does on a pooled one, and leaves the workspace poisoned.
 func solveOn(ws *workspace, std *standardized, opts Options) *Solution {
-	s := newSimplexStd(std.clone(), opts)
+	s := newSimplexStd(std, opts)
 	s.workspace = ws
 	sol := s.solve()
 	ws.lu.s = nil
@@ -61,7 +61,7 @@ var workspaceOptionSets = []struct {
 	opts Options
 }{
 	{"default", Options{}},
-	{"dense+scale", Options{dense: true, Scale: true}},
+	{"dense", Options{dense: true}},
 	{"bland+reinvert", Options{blandOnly: true, reinvertEvery: 7}},
 }
 

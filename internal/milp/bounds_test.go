@@ -1,11 +1,10 @@
 package milp_test
 
-// Tests for the light presolve pass: integer bound rounding, fixed-variable
-// substitution into right-hand sides, and empty/constant-row elimination.
-// Presolve keeps variable indexing intact (fixed variables stay in the
-// reduced problem with pinned bounds), so every check here is end-to-end
-// through SolveWithOptions: reductions must never change the reported
-// objective or solution vector.
+// Degenerate bounds and rows, end to end through SolveWithOptions: integer
+// bounds are rounded inward before the root (crossed rounded bounds prove
+// infeasibility without an LP solve), and fixed variables, empty rows and
+// rows that fixed variables collapse to constants go to the LP solver as
+// built, which must handle them.
 
 import (
 	"testing"
@@ -44,9 +43,8 @@ func TestPresolveFixedVariableSubstitution(t *testing.T) {
 }
 
 // TestPresolveEmptyAndConstantRows checks consistent empty rows and rows
-// collapsed to constants by fixed variables are eliminated without changing
-// the outcome, and inconsistent ones prove infeasibility before any LP is
-// built.
+// collapsed to constants by fixed variables leave the outcome alone, and an
+// inconsistent empty row proves the MILP infeasible.
 func TestPresolveEmptyAndConstantRows(t *testing.T) {
 	build := func(emptyRHS float64) *milp.Problem {
 		prob := milp.NewProblem(lp.Maximize)
@@ -91,7 +89,7 @@ func TestPresolveCrossedIntegerBounds(t *testing.T) {
 		t.Fatalf("status %v, want infeasible", sol.Status)
 	}
 	if sol.Nodes != 0 {
-		t.Fatalf("presolve infeasibility still solved %d nodes", sol.Nodes)
+		t.Fatalf("crossed integer bounds still solved %d nodes", sol.Nodes)
 	}
 }
 

@@ -11,9 +11,7 @@ import "math"
 //
 // Scores fall back per-variable → global average → 1.0, so before any
 // observation exists the selection rule min(down·f, up·(1−f)) reduces to
-// min(f, 1−f) — exactly the most-fractional rule the sequential search
-// used. The structure is guarded by the coordinator mutex; workers never
-// touch it directly.
+// min(f, 1−f) — the most-fractional rule.
 type pseudoCosts struct {
 	downSum, upSum         []float64
 	downCnt, upCnt         []int
@@ -74,7 +72,7 @@ func (pc *pseudoCosts) up(v int) float64 {
 // integer variable maximizing min(downCost·f, upCost·(1−f)) over fractional
 // variables, ties broken toward the lowest index so a fixed observation
 // history yields a deterministic choice. Returns (-1, 0) when x is integer
-// feasible within tol. Caller holds the coordinator mutex.
+// feasible within tol.
 func (pc *pseudoCosts) selectBranch(intVars []int, x []float64, tol float64) (int, float64) {
 	// bestScore starts below any real score: a zero score (degenerate
 	// observed degradations) must still beat "no fractional variable".

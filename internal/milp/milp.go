@@ -1,46 +1,37 @@
 // Package milp implements a mixed-integer linear-programming solver by
-// parallel branch and bound over the LP relaxations provided by package lp.
+// branch and bound over the LP relaxations provided by package lp.
 //
-// The search is a coordinator/worker design. A central coordinator owns the
-// mutex-protected open heap (ordered by most promising bound), the
-// incumbent, the pseudo-cost branching table, and the termination latch;
-// each of Options.Workers goroutines owns a private clone of the persistent
-// lp.Model. Clones are cheap — lp.Model.Clone shares the immutable
-// constraint matrix copy-on-write and copies only mutable state (bounds,
-// basis, and the applied-delta bookkeeping lives here in the worker) — so
-// worker count scales with CPUs, not with problem size.
-//
-// Each worker loops: steal the best-bound open node (or take its own plunge
-// child), apply the node's bound deltas to its model in place, install the
-// node's carried basis snapshot, solve, and hand the result back to the
-// coordinator, which updates pseudo-costs, accepts integer-feasible points
-// as incumbents, fathoms against the combined absolute+relative gap cutoff,
-// or branches. A child node differs from its parent by a single
+// The search is sequential best-first with plunging, over one persistent
+// lp.Model. Each step takes the plunge child of the last branching if one
+// is pending, or else the best-bound open node; applies the node's bound
+// deltas to the model in place; installs the node's carried basis snapshot;
+// solves; and then updates the pseudo-costs, accepts an integer-feasible
+// point as incumbent, fathoms against the combined absolute+relative gap
+// cutoff, or branches. A child node differs from its parent by a single
 // variable-bound tightening — exactly the delta shape the dual simplex
 // re-solves from a still-dual-feasible basis — so every node carries its
 // parent's optimal basis snapshot and restarts warm in a handful of dual
-// pivots on whichever worker steals it (SetBasis clones on install, so a
-// snapshot shared by both children and several workers is never observed
-// mid-mutation). Depth-first plunging keeps each worker's model one bound
-// change away from its previous solve; a best-bound steal from the heap
-// jumps warm off the carried snapshot.
+// pivots (SetBasis clones on install, so a snapshot shared by both children
+// is never observed mid-mutation). Plunging keeps the model one bound
+// change away from its previous solve; a best-bound jump restarts warm off
+// the carried snapshot. POP's parallelism is one level up: lb.SolvePOP runs
+// its k sub-MILPs side by side, one search each.
 //
 // Branching is pseudo-cost seeded by most-fractional: per-variable
 // objective degradations per unit of fractionality are learned from solved
 // children, and before any observations exist the selection reduces to the
-// most-fractional rule. A light presolve pass (integer bound rounding,
-// fixed-variable substitution, empty/constant-row elimination) runs once
-// before the root relaxation. The root rounding heuristic re-solves through
-// worker 0's model warm from the root basis; heuristic re-solves are booked
-// as SearchStats.HeuristicSolves and never consume the MaxNodes budget.
+// most-fractional rule. Integer bounds are rounded inward once before the
+// root relaxation, and crossed rounded bounds prove infeasibility without
+// an LP solve. The root rounding heuristic re-solves warm from the root
+// basis; heuristic re-solves are booked as SearchStats.HeuristicSolves and
+// never consume the MaxNodes budget.
 //
 // Warm starts never change outcomes: an ineligible or failed dual start
 // falls back to the primal warm path and then to a cold solve inside lp, so
 // statuses and objectives match a cold-per-node search exactly
 // (Options.ColdNodes selects the cold baseline, and the property suites
-// hold warm vs cold and every worker count to the same status, objective,
-// and incumbent feasibility; node and pivot counts vary with timing at
-// Workers>1, while Workers=1 is deterministic run to run). Solution embeds
+// hold warm vs cold to the same status, objective, and incumbent
+// feasibility). The search is deterministic run to run. Solution embeds
 // SearchStats so callers can attribute where a search spent its time.
 //
 // Termination criteria are absolute/relative gap, node limit, and
@@ -98,12 +89,9 @@ func (p *Problem) AddBinary(c float64, name string) int {
 
 // Options tune the branch-and-bound search.
 type Options struct {
-	// Workers is the number of branch-and-bound worker goroutines; 0 means
-	// 1. Each worker owns a cheap clone of the persistent model and steals
-	// best-bound nodes from the shared open heap. Any worker count produces
-	// the same status and objective (to solver tolerance); node and pivot
-	// counts vary with scheduling at Workers>1, while Workers=1 is
-	// deterministic run to run.
+	// Workers is not read.
+	//
+	// Deprecated: ignored; the search is sequential.
 	Workers int
 	// MaxNodes bounds explored nodes (heuristic re-solves excluded); 0
 	// means 200000.
@@ -130,17 +118,14 @@ type Options struct {
 	// time.
 	ColdNodes bool
 	// Obs, when non-nil, receives search telemetry: a "milp.search" span
-	// per solve, per-node "milp.node" spans on per-worker trace lanes
-	// (TID+1+worker), steal/fathom/incumbent instants, and search-level
+	// per solve, per-node "milp.node" spans on trace lane TID+1,
+	// jump/fathom/incumbent instants, and search-level
 	// counters. The observer is also threaded into every node's LP solve.
 	// Nil — the default — costs one pointer check per node.
 	Obs *obs.Observer
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
 	}
@@ -193,8 +178,7 @@ func (s Status) String() string {
 
 // SearchStats is the branch-and-bound accounting: how many node relaxations
 // were solved, how many of them actually started warm, and where the time
-// went. At Workers>1 each worker accumulates privately and the totals are
-// merged in worker order on exit. It mirrors online.Stats' build-vs-pivot
+// went. It mirrors online.Stats' build-vs-pivot
 // split so benchmarks across the repository attribute time the same way.
 type SearchStats struct {
 	// Nodes counts solved node relaxations. HeuristicSolves counts LP
@@ -214,13 +198,11 @@ type SearchStats struct {
 	// neither bucket.
 	WarmNodes, ColdFallbacks int
 	// BuildNs is time spent mutating the persistent model (bound deltas,
-	// basis snapshots); SolveNs is time spent inside the LP solver. At
-	// Workers>1 these are CPU-time sums across workers, not wall clock.
+	// basis snapshots); SolveNs is time spent inside the LP solver.
 	BuildNs, SolveNs int64
 }
 
-// Add accumulates other into s (POP sums its sub-searches this way, and the
-// coordinator merges per-worker stats the same way).
+// Add accumulates other into s (POP sums its sub-searches this way).
 func (s *SearchStats) Add(other SearchStats) {
 	s.Nodes += other.Nodes
 	s.HeuristicSolves += other.HeuristicSolves
@@ -250,10 +232,9 @@ type Solution struct {
 	SearchStats
 }
 
-// node is one open subproblem of the branch-and-bound tree. Nodes are
-// created under the coordinator lock and solved by exactly one worker, so
-// the struct needs no synchronization of its own; the basis snapshot may be
-// shared between siblings because SetBasis clones on install.
+// node is one open subproblem of the branch-and-bound tree. The basis
+// snapshot may be shared between siblings because SetBasis clones on
+// install.
 type node struct {
 	// Extra bounds imposed by branching, keyed by variable.
 	lb, ub map[int]float64
@@ -305,7 +286,7 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	if o == nil {
 		return s.run()
 	}
-	sp := o.Span("milp.search").Arg("workers", s.opts.Workers)
+	sp := o.Span("milp.search")
 	start := time.Now()
 	sol, err := s.run()
 	if sol != nil {

@@ -3,80 +3,49 @@ package milp
 import (
 	"container/heap"
 	"math"
-	"sync"
 	"time"
 
 	"pop/internal/lp"
 	"pop/internal/obs"
 )
 
-// worker owns everything one branch-and-bound goroutine mutates freely: a
-// clone of the persistent LP model (sharing the immutable constraint matrix
-// with its siblings copy-on-write), the applied-delta bookkeeping that says
-// which variables currently carry node bounds on that model, an optional
-// plunge child handed to it by its own last branching, and a private stats
-// block merged into the solution after the search ends. Workers touch
-// shared search state only through the coordinator's mutex.
-type worker struct {
-	id      int
-	model   *lp.Model
-	applied map[int]bool
-	// dive is the plunge child from this worker's last branching, explored
-	// next so the model stays one bound change away from the solve before
-	// it. Written and consumed under search.mu.
-	dive  *node
-	stats SearchStats
-	// obs is the search observer shifted onto this worker's trace lane (nil
-	// when the search runs without one); node relaxations are solved with
-	// it, so they trace on the worker's lane.
-	obs *obs.Observer
-}
-
-// initWorker derives the worker's trace lane from the search's observer.
-func (s *search) initWorker(w *worker) {
-	if o := s.opts.Obs; o != nil {
-		w.obs = o.WithTID(o.TID + 1 + w.id)
-	}
-}
-
-// search is the branch-and-bound coordinator: the mutex-protected open heap
-// workers steal best-bound nodes from, the incumbent, the pseudo-cost
-// table, and the termination latch. The invariant the termination protocol
-// rests on: outstanding == len(open) + (non-nil dives) + (in-flight nodes),
-// so outstanding == 0 means the tree is fully explored.
+// search is one branch-and-bound run: the persistent LP model every node
+// relaxation is solved on, the applied-delta bookkeeping that says which
+// variables currently carry node bounds on it, the open heap of unexplored
+// nodes, the plunge child, the incumbent, and the pseudo-cost table.
 type search struct {
 	prob     *Problem
 	opts     Options
 	maximize bool
 	deadline time.Time
 
-	baseLB, baseUB []float64 // presolved bounds snapshot
+	baseLB, baseUB []float64 // bounds snapshot, integer bounds rounded inward
 	intVars        []int     // integer variables in ascending order
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// open holds unexplored nodes ordered by most promising bound; each
-	// carries its parent's basis snapshot so any worker restarts it warm.
+	model   *lp.Model
+	applied map[int]bool
+	// dive is the plunge child from the last branching, explored next so the
+	// model stays one bound change away from the solve before it.
+	dive *node
+	// open holds the other unexplored nodes ordered by most promising bound;
+	// each carries its parent's basis snapshot, so a best-bound jump
+	// restarts warm.
 	open nodeHeap
-	// outstanding counts live nodes (open + dives + in flight); nodesStarted
-	// counts node relaxations begun, heuristic solves excluded, and is the
-	// MaxNodes budget.
-	outstanding  int
+	// nodesStarted counts node relaxations begun, heuristic solves
+	// excluded, and is the MaxNodes budget.
 	nodesStarted int
-	// inFlight[w] is the bound of the node worker w is currently solving
-	// (-Inf when idle); it keeps bestBound honest while the heap is empty.
-	inFlight     []float64
 	incumbent    []float64
 	incumbentObj float64 // in maximization orientation
 	haveInc      bool
 	pc           *pseudoCosts
-	stopped      bool
 	earlyExit    bool    // node/time limit hit: Feasible, not Optimal
 	exitBound    float64 // bestBound at the moment the limit fired
-	err          error
 
-	workers   []*worker
+	stats     SearchStats
 	rootBasis *lp.Basis
+	// obs is the search observer shifted onto the node trace lane (nil when
+	// the search runs without one); node relaxations are solved with it.
+	obs *obs.Observer
 }
 
 // orient converts an LP objective (original orientation) into the internal
@@ -91,32 +60,29 @@ func (s *search) orient(v float64) float64 {
 func (s *search) run() (*Solution, error) {
 	p := s.prob
 	s.maximize = p.LP.ObjectiveSense() == lp.Maximize
-	s.cond = sync.NewCond(&s.mu)
 	s.incumbentObj = math.Inf(-1)
-	s.inFlight = make([]float64, s.opts.Workers)
-	for i := range s.inFlight {
-		s.inFlight[i] = math.Inf(-1)
-	}
 	// A sorted branching order makes tie-breaks deterministic (map iteration
-	// would jitter node and pivot counts run to run at Workers=1).
+	// would jitter node and pivot counts run to run).
 	s.intVars = sortedKeys(p.integer)
 	s.pc = newPseudoCosts(p.LP.NumVariables())
+	if o := s.opts.Obs; o != nil {
+		s.obs = o.WithTID(o.TID + 1)
+	}
 
-	pre := presolve(p)
-	if pre.infeasible {
+	if !s.snapshotBounds() {
 		return s.finish(Infeasible, 0), nil
 	}
-	s.snapshotBounds(pre.lp)
-
-	w0 := &worker{id: 0, model: lp.NewModelFromProblem(pre.lp), applied: map[int]bool{}}
-	s.initWorker(w0)
-	s.workers = append(s.workers, w0)
+	s.model = lp.NewModelFromProblem(p.LP)
+	for _, v := range s.intVars {
+		s.model.SetBounds(v, s.baseLB[v], s.baseUB[v])
+	}
+	s.applied = map[int]bool{}
 
 	root := &node{lb: map[int]float64{}, ub: map[int]float64{}, bound: math.Inf(1), pcVar: -1}
-	if !s.opts.ColdNodes && !pre.reducedRows {
+	if !s.opts.ColdNodes {
 		root.basis = s.opts.RootBasis
 	}
-	rootSol, err := w0.solveNode(s, root, false)
+	rootSol, err := s.solveNode(root, false)
 	if err != nil {
 		return nil, err
 	}
@@ -136,29 +102,20 @@ func (s *search) run() (*Solution, error) {
 	// heuristic; both run before any branching so the first fathom checks
 	// already have a cutoff.
 	s.tryIncumbent()
-	s.tryRounding(w0, rootSol)
+	s.tryRounding(rootSol)
 
-	// Route the root through the same branch/accept path as every other
-	// node: count it outstanding, then retire-and-expand it.
-	s.outstanding = 1
-	s.finishNode(w0, root, rootSol)
-
-	// Fan out: workers 1..W-1 get cheap clones of worker 0's model (same
-	// bounds, same applied set, shared matrix) and every worker runs the
-	// steal-solve-branch loop until the coordinator latches a stop.
-	for i := 1; i < s.opts.Workers; i++ {
-		w := &worker{id: i, model: w0.model.Clone(), applied: copyBoolMap(w0.applied)}
-		s.initWorker(w)
-		s.workers = append(s.workers, w)
-	}
-	var wg sync.WaitGroup
-	for _, w := range s.workers {
-		wg.Add(1)
-		go s.runWorker(w, &wg)
-	}
-	wg.Wait()
-	if s.err != nil {
-		return nil, s.err
+	// The root takes the same branch/accept path as every other node.
+	s.finishNode(root, rootSol)
+	for {
+		n := s.next()
+		if n == nil {
+			break
+		}
+		sol, err := s.solveNode(n, false)
+		if err != nil {
+			return nil, err
+		}
+		s.finishNode(n, sol)
 	}
 
 	switch {
@@ -171,79 +128,45 @@ func (s *search) run() (*Solution, error) {
 	}
 }
 
-func (s *search) runWorker(w *worker, wg *sync.WaitGroup) {
-	defer wg.Done()
+// next returns the node to solve next: the plunge child when one is
+// pending (its parent was solved last, so bounds and basis are one
+// branching step away), otherwise the best-bound open node, whose carried
+// snapshot makes the jump warm. Nodes the incumbent fathoms are dropped
+// unsolved. It returns nil when the search is over: the tree is explored,
+// the gap closed, or a node/time limit fired (earlyExit).
+func (s *search) next() *node {
 	for {
-		n := s.next(w)
-		if n == nil {
-			return
-		}
-		sol, err := w.solveNode(s, n, false)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		s.finishNode(w, n, sol)
-	}
-}
-
-// next hands worker w its next node: the worker's own plunge child when one
-// is pending (its parent solved last on this worker's model, so bounds and
-// basis are one branching step away), otherwise the globally best-bound
-// open node, whose carried snapshot makes the steal warm. It blocks while
-// the heap is empty but other workers may still branch, and returns nil
-// when the search is over.
-func (s *search) next(w *worker) *node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped || s.err != nil {
-			return nil
-		}
-		if s.haveInc && s.gapClosedLocked() {
-			s.stopLocked(false)
+		if s.haveInc && s.gapClosed() {
 			return nil
 		}
 		if s.nodesStarted >= s.opts.MaxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-			s.stopLocked(true)
+			s.earlyExit = true
+			s.exitBound = s.bestBound()
 			return nil
 		}
 		var n *node
 		switch {
-		case w.dive != nil:
-			n = w.dive
-			w.dive = nil
+		case s.dive != nil:
+			n, s.dive = s.dive, nil
 		case len(s.open) > 0:
 			n = heap.Pop(&s.open).(*node)
-			w.obs.Instant("milp.steal", nil)
+			s.obs.Instant("milp.jump", nil)
 		default:
-			if s.outstanding == 0 {
-				s.stopLocked(false)
-				return nil
-			}
-			s.cond.Wait()
-			continue
+			return nil
 		}
-		if s.haveInc && n.bound <= s.cutoffLocked() {
-			w.obs.Instant("milp.fathom", nil)
-			s.retireLocked()
+		if s.haveInc && n.bound <= s.cutoff() {
+			s.obs.Instant("milp.fathom", nil)
 			continue // fathomed by bound
 		}
 		s.nodesStarted++
-		s.inFlight[w.id] = n.bound
 		return n
 	}
 }
 
-// finishNode retires a solved node under the coordinator lock: it feeds the
-// pseudo-cost table, accepts an integer-feasible relaxation as incumbent,
-// fathoms against the combined absolute+relative cutoff, or branches.
-func (s *search) finishNode(w *worker, n *node, sol *lp.Solution) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.cond.Broadcast()
-	s.inFlight[w.id] = math.Inf(-1)
-	s.outstanding--
+// finishNode retires a solved node: it feeds the pseudo-cost table,
+// accepts an integer-feasible relaxation as incumbent, fathoms against the
+// combined absolute+relative cutoff, or branches.
+func (s *search) finishNode(n *node, sol *lp.Solution) {
 	if sol.Status != lp.Optimal {
 		return // infeasible subtree (unbounded cannot appear below the root)
 	}
@@ -261,26 +184,22 @@ func (s *search) finishNode(w *worker, n *node, sol *lp.Solution) {
 			s.incumbentObj = obj
 			s.incumbent = append([]float64(nil), sol.X...)
 			s.haveInc = true
-			w.obs.Instant("milp.incumbent", map[string]any{"obj": sol.Objective})
+			s.obs.Instant("milp.incumbent", map[string]any{"obj": sol.Objective})
 		}
 		return
 	}
-	if s.stopped {
-		return // a limit fired while this node was in flight
-	}
-	if s.haveInc && obj <= s.cutoffLocked() {
-		w.obs.Instant("milp.fathom", nil)
+	if s.haveInc && obj <= s.cutoff() {
+		s.obs.Instant("milp.fathom", nil)
 		return // fathomed by bound
 	}
-	s.branchLocked(w, n, sol, v, f)
+	s.branch(n, sol, v, f)
 }
 
-// branchLocked splits node n on variable v (fractional part f of sol.X[v]).
-// Both children carry the relaxation's basis snapshot — safe to share now
-// that SetBasis clones on install. The child the fractional value leans
-// toward becomes this worker's plunge target; the other joins the open heap
-// for any worker to steal.
-func (s *search) branchLocked(w *worker, n *node, sol *lp.Solution, v int, f float64) {
+// branch splits node n on variable v (fractional part f of sol.X[v]). Both
+// children carry the relaxation's basis snapshot — safe to share because
+// SetBasis clones on install. The child the fractional value leans toward
+// becomes the plunge target; the other joins the open heap.
+func (s *search) branch(n *node, sol *lp.Solution, v int, f float64) {
 	floor := math.Floor(sol.X[v])
 	down := &node{lb: copyMap(n.lb), ub: copyMap(n.ub), bound: n.bound, depth: n.depth + 1,
 		basis: sol.Basis, pcVar: v, pcDist: f, pcUp: false}
@@ -293,36 +212,26 @@ func (s *search) branchLocked(w *worker, n *node, sol *lp.Solution, v int, f flo
 	if f >= 0.5 {
 		dive, rest = up, down
 	}
-	w.dive = dive
+	s.dive = dive
 	heap.Push(&s.open, rest)
-	s.outstanding += 2
 }
 
-// cutoffLocked is the fathoming threshold: a node whose bound cannot beat
-// the incumbent by more than the combined absolute/relative gap tolerance
-// is pruned — the same predicate gapClosedLocked uses, so fathoming and
-// termination agree (the sequential search compared against absGap alone
-// and pointlessly solved nodes inside the relative gap).
-func (s *search) cutoffLocked() float64 {
+// cutoff is the fathoming threshold: a node whose bound cannot beat the
+// incumbent by more than the combined absolute/relative gap tolerance is
+// pruned — the same predicate gapClosed uses, so fathoming and termination
+// agree.
+func (s *search) cutoff() float64 {
 	return s.incumbentObj + math.Max(absGap, s.opts.RelGap*math.Max(1, math.Abs(s.incumbentObj)))
 }
 
-// bestBoundLocked is the most optimistic bound over all unexplored and
-// in-flight nodes.
-func (s *search) bestBoundLocked() float64 {
+// bestBound is the most optimistic bound over all unexplored nodes.
+func (s *search) bestBound() float64 {
 	bound := math.Inf(-1)
 	if len(s.open) > 0 {
 		bound = s.open[0].bound
 	}
-	for _, w := range s.workers {
-		if w.dive != nil && w.dive.bound > bound {
-			bound = w.dive.bound
-		}
-	}
-	for _, b := range s.inFlight {
-		if b > bound {
-			bound = b
-		}
+	if s.dive != nil && s.dive.bound > bound {
+		bound = s.dive.bound
 	}
 	if math.IsInf(bound, -1) {
 		bound = s.incumbentObj
@@ -330,61 +239,27 @@ func (s *search) bestBoundLocked() float64 {
 	return bound
 }
 
-func (s *search) gapClosedLocked() bool {
-	if s.outstanding == 0 {
+func (s *search) gapClosed() bool {
+	if s.dive == nil && len(s.open) == 0 {
 		return true
 	}
-	gap := s.bestBoundLocked() - s.incumbentObj
+	gap := s.bestBound() - s.incumbentObj
 	return gap <= absGap || gap <= s.opts.RelGap*math.Max(1, math.Abs(s.incumbentObj))
 }
 
-// retireLocked drops a node without solving it (fathomed at pop). The
-// broadcast when the count hits zero releases workers blocked in next.
-func (s *search) retireLocked() {
-	s.outstanding--
-	if s.outstanding == 0 {
-		s.cond.Broadcast()
+// solveNode solves the LP relaxation under the node's extra bounds: the
+// node's bound deltas are applied to the model in place, the node's carried
+// basis snapshot is installed (bound-only deltas keep it dual feasible, so
+// the dual simplex settles it in a few pivots; an ineligible snapshot falls
+// back primal-warm→cold inside lp), and the solve is booked into the
+// search stats — as a node, or as a heuristic solve that does not consume
+// the MaxNodes budget.
+func (s *search) solveNode(n *node, heuristic bool) (*lp.Solution, error) {
+	if s.obs == nil {
+		return s.solveNodeInner(n, heuristic)
 	}
-}
-
-// stopLocked latches termination; the first stopper decides the flavor
-// (early = node/time limit → Feasible; otherwise the tree is explored or
-// the gap closed → Optimal/Infeasible).
-func (s *search) stopLocked(early bool) {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	if early {
-		s.earlyExit = true
-		s.exitBound = s.bestBoundLocked()
-	}
-	s.cond.Broadcast()
-}
-
-func (s *search) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.stopped = true
-	s.cond.Broadcast()
-}
-
-// solveNode solves the LP relaxation under the node's extra bounds on this
-// worker's model: the node's bound deltas are applied in place, the node's
-// carried basis snapshot is installed (bound-only deltas keep it dual
-// feasible, so the dual simplex settles it in a few pivots; an ineligible
-// snapshot falls back primal-warm→cold inside lp), and the solve is booked
-// into the worker's private stats — as a node, or as a heuristic solve that
-// does not consume the MaxNodes budget.
-func (w *worker) solveNode(s *search, n *node, heuristic bool) (*lp.Solution, error) {
-	if w.obs == nil {
-		return w.solveNodeInner(s, n, heuristic)
-	}
-	sp := w.obs.Span("milp.node").Arg("depth", n.depth).Arg("heuristic", heuristic)
-	sol, err := w.solveNodeInner(s, n, heuristic)
+	sp := s.obs.Span("milp.node").Arg("depth", n.depth).Arg("heuristic", heuristic)
+	sol, err := s.solveNodeInner(n, heuristic)
 	if sol != nil {
 		sp.Arg("status", sol.Status.String())
 	}
@@ -392,54 +267,54 @@ func (w *worker) solveNode(s *search, n *node, heuristic bool) (*lp.Solution, er
 	return sol, err
 }
 
-func (w *worker) solveNodeInner(s *search, n *node, heuristic bool) (*lp.Solution, error) {
+func (s *search) solveNodeInner(n *node, heuristic bool) (*lp.Solution, error) {
 	t0 := time.Now()
-	w.applyBounds(s, n)
+	s.applyBounds(n)
 	warm := false
 	if s.opts.ColdNodes || n.basis == nil {
-		w.model.ForgetBasis()
+		s.model.ForgetBasis()
 	} else {
-		w.model.SetBasis(n.basis)
+		s.model.SetBasis(n.basis)
 		warm = true
 	}
-	w.stats.BuildNs += time.Since(t0).Nanoseconds()
+	s.stats.BuildNs += time.Since(t0).Nanoseconds()
 	if heuristic {
-		w.stats.HeuristicSolves++
+		s.stats.HeuristicSolves++
 	} else {
-		w.stats.Nodes++
+		s.stats.Nodes++
 	}
 
 	t0 = time.Now()
-	sol, err := w.model.SolveWithOptions(lp.Options{Obs: w.obs})
-	w.stats.SolveNs += time.Since(t0).Nanoseconds()
+	sol, err := s.model.SolveWithOptions(lp.Options{Obs: s.obs})
+	s.stats.SolveNs += time.Since(t0).Nanoseconds()
 	if err != nil {
 		return nil, err
 	}
-	w.stats.LPPivots += sol.Iterations
-	w.stats.DualPivots += sol.DualPivots
+	s.stats.LPPivots += sol.Iterations
+	s.stats.DualPivots += sol.DualPivots
 	if warm {
 		if sol.WarmStarted {
-			w.stats.WarmNodes++
+			s.stats.WarmNodes++
 		} else {
-			w.stats.ColdFallbacks++
+			s.stats.ColdFallbacks++
 		}
 	}
 	return sol, nil
 }
 
-// applyBounds switches this worker's model from its previous node's bounds
-// to n's: variables the previous node tightened but n does not return to
-// their base bounds, and n's tightenings are applied (SetBounds no-ops on
-// unchanged values, so a parent→child plunge costs one real edit).
-func (w *worker) applyBounds(s *search, n *node) {
-	for v := range w.applied {
+// applyBounds switches the model from the previous node's bounds to n's:
+// variables the previous node tightened but n does not return to their base
+// bounds, and n's tightenings are applied (SetBounds no-ops on unchanged
+// values, so a parent→child plunge costs one real edit).
+func (s *search) applyBounds(n *node) {
+	for v := range s.applied {
 		_, inLB := n.lb[v]
 		_, inUB := n.ub[v]
 		if inLB || inUB {
 			continue
 		}
-		w.model.SetBounds(v, s.baseLB[v], s.baseUB[v])
-		delete(w.applied, v)
+		s.model.SetBounds(v, s.baseLB[v], s.baseUB[v])
+		delete(s.applied, v)
 	}
 	// Branching tightens lb upward and ub downward around fractional LP
 	// values inside the current domain, so lb ≤ ub always holds; the clamps
@@ -452,8 +327,8 @@ func (w *worker) applyBounds(s *search, n *node) {
 		if lb > ub {
 			lb = ub
 		}
-		w.model.SetBounds(v, lb, ub)
-		w.applied[v] = true
+		s.model.SetBounds(v, lb, ub)
+		s.applied[v] = true
 	}
 	for v, ub := range n.ub {
 		if _, done := n.lb[v]; done {
@@ -463,25 +338,44 @@ func (w *worker) applyBounds(s *search, n *node) {
 		if ub < lb {
 			ub = lb
 		}
-		w.model.SetBounds(v, lb, ub)
-		w.applied[v] = true
+		s.model.SetBounds(v, lb, ub)
+		s.applied[v] = true
 	}
 }
 
-func (s *search) snapshotBounds(p *lp.Problem) {
-	nv := p.NumVariables()
+// snapshotBounds records every variable's base bounds, rounding integer
+// bounds inward (ceil the lower, floor the upper). It reports false when an
+// integer variable's rounded bounds cross, which proves the MILP
+// infeasible. The rounding is load-bearing: an integer whose domain holds no
+// integer would otherwise branch into applyBounds' clamps until the node
+// limit.
+func (s *search) snapshotBounds() bool {
+	const tol = 1e-9
+	nv := s.prob.LP.NumVariables()
 	s.baseLB = make([]float64, nv)
 	s.baseUB = make([]float64, nv)
 	for v := 0; v < nv; v++ {
-		lb, ub := p.Bounds(v)
-		s.baseLB[v] = lb
-		s.baseUB[v] = ub
+		lo, hi := s.prob.LP.Bounds(v)
+		if s.prob.integer[v] {
+			if rl := math.Ceil(lo - tol); rl > lo {
+				lo = rl
+			}
+			if ru := math.Floor(hi + tol); ru < hi {
+				hi = ru
+			}
+			if lo > hi {
+				return false
+			}
+		}
+		s.baseLB[v] = lo
+		s.baseUB[v] = hi
 	}
+	return true
 }
 
 // tryIncumbent validates and installs the caller-provided warm start. It
-// judges feasibility against the original problem, whose bounds neither
-// presolve nor the per-worker node deltas ever touch.
+// judges feasibility against the original problem, whose bounds the node
+// deltas never touch.
 func (s *search) tryIncumbent() {
 	x := s.opts.Incumbent
 	if x == nil {
@@ -504,11 +398,10 @@ func (s *search) tryIncumbent() {
 }
 
 // tryRounding rounds the root relaxation and accepts it if feasible: all
-// integer vars are fixed at rounded values and the continuous LP re-solved
-// through worker 0's model, warm from the root basis. The re-solves are
-// booked as HeuristicSolves, not Nodes, so they never consume the MaxNodes
-// budget.
-func (s *search) tryRounding(w *worker, rootSol *lp.Solution) {
+// integer vars are fixed at rounded values and the continuous LP re-solved,
+// warm from the root basis. The re-solves are booked as HeuristicSolves,
+// not Nodes, so they never consume the MaxNodes budget.
+func (s *search) tryRounding(rootSol *lp.Solution) {
 	if len(s.prob.integer) == 0 {
 		return
 	}
@@ -525,7 +418,7 @@ func (s *search) tryRounding(w *worker, rootSol *lp.Solution) {
 			fixed.lb[v] = r
 			fixed.ub[v] = r
 		}
-		sol, err := w.solveNode(s, fixed, true)
+		sol, err := s.solveNode(fixed, true)
 		if err != nil || sol.Status != lp.Optimal {
 			continue
 		}
@@ -540,11 +433,7 @@ func (s *search) tryRounding(w *worker, rootSol *lp.Solution) {
 }
 
 func (s *search) finish(st Status, bound float64) *Solution {
-	var stats SearchStats
-	for _, w := range s.workers {
-		stats.Add(w.stats)
-	}
-	sol := &Solution{Status: st, RootBasis: s.rootBasis, SearchStats: stats}
+	sol := &Solution{Status: st, RootBasis: s.rootBasis, SearchStats: s.stats}
 	if st == Infeasible || st == Unbounded {
 		return sol
 	}
@@ -567,12 +456,4 @@ func (s *search) finish(st Status, bound float64) *Solution {
 	sol.Bound = boundOut
 	sol.Gap = gap
 	return sol
-}
-
-func copyBoolMap(m map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -57,8 +57,8 @@
 //	lp.{standardize,factor,refactor,phase1,phase2,dual,warm-repair}
 //	lp.cold-fallback, lp.dual-reject instants marking abandoned warm paths
 //	lp.dense-retry                   instant: sparse backend failed, dense retry
-//	milp.search / milp.node          branch-and-bound, one lane per worker
-//	milp.{steal,fathom,incumbent}    instants on the owning worker's lane
+//	milp.search / milp.node          branch and bound; nodes on lane TID+1
+//	milp.{jump,fathom,incumbent}     instants on the node lane
 //	price.round / price.solve / price.bestresponse   price engine round, solve, iteration
 //	shard.round                      one coordinator scatter/gather round, with children:
 //	shard.diff                       Step's registry diff (engine tid)

@@ -9,8 +9,7 @@ import (
 )
 
 // checkAssignment verifies coverage and linking. Memory is deliberately not
-// checked: like lb.SolveLPRounding, the relaxation's rounded-up placements
-// can overshoot the (relaxed) memory bound — that is the documented cost of
+// checked: the relaxation's rounded-up placements can overshoot the (relaxed) memory bound — that is the documented cost of
 // relaxing the MILP.
 func checkAssignment(t *testing.T, inst *lb.Instance, a *lb.Assignment) {
 	t.Helper()
