@@ -206,17 +206,20 @@ func (s *simplex) solveInner() *Solution {
 
 // runPhase1 builds the all-artificial start and drives the phase-1
 // objective to zero, reporting Optimal when a feasible basis is in hand.
+// Feasible means every artificial is within TolFeas of zero, the same test
+// as the start's: a sum-of-artificials rule would let an LP that misses one
+// row by less than that sum into phase 2, and out as Optimal.
 func (s *simplex) runPhase1() Status {
 	sp := s.opts.Obs.Span("lp.phase1")
 	defer sp.End()
 	s.initPhase1()
-	if s.initialFeasible() {
+	if s.artificialsClear() {
 		return Optimal
 	}
 	if st := s.iterate(); st == IterLimit || st == Numerical {
 		return st
 	}
-	if s.phase1Objective() > 1e2*s.opts.TolFeas*float64(1+s.m) {
+	if !s.artificialsClear() {
 		return Infeasible
 	}
 	return Optimal
@@ -373,23 +376,15 @@ func (s *simplex) initPhase1() {
 	sp.End()
 }
 
-// initialFeasible reports whether the initial point already satisfies all
-// constraints, in which case phase 1 is skipped.
-func (s *simplex) initialFeasible() bool {
+// artificialsClear reports whether every artificial is within TolFeas of
+// zero, so the point satisfies every row.
+func (s *simplex) artificialsClear() bool {
 	for i := 0; i < s.m; i++ {
-		if s.x[s.artStart+i] > s.opts.TolFeas {
+		if math.Abs(s.x[s.artStart+i]) > s.opts.TolFeas {
 			return false
 		}
 	}
 	return true
-}
-
-func (s *simplex) phase1Objective() float64 {
-	sum := 0.0
-	for i := 0; i < s.m; i++ {
-		sum += math.Abs(s.x[s.artStart+i])
-	}
-	return sum
 }
 
 // iterate runs simplex pivots until the current-phase objective is optimal.

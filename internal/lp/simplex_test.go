@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -95,6 +96,42 @@ func TestInfeasibleEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireStatus(t, sol, Infeasible)
+}
+
+// TestInfeasibleByLessThanSumRule is the phase-1 acceptance regression. The
+// fixture is a 57-row lb sub-problem (§4.3, 12 shards × 3 servers) with its
+// placement indicators fixed at a branch-and-bound incumbent; its "cover"
+// row can reach only 0.99953 of the 1 it demands. Phase 1 used to accept
+// when the sum of the artificials was ≤ 1e2·TolFeas·(1+m), 5.8e-4 at this m,
+// so this LP came back Optimal on a point missing that row — under every
+// solver path. Every artificial must now be within TolFeas of zero.
+func TestInfeasibleByLessThanSumRule(t *testing.T) {
+	f, err := os.Open("testdata/lb_cover_infeasible.mps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p, _, err := ReadMPS(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"dense", Options{dense: true}},
+		{"bland", Options{blandOnly: true}},
+		{"reinvert=1", Options{reinvertEvery: 1}},
+	} {
+		sol, err := p.SolveWithOptions(o.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Infeasible {
+			t.Errorf("%s: status %v, want infeasible (row check: %v)", o.name, sol.Status, p.CheckFeasible(sol.X, 1e-6))
+		}
+	}
 }
 
 func TestUnbounded(t *testing.T) {

@@ -179,8 +179,10 @@ func (s *search) finishNode(n *node, sol *lp.Solution) {
 	n.bound = obj
 	v, f := s.pc.selectBranch(s.intVars, sol.X, intTol)
 	if v < 0 {
-		// Integer feasible.
-		if obj > s.incumbentObj {
+		// Integer feasible. Like a caller's incumbent (tryIncumbent), it must
+		// also pass the original problem's feasibility check; a relaxation
+		// that fails it has nothing left to branch on and is dropped.
+		if obj > s.incumbentObj && s.prob.LP.CheckFeasible(sol.X, 1e-6) == nil {
 			s.incumbentObj = obj
 			s.incumbent = append([]float64(nil), sol.X...)
 			s.haveInc = true
