@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint yaml-check fmt-check examples bench bench-check ci
+.PHONY: all build test test-short test-race vet lint yaml-check fmt-check examples bench bench-check census ci
 
 all: build
 
@@ -50,6 +50,12 @@ examples:
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
+
+# census builds every driver (popbench, bench/, popsolve, popserver, the
+# examples) with coverage over pop/..., runs each, and prints the functions
+# outside bench/ that none of them reached. It prints and does not gate.
+census:
+	bash scripts/census.sh
 
 # bench runs the paper-evaluation benchmark suite at Small scale. (The
 # repository benchmark that gates a PR is `bash bench/run.sh`; one layer is

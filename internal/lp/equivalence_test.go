@@ -309,8 +309,7 @@ func TestBackendsAgreeOnRandomLPs(t *testing.T) {
 }
 
 // TestBackendsAgreeWithScaling: the two factors stay interchangeable on
-// random feasible LPs. (Its equilibrated leg went with Options.Scale; the
-// unscaled leg and its seed stay.)
+// random feasible LPs.
 func TestBackendsAgreeWithScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {

@@ -169,8 +169,6 @@ func TestWarmStartRejectsBadSnapshots(t *testing.T) {
 }
 
 // TestWarmStartWithScaling: warm equals cold across random perturbations.
-// (Its equilibrated leg went with Options.Scale; the unscaled leg and its
-// seed stay.)
 func TestWarmStartWithScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {

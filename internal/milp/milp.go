@@ -119,8 +119,8 @@ type Options struct {
 	ColdNodes bool
 	// Obs, when non-nil, receives search telemetry: a "milp.search" span
 	// per solve, per-node "milp.node" spans on trace lane TID+1,
-	// jump/fathom/incumbent instants, and search-level
-	// counters. The observer is also threaded into every node's LP solve.
+	// jump/fathom/incumbent instants, and search-level counters. The
+	// observer is also threaded into every node's LP solve.
 	// Nil — the default — costs one pointer check per node.
 	Obs *obs.Observer
 }
@@ -178,8 +178,8 @@ func (s Status) String() string {
 
 // SearchStats is the branch-and-bound accounting: how many node relaxations
 // were solved, how many of them actually started warm, and where the time
-// went. It mirrors online.Stats' build-vs-pivot
-// split so benchmarks across the repository attribute time the same way.
+// went. It mirrors online.Stats' build-vs-pivot split so benchmarks across
+// the repository attribute time the same way.
 type SearchStats struct {
 	// Nodes counts solved node relaxations. HeuristicSolves counts LP
 	// re-solves made by primal heuristics (root rounding); they are booked
