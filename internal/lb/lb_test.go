@@ -225,3 +225,33 @@ func TestSolveMILPReportsSearchStats(t *testing.T) {
 		t.Fatalf("no node ever warm-started: %+v", a.Search)
 	}
 }
+
+// TestWarmAndColdCountOnlyNodes: WarmNodes and ColdFallbacks split the node
+// solves that carried a basis, so together they never exceed Nodes — the
+// root-rounding heuristic's re-solves, which also start from a basis, are
+// HeuristicSolves and in neither bucket. Rounds after the first seed the
+// root too, so every node but none of the heuristic solves is booked.
+func TestWarmAndColdCountOnlyNodes(t *testing.T) {
+	heuristic := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		inst := NewInstance(12, 3, 0.05, seed)
+		solver := NewMILPSolver(milp.Options{MaxNodes: 400})
+		for r := int64(0); r < 3; r++ {
+			inst.ShiftLoads(seed*100 + r)
+			a, err := solver.Solve(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := a.Search
+			if s.WarmNodes+s.ColdFallbacks > s.Nodes {
+				t.Errorf("seed %d round %d: WarmNodes %d + ColdFallbacks %d > Nodes %d (HeuristicSolves %d)",
+					seed, r, s.WarmNodes, s.ColdFallbacks, s.Nodes, s.HeuristicSolves)
+			}
+			heuristic += s.HeuristicSolves
+			inst.Placement = a.Placed
+		}
+	}
+	if heuristic == 0 {
+		t.Fatal("no heuristic solve ran; the bound was never tested")
+	}
+}

@@ -297,10 +297,19 @@
 //   - The implied basis matrix factorizes, and the installed statuses
 //     price dual feasible against the current objective.
 //
-// A dual phase that hits the iteration limit, numerical trouble, or an
-// apparent infeasibility (which a stale start cannot be trusted to prove)
-// likewise resets and falls back. Solution.DualPivots reports the pivots
-// the dual phase took.
+// When the dual ratio test finds no column that can absorb the leaving
+// row's violation, the row's ρ = B⁻ᵀeᵣ is a candidate Farkas ray, and the
+// Infeasible verdict is certified rather than re-derived: certifyInfeasible
+// recomputes a = ρᵀA column by column from the problem as posed, bounds
+// Σ aⱼxⱼ over the bound box to [lo, hi], and accepts when ρᵀb lies outside
+// it by more than 10·TolFeas·(‖ρ‖₁ + ‖a‖₁) (plus 1e-12 of the summed
+// magnitudes). No point a cold phase 1 accepts — every row and bound met to
+// TolFeas — can exist past that margin, so a certified verdict is the cold
+// verdict, reached in the dual pivots already taken; the solve returns
+// Infeasible with WarmStarted set and pop_lp_infeasible_certified_total
+// booked. A ray that fails the check (an "uncertified" lp.dual span), the
+// iteration limit, or numerical trouble resets and falls back as above.
+// Solution.DualPivots reports the pivots the dual phase took.
 //
 // The solver reports primal values, row duals, reduced costs, and a status
 // (Optimal, Infeasible, Unbounded, IterLimit, Numerical). It is deterministic:

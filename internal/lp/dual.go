@@ -25,11 +25,13 @@ import "math"
 //
 // Entry is gated by initWarmDual, which rejects (returning the caller to
 // the primal warm path) any start that is not an exact-shape, factorizable,
-// dual-feasible snapshot. dualIterate likewise reports anything other than
-// a clean primally-feasible finish as a failure — including apparent
-// infeasibility, which a stale start cannot be trusted to prove — and the
-// caller falls back, so the dual phase changes solve speed, never solve
-// outcomes.
+// dual-feasible snapshot. dualIterate finishes Optimal, or stalls on a row
+// whose violation no column can absorb. A stall is an Infeasible verdict
+// only once certifyInfeasible has checked that row's ray on the problem
+// itself, with a margin no point a cold phase 1 would accept can cross.
+// Anything else — a ray that fails the check, the iteration limit,
+// numerical trouble — is a failure the caller falls back from, so the dual
+// phase changes solve speed, never solve outcomes.
 
 // initWarmDual attempts to install basis snapshot b as a dual simplex
 // starting point. Unlike the primal warm path it demands an exact fit: the
@@ -90,17 +92,18 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 // inside its bounds (Optimal — primal and dual feasible, so the phase-2
 // primal cleanup that follows typically takes zero pivots) or the phase
 // fails. Infeasible here means no entering column could absorb the
-// violation — a certificate the caller re-derives through the primal path
-// rather than trusting a warm start with. Its ratios read the reduced costs
-// initWarmDual priced, maintained from each pivot row and re-priced after
-// every refactorization; no verdict here rests on them.
-func (s *simplex) dualIterate() Status {
+// violation of basis row ray, whose ρ = B⁻ᵀe_ray is left in s.rho: a
+// candidate Farkas ray the caller certifies (certifyInfeasible) before it
+// trusts the verdict; ray is -1 on every other status. Its ratios read the
+// reduced costs initWarmDual priced, maintained from each pivot row and
+// re-priced after every refactorization; no verdict here rests on them.
+func (s *simplex) dualIterate() (st Status, ray int) {
 	tolP := s.opts.TolPivot
 	tolF := s.opts.TolFeas
 
 	for {
 		if s.iters >= s.opts.MaxIters {
-			return IterLimit
+			return IterLimit, -1
 		}
 		if s.prices == pricesStale {
 			s.reprice()
@@ -136,7 +139,7 @@ func (s *simplex) dualIterate() Status {
 			}
 		}
 		if r < 0 {
-			return Optimal
+			return Optimal, -1
 		}
 
 		out := s.basis[r]
@@ -196,8 +199,8 @@ func (s *simplex) dualIterate() Status {
 		s.dualCandJ, s.dualCandA, s.dualCandD = candJ, candA, candD
 		if len(candJ) == 0 {
 			// No column can absorb the violation: the primal is infeasible
-			// (dual unbounded) — as far as this start can tell.
-			return Infeasible
+			// (dual unbounded) — as far as this basis can tell.
+			return Infeasible, r
 		}
 		q := -1
 		var alphaQ, bestRatio, bestPiv float64
@@ -241,7 +244,7 @@ func (s *simplex) dualIterate() Status {
 			if s.tryRecover() {
 				continue
 			}
-			return Numerical
+			return Numerical, -1
 		}
 		s.updateDualDevex(r)
 		s.updatePrices(q, out, wr)
@@ -277,17 +280,88 @@ func (s *simplex) dualIterate() Status {
 
 		if !s.bas.update(r, s.w) {
 			if !s.reinvert() {
-				return Numerical
+				return Numerical, -1
 			}
 		}
 		s.iters++
 		s.sinceReinvert++
 		if s.sinceReinvert >= s.opts.reinvertEvery || s.bas.wantRefactor() {
 			if !s.reinvert() {
-				return Numerical
+				return Numerical, -1
 			}
 		}
 	}
+}
+
+// certifyInfeasible reports whether basis row r, on which dualIterate
+// stalled, proves the problem as posed infeasible. With y = s.rho (still
+// B⁻ᵀe_r) and a_j = yᵀA_j over every structural and slack column, every x
+// with Ax = b inside the bound box has yᵀb = Σ a_j·x_j ∈ [lo, hi]; a yᵀb
+// outside that interval by more than the margin is a Farkas certificate.
+//
+// The a_j are recomputed column by column from A rather than read off the
+// pivot row, so the check rests only on y, A, b and the bounds. Basic
+// columns other than r's are zero by construction, and on a column with an
+// infinite bound |a_j| ≤ 1e-14·max|a| is round-off and counts as zero. The
+// margin 10·TolFeas·(‖y‖₁ + ‖a‖₁) is ten times the most any point phase 1
+// accepts (every artificial, so every row residual, within TolFeas; every
+// bound met to TolFeas) can move yᵀb off Σ a_j·x_j or Σ a_j·x_j off
+// [lo, hi], so a certified verdict cannot disagree with a cold solve; a
+// further 1e-12 of the summed magnitudes covers the sums' own round-off.
+// It costs O(nnz(A)) and runs once per stall.
+func (s *simplex) certifyInfeasible(r int) bool {
+	std, y, out := s.std, s.rho, s.basis[r]
+	coef := func(j int) float64 {
+		if s.status[j] == statBasic && j != out {
+			return 0
+		}
+		a := 0.0
+		ind, val := std.col(j)
+		for t, i := range ind {
+			a += y[i] * val[t]
+		}
+		return a
+	}
+	maxA := 0.0
+	for j := 0; j < s.ncols; j++ {
+		maxA = math.Max(maxA, math.Abs(coef(j)))
+	}
+	tiny := 1e-14 * maxA
+
+	var lo, hi, normA, mag float64
+	for j := 0; j < s.ncols; j++ {
+		a := coef(j)
+		if a == 0 {
+			continue
+		}
+		low, high := a*std.lb[j], a*std.ub[j]
+		if a < 0 {
+			low, high = high, low
+		}
+		if (math.IsInf(low, 0) || math.IsInf(high, 0)) && math.Abs(a) <= tiny {
+			continue
+		}
+		// An infinite end only ever pushes lo down or hi up, so the sums
+		// never meet +Inf + -Inf.
+		lo += low
+		hi += high
+		normA += math.Abs(a)
+		if !math.IsInf(low, 0) {
+			mag += math.Abs(low)
+		}
+		if !math.IsInf(high, 0) {
+			mag += math.Abs(high)
+		}
+	}
+	var yb, normY float64
+	for i, yi := range y {
+		yb += yi * std.b[i]
+		normY += math.Abs(yi)
+		mag += math.Abs(yi * std.b[i])
+	}
+	margin := 10*s.opts.TolFeas*(normY+normA) + 1e-12*mag
+	// A NaN anywhere fails both comparisons: no certificate.
+	return yb > hi+margin || yb < lo-margin
 }
 
 // updateDualDevex refreshes the dual reference weights after a pivot in row

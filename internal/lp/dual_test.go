@@ -3,7 +3,10 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
+
+	"pop/internal/obs"
 )
 
 // perturbRHSOnly jitters right-hand sides and nothing else — the delta
@@ -126,8 +129,9 @@ func TestDualUnchangedResolveIsFree(t *testing.T) {
 }
 
 // TestDualReportsInfeasibleLikeCold: a rhs change that kills feasibility
-// must surface as Infeasible through the dual path too (via its fallback,
-// which re-derives the certificate with the primal phase 1).
+// must surface as Infeasible through the dual path too, and by a wide
+// margin, so the dual phase's own certified ray carries the verdict
+// (WarmStarted) rather than a cold phase 1 re-deriving it.
 func TestDualReportsInfeasibleLikeCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
@@ -154,6 +158,186 @@ func TestDualReportsInfeasibleLikeCold(t *testing.T) {
 		if dual.Status != cold.Status {
 			t.Fatalf("trial %d: dual status %v != cold %v", trial, dual.Status, cold.Status)
 		}
+		if !dual.WarmStarted || dual.Iterations != dual.DualPivots {
+			t.Fatalf("trial %d: verdict not certified by the dual phase (warm %v, %d pivots, %d dual)",
+				trial, dual.WarmStarted, dual.Iterations, dual.DualPivots)
+		}
+	}
+}
+
+// TestDualInfeasibleEpsilonLadder raises x0's lower bound ε past the largest
+// value the rows allow and re-solves warm-dual from the optimal basis. x0
+// enters every row with coefficient 1, so a miss of ε in its bound is a miss
+// of ε in the row residual a cold phase 1 measures. A miss of 1e-4 or more
+// is far outside the certificate's margin and must be certified by the dual
+// phase; at every ε the verdict must equal the cold solve's, and an Optimal
+// must pass CheckFeasible.
+func TestDualInfeasibleEpsilonLadder(t *testing.T) {
+	p := NewProblem(Maximize)
+	for j := 0; j < 3; j++ {
+		p.AddVariable(1, 0, 10, "")
+	}
+	p.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 4, "")
+	p.AddConstraint([]int{1, 2}, []float64{1, 1}, LE, 5, "")
+	p.AddConstraint([]int{0, 2}, []float64{1, 2}, LE, 6, "")
+	sol, err := p.Solve()
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("base solve: %v %v", sol.Status, err)
+	}
+	// max x0 is 4 (row 0 with x1 = 0).
+	const x0max = 4
+	for e := 1; e <= 9; e++ {
+		eps := math.Pow(10, -float64(e))
+		q := cloneProblem(p)
+		q.lb[0] = x0max + eps
+		cold, err := cloneProblem(q).Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dual, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("ε=%g: cold %v, dual %v (warm %v, %d dual pivots)", eps, cold.Status, dual.Status, dual.WarmStarted, dual.DualPivots)
+		if dual.Status != cold.Status {
+			t.Errorf("ε=%g: dual status %v != cold %v", eps, dual.Status, cold.Status)
+		}
+		if eps >= 1e-4 && (dual.Status != Infeasible || !dual.WarmStarted) {
+			t.Errorf("ε=%g: got %v (warm %v), want a certified Infeasible", eps, dual.Status, dual.WarmStarted)
+		}
+		if dual.Status == Optimal {
+			if err := q.CheckFeasible(dual.X, 1e-6); err != nil {
+				t.Errorf("ε=%g: Optimal point fails the problem: %v", eps, err)
+			}
+		}
+	}
+}
+
+// TestDualCertificateRespectsRowTolerance is a stall the certificate must
+// refuse: x0 enters its one row with coefficient 0.1, so raising x0's lower
+// bound 5e-7 past the row's reach violates the basic x0 by five times
+// TolFeas — enough for the dual phase to pick the row and find no column to
+// absorb it — while the row residual a cold phase 1 measures is 5e-8, inside
+// TolFeas, and cold answers Optimal. The same stall 1e-3 past the reach is
+// certified. A certified verdict books pop_lp_infeasible_certified_total
+// and tags the lp.dual span "infeasible"; a refused one books nothing new
+// and keeps the signals of any abandoned dual start — an "uncertified"
+// span, the lp.dual-reject instant and, when the solve ends up cold (2e-6,
+// past the primal warm install's reach too), pop_lp_cold_fallbacks_total.
+func TestDualCertificateRespectsRowTolerance(t *testing.T) {
+	p := NewProblem(Maximize)
+	p.AddVariable(1, 0, 10, "x0")
+	p.AddVariable(0, 0, 10, "x1")
+	p.AddConstraint([]int{0, 1}, []float64{0.1, 1}, LE, 0.4, "")
+	sol, err := p.Solve()
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("base solve: %v %v", sol.Status, err)
+	}
+	for _, c := range []struct {
+		eps                       float64
+		want                      Status
+		verdict                   string
+		certified, rejected, cold int64
+	}{
+		{1e-3, Infeasible, "infeasible", 1, 0, 0},
+		{5e-7, Optimal, "uncertified", 0, 1, 0},
+		{2e-6, Infeasible, "uncertified", 0, 1, 1},
+	} {
+		q := cloneProblem(p)
+		q.lb[0] = 4 + c.eps
+		cold, err := cloneProblem(q).Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTrace()}
+		dual, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true, Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != c.want || dual.Status != c.want {
+			t.Errorf("ε=%g: cold %v, dual %v (warm %v), want %v", c.eps, cold.Status, dual.Status, dual.WarmStarted, c.want)
+		}
+		if n := o.Counter("pop_lp_infeasible_certified_total", "").Value(); n != c.certified {
+			t.Errorf("ε=%g: pop_lp_infeasible_certified_total %d, want %d", c.eps, n, c.certified)
+		}
+		if n := o.Counter("pop_lp_cold_fallbacks_total", "").Value(); n != c.cold {
+			t.Errorf("ε=%g: pop_lp_cold_fallbacks_total %d, want %d", c.eps, n, c.cold)
+		}
+		verdict, rejects := "", int64(0)
+		for _, e := range o.Trace.Events() {
+			switch e.Name {
+			case "lp.dual":
+				verdict, _ = e.Args["verdict"].(string)
+			case "lp.dual-reject":
+				rejects++
+			}
+		}
+		if verdict != c.verdict || rejects != c.rejected {
+			t.Errorf("ε=%g: lp.dual verdict %q and %d dual-reject instants, want %q and %d", c.eps, verdict, rejects, c.verdict, c.rejected)
+		}
+	}
+}
+
+// TestDualReachesCoverFixtureInfeasible reaches the committed infeasible lb
+// round through the dual path, the way branch and bound would: a root with
+// every fixed placement indicator relaxed to [0, 1], then a parent with all
+// fixings but one restored, then the last one. Each step is a bound-only
+// edit on a Model, so each re-solves warm-dual from the step before. Where
+// the parent is feasible, the fixture itself must come back Infeasible, and
+// its 3.4e-3 miss is wide enough for the dual phase to certify it.
+func TestDualReachesCoverFixtureInfeasible(t *testing.T) {
+	f, err := os.Open("testdata/lb_cover_infeasible.mps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p, _, err := ReadMPS(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixed []int
+	for v := range p.lb {
+		if p.lb[v] == p.ub[v] {
+			fixed = append(fixed, v)
+		}
+	}
+	solve := func(m *Model) *Solution {
+		sol, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	reached, certified := 0, 0
+	for _, v := range fixed {
+		m := NewModelFromProblem(p)
+		for _, u := range fixed {
+			m.SetBounds(u, 0, 1)
+		}
+		if root := solve(m); root.Status != Optimal {
+			t.Fatalf("relaxed root: status %v", root.Status)
+		}
+		for _, u := range fixed {
+			if u != v {
+				m.SetBounds(u, p.lb[u], p.ub[u])
+			}
+		}
+		if parent := solve(m); parent.Status != Optimal {
+			continue
+		}
+		m.SetBounds(v, p.lb[v], p.ub[v])
+		child := solve(m)
+		if child.Status != Infeasible {
+			t.Fatalf("fixing X%d last: status %v, want infeasible (row check: %v)", v, child.Status, p.CheckFeasible(child.X, 1e-6))
+		}
+		reached++
+		if child.WarmStarted {
+			certified++
+		}
+	}
+	t.Logf("%d feasible parents, %d verdicts certified by the dual phase", reached, certified)
+	if reached == 0 || certified == 0 {
+		t.Fatalf("%d feasible parents, %d certified verdicts; want at least one of each", reached, certified)
 	}
 }
 
@@ -240,4 +424,98 @@ func TestDualReducesWorkOnLoadShift(t *testing.T) {
 		t.Fatalf("dual re-solves took %d pivots vs cold %d — no win", dualIters, coldIters)
 	}
 	t.Logf("pivots: cold %d, dual re-solve %d", coldIters, dualIters)
+}
+
+// fuzzDualCase decodes a tiny LP — small integer coefficients, bounds and
+// right-hand sides, so every miss is a multiple of 1/4 and no verdict sits
+// on a tolerance — and one bound tightening of it: raise a lower bound or
+// lower an upper one by a multiple of 1/4, never past the other bound.
+func fuzzDualCase(data []byte) (p, q *Problem) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	m, n := 1+int(data[0])%6, 1+int(data[1])%6
+	data = data[2:]
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	p = NewProblem([]Objective{Maximize, Minimize}[next()%2])
+	for j := 0; j < n; j++ {
+		ub := float64(next() % 9)
+		if ub == 0 {
+			ub = Inf
+		}
+		p.AddVariable(float64(next()%9-4), 0, ub, "")
+	}
+	for i := 0; i < m; i++ {
+		var idx []int
+		var val []float64
+		for j := 0; j < n; j++ {
+			if v := next()%7 - 3; v != 0 {
+				idx = append(idx, j)
+				val = append(val, float64(v))
+			}
+		}
+		p.AddConstraint(idx, val, []Sense{LE, GE, EQ}[next()%3], float64(next()%16), "")
+	}
+	q = cloneProblem(p)
+	k, d := next()%n, float64(next()%32)/4
+	if next()%2 == 0 || math.IsInf(q.ub[k], 1) {
+		q.lb[k] = math.Min(q.lb[k]+d, q.ub[k])
+	} else {
+		q.ub[k] = math.Max(q.ub[k]-d, q.lb[k])
+	}
+	return p, q
+}
+
+// FuzzDualVerdict re-solves a bound-tightened tiny LP warm-dual from its
+// optimal basis and holds the verdict to a cold solve's: same status, same
+// objective, and an Optimal point that passes CheckFeasible. A tightening
+// that makes the LP infeasible is where the dual phase's certified ray
+// answers in place of a cold phase 1.
+func FuzzDualVerdict(f *testing.F) {
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 64; i++ {
+		seed := make([]byte, 2+rng.Intn(80))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, q := fuzzDualCase(data)
+		if p == nil {
+			return
+		}
+		sol, err := p.Solve()
+		if err != nil || sol.Status != Optimal {
+			return
+		}
+		cold, err := cloneProblem(q).Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("warm-dual %v (warm %v, %d dual pivots), cold %v", warm.Status, warm.WarmStarted, warm.DualPivots, cold.Status)
+		}
+		for _, s := range []*Solution{warm, cold} {
+			if s.Status != Optimal {
+				continue
+			}
+			if err := q.CheckFeasible(s.X, 1e-6); err != nil {
+				t.Fatalf("Optimal point fails the problem: %v", err)
+			}
+		}
+		if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("warm-dual objective %g, cold %g", warm.Objective, cold.Objective)
+		}
+	})
 }

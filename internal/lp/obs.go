@@ -23,6 +23,11 @@ func (s *simplex) bookSolve(o *obs.Observer, sol *Solution, dur time.Duration) {
 	o.Counter("pop_lp_price_overturns_total", "Optimal/Unbounded verdicts on maintained reduced costs that a fresh re-pricing overturned").Add(int64(s.priceOverturns))
 	if sol.WarmStarted {
 		o.Counter("pop_lp_warm_solves_total", "solves that started from a warm basis").Inc()
+		if sol.Status == Infeasible {
+			// Only the dual phase's certified ray ends a warm solve
+			// Infeasible: a warm start skips phase 1, the one other source.
+			o.Counter("pop_lp_infeasible_certified_total", "Infeasible verdicts of the dual phase whose ray certificate checked out").Inc()
+		}
 	} else if s.opts.WarmBasis != nil {
 		o.Counter("pop_lp_cold_fallbacks_total", "warm starts rejected in favour of a cold phase 1").Inc()
 	}

@@ -297,7 +297,8 @@ type Solution struct {
 	// WarmStarted reports whether the solve actually started from
 	// Options.WarmBasis; false means the snapshot was rejected (dimension
 	// mismatch, singular, or unrepairably infeasible) and the solver ran a
-	// cold phase 1 instead.
+	// cold phase 1 instead. An Infeasible solve is WarmStarted only when
+	// the dual phase certified the verdict (Options.Dual).
 	WarmStarted bool
 	// DualPivots counts the pivots taken by the dual simplex phase
 	// (Options.Dual); zero when the primal path ran. A successful dual
@@ -325,23 +326,28 @@ type Options struct {
 	// that no longer fits (wrong dimensions, singular, or unrepairably
 	// infeasible after the data changed) is silently discarded in favour of
 	// a cold phase 1, so warm starts never change the solve outcome — only
-	// its speed.
+	// its speed. Under Dual, an infeasible problem can be proved so from
+	// the snapshot itself, by a certificate checked against the problem.
 	WarmBasis *Basis
 	// Dual attempts a dual simplex re-solve from WarmBasis before the
 	// primal warm path: the snapshot's statuses are installed, and if they
 	// are still dual feasible (which an optimal basis remains under
 	// rhs/bound-only perturbations), dual pivots drive the out-of-bounds
 	// basics home in a handful of iterations instead of a primal repair
-	// phase. A start that is dual infeasible, or a dual phase that fails
-	// (iteration limit, numerical trouble, apparent infeasibility), falls
-	// back to the primal warm path and then cold, so enabling Dual never
-	// changes the solve outcome. Ignored without WarmBasis. Model.Solve
-	// sets this automatically when only rhs/bounds changed since the
-	// basis was taken.
+	// phase. When no column can absorb a row's violation, the row's ray is
+	// checked as a Farkas certificate on the problem as posed, with a
+	// margin no point a cold phase 1 accepts can cross; if it holds, the
+	// solve ends Infeasible there. A start that is dual infeasible, or a
+	// dual phase that fails (iteration limit, numerical trouble, a ray that
+	// fails the check), falls back to the primal warm path and then cold,
+	// so enabling Dual never changes the solve outcome. Ignored without
+	// WarmBasis. Model.Solve sets this automatically when only rhs/bounds
+	// changed since the basis was taken.
 	Dual bool
 	// Obs, when non-nil, receives per-solve telemetry: phase spans
-	// (standardize, factor, refactor, phase1, phase2, dual, warm-repair),
-	// warm-path instants (cold-fallback, dual-reject), and solve-level
+	// (standardize, factor, refactor, phase1, phase2, dual — with its
+	// verdict — and warm-repair), warm-path instants (cold-fallback,
+	// dual-reject), and solve-level
 	// counters/histograms. The nil default costs one pointer check per
 	// hook site. See internal/obs.
 	Obs *obs.Observer

@@ -132,21 +132,35 @@ func (s *simplex) solveInner() *Solution {
 	}
 	if s.opts.WarmBasis != nil && s.opts.Dual {
 		sp := s.opts.Obs.Span("lp.dual")
+		verdict := "rejected"
+		certified := false
 		if s.initWarmDual(s.opts.WarmBasis) {
-			if st := s.dualIterate(); st == Optimal {
+			st, ray := s.dualIterate()
+			verdict = st.String()
+			switch {
+			case st == Optimal, st == Infeasible && s.certifyInfeasible(ray):
+				// An Infeasible whose stalled row's ray checked out on the
+				// problem itself is one a cold phase 1 could only agree
+				// with, so it stands like an Optimal finish.
 				s.warmStarted = true
 				s.dualPivots = s.iters
-			} else {
-				// Any dual failure — apparent infeasibility included, since
-				// the stale start makes it untrustworthy — falls back to the
-				// primal warm path below with a clean slate, so Dual never
-				// changes the solve outcome.
+				certified = st == Infeasible
+			default:
+				// Any other dual failure — a ray that failed the check
+				// included — falls back to the primal warm path below with
+				// a clean slate, so Dual never changes the solve outcome.
+				if st == Infeasible {
+					verdict = "uncertified"
+				}
 				s.resetStart()
 			}
 		} else {
 			s.resetStart()
 		}
-		sp.Arg("accepted", s.warmStarted).End()
+		sp.Arg("accepted", s.warmStarted).Arg("verdict", verdict).End()
+		if certified {
+			return s.failure(Infeasible)
+		}
 		if !s.warmStarted {
 			s.opts.Obs.Instant("lp.dual-reject", nil)
 		}

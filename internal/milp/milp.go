@@ -192,10 +192,12 @@ type SearchStats struct {
 	// bound-only node deltas.
 	LPPivots, DualPivots int
 	// WarmNodes counts node solves that accepted their parent's basis
-	// snapshot; ColdFallbacks counts warm-eligible solves where the solver
-	// rejected the snapshot and fell back to a cold start. Nodes without a
-	// parent basis (the root, or every node under Options.ColdNodes) are in
-	// neither bucket.
+	// snapshot — an infeasible node whose dual simplex certified the
+	// verdict included; ColdFallbacks counts warm-eligible node solves
+	// where the solver rejected the snapshot and fell back to a cold start.
+	// Nodes without a basis (the root unless Options.RootBasis seeds it,
+	// every node under Options.ColdNodes) and heuristic solves are in
+	// neither bucket, so WarmNodes + ColdFallbacks ≤ Nodes.
 	WarmNodes, ColdFallbacks int
 	// BuildNs is time spent mutating the persistent model (bound deltas,
 	// basis snapshots); SolveNs is time spent inside the LP solver.

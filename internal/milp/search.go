@@ -254,8 +254,8 @@ func (s *search) gapClosed() bool {
 // basis snapshot is installed (bound-only deltas keep it dual feasible, so
 // the dual simplex settles it in a few pivots; an ineligible snapshot falls
 // back primal-warm→cold inside lp), and the solve is booked into the
-// search stats — as a node, or as a heuristic solve that does not consume
-// the MaxNodes budget.
+// search stats — as a node, warm or cold-fallback, or as a heuristic solve
+// that counts toward neither and does not consume the MaxNodes budget.
 func (s *search) solveNode(n *node, heuristic bool) (*lp.Solution, error) {
 	if s.obs == nil {
 		return s.solveNodeInner(n, heuristic)
@@ -294,7 +294,7 @@ func (s *search) solveNodeInner(n *node, heuristic bool) (*lp.Solution, error) {
 	}
 	s.stats.LPPivots += sol.Iterations
 	s.stats.DualPivots += sol.DualPivots
-	if warm {
+	if warm && !heuristic {
 		if sol.WarmStarted {
 			s.stats.WarmNodes++
 		} else {

@@ -55,6 +55,7 @@
 //	online.{rebuild,splice,refresh,extract,subsolve}   per-partition lanes (tid base+1+p)
 //	lp.solve                         one LP solve, with phase children:
 //	lp.{standardize,factor,refactor,phase1,phase2,dual,warm-repair}
+//	lp.dual's verdict arg            optimal | infeasible (certified) | uncertified | rejected | …
 //	lp.cold-fallback, lp.dual-reject instants marking abandoned warm paths
 //	lp.dense-retry                   instant: sparse backend failed, dense retry
 //	milp.search / milp.node          branch and bound; nodes on lane TID+1
