@@ -427,6 +427,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"pop_online_subsolves_total",
 		"pop_lp_solves_total",
 		"pop_lp_pivots_total",
+		"pop_lp_price_ties_total",
 		`pop_http_requests_total{path="/v1/jobs",code="202"} 4`,
 		`pop_http_request_seconds_bucket{path="/v1/tick",le="+Inf"} 1`,
 		"# TYPE pop_round_seconds histogram",

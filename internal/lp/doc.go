@@ -17,8 +17,14 @@
 //     below).
 //   - Pricing is Dantzig (most-negative reduced cost) with an automatic
 //     switch to Bland's rule after a run of degenerate pivots, which
-//     guarantees termination. The dual phase prices its leaving rows with
-//     dual devex reference weights.
+//     guarantees termination. An exact tie goes to the column with the
+//     fewest nonzeros, then the lowest index: every path of a path LP
+//     enters at reduced cost −1, and the sparsest is the shortest path,
+//     the one that spends least capacity per unit of flow
+//     (pop_lp_price_ties_total counts the choices the tie-break made). It
+//     is a tie-break, not a scaling, so the max-min LPs' reduced costs,
+//     which rank GPU types by rate, keep their order. The dual phase
+//     prices its leaving rows with dual devex reference weights.
 //   - Reduced costs are maintained, not recomputed per pivot. A basis change
 //     in position r computes the pivot row αᵣ = ρᵀA, ρ = B⁻ᵀeᵣ, walking a
 //     row-wise copy of A over the rows where ρ ≠ 0, and updates

@@ -60,6 +60,7 @@ func TestNumericalDriftGuard(t *testing.T) {
 		"pop_lp_ft_updates_total",
 		"pop_lp_price_refreshes_total",
 		"pop_lp_price_overturns_total",
+		"pop_lp_price_ties_total",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(series)) {
 			t.Fatalf("metrics export missing %s", series)

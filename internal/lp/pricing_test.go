@@ -160,3 +160,66 @@ func TestMaintainedReducedCosts(t *testing.T) {
 		}
 	})
 }
+
+// TestPriceBreaksTiesTowardSparsest pins the entering rule on hand-set
+// reduced costs: Dantzig takes the largest violation; an exact tie goes to
+// the column with the fewest nonzeros, whatever its index, and a tie in
+// nonzeros too to the lowest index. Only a choice the tie-break made is
+// booked. Bland mode returns the first eligible column, unchanged.
+func TestPriceBreaksTiesTowardSparsest(t *testing.T) {
+	// Column nonzeros: x0 3, x1 1, x2 2, x3 1.
+	p := NewProblem(Minimize)
+	p.AddVariables(4, 0, 0, 10)
+	p.AddConstraint([]int{0, 1, 2}, []float64{1, 1, 1}, LE, 5, "")
+	p.AddConstraint([]int{0, 2, 3}, []float64{1, 1, 1}, LE, 5, "")
+	p.AddConstraint([]int{0}, []float64{1}, LE, 5, "")
+	s := newSimplex(p, Options{})
+	s.dj = make([]float64, s.ncols)
+	s.status = make([]int8, s.ncols) // slacks stay basic
+	for j := 0; j < 4; j++ {
+		s.status[j] = statLower
+	}
+	for _, c := range []struct {
+		name  string
+		dj    [4]float64
+		bland bool
+		want  int
+		ties  int
+	}{
+		{"sparser later column wins the tie", [4]float64{-1, -0.5, -1, -1}, false, 3, 1},
+		{"sparsest of three ties", [4]float64{-1, -1, -1, -0.5}, false, 1, 1},
+		{"equal nonzeros: lowest index", [4]float64{-0.5, -1, -0.5, -1}, false, 1, 0},
+		{"larger violation beats sparser", [4]float64{-2, -1, -1, -1}, false, 0, 0},
+		{"later larger violation undoes a tie", [4]float64{-1, -1, -1.5, 0}, false, 2, 0},
+		{"bland: first eligible", [4]float64{-0.5, -1, -1, -1}, true, 0, 0},
+	} {
+		copy(s.dj, c.dj[:])
+		s.blandMode = c.bland
+		s.priceTies = 0
+		q, d := s.price()
+		if q != c.want || d != c.dj[c.want] {
+			t.Errorf("%s: price() = (%d, %g), want (%d, %g)", c.name, q, d, c.want, c.dj[c.want])
+		}
+		if s.priceTies != c.ties {
+			t.Errorf("%s: %d tie-break choices booked, want %d", c.name, s.priceTies, c.ties)
+		}
+	}
+
+	// A solve books its tie-break choices: two paths of one demand, the
+	// later one crossing one edge to the earlier one's three, price alike.
+	path := NewProblem(Maximize)
+	path.AddVariables(2, 1, 0, Inf)
+	path.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 4, "demand")
+	for e := 0; e < 3; e++ {
+		path.AddConstraint([]int{0}, []float64{1}, LE, 3, "long")
+	}
+	path.AddConstraint([]int{1}, []float64{1}, LE, 1, "short")
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	sol, err := path.SolveWithOptions(Options{Obs: o})
+	if err != nil || sol.Status != Optimal || sol.Objective != 4 {
+		t.Fatalf("path LP: %v, %+v", err, sol)
+	}
+	if n := o.Counter("pop_lp_price_ties_total", "").Value(); n != 1 {
+		t.Fatalf("pop_lp_price_ties_total = %d after the path LP, want 1", n)
+	}
+}

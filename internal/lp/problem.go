@@ -310,8 +310,9 @@ type Solution struct {
 // Options tune the solver. The zero value selects sensible defaults, and is
 // what every solve in this repository but cmd/popsolve's passes. There is one
 // solver configuration — sparse LU with Forrest–Tomlin updates, Dantzig primal
-// pricing, dual devex — so a new field here must displace an old one
-// (TestOptionsSurface).
+// pricing with exact ties broken toward the sparsest column (on a path LP,
+// the shortest path), dual devex — so a new field here must displace an old
+// one (TestOptionsSurface).
 type Options struct {
 	// MaxIters bounds total pivots; 0 means 50·(m+n)+10000.
 	MaxIters int

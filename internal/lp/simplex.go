@@ -47,6 +47,7 @@ type simplex struct {
 	fillRefactors  int // refactors triggered by U fill growth
 	priceRefreshes int // full re-pricings of dj from a fresh y
 	priceOverturns int // Optimal/Unbounded verdicts on maintained dj a re-pricing overturned
+	priceTies      int // entering choices the sparsest-column tie-break decided
 	sinceReinvert  int
 	degenerateRun  int
 	blandMode      bool
@@ -650,14 +651,19 @@ func direction(st int8, d float64) float64 {
 // returning (-1, 0) at optimality. Only structural and slack columns are
 // eligible; artificials never re-enter. Eligibility is judged on the raw
 // reduced cost against TolOpt; among eligible columns Dantzig's rule takes
-// the largest violation, Bland mode the first.
+// the largest violation, Bland mode the first. Dantzig breaks an exact tie
+// toward the column with the fewest nonzeros, then the lowest index: on a
+// path LP every path prices alike, and the sparsest column is the shortest
+// path, the one that spends the least capacity per unit it gains.
 func (s *simplex) price() (int, float64) {
 	tol := s.opts.TolOpt
 	best := -1
 	bestViol := math.Inf(-1)
 	var bestD float64
+	tied := false // the tie-break, not the violation, chose best
 	dj := s.dj[:s.ncols]
 	status, lb, ub := s.status[:len(dj)], s.std.lb[:len(dj)], s.std.ub[:len(dj)]
+	colPtr := s.std.colPtr
 	for j, d := range dj {
 		var viol float64
 		switch status[j] {
@@ -676,11 +682,20 @@ func (s *simplex) price() (int, float64) {
 		if s.blandMode {
 			return j, d
 		}
-		if viol > bestViol {
-			bestViol = viol
-			best = j
-			bestD = d
+		switch {
+		case viol > bestViol:
+			tied = false
+		case viol == bestViol && colPtr[j+1]-colPtr[j] < colPtr[best+1]-colPtr[best]:
+			tied = true
+		default:
+			continue
 		}
+		bestViol = viol
+		best = j
+		bestD = d
+	}
+	if tied {
+		s.priceTies++
 	}
 	return best, bestD
 }

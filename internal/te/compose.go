@@ -61,7 +61,7 @@ func GeoPartition(inst *Instance, k int, seed int64) [][]int {
 func SolvePOPGeo(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
 	groups := func(k int) [][]int { return GeoPartition(inst, k, opts.Seed) }
 	return solvePOP(inst, opts, groups, true, func(sub *Instance, k int) (*Allocation, error) {
-		return solveScaled(sub, obj, float64(k), nil, lpOpts)
+		return solveScaled(sub, obj, float64(k), lpOpts)
 	})
 }
 

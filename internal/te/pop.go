@@ -28,7 +28,7 @@ import (
 // pre-divided); VerifyFeasible is cheap and tests assert it.
 func SolvePOP(inst *Instance, obj Objective, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
 	return solvePOP(inst, opts, nil, true, func(sub *Instance, k int) (*Allocation, error) {
-		return solveScaled(sub, obj, float64(k), nil, lpOpts)
+		return solveScaled(sub, obj, float64(k), lpOpts)
 	})
 }
 

@@ -167,101 +167,101 @@ func (a *Allocation) VerifyFeasible(inst *Instance, tol float64) error {
 
 // SolveLP solves the exact path-based LP formulation from §4.2.
 func SolveLP(inst *Instance, obj Objective, opts lp.Options) (*Allocation, error) {
-	return solveScaled(inst, obj, 1, nil, opts)
+	return solveScaled(inst, obj, 1, opts)
 }
 
-// solveScaled solves the LP with edge capacities divided by capScale and,
-// when sub != nil, restricted to the demand indices in sub. This is the
-// common core shared by the exact solve (capScale=1, all demands) and POP
-// sub-problems (capScale=k, one partition).
-func solveScaled(inst *Instance, obj Objective, capScale float64, sub []int, opts lp.Options) (*Allocation, error) {
-	if sub == nil {
-		sub = make([]int, len(inst.Demands))
-		for j := range sub {
-			sub[j] = j
+// solveScaled solves the LP with every edge capacity divided by capScale: 1
+// for the exact solve, k for a POP sub-problem (resource splitting).
+func solveScaled(inst *Instance, obj Objective, capScale float64, opts lp.Options) (*Allocation, error) {
+	a := newAllocation(inst)
+	if p, first := buildLP(inst, obj, capScale); p != nil {
+		sol, err := p.SolveWithOptions(opts)
+		if err != nil {
+			return nil, err
 		}
+		if sol.Status != lp.Optimal {
+			return nil, fmt.Errorf("te: LP not optimal: %v", sol.Status)
+		}
+		for j, v := range first {
+			copy(a.PathFlow[j], sol.X[v:])
+		}
+		a.LPVariables = p.NumVariables()
 	}
-	p := lp.NewModel(lp.Maximize)
+	a.finalize(inst)
+	return a, nil
+}
 
-	// One variable per (demand, path).
-	type varRef struct{ j, p int }
-	varOf := map[varRef]int{}
-	edgeRows := make(map[int][]int)      // edge id -> var indices
-	edgeCoefs := make(map[int][]float64) // parallel coefficients
-
+// buildLP assembles the path LP, or returns nil when no demand is routable.
+// Demand j's paths are variables first[j], first[j]+1, …, and t (concurrent
+// flow) is last. Rows: each routable demand's cap (and fraction row), then
+// one per used edge in ID order. The edge rows are CSR, built without maps:
+// count each edge's entries, prefix-sum into offsets, place in variable order.
+func buildLP(inst *Instance, obj Objective, capScale float64) (*lp.Model, []int) {
 	objCoef := 0.0
 	if obj == MaxTotalFlow {
 		objCoef = 1
 	}
-	for _, j := range sub {
-		for pi, path := range inst.Paths[j] {
-			v := p.AddVariable(objCoef, 0, inst.Demands[j].Amount, "")
-			varOf[varRef{j, pi}] = v
+	p := lp.NewModel(lp.Maximize)
+	edges := inst.Topo.G.Edges
+	first := make([]int, len(inst.Demands))
+	rowPtr := make([]int, len(edges)+1)
+	for j, d := range inst.Demands {
+		first[j] = p.NumVariables()
+		for _, path := range inst.Paths[j] {
+			p.AddVariable(objCoef, 0, d.Amount, "")
 			for _, eid := range path.Edges {
-				edgeRows[eid] = append(edgeRows[eid], v)
-				edgeCoefs[eid] = append(edgeCoefs[eid], 1)
+				rowPtr[eid+1]++
 			}
 		}
 	}
-	if p.NumVariables() == 0 {
-		// No routable demand in this sub-problem.
-		a := newAllocation(inst)
-		a.finalize(inst)
-		return a, nil
+	nv := p.NumVariables()
+	if nv == 0 {
+		return nil, nil
+	}
+	for e := range edges {
+		rowPtr[e+1] += rowPtr[e]
+	}
+	vars := make([]int, rowPtr[len(edges)])
+	next := append([]int(nil), rowPtr...)
+	for j := range inst.Demands {
+		for pi, path := range inst.Paths[j] {
+			for _, eid := range path.Edges {
+				vars[next[eid]] = first[j] + pi
+				next[eid]++
+			}
+		}
+	}
+	// Rows share slices as long as any row, all ones and 0, 1, 2, …:
+	// AddConstraint copies. A fraction row's append copies too (cap n).
+	ones, seq := make([]float64, max(len(vars), nv)), make([]int, max(len(vars), nv))
+	for i := range ones {
+		ones[i], seq[i] = 1, i
 	}
 
-	var tVar = -1
+	tVar := -1
 	if obj == MaxConcurrentFlow {
 		tVar = p.AddVariable(1, 0, 1, "t")
 	}
 
 	// Demand caps: Σ_p x_{j,p} ≤ D_j, and for concurrent flow also
 	// Σ_p x_{j,p} - t·D_j ≥ 0.
-	for _, j := range sub {
-		if len(inst.Paths[j]) == 0 {
+	for j, d := range inst.Demands {
+		n := len(inst.Paths[j])
+		if n == 0 {
 			continue
 		}
-		idx := make([]int, 0, len(inst.Paths[j])+1)
-		coef := make([]float64, 0, len(inst.Paths[j])+1)
-		for pi := range inst.Paths[j] {
-			idx = append(idx, varOf[varRef{j, pi}])
-			coef = append(coef, 1)
-		}
-		p.AddConstraint(idx, coef, lp.LE, inst.Demands[j].Amount, "demand")
-		if obj == MaxConcurrentFlow && inst.Demands[j].Amount > 0 {
-			idx2 := append(append([]int(nil), idx...), tVar)
-			coef2 := append(append([]float64(nil), coef...), -inst.Demands[j].Amount)
-			p.AddConstraint(idx2, coef2, lp.GE, 0, "fraction")
+		idx := seq[first[j] : first[j]+n : first[j]+n]
+		p.AddConstraint(idx, ones[:n], lp.LE, d.Amount, "demand")
+		if obj == MaxConcurrentFlow && d.Amount > 0 {
+			p.AddConstraint(append(idx, tVar), append(ones[:n:n], -d.Amount), lp.GE, 0, "fraction")
 		}
 	}
 
-	// Edge capacities (scaled for POP's resource splitting). Iterate edges
-	// in ID order so the row layout — and hence the simplex pivot sequence —
-	// is deterministic.
-	for eid := range inst.Topo.G.Edges {
-		vars, used := edgeRows[eid]
-		if !used {
-			continue
-		}
-		cap := inst.Topo.G.Edges[eid].Capacity / capScale
-		p.AddConstraint(vars, edgeCoefs[eid], lp.LE, cap, "edge")
-	}
-
-	sol, err := p.SolveWithOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("te: LP not optimal: %v", sol.Status)
-	}
-
-	a := newAllocation(inst)
-	for _, j := range sub {
-		for pi := range inst.Paths[j] {
-			a.PathFlow[j][pi] = sol.X[varOf[varRef{j, pi}]]
+	// Edge capacities, scaled for POP's resource splitting.
+	for e, edge := range edges {
+		if lo, hi := rowPtr[e], rowPtr[e+1]; lo < hi {
+			p.AddConstraint(vars[lo:hi], ones[:hi-lo], lp.LE, edge.Capacity/capScale, "edge")
 		}
 	}
-	a.finalize(inst)
-	a.LPVariables = p.NumVariables()
-	return a, nil
+	return p, first
 }
