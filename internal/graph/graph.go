@@ -2,10 +2,16 @@
 // engineering case study: adjacency storage, Dijkstra shortest paths, Yen's
 // k-shortest loopless paths (used to precompute the per-commodity path sets
 // the paper's TE formulations take as input), and connectivity checks.
+//
+// Dijkstra's heap is a typed binary heap whose pushes and pops compare and
+// swap exactly as container/heap's do, so nodes at equal distance pop in
+// container/heap's order and ties pick the same paths. Each ShortestPath or
+// KShortestPaths call owns its scratch (distances, heap, ban marks), so
+// concurrent calls on a graph nobody mutates are safe.
 package graph
 
 import (
-	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -75,65 +81,135 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop make container/heap's
+// comparisons and swaps (its up and down, the last item swapped into slot 0
+// on pop), so items of equal distance pop in container/heap's order.
 type pq []pqItem
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// scratch is the working state of one Dijkstra or Yen call; its spur
+// searches reuse it. Edges with banEdge set and edges into nodes with
+// banNode set are not relaxed. Edges out of a banned node need no check:
+// the search starts at an unbanned node and never reaches a banned one.
+type scratch struct {
+	dist    []float64
+	prev    []int // edge id arriving at node, or -1
+	heap    pq
+	banEdge []bool
+	banNode []bool
+}
+
+func (g *Graph) newScratch() *scratch {
+	return &scratch{
+		dist:    make([]float64, g.N),
+		prev:    make([]int, g.N),
+		banEdge: make([]bool, len(g.Edges)),
+		banNode: make([]bool, g.N),
+	}
 }
 
 // ShortestPath runs Dijkstra from src to dst over edge weights, skipping
-// edges for which skip returns true (skip may be nil). It returns nil if dst
-// is unreachable.
+// edges for which skip returns true (skip may be nil, and is asked about
+// every edge once, up front). It returns nil if dst is unreachable. Among
+// equally short paths it returns the one container/heap's pop order finds.
+// Each call owns its scratch, so concurrent calls on a graph nobody mutates
+// are safe.
 func (g *Graph) ShortestPath(src, dst int, skip func(edgeID int) bool) *Path {
-	dist := make([]float64, g.N)
-	prev := make([]int, g.N) // edge id arriving at node, or -1
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+	s := g.newScratch()
+	if skip != nil {
+		for eid := range s.banEdge {
+			s.banEdge[eid] = skip(eid)
+		}
 	}
-	dist[src] = 0
-	q := &pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.dist > dist[it.node] {
+	edges, w, ok := g.shortest(s, src, dst, nil)
+	if !ok {
+		return nil
+	}
+	return g.makePath(src, edges, w)
+}
+
+// shortest runs Dijkstra from src to dst over the edges s does not ban. It
+// returns root followed by the path's edges, in a new slice (nil if both
+// are empty), the path's weight, and whether dst is reachable.
+func (g *Graph) shortest(s *scratch, src, dst int, root []int) ([]int, float64, bool) {
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+		s.prev[i] = -1
+	}
+	s.dist[src] = 0
+	s.heap = append(s.heap[:0], pqItem{src, 0})
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
+		if it.dist > s.dist[it.node] {
 			continue
 		}
 		if it.node == dst {
 			break
 		}
 		for _, eid := range g.out[it.node] {
-			if skip != nil && skip(eid) {
+			e := &g.Edges[eid]
+			if s.banEdge[eid] || s.banNode[e.To] {
 				continue
 			}
-			e := &g.Edges[eid]
 			nd := it.dist + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = eid
-				heap.Push(q, pqItem{e.To, nd})
+			if nd < s.dist[e.To] {
+				s.dist[e.To] = nd
+				s.prev[e.To] = eid
+				s.heap.push(pqItem{e.To, nd})
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
+	if math.IsInf(s.dist[dst], 1) {
+		return nil, 0, false
 	}
-	// Reconstruct.
+	hops := 0
+	for v := dst; v != src; v = g.Edges[s.prev[v]].From {
+		hops++
+	}
 	var edges []int
-	for v := dst; v != src; {
-		eid := prev[v]
-		edges = append(edges, eid)
-		v = g.Edges[eid].From
+	if n := len(root) + hops; n > 0 {
+		edges = make([]int, n)
 	}
-	reverse(edges)
-	return g.makePath(src, edges, dist[dst])
+	copy(edges, root)
+	for v, t := dst, len(edges)-1; v != src; t-- {
+		edges[t] = s.prev[v]
+		v = g.Edges[edges[t]].From
+	}
+	return edges, s.dist[dst], true
 }
 
 func (g *Graph) makePath(src int, edges []int, weight float64) *Path {
@@ -145,24 +221,24 @@ func (g *Graph) makePath(src int, edges []int, weight float64) *Path {
 	return &Path{Edges: edges, Nodes: nodes, Weight: weight}
 }
 
-func reverse(xs []int) {
-	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
 // KShortestPaths returns up to k loopless shortest paths from src to dst
-// using Yen's algorithm. Paths are ordered by increasing weight.
+// using Yen's algorithm. Paths are ordered by increasing weight; among
+// candidates of equal weight the first found wins, and within one search
+// ties pop in container/heap's order. Each call owns its scratch (one set
+// of distance, heap and ban slices its spur searches share), so concurrent
+// calls on a graph nobody mutates are safe.
 func (g *Graph) KShortestPaths(src, dst, k int) []*Path {
 	if k <= 0 {
 		return nil
 	}
-	first := g.ShortestPath(src, dst, nil)
-	if first == nil {
+	s := g.newScratch()
+	edges, w, ok := g.shortest(s, src, dst, nil)
+	if !ok {
 		return nil
 	}
+	first := g.makePath(src, edges, w)
 	paths := []*Path{first}
-	// Candidate pool, deduplicated by node-sequence signature.
+	// Candidate pool, deduplicated by edge-sequence signature.
 	var candidates []*Path
 	seen := map[string]bool{pathKey(first): true}
 
@@ -170,34 +246,15 @@ func (g *Graph) KShortestPaths(src, dst, k int) []*Path {
 		last := paths[len(paths)-1]
 		// Spur from each node of the last accepted path.
 		for i := 0; i < len(last.Nodes)-1; i++ {
-			spurNode := last.Nodes[i]
-			rootEdges := last.Edges[:i]
-
-			// Edges removed: any edge leaving spurNode that continues a
-			// previously accepted path sharing the same root.
-			banned := map[int]bool{}
-			for _, p := range paths {
-				if len(p.Edges) > i && sameRoot(p, last, i) {
-					banned[p.Edges[i]] = true
-				}
-			}
-			// Nodes on the root (except the spur node) must not be revisited.
-			rootNodes := map[int]bool{}
-			for _, v := range last.Nodes[:i] {
-				rootNodes[v] = true
-			}
-			skip := func(eid int) bool {
-				if banned[eid] {
-					return true
-				}
-				e := &g.Edges[eid]
-				return rootNodes[e.From] || rootNodes[e.To]
-			}
-			spur := g.ShortestPath(spurNode, dst, skip)
-			if spur == nil {
+			// Banned: any edge leaving the spur node that continues a
+			// previously accepted path sharing the same root, and every
+			// root node but the spur node itself.
+			g.banSpur(s, paths, last, i, true)
+			total, _, ok := g.shortest(s, last.Nodes[i], dst, last.Edges[:i])
+			g.banSpur(s, paths, last, i, false)
+			if !ok {
 				continue
 			}
-			total := append(append([]int(nil), rootEdges...), spur.Edges...)
 			w := 0.0
 			for _, eid := range total {
 				w += g.Edges[eid].Weight
@@ -225,6 +282,19 @@ func (g *Graph) KShortestPaths(src, dst, k int) []*Path {
 	return paths
 }
 
+// banSpur sets (on) or clears the bans of the spur search from node i of
+// last.
+func (g *Graph) banSpur(s *scratch, paths []*Path, last *Path, i int, on bool) {
+	for _, p := range paths {
+		if len(p.Edges) > i && sameRoot(p, last, i) {
+			s.banEdge[p.Edges[i]] = on
+		}
+	}
+	for _, v := range last.Nodes[:i] {
+		s.banNode[v] = on
+	}
+}
+
 func sameRoot(p, q *Path, i int) bool {
 	if len(p.Edges) < i || len(q.Edges) < i {
 		return false
@@ -243,7 +313,7 @@ func sameRoot(p, q *Path, i int) bool {
 func pathKey(p *Path) string {
 	buf := make([]byte, 0, len(p.Edges)*3)
 	for _, e := range p.Edges {
-		buf = append(buf, byte(e), byte(e>>8), byte(e>>16))
+		buf = binary.AppendUvarint(buf, uint64(e))
 	}
 	return string(buf)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"pop/internal/core"
 	"pop/internal/graph"
 	"pop/internal/lp"
 	"pop/internal/tm"
@@ -51,22 +52,46 @@ type Instance struct {
 
 // NewInstance precomputes up to numPaths shortest paths (the paper's path
 // budget; ≤ 0 selects the default of 4) for every commodity, once per
-// (src, dst) pair. Commodities whose endpoints are disconnected or outside
-// the topology get an empty path list (and can never receive flow).
+// (src, dst) pair: the distinct pairs are fanned out over the cores with
+// core.ParallelMap, and commodities with the same pair share one path
+// slice. Each pair's paths are computed alone, so the result does not
+// depend on GOMAXPROCS. Commodities whose endpoints are disconnected or
+// outside the topology get an empty path list (and can never receive
+// flow).
 func NewInstance(t *topo.Topology, demands []tm.Demand, numPaths int) *Instance {
 	if numPaths <= 0 {
 		numPaths = 4
 	}
 	inst := &Instance{Topo: t, Demands: demands, NumPaths: numPaths, Paths: make([][]*graph.Path, len(demands))}
-	memo := map[[2]int][]*graph.Path{}
+	// Distinct in-range pairs in first-seen order; pairOf[j] indexes
+	// demand j's pair, or is -1 if an endpoint is out of range.
+	index := map[[2]int]int{}
+	var pairs [][2]int
+	pairOf := make([]int, len(demands))
 	for j, d := range demands {
-		key := [2]int{d.Src, d.Dst}
-		p, ok := memo[key]
-		if !ok && d.Src >= 0 && d.Dst >= 0 && d.Src < t.G.N && d.Dst < t.G.N {
-			p = t.G.KShortestPaths(d.Src, d.Dst, numPaths)
+		pairOf[j] = -1
+		if d.Src < 0 || d.Dst < 0 || d.Src >= t.G.N || d.Dst >= t.G.N {
+			continue
 		}
-		memo[key] = p
-		inst.Paths[j] = p
+		key := [2]int{d.Src, d.Dst}
+		p, ok := index[key]
+		if !ok {
+			p = len(pairs)
+			index[key] = p
+			pairs = append(pairs, key)
+		}
+		pairOf[j] = p
+	}
+	paths := make([][]*graph.Path, len(pairs))
+	// The error is always nil: no call of f fails.
+	_ = core.ParallelMap(len(pairs), true, func(p int) error {
+		paths[p] = t.G.KShortestPaths(pairs[p][0], pairs[p][1], numPaths)
+		return nil
+	})
+	for j, p := range pairOf {
+		if p >= 0 {
+			inst.Paths[j] = paths[p]
+		}
 	}
 	return inst
 }
