@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pop/internal/lp"
-	"pop/internal/propfair"
 )
 
 // MaxMinFairness solves the heterogeneity-aware Least Attained Service
@@ -69,20 +68,6 @@ func solveEpigraph(jobs []Job, c Cluster, opts lp.Options, name string, denom fu
 	return soloAllocation(jobs, r, varOf, sol, p.NumVariables()), nil
 }
 
-// ProportionalFairness solves the §4.1 sum-of-logs policy via the propfair
-// price-discovery solver (the paper's custom-solver analogue).
-func ProportionalFairness(jobs []Job, c Cluster, opts propfair.PDOptions) (*Allocation, error) {
-	if len(jobs) == 0 {
-		return emptyAllocation(), nil
-	}
-	prob := toPropfair(jobs, c)
-	sol, err := prob.SolvePriceDiscovery(opts)
-	if err != nil {
-		return nil, err
-	}
-	return fromPropfair(jobs, sol), nil
-}
-
 // LogUtility evaluates Σ_j w_j·log(thr_j) for an allocation — the
 // proportional-fairness objective plotted in Figure 7.
 func LogUtility(jobs []Job, a *Allocation) float64 {
@@ -94,29 +79,6 @@ func LogUtility(jobs []Job, a *Allocation) float64 {
 		obj += j.Weight * math.Log(a.EffThr[idx])
 	}
 	return obj
-}
-
-func toPropfair(jobs []Job, c Cluster) *propfair.Problem {
-	prob := &propfair.Problem{
-		T:   make([][]float64, len(jobs)),
-		W:   make([]float64, len(jobs)),
-		Z:   make([]float64, len(jobs)),
-		Cap: append([]float64(nil), c.NumGPUs...),
-	}
-	for idx, j := range jobs {
-		prob.T[idx] = j.Throughput
-		prob.W[idx] = j.Weight
-		prob.Z[idx] = j.Scale
-	}
-	return prob
-}
-
-func fromPropfair(jobs []Job, sol *propfair.Solution) *Allocation {
-	a := &Allocation{X: sol.A, EffThr: make([]float64, len(jobs))}
-	for idx, j := range jobs {
-		a.EffThr[idx] = EffectiveThroughput(j, sol.A[idx])
-	}
-	return a
 }
 
 func emptyAllocation() *Allocation {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"pop/internal/core"
 	"pop/internal/lp"
-	"pop/internal/propfair"
 )
 
 // PolicyFunc solves a scheduling policy on one (sub-)instance.
@@ -34,14 +33,6 @@ func SolvePOPSpaceSharing(jobs []Job, c Cluster, opts core.Options, lpOpts lp.Op
 	return SolvePOP(jobs, c, func(js []Job, sc Cluster, lo lp.Options) (*Allocation, error) {
 		return MaxMinFairnessSpaceSharing(js, sc, lo)
 	}, opts, lpOpts)
-}
-
-// SolvePOPPropFairness applies POP to the proportional-fairness policy with
-// the price-discovery solver in each sub-problem.
-func SolvePOPPropFairness(jobs []Job, c Cluster, opts core.Options, pd propfair.PDOptions) (*Allocation, error) {
-	return SolvePOP(jobs, c, func(js []Job, sc Cluster, _ lp.Options) (*Allocation, error) {
-		return ProportionalFairness(js, sc, pd)
-	}, opts, lp.Options{})
 }
 
 // mergeAllocations coalesces per-partition allocations onto the original

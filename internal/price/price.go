@@ -50,7 +50,8 @@ const (
 	// minIters is the iteration count before convergence may be declared (a
 	// guard against a lucky first-iterate residual); clearTol is the clearing
 	// tolerance, the averaged market's complementarity residual at which a
-	// solve stops. defaultStep is the initial multiplicative price-update
+	// solve stops, of a market that does not bring its own (see
+	// Options.tol). defaultStep is the initial multiplicative price-update
 	// step of a market that does not bring its own (see Options.step).
 	minIters    = 4
 	clearTol    = 0.01
@@ -122,6 +123,9 @@ type Options struct {
 	// max-min market's entry points (withMaxMinStep scales it with the
 	// exponent); 0 means defaultStep.
 	step float64
+	// tol is the clearing tolerance, set by the proportional-fairness
+	// market's entry point (propFairTol); 0 means clearTol.
+	tol float64
 }
 
 func (o Options) withDefaults() Options {
@@ -130,6 +134,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.step == 0 {
 		o.step = defaultStep
+	}
+	if o.tol == 0 {
+		o.tol = clearTol
 	}
 	return o
 }
@@ -144,7 +151,8 @@ type Solution struct {
 	Iterations int
 	// Residual is the clearing residual of the averaged market at exit.
 	Residual float64
-	// Converged reports whether Residual reached clearTol within MaxIters.
+	// Converged reports whether Residual reached the market's clearing
+	// tolerance within MaxIters.
 	Converged bool
 	// WarmStarted reports whether the solve started from WarmPrice.
 	WarmStarted bool
@@ -175,8 +183,9 @@ func (s *Solution) AggregateDemand() []float64 {
 // iterate into a polynomially weighted running average, and moves every
 // price multiplicatively against its relative excess demand with a
 // diminishing step. The averaged market's complementarity residual is the
-// clearing measure; the solve stops when it reaches clearTol or MaxIters runs
-// out (Converged reports which).
+// clearing measure; the solve stops when it reaches the market's tolerance
+// (clearTol unless the market sets its own) or MaxIters runs out (Converged
+// reports which).
 func Solve(d Domain, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	n, r := d.Dims()
@@ -311,7 +320,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		}
 
 		resid = clearingResidual(avgDemand, capacity, price, p0)
-		if t >= minIters && resid <= clearTol {
+		if t >= minIters && resid <= opts.tol {
 			converged = true
 			break
 		}

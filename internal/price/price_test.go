@@ -58,38 +58,48 @@ func TestSolveAnalyticMarket(t *testing.T) {
 }
 
 func TestSolveDeterminism(t *testing.T) {
-	jobs := cluster.GenerateJobs(300, 11, 0.3)
-	c := cluster.NewCluster(60, 60, 60)
-	solve := func(parallel bool) (*cluster.Allocation, *Solution) {
-		a, sol, err := SolveMaxMin(jobs, c, Options{Seed: 11, Parallel: parallel, MaxIters: 150})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, sol
-	}
-	a1, s1 := solve(false)
-	a2, s2 := solve(false)
-	a3, s3 := solve(true) // parallel fan-out must not change the bits
-
-	for _, pair := range []struct {
-		name   string
-		a, b   *Solution
-		xa, xb *cluster.Allocation
-	}{{"repeat", s1, s2, a1, a2}, {"parallel", s1, s3, a1, a3}} {
-		if pair.a.Iterations != pair.b.Iterations || pair.a.Residual != pair.b.Residual {
-			t.Errorf("%s: accounting differs: (%d, %g) vs (%d, %g)",
-				pair.name, pair.a.Iterations, pair.a.Residual, pair.b.Iterations, pair.b.Residual)
-		}
-		for i := range pair.a.Price {
-			if pair.a.Price[i] != pair.b.Price[i] {
-				t.Fatalf("%s: price[%d] differs: %v vs %v", pair.name, i, pair.a.Price[i], pair.b.Price[i])
+	for _, market := range []struct {
+		name  string
+		jobs  []cluster.Job
+		c     cluster.Cluster
+		solve func([]cluster.Job, cluster.Cluster, Options) (*cluster.Allocation, *Solution, error)
+	}{
+		{"maxmin", cluster.GenerateJobs(300, 11, 0.3), cluster.NewCluster(60, 60, 60), SolveMaxMin},
+		// More than two chunks, so the parallel run really fans out.
+		{"propfair", cluster.GenerateJobs(2100, 11, 0.3), cluster.NewCluster(420, 420, 420), SolvePropFair},
+	} {
+		jobs, c := market.jobs, market.c
+		solve := func(parallel bool) (*cluster.Allocation, *Solution) {
+			a, sol, err := market.solve(jobs, c, Options{Seed: 11, Parallel: parallel, MaxIters: 150})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return a, sol
 		}
-		for j := range pair.xa.X {
-			for i := range pair.xa.X[j] {
-				if pair.xa.X[j][i] != pair.xb.X[j][i] {
-					t.Fatalf("%s: X[%d][%d] differs: %v vs %v",
-						pair.name, j, i, pair.xa.X[j][i], pair.xb.X[j][i])
+		a1, s1 := solve(false)
+		a2, s2 := solve(false)
+		a3, s3 := solve(true) // parallel fan-out must not change the bits
+
+		for _, pair := range []struct {
+			name   string
+			a, b   *Solution
+			xa, xb *cluster.Allocation
+		}{{market.name + "/repeat", s1, s2, a1, a2}, {market.name + "/parallel", s1, s3, a1, a3}} {
+			if pair.a.Iterations != pair.b.Iterations || pair.a.Residual != pair.b.Residual {
+				t.Errorf("%s: accounting differs: (%d, %g) vs (%d, %g)",
+					pair.name, pair.a.Iterations, pair.a.Residual, pair.b.Iterations, pair.b.Residual)
+			}
+			for i := range pair.a.Price {
+				if pair.a.Price[i] != pair.b.Price[i] {
+					t.Fatalf("%s: price[%d] differs: %v vs %v", pair.name, i, pair.a.Price[i], pair.b.Price[i])
+				}
+			}
+			for j := range pair.xa.X {
+				for i := range pair.xa.X[j] {
+					if pair.xa.X[j][i] != pair.xb.X[j][i] {
+						t.Fatalf("%s: X[%d][%d] differs: %v vs %v",
+							pair.name, j, i, pair.xa.X[j][i], pair.xb.X[j][i])
+					}
 				}
 			}
 		}

@@ -13,12 +13,13 @@
 #   the bench/ module's four workloads at -quick sizes, traced
 #   popsolve on the committed infeasible lb fixture and on a small MILP
 #   popserver single-process under maxmin (run twice on one -state-file,
-#     so the second run restores it) and under price (which refuses that
-#     file), and a coordinator over two worker processes
+#     so the second run restores it), under price (which refuses that
+#     file) and under spacesharing, and a coordinator over two worker
+#     processes
 #   the four examples
 #
 # Binaries, counters and logs go under $CENSUS_DIR (default .census/).
-# The servers listen on 127.0.0.1 ports 18280-18282 and 19281-19282.
+# The servers listen on 127.0.0.1 ports 18280-18283 and 19281-19282.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
@@ -85,10 +86,11 @@ serve() {
 	wait "$pid" || true
 }
 
-echo "census: popserver (maxmin, price, coordinator + 2 workers)" >&2
+echo "census: popserver (maxmin, price, spacesharing, coordinator + 2 workers)" >&2
 serve popserver-maxmin 18280 -k 2 -gpus 4,4,4 -state-file "$out/maxmin.state"
 serve popserver-maxmin-restart 18280 -k 2 -gpus 4,4,4 -state-file "$out/maxmin.state"
 serve popserver-price 18281 -k 2 -gpus 4,4,4 -policy price -state-file "$out/maxmin.state"
+serve popserver-spacesharing 18283 -k 2 -gpus 4,4,4 -policy spacesharing
 workers=()
 for w in 1 2; do
 	mkdir -p "$out/cov/popserver-worker$w"
