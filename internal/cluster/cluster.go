@@ -1,9 +1,21 @@
 // Package cluster implements the GPU cluster scheduling case study from
 // §4.1 of the POP paper, modelled on Gavel (Narayanan et al., OSDI 20):
 // heterogeneity-aware allocation of jobs to GPU types by time fraction,
-// under three policies — max-min fairness (optionally with space sharing),
-// proportional fairness, and minimize-makespan — plus the Gandiva-style
-// greedy heuristic baseline and POP adapters for every policy.
+// under the LP policies max-min fairness (optionally with space sharing)
+// and minimize-makespan, plus the Gandiva-style greedy heuristic baseline
+// and POP adapters for every policy. Proportional fairness (Fig 7) is
+// solved by price discovery in package price; LogUtility scores it here.
+//
+// Each LP is written once, here. SoloModel builds the epigraph LP behind
+// MaxMinFairness and MinMakespan (which differ only in the rate-row
+// denominator: MaxMinDenominator, MakespanDenominator);
+// SpaceSharingModel builds the space-sharing LP over Slots. Both use one
+// block layout: a job's (or slot's) r time-fraction variables in job (or
+// slot) order, then the epigraph t; a time row and a rate row per job in
+// job order, then one capacity row per GPU type. The batch policies build,
+// solve and read that model; package online's engine builds the same model
+// for a sub-problem, splices its blocks as jobs come and go, and rewrites
+// its data with RateRow and SlotTerms.
 //
 // Throughput data comes from a synthetic oracle with realistic relative
 // speeds across GPU generations (the paper's measured throughputs are not

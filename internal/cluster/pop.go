@@ -30,9 +30,7 @@ func SolvePOP(jobs []Job, c Cluster, policy PolicyFunc, opts core.Options, lpOpt
 // §5.3 cubic speedup comes from: sub-problems have (n/k)² pair variables
 // instead of n².
 func SolvePOPSpaceSharing(jobs []Job, c Cluster, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
-	return SolvePOP(jobs, c, func(js []Job, sc Cluster, lo lp.Options) (*Allocation, error) {
-		return MaxMinFairnessSpaceSharing(js, sc, lo)
-	}, opts, lpOpts)
+	return SolvePOP(jobs, c, MaxMinFairnessSpaceSharing, opts, lpOpts)
 }
 
 // mergeAllocations coalesces per-partition allocations onto the original

@@ -132,7 +132,7 @@ func Registry() []Entry {
 		{"fig15", "resource splitting vs topology sharding as k grows", Fig15},
 		{"fig16", "partitioning strategies: random vs power-of-2 vs skewed", Fig16},
 		{"sec51", "§5.1/Appendix A Chernoff bound values and Monte Carlo check", Section51},
-		{"ext", "extensions: geo partitioning, POP×NCFlow composition, water-filling fairness", Extensions},
+		{"ext", "extensions: geo partitioning, POP×NCFlow composition", Extensions},
 		{"scaling", "POP quality vs instance granularity (the §5.1 bound, empirically)", Scaling},
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"pop/internal/cluster"
 	"pop/internal/core"
 	"pop/internal/lp"
 	"pop/internal/te"
@@ -16,13 +15,11 @@ import (
 //   - geographic partitioning of commodities (§3.2's "assign geographically
 //     close clients and resources to the same sub-problem") versus random;
 //   - POP composed with NCFlow as the sub-problem solver (§3.4
-//     "Composability", §8 "POP and NCFlow can be used together");
-//   - lexicographic (water-filling) max-min fairness, the refinement Gavel
-//     itself ships, run exact and under POP.
+//     "Composability", §8 "POP and NCFlow can be used together").
 func Extensions(scale Scale) (*Result, error) {
 	res := &Result{
 		Name:   "ext",
-		Title:  "Extensions: geo partitioning, POP×NCFlow, water-filling fairness",
+		Title:  "Extensions: geo partitioning, POP×NCFlow",
 		Header: []string{"experiment", "method", "runtime", "quality", "note"},
 	}
 
@@ -79,44 +76,6 @@ func Extensions(scale Scale) (*Result, error) {
 		return nil, err
 	}
 
-	// --- water-filling fairness ---
-	nJobs := pick(scale, 24, 48, 96)
-	perType := pick(scale, 8.0, 16.0, 32.0)
-	jobs := cluster.GenerateJobs(nJobs, 67, 0)
-	cl := cluster.NewCluster(perType, perType, perType)
-
-	addFair := func(label, note string, run func() (*cluster.Allocation, error)) error {
-		var a *cluster.Allocation
-		d, err := timed(func() error {
-			var e error
-			a, e = run()
-			return e
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", label, err)
-		}
-		_, mean := cluster.MinMean(cluster.NormalizedRatios(jobs, cl, a))
-		res.Rows = append(res.Rows, []string{"fairness", label, fdur(d), fs(mean, 4), note})
-		return nil
-	}
-	if err := addFair("single-level LP", "paper §4.1", func() (*cluster.Allocation, error) {
-		return cluster.MaxMinFairness(jobs, cl, lp.Options{})
-	}); err != nil {
-		return nil, err
-	}
-	if err := addFair("water-filling", "lexicographic", func() (*cluster.Allocation, error) {
-		return cluster.MaxMinFairnessWaterfill(jobs, cl, lp.Options{})
-	}); err != nil {
-		return nil, err
-	}
-	if err := addFair("POP-2 water-filling", "composed", func() (*cluster.Allocation, error) {
-		return cluster.SolvePOP(jobs, cl, cluster.MaxMinFairnessWaterfill,
-			core.Options{K: 2, Seed: 7, Parallel: true}, lp.Options{})
-	}); err != nil {
-		return nil, err
-	}
-
-	res.Notes = append(res.Notes,
-		"quality column: flow ratio vs exact for TE rows, mean normalized throughput for fairness rows")
+	res.Notes = append(res.Notes, "quality column: flow ratio vs exact")
 	return res, nil
 }

@@ -186,8 +186,7 @@
 // online engines live in. Its lifecycle:
 //
 //  1. Build once, with the same builder API as Problem (NewModel, or
-//     NewModelFromProblem to wrap an existing build; helper code can target
-//     the shared Builder interface).
+//     NewModelFromProblem to wrap an existing build).
 //  2. Solve. The standardized equality form is built on first solve and
 //     cached; the optimal basis is stored inside the model.
 //  3. Mutate in place: SetCoeff / SetRHS / SetBounds / SetObjectiveCoeff

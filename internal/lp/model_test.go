@@ -214,10 +214,19 @@ func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 	}
 }
 
+// builder is the construction surface Problem and Model share.
+type builder interface {
+	AddVariable(c, lb, ub float64, name string) int
+	AddVariables(n int, c, lb, ub float64) int
+	AddConstraint(idx []int, val []float64, sense lp.Sense, rhs float64, name string) int
+	SetObjectiveCoeff(v int, c float64)
+	SetBounds(v int, lb, ub float64)
+}
+
 // TestModelBuilderCompatible: the same construction code against Problem
 // and Model must produce the same solve.
 func TestModelBuilderCompatible(t *testing.T) {
-	construct := func(b lp.Builder) {
+	construct := func(b builder) {
 		x := b.AddVariable(3, 0, lp.Inf, "x")
 		y := b.AddVariables(2, 1, 0, 2)
 		b.AddConstraint([]int{x, y}, []float64{1, 1}, lp.LE, 4, "cap")

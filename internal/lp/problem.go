@@ -76,25 +76,6 @@ func NewProblem(objective Objective) *Problem {
 	return &Problem{objective: objective}
 }
 
-// Builder is the construction surface shared by Problem and Model: helper
-// functions that assemble a formulation can accept a Builder and work
-// unchanged against either the one-shot builder or the persistent mutable
-// model.
-type Builder interface {
-	AddVariable(c, lb, ub float64, name string) int
-	AddVariables(n int, c, lb, ub float64) int
-	AddConstraint(idx []int, val []float64, sense Sense, rhs float64, name string) int
-	SetObjectiveCoeff(v int, c float64)
-	SetBounds(v int, lb, ub float64)
-	NumVariables() int
-	NumConstraints() int
-}
-
-var (
-	_ Builder = (*Problem)(nil)
-	_ Builder = (*Model)(nil)
-)
-
 // Clone returns a deep copy of the builder state.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{

@@ -13,9 +13,6 @@ type BlockKey struct {
 	A, B int
 }
 
-// Contains reports whether id owns (part of) the block.
-func (k BlockKey) Contains(id int) bool { return k.A == id || k.B == id }
-
 // Block is one keyed slice of a sub-problem's LP: Vars consecutive
 // variables and Rows consecutive constraint rows. A sub-problem's model lays
 // its blocks out contiguously in layout order — all block variables first

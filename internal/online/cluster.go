@@ -2,7 +2,6 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -349,12 +348,10 @@ func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*c
 }
 
 // soloAdapter is the Adapter for the solo policies (MaxMinFairness,
-// MinMakespan): one block per job.
-//
-// Block layout, for n members over r GPU types: block i holds the member's
-// r allocation-fraction variables and two rows — a time row and a
-// structurally-complete objective row; the shared epigraph t trails the
-// block variables and the r shared capacity rows trail the block rows.
+// MinMakespan): one block per job, in cluster.SoloModel's layout — block i
+// holds the member's r allocation-fraction variables, its time row and its
+// rate row; the shared epigraph t trails the block variables and the r
+// shared capacity rows trail the block rows.
 type soloAdapter struct {
 	*clusterState
 }
@@ -368,11 +365,20 @@ func (ad *soloAdapter) Layout(p int, ids []int, layout []Block) []Block {
 }
 
 func (ad *soloAdapter) BuildModel(p int, layout []Block) *lp.Model {
-	return buildClusterModel(ad.policy, ad.soloMembers(layout), ad.sub)
+	members := ad.soloMembers(layout)
+	return cluster.SoloModel(members, ad.sub, ad.denominator(members))
+}
+
+// denominator returns the solo policy's rate-row denominator over members.
+func (ad *soloAdapter) denominator(members []cluster.Job) func(cluster.Job) float64 {
+	if ad.policy == MinMakespan {
+		return cluster.MakespanDenominator
+	}
+	return cluster.MaxMinDenominator(members, ad.sub)
 }
 
 // SpliceBlock inserts a member block (r variables, a time row, and a
-// structurally-complete objective row). Coefficient values — including the
+// structurally-complete rate row). Coefficient values — including the
 // member's column in the shared capacity rows — are left to RefreshModel,
 // which runs on every splice pass.
 func (ad *soloAdapter) SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int) {
@@ -387,11 +393,11 @@ func (ad *soloAdapter) SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int
 	}
 	m.InsertConstraint(rowAt, vars, ones, lp.LE, 1, "time")
 	tv := m.NumVariables() - 1 // the shared epigraph stays the last variable
-	m.InsertConstraint(rowAt+1, append(append([]int(nil), vars...), tv), zeros, lp.GE, 0, "obj")
+	m.InsertConstraint(rowAt+1, append(append([]int(nil), vars...), tv), zeros, lp.GE, 0, "rate")
 }
 
 // RefreshModel rewrites every data-dependent value against the current
-// members and capacities: each member's own objective row entry by entry,
+// members and capacities: each member's own rate row entry by entry,
 // the shared capacity rows through the bulk setter (one pass per row, not
 // per member).
 func (ad *soloAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
@@ -408,11 +414,11 @@ func (ad *soloAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
 	n := len(members)
 	r := ad.sub.NumTypes()
 	tv := n * r
-	eq := cluster.EqualShare(members, ad.sub)
+	denom := ad.denominator(members)
 	coefs := resize(sc.coefs, r)
 	sc.coefs = coefs
 	for i, j := range members {
-		tc := clusterObjCoefs(ad.policy, j, eq, coefs)
+		tc := cluster.RateRow(j.Throughput, denom(j), coefs)
 		row := 2*i + 1
 		for k := 0; k < r; k++ {
 			m.SetCoeff(row, i*r+k, coefs[k])
@@ -467,65 +473,3 @@ func (ad *soloAdapter) Extract(p int, layout []Block, sol *lp.Solution, nVars in
 }
 
 func (ad *soloAdapter) Clear(p int) { ad.clear(p) }
-
-// clusterObjCoefs computes a member's objective-row coefficients: its r
-// throughput ratios, written into coefs, and the epigraph coefficient. Degenerate jobs (no
-// remaining steps, or zero equal-share throughput) get an all-zero row —
-// the vacuous 0 ≥ 0 that keeps the block layout without constraining t.
-func clusterObjCoefs(policy ClusterPolicy, j cluster.Job, eqShare, coefs []float64) float64 {
-	var denom float64
-	switch policy {
-	case MinMakespan:
-		denom = j.NumSteps
-	default:
-		denom = j.Weight * cluster.EffectiveThroughput(j, eqShare) * j.Scale
-	}
-	if denom <= 0 {
-		clear(coefs)
-		return 0
-	}
-	for i := range coefs {
-		coefs[i] = j.Throughput[i] / denom
-	}
-	return -1
-}
-
-// buildClusterModel assembles the solo policy epigraph LP as a mutable
-// model in the block layout documented on soloAdapter. Objective rows are
-// always structurally complete (r+1 entries, zeroed when the member is
-// degenerate) so later data refreshes patch values without fill-in. The
-// formulations match cluster.MaxMinFairness / cluster.MinMakespan (modulo
-// row ordering, which changes neither feasible set nor optimum).
-func buildClusterModel(policy ClusterPolicy, members []cluster.Job, sub cluster.Cluster) *lp.Model {
-	r := sub.NumTypes()
-	m := lp.NewModel(lp.Maximize)
-	for range members {
-		m.AddVariables(r, 0, 0, 1)
-	}
-	tv := m.AddVariable(1, math.Inf(-1), lp.Inf, "t")
-
-	eq := cluster.EqualShare(members, sub)
-	for idx, j := range members {
-		vars := make([]int, r)
-		ones := make([]float64, r)
-		for i := 0; i < r; i++ {
-			vars[i] = idx*r + i
-			ones[i] = 1
-		}
-		m.AddConstraint(vars, ones, lp.LE, 1, "time")
-
-		coefs := make([]float64, r+1)
-		coefs[r] = clusterObjCoefs(policy, j, eq, coefs[:r])
-		m.AddConstraint(append(vars, tv), coefs, lp.GE, 0, "obj")
-	}
-	for i := 0; i < r; i++ {
-		idxs := make([]int, len(members))
-		coefs := make([]float64, len(members))
-		for idx, j := range members {
-			idxs[idx] = idx*r + i
-			coefs[idx] = j.Scale
-		}
-		m.AddConstraint(idxs, coefs, lp.LE, sub.NumGPUs[i], "gpus")
-	}
-	return m
-}

@@ -49,6 +49,14 @@
 //   - BuildModel constructs a fresh model for a layout; SpliceBlock inserts
 //     one block's structure into a live model at engine-computed positions;
 //     RefreshModel rewrites every data-dependent value afterward.
+//
+// The LP itself lives in its domain package, written once for the batch
+// solver and the engine alike: BuildModel is one call to the domain's
+// builder (cluster.SoloModel, cluster.SpaceSharingModel), and RefreshModel
+// recomputes coefficients with the domain's row helpers (cluster.RateRow,
+// cluster.SlotTerms), so a K = 1 engine's first round is the batch solve.
+// The lb adapter is the exception: it builds its relaxation here, because
+// sharing lb.BuildMILP's build would reorder the batch MILP's rows.
 //   - Extract caches a sub-problem's solution; Clear empties it.
 //
 // Block-shape rules: a model lays out its blocks contiguously in layout
@@ -60,7 +68,7 @@
 // shared-row region never moves. A block's structure is a pure function of
 // its key and shape: a surviving block is kept as it is, so anything that
 // can change under an unchanged key belongs in RefreshModel. A block's rows
-// may reference other blocks' variables — a job's fairness row spans every
+// may reference other blocks' variables — a job's rate row spans every
 // slot containing it — because RefreshModel rewrites all data-dependent
 // coefficients and lp.Model setters no-op on unchanged values, keeping the
 // delta class the solver sees exact. Layouts must enumerate blocks so
@@ -116,7 +124,9 @@
 // Pick the client granularity (the id the engine places), decide the block
 // shape per client — fixed-width like cluster (r vars, 2 rows) and lb (2m
 // vars, m+1 rows), or multi-block like space sharing — and put everything
-// data-dependent behind RefreshModel. Wrap the engine with the domain's
+// data-dependent behind RefreshModel. Write the LP's builder in the domain
+// package, in that block layout, and have BuildModel call it; the batch
+// solver then solves the same model. Wrap the engine with the domain's
 // delta API the way lb.go does (Step diffs an instance into upsert / touch /
 // remove, then solveRound), and give it a MarkAllDirty that calls
 // markAllCold. The equivalence suites' pattern (a warm engine against a twin

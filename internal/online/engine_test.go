@@ -116,6 +116,69 @@ func TestClusterEngineMatchesColdFullSolve(t *testing.T) {
 	}
 }
 
+// TestClusterEngineMatchesBatchPolicy: with one sub-problem the engine's
+// first round builds the batch policy's model — cluster.SoloModel or
+// cluster.SpaceSharingModel over the same jobs — and solves it cold, so its
+// allocation must equal the batch solver's bit for bit: X or Pairs/PairX,
+// EffThr, and LPVariables. The degenerate population holds a job with zero
+// throughput and one with no steps left, which get all-zero rate rows.
+func TestClusterEngineMatchesBatchPolicy(t *testing.T) {
+	degenerate := cluster.GenerateJobs(12, 9, 0.2)
+	degenerate[3].Throughput = []float64{0, 0, 0}
+	degenerate[7].NumSteps = 0
+	populations := []struct {
+		name string
+		jobs []cluster.Job
+		c    cluster.Cluster
+	}{
+		{"30 jobs", cluster.GenerateJobs(30, 1, 0.2), cluster.NewCluster(8, 8, 8)},
+		{"14 jobs", cluster.GenerateJobs(14, 5, 0.2), cluster.NewCluster(6, 6, 6)},
+		{"degenerate", degenerate, cluster.NewCluster(4, 4, 4)},
+	}
+	policies := []struct {
+		policy ClusterPolicy
+		batch  cluster.PolicyFunc
+	}{
+		{MaxMinFairness, cluster.MaxMinFairness},
+		{MinMakespan, cluster.MinMakespan},
+		{SpaceSharing, cluster.MaxMinFairnessSpaceSharing},
+	}
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	sameRows := func(a, b [][]float64) bool { return slices.EqualFunc(a, b, sameBits) }
+	for _, pop := range populations {
+		for _, pc := range policies {
+			t.Run(pop.name+"/"+pc.policy.String(), func(t *testing.T) {
+				e, err := NewClusterEngine(pop.c, pc.policy, Options{K: 1}, lp.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				online, err := e.Step(pop.jobs, pop.c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := pc.batch(pop.jobs, pop.c, lp.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRows(online.X, batch.X) {
+					t.Error("X differs")
+				}
+				if !slices.Equal(online.Pairs, batch.Pairs) || !sameRows(online.PairX, batch.PairX) {
+					t.Error("Pairs/PairX differ")
+				}
+				if !sameBits(online.EffThr, batch.EffThr) {
+					t.Error("EffThr differs")
+				}
+				if online.LPVariables != batch.LPVariables {
+					t.Errorf("LPVariables: online %d, batch %d", online.LPVariables, batch.LPVariables)
+				}
+			})
+		}
+	}
+}
+
 // TestClusterEngineSkipsCleanSubProblems: deltas confined to one
 // sub-problem must not re-solve the others.
 func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {

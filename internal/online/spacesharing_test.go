@@ -63,36 +63,6 @@ func TestSpaceSharingEngineMatchesColdFullSolve(t *testing.T) {
 	}
 }
 
-// TestSpaceSharingEngineMatchesBatchPolicy: with one sub-problem, the online
-// engine solves the same LP as the batch cluster.MaxMinFairnessSpaceSharing
-// (modulo slot ordering), so the optimal min normalized ratio must agree to
-// 1e-6. This pins the online formulation to the paper's, not just warm to
-// cold.
-func TestSpaceSharingEngineMatchesBatchPolicy(t *testing.T) {
-	c := cluster.NewCluster(6, 6, 6)
-	jobs := cluster.GenerateJobs(14, 5, 0.2)
-	e, err := NewClusterEngine(c, SpaceSharing, Options{K: 1}, lp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	online, err := e.Step(jobs, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := cluster.MaxMinFairnessSpaceSharing(jobs, c, lp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	om, _ := cluster.MinMean(cluster.NormalizedRatios(jobs, c, online))
-	bm, _ := cluster.MinMean(cluster.NormalizedRatios(jobs, c, batch))
-	if !approxEq(om, bm, 1e-6) {
-		t.Fatalf("online min ratio %.12g != batch %.12g", om, bm)
-	}
-	if online.LPVariables != batch.LPVariables {
-		t.Fatalf("online solved %d variables, batch %d — slot enumeration differs", online.LPVariables, batch.LPVariables)
-	}
-}
-
 // TestSpaceSharingEngineFeasibleAndPaired: the composed allocation respects
 // time budgets and capacities, actually contains shared slots, and tracks a
 // shrinking active set.
