@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the POP paper's
 // evaluation (at Small scale — see cmd/popbench for bigger runs), plus
-// ablation benches for the design choices DESIGN.md calls out.
+// ablation benches that each isolate one design choice: the map step's
+// parallelism, the fan-out k, LP pricing, partitioning and client-splitting
+// cost, the TE path budget, POP composition and MPS serialization.
 package pop_test
 
 import (

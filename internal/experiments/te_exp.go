@@ -19,7 +19,7 @@ func Table1(Scale) (*Result, error) {
 		Title:  "WAN topologies (paper Table 1)",
 		Header: []string{"topology", "nodes", "edges", "total capacity"},
 		Notes: []string{
-			"topologies are synthesized with Table 1's exact node/edge counts (Topology Zoo files are not redistributable); see DESIGN.md",
+			"topologies are synthesized with Table 1's exact node/edge counts, because the Topology Zoo files are not redistributable: layouts and capacities are package topo's, not the paper's",
 		},
 	}
 	for _, spec := range topo.Table1() {

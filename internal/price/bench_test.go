@@ -2,6 +2,7 @@ package price
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pop/internal/cluster"
@@ -46,16 +47,64 @@ func BenchmarkWarmRound(b *testing.B) {
 	}
 }
 
-// BenchmarkBestResponse times the inner closed form alone.
+// servePopulation is the client generator of the repository benchmark's
+// serve workloads: throughputs 1+U, 2+2U and 3+3U on the three GPU types,
+// unit weight and scale.
+func servePopulation(n int, seed int64) []cluster.Job {
+	rnd := rand.New(rand.NewSource(seed))
+	jobs := make([]cluster.Job, n)
+	for j := range jobs {
+		jobs[j] = cluster.Job{
+			ID:         j,
+			Throughput: []float64{1 + rnd.Float64(), 2 + 2*rnd.Float64(), 3 + 3*rnd.Float64()},
+			Weight:     1,
+			Scale:      1,
+			NumSteps:   1000,
+			Priority:   1,
+		}
+	}
+	return jobs
+}
+
+// BenchmarkBestResponse times the closed form alone over one serve
+// worker's market — 25 000 clients of the serve population over a pool of
+// n/8 GPUs per type — at the prices a cold solve of it clears, and at
+// Solve's cold seed prices. It reports ns per client and the share of
+// clients the certificate answers (fast-%).
 func BenchmarkBestResponse(b *testing.B) {
-	jobs := cluster.GenerateJobs(1024, 1, 0.2)
-	c := cluster.NewCluster(200, 200, 200)
+	const n = 25_000
+	jobs := servePopulation(n, 1)
+	c := cluster.NewCluster(n/8, n/8, n/8)
 	d := oneShotDomain(jobs, c)
-	price := []float64{0.3, 1.7, 0.9}
-	d.PrepareIteration(price)
-	out := make([]float64, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.BestResponse(i%1024, price, out)
+	sol, err := Solve(d, withMaxMinStep(Options{Seed: 1, Parallel: true}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cold := make([]float64, 3)
+	for i := range cold {
+		cold[i] = d.DemandHint() / (c.NumGPUs[i] * 3) // Solve's cold seed, unjittered
+	}
+	for _, tc := range []struct {
+		name  string
+		price []float64
+	}{{"cleared", sol.Price}, {"cold", cold}} {
+		b.Run(tc.name, func(b *testing.B) {
+			d.PrepareIteration(tc.price)
+			fast := 0
+			for j := 0; j < n; j++ {
+				if _, _, ok := d.certifiedSingleton(j, tc.price); ok {
+					fast++
+				}
+			}
+			out := make([]float64, 3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n; j++ {
+					d.BestResponse(j, tc.price, out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/client")
+			b.ReportMetric(100*float64(fast)/n, "fast-%")
+		})
 	}
 }

@@ -12,9 +12,13 @@ import (
 // Σ_i z_j·price_i·x_i over Σ_i x_i ≤ 1, x ≥ 0, where φ is the alpha-fair
 // utility u^(1−α)/(1−α) with α = maxMinAlpha — a smooth stand-in for the
 // heterogeneity-aware least-attained-service policy — and t is the
-// normalized throughput row. By the KKT conditions the optimum is
-// supported on at most two resources, so enumerating singleton and pair
-// supports is exact — each call is O(r²) closed forms, no solver.
+// normalized throughput row. The problem is concave, so the KKT conditions
+// decide it. Nearly always the optimum is an interior singleton on the type
+// with the lowest price per unit throughput, and BestResponse certifies
+// that in O(r) cross-multiplications (see certifiedSingleton). Otherwise it
+// falls back to enumerating singleton and pair supports — exact, because
+// the optimum is supported on at most two resources — which costs O(r²)
+// closed forms. Neither path runs a solver.
 type clusterDomain struct {
 	t    []float64 // n×r row-major throughputs ÷ the reference normaliser
 	z    []float64 // per-job resource scale z_j
@@ -102,11 +106,94 @@ func invAlphaRoot(s float64) float64 {
 	return 1 / s
 }
 
-// BestResponse evaluates the closed forms with all price- and
+// BestResponse returns the certified interior singleton when there is one,
+// and the enumeration's answer otherwise. Both write the same expression,
+// z·x with x = zr·pRoot·tPow, for an interior singleton, so the fast path
+// changes no bit of the result.
+func (d *clusterDomain) BestResponse(j int, price []float64, out []float64) {
+	if i, x, ok := d.certifiedSingleton(j, price); ok {
+		clear(out)
+		out[i] = d.z[j] * x
+		return
+	}
+	d.enumerate(j, price, out)
+}
+
+const (
+	// certDelta is the relative margin by which the certified type must
+	// beat every other one, and certEta the distance the certified demand
+	// must keep from the time budget; certifiedSingleton derives both.
+	certDelta = 1e-6
+	certEta   = 1e-4
+)
+
+// certifiedSingleton reports whether client j's best response is the
+// interior singleton on i* = argmin_i price_i/t_ji, with the demand x it
+// puts there. With c_i = z·p_i the cost and t̃_i = sigma·t_i the normalized
+// throughput, the client maximizes the concave f(x) = φ(Σ t̃_i·x_i) − Σ c_i·x_i
+// over Σx ≤ 1, so KKT is sufficient: the singleton x* on i* with 0 < x* < 1
+// is optimal when D_k = p_k·t_i* − p_i*·t_k ≥ 0 for every k (sigma and z
+// cancel). Any feasible x then loses exactly
+//
+//	f(x*) − f(x) = B(u) + Σ_k g_k·x_k,   g_k = z·D_k/t_i* ≥ 0,
+//
+// with B(u) ≥ 0 the Bregman gap of φ between u = Σ t̃_i·x_i and u* = t̃_i*·x*.
+// The enumeration keeps the best of rounded candidate values, so the fast
+// path answers only when every other candidate loses far more than that
+// rounding. Relative to |f(x*)| ≈ c_i*·x*:
+//   - an interior singleton on k loses ≈ D_k/(p_i*·t_k), which the check
+//     D_k > δ·p_i*·t_k keeps above δ;
+//   - a point on the budget face Σx = 1 (a pair, or a clamped singleton)
+//     either moves Y ≥ (1−x*)/2 of its time off i*, losing ≥ g_min·Y, which
+//     D_k > δ·p_i*·t_i*·x*/(1−x*) keeps above δ/2, or keeps
+//     u ≥ u*·(1 + (1−x*)/(2x*)) and loses B ≈ (α−1)/8·(1−x*)². That second
+//     loss is only second order in 1 − x*: a pair next to x* on the face
+//     comes within rounding of the optimum once 1 − x* nears 1e-8, which is
+//     why x* < 1 − η is required.
+//
+// Singleton values round at ~1e-15 relative. A pair's value rounds by up to
+// ~10·ε_mach divided by the relative throughput gap of its two types,
+// because its slope dc/dt is a quotient of differences. The only pairs that
+// can come close run from i* to a cheaper, lower-throughput k, and the
+// margins hold that gap above δ/2 and above δ·x*/(1−x*). At δ = 1e-6 and
+// η = 1e-4 the rounding stays two orders below each loss above, and the
+// enumeration picks i* too and writes the same z·x.
+func (d *clusterDomain) certifiedSingleton(j int, price []float64) (int, float64, bool) {
+	r := d.r
+	t := d.t[j*r : (j+1)*r]
+	best := -1
+	for i, ti := range t {
+		if ti > 0 && (best < 0 || price[i]*t[best] < price[best]*ti) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return -1, 0, false
+	}
+	x := d.zRoot[j] * d.pRoot[best] * d.tPow[j*r+best]
+	if !(x > 0 && x < 1-certEta) {
+		return -1, 0, false
+	}
+	// D_k > δ·p_i*·(t_k + t_i*·x/(1−x)), multiplied through by 1 − x > 0.
+	pb, tb, slack := price[best], t[best], 1-x
+	face := certDelta * pb * tb * x
+	for k, tk := range t {
+		// Zero-throughput types are never candidates of the enumeration.
+		if k == best || tk <= 0 {
+			continue
+		}
+		if !((price[k]*tb-pb*tk)*slack > certDelta*pb*tk*slack+face) {
+			return -1, 0, false // NaN fails too
+		}
+	}
+	return best, x, true
+}
+
+// enumerate evaluates every singleton and pair support with all price- and
 // client-invariant powers hoisted (see the clusterDomain field comment).
 // Values compare through the stationarity identity u^(1−α) = u·φ'(u), so a
 // candidate costs multiplies — plus one root per admissible pair.
-func (d *clusterDomain) BestResponse(j int, price []float64, out []float64) {
+func (d *clusterDomain) enumerate(j int, price []float64, out []float64) {
 	r := d.r
 	t := d.t[j*r : (j+1)*r]
 	tPow := d.tPow[j*r : (j+1)*r]
@@ -327,17 +414,6 @@ func oneShotDomain(jobs []cluster.Job, c cluster.Cluster) *clusterDomain {
 func withMaxMinStep(opts Options) Options {
 	opts.step = maxMinAlpha / 12.0
 	return opts
-}
-
-// SolveMaxMin approximates cluster.MaxMinFairness by price discovery: no
-// LP, per-job closed-form best responses. The returned Solution carries the
-// prices (warm start for the next round) and convergence accounting.
-func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	sol, err := Solve(oneShotDomain(jobs, c), withMaxMinStep(opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	return clusterAllocation(jobs, c, sol), sol, nil
 }
 
 // clusterAllocation converts averaged demands back to time fractions and

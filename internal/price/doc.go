@@ -11,8 +11,8 @@
 // runs over any Domain:
 //
 //   - max-min GPU scheduling, approximated by an alpha-fair utility over
-//     normalized throughput ratios (SolveMaxMin for one solve,
-//     ClusterEngine across rounds — the market popserver serves);
+//     normalized throughput ratios (ClusterEngine, one solve per round —
+//     the market popserver serves);
 //   - proportional fairness (§4.1, Σ_j w_j·log(thr_j) over raw
 //     throughputs; SolvePropFair, Figure 7's solver).
 //
@@ -20,6 +20,24 @@
 // three per-market constants: the price step (α/12 against ½), the
 // clearing tolerance (1% against 1e-5), and the common-mode rescale, which
 // only max-min gets.
+//
+// # Best responses
+//
+// A max-min client's problem is concave, so the KKT conditions decide it,
+// and its optimum is supported on at most two GPU types. Nearly always it
+// is an interior singleton on the type with the lowest price per unit
+// throughput, and BestResponse certifies that in O(r) cross-
+// multiplications: that type must beat every other by a relative margin
+// δ = 1e-6 (widened as the demand nears the time budget), and its demand
+// must stay below 1 − η, η = 1e-4, because a pair support next to the
+// budget loses only second order in the distance to it. When the
+// certificate fails — a near-tie, demand at the budget, a clamped singleton
+// or a pair optimum — BestResponse enumerates every singleton and pair
+// support, O(r²) closed forms. Both paths write the same expression, so the
+// certificate changes no bit of any allocation; FuzzBestResponse and
+// TestSolveMatchesEnumeration hold it to the enumeration oracle. On the
+// serve benchmark's population it answers every client, at cold and at
+// cleared prices.
 //
 // # Price update rule
 //
@@ -67,7 +85,8 @@
 // Primal iterates fold into a polynomially weighted running average
 // (iterate t gets weight ∝ t^8), so late, well-priced responses dominate
 // and the cold-start transient is forgotten quickly; the averaged demands
-// are the allocation. The market finishes with a cheap feasibility
+// are the allocation. Each client's row folds in inside the fan-out, as
+// soon as its best response is known, so no iterate is stored. The market finishes with a cheap feasibility
 // projection (capacity-column scaling), so reported allocations are always
 // feasible and quality gaps show up in the objective, never as constraint
 // violations.

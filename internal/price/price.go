@@ -254,12 +254,11 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		t0 = warmStepOffset
 	}
 	chunks := (n + chunkSize - 1) / chunkSize
-	cur := make([]float64, n*r)
 	avg := sol.demand
-	chunkDemand := make([][]float64, chunks)
-	for ci := range chunkDemand {
-		chunkDemand[ci] = make([]float64, r)
-	}
+	// Per chunk: the r partial demands, then one client's best response,
+	// padded by a cache line so concurrent chunks never share one.
+	stride := 2*r + 8
+	chunkScratch := make([]float64, chunks*stride)
 	demand := make([]float64, r)
 	avgDemand := make([]float64, r)
 
@@ -277,43 +276,35 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		if prep != nil {
 			prep.PrepareIteration(price)
 		}
+		// Polynomial averaging (iterate t gets weight ∝ t^avgPow): late,
+		// well-priced iterates dominate and the cold-start transient is
+		// forgotten quickly, without a warm-hostile restart of the average.
+		// Each client's row folds in as soon as its best response is known.
+		gamma := (avgPow + 1) / (float64(t) + avgPow + 1)
 		brSpan := opts.Obs.Span("price.bestresponse").Arg("iter", t)
 		_ = core.ParallelMap(chunks, opts.Parallel && chunks > 1, func(ci int) error {
 			lo := ci * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			acc := chunkDemand[ci]
-			for i := range acc {
-				acc[i] = 0
-			}
+			hi := min(lo+chunkSize, n)
+			acc := chunkScratch[ci*stride : ci*stride+r]
+			cur := chunkScratch[ci*stride+r : ci*stride+2*r]
+			clear(acc)
 			for j := lo; j < hi; j++ {
-				row := cur[j*r : (j+1)*r]
-				d.BestResponse(j, price, row)
-				for i, v := range row {
+				d.BestResponse(j, price, cur)
+				row := avg[j*r : (j+1)*r]
+				for i, v := range cur {
 					acc[i] += v
+					row[i] += gamma * (v - row[i])
 				}
 			}
 			return nil
 		})
 		brSpan.End()
 		// Chunk-ordered reduction: bit-identical regardless of Parallel.
-		for i := range demand {
-			demand[i] = 0
-		}
+		clear(demand)
 		for ci := 0; ci < chunks; ci++ {
-			for i, v := range chunkDemand[ci] {
+			for i, v := range chunkScratch[ci*stride : ci*stride+r] {
 				demand[i] += v
 			}
-		}
-
-		// Polynomial averaging (iterate t gets weight ∝ t^avgPow): late,
-		// well-priced iterates dominate and the cold-start transient is
-		// forgotten quickly, without a warm-hostile restart of the average.
-		gamma := (avgPow + 1) / (float64(t) + avgPow + 1)
-		for idx, v := range cur {
-			avg[idx] += gamma * (v - avg[idx])
 		}
 		for i, v := range demand {
 			avgDemand[i] += gamma * (v - avgDemand[i])

@@ -33,6 +33,16 @@ func (d *linearDomain) BestResponse(j int, price []float64, out []float64) {
 	out[0] = d.w[j] / price[0]
 }
 
+// solveMaxMin is one max-min price solve over jobs, the way ClusterEngine
+// runs a cold round: the market, its step, and the feasibility projection.
+func solveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
+	sol, err := Solve(oneShotDomain(jobs, c), withMaxMinStep(opts))
+	if err != nil {
+		return nil, nil, err
+	}
+	return clusterAllocation(jobs, c, sol), sol, nil
+}
+
 func TestSolveAnalyticMarket(t *testing.T) {
 	d := &linearDomain{w: []float64{3, 5, 2, 6}, cap: 4}
 	sol, err := Solve(d, Options{Seed: 1})
@@ -64,7 +74,7 @@ func TestSolveDeterminism(t *testing.T) {
 		c     cluster.Cluster
 		solve func([]cluster.Job, cluster.Cluster, Options) (*cluster.Allocation, *Solution, error)
 	}{
-		{"maxmin", cluster.GenerateJobs(300, 11, 0.3), cluster.NewCluster(60, 60, 60), SolveMaxMin},
+		{"maxmin", cluster.GenerateJobs(300, 11, 0.3), cluster.NewCluster(60, 60, 60), solveMaxMin},
 		// More than two chunks, so the parallel run really fans out.
 		{"propfair", cluster.GenerateJobs(2100, 11, 0.3), cluster.NewCluster(420, 420, 420), SolvePropFair},
 	} {
@@ -110,7 +120,7 @@ func TestWarmPriceCutsIterations(t *testing.T) {
 	n := 200
 	jobs := cluster.GenerateJobs(n, 5, 0.3)
 	c := cluster.NewCluster(40, 40, 40)
-	_, cold, err := SolveMaxMin(jobs, c, Options{Seed: 5})
+	_, cold, err := solveMaxMin(jobs, c, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +129,11 @@ func TestWarmPriceCutsIterations(t *testing.T) {
 	}
 	// Low-churn perturbation: 2% of jobs replaced.
 	perturbed := append(append([]cluster.Job{}, jobs[4:]...), cluster.GenerateJobs(4, 77, 0.3)...)
-	_, cold2, err := SolveMaxMin(perturbed, c, Options{Seed: 5})
+	_, cold2, err := solveMaxMin(perturbed, c, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warm, err := SolveMaxMin(perturbed, c, Options{Seed: 5, WarmPrice: cold.Price})
+	_, warm, err := solveMaxMin(perturbed, c, Options{Seed: 5, WarmPrice: cold.Price})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestWarmPriceWrongShapeIgnored(t *testing.T) {
 		{1, 2, math.NaN()},  // NaN
 		{1, math.Inf(1), 2}, // infinite
 	} {
-		_, sol, err := SolveMaxMin(jobs, c, Options{Seed: 3, WarmPrice: bad, MaxIters: 50})
+		_, sol, err := solveMaxMin(jobs, c, Options{Seed: 3, WarmPrice: bad, MaxIters: 50})
 		if err != nil {
 			t.Fatalf("WarmPrice %v: %v", bad, err)
 		}
@@ -189,7 +199,7 @@ func TestPriceMetricsGuard(t *testing.T) {
 	o := &obs.Observer{Metrics: reg}
 	jobs := cluster.GenerateJobs(40, 1, 0.3)
 	c := cluster.NewCluster(8, 8, 8)
-	if _, _, err := SolveMaxMin(jobs, c, Options{Seed: 1, MaxIters: 50, Obs: o}); err != nil {
+	if _, _, err := solveMaxMin(jobs, c, Options{Seed: 1, MaxIters: 50, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

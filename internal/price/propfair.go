@@ -96,7 +96,7 @@ func (d *propFairDomain) BestResponse(j int, price []float64, out []float64) {
 // SolvePropFair solves cluster scheduling's proportional-fairness policy
 // (§4.1, maximize Σ_j w_j·log(thr_j)) by price discovery, the analogue of
 // the paper's custom solver for it. The returned Solution carries the
-// prices and convergence accounting, as SolveMaxMin's does.
+// prices and convergence accounting.
 func SolvePropFair(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
 	d := &propFairDomain{jobs: jobs, cap: c.NumGPUs}
 	for _, j := range jobs {

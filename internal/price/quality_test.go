@@ -24,7 +24,7 @@ func TestMaxMinQualityVsLP(t *testing.T) {
 			}
 			lpObj := MaxMinObjective(jobs, c, lpA)
 
-			pa, sol, err := SolveMaxMin(jobs, c, Options{Seed: seed})
+			pa, sol, err := solveMaxMin(jobs, c, Options{Seed: seed})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: price: %v", n, seed, err)
 			}
