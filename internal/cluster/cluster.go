@@ -97,13 +97,27 @@ func CheckJobs(jobs []Job, numTypes int) error {
 			return fmt.Errorf("job %d: %d throughputs for %d gpu types", j.ID, len(j.Throughput), numTypes)
 		}
 		for _, v := range append([]float64{j.Weight, j.Scale, j.NumSteps, j.MemFrac, j.Priority}, j.Throughput...) {
-			if !(v >= 0) || math.IsInf(v, 1) {
+			if !FiniteNonNegative(v) {
 				return fmt.Errorf("job %d: value %v is not finite and ≥ 0", j.ID, v)
 			}
 		}
 	}
 	return nil
 }
+
+// CheckGPUs returns an error unless every GPU count is finite and ≥ 0: the
+// pool check an engine makes before installing a saved cluster.
+func CheckGPUs(gpus []float64) error {
+	for i, v := range gpus {
+		if !FiniteNonNegative(v) {
+			return fmt.Errorf("gpu type %d: count %v is not finite and ≥ 0", i, v)
+		}
+	}
+	return nil
+}
+
+// FiniteNonNegative reports whether v is a finite number ≥ 0 (not NaN).
+func FiniteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // GenerateJobs synthesizes n jobs with Gavel-like heterogeneity: each job
 // model has a base K80 throughput and distinct P100/V100 speedups, so

@@ -9,8 +9,8 @@
 // four in package te, and the public pop.Solve — is Run plus the two things
 // only its domain knows: how to cut a sub-instance out of a Sub, and how to
 // sum the sub-results back. Partition, SplitClients, Gather and ParallelMap
-// are the steps Run is made of; the root package pop re-exports them, and
-// SplitResource for callers that hold their resources as a slice.
+// are the steps Run is made of; the root package pop re-exports
+// SplitClients, which pop.Solve leaves to its callers.
 package core
 
 import (
@@ -140,22 +140,6 @@ func Gather[T any](items []T, groups [][]int) [][]T {
 		sub := make([]T, len(g))
 		for t, i := range g {
 			sub[t] = items[i]
-		}
-		out[p] = sub
-	}
-	return out
-}
-
-// SplitResource implements the paper's resource splitting: every sub-problem
-// receives a copy of each resource scaled to 1/k of its capacity, so the
-// coalesced allocation remains feasible by construction. scale must return a
-// copy of r with capacity divided by k.
-func SplitResource[R any](resources []R, k int, scale func(r R, k int) R) [][]R {
-	out := make([][]R, k)
-	for p := 0; p < k; p++ {
-		sub := make([]R, len(resources))
-		for i, r := range resources {
-			sub[i] = scale(r, k)
 		}
 		out[p] = sub
 	}

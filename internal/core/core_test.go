@@ -135,22 +135,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestSplitResource(t *testing.T) {
-	type link struct{ cap float64 }
-	res := []link{{10}, {20}}
-	parts := SplitResource(res, 4, func(r link, k int) link { return link{r.cap / float64(k)} })
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts", len(parts))
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0].cap + p[1].cap
-	}
-	if !approxEq(total, 30, 1e-12) {
-		t.Fatalf("capacity not conserved: %g", total)
-	}
-}
-
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b)) }
 
 func TestParallelMapRunsAll(t *testing.T) {

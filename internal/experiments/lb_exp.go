@@ -6,9 +6,7 @@ import (
 
 	"pop/internal/core"
 	"pop/internal/lb"
-	"pop/internal/lp"
 	"pop/internal/milp"
-	"pop/internal/online"
 )
 
 // Fig13 regenerates Figure 13: the minimize-shard-movement load balancing
@@ -54,13 +52,6 @@ func Fig13(scale Scale) (*Result, error) {
 	methods = append(methods, method{"Greedy", func(in *lb.Instance) (*lb.Assignment, error) {
 		return lb.SolveGreedy(in), nil
 	}})
-	// The online engine on the continuous relaxation: shard-load deltas
-	// dirty only their own sub-problem, which re-solves warm-started.
-	eng, err := online.NewLBEngine(online.Options{K: ks[0], Parallel: true}, lp.Options{})
-	if err != nil {
-		return nil, err
-	}
-	methods = append(methods, method{fmt.Sprintf("POP-%d online LP", ks[0]), eng.Solver()})
 
 	for _, m := range methods {
 		inst := lb.NewInstance(numShards, numServers, 0.05, 77)

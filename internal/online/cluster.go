@@ -229,10 +229,7 @@ func (e *ClusterEngine) Stats() Stats { return e.eng.stats }
 
 // Solve re-solves every dirty sub-problem from its persistent model,
 // leaving clean ones untouched.
-func (e *ClusterEngine) Solve() error {
-	e.eng.rebalance()
-	return e.eng.solveRound()
-}
+func (e *ClusterEngine) Solve() error { return e.eng.solveRound() }
 
 // Objective sums the sub-problem objectives — a checksum the equivalence
 // tests compare against a cold full solve.

@@ -2,12 +2,13 @@
 // POP-partitioned problem alive across scheduling rounds, accepts deltas
 // (client arrive/depart, load change, resource capacity change), and
 // re-solves only the sub-problems the deltas touched, each warm-started
-// from its previous optimal basis. One generic engine drives the two case
-// studies that run round after round through the Adapter contract:
-// ClusterEngine (solo GPU scheduling and pair-variable space sharing) and
-// LBEngine (shard balancing). It is the round-loop driver behind gavelsim's
-// online policies, lb's online balancer, and cmd/popserver. Traffic
-// engineering (§4.2) is planned in batch by te.SolvePOP.
+// from its previous optimal basis. One generic engine runs the §4.1
+// GPU-scheduling policies round after round through the Adapter contract,
+// with two adapters: solo (max-min fairness and minimize-makespan) and pair
+// (space sharing), both behind ClusterEngine. It is the round-loop driver
+// behind gavelsim's online policies and cmd/popserver. Traffic engineering
+// (§4.2) is planned in batch by te.SolvePOP, and shard balancing (§4.3) by
+// lb.SolvePOP over the exact MILP.
 //
 // # Stable partitions
 //
@@ -55,21 +56,18 @@
 // builder (cluster.SoloModel, cluster.SpaceSharingModel), and RefreshModel
 // recomputes coefficients with the domain's row helpers (cluster.RateRow,
 // cluster.SlotTerms), so a K = 1 engine's first round is the batch solve.
-// The lb adapter is the exception: it builds its relaxation here, because
-// sharing lb.BuildMILP's build would reorder the batch MILP's rows.
 //   - Extract caches a sub-problem's solution; Clear empties it.
 //
 // Block-shape rules: a model lays out its blocks contiguously in layout
-// order — block variables first, then shared variables (the cluster
-// epigraph t); block rows first, then shared rows (GPU capacity rows, lb's
-// per-server band and memory rows). Shared structure must keep a fixed
-// shape across membership churn (one capacity row per GPU type, three rows
-// per server, however many members the sub-problem holds), so the
+// order — block variables first, then shared variables (the cluster epigraph
+// t); block rows first, then shared rows (the GPU capacity rows). Shared
+// structure must keep a fixed shape across membership churn (one capacity
+// row per GPU type, however many members the sub-problem holds), so the
 // shared-row region never moves. A block's structure is a pure function of
 // its key and shape: a surviving block is kept as it is, so anything that
 // can change under an unchanged key belongs in RefreshModel. A block's rows
-// may reference other blocks' variables — a job's rate row spans every
-// slot containing it — because RefreshModel rewrites all data-dependent
+// may reference other blocks' variables — a job's rate row spans every slot
+// containing it — because RefreshModel rewrites all data-dependent
 // coefficients and lp.Model setters no-op on unchanged values, keeping the
 // delta class the solver sees exact. Layouts must enumerate blocks so
 // survivors keep their relative order as members arrive and depart
@@ -81,10 +79,10 @@
 // < 0.5), or splice departed blocks out / new blocks in — the stored basis
 // spliced in lockstep — and refresh the rest in place. A re-solve therefore
 // pays pivots, not construction: rhs/bound-only deltas (capacity jitter
-// under MinMakespan, lb tolerance shifts) ride the dual simplex from the
-// previous basis; coefficient and objective deltas take the primal warm
-// path; the lp solver owns correctness, falling back primal-warm then
-// cold, so warm starts change solve speed, never solve outcomes.
+// under MinMakespan) ride the dual simplex from the previous basis;
+// coefficient and objective deltas take the primal warm path; the lp solver
+// owns correctness, falling back primal-warm then cold, so warm starts
+// change solve speed, never solve outcomes.
 //
 // The sync itself allocates nothing in steady state and keeps nothing per
 // sub-problem beyond the model and its block list. What it needs for the
@@ -122,32 +120,28 @@
 // # Adding an adapter
 //
 // Pick the client granularity (the id the engine places), decide the block
-// shape per client — fixed-width like cluster (r vars, 2 rows) and lb (2m
-// vars, m+1 rows), or multi-block like space sharing — and put everything
-// data-dependent behind RefreshModel. Write the LP's builder in the domain
-// package, in that block layout, and have BuildModel call it; the batch
-// solver then solves the same model. Wrap the engine with the domain's
-// delta API the way lb.go does (Step diffs an instance into upsert / touch /
-// remove, then solveRound), and give it a MarkAllDirty that calls
-// markAllCold. The equivalence suites' pattern (a warm engine against a twin
-// that calls MarkAllDirty before every round, 1e-6 objective agreement over
-// randomized delta sequences) transfers unchanged and should be the first
-// test written.
+// shape per client — fixed-width like solo cluster (r vars, 2 rows), or
+// multi-block like space sharing — and put everything data-dependent behind
+// RefreshModel. Write the LP's builder in the domain package, in that block
+// layout, and have BuildModel call it; the batch solver then solves the
+// same model. Wrap the engine with the domain's delta API the way
+// ClusterEngine does (Upsert and Remove map onto upsert / touch / remove,
+// Solve is solveRound, which takes the round's rebalance move first), and
+// give it a MarkAllDirty that calls markAllCold. The equivalence suites'
+// pattern (a warm engine against a twin that calls MarkAllDirty before
+// every round, 1e-6 objective agreement over randomized delta sequences)
+// transfers unchanged and should be the first test written.
 //
-// # Engines
+// # The engine
 //
 // ClusterEngine runs the §4.1 GPU-scheduling policies — max-min fairness
 // and minimize-makespan on solo blocks, and the space-sharing policy (Fig
 // 6) on the pair-block layout; its Policy method adapts it to gavelsim's
-// round loop. LBEngine runs the §4.3 shard balancer on the continuous
-// relaxation (the MILP's integer search cannot reuse a simplex basis; the
-// relaxation is where the paper's round-over-round latency lives); its
-// Solver method plugs into lb.RunRounds. Both have a MarkAllDirty that
-// drops every model (and any restored basis), so the next round rebuilds
-// and solves every sub-problem cold — the baseline the equivalence tests
-// and BenchmarkOnlineRound hold the warm path to. Engine stats split each
-// round into model build/mutation time and solver time (Stats.BuildNs /
-// Stats.SolveNs) — the mutation path exists to shrink the former. Engines
-// are not safe for concurrent use; callers like cmd/popserver serialize
-// rounds themselves.
+// round loop. Its MarkAllDirty drops every model (and any restored basis),
+// so the next round rebuilds and solves every sub-problem cold — the
+// baseline the equivalence tests and BenchmarkOnlineRound hold the warm
+// path to. Engine stats split each round into model build/mutation time
+// and solver time (Stats.BuildNs / Stats.SolveNs) — the mutation path
+// exists to shrink the former. The engine is not safe for concurrent use;
+// callers like cmd/popserver serialize rounds themselves.
 package online

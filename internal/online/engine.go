@@ -95,8 +95,8 @@ type syncScratch struct {
 // engine is the domain-independent online engine: stable partitions of the
 // clients into K sub-problems, dirty marking, drift-bounded rebalancing, and
 // the dirty-only solve loop over one persistent model per sub-problem, kept
-// in sync with the adapter's declared layout. ClusterEngine and LBEngine
-// wrap it with their delta APIs.
+// in sync with the adapter's declared layout. ClusterEngine wraps it with
+// its delta API.
 type engine struct {
 	opts   Options
 	ad     Adapter
@@ -287,10 +287,12 @@ type subReport struct {
 	solveNs       int64
 }
 
-// solveRound re-solves every dirty sub-problem through the adapter. With an
-// observer attached it wraps the round in an "online.round" span and books
-// the round-delta counters; the disabled path is one nil check.
+// solveRound takes the round's rebalance move, if any, then re-solves every
+// dirty sub-problem through the adapter. With an observer attached it wraps
+// the solve in an "online.round" span and books the round-delta counters;
+// the disabled path is one nil check.
 func (e *engine) solveRound() error {
+	e.rebalance()
 	o := e.opts.Obs
 	if o == nil {
 		return e.solveDirty(e.subSolve)
@@ -315,13 +317,10 @@ func (e *engine) solveRound() error {
 }
 
 // solveDirty runs solve for every dirty sub-problem (concurrently when
-// configured) and books the results. Engines that enable rebalancing call
-// engine.rebalance themselves before this, so sub-problem-local state (like
-// lb's placement anchors) can be refreshed between the move and the solve.
-// The keep-or-drop decision for each model's stale basis lives in lp.Model,
-// whose hostile-refresh sampler prices the refreshed coefficients against
-// the previous duals. Clean sub-problems are skipped entirely — their
-// cached results stand.
+// configured) and books the results. The keep-or-drop decision for each
+// model's stale basis lives in lp.Model, whose hostile-refresh sampler
+// prices the refreshed coefficients against the previous duals. Clean
+// sub-problems are skipped entirely — their cached results stand.
 func (e *engine) solveDirty(solve func(p int, ids []int) (subReport, error)) error {
 	e.stats.Rounds++
 	var dirty []int

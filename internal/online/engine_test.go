@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lb"
 	"pop/internal/lp"
 )
 
@@ -441,7 +440,7 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := NewClusterEngine(cluster.NewCluster(1, 1, 1), MaxMinFairness, Options{K: 0}, lp.Options{}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := NewLBEngine(Options{K: -1}, lp.Options{}); err == nil {
+	if _, err := NewClusterEngine(cluster.NewCluster(1, 1, 1), MaxMinFairness, Options{K: -1}, lp.Options{}); err == nil {
 		t.Fatal("K=-1 accepted")
 	}
 }
@@ -466,10 +465,14 @@ func TestOptionsSurface(t *testing.T) {
 // neither from a kept model nor from a restored basis — and the cold round
 // lands on the objective of a twin engine that stayed warm.
 func TestMarkAllDirtyMeansCold(t *testing.T) {
-	coldRound := func(t *testing.T, k int, cold interface{ Stats() Stats }, round func() error, objs func() (float64, float64)) {
+	const k = 4
+	// coldRound runs one MarkAllDirty round on cold and checks it against
+	// warm, which has already solved the same deltas.
+	coldRound := func(t *testing.T, warm, cold *ClusterEngine) {
 		t.Helper()
 		before := cold.Stats()
-		if err := round(); err != nil {
+		cold.MarkAllDirty()
+		if err := cold.Solve(); err != nil {
 			t.Fatal(err)
 		}
 		after := cold.Stats()
@@ -479,7 +482,7 @@ func TestMarkAllDirtyMeansCold(t *testing.T) {
 		if got := after.SubSolves - before.SubSolves; got != k {
 			t.Fatalf("cold round re-solved %d sub-problems, want K=%d", got, k)
 		}
-		if w, c := objs(); !approxEq(w, c, 1e-6) {
+		if w, c := warm.Objective(), cold.Objective(); !approxEq(w, c, 1e-6) {
 			t.Fatalf("warm objective %.12g != cold %.12g", w, c)
 		}
 	}
@@ -488,11 +491,11 @@ func TestMarkAllDirtyMeansCold(t *testing.T) {
 		c := cluster.NewCluster(12, 12, 12)
 		pool := cluster.GenerateJobs(64, 9, 0.2)
 		rng := rand.New(rand.NewSource(31))
-		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: k}, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: k}, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,55 +519,17 @@ func TestMarkAllDirtyMeansCold(t *testing.T) {
 		if err := warm.Solve(); err != nil {
 			t.Fatal(err)
 		}
-		objs := func() (float64, float64) { return warm.Objective(), cold.Objective() }
-		coldRound(t, 4, cold, func() error { cold.MarkAllDirty(); return cold.Solve() }, objs)
+		coldRound(t, warm, cold)
 
 		// A restored engine's seeds are dropped too.
-		restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: k}, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := restored.Restore(warm.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
-		objs = func() (float64, float64) { return warm.Objective(), restored.Objective() }
-		coldRound(t, 4, restored, func() error { restored.MarkAllDirty(); return restored.Solve() }, objs)
-	})
-
-	t.Run("lb", func(t *testing.T) {
-		inst := lb.NewInstance(32, 8, 0.05, 305)
-		warm, err := NewLBEngine(Options{K: 2}, lp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := NewLBEngine(Options{K: 2}, lp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 4; round++ {
-			inst.ShiftLoads(int64(round))
-			wa, err := warm.Step(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cold.Step(inst); err != nil {
-				t.Fatal(err)
-			}
-			inst.Placement = wa.Placed
-		}
-		if cold.Stats().WarmAttempts == 0 {
-			t.Fatal("churn rounds never attempted a warm start")
-		}
-		inst.ShiftLoads(4)
-		if _, err := warm.Step(inst); err != nil {
-			t.Fatal(err)
-		}
-		step := func() error {
-			cold.MarkAllDirty()
-			_, err := cold.Step(inst)
-			return err
-		}
-		coldRound(t, 2, cold, step, func() (float64, float64) { return warm.Objective(), cold.Objective() })
+		coldRound(t, warm, restored)
 	})
 }
 

@@ -2,34 +2,27 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lb"
 	"pop/internal/lp"
 	"pop/internal/obs"
 )
 
-// roundSeq is an engine loaded with one family's clients, plus the two
-// things a round does to it.
+// roundSeq is an engine loaded with one family's clients, plus what a round
+// does to it before the solve.
 type roundSeq struct {
-	eng interface {
-		MarkAllDirty()
-		Stats() Stats
-	}
+	eng   *ClusterEngine
 	churn func(rng *rand.Rand, frac float64) // change frac of the clients' data
-	solve func() error
 }
 
-// roundFamilies are the round sequences of the two case studies the online
-// engine serves: cluster job churn, a capacity-jitter sequence whose
-// rhs-only deltas ride the dual simplex, lb shard-load jitter, and weight
-// churn through the pair-block space-sharing policy. Churn is stationary
-// (loads jitter around their first value), so a round costs the same
-// whatever b.N is.
+// roundFamilies are the round sequences of the policies the online engine
+// serves: cluster job churn, a capacity-jitter sequence whose rhs-only
+// deltas ride the dual simplex, and weight churn through the pair-block
+// space-sharing policy. Churn is stationary (weights and capacities jitter
+// around their first value), so a round costs the same whatever b.N is.
 var roundFamilies = []struct {
 	name  string
 	k     int
@@ -43,37 +36,11 @@ var roundFamilies = []struct {
 	}},
 	{"cluster-cap", 8, 12, []float64{1}, func(tb testing.TB, opts Options) roundSeq {
 		seq := clusterSeq(tb, MinMakespan, opts, 192, 48, 0.2, 1)
-		e := seq.eng.(*ClusterEngine)
 		seq.churn = func(rng *rand.Rand, _ float64) {
 			jit := func() float64 { return 48 * (0.8 + 0.4*rng.Float64()) }
-			e.SetCluster(cluster.NewCluster(jit(), jit(), jit()))
+			seq.eng.SetCluster(cluster.NewCluster(jit(), jit(), jit()))
 		}
 		return seq
-	}},
-	{"lb", 4, 8, []float64{0.05, 0.25, 1}, func(tb testing.TB, opts Options) roundSeq {
-		e, err := NewLBEngine(opts, lp.Options{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		inst := lb.NewInstance(96, 16, 0.05, 4)
-		base := append([]lb.Shard(nil), inst.Shards...)
-		return roundSeq{
-			eng: e,
-			churn: func(rng *rand.Rand, frac float64) {
-				for t := touches(frac, len(base)); t > 0; t-- {
-					i := rng.Intn(len(base))
-					inst.Shards[i].Load = base[i].Load * math.Exp(rng.NormFloat64()*0.25)
-				}
-			},
-			// Each round starts from the placement the last one left.
-			solve: func() error {
-				a, err := e.Step(inst)
-				if err == nil {
-					inst.Placement = a.Placed
-				}
-				return err
-			},
-		}
 	}},
 	{"spacesharing", 4, 24, []float64{0.05, 0.25, 1}, func(tb testing.TB, opts Options) roundSeq {
 		return clusterSeq(tb, SpaceSharing, opts, 96, 24, 0.1, 1)
@@ -95,7 +62,7 @@ func clusterSeq(tb testing.TB, policy ClusterPolicy, opts Options, nJobs int, gp
 		e.Upsert(j)
 	}
 	nextID := nJobs
-	return roundSeq{eng: e, solve: e.Solve, churn: func(rng *rand.Rand, frac float64) {
+	return roundSeq{eng: e, churn: func(rng *rand.Rand, frac float64) {
 		for t := touches(frac, nJobs); t > 0; t-- {
 			i := rng.Intn(nJobs)
 			if rng.Float64() < pWeight {
@@ -131,7 +98,7 @@ func BenchmarkOnlineRound(b *testing.B) {
 						if cold {
 							seq.eng.MarkAllDirty()
 						}
-						if err := seq.solve(); err != nil {
+						if err := seq.eng.Solve(); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -169,7 +136,7 @@ func TestTraceNesting(t *testing.T) {
 		if round > 0 {
 			seq.churn(rng, 0.25)
 		}
-		if err := seq.solve(); err != nil {
+		if err := seq.eng.Solve(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,10 +69,10 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 // partition assignment, and counters; the snapshot's bases are kept as
 // seeds for the partitions' first model builds, so the next Solve attempts
 // warm starts immediately. The snapshot must match the engine's policy and
-// K, its jobs must fit the pool it restores (cluster.CheckJobs), and it must
-// be internally consistent (every partitioned id has a job and vice versa).
-// A snapshot failing the first checks leaves the engine unchanged; one
-// failing the last leaves it empty but usable.
+// K, its GPU counts must be finite and ≥ 0 (cluster.CheckGPUs), its jobs
+// must fit the pool it restores (cluster.CheckJobs), and it must be
+// internally consistent (every partitioned id has a job and vice versa).
+// A snapshot failing any check leaves the engine unchanged.
 func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if st.Policy != e.st.policy.String() {
 		return fmt.Errorf("online: snapshot policy %q does not match engine policy %q", st.Policy, e.st.policy)
@@ -83,40 +83,46 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if len(st.Partitions) != st.K {
 		return fmt.Errorf("online: snapshot has %d partitions, want %d", len(st.Partitions), st.K)
 	}
+	if err := cluster.CheckGPUs(st.GPUs); err != nil {
+		return fmt.Errorf("online: snapshot %w", err)
+	}
 	// The jobs must fit the pool the snapshot installs, or else the engine's.
 	if err := cluster.CheckJobs(st.Jobs, cmp.Or(len(st.GPUs), e.st.c.NumTypes())); err != nil {
 		return fmt.Errorf("online: snapshot %w", err)
 	}
-	e.resetState()
 	var jobs cluster.Table
 	jobs.Reset(st.Jobs)
+	partOf := make(map[int]int, jobs.Len())
+	for p, ids := range st.Partitions {
+		for _, id := range ids {
+			if _, ok := jobs.Get(id); !ok {
+				return fmt.Errorf("online: snapshot partition %d holds unknown job %d", p, id)
+			}
+			if _, dup := partOf[id]; dup {
+				return fmt.Errorf("online: snapshot places job %d in two partitions", id)
+			}
+			partOf[id] = p
+		}
+	}
+	if len(partOf) != jobs.Len() {
+		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", len(partOf), jobs.Len())
+	}
+
 	eng := e.eng
-	placed := 0
+	eng.reset()
+	eng.partOf = partOf
 	for p, ids := range st.Partitions {
 		s := &eng.subs[p]
 		s.ids = slices.Clone(ids)
 		s.dirty = true
 		for _, id := range ids {
-			j, ok := jobs.Get(id)
-			if !ok {
-				e.resetState()
-				return fmt.Errorf("online: snapshot partition %d holds unknown job %d", p, id)
-			}
-			if _, dup := eng.partOf[id]; dup {
-				e.resetState()
-				return fmt.Errorf("online: snapshot places job %d in two partitions", id)
-			}
-			eng.partOf[id] = p
+			j, _ := jobs.Get(id)
 			eng.loadOf[id] = j.Scale
 			s.load += j.Scale
-			placed++
 		}
 	}
-	if placed != jobs.Len() {
-		e.resetState()
-		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", placed, jobs.Len())
-	}
 	e.st.jobs = jobs
+	e.st.results = make([]*clusterSubResult, eng.opts.K)
 	eng.stats = st.Stats
 	if len(st.Bases) == st.K {
 		seeds := make([]*lp.Basis, st.K)
@@ -138,12 +144,4 @@ func (e *ClusterEngine) RestoreBytes(raw []byte) error {
 		return fmt.Errorf("online: bad snapshot: %w", err)
 	}
 	return e.Restore(&st)
-}
-
-// resetState returns the engine to empty: no jobs, fresh partitions, no
-// models, no basis seeds. Counters and the installed cluster survive.
-func (e *ClusterEngine) resetState() {
-	e.eng.reset()
-	e.st.jobs = cluster.Table{}
-	e.st.results = make([]*clusterSubResult, e.eng.opts.K)
 }

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,35 +120,119 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 }
 
 // TestSnapshotRestoreCorruptPlacement: a snapshot whose partitions reference
-// unknown jobs or double-place a job is rejected.
+// unknown jobs, double-place a job or leave one out is rejected, and leaves
+// the engine as it was.
 func TestSnapshotRestoreCorruptPlacement(t *testing.T) {
+	donor := restoreTarget(t)
+	unknown := donor.Snapshot()
+	unknown.Partitions[0] = append(unknown.Partitions[0], 999)
+	double := donor.Snapshot()
+	double.Partitions[0] = []int{0, 1}
+	double.Partitions[1] = []int{1}
+	missing := donor.Snapshot()
+	missing.Partitions[1] = nil
+	for name, st := range map[string]*ClusterState{"unknown": unknown, "double": double, "missing": missing} {
+		e := restoreTarget(t)
+		before := snapshotBytes(t, e)
+		if err := e.Restore(st); err == nil {
+			t.Fatalf("%s: corrupt placement restored cleanly", name)
+		}
+		if after := snapshotBytes(t, e); !bytes.Equal(after, before) {
+			t.Fatalf("%s: refused restore changed the engine:\n%s\n%s", name, before, after)
+		}
+	}
+}
+
+// restoreTarget is a K = 2 engine with two solved rounds of state, on a
+// three-type pool, for the refusal tests to restore into.
+func restoreTarget(t testing.TB) *ClusterEngine {
 	c := cluster.NewCluster(8, 8, 8)
-	donor, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2}, lp.Options{})
+	e, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rnd := rand.New(rand.NewSource(8))
-	jobs := []cluster.Job{snapJob(0, rnd), snapJob(1, rnd)}
-	if _, err := donor.Step(jobs, c); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := func() *ClusterEngine {
-		e, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2}, lp.Options{})
-		if err != nil {
+	jobs := []cluster.Job{snapJob(0, rnd), snapJob(1, rnd), snapJob(2, rnd)}
+	for r := 0; r < 2; r++ {
+		if _, err := e.Step(jobs[:2+r], c); err != nil {
 			t.Fatal(err)
 		}
-		return e
 	}
-	unknown := donor.Snapshot()
-	unknown.Partitions[0] = append(unknown.Partitions[0], 999)
-	if err := fresh().Restore(unknown); err == nil {
-		t.Fatal("snapshot placing an unknown job restored cleanly")
+	return e
+}
+
+func snapshotBytes(t testing.TB, e *ClusterEngine) []byte {
+	raw, err := e.Snapshot().Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-	double := donor.Snapshot()
-	double.Partitions[0] = []int{0, 1}
-	double.Partitions[1] = []int{1}
-	if err := fresh().Restore(double); err == nil {
-		t.Fatal("snapshot double-placing a job restored cleanly")
+	return raw
+}
+
+// restoreRounds runs a round on a pool with one GPU more of each type than
+// the restored one, then one on the restored pool itself.
+func restoreRounds(t testing.TB, e *ClusterEngine) {
+	c := e.Cluster()
+	grown := cluster.Cluster{TypeNames: c.TypeNames, NumGPUs: make([]float64, len(c.NumGPUs))}
+	for i, v := range c.NumGPUs {
+		grown.NumGPUs[i] = v + 1
 	}
+	for _, pool := range []cluster.Cluster{grown, c} {
+		if _, _, err := e.Allocate(pool); err != nil {
+			t.Logf("round on %v: %v", pool.NumGPUs, err)
+		}
+	}
+}
+
+// TestRestoreRefusesCorruptSnapshot: a snapshot whose pool holds a NaN,
+// negative or infinite GPU count is refused and leaves the engine as it
+// was, and the rounds after it run.
+func TestRestoreRefusesCorruptSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gpus []float64
+	}{
+		{"NaN gpus", []float64{8, math.NaN(), 8}},
+		{"negative gpus", []float64{8, -8, 8}},
+		{"infinite gpus", []float64{math.Inf(1), 8, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := restoreTarget(t)
+			before := snapshotBytes(t, e)
+			st := e.Snapshot()
+			st.GPUs = tc.gpus
+			err := e.Restore(st)
+			after := snapshotBytes(t, e)
+			restoreRounds(t, e)
+			if err == nil {
+				t.Fatal("corrupt snapshot restored")
+			}
+			if !bytes.Equal(after, before) {
+				t.Fatalf("refused restore changed the engine:\n%s\n%s", before, after)
+			}
+		})
+	}
+}
+
+// FuzzClusterRestore feeds arbitrary bytes to RestoreBytes, then runs a
+// round on a grown pool and one on the restored pool. Nothing may panic,
+// and a refused snapshot must leave Snapshot() byte for byte as it was.
+func FuzzClusterRestore(f *testing.F) {
+	donor := restoreTarget(f)
+	f.Add(snapshotBytes(f, donor))
+	f.Add([]byte(`{"policy":"max-min-fairness","k":2,"gpus":[4,-1,4],"jobs":[],"partitions":[[],[]]}`))
+	f.Add([]byte(`{"policy":"max-min-fairness","k":2,"gpus":[2,3],"jobs":[{"ID":5,"Throughput":[1,2],"Weight":1,"Scale":1,"NumSteps":9}],"partitions":[[5],[]]}`))
+	f.Add([]byte(`{"policy":"max-min-fairness","k":2,"jobs":[{"ID":1,"Throughput":[1,2,3],"Weight":1,"Scale":1}],"partitions":[[1],[1]]}`))
+	f.Add([]byte(`{"policy":"max-min-fairness","k":2,"jobs":[{"ID":1,"Throughput":[1,2,3],"Weight":1,"Scale":1}],"partitions":[[1],[]],"bases":[{"VarStatus":[3,2,9],"SlackStatus":[0]},null]}`))
+	f.Add([]byte(`{"policy":"max-min-fairness"`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := restoreTarget(t)
+		before := snapshotBytes(t, e)
+		if err := e.RestoreBytes(data); err != nil {
+			if after := snapshotBytes(t, e); !bytes.Equal(after, before) {
+				t.Fatalf("refused restore (%v) changed the engine:\n%s\n%s", err, before, after)
+			}
+		}
+		restoreRounds(t, e)
+	})
 }

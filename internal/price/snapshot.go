@@ -52,16 +52,31 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 }
 
 // Restore installs a snapshot, replacing the engine's jobs, carried prices,
-// and counters. The snapshot must name the engine's policy, and its jobs
-// must fit the pool it restores (cluster.CheckJobs); otherwise the engine
-// is unchanged.
+// and counters. The snapshot must name the engine's policy; its GPU counts
+// must be finite and ≥ 0 (cluster.CheckGPUs); its jobs must fit the pool it
+// restores (cluster.CheckJobs); and its price vector must be empty or hold
+// one finite, ≥ 0 price per GPU type of that pool. Otherwise the engine is
+// unchanged.
 func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if st.Policy != snapshotPolicy {
 		return fmt.Errorf("price: snapshot policy %q does not match engine policy %q", st.Policy, snapshotPolicy)
 	}
-	// The jobs must fit the pool the snapshot installs, or else the engine's.
-	if err := cluster.CheckJobs(st.Jobs, cmp.Or(len(st.GPUs), e.c.NumTypes())); err != nil {
+	if err := cluster.CheckGPUs(st.GPUs); err != nil {
 		return fmt.Errorf("price: snapshot %w", err)
+	}
+	// The jobs and prices must fit the pool the snapshot installs, or else
+	// the engine's.
+	types := cmp.Or(len(st.GPUs), e.c.NumTypes())
+	if err := cluster.CheckJobs(st.Jobs, types); err != nil {
+		return fmt.Errorf("price: snapshot %w", err)
+	}
+	if len(st.Price) > 0 && len(st.Price) != types {
+		return fmt.Errorf("price: snapshot has %d prices for %d gpu types", len(st.Price), types)
+	}
+	for i, p := range st.Price {
+		if !cluster.FiniteNonNegative(p) {
+			return fmt.Errorf("price: snapshot price %d is %v, not finite and ≥ 0", i, p)
+		}
 	}
 	e.tab.Reset(st.Jobs)
 	e.dom = nil // rows no longer line up with the table

@@ -164,12 +164,12 @@ func (r *RoundRequest) read() (batch, error) {
 		}
 	}
 	for k := range len(b.thr) / 8 {
-		if v := f64(b.thr, k); !(v >= 0) || math.IsInf(v, 1) {
+		if v := f64(b.thr, k); !cluster.FiniteNonNegative(v) {
 			return batch{}, fmt.Errorf("job %d: throughput %v", i64(b.ids, k/width), v)
 		}
 	}
 	for k := range len(b.attrs) / 8 {
-		if v := f64(b.attrs, k); !(v >= 0) || math.IsInf(v, 1) {
+		if v := f64(b.attrs, k); !cluster.FiniteNonNegative(v) {
 			return batch{}, fmt.Errorf("job %d: %s %v", i64(b.ids, k%n), attrNames[k/n], v)
 		}
 	}

@@ -130,31 +130,6 @@ func Rescale(demands []Demand, total float64) {
 	}
 }
 
-// Total sums the demand amounts.
-func Total(demands []Demand) float64 {
-	sum := 0.0
-	for _, d := range demands {
-		sum += d.Amount
-	}
-	return sum
-}
-
-// MaxShare returns the largest single demand as a fraction of the total —
-// the paper's granularity condition 2 diagnostic.
-func MaxShare(demands []Demand) float64 {
-	total := Total(demands)
-	if total == 0 {
-		return 0
-	}
-	max := 0.0
-	for _, d := range demands {
-		if d.Amount > max {
-			max = d.Amount
-		}
-	}
-	return max / total
-}
-
 func samplePairs(rng *rand.Rand, n, k, maxPairs int) [][2]int {
 	if k*3 >= maxPairs {
 		// Enumerate all ordered pairs and take a shuffled prefix.

@@ -14,8 +14,8 @@ func TestGenerateBasics(t *testing.T) {
 			if len(ds) != 200 {
 				t.Fatalf("got %d demands", len(ds))
 			}
-			if !approx(Total(ds), 1000, 1e-9) {
-				t.Fatalf("total = %g, want 1000", Total(ds))
+			if !approx(sumDemand(ds), 1000, 1e-9) {
+				t.Fatalf("total = %g, want 1000", sumDemand(ds))
 			}
 			seen := map[[2]int]bool{}
 			for _, d := range ds {
@@ -76,16 +76,6 @@ func TestPoissonIsSkewed(t *testing.T) {
 	}
 }
 
-func TestMaxShare(t *testing.T) {
-	ds := []Demand{{0, 1, 1}, {1, 2, 3}, {2, 0, 6}}
-	if !approx(MaxShare(ds), 0.6, 1e-12) {
-		t.Fatalf("max share = %g", MaxShare(ds))
-	}
-	if MaxShare(nil) != 0 {
-		t.Fatal("empty max share should be 0")
-	}
-}
-
 func TestCommoditiesCapped(t *testing.T) {
 	ds := Generate(Config{Nodes: 4, Commodities: 100, Model: Uniform, Seed: 1})
 	if len(ds) != 12 { // 4·3 ordered pairs
@@ -120,11 +110,20 @@ func TestDiurnal(t *testing.T) {
 	// Day/night variation should be visible in aggregate demand.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, step := range trace {
-		tot := Total(step)
+		tot := sumDemand(step)
 		lo = math.Min(lo, tot)
 		hi = math.Max(hi, tot)
 	}
 	if hi/lo < 1.2 {
 		t.Fatalf("no diurnal variation: lo=%g hi=%g", lo, hi)
 	}
+}
+
+// sumDemand sums the demand amounts.
+func sumDemand(demands []Demand) float64 {
+	sum := 0.0
+	for _, d := range demands {
+		sum += d.Amount
+	}
+	return sum
 }

@@ -14,8 +14,8 @@
 //   - Solve: the POP procedure over your clients, resources and solver. It
 //     is the same runner (core.Run) the case-study adapters are written on,
 //   - Options, Strategy: how many sub-problems and how clients are dealt,
-//   - Partition, SplitClients (Algorithm 2), SplitResource, Gather: the
-//     runner's steps, for callers that want one of them alone.
+//   - SplitClients (Algorithm 2): the client splitting Solve leaves to its
+//     caller (Options.SplitT must be 0).
 //
 // Complete case-study adapters (traffic engineering, cluster scheduling,
 // shard load balancing), the LP/MILP solvers they are built on, and the
@@ -50,26 +50,10 @@ const (
 // VirtualClient tags a (possibly split) client with its original index.
 type VirtualClient[C any] = core.VirtualClient[C]
 
-// Partition assigns n clients to k sub-problems; see core.Partition.
-func Partition(n, k int, strategy Strategy, seed int64, load func(i int) float64) [][]int {
-	return core.Partition(n, k, strategy, seed, load)
-}
-
 // SplitClients is Algorithm 2 of the paper: repeatedly halve the largest
 // client by its splitting attribute until (1+t)·n virtual clients exist.
 func SplitClients[C any](clients []C, t float64, load func(C) float64, split func(C) (C, C)) []VirtualClient[C] {
 	return core.SplitClients(clients, t, load, split)
-}
-
-// SplitResource gives every sub-problem a copy of each resource at 1/k
-// capacity (the paper's resource splitting).
-func SplitResource[R any](resources []R, k int, scale func(r R, k int) R) [][]R {
-	return core.SplitResource(resources, k, scale)
-}
-
-// Gather materializes client subsets selected by Partition's index groups.
-func Gather[T any](items []T, groups [][]int) [][]T {
-	return core.Gather(items, groups)
 }
 
 // Problem describes a granular allocation problem to the generic Solve

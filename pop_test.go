@@ -126,22 +126,6 @@ func TestSolvePropagatesSubErrors(t *testing.T) {
 	}
 }
 
-func TestPartitionReExport(t *testing.T) {
-	groups := pop.Partition(30, 3, pop.Random, 7, nil)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups", len(groups))
-	}
-	seen := map[int]bool{}
-	for _, g := range groups {
-		for _, i := range g {
-			seen[i] = true
-		}
-	}
-	if len(seen) != 30 {
-		t.Fatalf("covered %d clients", len(seen))
-	}
-}
-
 func TestSplitClientsReExport(t *testing.T) {
 	type c struct{ v float64 }
 	out := pop.SplitClients([]c{{8}, {2}}, 1.0,
@@ -156,14 +140,5 @@ func TestSplitClientsReExport(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("load not conserved: %g", total)
-	}
-}
-
-func TestSplitResourceReExport(t *testing.T) {
-	out := pop.SplitResource([]qWorker{{10}}, 5, func(w qWorker, k int) qWorker {
-		return qWorker{capacity: w.capacity / float64(k)}
-	})
-	if len(out) != 5 || out[0][0].capacity != 2 {
-		t.Fatalf("SplitResource = %v", out)
 	}
 }
