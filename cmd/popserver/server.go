@@ -268,18 +268,13 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// validateSpec checks one submission and normalizes it into a cluster.Job.
+// validateSpec normalizes one submission into a cluster.Job and checks it
+// by cluster.CheckJobs, the rule a worker holds every wire job to: a job it
+// would refuse must never be queued, or its shard's batch is refused every
+// round.
 func (s *server) validateSpec(spec jobSpec, numTypes int) (cluster.Job, error) {
 	if spec.ID < 0 {
 		return cluster.Job{}, fmt.Errorf("id must be non-negative")
-	}
-	if len(spec.Throughput) != numTypes {
-		return cluster.Job{}, fmt.Errorf("throughput must have %d entries (one per GPU type)", numTypes)
-	}
-	for _, t := range spec.Throughput {
-		if t < 0 {
-			return cluster.Job{}, fmt.Errorf("throughputs must be non-negative")
-		}
 	}
 	job := cluster.Job{
 		ID:         spec.ID,
@@ -298,6 +293,9 @@ func (s *server) validateSpec(spec jobSpec, numTypes int) (cluster.Job, error) {
 	}
 	if job.NumSteps <= 0 {
 		job.NumSteps = 1
+	}
+	if err := cluster.CheckJobs([]cluster.Job{job}, numTypes); err != nil {
+		return cluster.Job{}, err
 	}
 	return job, nil
 }
@@ -402,11 +400,9 @@ func (s *server) handleSetCluster(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "gpus must have %d entries (one per GPU type)", numTypes)
 		return
 	}
-	for _, g := range spec.GPUs {
-		if g < 0 {
-			writeErr(w, http.StatusBadRequest, "GPU counts must be non-negative")
-			return
-		}
+	if err := cluster.CheckGPUs(spec.GPUs); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	s.mu.Lock()
 	s.c = cluster.Cluster{

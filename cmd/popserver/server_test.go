@@ -162,12 +162,24 @@ func TestServerBatchingSkipsCleanSubProblems(t *testing.T) {
 	}
 }
 
-// TestServerValidation rejects malformed submissions.
+// TestServerValidation rejects malformed submissions — a short throughput
+// row, a negative id, throughput or mem_frac — with 400, so none of them
+// reaches a worker: the next tick serves every accepted job fresh. (A
+// negative mem_frac was once accepted; the worker's frame check then
+// refused its shard's whole batch every round.)
 func TestServerValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 1, Throughput: []float64{1, 2}}, http.StatusBadRequest)
+	for id := 0; id < 4; id++ {
+		do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: id, Throughput: []float64{1, 2, 3}}, http.StatusAccepted)
+	}
+	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 8, Throughput: []float64{1, 2}}, http.StatusBadRequest)
 	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: -1, Throughput: []float64{1, 2, 3}}, http.StatusBadRequest)
-	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 1, Throughput: []float64{1, -2, 3}}, http.StatusBadRequest)
+	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 8, Throughput: []float64{1, -2, 3}}, http.StatusBadRequest)
+	do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 9, Throughput: []float64{1, 2, 3}, MemFrac: -0.5}, http.StatusBadRequest)
+	tick := do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
+	if tick["num_jobs"].(float64) != 4 || tick["stale_jobs"].(float64) != 0 {
+		t.Fatalf("tick after the refused submissions: %v, want 4 jobs and none stale", tick)
+	}
 	do(t, "GET", ts.URL+"/healthz", nil, http.StatusOK)
 }
 

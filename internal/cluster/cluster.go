@@ -200,7 +200,7 @@ func EffectiveThroughput(j Job, row []float64) float64 {
 type Allocation struct {
 	// X[j][i] is the time fraction job j spends alone on type i.
 	X [][]float64
-	// Pairs lists job pairs (J2 = -1 for a solo slot); PairX[q][i] is the
+	// Pairs lists job pairs (J2 = NoPartner for a solo slot); PairX[q][i] is the
 	// time fraction pair q runs on type i.
 	Pairs []Pair
 	PairX [][]float64
@@ -211,10 +211,15 @@ type Allocation struct {
 	LPVariables int
 }
 
-// Pair identifies two jobs sharing a GPU (J2 == -1 means J1 runs alone).
+// Pair identifies two jobs sharing a GPU, or one job alone on its slot
+// when J2 is NoPartner.
 type Pair struct {
 	J1, J2 int
 }
+
+// NoPartner is a solo slot's J2: J1 runs alone. It is the one solo marker
+// for every layout built from Slots, online's block keys included.
+const NoPartner = -1
 
 // NormalizedRatios returns each job's effective throughput normalized by
 // its weight, equal-share throughput, and scale — the quantity the max-min
@@ -286,7 +291,7 @@ func VerifyFeasible(jobs []Job, c Cluster, a *Allocation, tol float64) error {
 				}
 				used[i] += v // each pair occupies one GPU
 				timeOf[index[pr.J1]] += v
-				if pr.J2 >= 0 {
+				if pr.J2 != NoPartner {
 					timeOf[index[pr.J2]] += v
 				}
 			}

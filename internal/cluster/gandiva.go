@@ -47,7 +47,7 @@ func Gandiva(jobs []Job, c Cluster, seed int64) *Allocation {
 			continue
 		}
 		free[best] -= j.Scale
-		slots = append(slots, slot{Pair{J1: j.ID, J2: -1}, best})
+		slots = append(slots, slot{Pair{J1: j.ID, J2: NoPartner}, best})
 		if j.Scale == 1 {
 			packable = append(packable, len(slots)-1)
 		}

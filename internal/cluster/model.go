@@ -76,7 +76,7 @@ func SoloModel(jobs []Job, c Cluster, denom func(Job) float64) *lp.Model {
 func Slots(jobs []Job) []Pair {
 	slots := make([]Pair, 0, len(jobs))
 	for _, j := range jobs {
-		slots = append(slots, Pair{J1: j.ID, J2: -1})
+		slots = append(slots, Pair{J1: j.ID, J2: NoPartner})
 	}
 	for a := range jobs {
 		if jobs[a].Scale != 1 {
@@ -109,7 +109,7 @@ func SlotTerms(jobs []Job, slots []Pair, r int) (vars [][]int, thr [][]float64, 
 	}
 	for q, s := range slots {
 		a := index[s.J1]
-		if s.J2 < 0 {
+		if s.J2 == NoPartner {
 			add(a, q, 1)
 			load[q] = jobs[a].Scale
 			continue

@@ -54,7 +54,7 @@ func FillPairEffThr(jobs []Job, a *Allocation) {
 	}
 	for q, pr := range a.Pairs {
 		ja := index[pr.J1]
-		if pr.J2 < 0 {
+		if pr.J2 == NoPartner {
 			for i, f := range a.PairX[q] {
 				a.EffThr[ja] += jobs[ja].Throughput[i] * f
 			}

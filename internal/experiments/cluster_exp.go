@@ -250,7 +250,7 @@ func Fig8(scale Scale) (*Result, error) {
 	}
 	// The online engine: same POP decomposition, but sub-problems persist
 	// across rounds — only dirtied ones re-solve, warm-started.
-	eng, err := online.NewClusterEngine(cfg.Cluster, online.MinMakespan, online.Options{K: 4, Parallel: true}, lp.Options{})
+	eng, err := online.NewClusterEngine(cfg.Cluster, online.MinMakespan, online.Options{K: 4, Parallel: true})
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestRunOnlineDrivesEngine(t *testing.T) {
 		RoundSeconds:       360,
 		Seed:               5,
 	}
-	eng, err := online.NewClusterEngine(cfg.Cluster, online.MaxMinFairness, online.Options{K: 3}, lp.Options{})
+	eng, err := online.NewClusterEngine(cfg.Cluster, online.MaxMinFairness, online.Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRunOnlineMatchesBatchPOPShape(t *testing.T) {
 		RoundSeconds: 360,
 		Seed:         7,
 	}
-	eng, err := online.NewClusterEngine(cfg.Cluster, online.MinMakespan, online.Options{K: 2}, lp.Options{})
+	eng, err := online.NewClusterEngine(cfg.Cluster, online.MinMakespan, online.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@
 //
 // Dijkstra's heap is a typed binary heap whose pushes and pops compare and
 // swap exactly as container/heap's do, so nodes at equal distance pop in
-// container/heap's order and ties pick the same paths. Each ShortestPath or
-// KShortestPaths call owns its scratch (distances, heap, ban marks), so
-// concurrent calls on a graph nobody mutates are safe.
+// container/heap's order and ties pick the same paths. Each KShortestPaths
+// call owns its scratch (distances, heap, ban marks), so concurrent calls on
+// a graph nobody mutates are safe.
 package graph
 
 import (
@@ -140,26 +140,6 @@ func (g *Graph) newScratch() *scratch {
 		banEdge: make([]bool, len(g.Edges)),
 		banNode: make([]bool, g.N),
 	}
-}
-
-// ShortestPath runs Dijkstra from src to dst over edge weights, skipping
-// edges for which skip returns true (skip may be nil, and is asked about
-// every edge once, up front). It returns nil if dst is unreachable. Among
-// equally short paths it returns the one container/heap's pop order finds.
-// Each call owns its scratch, so concurrent calls on a graph nobody mutates
-// are safe.
-func (g *Graph) ShortestPath(src, dst int, skip func(edgeID int) bool) *Path {
-	s := g.newScratch()
-	if skip != nil {
-		for eid := range s.banEdge {
-			s.banEdge[eid] = skip(eid)
-		}
-	}
-	edges, w, ok := g.shortest(s, src, dst, nil)
-	if !ok {
-		return nil
-	}
-	return g.makePath(src, edges, w)
 }
 
 // shortest runs Dijkstra from src to dst over the edges s does not ban. It

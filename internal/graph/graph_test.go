@@ -13,9 +13,26 @@ func lineGraph(n int) *Graph {
 	return g
 }
 
+// shortestPath is one run of the Dijkstra loop Yen's first search and spur
+// searches share, from src to dst over the edges skip (which may be nil)
+// does not name; nil when dst is unreachable.
+func shortestPath(g *Graph, src, dst int, skip func(edgeID int) bool) *Path {
+	s := g.newScratch()
+	if skip != nil {
+		for eid := range s.banEdge {
+			s.banEdge[eid] = skip(eid)
+		}
+	}
+	edges, w, ok := g.shortest(s, src, dst, nil)
+	if !ok {
+		return nil
+	}
+	return g.makePath(src, edges, w)
+}
+
 func TestShortestPathLine(t *testing.T) {
 	g := lineGraph(5)
-	p := g.ShortestPath(0, 4, nil)
+	p := shortestPath(g, 0, 4, nil)
 	if p == nil {
 		t.Fatal("no path found")
 	}
@@ -32,7 +49,7 @@ func TestShortestPathPrefersLightEdges(t *testing.T) {
 	g.AddEdge(0, 2, 1, 10) // direct but heavy
 	g.AddEdge(0, 1, 1, 1)  // detour...
 	g.AddEdge(1, 2, 1, 2)  // ...total 3
-	p := g.ShortestPath(0, 2, nil)
+	p := shortestPath(g, 0, 2, nil)
 	if p.Weight != 3 || len(p.Edges) != 2 {
 		t.Fatalf("path = %+v, want 2-hop weight 3", p)
 	}
@@ -42,7 +59,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(2, 3, 1, 1)
-	if p := g.ShortestPath(0, 3, nil); p != nil {
+	if p := shortestPath(g, 0, 3, nil); p != nil {
 		t.Fatalf("expected nil path, got %+v", p)
 	}
 }
@@ -52,7 +69,7 @@ func TestShortestPathSkip(t *testing.T) {
 	direct := g.AddEdge(0, 2, 1, 1)
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(1, 2, 1, 1)
-	p := g.ShortestPath(0, 2, func(eid int) bool { return eid == direct })
+	p := shortestPath(g, 0, 2, func(eid int) bool { return eid == direct })
 	if p == nil || len(p.Edges) != 2 {
 		t.Fatalf("skip not honored: %+v", p)
 	}

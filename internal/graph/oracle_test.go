@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The container/heap + map-ban Dijkstra and Yen that ShortestPath and
+// The container/heap + map-ban Dijkstra and Yen that the Dijkstra loop and
 // KShortestPaths replaced, kept verbatim (names prefixed with oracle) as
 // their oracle: the new code must return the same paths, bit for bit,
 // ties included. oraclePathKey keeps the old 24-bit edge-ID encoding; no
@@ -203,8 +203,8 @@ func tieGraph(rng *rand.Rand, n int) *Graph {
 	return g
 }
 
-// checkAllPairs holds KShortestPaths and ShortestPath (with and without a
-// skip) to the oracle over every ordered pair of g, self-pairs included.
+// checkAllPairs holds KShortestPaths and the Dijkstra loop (with and
+// without a skip) to the oracle over every ordered pair of g, self-pairs included.
 func checkAllPairs(t *testing.T, g *Graph, k int, rng *rand.Rand) {
 	t.Helper()
 	banned := make([]bool, len(g.Edges))
@@ -217,11 +217,11 @@ func checkAllPairs(t *testing.T, g *Graph, k int, rng *rand.Rand) {
 			if d := diffPaths(g.KShortestPaths(src, dst, k), oracleKShortestPaths(g, src, dst, k)); d != "" {
 				t.Fatalf("KShortestPaths(%d, %d, %d) on %d nodes, %d edges: %s", src, dst, k, g.N, len(g.Edges), d)
 			}
-			if d := diffPath(g.ShortestPath(src, dst, nil), oracleShortestPath(g, src, dst, nil)); d != "" {
-				t.Fatalf("ShortestPath(%d, %d, nil): %s", src, dst, d)
+			if d := diffPath(shortestPath(g, src, dst, nil), oracleShortestPath(g, src, dst, nil)); d != "" {
+				t.Fatalf("shortest(%d, %d, nil): %s", src, dst, d)
 			}
-			if d := diffPath(g.ShortestPath(src, dst, skip), oracleShortestPath(g, src, dst, skip)); d != "" {
-				t.Fatalf("ShortestPath(%d, %d, skip): %s", src, dst, d)
+			if d := diffPath(shortestPath(g, src, dst, skip), oracleShortestPath(g, src, dst, skip)); d != "" {
+				t.Fatalf("shortest(%d, %d, skip): %s", src, dst, d)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 		g := randomSmallGraph(rng)
 		src, dst := 0, g.N-1
 		want := enumeratePaths(g, src, dst)
-		got := g.ShortestPath(src, dst, nil)
+		got := shortestPath(g, src, dst, nil)
 		if len(want) == 0 {
 			return got == nil
 		}

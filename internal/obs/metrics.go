@@ -97,9 +97,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveNs records a duration given in nanoseconds, converted to seconds.
-func (h *Histogram) ObserveNs(ns int64) { h.Observe(float64(ns) / 1e9) }
-
 // Count returns the number of observations (0 on a nil receiver).
 func (h *Histogram) Count() int64 {
 	if h == nil {

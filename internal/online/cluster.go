@@ -2,8 +2,6 @@ package online
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"pop/internal/cluster"
 	"pop/internal/lp"
@@ -38,17 +36,46 @@ func (p ClusterPolicy) String() string {
 	return fmt.Sprintf("ClusterPolicy(%d)", int8(p))
 }
 
-// clusterSubResult caches one sub-problem's last allocation. The solo
-// adapter writes each new allocation over the last one — X's rows are views
-// of slab, EffThr is left to ClusterEngine.Allocate, which has the jobs at
-// hand. Nothing outside the engine holds these arrays: Allocate copies rows
-// out.
-type clusterSubResult struct {
-	ids       []int
-	index     map[int]int // id -> position in ids
-	alloc     *cluster.Allocation
-	objective float64
-	slab      []float64 // backs alloc.X (solo adapter)
+// blockKey identifies one LP block inside a sub-problem's persistent model.
+// A is the owning client's id; B is a second owner for blocks shared by two
+// clients (the space-sharing pair slots), or cluster.NoPartner for blocks
+// owned by one client alone. One client may own any number of blocks.
+type blockKey struct {
+	A, B int
+}
+
+// block is one keyed slice of a sub-problem's LP: Vars consecutive variables
+// and Rows consecutive constraint rows (the layout rules are in the package
+// doc).
+type block struct {
+	Key  blockKey
+	Vars int
+	Rows int
+}
+
+// adapter is the policy-specific half of the engine: the LP formulation.
+//
+//   - Layout appends to buf (an empty slice the engine recycles between
+//     sub-solves) the block sequence a sub-problem's model must hold for
+//     members ids.
+//   - BuildModel constructs a fresh model for the layout, encoding the
+//     current data completely — package cluster's builder, the batch
+//     policies' own model.
+//   - SpliceBlock inserts one block's structure into a live model at the
+//     engine-computed variable/row positions. Data-dependent values are
+//     left to RefreshModel, which always runs after a splice pass.
+//   - RefreshModel rewrites every data-dependent coefficient, bound, and
+//     right-hand side against the current member data. Model setters no-op
+//     on unchanged values, so the delta class the solver sees — and with it
+//     dual-simplex eligibility — stays exact.
+//   - Extract reads an optimal solution of s's model into s.alloc, rows in
+//     member order.
+type adapter interface {
+	Layout(ids []int, buf []block) []block
+	BuildModel(layout []block) *lp.Model
+	SpliceBlock(m *lp.Model, b block, varAt, rowAt int)
+	RefreshModel(m *lp.Model, layout []block)
+	Extract(s *sub, sol *lp.Solution)
 }
 
 // soloScratch is the working memory of one soloAdapter.RefreshModel call:
@@ -61,68 +88,16 @@ type soloScratch struct {
 	scales  []float64
 }
 
-// clusterState is the domain state shared by the cluster adapters: the
-// resource pool, the live jobs, and the per-partition results. (The
-// equal-share fingerprints that used to live here — detecting when a total
-// scale or capacity shift rotated every fairness denominator at once — are
-// gone: lp.Model now prices the refreshed coefficients against its previous
-// duals and drops a hostile basis itself.)
-type clusterState struct {
-	policy  ClusterPolicy
-	c       cluster.Cluster
-	sub     cluster.Cluster // c.Split(K)
-	haveC   bool
-	jobs    cluster.Table
-	results []*clusterSubResult
-	// refresh recycles soloScratch values: one per concurrent sub-solve, not
-	// one per partition.
-	refresh sync.Pool
-}
-
-// member returns the live job held under id (the adapters only ask for
-// partition members, which the table always holds).
-func (st *clusterState) member(id int) cluster.Job {
-	j, _ := st.jobs.Get(id)
-	return j
-}
-
-// soloIDs extracts the member ids from a layout's single-owner blocks, in
-// block order — the member list both cluster adapters key their rows by.
-func soloIDs(layout []Block) []int {
-	ids := make([]int, 0, len(layout))
-	for _, b := range layout {
-		if b.Key.B == NoPartner {
-			ids = append(ids, b.Key.A)
-		}
-	}
-	return ids
-}
-
-func (st *clusterState) soloMembers(layout []Block) []cluster.Job {
+// soloMembers returns the jobs owning a layout's single-owner blocks, in
+// block order — the members both adapters key their rows by.
+func (e *ClusterEngine) soloMembers(layout []block) []cluster.Job {
 	members := make([]cluster.Job, 0, len(layout))
 	for _, b := range layout {
-		if b.Key.B == NoPartner {
-			members = append(members, st.member(b.Key.A))
+		if b.Key.B == cluster.NoPartner {
+			members = append(members, e.member(b.Key.A))
 		}
 	}
 	return members
-}
-
-// result returns partition p's result record, creating it empty.
-func (st *clusterState) result(p int) *clusterSubResult {
-	if st.results[p] == nil {
-		st.results[p] = &clusterSubResult{index: map[int]int{}}
-	}
-	return st.results[p]
-}
-
-// clear empties partition p's result and keeps its arrays.
-func (st *clusterState) clear(p int) {
-	res := st.result(p)
-	res.ids = res.ids[:0]
-	clear(res.index)
-	res.alloc = nil
-	res.objective = 0
 }
 
 // resize returns s with length n, on a new array of exactly that size when
@@ -134,240 +109,30 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// ClusterEngine incrementally maintains a POP allocation for the GPU
-// scheduling policies: jobs arrive, depart, and change; the engine keeps one
-// mutable LP model per sub-cluster, applies deltas in place, and re-solves
-// only the dirtied models — through the dual simplex when only capacities
-// moved, warm-started otherwise. The SpaceSharing policy runs the
-// pair-variable LP online: each partition's model holds a slot block per
-// solo job plus one per single-GPU job pair, spliced as membership churns.
-// Not safe for concurrent use.
-type ClusterEngine struct {
-	st  *clusterState
-	eng *engine
-}
-
-// NewClusterEngine creates an engine for cluster c running the given policy
-// with K sub-problems.
-func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts Options, lpOpts lp.Options) (*ClusterEngine, error) {
-	st := &clusterState{policy: policy}
-	var ad Adapter = &soloAdapter{st}
-	if policy == SpaceSharing {
-		ad = &pairAdapter{st}
-	}
-	eng, err := newEngine(ad, opts, lpOpts)
-	if err != nil {
-		return nil, err
-	}
-	st.results = make([]*clusterSubResult, opts.K)
-	e := &ClusterEngine{st: st, eng: eng}
-	e.SetCluster(c)
-	return e, nil
-}
-
-// SetCluster installs a new resource pool. A capacity change dirties every
-// sub-problem (each holds 1/k of every GPU type); under MinMakespan it is a
-// pure rhs delta, so the re-solves ride the dual simplex.
-func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
-	if e.st.haveC && clustersEqual(e.st.c, c) {
-		return
-	}
-	e.st.c = c
-	e.st.sub = c.Split(e.eng.opts.K)
-	e.st.haveC = true
-	e.eng.markAllDirty()
-}
-
-func clustersEqual(a, b cluster.Cluster) bool {
-	if len(a.NumGPUs) != len(b.NumGPUs) {
-		return false
-	}
-	for i := range a.NumGPUs {
-		if a.NumGPUs[i] != b.NumGPUs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Upsert adds job j (keyed by j.ID) or applies a change to it. Unchanged
-// re-submissions are no-ops and dirty nothing.
-func (e *ClusterEngine) Upsert(j cluster.Job) {
-	switch e.st.jobs.Upsert(j) {
-	case cluster.Arrived:
-		e.eng.upsert(j.ID, j.Scale)
-	case cluster.Updated:
-		e.eng.upsert(j.ID, j.Scale)
-		e.eng.touch(j.ID)
-	}
-}
-
-// Remove drops the job; survivors keep their sub-problems.
-func (e *ClusterEngine) Remove(id int) bool {
-	return e.st.jobs.Remove(id) && e.eng.remove(id)
-}
-
-// MarkAllDirty makes the next Solve rebuild and solve every sub-problem
-// cold: it drops every model and any restore seed. It is the cold baseline
-// the equivalence tests and BenchmarkOnlineRound hold warm rounds to.
-func (e *ClusterEngine) MarkAllDirty() { e.eng.markAllCold() }
-
-// NumJobs reports the number of jobs currently held.
-func (e *ClusterEngine) NumJobs() int { return e.st.jobs.Len() }
-
-// Jobs returns a copy of the live jobs in ascending-ID order.
-func (e *ClusterEngine) Jobs() []cluster.Job {
-	e.st.jobs.Commit(nil)
-	return slices.Clone(e.st.jobs.Jobs())
-}
-
-// Cluster returns the current resource pool.
-func (e *ClusterEngine) Cluster() cluster.Cluster { return e.st.c }
-
-// Stats returns the engine's work counters.
-func (e *ClusterEngine) Stats() Stats { return e.eng.stats }
-
-// Solve re-solves every dirty sub-problem from its persistent model,
-// leaving clean ones untouched.
-func (e *ClusterEngine) Solve() error { return e.eng.solveRound() }
-
-// Objective sums the sub-problem objectives — a checksum the equivalence
-// tests compare against a cold full solve.
-func (e *ClusterEngine) Objective() float64 {
-	total := 0.0
-	for _, r := range e.st.results {
-		if r != nil {
-			total += r.objective
-		}
-	}
-	return total
-}
-
-// Allocate re-solves the dirty sub-problems over the engine's own client set —
-// whatever Upsert and Remove have left in it — and returns the clients in
-// ascending-ID order with the allocation aligned to them (solo policies: X
-// rows per job; space sharing: the composed Pairs/PairX slot list). The job
-// slice aliases the engine's table and is valid until the next Upsert or
-// Remove.
-func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
-	e.SetCluster(c)
-	e.st.jobs.Commit(nil)
-	jobs := e.st.jobs.Jobs()
-	if err := e.Solve(); err != nil {
-		return nil, nil, err
-	}
-	if e.st.policy == SpaceSharing {
-		out, err := e.composePairs(jobs)
-		return jobs, out, err
-	}
-
-	// One slab of copies: handing out the cached rows would let a caller's
-	// in-place edits corrupt the allocation served on later clean rounds.
-	r := e.st.sub.NumTypes()
-	slab := make([]float64, len(jobs)*r)
-	out := &cluster.Allocation{
-		X:      make([][]float64, len(jobs)),
-		EffThr: make([]float64, len(jobs)),
-	}
-	counted := make([]bool, len(e.st.results))
-	for pos, j := range jobs {
-		res, i, p, err := e.resultOf(j.ID)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
-		copy(out.X[pos], res.alloc.X[i])
-		out.EffThr[pos] = cluster.EffectiveThroughput(j, out.X[pos])
-		if !counted[p] {
-			counted[p] = true
-			out.LPVariables += res.alloc.LPVariables
-		}
-	}
-	return jobs, out, nil
-}
-
-// Step is Allocate for callers that hold the population themselves (round
-// loops like gavelsim's): it diffs the active set into the engine, runs the
-// round, and returns the allocation in active-set order.
-func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	ordered := e.st.jobs.Reconcile(active, e.Upsert, e.Remove)
-	jobs, alloc, err := e.Allocate(c)
-	if err != nil || ordered {
-		return alloc, err
-	}
-	return alloc.InOrder(jobs, active), nil
-}
-
-// resultOf locates job id's cached sub-problem result and its local index.
-func (e *ClusterEngine) resultOf(id int) (*clusterSubResult, int, int, error) {
-	p, ok := e.eng.partOf[id]
-	if !ok || e.st.results[p] == nil {
-		return nil, 0, 0, fmt.Errorf("online: job %d has no sub-problem result", id)
-	}
-	res := e.st.results[p]
-	i, ok := res.index[id]
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("online: job %d missing from sub-problem %d result", id, p)
-	}
-	return res, i, p, nil
-}
-
-// composePairs concatenates the per-partition pair allocations onto the
-// active set (POP's reduce step for the space-sharing policy).
-func (e *ClusterEngine) composePairs(active []cluster.Job) (*cluster.Allocation, error) {
-	out := &cluster.Allocation{EffThr: make([]float64, len(active))}
-	counted := make([]bool, len(e.st.results))
-	for pos, j := range active {
-		res, i, p, err := e.resultOf(j.ID)
-		if err != nil {
-			return nil, err
-		}
-		out.EffThr[pos] = res.alloc.EffThr[i]
-		if !counted[p] {
-			counted[p] = true
-			out.LPVariables += res.alloc.LPVariables
-			for q := range res.alloc.Pairs {
-				out.Pairs = append(out.Pairs, res.alloc.Pairs[q])
-				out.PairX = append(out.PairX, append([]float64(nil), res.alloc.PairX[q]...))
-			}
-		}
-	}
-	return out, nil
-}
-
-// Policy adapts the engine to gavelsim's round loop: each call diffs the
-// active set against engine state and re-solves incrementally. The returned
-// function has gavelsim.Policy's signature.
-func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-		return e.Step(jobs, c)
-	}
-}
-
-// soloAdapter is the Adapter for the solo policies (MaxMinFairness,
+// soloAdapter is the adapter for the solo policies (MaxMinFairness,
 // MinMakespan): one block per job, in cluster.SoloModel's layout — block i
 // holds the member's r allocation-fraction variables, its time row and its
 // rate row; the shared epigraph t trails the block variables and the r
 // shared capacity rows trail the block rows.
 type soloAdapter struct {
-	*clusterState
+	*ClusterEngine
 }
 
-func (ad *soloAdapter) Layout(p int, ids []int, layout []Block) []Block {
+func (ad soloAdapter) Layout(ids []int, layout []block) []block {
 	r := ad.sub.NumTypes()
 	for _, id := range ids {
-		layout = append(layout, Block{Key: BlockKey{id, NoPartner}, Vars: r, Rows: 2})
+		layout = append(layout, block{Key: blockKey{id, cluster.NoPartner}, Vars: r, Rows: 2})
 	}
 	return layout
 }
 
-func (ad *soloAdapter) BuildModel(p int, layout []Block) *lp.Model {
+func (ad soloAdapter) BuildModel(layout []block) *lp.Model {
 	members := ad.soloMembers(layout)
 	return cluster.SoloModel(members, ad.sub, ad.denominator(members))
 }
 
 // denominator returns the solo policy's rate-row denominator over members.
-func (ad *soloAdapter) denominator(members []cluster.Job) func(cluster.Job) float64 {
+func (ad soloAdapter) denominator(members []cluster.Job) func(cluster.Job) float64 {
 	if ad.policy == MinMakespan {
 		return cluster.MakespanDenominator
 	}
@@ -378,7 +143,7 @@ func (ad *soloAdapter) denominator(members []cluster.Job) func(cluster.Job) floa
 // structurally-complete rate row). Coefficient values — including the
 // member's column in the shared capacity rows — are left to RefreshModel,
 // which runs on every splice pass.
-func (ad *soloAdapter) SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int) {
+func (ad soloAdapter) SpliceBlock(m *lp.Model, b block, varAt, rowAt int) {
 	r := ad.sub.NumTypes()
 	m.InsertVariables(varAt, r, 0, 0, 1)
 	vars := make([]int, r)
@@ -397,7 +162,7 @@ func (ad *soloAdapter) SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int
 // members and capacities: each member's own rate row entry by entry,
 // the shared capacity rows through the bulk setter (one pass per row, not
 // per member).
-func (ad *soloAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
+func (ad soloAdapter) RefreshModel(m *lp.Model, layout []block) {
 	sc, _ := ad.refresh.Get().(*soloScratch)
 	if sc == nil {
 		sc = new(soloScratch)
@@ -435,38 +200,18 @@ func (ad *soloAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
 	}
 }
 
-// Extract copies the solution's block variables over the partition's previous
-// rows and re-indexes the members only when they changed.
-func (ad *soloAdapter) Extract(p int, layout []Block, sol *lp.Solution, nVars int) error {
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("%v LP %v", ad.policy, sol.Status)
+// Extract copies the solution's block variables over the sub-problem's
+// previous rows.
+func (ad soloAdapter) Extract(s *sub, sol *lp.Solution) {
+	n, r := len(s.blocks), ad.sub.NumTypes()
+	s.slab = resize(s.slab, n*r)
+	copy(s.slab, sol.X)
+	if s.alloc == nil {
+		s.alloc = &cluster.Allocation{}
 	}
-	res := ad.result(p)
-	n, r := len(layout), ad.sub.NumTypes()
-	same := len(res.ids) == n
-	for i := 0; same && i < n; i++ {
-		same = res.ids[i] == layout[i].Key.A
+	s.alloc.X = resize(s.alloc.X, n)
+	for i := range s.alloc.X {
+		s.alloc.X[i] = s.slab[i*r : (i+1)*r : (i+1)*r]
 	}
-	if !same {
-		res.ids = res.ids[:0]
-		clear(res.index)
-		for i, b := range layout {
-			res.ids = append(res.ids, b.Key.A)
-			res.index[b.Key.A] = i
-		}
-	}
-	res.slab = resize(res.slab, n*r)
-	copy(res.slab, sol.X)
-	if res.alloc == nil {
-		res.alloc = &cluster.Allocation{}
-	}
-	res.alloc.X = resize(res.alloc.X, n)
-	for i := range res.alloc.X {
-		res.alloc.X[i] = res.slab[i*r : (i+1)*r : (i+1)*r]
-	}
-	res.alloc.LPVariables = nVars
-	res.objective = sol.Objective
-	return nil
+	s.alloc.LPVariables = s.model.NumVariables()
 }
-
-func (ad *soloAdapter) Clear(p int) { ad.clear(p) }

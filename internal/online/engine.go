@@ -3,9 +3,11 @@ package online
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
+	"pop/internal/cluster"
 	"pop/internal/core"
 	"pop/internal/lp"
 	"pop/internal/obs"
@@ -64,9 +66,39 @@ type Stats struct {
 	Rebalances int `json:"rebalances"`
 }
 
+// ClusterEngine incrementally maintains a POP allocation for the GPU
+// scheduling policies: jobs arrive, depart, and change; the engine keeps one
+// mutable LP model per sub-cluster, applies deltas in place, and re-solves
+// only the dirtied models — through the dual simplex when only capacities
+// moved, warm-started otherwise. The SpaceSharing policy runs the
+// pair-variable LP online: each partition's model holds a slot block per
+// solo job plus one per single-GPU job pair, spliced as membership churns.
+// Not safe for concurrent use.
+type ClusterEngine struct {
+	opts   Options
+	policy ClusterPolicy
+	ad     adapter
+	c      cluster.Cluster
+	sub    cluster.Cluster // c.Split(K)
+	haveC  bool
+	jobs   cluster.Table
+	subs   []sub
+	partOf map[int]int
+	stats  Stats
+	// seeds holds per-sub-problem basis snapshots installed by a state
+	// restore; each is consumed by that sub-problem's next model build, so a
+	// restored engine's first round attempts warm starts instead of solving
+	// cold. A seed whose dimensions no longer fit is dropped by the solver.
+	seeds []*lp.Basis
+	// scratch recycles syncScratch values and refresh soloScratch values
+	// between sub-solves: one per concurrent sub-solve, not one per
+	// partition.
+	scratch, refresh sync.Pool
+}
+
 // sub is the engine's whole state for one sub-problem: its members, their
-// total load, whether a delta dirtied it, and the persistent model with the
-// block sequence that model currently encodes.
+// total load, whether a delta dirtied it, the persistent model with the
+// block sequence that model currently encodes, and the last solve's result.
 type sub struct {
 	ids   []int // members in stable (insertion) order
 	load  float64
@@ -75,7 +107,16 @@ type sub struct {
 	// deduplicating the Stats.Updates count per round.
 	touched map[int]struct{}
 	model   *lp.Model
-	blocks  []Block
+	blocks  []block
+	// index maps each member at the last solve to its row of alloc (its
+	// position in ids then). The solo adapter writes each new allocation over
+	// the last one — X's rows are views of slab, EffThr is left to Allocate,
+	// which has the jobs at hand. Nothing outside the engine holds these
+	// arrays: Allocate copies rows out.
+	index     map[int]int
+	alloc     *cluster.Allocation
+	objective float64
+	slab      []float64 // backs alloc.X (solo adapter)
 }
 
 // syncScratch is what bringing one sub-problem's model in line with its
@@ -85,62 +126,62 @@ type sub struct {
 // sub-problems at once rather than one per sub-problem (a sub-problem's
 // worth is about 100 bytes per client).
 type syncScratch struct {
-	want    []Block
-	wantPos map[BlockKey]int
+	want    []block
+	wantPos map[blockKey]int
 	// wantAt[i] is the position of the model's block i in want, or -1 once
 	// the block is known to leave; filled by overlap, read by splice.
 	wantAt []int32
 }
 
-// engine is the domain-independent online engine: stable partitions of the
-// clients into K sub-problems, dirty marking, drift-bounded rebalancing, and
-// the dirty-only solve loop over one persistent model per sub-problem, kept
-// in sync with the adapter's declared layout. ClusterEngine wraps it with
-// its delta API.
-type engine struct {
-	opts   Options
-	ad     Adapter
-	lpOpts lp.Options
-	subs   []sub
-	partOf map[int]int
-	loadOf map[int]float64
-	stats  Stats
-	// seeds holds per-sub-problem basis snapshots installed by a state
-	// restore; each is consumed by that sub-problem's next model build, so a
-	// restored engine's first round attempts warm starts instead of solving
-	// cold. A seed whose dimensions no longer fit is dropped by the solver.
-	seeds []*lp.Basis
-	// scratch recycles syncScratch values between sub-solves.
-	scratch sync.Pool
-}
-
-func newEngine(ad Adapter, opts Options, lpOpts lp.Options) (*engine, error) {
+// NewClusterEngine creates an engine for cluster c running the given policy
+// with K sub-problems.
+func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts Options) (*ClusterEngine, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("online: K must be ≥ 1, got %d", opts.K)
 	}
-	e := &engine{opts: opts, ad: ad, lpOpts: lpOpts}
-	e.reset()
+	e := &ClusterEngine{opts: opts, policy: policy, subs: make([]sub, opts.K), partOf: map[int]int{}}
+	e.ad = soloAdapter{e}
+	if policy == SpaceSharing {
+		e.ad = pairAdapter{e}
+	}
+	e.SetCluster(c)
 	return e, nil
 }
 
-// reset empties the engine: no members, no models, no basis seeds. The
-// counters survive.
-func (e *engine) reset() {
-	e.subs = make([]sub, e.opts.K)
-	e.partOf = make(map[int]int)
-	e.loadOf = make(map[int]float64)
-	e.seeds = nil
+// SetCluster installs a new resource pool. A capacity change dirties every
+// sub-problem (each holds 1/k of every GPU type); under MinMakespan it is a
+// pure rhs delta, so the re-solves ride the dual simplex.
+func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
+	if e.haveC && slices.Equal(e.c.NumGPUs, c.NumGPUs) {
+		return
+	}
+	e.c = c
+	e.sub = c.Split(e.opts.K)
+	e.haveC = true
+	e.markAllDirty()
 }
 
-// upsert places (or keeps) client id with partitioning weight load and
-// returns its sub-problem. New clients go to the least-loaded sub-problem —
-// the stable-partition arrival rule.
-func (e *engine) upsert(id int, load float64) int {
-	if p, ok := e.partOf[id]; ok {
-		e.subs[p].load += load - e.loadOf[id]
-		e.loadOf[id] = load
-		return p
+// Upsert adds job j (keyed by j.ID) or applies a change to it. Unchanged
+// re-submissions are no-ops and dirty nothing. A new job joins the
+// least-loaded sub-problem; a changed one stays where it is.
+func (e *ClusterEngine) Upsert(j cluster.Job) {
+	old, _ := e.jobs.Get(j.ID)
+	switch e.jobs.Upsert(j) {
+	case cluster.Arrived:
+		e.place(j)
+	case cluster.Updated:
+		s := &e.subs[e.partOf[j.ID]]
+		s.load += j.Scale - old.Scale
+		if _, seen := s.touched[j.ID]; !seen {
+			e.stats.Updates++
+		}
+		s.markTouched(j.ID)
 	}
+}
+
+// place puts arriving job j in the sub-problem with the least load (ties:
+// fewest members, then lowest index) — the stable-partition arrival rule.
+func (e *ClusterEngine) place(j cluster.Job) {
 	best := 0
 	for p := 1; p < len(e.subs); p++ {
 		cand, cur := &e.subs[p], &e.subs[best]
@@ -148,42 +189,29 @@ func (e *engine) upsert(id int, load float64) int {
 			best = p
 		}
 	}
-	e.partOf[id] = best
-	e.loadOf[id] = load
+	e.partOf[j.ID] = best
 	s := &e.subs[best]
-	s.ids = append(s.ids, id)
-	s.load += load
-	s.markTouched(id)
+	s.ids = append(s.ids, j.ID)
+	s.load += j.Scale
+	s.markTouched(j.ID)
 	e.stats.Arrivals++
-	return best
 }
 
-// remove drops client id; survivors keep their sub-problems and order.
-func (e *engine) remove(id int) bool {
-	p, ok := e.partOf[id]
+// Remove drops the job; survivors keep their sub-problems and order.
+func (e *ClusterEngine) Remove(id int) bool {
+	j, ok := e.jobs.Get(id)
 	if !ok {
 		return false
 	}
-	s := &e.subs[p]
+	e.jobs.Remove(id)
+	s := &e.subs[e.partOf[id]]
 	s.ids = deleteID(s.ids, id)
-	s.load -= e.loadOf[id]
+	s.load -= j.Scale
 	s.dirty = true
 	delete(s.touched, id) // departed blocks drop from the model
 	delete(e.partOf, id)
-	delete(e.loadOf, id)
 	e.stats.Departures++
 	return true
-}
-
-// touch marks client id's sub-problem dirty (its data changed).
-func (e *engine) touch(id int) {
-	if p, ok := e.partOf[id]; ok {
-		s := &e.subs[p]
-		if _, seen := s.touched[id]; !seen {
-			e.stats.Updates++
-		}
-		s.markTouched(id)
-	}
 }
 
 func (s *sub) markTouched(id int) {
@@ -203,18 +231,26 @@ func deleteID(ids []int, id int) []int {
 	return ids
 }
 
+// member returns the live job held under id (the engine only asks for
+// partition members, which the table always holds).
+func (e *ClusterEngine) member(id int) cluster.Job {
+	j, _ := e.jobs.Get(id)
+	return j
+}
+
 // markAllDirty forces every sub-problem to re-solve next round, from the
 // model it holds (a resource capacity change touches all sub-problems, which
 // hold 1/k of each resource).
-func (e *engine) markAllDirty() {
+func (e *ClusterEngine) markAllDirty() {
 	for p := range e.subs {
 		e.subs[p].dirty = true
 	}
 }
 
-// markAllCold is markAllDirty with every model and restore seed dropped, so
-// the next round rebuilds and solves each sub-problem cold.
-func (e *engine) markAllCold() {
+// MarkAllDirty makes the next Solve rebuild and solve every sub-problem
+// cold: it drops every model and any restore seed. It is the cold baseline
+// the equivalence tests and BenchmarkOnlineRound hold warm rounds to.
+func (e *ClusterEngine) MarkAllDirty() {
 	for p := range e.subs {
 		e.subs[p].drop()
 	}
@@ -228,13 +264,38 @@ func (s *sub) drop() {
 	s.blocks = s.blocks[:0]
 }
 
+// NumJobs reports the number of jobs currently held.
+func (e *ClusterEngine) NumJobs() int { return e.jobs.Len() }
+
+// Jobs returns a copy of the live jobs in ascending-ID order.
+func (e *ClusterEngine) Jobs() []cluster.Job {
+	e.jobs.Commit(nil)
+	return slices.Clone(e.jobs.Jobs())
+}
+
+// Cluster returns the current resource pool.
+func (e *ClusterEngine) Cluster() cluster.Cluster { return e.c }
+
+// Stats returns the engine's work counters.
+func (e *ClusterEngine) Stats() Stats { return e.stats }
+
+// Objective sums the sub-problem objectives — a checksum the equivalence
+// tests compare against a cold full solve.
+func (e *ClusterEngine) Objective() float64 {
+	total := 0.0
+	for p := range e.subs {
+		total += e.subs[p].objective
+	}
+	return total
+}
+
 // rebalance moves at most one client from the most-loaded to the
 // least-loaded sub-problem, choosing the member whose move most nearly
 // levels the pair, and only when the move strictly narrows their spread.
 // Repeated rounds therefore shrink the spread monotonically until it is
 // below the lightest member of the heaviest sub-problem — the drift bound
 // under churn. The moved client's old and new sub-problems both go dirty.
-func (e *engine) rebalance() {
+func (e *ClusterEngine) rebalance() {
 	if !e.opts.Rebalance || len(e.subs) < 2 {
 		return
 	}
@@ -251,16 +312,16 @@ func (e *engine) rebalance() {
 	if hi == lo || diff <= 0 {
 		return
 	}
-	best, bestScore := -1, math.Inf(1)
+	best, bestW, bestScore := -1, 0.0, math.Inf(1)
 	for _, id := range e.subs[hi].ids {
-		w := e.loadOf[id]
+		w := e.member(id).Scale
 		// Any 0 < w < diff strictly improves the pair's spread; prefer the
 		// move that levels it best.
 		if w <= 0 || w >= diff {
 			continue
 		}
 		if score := math.Abs(diff - 2*w); score < bestScore {
-			best, bestScore = id, score
+			best, bestW, bestScore = id, w, score
 		}
 	}
 	if best < 0 {
@@ -269,9 +330,8 @@ func (e *engine) rebalance() {
 	src, dst := &e.subs[hi], &e.subs[lo]
 	src.ids = deleteID(src.ids, best)
 	dst.ids = append(dst.ids, best)
-	w := e.loadOf[best]
-	src.load -= w
-	dst.load += w
+	src.load -= bestW
+	dst.load += bestW
 	e.partOf[best] = lo
 	src.dirty, dst.dirty = true, true
 	e.stats.Rebalances++
@@ -287,20 +347,21 @@ type subReport struct {
 	solveNs       int64
 }
 
-// solveRound takes the round's rebalance move, if any, then re-solves every
-// dirty sub-problem through the adapter. With an observer attached it wraps
-// the solve in an "online.round" span and books the round-delta counters;
-// the disabled path is one nil check.
-func (e *engine) solveRound() error {
+// Solve takes the round's rebalance move, if any, then re-solves every
+// dirty sub-problem from its persistent model, leaving clean ones
+// untouched. With an observer attached it wraps the solve in an
+// "online.round" span and books the round-delta counters; the disabled
+// path is one nil check.
+func (e *ClusterEngine) Solve() error {
 	e.rebalance()
 	o := e.opts.Obs
 	if o == nil {
-		return e.solveDirty(e.subSolve)
+		return e.solveDirty()
 	}
 	before := e.stats
 	sp := o.Span("online.round")
 	start := time.Now()
-	err := e.solveDirty(e.subSolve)
+	err := e.solveDirty()
 	dur := time.Since(start)
 	d := e.stats
 	sp.Arg("subsolves", d.SubSolves-before.SubSolves).
@@ -316,12 +377,12 @@ func (e *engine) solveRound() error {
 	return err
 }
 
-// solveDirty runs solve for every dirty sub-problem (concurrently when
+// solveDirty re-solves every dirty sub-problem (concurrently when
 // configured) and books the results. The keep-or-drop decision for each
 // model's stale basis lives in lp.Model, whose hostile-refresh sampler
 // prices the refreshed coefficients against the previous duals. Clean
 // sub-problems are skipped entirely — their cached results stand.
-func (e *engine) solveDirty(solve func(p int, ids []int) (subReport, error)) error {
+func (e *ClusterEngine) solveDirty() error {
 	e.stats.Rounds++
 	var dirty []int
 	for p := range e.subs {
@@ -336,7 +397,7 @@ func (e *engine) solveDirty(solve func(p int, ids []int) (subReport, error)) err
 	reports := make([]subReport, len(dirty))
 	err := core.ParallelMap(len(dirty), e.opts.Parallel, func(i int) error {
 		p := dirty[i]
-		rep, err := solve(p, e.subs[p].ids)
+		rep, err := e.subSolve(p)
 		if err != nil {
 			return fmt.Errorf("online: sub-problem %d: %w", p, err)
 		}
@@ -366,8 +427,9 @@ func (e *engine) solveDirty(solve func(p int, ids []int) (subReport, error)) err
 }
 
 // subSolve brings sub-problem p's persistent model in line with the
-// adapter's declared layout and current data, solves it, and hands the
-// solution to the adapter. The sync path is chosen once per round:
+// adapter's layout and current data, solves it, and has the adapter read
+// the solution into the sub-problem's result. The sync path is chosen once
+// per round:
 //
 //   - no model yet (the first round, or after MarkAllDirty), or membership
 //     churned beyond recognition (block-key overlap < 0.5): build fresh;
@@ -378,61 +440,60 @@ func (e *engine) solveDirty(solve func(p int, ids []int) (subReport, error)) err
 // Whether the refreshed coefficients left the stale basis worth warm
 // repairing is not the engine's call: lp.Model prices a sample of the
 // incoming coefficients against the previous solve's duals and drops a
-// hostile basis itself, uniformly across adapters.
-func (e *engine) subSolve(p int, ids []int) (subReport, error) {
+// hostile basis itself.
+func (e *ClusterEngine) subSolve(p int) (subReport, error) {
 	o := e.opts.Obs
 	if o == nil {
-		return e.subSolveObs(nil, p, ids)
+		return e.subSolveObs(nil, p)
 	}
 	// Each sub-problem gets its own trace lane so parallel sub-solves render
 	// side by side instead of overlapping on the engine's lane.
 	po := o.WithTID(o.TID + 1 + p)
-	sp := po.Span("online.subsolve").Arg("part", p).Arg("members", len(ids))
-	rep, err := e.subSolveObs(po, p, ids)
+	sp := po.Span("online.subsolve").Arg("part", p).Arg("members", len(e.subs[p].ids))
+	rep, err := e.subSolveObs(po, p)
 	sp.End()
 	return rep, err
 }
 
-func (e *engine) subSolveObs(po *obs.Observer, p int, ids []int) (subReport, error) {
+func (e *ClusterEngine) subSolveObs(po *obs.Observer, p int) (subReport, error) {
 	s := &e.subs[p]
-	if len(ids) == 0 {
+	if len(s.ids) == 0 {
 		s.drop()
-		e.ad.Clear(p)
+		clear(s.index)
+		s.alloc, s.objective = nil, 0
 		return subReport{}, nil
 	}
 	start := time.Now()
 	sc, _ := e.scratch.Get().(*syncScratch)
 	if sc == nil {
-		sc = &syncScratch{wantPos: make(map[BlockKey]int)}
+		sc = &syncScratch{wantPos: make(map[blockKey]int)}
 	}
 	defer e.scratch.Put(sc) // rebuilt from scratch by its next user, so safe to recycle on any exit
-	sc.want = e.ad.Layout(p, ids, sc.want[:0])
-	if s.model == nil || sc.overlap(s.blocks) < 0.5 || !e.spliceObs(po, s, p, sc) {
+	sc.want = e.ad.Layout(s.ids, sc.want[:0])
+	if s.model == nil || sc.overlap(s.blocks) < 0.5 || !e.spliceObs(po, s, sc) {
 		e.rebuildObs(po, s, p, sc.want)
 	} else {
 		rsp := po.Span("online.refresh")
-		e.ad.RefreshModel(s.model, p, s.blocks)
+		e.ad.RefreshModel(s.model, s.blocks)
 		rsp.End()
 	}
 	warmAttempted := s.model.HasBasis()
 	buildNs := time.Since(start).Nanoseconds()
 
-	lpo := e.lpOpts
-	if po != nil {
-		lpo.Obs = po
-	}
 	start = time.Now()
-	sol, err := s.model.SolveWithOptions(lpo)
+	sol, err := s.model.SolveWithOptions(lp.Options{Obs: po})
 	solveNs := time.Since(start).Nanoseconds()
 	if err != nil {
 		return subReport{}, err
 	}
-	esp := po.Span("online.extract")
-	err = e.ad.Extract(p, s.blocks, sol, s.model.NumVariables())
-	esp.End()
-	if err != nil {
-		return subReport{}, err
+	if sol.Status != lp.Optimal {
+		return subReport{}, fmt.Errorf("%v LP %v", e.policy, sol.Status)
 	}
+	esp := po.Span("online.extract")
+	e.ad.Extract(s, sol)
+	s.objective = sol.Objective
+	s.reindex()
+	esp.End()
 	return subReport{
 		warmAttempted: warmAttempted,
 		warmStarted:   sol.WarmStarted,
@@ -443,12 +504,32 @@ func (e *engine) subSolveObs(po *obs.Observer, p int, ids []int) (subReport, err
 	}, nil
 }
 
+// reindex points index at the members' rows — both adapters read them out
+// in member order — rebuilding it only when the members changed.
+func (s *sub) reindex() {
+	same := len(s.index) == len(s.ids)
+	for i := 0; same && i < len(s.ids); i++ {
+		at, ok := s.index[s.ids[i]]
+		same = ok && at == i
+	}
+	if same {
+		return
+	}
+	if s.index == nil {
+		s.index = make(map[int]int, len(s.ids))
+	}
+	clear(s.index)
+	for i, id := range s.ids {
+		s.index[id] = i
+	}
+}
+
 // rebuildObs builds sub-problem p's model fresh for layout want, seeding it
 // with the restored basis if one is waiting; spliceObs wraps splice. Each
 // opens its phase span.
-func (e *engine) rebuildObs(po *obs.Observer, s *sub, p int, want []Block) {
+func (e *ClusterEngine) rebuildObs(po *obs.Observer, s *sub, p int, want []block) {
 	sp := po.Span("online.rebuild").Arg("blocks", len(want))
-	s.model = e.ad.BuildModel(p, want)
+	s.model = e.ad.BuildModel(want)
 	s.blocks = append(s.blocks[:0], want...) // want's array goes back to the scratch pool
 	if p < len(e.seeds) && e.seeds[p] != nil {
 		s.model.SetBasis(e.seeds[p])
@@ -457,9 +538,9 @@ func (e *engine) rebuildObs(po *obs.Observer, s *sub, p int, want []Block) {
 	sp.End()
 }
 
-func (e *engine) spliceObs(po *obs.Observer, s *sub, p int, sc *syncScratch) bool {
+func (e *ClusterEngine) spliceObs(po *obs.Observer, s *sub, sc *syncScratch) bool {
 	sp := po.Span("online.splice")
-	ok := e.splice(s, p, sc)
+	ok := e.splice(s, sc)
 	sp.Arg("ok", ok).End()
 	return ok
 }
@@ -470,7 +551,7 @@ func (e *engine) spliceObs(po *obs.Observer, s *sub, p int, sc *syncScratch) boo
 // positions, and surviving blocks keep their variables, rows, and basis
 // statuses. It reports false — the caller rebuilds — when the survivors'
 // relative order differs from want's.
-func (e *engine) splice(s *sub, p int, sc *syncScratch) bool {
+func (e *ClusterEngine) splice(s *sub, sc *syncScratch) bool {
 	want, wantAt := sc.want, sc.wantAt
 	// Classify survivors (must match the wanted block exactly) and verify
 	// their relative order before touching the model, so a doomed splice
@@ -520,7 +601,7 @@ func (e *engine) splice(s *sub, p int, sc *syncScratch) bool {
 		if ci < len(kept) && kept[ci].Key == b.Key {
 			ci++
 		} else {
-			e.ad.SpliceBlock(s.model, p, b, varAt, rowAt)
+			e.ad.SpliceBlock(s.model, b, varAt, rowAt)
 		}
 		varAt += b.Vars
 		rowAt += b.Rows
@@ -535,7 +616,7 @@ func (e *engine) splice(s *sub, p int, sc *syncScratch) bool {
 // member overlap; pair layouts churn faster (one departure takes all its pair
 // blocks along), which correctly biases them toward rebuilding. It leaves
 // every current block's position in want in sc.wantAt for splice.
-func (sc *syncScratch) overlap(cur []Block) float64 {
+func (sc *syncScratch) overlap(cur []block) float64 {
 	if len(cur) == 0 || len(sc.want) == 0 {
 		return 0
 	}
@@ -555,4 +636,106 @@ func (sc *syncScratch) overlap(cur []Block) float64 {
 		sc.wantAt = append(sc.wantAt, int32(wi))
 	}
 	return float64(shared) / float64(max(len(cur), len(sc.want)))
+}
+
+// Allocate re-solves the dirty sub-problems over the engine's own client set —
+// whatever Upsert and Remove have left in it — and returns the clients in
+// ascending-ID order with the allocation aligned to them (solo policies: X
+// rows per job; space sharing: the composed Pairs/PairX slot list). The job
+// slice aliases the engine's table and is valid until the next Upsert or
+// Remove.
+func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Allocation, error) {
+	e.SetCluster(c)
+	e.jobs.Commit(nil)
+	jobs := e.jobs.Jobs()
+	if err := e.Solve(); err != nil {
+		return nil, nil, err
+	}
+	if e.policy == SpaceSharing {
+		out, err := e.composePairs(jobs)
+		return jobs, out, err
+	}
+
+	// One slab of copies: handing out the cached rows would let a caller's
+	// in-place edits corrupt the allocation served on later clean rounds.
+	r := e.sub.NumTypes()
+	slab := make([]float64, len(jobs)*r)
+	out := &cluster.Allocation{
+		X:      make([][]float64, len(jobs)),
+		EffThr: make([]float64, len(jobs)),
+	}
+	counted := make([]bool, len(e.subs))
+	for pos, j := range jobs {
+		s, i, p, err := e.rowOf(j.ID)
+		if err != nil {
+			return nil, nil, err
+		}
+		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
+		copy(out.X[pos], s.alloc.X[i])
+		out.EffThr[pos] = cluster.EffectiveThroughput(j, out.X[pos])
+		if !counted[p] {
+			counted[p] = true
+			out.LPVariables += s.alloc.LPVariables
+		}
+	}
+	return jobs, out, nil
+}
+
+// Step is Allocate for callers that hold the population themselves (round
+// loops like gavelsim's): it diffs the active set into the engine, runs the
+// round, and returns the allocation in active-set order.
+func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+	ordered := e.jobs.Reconcile(active, e.Upsert, e.Remove)
+	jobs, alloc, err := e.Allocate(c)
+	if err != nil || ordered {
+		return alloc, err
+	}
+	return alloc.InOrder(jobs, active), nil
+}
+
+// rowOf locates job id's sub-problem, its row in that sub-problem's last
+// result, and the sub-problem's index.
+func (e *ClusterEngine) rowOf(id int) (*sub, int, int, error) {
+	p, ok := e.partOf[id]
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("online: job %d has no sub-problem", id)
+	}
+	s := &e.subs[p]
+	i, ok := s.index[id]
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("online: job %d missing from sub-problem %d result", id, p)
+	}
+	return s, i, p, nil
+}
+
+// composePairs concatenates the per-partition pair allocations onto the
+// active set (POP's reduce step for the space-sharing policy).
+func (e *ClusterEngine) composePairs(active []cluster.Job) (*cluster.Allocation, error) {
+	out := &cluster.Allocation{EffThr: make([]float64, len(active))}
+	counted := make([]bool, len(e.subs))
+	for pos, j := range active {
+		s, i, p, err := e.rowOf(j.ID)
+		if err != nil {
+			return nil, err
+		}
+		out.EffThr[pos] = s.alloc.EffThr[i]
+		if !counted[p] {
+			counted[p] = true
+			out.LPVariables += s.alloc.LPVariables
+			for q := range s.alloc.Pairs {
+				out.Pairs = append(out.Pairs, s.alloc.Pairs[q])
+				out.PairX = append(out.PairX, append([]float64(nil), s.alloc.PairX[q]...))
+			}
+		}
+	}
+	return out, nil
+}
+
+// Policy adapts the engine to gavelsim's round loop: each call diffs the
+// active set against engine state and re-solves incrementally. The returned
+// function has gavelsim.Policy's signature.
+func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+		return e.Step(jobs, c)
+	}
 }

@@ -76,11 +76,11 @@ func TestClusterEngineMatchesColdFullSolve(t *testing.T) {
 	totalWarmHits := 0
 	for seq := 0; seq < sequences; seq++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seq)))
-		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestClusterEngineMatchesBatchPolicy(t *testing.T) {
 	for _, pop := range populations {
 		for _, pc := range policies {
 			t.Run(pop.name+"/"+pc.policy.String(), func(t *testing.T) {
-				e, err := NewClusterEngine(pop.c, pc.policy, Options{K: 1}, lp.Options{})
+				e, err := NewClusterEngine(pop.c, pc.policy, Options{K: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestClusterEngineMatchesBatchPolicy(t *testing.T) {
 // sub-problem must not re-solve the others.
 func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 	c := cluster.NewCluster(8, 8, 8)
-	e, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+	e, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,45 +237,54 @@ func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 // TestStablePartitionInvariants: arrivals go to the least-loaded
 // sub-problem; departures never move survivors; updates never migrate.
 func TestStablePartitionInvariants(t *testing.T) {
-	tr, err := newEngine(nil, Options{K: 3}, lp.Options{})
+	e, err := NewClusterEngine(cluster.NewCluster(4, 4, 4), MaxMinFairness, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// upsert submits a job of the given scale (the partitioning load) and
+	// reports where the engine keeps it.
+	upsert := func(id int, scale float64) int {
+		e.Upsert(cluster.Job{ID: id, Throughput: []float64{1, 2, 3}, Weight: 1, Scale: scale})
+		return e.partOf[id]
+	}
 	// Weights chosen so placement is forced: 5 → p0; 3 → p1; 1 → p2;
 	// next (1) goes to p2 again (load 2 < 3 < 5).
-	if p := tr.upsert(0, 5); p != 0 {
+	if p := upsert(0, 5); p != 0 {
 		t.Fatalf("first arrival to %d, want 0", p)
 	}
-	if p := tr.upsert(1, 3); p != 1 {
+	if p := upsert(1, 3); p != 1 {
 		t.Fatalf("second arrival to %d, want 1", p)
 	}
-	if p := tr.upsert(2, 1); p != 2 {
+	if p := upsert(2, 1); p != 2 {
 		t.Fatalf("third arrival to %d, want 2", p)
 	}
-	if p := tr.upsert(3, 1); p != 2 {
+	if p := upsert(3, 1); p != 2 {
 		t.Fatalf("fourth arrival to %d, want 2 (least loaded)", p)
 	}
 	before := map[int]int{}
-	for id, p := range tr.partOf {
+	for id, p := range e.partOf {
 		before[id] = p
 	}
 	// Departure: survivors stay put.
-	tr.remove(1)
-	for id, p := range tr.partOf {
+	e.Remove(1)
+	for id, p := range e.partOf {
 		if before[id] != p {
 			t.Fatalf("departure moved survivor %d: %d → %d", id, before[id], p)
 		}
 	}
-	// Update: weight change does not migrate.
-	if p := tr.upsert(0, 0.1); p != 0 {
+	// Update: a load change does not migrate, and moves the load with it.
+	if p := upsert(0, 0.1); p != 0 {
 		t.Fatalf("update migrated client 0 to %d", p)
 	}
+	if got := e.subs[0].load; !approxEq(got, 0.1, 1e-12) {
+		t.Fatalf("partition 0 load %g after the update, want 0.1", got)
+	}
 	// New arrival lands on the now-emptiest sub-problem (p1, load 0).
-	if p := tr.upsert(9, 1); p != 1 {
+	if p := upsert(9, 1); p != 1 {
 		t.Fatalf("arrival after departure to %d, want 1", p)
 	}
 	// Order inside a partition is stable.
-	if got := tr.subs[2].ids; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := e.subs[2].ids; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("partition 2 order drifted: %v", got)
 	}
 }
@@ -285,27 +294,28 @@ func TestStablePartitionInvariants(t *testing.T) {
 // settles below the lightest member of the heaviest partition — the drift
 // bound.
 func TestRebalanceBoundsLoadDrift(t *testing.T) {
-	tr, err := newEngine(nil, Options{K: 3, Rebalance: true}, lp.Options{})
+	e, err := NewClusterEngine(cluster.NewCluster(8, 8, 8), MaxMinFairness, Options{K: 3, Rebalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
-	noop := func(p int, ids []int) (subReport, error) { return subReport{}, nil }
 
 	// Build a skew: fill all partitions, then drain two of them by
 	// departures so partition loads diverge hard.
-	for id := 0; id < 60; id++ {
-		tr.upsert(id, 0.5+rng.Float64())
+	for id, j := range cluster.GenerateJobs(60, 12, 0) {
+		j.ID = id
+		j.Scale = 0.5 + rng.Float64()
+		e.Upsert(j)
 	}
 	for id := 0; id < 60; id++ {
-		if p := tr.partOf[id]; p != 0 && rng.Float64() < 0.8 {
-			tr.remove(id)
+		if p := e.partOf[id]; p != 0 && rng.Float64() < 0.8 {
+			e.Remove(id)
 		}
 	}
 
 	spread := func() float64 {
 		hi, lo := math.Inf(-1), math.Inf(1)
-		for _, s := range tr.subs {
+		for _, s := range e.subs {
 			hi = math.Max(hi, s.load)
 			lo = math.Min(lo, s.load)
 		}
@@ -314,13 +324,12 @@ func TestRebalanceBoundsLoadDrift(t *testing.T) {
 
 	prev := spread()
 	for round := 0; round < 40; round++ {
-		moved := tr.stats.Rebalances
-		tr.rebalance()
-		if err := tr.solveDirty(noop); err != nil {
+		moved := e.stats.Rebalances
+		if err := e.Solve(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.stats.Rebalances-moved > 1 {
-			t.Fatalf("round %d moved %d clients, want ≤ 1", round, tr.stats.Rebalances-moved)
+		if e.stats.Rebalances-moved > 1 {
+			t.Fatalf("round %d moved %d clients, want ≤ 1", round, e.stats.Rebalances-moved)
 		}
 		if s := spread(); s > prev+1e-9 {
 			t.Fatalf("round %d widened the spread: %g → %g", round, prev, s)
@@ -328,34 +337,41 @@ func TestRebalanceBoundsLoadDrift(t *testing.T) {
 			prev = s
 		}
 	}
-	if tr.stats.Rebalances == 0 {
+	if e.stats.Rebalances == 0 {
 		t.Fatal("rebalancer never moved a client off the skew")
 	}
 	// At the fixpoint the spread is below the lightest member of the
 	// heaviest partition (otherwise that member would still move).
 	hi := 0
-	for p := range tr.subs {
-		if tr.subs[p].load > tr.subs[hi].load {
+	for p := range e.subs {
+		if e.subs[p].load > e.subs[hi].load {
 			hi = p
 		}
 	}
 	lightest := math.Inf(1)
-	for _, id := range tr.subs[hi].ids {
-		lightest = math.Min(lightest, tr.loadOf[id])
+	for _, id := range e.subs[hi].ids {
+		lightest = math.Min(lightest, e.member(id).Scale)
 	}
-	if len(tr.subs[hi].ids) > 0 && prev > lightest+1e-9 {
+	if len(e.subs[hi].ids) > 0 && prev > lightest+1e-9 {
 		t.Fatalf("spread %g did not settle below the heaviest partition's lightest member %g", prev, lightest)
 	}
-	// Sanity: partition bookkeeping survived the moves.
-	for id, p := range tr.partOf {
-		found := false
-		for _, m := range tr.subs[p].ids {
-			if m == id {
-				found = true
-			}
-		}
-		if !found {
+	// Sanity: partition bookkeeping survived the moves — every job has one
+	// partition that lists it, and each partition's load is its members'.
+	if len(e.partOf) != e.NumJobs() {
+		t.Fatalf("%d placed clients, %d jobs", len(e.partOf), e.NumJobs())
+	}
+	for id, p := range e.partOf {
+		if !slices.Contains(e.subs[p].ids, id) {
 			t.Fatalf("client %d claims partition %d but is not a member", id, p)
+		}
+	}
+	for p, s := range e.subs {
+		sum := 0.0
+		for _, id := range s.ids {
+			sum += e.member(id).Scale
+		}
+		if !approxEq(sum, s.load, 1e-12) {
+			t.Fatalf("partition %d load %g, members sum to %g", p, s.load, sum)
 		}
 	}
 }
@@ -367,11 +383,11 @@ func TestClusterEngineRebalanceMatchesCold(t *testing.T) {
 	c := cluster.NewCluster(12, 12, 12)
 	pool := cluster.GenerateJobs(64, 21, 0.2)
 	rng := rand.New(rand.NewSource(99))
-	warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Rebalance: true}, lp.Options{})
+	warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Rebalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Rebalance: true}, lp.Options{})
+	cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Rebalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +423,7 @@ func TestClusterEngineRebalanceMatchesCold(t *testing.T) {
 // the full cluster's budgets (sub-cluster capacities sum to the original).
 func TestClusterEngineAllocationFeasible(t *testing.T) {
 	c := cluster.NewCluster(10, 10, 10)
-	e, err := NewClusterEngine(c, MinMakespan, Options{K: 3, Parallel: true}, lp.Options{})
+	e, err := NewClusterEngine(c, MinMakespan, Options{K: 3, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,10 +453,10 @@ func TestClusterEngineAllocationFeasible(t *testing.T) {
 }
 
 func TestEngineOptionValidation(t *testing.T) {
-	if _, err := NewClusterEngine(cluster.NewCluster(1, 1, 1), MaxMinFairness, Options{K: 0}, lp.Options{}); err == nil {
+	if _, err := NewClusterEngine(cluster.NewCluster(1, 1, 1), MaxMinFairness, Options{K: 0}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := NewClusterEngine(cluster.NewCluster(1, 1, 1), MaxMinFairness, Options{K: -1}, lp.Options{}); err == nil {
+	if _, err := NewClusterEngine(cluster.NewCluster(1, 1, 1), MaxMinFairness, Options{K: -1}); err == nil {
 		t.Fatal("K=-1 accepted")
 	}
 }
@@ -491,11 +507,11 @@ func TestMarkAllDirtyMeansCold(t *testing.T) {
 		c := cluster.NewCluster(12, 12, 12)
 		pool := cluster.GenerateJobs(64, 9, 0.2)
 		rng := rand.New(rand.NewSource(31))
-		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: k}, lp.Options{})
+		warm, err := NewClusterEngine(c, MaxMinFairness, Options{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: k}, lp.Options{})
+		cold, err := NewClusterEngine(c, MaxMinFairness, Options{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +538,7 @@ func TestMarkAllDirtyMeansCold(t *testing.T) {
 		coldRound(t, warm, cold)
 
 		// A restored engine's seeds are dropped too.
-		restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: k}, lp.Options{})
+		restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,11 +559,11 @@ func TestClusterEngineAllocationsOutliveLaterRounds(t *testing.T) {
 	c := cluster.NewCluster(12, 12, 12)
 	pool := cluster.GenerateJobs(64, 9, 0.2)
 	rng := rand.New(rand.NewSource(77))
-	seq, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+	seq, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Parallel: true}, lp.Options{})
+	par, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

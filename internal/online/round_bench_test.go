@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lp"
 	"pop/internal/obs"
 )
 
@@ -53,7 +52,7 @@ func touches(frac float64, n int) int { return max(1, int(frac*float64(n))) }
 // type; a touch re-weights a job with probability pWeight and otherwise
 // replaces it with a fresh arrival.
 func clusterSeq(tb testing.TB, policy ClusterPolicy, opts Options, nJobs int, gpus, multiGPU, pWeight float64) roundSeq {
-	e, err := NewClusterEngine(cluster.NewCluster(gpus, gpus, gpus), policy, opts, lp.Options{})
+	e, err := NewClusterEngine(cluster.NewCluster(gpus, gpus, gpus), policy, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -40,19 +40,19 @@ func (s *ClusterState) Marshal() ([]byte, error) { return json.Marshal(s) }
 // may be marshaled or held across later mutations.
 func (e *ClusterEngine) Snapshot() *ClusterState {
 	st := &ClusterState{
-		Policy:     e.st.policy.String(),
-		K:          e.eng.opts.K,
+		Policy:     e.policy.String(),
+		K:          e.opts.K,
 		Jobs:       e.Jobs(),
-		Partitions: make([][]int, e.eng.opts.K),
-		Stats:      e.eng.stats,
+		Partitions: make([][]int, e.opts.K),
+		Stats:      e.stats,
 	}
-	if e.st.haveC {
-		st.TypeNames = slices.Clone(e.st.c.TypeNames)
-		st.GPUs = slices.Clone(e.st.c.NumGPUs)
+	if e.haveC {
+		st.TypeNames = slices.Clone(e.c.TypeNames)
+		st.GPUs = slices.Clone(e.c.NumGPUs)
 	}
 	haveBasis := false
-	bases := make([]*lp.Basis, e.eng.opts.K)
-	for p, s := range e.eng.subs {
+	bases := make([]*lp.Basis, e.opts.K)
+	for p, s := range e.subs {
 		st.Partitions[p] = slices.Clone(s.ids)
 		if s.model != nil && s.model.HasBasis() {
 			bases[p] = s.model.Basis()
@@ -74,11 +74,11 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 // internally consistent (every partitioned id has a job and vice versa).
 // A snapshot failing any check leaves the engine unchanged.
 func (e *ClusterEngine) Restore(st *ClusterState) error {
-	if st.Policy != e.st.policy.String() {
-		return fmt.Errorf("online: snapshot policy %q does not match engine policy %q", st.Policy, e.st.policy)
+	if st.Policy != e.policy.String() {
+		return fmt.Errorf("online: snapshot policy %q does not match engine policy %q", st.Policy, e.policy)
 	}
-	if st.K != e.eng.opts.K {
-		return fmt.Errorf("online: snapshot K=%d does not match engine K=%d", st.K, e.eng.opts.K)
+	if st.K != e.opts.K {
+		return fmt.Errorf("online: snapshot K=%d does not match engine K=%d", st.K, e.opts.K)
 	}
 	if len(st.Partitions) != st.K {
 		return fmt.Errorf("online: snapshot has %d partitions, want %d", len(st.Partitions), st.K)
@@ -87,7 +87,7 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		return fmt.Errorf("online: snapshot %w", err)
 	}
 	// The jobs must fit the pool the snapshot installs, or else the engine's.
-	if err := cluster.CheckJobs(st.Jobs, cmp.Or(len(st.GPUs), e.st.c.NumTypes())); err != nil {
+	if err := cluster.CheckJobs(st.Jobs, cmp.Or(len(st.GPUs), e.c.NumTypes())); err != nil {
 		return fmt.Errorf("online: snapshot %w", err)
 	}
 	var jobs cluster.Table
@@ -108,28 +108,25 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", len(partOf), jobs.Len())
 	}
 
-	eng := e.eng
-	eng.reset()
-	eng.partOf = partOf
+	e.subs = make([]sub, e.opts.K)
+	e.partOf = partOf
 	for p, ids := range st.Partitions {
-		s := &eng.subs[p]
+		s := &e.subs[p]
 		s.ids = slices.Clone(ids)
 		s.dirty = true
 		for _, id := range ids {
 			j, _ := jobs.Get(id)
-			eng.loadOf[id] = j.Scale
 			s.load += j.Scale
 		}
 	}
-	e.st.jobs = jobs
-	e.st.results = make([]*clusterSubResult, eng.opts.K)
-	eng.stats = st.Stats
+	e.jobs = jobs
+	e.stats = st.Stats
+	e.seeds = nil
 	if len(st.Bases) == st.K {
-		seeds := make([]*lp.Basis, st.K)
+		e.seeds = make([]*lp.Basis, st.K)
 		for p, b := range st.Bases {
-			seeds[p] = b.Clone()
+			e.seeds[p] = b.Clone()
 		}
-		eng.seeds = seeds
 	}
 	if len(st.GPUs) > 0 {
 		e.SetCluster(cluster.Cluster{TypeNames: slices.Clone(st.TypeNames), NumGPUs: slices.Clone(st.GPUs)})

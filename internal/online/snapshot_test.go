@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lp"
 )
 
 func snapJob(id int, rnd *rand.Rand) cluster.Job {
@@ -26,7 +25,7 @@ func snapJob(id int, rnd *rand.Rand) cluster.Job {
 // and its first solves warm-start from the persisted bases.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	c := cluster.NewCluster(16, 16, 16)
-	donor, err := NewClusterEngine(c, MaxMinFairness, Options{K: 3}, lp.Options{})
+	donor, err := NewClusterEngine(c, MaxMinFairness, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: 3}, lp.Options{})
+	restored, err := NewClusterEngine(c, MaxMinFairness, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // not corrupt the engine.
 func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	c := cluster.NewCluster(8, 8, 8)
-	donor, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2}, lp.Options{})
+	donor, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +99,14 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	}
 	st := donor.Snapshot()
 
-	other, err := NewClusterEngine(c, MinMakespan, Options{K: 2}, lp.Options{})
+	other, err := NewClusterEngine(c, MinMakespan, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := other.Restore(st); err == nil {
 		t.Fatal("policy-mismatched restore succeeded")
 	}
-	smaller, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4}, lp.Options{})
+	smaller, err := NewClusterEngine(c, MaxMinFairness, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ func TestSnapshotRestoreCorruptPlacement(t *testing.T) {
 // three-type pool, for the refusal tests to restore into.
 func restoreTarget(t testing.TB) *ClusterEngine {
 	c := cluster.NewCluster(8, 8, 8)
-	e, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2}, lp.Options{})
+	e, err := NewClusterEngine(c, MaxMinFairness, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

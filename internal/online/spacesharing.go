@@ -1,14 +1,11 @@
 package online
 
 import (
-	"fmt"
-	"slices"
-
 	"pop/internal/cluster"
 	"pop/internal/lp"
 )
 
-// pairAdapter is the Adapter for the space-sharing policy (§4.1 with GPU
+// pairAdapter is the adapter for the space-sharing policy (§4.1 with GPU
 // sharing, Fig 6) — the formulation whose pair variables break the
 // one-block-per-client layout and kept it a cold solve before multi-block
 // clients existed.
@@ -24,10 +21,10 @@ import (
 // coefficients into rows it does not own — RefreshModel rewrites them all,
 // and the model's setters keep unchanged entries untouched.
 type pairAdapter struct {
-	*clusterState
+	*ClusterEngine
 }
 
-func (ad *pairAdapter) Layout(p int, ids []int, layout []Block) []Block {
+func (ad pairAdapter) Layout(ids []int, layout []block) []block {
 	r := ad.sub.NumTypes()
 	members := make([]cluster.Job, len(ids))
 	for i, id := range ids {
@@ -35,15 +32,15 @@ func (ad *pairAdapter) Layout(p int, ids []int, layout []Block) []Block {
 	}
 	for _, s := range cluster.Slots(members) {
 		rows := 0
-		if s.J2 == NoPartner {
+		if s.J2 == cluster.NoPartner {
 			rows = 2
 		}
-		layout = append(layout, Block{Key: BlockKey{s.J1, s.J2}, Vars: r, Rows: rows})
+		layout = append(layout, block{Key: blockKey{s.J1, s.J2}, Vars: r, Rows: rows})
 	}
 	return layout
 }
 
-func (ad *pairAdapter) BuildModel(p int, layout []Block) *lp.Model {
+func (ad pairAdapter) BuildModel(layout []block) *lp.Model {
 	m, _ := cluster.SpaceSharingModel(ad.soloMembers(layout), ad.sub)
 	return m
 }
@@ -52,16 +49,16 @@ func (ad *pairAdapter) BuildModel(p int, layout []Block) *lp.Model {
 // member's (initially empty) time and rate rows. All coefficients —
 // including the new slot's entries in other members' rows and in the shared
 // capacity rows — are left to RefreshModel's fill-ins.
-func (ad *pairAdapter) SpliceBlock(m *lp.Model, p int, b Block, varAt, rowAt int) {
+func (ad pairAdapter) SpliceBlock(m *lp.Model, b block, varAt, rowAt int) {
 	r := ad.sub.NumTypes()
 	m.InsertVariables(varAt, r, 0, 0, 1)
-	if b.Key.B == NoPartner {
+	if b.Key.B == cluster.NoPartner {
 		m.InsertConstraint(rowAt, nil, nil, lp.LE, 1, "time")
 		m.InsertConstraint(rowAt+1, nil, nil, lp.GE, 0, "rate")
 	}
 }
 
-func (ad *pairAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
+func (ad pairAdapter) RefreshModel(m *lp.Model, layout []block) {
 	r := ad.sub.NumTypes()
 	members := ad.soloMembers(layout)
 	n := len(members)
@@ -89,9 +86,8 @@ func (ad *pairAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
 	}
 }
 
-// slotsOf reads the slot list off a layout: block q is slot q (NoPartner is
-// cluster.Pair's solo marker too).
-func slotsOf(layout []Block) []cluster.Pair {
+// slotsOf reads the slot list off a layout: block q is slot q.
+func slotsOf(layout []block) []cluster.Pair {
 	slots := make([]cluster.Pair, len(layout))
 	for q, b := range layout {
 		slots[q] = cluster.Pair{J1: b.Key.A, J2: b.Key.B}
@@ -99,35 +95,20 @@ func slotsOf(layout []Block) []cluster.Pair {
 	return slots
 }
 
-func (ad *pairAdapter) Extract(p int, layout []Block, sol *lp.Solution, nVars int) error {
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("%v LP %v", ad.policy, sol.Status)
-	}
+// Extract reads every slot's time fractions and the members' effective
+// throughputs.
+func (ad pairAdapter) Extract(s *sub, sol *lp.Solution) {
 	r := ad.sub.NumTypes()
-	ids := soloIDs(layout)
-	members := ad.soloMembers(layout)
 	alloc := &cluster.Allocation{
-		Pairs:       slotsOf(layout),
-		PairX:       make([][]float64, len(layout)),
-		EffThr:      make([]float64, len(ids)),
-		LPVariables: nVars,
+		Pairs:       slotsOf(s.blocks),
+		PairX:       make([][]float64, len(s.blocks)),
+		EffThr:      make([]float64, len(s.ids)),
+		LPVariables: s.model.NumVariables(),
 	}
-	for q := range layout {
+	for q := range s.blocks {
 		alloc.PairX[q] = make([]float64, r)
 		copy(alloc.PairX[q], sol.X[q*r:(q+1)*r])
 	}
-	cluster.FillPairEffThr(members, alloc)
-	index := make(map[int]int, len(ids))
-	for i, id := range ids {
-		index[id] = i
-	}
-	ad.results[p] = &clusterSubResult{
-		ids:       slices.Clone(ids),
-		index:     index,
-		alloc:     alloc,
-		objective: sol.Objective,
-	}
-	return nil
+	cluster.FillPairEffThr(ad.soloMembers(s.blocks), alloc)
+	s.alloc = alloc
 }
-
-func (ad *pairAdapter) Clear(p int) { ad.clear(p) }

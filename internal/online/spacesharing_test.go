@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
-	"pop/internal/lp"
 )
 
 // TestSpaceSharingEngineMatchesColdFullSolve is the acceptance-criterion
@@ -25,11 +24,11 @@ func TestSpaceSharingEngineMatchesColdFullSolve(t *testing.T) {
 	totalWarmHits := 0
 	for seq := 0; seq < sequences; seq++ {
 		rng := rand.New(rand.NewSource(int64(7000 + seq)))
-		warm, err := NewClusterEngine(c, SpaceSharing, Options{K: 3}, lp.Options{})
+		warm, err := NewClusterEngine(c, SpaceSharing, Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 3}, lp.Options{})
+		cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +67,7 @@ func TestSpaceSharingEngineMatchesColdFullSolve(t *testing.T) {
 // shrinking active set.
 func TestSpaceSharingEngineFeasibleAndPaired(t *testing.T) {
 	c := cluster.NewCluster(8, 8, 8)
-	e, err := NewClusterEngine(c, SpaceSharing, Options{K: 2, Parallel: true}, lp.Options{})
+	e, err := NewClusterEngine(c, SpaceSharing, Options{K: 2, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +120,11 @@ func TestSpaceSharingEngineFeasibleAndPaired(t *testing.T) {
 // arrival or departure, exercising the mid-layout block splice.
 func TestSpaceSharingScaleFlipRelayouts(t *testing.T) {
 	c := cluster.NewCluster(6, 6, 6)
-	warm, err := NewClusterEngine(c, SpaceSharing, Options{K: 1}, lp.Options{})
+	warm, err := NewClusterEngine(c, SpaceSharing, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 1}, lp.Options{})
+	cold, err := NewClusterEngine(c, SpaceSharing, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

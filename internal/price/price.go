@@ -157,7 +157,7 @@ type Solution struct {
 	// WarmStarted reports whether the solve started from WarmPrice.
 	WarmStarted bool
 
-	n, r   int
+	r      int
 	demand []float64 // n×r row-major averaged client demands (resource units)
 }
 
@@ -165,17 +165,6 @@ type Solution struct {
 // slice aliases solver-owned memory; callers must not retain or mutate it.
 func (s *Solution) ClientDemand(j int) []float64 {
 	return s.demand[j*s.r : (j+1)*s.r]
-}
-
-// AggregateDemand sums the averaged client demands per resource.
-func (s *Solution) AggregateDemand() []float64 {
-	out := make([]float64, s.r)
-	for j := 0; j < s.n; j++ {
-		for i, v := range s.ClientDemand(j) {
-			out[i] += v
-		}
-	}
-	return out
 }
 
 // Solve runs tâtonnement price discovery over the domain: each iteration
@@ -237,7 +226,6 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 	sol := &Solution{
 		Price:       price,
 		WarmStarted: warm,
-		n:           n,
 		r:           r,
 		demand:      make([]float64, n*r),
 	}

@@ -61,9 +61,12 @@ func TestSolveAnalyticMarket(t *testing.T) {
 			t.Errorf("client %d demand = %g, want ≈ %g", j, got, want)
 		}
 	}
-	agg := sol.AggregateDemand()
-	if math.Abs(agg[0]-d.cap)/d.cap > 0.02 {
-		t.Errorf("aggregate demand %g should clear capacity %g", agg[0], d.cap)
+	agg := 0.0
+	for j := range d.w {
+		agg += sol.ClientDemand(j)[0]
+	}
+	if math.Abs(agg-d.cap)/d.cap > 0.02 {
+		t.Errorf("aggregate demand %g should clear capacity %g", agg, d.cap)
 	}
 }
 

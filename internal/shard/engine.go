@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pop/internal/cluster"
-	"pop/internal/lp"
 	"pop/internal/obs"
 	"pop/internal/online"
 	"pop/internal/price"
@@ -94,7 +93,7 @@ func NewEngine(c cluster.Cluster, cfg EngineConfig) (*EngineBundle, error) {
 			policy = online.SpaceSharing
 		}
 		opts := online.Options{K: cfg.K, Parallel: cfg.Parallel, Rebalance: cfg.Rebalance, Obs: cfg.Obs}
-		eng, err := online.NewClusterEngine(c, policy, opts, lp.Options{})
+		eng, err := online.NewClusterEngine(c, policy, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -137,10 +137,8 @@ func (r *RoundRequest) read() (batch, error) {
 	if len(r.TypeNames) != 0 && len(r.TypeNames) != width {
 		return batch{}, fmt.Errorf("%d gpu type names for %d capacities", len(r.TypeNames), width)
 	}
-	for _, g := range r.GPUs {
-		if g < 0 {
-			return batch{}, fmt.Errorf("negative capacity %g", g)
-		}
+	if err := cluster.CheckGPUs(r.GPUs); err != nil {
+		return batch{}, err
 	}
 	cols := r.frame[r.head:]
 	row := 8 * (1 + width + len(attrNames)) // one upserted job's bytes

@@ -56,9 +56,6 @@ func NewRingReplicas(n, replicas int) *Ring {
 	return r
 }
 
-// NumWorkers reports the worker count the ring was built over.
-func (r *Ring) NumWorkers() int { return r.n }
-
 // Owner maps a client id to its worker index.
 func (r *Ring) Owner(id int) int {
 	if r.n == 1 {

@@ -29,8 +29,11 @@ func TestRingBounds(t *testing.T) {
 			t.Fatalf("single-worker ring sent id %d to %d", id, one.Owner(id))
 		}
 	}
-	if NewRing(0).NumWorkers() != 1 {
-		t.Fatal("NewRing(0) did not clamp to one worker")
+	zero := NewRing(0)
+	for id := 0; id < 100; id++ {
+		if zero.Owner(id) != 0 {
+			t.Fatalf("NewRing(0) did not clamp to one worker: id %d went to %d", id, zero.Owner(id))
+		}
 	}
 	if NewRingReplicas(3, 0).Owner(7) < 0 {
 		t.Fatal("zero-replica ring unusable")
