@@ -16,6 +16,7 @@ import (
 	"pop/internal/cluster"
 	"pop/internal/online"
 	"pop/internal/price"
+	"pop/internal/shard"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/samebits.golden from this run")
@@ -33,7 +34,9 @@ const sameBitsGolden = "testdata/samebits.golden"
 //
 // Rows: a 20-round churn sequence with a capacity change at round 10,
 // through online.ClusterEngine under every policy at K ∈ {1, 4} (once with
-// Rebalance, once with Parallel), and through price.ClusterEngine.
+// Rebalance, once with Parallel), through price.ClusterEngine, and through a
+// sharded fleet of W ∈ {1, 2, 3} in-process max-min workers (K = 2 each)
+// behind shard.NewLocalCoordinator, whose rows also hash the stale flags.
 func TestSameBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the golden is amd64's; %s may fuse multiply-adds", runtime.GOARCH)
@@ -90,22 +93,51 @@ func sameBitsRows() []sameBitsRow {
 						if err != nil {
 							t.Fatal(err)
 						}
-						return hashChurn(t, e, func() (int, int) {
+						return hashChurn(t, e, func(h *bitHash) {
 							s := e.Stats()
-							return s.Iterations, s.DualPivots
+							h.int(s.Iterations)
+							h.int(s.DualPivots)
 						})
 					},
 				})
 			}
 		}
 	}
-	return append(rows, sameBitsRow{
+	rows = append(rows, sameBitsRow{
 		name: "price/max-min-fairness",
 		run: func(t *testing.T) uint64 {
 			e := price.NewClusterEngine(churnPool, price.Options{})
-			return hashChurn(t, e, func() (int, int) { return e.Stats().Iterations, 0 })
+			return hashChurn(t, e, func(h *bitHash) {
+				h.int(e.Stats().Iterations)
+				h.int(0)
+			})
 		},
 	})
+	for w := 1; w <= 3; w++ {
+		rows = append(rows, sameBitsRow{
+			name: fmt.Sprintf("shard/w=%d", w),
+			run: func(t *testing.T) uint64 {
+				workers := make([]*shard.Worker, w)
+				for i := range workers {
+					b, err := shard.NewEngine(churnPool.Split(w), shard.EngineConfig{Policy: "maxmin", K: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					workers[i] = shard.NewWorker(b, shard.WorkerOptions{})
+				}
+				c, err := shard.NewLocalCoordinator(workers, shard.CoordinatorOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return hashChurn(t, c, func(h *bitHash) {
+					for _, s := range c.LastStale() {
+						h.bool(s)
+					}
+				})
+			},
+		})
+	}
+	return rows
 }
 
 // churnPool is the pool the churn sequence starts on; round 10 replaces it.
@@ -173,8 +205,9 @@ type roundEngine interface {
 }
 
 // hashChurn replays the churn sequence through e and hashes every round's
-// served jobs and allocation, then the work counters counts reports.
-func hashChurn(t *testing.T, e roundEngine, counts func() (iterations, dualPivots int)) uint64 {
+// served jobs and allocation, then whatever else tail adds (the engine's
+// work counters, a fleet's stale flags).
+func hashChurn(t *testing.T, e roundEngine, tail func(h *bitHash)) uint64 {
 	t.Helper()
 	h := bitHash{h: fnv.New64a()}
 	for r, rd := range churnSequence() {
@@ -203,9 +236,7 @@ func hashChurn(t *testing.T, e roundEngine, counts func() (iterations, dualPivot
 			h.floats(a.PairX[q])
 		}
 		h.floats(a.EffThr)
-		iters, dual := counts()
-		h.int(iters)
-		h.int(dual)
+		tail(&h)
 	}
 	return h.h.Sum64()
 }
@@ -222,6 +253,14 @@ func (b *bitHash) u64(v uint64) {
 }
 
 func (b *bitHash) int(v int) { b.u64(uint64(int64(v))) }
+
+func (b *bitHash) bool(v bool) {
+	if v {
+		b.int(1)
+	} else {
+		b.int(0)
+	}
+}
 
 func (b *bitHash) floats(xs []float64) {
 	b.int(len(xs))
