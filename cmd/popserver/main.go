@@ -7,8 +7,8 @@
 //
 // popserver is a coordinator (internal/shard); -workers decides whether its
 // workers are remote. Without it the daemon coordinates one worker inside
-// its own process; with it, clients are consistent-hashed onto shard-worker
-// processes (the `worker` subcommand). The round is the same code either
+// its own process; with it, clients are spread over shard-worker processes
+// (the `worker` subcommand) by jump consistent hash of their ids. The round is the same code either
 // way: each worker gets its mutations in ascending-id order and 1/W of the
 // pool, and the allocations are gathered under a deadline. A worker that
 // misses it — or whose engine fails, in process or not — costs its clients

@@ -56,9 +56,6 @@ func (g *Graph) AddBidirectional(a, b int, capacity, weight float64) (int, int) 
 	return g.AddEdge(a, b, capacity, weight), g.AddEdge(b, a, capacity, weight)
 }
 
-// Out returns the IDs of the edges leaving v.
-func (g *Graph) Out(v int) []int { return g.out[v] }
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	ng := New(g.N)
@@ -296,33 +293,4 @@ func pathKey(p *Path) string {
 		buf = binary.AppendUvarint(buf, uint64(e))
 	}
 	return string(buf)
-}
-
-// Connected reports whether every node is reachable from node 0 treating
-// edges as undirected.
-func (g *Graph) Connected() bool {
-	if g.N == 0 {
-		return true
-	}
-	adj := make([][]int, g.N)
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	visited := make([]bool, g.N)
-	stack := []int{0}
-	visited[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range adj[v] {
-			if !visited[u] {
-				visited[u] = true
-				count++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == g.N
 }

@@ -21,7 +21,7 @@ func enumeratePaths(g *Graph, src, dst int) []float64 {
 			return
 		}
 		visited[v] = true
-		for _, eid := range g.Out(v) {
+		for _, eid := range g.out[v] {
 			e := g.Edges[eid]
 			if !visited[e.To] {
 				dfs(e.To, w+e.Weight)

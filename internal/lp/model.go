@@ -98,9 +98,6 @@ func (m *Model) ObjectiveSense() Objective { return m.p.ObjectiveSense() }
 // Bounds returns the current bounds of variable v.
 func (m *Model) Bounds(v int) (lb, ub float64) { return m.p.Bounds(v) }
 
-// RHS returns the current right-hand side of constraint `row`.
-func (m *Model) RHS(row int) float64 { return m.p.rows[row].rhs }
-
 // Value evaluates the objective at x in the model's own orientation.
 func (m *Model) Value(x []float64) float64 { return m.p.Value(x) }
 

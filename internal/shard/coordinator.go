@@ -40,6 +40,7 @@ type workerConn struct {
 	t Transport
 	WorkerStatus
 	needSync bool
+	checked  bool   // a fresh gather's ids have been checked against owner
 	last     gather // the worker's last gathered allocation, by ascending id, in the frame it came in
 	numOwned int    // registry clients hashed onto this worker
 
@@ -48,14 +49,13 @@ type workerConn struct {
 }
 
 // Coordinator fans scheduling rounds out over shard workers, each behind a
-// Transport. It consistent-hashes clients onto workers, keeps the
+// Transport. It hashes clients onto workers (owner), keeps the
 // authoritative client registry (the rebuild source for a crashed worker),
 // and runs each round as a deadline-bounded scatter/gather. It satisfies
 // Engine. Not safe for concurrent use (popserver serializes rounds under
 // its round mutex).
 type Coordinator struct {
 	opts CoordinatorOptions
-	ring *Ring
 
 	workers  []*workerConn
 	registry cluster.Table
@@ -79,7 +79,6 @@ func newCoordinator(ts []Transport, opts CoordinatorOptions) (*Coordinator, erro
 	}
 	c := &Coordinator{
 		opts:    opts,
-		ring:    NewRing(len(ts)),
 		workers: make([]*workerConn, len(ts)),
 	}
 	for i, t := range ts {
@@ -93,6 +92,27 @@ func newCoordinator(ts []Transport, opts CoordinatorOptions) (*Coordinator, erro
 	return c, nil
 }
 
+// owner maps a client id to its worker, 0 ≤ owner < workers (0 when
+// workers < 1): jump consistent hash (Lamping & Veach 2014) over the id's
+// splitmix64 finalizer. It is a pure function of (id, workers), so a
+// restarted coordinator rebuilds every client's owner with no table, and
+// growing the fleet by one worker moves about 1/(W+1) of the ids, all of
+// them onto the new worker. Shard sizes differ only by binomial noise,
+// about 1/√(n/W).
+func owner(id, workers int) int {
+	h := uint64(id) + 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	b, j := 0, 0
+	for j < workers {
+		b = j
+		h = h*2862933555777941757 + 1
+		j = int(float64(b+1) * (float64(1<<31) / float64(h>>33+1)))
+	}
+	return b
+}
+
 // Round reports the last completed round.
 func (c *Coordinator) Round() int { return c.round }
 
@@ -103,7 +123,7 @@ func (c *Coordinator) Upsert(j cluster.Job) {
 	if change == cluster.Unchanged {
 		return
 	}
-	w := c.workers[c.ring.Owner(j.ID)]
+	w := c.workers[owner(j.ID, len(c.workers))]
 	if change == cluster.Arrived {
 		w.numOwned++
 	}
@@ -116,7 +136,7 @@ func (c *Coordinator) Remove(id int) bool {
 	if !c.registry.Remove(id) {
 		return false
 	}
-	w := c.workers[c.ring.Owner(id)]
+	w := c.workers[owner(id, len(c.workers))]
 	w.numOwned--
 	w.pendRm[id] = true
 	delete(w.pendUp, id)
@@ -260,9 +280,16 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 		w.pendRm = map[int]bool{}
 		// A worker holding a different client count than the registry says
 		// it owns has zombie or missing clients (e.g. the coordinator
-		// restarted with a cold registry); reconcile it next round.
+		// restarted with a cold registry); reconcile it next round. The
+		// first fresh gather is also checked id by id: a worker restored
+		// from a state file written under another fleet shape can hold the
+		// right number of clients but the wrong ones.
 		w.needSync = resp.NumJobs != w.numOwned
 		w.last = res.cols
+		for k := 0; !w.checked && !w.needSync && k < w.last.n(); k++ {
+			w.needSync = owner(w.last.id(k), len(c.workers)) != i
+		}
+		w.checked = true
 		o.Histogram(`pop_shard_worker_seconds{worker="`+strconv.Itoa(i)+`"}`,
 			"per-worker round latency as observed by the coordinator").Observe(resp.SolveMs / 1000)
 	}
@@ -357,7 +384,7 @@ func (c *Coordinator) syncWorker(ctx context.Context, o *obs.Observer, i, baseRo
 	ep := phase(o, "encode")
 	jobs := make([]cluster.Job, 0, w.numOwned)
 	for _, j := range c.registry.Jobs() { // committed before the scatter; read-only here
-		if c.ring.Owner(j.ID) == i {
+		if owner(j.ID, len(c.workers)) == i {
 			jobs = append(jobs, j)
 		}
 	}
@@ -407,7 +434,7 @@ func (c *Coordinator) merge(order []cluster.Job) (*cluster.Allocation, []bool, i
 			}
 		}
 		if !ok {
-			wi = c.ring.Owner(j.ID)
+			wi = owner(j.ID, len(c.workers))
 			k, ok = c.workers[wi].last.find(j.ID, cursor[wi])
 		}
 		w := c.workers[wi]

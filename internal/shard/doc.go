@@ -10,11 +10,18 @@
 //
 // # Topology
 //
-// Clients are assigned to workers by a consistent-hash ring (Ring): FNV-1a
-// over 64 virtual points per worker, deterministic and recomputable from
-// the worker count alone. Membership is never persisted — a restarted
-// coordinator rebuilds the identical assignment, and growing the fleet
-// moves only ~1/W of the clients.
+// Clients are assigned to workers by jump consistent hash (Lamping & Veach
+// 2014) over a splitmix64 finalizer of the id (owner): a pure function of
+// the id and the worker count, with no ring, table or virtual points.
+// Membership is never persisted — a restarted coordinator rebuilds the
+// identical assignment, and growing the fleet from W to W+1 workers moves
+// about 1/(W+1) of the clients, all onto the new worker. Shard sizes differ
+// only by binomial noise, about 1/√(n/W): every worker gets 1/W of the
+// pool, so under max-min the busiest shard caps the served level at
+// mean/max of the optimum, and that cap is what the hash must keep near 1.
+// A worker whose first fresh gather holds a client it does not own (a
+// state file written under another fleet shape or hash) is synced from the
+// registry on the next round, like one holding the wrong client count.
 //
 // Each worker wraps one engine (EngineBundle: the incremental LP engine
 // for maxmin/makespan/spacesharing, the price-discovery engine for price)
@@ -48,9 +55,10 @@
 //     order with a cursor per worker and takes each row from whichever
 //     cursor holds its id — W compares, no hashing — into one n×r slab.
 //     Only a row no cursor holds (an order not by id, a client a stale
-//     worker never allocated) is looked up by owner (Ring.Owner) and binary
-//     search, as are all rows of a worker whose client count disagrees
-//     with the registry, since it may hold clients it does not own.
+//     worker never allocated) is looked up by owner and binary search, as
+//     are all rows of a worker due a sync (its client count disagrees with
+//     the registry, or its first gather held a client it does not own),
+//     since it may hold clients it does not own.
 //
 // Mutations are idempotent, and a batch stays queued until the owning
 // worker acknowledges the round that carried it. What is left of a round

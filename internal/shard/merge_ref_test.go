@@ -16,7 +16,7 @@ import (
 )
 
 // mergeByOwner is the merge the cursor walk replaced, kept as its oracle:
-// every row is looked up in its owner's gather, found by Ring.Owner and a
+// every row is looked up in its owner's gather, found by owner and a
 // per-worker cursor with binary search behind it.
 func (c *Coordinator) mergeByOwner(order []cluster.Job) (*cluster.Allocation, []bool, int) {
 	n, r := len(order), c.c.NumTypes()
@@ -29,7 +29,7 @@ func (c *Coordinator) mergeByOwner(order []cluster.Job) (*cluster.Allocation, []
 	cursor := make([]int, len(c.workers))
 	staleJobs, haveX := 0, false
 	for pos, j := range order {
-		wi := c.ring.Owner(j.ID)
+		wi := owner(j.ID, len(c.workers))
 		w := c.workers[wi]
 		g := &w.last
 		out.X[pos] = slab[pos*r : (pos+1)*r : (pos+1)*r]
@@ -100,11 +100,10 @@ func sameBits(a, b *cluster.Allocation) bool {
 // stale flags and count — over two workers reached by HTTP or in process,
 // through churn rounds with the order ascending and shuffled, a worker down
 // for two rounds while a never-allocated client joins its shard, and a
-// first round in which worker 0 also holds a client the ring gives worker 1
+// first round in which worker 0 also holds a client worker 1 owns
 // (left over from another fleet), which the coordinator must not serve.
 func TestMergeMatchesOwnerOracle(t *testing.T) {
 	const numWorkers = 2
-	ring := NewRing(numWorkers)
 	pool := testCluster()
 	sub := pool.Split(numWorkers)
 	for _, transport := range []string{"http", "local"} {
@@ -116,7 +115,7 @@ func TestMergeMatchesOwnerOracle(t *testing.T) {
 				live[nextID] = randJob(nextID, rnd)
 			}
 			zombie := 0
-			for ring.Owner(zombie) != 1 {
+			for owner(zombie, numWorkers) != 1 {
 				zombie++
 			}
 			var down atomic.Bool
@@ -155,7 +154,7 @@ func TestMergeMatchesOwnerOracle(t *testing.T) {
 				}
 				newcomer := -1
 				if round == 4 { // joins worker 1's shard while it is down
-					for newcomer = nextID; ring.Owner(newcomer) != 1; newcomer++ {
+					for newcomer = nextID; owner(newcomer, numWorkers) != 1; newcomer++ {
 					}
 					live[newcomer] = randJob(newcomer, rnd)
 					nextID = newcomer + 1

@@ -429,7 +429,7 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 	}
 	owned := 0
 	for _, j := range active {
-		if coord.ring.Owner(j.ID) == 0 {
+		if owner(j.ID, len(coord.workers)) == 0 {
 			owned++
 		}
 	}
@@ -520,7 +520,7 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 			t.Fatalf("%s: %d stale jobs, want worker 0's %d", name, coord.StaleJobs(), owned)
 		}
 		for i, j := range active {
-			if coord.ring.Owner(j.ID) == 0 && (!coord.LastStale()[i] || got.EffThr[i] != good.EffThr[i]) {
+			if owner(j.ID, len(coord.workers)) == 0 && (!coord.LastStale()[i] || got.EffThr[i] != good.EffThr[i]) {
 				t.Fatalf("%s: job %d not served its last good row, flagged", name, j.ID)
 			}
 		}

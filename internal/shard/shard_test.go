@@ -166,7 +166,7 @@ func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluste
 
 // runEquivalence drives the full sharded path — coordinator, transport,
 // workers, merge — against reference in-process engines partitioned by the
-// same ring over the same capacity split, each fed its shard's population
+// same owner hash over the same capacity split, each fed its shard's population
 // through Step (the same ascending-id batches a RoundRequest carries), and
 // requires identical allocations: to 1e-6 over HTTP (sharded == single), bit
 // for bit over the local transport, where nothing sits between the
@@ -182,7 +182,6 @@ func runEquivalence(t *testing.T, policy, transport string, numWorkers, rounds i
 		tol = 0
 	}
 
-	ring := NewRing(numWorkers)
 	refs := make([]Engine, numWorkers)
 	for i := range refs {
 		b, err := NewEngine(testCluster(), cfg)
@@ -219,7 +218,7 @@ func runEquivalence(t *testing.T, policy, transport string, numWorkers, rounds i
 		for w := 0; w < numWorkers; w++ {
 			var shardActive []cluster.Job
 			for _, j := range active {
-				if ring.Owner(j.ID) == w {
+				if owner(j.ID, numWorkers) == w {
 					shardActive = append(shardActive, j)
 				}
 			}
@@ -331,7 +330,6 @@ func TestStragglerServesStaleAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRing(numWorkers)
 	rnd := rand.New(rand.NewSource(7))
 	live := map[int]cluster.Job{}
 	for id := 0; id < 12; id++ {
@@ -349,7 +347,7 @@ func TestStragglerServesStaleAllocation(t *testing.T) {
 
 	// Worker 0 straggles past the deadline; a new job arrives on its shard.
 	newID := 1000
-	for ring.Owner(newID) != 0 {
+	for owner(newID, numWorkers) != 0 {
 		newID++
 	}
 	live[newID] = randJob(newID, rnd)
@@ -366,7 +364,7 @@ func TestStragglerServesStaleAllocation(t *testing.T) {
 		t.Fatal("straggling worker produced no stale jobs")
 	}
 	for i, j := range active {
-		owner := ring.Owner(j.ID)
+		owner := owner(j.ID, numWorkers)
 		if owner == 0 {
 			if !stale[i] {
 				t.Fatalf("job %d on the straggling shard not flagged stale", j.ID)
@@ -420,7 +418,6 @@ func TestKillAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRing(numWorkers)
 	rnd := rand.New(rand.NewSource(8))
 	live := map[int]cluster.Job{}
 	nextID := 0
@@ -462,7 +459,7 @@ func TestKillAndRebuild(t *testing.T) {
 	}
 	var shard0 []cluster.Job
 	for _, j := range active {
-		if ring.Owner(j.ID) == 0 {
+		if owner(j.ID, numWorkers) == 0 {
 			shard0 = append(shard0, j)
 		}
 	}
@@ -475,7 +472,7 @@ func TestKillAndRebuild(t *testing.T) {
 		refThr[j.ID] = refAlloc.EffThr[i]
 	}
 	for i, j := range active {
-		if ring.Owner(j.ID) != 0 {
+		if owner(j.ID, numWorkers) != 0 {
 			continue
 		}
 		if d := math.Abs(got.EffThr[i] - refThr[j.ID]); d > 1e-6 {
@@ -558,7 +555,7 @@ func TestStateFileEngineKind(t *testing.T) {
 	lpCfg := EngineConfig{Policy: "maxmin", K: 2}
 	priceCfg := EngineConfig{Policy: "price"}
 	saved := func(cfg EngineConfig) func(*testing.T) string {
-		return func(t *testing.T) string { return savedStateFile(t, cfg) }
+		return func(t *testing.T) string { return savedStateFile(t, cfg, stateJobs()) }
 	}
 	// legacy is single-process popserver's last own envelope: an LP max-min
 	// engine at round 3 with 5 jobs, and no kind.
@@ -623,16 +620,16 @@ func stateJobs() []cluster.Job {
 	return jobs
 }
 
-// savedStateFile runs one round of stateJobs on a cfg worker and returns
-// its state file.
-func savedStateFile(t *testing.T, cfg EngineConfig) string {
+// savedStateFile runs one round of jobs on a cfg worker and returns its
+// state file.
+func savedStateFile(t testing.TB, cfg EngineConfig, jobs []cluster.Job) string {
 	path := filepath.Join(t.TempDir(), "worker.state")
 	b, err := NewEngine(testCluster(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := NewWorker(b, WorkerOptions{StateFile: path})
-	if _, err := w.round(mustRequest(t, 1, 0, testCluster(), stateJobs(), nil)); err != nil {
+	if _, err := w.round(mustRequest(t, 1, 0, testCluster(), jobs, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.SaveState(); err != nil {
@@ -648,7 +645,7 @@ func savedStateFile(t *testing.T, cfg EngineConfig) string {
 func TestStateFileJobsMustFitPool(t *testing.T) {
 	for _, cfg := range []EngineConfig{{Policy: "maxmin", K: 2}, {Policy: "price"}} {
 		t.Run(cfg.Policy, func(t *testing.T) {
-			path := savedStateFile(t, cfg)
+			path := savedStateFile(t, cfg, stateJobs())
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -696,6 +693,212 @@ func TestStateFileJobsMustFitPool(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// FuzzWorkerStateFile: arbitrary bytes as a max-min worker's -state-file.
+// NewWorker must not panic. A refused file leaves an empty worker at round
+// 0. An accepted one joins a two-worker local coordinator, whose registry
+// it seeds, and after two rounds each worker holds exactly the clients it
+// owns — whatever the file held, and whoever owned it under the fleet that
+// wrote it.
+func FuzzWorkerStateFile(f *testing.F) {
+	cfg := EngineConfig{Policy: "maxmin", K: 2}
+	lp, err := os.ReadFile(savedStateFile(f, cfg, stateJobs()[:4]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	price, err := os.ReadFile(savedStateFile(f, EngineConfig{Policy: "price"}, stateJobs()[:4]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "cmd", "popserver", "testdata", "single_process_v15.state"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		lp, price, legacy, nil, []byte("{}"), []byte(`{"last_round":2,"kind":"lp","engine":null}`),
+		bytes.Replace(lp, []byte(`"last_round":1`), []byte(`"last_round":-7`), 1),
+		bytes.Replace(lp, []byte(`"last_round":1`), []byte(`"last_round":9223372036854775807`), 1),
+	} {
+		f.Add(seed)
+	}
+	pool := testCluster()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "worker.state")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		workers := make([]*Worker, 2)
+		var logs bytes.Buffer
+		for i := range workers {
+			b, err := NewEngine(pool.Split(len(workers)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := WorkerOptions{}
+			if i == 0 {
+				opts = WorkerOptions{StateFile: path, Log: slog.New(slog.NewTextHandler(&logs, nil))}
+			}
+			workers[i] = NewWorker(b, opts)
+		}
+		// Waits out the background checkpoints before the temp dir goes.
+		defer func() { _ = workers[0].SaveState() }()
+		if strings.Contains(logs.String(), "starting fresh") {
+			if n, r := workers[0].b.Engine.NumJobs(), workers[0].LastRound(); n != 0 || r != 0 {
+				t.Fatalf("refused file left %d jobs at round %d; log:\n%s", n, r, logs.String())
+			}
+			return
+		}
+		coord, err := NewLocalCoordinator(workers, CoordinatorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= 2; round++ {
+			if _, _, err := coord.Allocate(pool); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		owned := make([][]int, len(workers))
+		for _, j := range coord.Jobs() {
+			i := owner(j.ID, len(workers))
+			owned[i] = append(owned[i], j.ID)
+		}
+		for i, w := range workers {
+			if held := heldIDs(w); !reflect.DeepEqual(held, owned[i]) {
+				t.Fatalf("after two rounds worker %d holds %v, owns %v; stale jobs %d, status %+v", i, held, owned[i], coord.StaleJobs(), coord.Status())
+			}
+		}
+	})
+}
+
+// heldIDs lists the ids w's engine holds, ascending.
+func heldIDs(w *Worker) []int {
+	var ids []int
+	for _, j := range w.b.Engine.Jobs() {
+		ids = append(ids, j.ID)
+	}
+	return ids
+}
+
+// restoredWorker returns a cfg worker over sub restored from the state file
+// of a worker that ran one round on jobs.
+func restoredWorker(t *testing.T, cfg EngineConfig, sub cluster.Cluster, jobs []cluster.Job) *Worker {
+	t.Helper()
+	b, err := NewEngine(sub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(b, WorkerOptions{StateFile: savedStateFile(t, cfg, jobs)})
+	if w.LastRound() != 1 || w.b.Engine.NumJobs() != len(jobs) {
+		t.Fatalf("restored worker at round %d with %d jobs, want round 1 with %d", w.LastRound(), w.b.Engine.NumJobs(), len(jobs))
+	}
+	// Waits out the last round's background checkpoint before the temp dir
+	// is removed.
+	t.Cleanup(func() { _ = w.SaveState() })
+	return w
+}
+
+// TestRestoredWorkerWrongOwnerIsReconciled: workers restored from state
+// files written under another ownership (an older hash, another fleet
+// shape) hold clients they do not own — here each holds some of its own
+// clients and some of the other's, in equal and in unequal numbers. Within
+// two rounds each worker holds exactly the clients it owns, none is held
+// twice, and every client is served what a fleet that never held a wrong
+// member serves (K = 1, so a worker's answer depends on its client set, not
+// on the order its partitions were filled in). Equal counts are the case a
+// count check misses: the first fresh gather's ids are checked against
+// owner. Over both transports.
+func TestRestoredWorkerWrongOwnerIsReconciled(t *testing.T) {
+	const numWorkers, perWorker = 2, 6
+	cfg := EngineConfig{Policy: "maxmin", K: 1}
+	pool := testCluster()
+	sub := pool.Split(numWorkers)
+	rnd := rand.New(rand.NewSource(41))
+	var own [numWorkers][]cluster.Job
+	for id := 0; len(own[0]) < perWorker || len(own[1]) < perWorker; id++ {
+		if w := owner(id, numWorkers); len(own[w]) < perWorker {
+			own[w] = append(own[w], randJob(id, rnd))
+		}
+	}
+	byID := func(parts ...[]cluster.Job) []cluster.Job {
+		live := map[int]cluster.Job{}
+		for _, p := range parts {
+			for _, j := range p {
+				live[j.ID] = j
+			}
+		}
+		return sortedJobs(live)
+	}
+	for _, tc := range []struct {
+		name string
+		held [numWorkers][]cluster.Job
+	}{
+		{"equal", [numWorkers][]cluster.Job{byID(own[0][:3], own[1][:3]), byID(own[1][3:], own[0][3:])}},
+		{"unequal", [numWorkers][]cluster.Job{byID(own[0][:4], own[1][:3]), byID(own[1][3:], own[0][4:])}},
+	} {
+		for _, transport := range []string{"http", "local"} {
+			t.Run(tc.name+"/"+transport, func(t *testing.T) {
+				// fleet seeds a coordinator's registry from workers restored
+				// holding held; over "http" its rounds and syncs then go
+				// through each worker's handler.
+				fleet := func(held [numWorkers][]cluster.Job) (*Coordinator, []*Worker) {
+					workers := make([]*Worker, numWorkers)
+					for i := range workers {
+						workers[i] = restoredWorker(t, cfg, sub, held[i])
+					}
+					coord, err := NewLocalCoordinator(workers, CoordinatorOptions{Deadline: 30 * time.Second})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if transport == "http" {
+						for i, w := range workers {
+							srv := httptest.NewServer(w.Handler())
+							t.Cleanup(srv.Close)
+							coord.workers[i].t = &httpTransport{client: &http.Client{}, url: srv.URL}
+						}
+					}
+					return coord, workers
+				}
+				coord, workers := fleet(tc.held)
+				ref, _ := fleet(own)
+				var got, want *cluster.Allocation
+				for round := 1; round <= 2; round++ {
+					jobs, a, err := coord.Allocate(pool)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refJobs, b, err := ref.Allocate(pool)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(jobs) != 2*perWorker || !reflect.DeepEqual(jobs, refJobs) {
+						t.Fatalf("round %d: serving %d clients, the reference fleet %d", round, len(jobs), len(refJobs))
+					}
+					got, want = a, b
+				}
+				if coord.StaleJobs() != 0 || ref.StaleJobs() != 0 {
+					t.Fatalf("round 2: %d stale jobs, reference %d", coord.StaleJobs(), ref.StaleJobs())
+				}
+				for i, w := range workers {
+					var owned []int
+					for _, j := range own[i] {
+						owned = append(owned, j.ID)
+					}
+					if held := heldIDs(w); !reflect.DeepEqual(held, owned) {
+						t.Fatalf("after two rounds worker %d holds %v, owns %v", i, held, owned)
+					}
+					if n, m := coord.Status()[i].Rebuilds, ref.Status()[i].Rebuilds; n != 1 || m != 0 {
+						t.Fatalf("worker %d rebuilt %d times, the reference's %d; want 1 and 0", i, n, m)
+					}
+				}
+				for pos, thr := range got.EffThr {
+					if d := math.Abs(thr - want.EffThr[pos]); d > 1e-6 {
+						t.Fatalf("client at position %d: EffThr %g, a fleet that never held a wrong member serves %g", pos, thr, want.EffThr[pos])
+					}
+				}
+			})
+		}
 	}
 }
 

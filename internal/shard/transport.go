@@ -64,7 +64,7 @@ func NewLocalCoordinator(workers []*Worker, opts CoordinatorOptions) (*Coordinat
 		w.mu.Unlock()
 		for _, j := range jobs {
 			if c.registry.Upsert(j) == cluster.Arrived {
-				c.workers[c.ring.Owner(j.ID)].numOwned++
+				c.workers[owner(j.ID, len(workers))].numOwned++
 			}
 		}
 		c.workers[i].Round = round
