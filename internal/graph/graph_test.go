@@ -151,39 +151,18 @@ func TestKShortestPathsKOne(t *testing.T) {
 	}
 }
 
-// connected reports whether every node is reachable from node 0 treating
-// edges as undirected.
-func connected(g *Graph) bool {
-	root := make([]int, g.N)
-	for v := range root {
-		root[v] = v
-	}
-	find := func(v int) int {
-		for root[v] != v {
-			root[v] = root[root[v]]
-			v = root[v]
-		}
-		return v
-	}
-	parts := g.N
-	for _, e := range g.Edges {
-		if a, b := find(e.From), find(e.To); a != b {
-			root[a] = b
-			parts--
-		}
-	}
-	return parts <= 1
-}
-
+// TestConnected: KShortestPaths reaches the far end of a line graph and
+// finds no path to a node no edge reaches — the reachability the topology
+// tests rely on.
 func TestConnected(t *testing.T) {
 	g := lineGraph(6)
-	if !connected(g) {
-		t.Fatal("line graph should be connected")
+	if len(g.KShortestPaths(0, 5, 1)) != 1 {
+		t.Fatal("no path across a line graph")
 	}
 	g2 := New(4)
 	g2.AddEdge(0, 1, 1, 1)
-	if connected(g2) {
-		t.Fatal("disconnected graph reported connected")
+	if len(g2.KShortestPaths(0, 2, 1)) != 0 {
+		t.Fatal("path found to an unreachable node")
 	}
 }
 

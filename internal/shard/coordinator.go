@@ -40,7 +40,6 @@ type workerConn struct {
 	t Transport
 	WorkerStatus
 	needSync bool
-	checked  bool   // a fresh gather's ids have been checked against owner
 	last     gather // the worker's last gathered allocation, by ascending id, in the frame it came in
 	numOwned int    // registry clients hashed onto this worker
 
@@ -280,16 +279,9 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 		w.pendRm = map[int]bool{}
 		// A worker holding a different client count than the registry says
 		// it owns has zombie or missing clients (e.g. the coordinator
-		// restarted with a cold registry); reconcile it next round. The
-		// first fresh gather is also checked id by id: a worker restored
-		// from a state file written under another fleet shape can hold the
-		// right number of clients but the wrong ones.
+		// restarted with a cold registry); reconcile it next round.
 		w.needSync = resp.NumJobs != w.numOwned
 		w.last = res.cols
-		for k := 0; !w.checked && !w.needSync && k < w.last.n(); k++ {
-			w.needSync = owner(w.last.id(k), len(c.workers)) != i
-		}
-		w.checked = true
 		o.Histogram(`pop_shard_worker_seconds{worker="`+strconv.Itoa(i)+`"}`,
 			"per-worker round latency as observed by the coordinator").Observe(resp.SolveMs / 1000)
 	}

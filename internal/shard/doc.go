@@ -19,9 +19,12 @@
 // only by binomial noise, about 1/√(n/W): every worker gets 1/W of the
 // pool, so under max-min the busiest shard caps the served level at
 // mean/max of the optimum, and that cap is what the hash must keep near 1.
-// A worker whose first fresh gather holds a client it does not own (a
-// state file written under another fleet shape or hash) is synced from the
-// registry on the next round, like one holding the wrong client count.
+// A worker restored from a state file written under another fleet shape or
+// hash holds clients it does not own. Over remote workers the job-count
+// accounting below catches it: the registry starts empty, so the worker
+// reports more clients than it owns. NewLocalCoordinator seeds the registry
+// from its workers, so it checks each restored id against owner instead and
+// rebuilds a wrong holder on the first round.
 //
 // Each worker wraps one engine (EngineBundle: the incremental LP engine
 // for maxmin/makespan/spacesharing, the price-discovery engine for price)

@@ -2,13 +2,20 @@ package shard
 
 import "testing"
 
-// TestOwnerDeterministic: the owner is a function of (id, W) alone, so two
-// calls agree on every id — the property worker rebuild and coordinator
-// restart rely on (membership is recomputable, never persisted).
+// TestOwnerDeterministic: the owner is a function of (id, W) alone — the
+// property worker rebuild and coordinator restart rely on (membership is
+// recomputable, never persisted) — so its values are pinned: a change to
+// the hash re-homes every restored fleet, and must fail here on every
+// architecture, not only in TestSameBits.
 func TestOwnerDeterministic(t *testing.T) {
-	for id := 0; id < 10_000; id++ {
-		if a, b := owner(id, 5), owner(id, 5); a != b {
-			t.Fatalf("id %d: owner answered %d, then %d", id, a, b)
+	for _, c := range []struct{ id, workers, want int }{
+		{0, 2, 1}, {0, 3, 2}, {0, 8, 7},
+		{1, 2, 0}, {1, 3, 0}, {1, 8, 3},
+		{-1, 2, 0}, {-1, 3, 2}, {-1, 8, 3},
+		{12345, 2, 0}, {12345, 3, 2}, {12345, 8, 5},
+	} {
+		if got := owner(c.id, c.workers); got != c.want {
+			t.Errorf("owner(%d, %d) = %d, want %d", c.id, c.workers, got, c.want)
 		}
 	}
 }

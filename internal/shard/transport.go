@@ -48,7 +48,8 @@ func (t localTransport) Sync(_ context.Context, _ *obs.Observer, req *SyncReques
 // NewLocalCoordinator builds a coordinator over workers in this process.
 // What a worker already holds (a -state-file restore, the only copy of a
 // single-process server's client set) seeds the registry, round, and ack
-// state, so a restart resumes at the saved round.
+// state, so a restart resumes at the saved round. A worker holding a client
+// it does not own is rebuilt from the registry on the first round.
 func NewLocalCoordinator(workers []*Worker, opts CoordinatorOptions) (*Coordinator, error) {
 	ts := make([]Transport, len(workers))
 	for i, w := range workers {
@@ -63,9 +64,14 @@ func NewLocalCoordinator(workers []*Worker, opts CoordinatorOptions) (*Coordinat
 		jobs, round := w.b.Engine.Jobs(), w.lastRound
 		w.mu.Unlock()
 		for _, j := range jobs {
+			o := owner(j.ID, len(workers))
 			if c.registry.Upsert(j) == cluster.Arrived {
-				c.workers[owner(j.ID, len(workers))].numOwned++
+				c.workers[o].numOwned++
 			}
+			// A state file written under another fleet shape or hash can
+			// hold the right number of clients but the wrong ones, which the
+			// round's count check would miss.
+			c.workers[i].needSync = c.workers[i].needSync || o != i
 		}
 		c.workers[i].Round = round
 		c.round = max(c.round, round)

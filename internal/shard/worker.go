@@ -302,6 +302,11 @@ type workerState struct {
 	Engine    json.RawMessage `json:"engine"`
 }
 
+// maxRestoredRound bounds the round a state file may resume at: 2^53, the
+// largest integer every JSON reader of X-Pop-Round and /v1/stats holds
+// exactly, and far below where the round counter would overflow.
+const maxRestoredRound = 1 << 53
+
 // SaveState synchronously persists the engine snapshot (graceful shutdown).
 func (w *Worker) SaveState() error {
 	if w.opts.StateFile == "" {
@@ -360,16 +365,22 @@ func (w *Worker) restoreState() {
 		w.opts.Log.Warn("state file corrupt; starting fresh", "file", w.opts.StateFile, "err", err)
 		return
 	}
-	if st.Kind != "" && st.Kind != w.b.Kind {
+	round := max(st.LastRound, st.Round)
+	switch {
+	case st.Kind != "" && st.Kind != w.b.Kind:
 		err = fmt.Errorf("state file holds a %q engine, this worker runs %q", st.Kind, w.b.Kind)
-	} else {
+	case round < 0 || int64(round) > maxRestoredRound:
+		// The coordinator resumes counting from this round, and a round near
+		// the top of int wraps negative within a few rounds.
+		err = fmt.Errorf("state file round %d outside [0, 2^53]", round)
+	default:
 		err = w.b.Restore(st.Engine)
 	}
 	if err != nil {
 		w.opts.Log.Warn("state restore rejected; starting fresh", "file", w.opts.StateFile, "err", err)
 		return
 	}
-	w.lastRound = max(st.LastRound, st.Round)
+	w.lastRound = round
 	w.opts.Log.Info("state restored", "file", w.opts.StateFile,
 		"round", w.lastRound, "jobs", w.b.Engine.NumJobs())
 }
