@@ -341,8 +341,10 @@ func TestServerPricePolicy(t *testing.T) {
 	if got := pr["warm_price_rounds"].(float64); got != 1 {
 		t.Fatalf("warm price rounds %g, want 1 (second round rides carried prices)", got)
 	}
-	if _, has := pr["last_residual"]; !has {
-		t.Fatal("price stats missing last_residual")
+	for _, key := range []string{"last_residual", "last_enumerated"} {
+		if _, has := pr[key]; !has {
+			t.Fatalf("price stats missing %s", key)
+		}
 	}
 
 	// An LP-engine server reports its kind and an all-zero price block —

@@ -66,11 +66,16 @@ func servePopulation(n int, seed int64) []cluster.Job {
 	return jobs
 }
 
-// BenchmarkBestResponse times the closed form alone over one serve
+// BenchmarkBestResponse times the best-response pass over one serve
 // worker's market — 25 000 clients of the serve population over a pool of
 // n/8 GPUs per type — at the prices a cold solve of it clears, and at
-// Solve's cold seed prices. It reports ns per client and the share of
-// clients the certificate answers (fast-%).
+// Solve's cold seed prices. Each runs two ways over Solve's 1024-client
+// chunks, both with the fold into partial demands and averaged rows:
+// per-client is BestResponse plus the generic fold (Solve's pass for a
+// domain without a chunk kernel), chunk is the kernel Solve runs on this
+// market. Each reports ns per client and the share of clients the
+// certificate answers (fast-%). The solve row times a warm solve of the
+// same market held to 8 iterations, from the cleared prices moved ±5%.
 func BenchmarkBestResponse(b *testing.B) {
 	const n = 25_000
 	jobs := servePopulation(n, 1)
@@ -84,27 +89,55 @@ func BenchmarkBestResponse(b *testing.B) {
 	for i := range cold {
 		cold[i] = d.DemandHint() / (c.NumGPUs[i] * 3) // Solve's cold seed, unjittered
 	}
+	const gamma = (avgPow + 1) / (8 + avgPow + 1) // iteration 8's weight
+	acc, cur, avg := make([]float64, 3), make([]float64, 3), make([]float64, 3*n)
 	for _, tc := range []struct {
 		name  string
 		price []float64
 	}{{"cleared", sol.Price}, {"cold", cold}} {
-		b.Run(tc.name, func(b *testing.B) {
-			d.PrepareIteration(tc.price)
-			fast := 0
-			for j := 0; j < n; j++ {
-				if _, _, ok := d.certifiedSingleton(j, tc.price); ok {
-					fast++
+		for _, path := range []struct {
+			name string
+			pass func(lo, hi int)
+		}{
+			{"per-client", func(lo, hi int) {
+				for j := lo; j < hi; j++ {
+					d.BestResponse(j, tc.price, cur)
+					foldResponse(cur, acc, avg[3*j:3*j+3], gamma)
 				}
-			}
-			out := make([]float64, 3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			}},
+			{"chunk", func(lo, hi int) { d.BestResponses(lo, hi, tc.price, gamma, acc, avg, cur) }},
+		} {
+			b.Run(tc.name+"/"+path.name, func(b *testing.B) {
+				d.PrepareIteration(tc.price)
+				fast := 0
 				for j := 0; j < n; j++ {
-					d.BestResponse(j, tc.price, out)
+					if _, _, ok := d.certifiedSingleton(j, tc.price); ok {
+						fast++
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/client")
-			b.ReportMetric(100*float64(fast)/n, "fast-%")
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < n; lo += chunkSize {
+						clear(acc)
+						path.pass(lo, min(lo+chunkSize, n))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/client")
+				b.ReportMetric(100*float64(fast)/n, "fast-%")
+			})
+		}
 	}
+	b.Run("solve", func(b *testing.B) {
+		opts := withMaxMinStep(Options{Seed: 1, Parallel: true, MaxIters: 8})
+		opts.WarmPrice = []float64{sol.Price[0] * 1.05, sol.Price[1] * 0.95, sol.Price[2]}
+		iters := 0
+		for i := 0; i < b.N; i++ {
+			s, err := Solve(d, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters = s.Iterations
+		}
+		b.ReportMetric(float64(iters), "iters")
+	})
 }

@@ -2,6 +2,7 @@ package price
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,14 +91,25 @@ func oracleBestResponse(d *clusterDomain, j int, price []float64, out []float64)
 	}
 }
 
-// enumeratingDomain is the max-min market with every best response answered
-// by the oracle; the rest of the market (PrepareIteration, the elasticity)
-// is the production one.
-type enumeratingDomain struct{ *clusterDomain }
-
-func (d enumeratingDomain) BestResponse(j int, price []float64, out []float64) {
-	oracleBestResponse(d.clusterDomain, j, price, out)
+// perClient is the max-min market with the chunk kernel hidden, so Solve
+// runs its generic per-client loop and fold over br; the rest of the market
+// (PrepareIteration, the elasticity) is the production one. With br the
+// enumeration oracle it is the reference market; with
+// (*clusterDomain).BestResponse it is Solve's pass before the kernel.
+type perClient struct {
+	d  *clusterDomain
+	br func(d *clusterDomain, j int, price, out []float64)
 }
+
+func (p perClient) Dims() (int, int)                         { return p.d.Dims() }
+func (p perClient) Capacity(out []float64)                   { p.d.Capacity(out) }
+func (p perClient) DemandHint() float64                      { return p.d.DemandHint() }
+func (p perClient) PrepareIteration(price []float64)         { p.d.PrepareIteration(price) }
+func (p perClient) ScaleElasticity() float64                 { return p.d.ScaleElasticity() }
+func (p perClient) BestResponse(j int, price, out []float64) { p.br(p.d, j, price, out) }
+
+func enumerating(d *clusterDomain) perClient { return perClient{d, oracleBestResponse} }
+func certifying(d *clusterDomain) perClient  { return perClient{d, (*clusterDomain).BestResponse} }
 
 // brMarket builds the max-min market of the given clients, one throughput
 // row and scale each, over one GPU of each type.
@@ -148,14 +160,26 @@ func atBudget(d *clusterDomain, j int, price []float64, gap float64) []float64 {
 }
 
 // sameBestResponse checks every client of d at price against the oracle,
-// bit for bit and over a dirty output buffer, and returns whether each was
-// answered by the certificate.
+// bit for bit and over a dirty output buffer, then runs it alone through
+// the chunk kernel and checks the partial demands and the averaged row it
+// leaves against BestResponse plus the generic fold. It returns whether
+// each client was answered by the certificate.
 func sameBestResponse(t *testing.T, d *clusterDomain, price []float64) []bool {
 	t.Helper()
 	d.PrepareIteration(price)
-	got := make([]float64, d.r)
-	want := make([]float64, d.r)
+	r := d.r
+	got := make([]float64, r)
+	want := make([]float64, r)
 	fast := make([]bool, d.n)
+	// The kernel adds into running partial demands and averages: start
+	// both from earlier iterates (non-negative, as in Solve).
+	const gamma = 0.37
+	acc, wantAcc := make([]float64, r), make([]float64, r)
+	avg, wantAvg := make([]float64, d.n*r), make([]float64, d.n*r)
+	for k := range avg {
+		avg[k] = float64(k%3) * 0.25
+	}
+	copy(wantAvg, avg)
 	for j := 0; j < d.n; j++ {
 		for i := range got {
 			got[i] = math.NaN()
@@ -165,10 +189,30 @@ func sameBestResponse(t *testing.T, d *clusterDomain, price []float64) []bool {
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("client %d (t %v, z %v) at price %v: BestResponse %v, enumeration %v",
-					j, d.t[j*d.r:(j+1)*d.r], d.z[j], price, got, want)
+					j, d.t[j*r:(j+1)*r], d.z[j], price, got, want)
 			}
 		}
 		_, _, fast[j] = d.certifiedSingleton(j, price)
+
+		for i := range acc {
+			acc[i] = float64(i) * 0.5
+		}
+		copy(wantAcc, acc)
+		foldResponse(got, wantAcc, wantAvg[j*r:(j+1)*r], gamma)
+		for i := range got {
+			got[i] = math.NaN() // the kernel's scratch
+		}
+		enumerated := d.BestResponses(j, j+1, price, gamma, acc, avg, got)
+		if enumerated > 1 || (enumerated == 0) != fast[j] {
+			t.Fatalf("client %d: kernel enumerated %d, certified %v", j, enumerated, fast[j])
+		}
+		for i := range acc {
+			if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) ||
+				math.Float64bits(avg[j*r+i]) != math.Float64bits(wantAvg[j*r+i]) {
+				t.Fatalf("client %d (t %v, z %v) at price %v: kernel acc %v avg %v, per-client fold acc %v avg %v",
+					j, d.t[j*r:(j+1)*r], d.z[j], price, acc, avg[j*r:(j+1)*r], wantAcc, wantAvg[j*r:(j+1)*r])
+			}
+		}
 	}
 	return fast
 }
@@ -433,7 +477,7 @@ func TestSolveMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Solve(enumeratingDomain{oneShotDomain(jobs, c)}, opts)
+		want, err := Solve(enumerating(oneShotDomain(jobs, c)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,5 +507,101 @@ func TestSolveMatchesEnumeration(t *testing.T) {
 			t.Errorf("round %d: %d of %d clients certified at the cleared prices", round, fast, n)
 		}
 		opts.WarmPrice = got.Price
+	}
+}
+
+// mixedMarket is n clients over r GPU types, n/8 + 1 of each, drawn to
+// reach both of the chunk kernel's paths: a fifth of the throughputs are
+// zero, scales are ½, 1, 2 or 3, and every fourth client's row is a multiple
+// of ratio, so prices proportional to ratio tie it across types. Client 0
+// has every type.
+func mixedMarket(n, r int, seed int64) (*clusterDomain, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	ratio := make([]float64, r)
+	for i := range ratio {
+		ratio[i] = 1 + float64(i)
+	}
+	jobs := make([]cluster.Job, n)
+	for j := range jobs {
+		thr := make([]float64, r)
+		for i := range thr {
+			switch {
+			case j%4 == 3:
+				thr[i] = ratio[i] * float64(1+j%7)
+			case j > 0 && rng.Intn(5) == 0:
+			default:
+				thr[i] = (1 + float64(i)) * (1 + rng.Float64())
+			}
+		}
+		jobs[j] = cluster.Job{ID: j, Throughput: thr, Weight: 1,
+			Scale: []float64{0.5, 1, 2, 3}[rng.Intn(4)], NumSteps: 1}
+	}
+	caps := make([]float64, r)
+	for i := range caps {
+		caps[i] = float64(n/8 + 1)
+	}
+	return oneShotDomain(jobs, cluster.Cluster{NumGPUs: caps}), ratio
+}
+
+// TestChunkKernelMatchesPerClient runs Solve over the production market,
+// whose chunks go through the kernel, and over the same market with the
+// kernel hidden (BestResponse and the generic fold per client): prices,
+// iteration counts and every averaged demand must agree bit for bit. It
+// covers client counts at the chunk edges and r = 1…5, each solved cold,
+// from equal prices, from prices that tie every fourth client across its
+// types, and from prices that put client 0's demand half of η from its
+// time budget. Both of the kernel's paths must run at every r.
+func TestChunkKernelMatchesPerClient(t *testing.T) {
+	for r := 1; r <= 5; r++ {
+		enumerated, responses := 0, 0
+		for _, n := range []int{1, 1023, 1024, 1025, 4097} {
+			d, ratio := mixedMarket(n, r, int64(10*n+r))
+			equal := make([]float64, r)
+			tied := make([]float64, r)
+			for i := range equal {
+				equal[i] = 1e6
+				tied[i] = 1e6 * ratio[i]
+			}
+			for _, start := range []struct {
+				name string
+				warm []float64
+			}{
+				{"cold", nil},
+				{"equal-prices", equal},
+				{"tied", tied},
+				{"near-budget", atBudget(d, 0, ratio, certEta/2)},
+			} {
+				opts := withMaxMinStep(Options{Seed: int64(n), Parallel: true, MaxIters: 40, WarmPrice: start.warm})
+				got, err := Solve(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Solve(certifying(d), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("n=%d r=%d %s", n, r, start.name)
+				if got.Iterations != want.Iterations {
+					t.Fatalf("%s: %d iterations, per-client %d", where, got.Iterations, want.Iterations)
+				}
+				for i := range got.Price {
+					if math.Float64bits(got.Price[i]) != math.Float64bits(want.Price[i]) {
+						t.Fatalf("%s: price %v, per-client %v", where, got.Price, want.Price)
+					}
+				}
+				for k := range got.demand {
+					if math.Float64bits(got.demand[k]) != math.Float64bits(want.demand[k]) {
+						t.Fatalf("%s: client %d demand %v, per-client %v",
+							where, k/r, got.ClientDemand(k/r), want.ClientDemand(k/r))
+					}
+				}
+				enumerated += got.enumerated
+				responses += n * got.Iterations
+			}
+		}
+		t.Logf("r=%d: %d of %d best responses enumerated", r, enumerated, responses)
+		if enumerated == 0 || enumerated == responses {
+			t.Errorf("r=%d: %d of %d best responses enumerated: both kernel paths should run", r, enumerated, responses)
+		}
 	}
 }

@@ -18,7 +18,13 @@ import (
 // that in O(r) cross-multiplications (see certifiedSingleton). Otherwise it
 // falls back to enumerating singleton and pair supports — exact, because
 // the optimum is supported on at most two resources — which costs O(r²)
-// closed forms. Neither path runs a solver.
+// closed forms. Neither path runs a solver. Solve reaches both through
+// BestResponses, one chunk of clients per call: for r = 3 the certificate
+// and the fold into the partial demands and averaged rows run unrolled,
+// with no branch on the cheapest type (bestResponses3); any uncertified
+// client, and every client when r ≠ 3, takes BestResponse and the generic
+// fold. The unrolled path computes the same products in the same order,
+// so it changes no bit of the solve.
 type clusterDomain struct {
 	t    []float64 // n×r row-major throughputs ÷ the reference normaliser
 	z    []float64 // per-job resource scale z_j
@@ -48,7 +54,8 @@ type clusterDomain struct {
 	//   zRoot[j]    = z_j^(−1/α)
 	// and pRoot_i = sigma^(1/α−1)·price_i^(−1/α) is refreshed once per
 	// iteration by PrepareIteration instead of once per client (utilScale,
-	// sigma^(1−α)/(1−α), once per load). α is a power of two, so the
+	// sigma^(1−α)/(1−α), once per load); the r = 3 chunk kernel reads it
+	// into registers once per chunk. α is a power of two, so the
 	// remaining per-pair root s^(−1/α) runs as a √-chain (alphaSqrts hardware
 	// square roots) instead of a Pow call.
 	tPow, tUtil []float64
@@ -111,12 +118,93 @@ func invAlphaRoot(s float64) float64 {
 // z·x with x = zr·pRoot·tPow, for an interior singleton, so the fast path
 // changes no bit of the result.
 func (d *clusterDomain) BestResponse(j int, price []float64, out []float64) {
+	d.respond(j, price, out)
+}
+
+// respond is BestResponse, reporting whether it had to enumerate.
+func (d *clusterDomain) respond(j int, price []float64, out []float64) (enumerated bool) {
 	if i, x, ok := d.certifiedSingleton(j, price); ok {
 		clear(out)
 		out[i] = d.z[j] * x
-		return
+		return false
 	}
 	d.enumerate(j, price, out)
+	return true
+}
+
+// BestResponses is Solve's per-chunk pass (see chunkResponder): the best
+// responses of clients [lo, hi), folded into acc and avg. Three resources
+// run the unrolled bestResponses3; any other count runs BestResponse and
+// the generic fold per client.
+func (d *clusterDomain) BestResponses(lo, hi int, price []float64, gamma float64, acc, avg, cur []float64) int {
+	if d.r == 3 {
+		return d.bestResponses3(lo, hi, price, gamma, acc, avg)
+	}
+	r, enumerated := d.r, 0
+	for j := lo; j < hi; j++ {
+		if d.respond(j, price, cur) {
+			enumerated++
+		}
+		foldResponse(cur, acc, avg[j*r:(j+1)*r], gamma)
+	}
+	return enumerated
+}
+
+// bestResponses3 is BestResponses for r = 3 with certifiedSingleton and
+// the fold unrolled. The prices and their roots are read once per chunk,
+// the chunk's three partial demands stay in registers, and the argmin is
+// integer arithmetic on certifiedSingleton's two comparisons, so a
+// certified client costs a handful of multiplies and compares, no call and
+// no branch on its cheapest type. It evaluates certifiedSingleton's
+// predicates on the same products and writes the same z·x, and its fold is
+// the generic one with the two zero entries spelled out, so it changes no
+// bit. A client with a zero throughput, or one the certificate does not
+// answer, goes through respond or enumerate and the same fold.
+func (d *clusterDomain) bestResponses3(lo, hi int, price []float64, gamma float64, acc, avg []float64) int {
+	p := [3]float64{price[0], price[1], price[2]}
+	q := [3]float64{d.pRoot[0], d.pRoot[1], d.pRoot[2]}
+	a0, a1, a2 := acc[0], acc[1], acc[2]
+	t, tPow, row := d.t[3*lo:3*hi], d.tPow[3*lo:3*hi], avg[3*lo:3*hi]
+	z, zRoot := d.z[lo:hi], d.zRoot[lo:hi]
+	enumerated := 0
+	for k := range z {
+		tj, rj := t[3*k:3*k+3:3*k+3], row[3*k:3*k+3:3*k+3]
+		var v [3]float64
+		if t0, t1, t2 := tj[0], tj[1], tj[2]; t0 > 0 && t1 > 0 && t2 > 0 {
+			// i* = argmin_i p_i/t_i, the first of equals, by
+			// certifiedSingleton's two comparisons, and the other two types
+			// in ascending order, o1 < o2 — all in integer arithmetic on the
+			// comparisons' outcomes, so that the cheapest type, which varies
+			// from client to client at clearing prices, costs no branch.
+			c1 := b2i(p[1]*t0 < p[0]*t1)
+			c2 := b2i(p[2]*tj[c1] < p[c1]*t2)
+			best := c1 + c2*(2-c1)
+			o1, o2 := b2i(best == 0), 2-c2
+			pb, tb := p[best], tj[best]
+			x := zRoot[k] * q[best] * tPow[3*k+best]
+			slack := 1 - x
+			cd := certDelta * pb
+			face := cd * tb * x
+			if x > 0 && x < 1-certEta &&
+				beats(p[o1], tj[o1], pb, tb, cd, slack, face) &&
+				beats(p[o2], tj[o2], pb, tb, cd, slack, face) {
+				v[best] = z[k] * x
+			} else {
+				d.enumerate(lo+k, price, v[:])
+				enumerated++
+			}
+		} else if d.respond(lo+k, price, v[:]) {
+			enumerated++
+		}
+		a0 += v[0]
+		a1 += v[1]
+		a2 += v[2]
+		rj[0] += gamma * (v[0] - rj[0])
+		rj[1] += gamma * (v[1] - rj[1])
+		rj[2] += gamma * (v[2] - rj[2])
+	}
+	acc[0], acc[1], acc[2] = a0, a1, a2
+	return enumerated
 }
 
 const (
@@ -174,19 +262,31 @@ func (d *clusterDomain) certifiedSingleton(j int, price []float64) (int, float64
 	if !(x > 0 && x < 1-certEta) {
 		return -1, 0, false
 	}
-	// D_k > δ·p_i*·(t_k + t_i*·x/(1−x)), multiplied through by 1 − x > 0.
 	pb, tb, slack := price[best], t[best], 1-x
-	face := certDelta * pb * tb * x
+	cd := certDelta * pb
+	face := cd * tb * x
 	for k, tk := range t {
-		// Zero-throughput types are never candidates of the enumeration.
-		if k == best || tk <= 0 {
-			continue
-		}
-		if !((price[k]*tb-pb*tk)*slack > certDelta*pb*tk*slack+face) {
-			return -1, 0, false // NaN fails too
+		if k != best && !beats(price[k], tk, pb, tb, cd, slack, face) {
+			return -1, 0, false
 		}
 	}
 	return best, x, true
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// beats is the certificate's margin check of type k against i*:
+// D_k > δ·p_i*·(t_k + t_i*·x/(1−x)), multiplied through by 1 − x > 0, with
+// cd = δ·p_i* and face = δ·p_i*·t_i*·x. Zero-throughput types are never
+// candidates of the enumeration and pass; NaN fails.
+func beats(pk, tk, pb, tb, cd, slack, face float64) bool {
+	return tk <= 0 || (pk*tb-pb*tk)*slack > cd*tk*slack+face
 }
 
 // enumerate evaluates every singleton and pair support with all price- and

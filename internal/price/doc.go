@@ -36,8 +36,32 @@
 // support, O(r²) closed forms. Both paths write the same expression, so the
 // certificate changes no bit of any allocation; FuzzBestResponse and
 // TestSolveMatchesEnumeration hold it to the enumeration oracle. On the
-// serve benchmark's population it answers every client, at cold and at
-// cleared prices.
+// serve benchmark's population it answers every client at the prices a
+// round clears.
+//
+// Solve does not call BestResponse on the max-min market. The market runs
+// each 1024-client chunk of the fan-out itself (an optional Domain
+// extension): the best responses and their fold into the chunk's partial
+// demands and the clients' averaged rows, in one loop. For r = 3 that loop
+// is unrolled — three GPU types are the §4.1 K80/P100/V100 pool, every
+// bench workload and popserver's default pool. Prices, their roots and the
+// three partial demands stay in registers, and the argmin is integer
+// arithmetic on the two comparisons rather than branches, because at
+// clearing prices the cheapest type changes from client to client and a
+// branch on it mispredicts about once per client. A certified client then
+// costs a handful of multiplies and no call: about 2.5× less than
+// BestResponse plus the generic fold (BenchmarkBestResponse). A client with
+// a zero throughput or one the certificate does not answer takes the
+// BestResponse path and the generic fold, and so does every client when
+// r ≠ 3. The kernel changes no bit: it evaluates certifiedSingleton's
+// predicates on the same products, writes the same z·x, and its fold is
+// the generic one with the two zero entries spelled out. sameBestResponse
+// (so FuzzBestResponse and TestBestResponseRandomMarkets) checks it client
+// by client against BestResponse plus the generic fold, and
+// TestChunkKernelMatchesPerClient checks whole solves at chunk-edge sizes
+// and r = 1…5. The enumerated responses of a solve are counted per chunk
+// (Stats.LastEnumerated, pop_price_enumerated_total): enumeration costs
+// several times the kernel, so a round slowed by near-ties shows there.
 //
 // # Price update rule
 //

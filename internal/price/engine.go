@@ -25,6 +25,12 @@ type Stats struct {
 	Iterations     int     `json:"iterations"`
 	LastIterations int     `json:"last_iterations"`
 	LastResidual   float64 `json:"last_residual"`
+	// LastEnumerated counts the best responses of the most recent round,
+	// summed over its iterations, that the max-min certificate could not
+	// answer and support enumeration did. An enumerated response costs
+	// several times a certified one, so a round slowed by near-ties or
+	// demand at the time budget shows here; on a typical market it is 0.
+	LastEnumerated int `json:"last_enumerated"`
 	// ConvergedRounds counts rounds that reached the clearing tolerance.
 	ConvergedRounds int `json:"converged_rounds"`
 	// WarmPriceRounds counts rounds solved from carried prices;
@@ -216,6 +222,7 @@ func (e *ClusterEngine) bookRound(sol *Solution, warm bool, start time.Time) {
 	st.Iterations += sol.Iterations
 	st.LastIterations = sol.Iterations
 	st.LastResidual = sol.Residual
+	st.LastEnumerated = sol.enumerated
 	if sol.Converged {
 		st.ConvergedRounds++
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
+	"pop/internal/obs"
 )
 
 // stepRounds plays a low-churn round sequence against an engine: each round
@@ -130,5 +131,78 @@ func TestClusterEngineCapacityRescale(t *testing.T) {
 	}
 	if st := e.Stats(); st.ColdPriceRounds != 2 {
 		t.Errorf("MarkAllDirty should force a cold round: %+v", st)
+	}
+}
+
+// TestEnumeratedCount checks the count of best responses the certificate
+// left to enumeration: the same number in Stats and in
+// pop_price_enumerated_total each round; none on the serve population at
+// the prices its rounds cleared (a solve's wandering iterates may meet a
+// rare near-tie); some on a market whose pool far exceeds its few clients
+// (their demand is clamped at the time budget), booked in Stats and in
+// pop_price_enumerated_total alike; and one for a client tied across types
+// in a single iteration at the tie.
+func TestEnumeratedCount(t *testing.T) {
+	reg := obs.NewRegistry()
+	counter := reg.Counter("pop_price_enumerated_total", "")
+	o := &obs.Observer{Metrics: reg}
+
+	const n = 3000
+	jobs := servePopulation(n, 3)
+	c := cluster.NewCluster(n/8, n/8, n/8)
+	e := NewClusterEngine(c, Options{Seed: 3, Parallel: true, Obs: o})
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			fresh := servePopulation(n/100, int64(10+round))
+			for k := range fresh {
+				fresh[k].ID = n + round*n + k
+				jobs[(round*n/100+k)%n] = fresh[k]
+			}
+		}
+		before := counter.Value()
+		if _, err := e.Step(jobs, c); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if booked := counter.Value() - before; int64(st.LastEnumerated) != booked {
+			t.Fatalf("serve population round %d: %d enumerated in Stats, %d in the counter", round, st.LastEnumerated, booked)
+		}
+		t.Logf("serve population round %d: %d of %d best responses enumerated",
+			round, st.LastEnumerated, n*st.LastIterations)
+	}
+	if e.Stats().WarmPriceRounds != 3 {
+		t.Fatalf("serve population: %+v, want three warm rounds", e.Stats())
+	}
+	// One iteration at the cleared prices, the start of the next warm round.
+	sol, err := Solve(e.dom, withMaxMinStep(Options{WarmPrice: e.price, MaxIters: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.enumerated != 0 {
+		t.Fatalf("serve population at cleared prices: %d of %d best responses enumerated, want 0", sol.enumerated, n)
+	}
+	reg = obs.NewRegistry()
+	counter = reg.Counter("pop_price_enumerated_total", "")
+	o = &obs.Observer{Metrics: reg}
+
+	big := cluster.NewCluster(100, 100, 100)
+	e = NewClusterEngine(big, Options{Seed: 3, Parallel: true, Obs: o})
+	if _, err := e.Step(servePopulation(3, 4), big); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.LastEnumerated <= 0 || int64(st.LastEnumerated) != counter.Value() {
+		t.Fatalf("oversized pool: %d enumerated in Stats, %d in the counter, want equal and > 0 (%+v)",
+			st.LastEnumerated, counter.Value(), st)
+	}
+
+	// fuzzMarket: r = 3, type 2 priced at type 1's price per throughput.
+	d, price := fuzzMarket([]byte{2, 0, 100, 140, 160, 128, 130, 127, 1, 1, 2, 0, 64})
+	sol, err = Solve(d, withMaxMinStep(Options{WarmPrice: price, MaxIters: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.enumerated != 1 {
+		t.Fatalf("tied client: %d best responses enumerated, want 1", sol.enumerated)
 	}
 }

@@ -85,6 +85,19 @@ type iterationPreparer interface {
 	PrepareIteration(price []float64)
 }
 
+// chunkResponder is an optional Domain extension: a domain that can run
+// the fan-out's per-chunk pass itself implements it, and Solve hands it each
+// chunk instead of calling BestResponse once per client. BestResponses must
+// do exactly what the generic pass does, bit for bit: for j = lo…hi−1 in
+// order, compute client j's best response v (len r; cur is r floats of
+// scratch), add it into acc (len r) and fold it into j's averaged row,
+// avg[j*r+i] += gamma·(v_i − avg[j*r+i]). It returns the number of best
+// responses it could answer only by enumerating supports (see
+// Stats.LastEnumerated).
+type chunkResponder interface {
+	BestResponses(lo, hi int, price []float64, gamma float64, acc, avg, cur []float64) (enumerated int)
+}
+
 // scaleElastic is an optional Domain extension: a market whose aggregate
 // demand responds to a uniform price rescale with a known elasticity —
 // demand ∝ scale^(−1/E) in the interior — exposes E, and Solve then kills
@@ -157,8 +170,9 @@ type Solution struct {
 	// WarmStarted reports whether the solve started from WarmPrice.
 	WarmStarted bool
 
-	r      int
-	demand []float64 // n×r row-major averaged client demands (resource units)
+	r          int
+	demand     []float64 // n×r row-major averaged client demands (resource units)
+	enumerated int       // best responses a chunkResponder enumerated, all iterations
 }
 
 // ClientDemand returns client j's averaged demand row (resource units). The
@@ -247,16 +261,18 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 	// padded by a cache line so concurrent chunks never share one.
 	stride := 2*r + 8
 	chunkScratch := make([]float64, chunks*stride)
+	chunkEnumerated := make([]int, chunks)
 	demand := make([]float64, r)
 	avgDemand := make([]float64, r)
 
 	prep, _ := d.(iterationPreparer)
+	kernel, _ := d.(chunkResponder)
 	elast := 0.0
 	if se, ok := d.(scaleElastic); ok {
 		elast = se.ScaleElasticity()
 	}
 
-	iters := 0
+	iters, enumerated := 0, 0
 	resid := math.Inf(1)
 	converged := false
 	for t := 1; t <= opts.MaxIters; t++ {
@@ -276,13 +292,13 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 			acc := chunkScratch[ci*stride : ci*stride+r]
 			cur := chunkScratch[ci*stride+r : ci*stride+2*r]
 			clear(acc)
+			if kernel != nil {
+				chunkEnumerated[ci] = kernel.BestResponses(lo, hi, price, gamma, acc, avg, cur)
+				return nil
+			}
 			for j := lo; j < hi; j++ {
 				d.BestResponse(j, price, cur)
-				row := avg[j*r : (j+1)*r]
-				for i, v := range cur {
-					acc[i] += v
-					row[i] += gamma * (v - row[i])
-				}
+				foldResponse(cur, acc, avg[j*r:(j+1)*r], gamma)
 			}
 			return nil
 		})
@@ -290,6 +306,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		// Chunk-ordered reduction: bit-identical regardless of Parallel.
 		clear(demand)
 		for ci := 0; ci < chunks; ci++ {
+			enumerated += chunkEnumerated[ci]
 			for i, v := range chunkScratch[ci*stride : ci*stride+r] {
 				demand[i] += v
 			}
@@ -363,10 +380,12 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 	sol.Iterations = iters
 	sol.Residual = resid
 	sol.Converged = converged
-	span.Arg("iterations", iters).Arg("residual", resid).End()
+	sol.enumerated = enumerated
+	span.Arg("iterations", iters).Arg("residual", resid).Arg("enumerated", enumerated).End()
 	if o := opts.Obs; o != nil {
 		o.Counter("pop_price_solves_total", "price-discovery solves").Inc()
 		o.Counter("pop_price_iterations_total", "price-update iterations across solves").Add(int64(iters))
+		o.Counter("pop_price_enumerated_total", "best responses answered by support enumeration, not the certificate").Add(int64(enumerated))
 		if warm {
 			o.Counter("pop_price_warm_solves_total", "solves started from carried prices").Inc()
 		} else {
@@ -378,6 +397,16 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		o.Gauge("pop_price_clearing_residual", "clearing residual of the last solve").Set(resid)
 	}
 	return sol, nil
+}
+
+// foldResponse is the generic per-client fold of Solve's fan-out: client
+// best response v is added into the chunk's partial demands acc and folded
+// into the client's averaged row with weight gamma.
+func foldResponse(v, acc, row []float64, gamma float64) {
+	for i, vi := range v {
+		acc[i] += vi
+		row[i] += gamma * (vi - row[i])
+	}
 }
 
 // clearingResidual measures how far the averaged market is from clearing:

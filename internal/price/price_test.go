@@ -212,6 +212,7 @@ func TestPriceMetricsGuard(t *testing.T) {
 		"pop_price_solves_total",
 		"pop_price_iterations_total",
 		"pop_price_cold_solves_total",
+		"pop_price_enumerated_total",
 		"pop_price_clearing_residual",
 	} {
 		if !strings.Contains(out, metric) {
