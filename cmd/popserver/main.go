@@ -193,7 +193,7 @@ func workerMain(args []string) error {
 		policyFl  = fs.String("policy", "maxmin", "scheduling policy: maxmin | makespan | spacesharing | price")
 		parallel  = fs.Bool("parallel", true, "solve dirty sub-problems concurrently")
 		rebalance = fs.Bool("rebalance", false, "enable the engine's drift-bounded rebalancer")
-		authTok   = fs.String("auth-token", "", "bearer token required on round and sync requests")
+		authTok   = fs.String("auth-token", "", "bearer token required on round requests")
 		stateFile = fs.String("state-file", "", "persist engine warm state here across restarts")
 		logLevel  = fs.String("log-level", "info", "log level: debug | info | warn | error")
 	)

@@ -302,7 +302,7 @@ func TestServerStateFileCompat(t *testing.T) {
 					snap.Round, snap.NumJobs, snap.StaleJobs, tc.round+1, tc.jobs)
 			}
 			if ws := s.coord.Status()[0]; ws.Rebuilds != 0 || ws.Jobs != tc.jobs {
-				t.Fatalf("first tick needed a registry sync or lost jobs: %+v", ws)
+				t.Fatalf("first tick needed a rebuild or lost jobs: %+v", ws)
 			}
 			if err := s.saveState(); err != nil {
 				t.Fatal(err)
@@ -562,6 +562,31 @@ func BenchmarkTickPublish(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.tick(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestServerZeroThroughputJob: a job that can use no GPU type is a max-min
+// sub-problem with nothing to constrain its level. Its round is solved, not
+// found unbounded, so the job's row is served fresh, alone in the one
+// sub-problem (K = 1) or in one of two beside a job that runs (K = 2).
+func TestServerZeroThroughputJob(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		s, _ := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: k}})
+		ts := httptest.NewServer(s.handler())
+		t.Cleanup(ts.Close)
+		do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 1, Throughput: []float64{0, 0, 0}}, http.StatusAccepted)
+		if k == 2 {
+			do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 2, Throughput: []float64{1, 2, 3}}, http.StatusAccepted)
+		}
+		for round := 1; round <= 2; round++ {
+			if tick := do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK); tick["stale_jobs"].(float64) != 0 {
+				t.Fatalf("K=%d round %d: %v stale jobs", k, round, tick["stale_jobs"])
+			}
+			row := do(t, "GET", ts.URL+"/v1/allocation/1", nil, http.StatusOK)
+			if stale, _ := row["stale"].(bool); stale || row["effective_throughput"].(float64) != 0 {
+				t.Fatalf("K=%d round %d: zero-throughput job served %v", k, round, row)
+			}
 		}
 	}
 }

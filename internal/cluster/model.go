@@ -34,6 +34,20 @@ func RateRow(thr []float64, denom float64, coefs []float64) float64 {
 	return -1
 }
 
+// CapEpigraph sets the bounds of an epigraph model's t (variable tv):
+// free while some rate row constrains it, at most 0 when none does. With
+// every denominator ≤ 0 (no throughput, no scale, no steps left) t would be
+// unbounded and the LP with it; capped, the LP solves at t = 0 over the
+// same polytope. A model with a constraining job keeps its free t, so its
+// solve does not change.
+func CapEpigraph(m *lp.Model, tv int, constrained bool) {
+	ub := lp.Inf
+	if !constrained {
+		ub = 0
+	}
+	m.SetBounds(tv, math.Inf(-1), ub)
+}
+
 // SoloModel builds the solo epigraph LP: maximize t subject to
 // t ≤ thr(j,A)/denom(j) for every job, over the solo time-fraction
 // polytope. MaxMinFairness and MinMakespan are this model with their
@@ -43,7 +57,8 @@ func RateRow(thr []float64, denom float64, coefs []float64) float64 {
 // variables j·r … j·r+r-1 and t is variable n·r; job j's time row (Σ_i
 // A_ji ≤ 1) is row 2j and its rate row (Σ_i T_ji/denom·A_ji − t ≥ 0, all
 // zeros when denom ≤ 0) row 2j+1; the r capacity rows (Σ_j z_j·A_ji ≤
-// NumGPUs_i) follow.
+// NumGPUs_i) follow. t is capped at 0 when no rate row constrains it
+// (CapEpigraph).
 func SoloModel(jobs []Job, c Cluster, denom func(Job) float64) *lp.Model {
 	r := c.NumTypes()
 	m := lp.NewModel(lp.Maximize)
@@ -56,6 +71,7 @@ func SoloModel(jobs []Job, c Cluster, denom func(Job) float64) *lp.Model {
 		ones[i] = 1
 	}
 	load := make([]float64, len(jobs))
+	constrained := false
 	for idx, j := range jobs {
 		for i := 0; i < r; i++ {
 			idxs[i] = idx*r + i
@@ -63,10 +79,12 @@ func SoloModel(jobs []Job, c Cluster, denom func(Job) float64) *lp.Model {
 		idxs[r] = tv
 		m.AddConstraint(idxs[:r], ones, lp.LE, 1, "time")
 		coefs[r] = RateRow(j.Throughput, denom(j), coefs[:r])
+		constrained = constrained || coefs[r] != 0
 		m.AddConstraint(idxs, coefs, lp.GE, 0, "rate")
 		load[idx] = j.Scale
 	}
 	addCapacityRows(m, c, load)
+	CapEpigraph(m, tv, constrained)
 	return m
 }
 
@@ -138,6 +156,7 @@ func SpaceSharingModel(jobs []Job, c Cluster) (*lp.Model, []Pair) {
 	m.AddVariables(len(slots)*r, 0, 0, 1)
 	tv := m.AddVariable(1, math.Inf(-1), lp.Inf, "t")
 	denom := MaxMinDenominator(jobs, c)
+	constrained := false
 	for idx, j := range jobs {
 		nt := len(vars[idx])
 		ones := make([]float64, nt)
@@ -147,9 +166,11 @@ func SpaceSharingModel(jobs []Job, c Cluster) (*lp.Model, []Pair) {
 		m.AddConstraint(vars[idx], ones, lp.LE, 1, "time")
 		coefs := make([]float64, nt+1)
 		coefs[nt] = RateRow(thr[idx], denom(j), coefs[:nt])
+		constrained = constrained || coefs[nt] != 0
 		m.AddConstraint(append(slices.Clip(vars[idx]), tv), coefs, lp.GE, 0, "rate")
 	}
 	addCapacityRows(m, c, load)
+	CapEpigraph(m, tv, constrained)
 	return m, slots
 }
 

@@ -179,14 +179,17 @@ func (ad soloAdapter) RefreshModel(m *lp.Model, layout []block) {
 	denom := ad.denominator(members)
 	coefs := resize(sc.coefs, r)
 	sc.coefs = coefs
+	constrained := false
 	for i, j := range members {
 		tc := cluster.RateRow(j.Throughput, denom(j), coefs)
+		constrained = constrained || tc != 0
 		row := 2*i + 1
 		for k := 0; k < r; k++ {
 			m.SetCoeff(row, i*r+k, coefs[k])
 		}
 		m.SetCoeff(row, tv, tc)
 	}
+	cluster.CapEpigraph(m, tv, constrained)
 	sc.idxs, sc.scales = resize(sc.idxs, n), resize(sc.scales, n)
 	for i, j := range members {
 		sc.scales[i] = j.Scale

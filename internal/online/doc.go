@@ -56,8 +56,8 @@
 //
 // Each half builds a fresh model with the cluster builder, splices one
 // block's structure into a live model, rewrites every data-dependent value
-// with cluster.RateRow and cluster.SlotTerms, and reads a solution back in
-// member order. The rules that make splicing safe:
+// with cluster.RateRow and cluster.SlotTerms (and t's bound with
+// cluster.CapEpigraph), and reads a solution back in member order. The rules that make splicing safe:
 //
 //   - a model lays out its blocks contiguously in layout order — block
 //     variables first, then the shared epigraph t; block rows first, then

@@ -618,3 +618,52 @@ func TestClusterEngineAllocationsOutliveLaterRounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSubProblemWithoutConstrainingJob: a sub-problem in which no job has a
+// positive rate-row denominator (a job with scale 0 or no throughput under
+// max-min, one with no steps left under makespan) is solved with t capped
+// at 0, not found unbounded, and the cap comes off and back on in the warm
+// model as a constraining job joins and leaves it. Every round's rows pass
+// VerifyFeasible over the whole pool, at K = 1 and with such a sub-problem
+// beside an ordinary one at K = 2.
+func TestSubProblemWithoutConstrainingJob(t *testing.T) {
+	c := cluster.NewCluster(4, 4, 4)
+	job := func(id int, thr []float64, scale, steps float64) cluster.Job {
+		return cluster.Job{ID: id, Throughput: thr, Weight: 1, Scale: scale, NumSteps: steps, Priority: 1}
+	}
+	live := []cluster.Job{job(10, []float64{1, 2, 3}, 1, 100), job(11, []float64{2, 2, 1}, 1, 100)}
+	for _, tc := range []struct {
+		policy ClusterPolicy
+		idle   []cluster.Job // no positive denominator under policy
+	}{
+		{MaxMinFairness, []cluster.Job{job(1, []float64{1, 2, 3}, 0, 100), job(2, []float64{0, 0, 0}, 1, 100)}},
+		{MinMakespan, []cluster.Job{job(1, []float64{1, 2, 3}, 1, 0), job(2, []float64{3, 2, 1}, 2, 0)}},
+	} {
+		for _, k := range []int{1, 2} {
+			e, err := NewClusterEngine(c, tc.policy, Options{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round, active := range [][]cluster.Job{
+				tc.idle,
+				append(slices.Clone(tc.idle), live[0]),
+				tc.idle,
+				append(slices.Clone(tc.idle), live...),
+				tc.idle[:1],
+			} {
+				alloc, err := e.Step(active, c)
+				if err != nil {
+					t.Fatalf("%v K=%d round %d: %v", tc.policy, k, round, err)
+				}
+				if err := cluster.VerifyFeasible(active, c, alloc, 1e-9); err != nil {
+					t.Fatalf("%v K=%d round %d: %v", tc.policy, k, round, err)
+				}
+				for i, j := range active {
+					if j.ID >= 10 && alloc.EffThr[i] <= 0 {
+						t.Fatalf("%v K=%d round %d: constraining job %d starved", tc.policy, k, round, j.ID)
+					}
+				}
+			}
+		}
+	}
+}

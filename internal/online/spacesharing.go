@@ -65,6 +65,7 @@ func (ad pairAdapter) RefreshModel(m *lp.Model, layout []block) {
 	tv := len(layout) * r
 	vars, thr, load := cluster.SlotTerms(members, slotsOf(layout), r)
 	denom := cluster.MaxMinDenominator(members, ad.sub)
+	constrained := false
 	for idx, j := range members {
 		ones := make([]float64, len(vars[idx]))
 		for t := range ones {
@@ -73,9 +74,11 @@ func (ad pairAdapter) RefreshModel(m *lp.Model, layout []block) {
 		m.SetCoeffs(2*idx, vars[idx], ones)
 		coefs := make([]float64, len(vars[idx]))
 		tc := cluster.RateRow(thr[idx], denom(j), coefs)
+		constrained = constrained || tc != 0
 		m.SetCoeffs(2*idx+1, vars[idx], coefs)
 		m.SetCoeff(2*idx+1, tv, tc)
 	}
+	cluster.CapEpigraph(m, tv, constrained)
 	idxs := make([]int, len(layout))
 	for i := 0; i < r; i++ {
 		for q := range layout {

@@ -175,7 +175,7 @@ type gatherResult struct {
 	cols     gather
 	err      error
 	rebuilds int64
-	resync   bool // the failure itself shows the worker needs a registry sync
+	resync   bool // the worker needs a full round next (the failure was one, or shows it)
 }
 
 // phase opens one coordinator-side child of "shard.round": the span plus
@@ -215,7 +215,7 @@ func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster
 // registered clients, in whatever order the caller wants them). Workers
 // that miss the deadline (or fail, or answer garbage) keep serving last
 // round's rows, flagged stale; a worker that reports being out of sync is
-// rebuilt from the registry first, inside the same deadline. It ends span,
+// sent the round again as a full one, inside the same deadline. It ends span,
 // the caller's open "shard.round".
 func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cluster.Cluster) *cluster.Allocation {
 	c.c = pool
@@ -257,7 +257,8 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 		if res.err != nil {
 			// Straggler or crash: keep last round's allocation, keep the
 			// unacked batch queued, and let the health of the next round
-			// decide whether a sync is needed (a crashed worker will 409).
+			// decide whether a full round is needed (a crashed worker will
+			// 409).
 			w.Stale = true
 			w.needSync = w.needSync || res.resync
 			w.Stragglers++
@@ -279,7 +280,7 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 		w.pendRm = map[int]bool{}
 		// A worker holding a different client count than the registry says
 		// it owns has zombie or missing clients (e.g. the coordinator
-		// restarted with a cold registry); reconcile it next round.
+		// restarted with a cold registry); send it a full round next.
 		w.needSync = resp.NumJobs != w.numOwned
 		w.last = res.cols
 		o.Histogram(`pop_shard_worker_seconds{worker="`+strconv.Itoa(i)+`"}`,
@@ -310,37 +311,24 @@ func responseLimit(owned, types int) int64 {
 	return maxHeaderBytes + 2*int64(owned)*int64(8*(2+types))
 }
 
-// gatherOne runs one worker's slice of the round: an optional registry sync
-// (when flagged, or when the worker says it is out of sync), then the round
-// request. Every error names the worker; a response that does not validate
-// is an error like any other.
+// gatherOne runs one worker's slice of the round: the round request, full
+// when the worker is flagged, and resent full when the worker says it is
+// out of sync. Every error names the worker; a response that does not
+// validate is an error like any other.
 func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round int, sub cluster.Cluster) (res gatherResult) {
 	w := c.workers[i]
-	fail := func(what string, err error) gatherResult {
-		res.err = fmt.Errorf("worker %d (%s): %s: %w", i, w.URL, what, err)
-		res.resync = errors.Is(err, ErrTooLarge)
-		return res
-	}
-	if w.needSync {
-		if err := c.syncWorker(ctx, o, i, round-1, sub); err != nil {
-			return fail("sync", err)
-		}
-		res.rebuilds++
-	}
-	req, err := c.buildRound(o, i, round, w.Round, sub)
-	if err != nil {
-		return fail("round", err)
-	}
+	full := w.needSync
 	limit := responseLimit(w.numOwned, sub.NumTypes())
-	resp, err := w.t.Round(ctx, o, req, limit)
+	var resp *RoundResponse
+	req, err := c.buildRound(o, i, round, sub, full)
+	if err == nil {
+		resp, err = w.t.Round(ctx, o, req, limit)
+	}
 	if errors.Is(err, ErrOutOfSync) {
-		// The worker is behind (fresh process, lost state): rebuild it from
-		// the registry, then retry the round inside the same deadline.
-		if err := c.syncWorker(ctx, o, i, round-1, sub); err != nil {
-			return fail("sync after conflict", err)
-		}
-		res.rebuilds++
-		if req, err = c.buildRound(o, i, round, round-1, sub); err == nil {
+		// The worker is behind (fresh process, lost state): rebuild it with
+		// a full round inside the same deadline.
+		full = true
+		if req, err = c.buildRound(o, i, round, sub, full); err == nil {
 			resp, err = w.t.Round(ctx, o, req, limit)
 		}
 	}
@@ -350,49 +338,37 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 		}
 	}
 	if err != nil {
-		return fail("round", err)
+		res.err = fmt.Errorf("worker %d (%s): round: %w", i, w.URL, err)
+		res.resync = full || errors.Is(err, ErrTooLarge)
+		return res
 	}
 	res.resp = resp
+	if full {
+		res.rebuilds = 1
+		c.opts.Log.Info("shard rebuild", "worker", i, "url", w.URL, "round", round, "jobs", req.IDsBytes/8)
+	}
 	return res
 }
 
 // buildRound packs worker i's scatter payload, a "shard.encode" phase on
-// its lane: the queued batch in deterministic (ascending-id) order — the
-// order the bare-engine equivalence relies on — and the shard's capacity
-// slice.
-func (c *Coordinator) buildRound(o *obs.Observer, i, round, prevRound int, sub cluster.Cluster) (*RoundRequest, error) {
+// its lane, and the shard's capacity slice. A round carries the queued
+// batch; a full one every client the registry gives the worker. Either
+// goes in ascending-id order, the order the bare-engine equivalence relies
+// on.
+func (c *Coordinator) buildRound(o *obs.Observer, i, round int, sub cluster.Cluster, full bool) (*RoundRequest, error) {
 	defer phase(o, "encode").End()
 	w := c.workers[i]
-	ups := slices.SortedFunc(maps.Values(w.pendUp), func(a, b cluster.Job) int { return cmp.Compare(a.ID, b.ID) })
-	return newRequest(round, prevRound, sub, ups, slices.Sorted(maps.Keys(w.pendRm)))
-}
-
-// syncWorker rebuilds worker i from the authoritative registry: the full
-// client set of its shard, as of baseRound (this round's mutations are
-// already folded into the registry; the retried round request re-applies
-// them idempotently).
-func (c *Coordinator) syncWorker(ctx context.Context, o *obs.Observer, i, baseRound int, sub cluster.Cluster) error {
-	w := c.workers[i]
-	ep := phase(o, "encode")
-	jobs := make([]cluster.Job, 0, w.numOwned)
-	for _, j := range c.registry.Jobs() { // committed before the scatter; read-only here
-		if owner(j.ID, len(c.workers)) == i {
-			jobs = append(jobs, j)
+	if full {
+		jobs := make([]cluster.Job, 0, w.numOwned)
+		for _, j := range c.registry.Jobs() { // committed before the scatter; read-only here
+			if owner(j.ID, len(c.workers)) == i {
+				jobs = append(jobs, j)
+			}
 		}
+		return newRequest(round, w.Round, true, sub, jobs, nil)
 	}
-	req, err := newRequest(baseRound, 0, sub, jobs, nil)
-	ep.End()
-	if err != nil {
-		return err
-	}
-	resp, err := w.t.Sync(ctx, o, req)
-	if err != nil {
-		return err
-	}
-	w.needSync = false
-	c.opts.Log.Info("shard rebuild", "worker", i, "url", w.URL, "base_round", baseRound,
-		"jobs", len(jobs), "kept_warm", resp.Kept)
-	return nil
+	ups := slices.SortedFunc(maps.Values(w.pendUp), func(a, b cluster.Job) int { return cmp.Compare(a.ID, b.ID) })
+	return newRequest(round, w.Round, false, sub, ups, slices.Sorted(maps.Keys(w.pendRm)))
 }
 
 // merge composes the per-worker allocations onto order — POP's reduce step

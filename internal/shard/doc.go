@@ -4,7 +4,7 @@
 // population and 1/W of the resource pool, solves it on its own persistent
 // engine, and the coordinator merges the per-shard allocations. popserver is
 // always a coordinator; where its workers run is deployment. Coordinator and
-// Worker meet at Transport (round + sync): NewCoordinator reaches worker
+// Worker meet at Transport, one call (the round): NewCoordinator reaches worker
 // processes over HTTP, NewLocalCoordinator calls Worker values in its own
 // process, and the code on either side of the seam is one copy.
 //
@@ -24,7 +24,7 @@
 // accounting below catches it: the registry starts empty, so the worker
 // reports more clients than it owns. NewLocalCoordinator seeds the registry
 // from its workers, so it checks each restored id against owner instead and
-// rebuilds a wrong holder on the first round.
+// sends a wrong holder a full round first.
 //
 // Each worker wraps one engine (EngineBundle: the incremental LP engine
 // for maxmin/makespan/spacesharing, the price-discovery engine for price)
@@ -47,7 +47,9 @@
 //     per-round seen set — queueing per-worker mutation batches (sorted by
 //     id, so an engine sees the same order whatever the fleet's shape).
 //  2. Scatter: each worker receives RoundRequest{Round, PrevRound,
-//     batch, its 1/W capacity slice} under a per-round deadline.
+//     batch, its 1/W capacity slice} under a per-round deadline. A worker
+//     due a rebuild gets a full round instead: Full set, the batch its
+//     whole shard from the registry.
 //  3. Workers apply the batch with Upsert/Remove and run the engine's
 //     held-state round (Engine.Allocate): the engine solves over the
 //     clients it holds and hands back its own id-ordered table with the
@@ -59,9 +61,9 @@
 //     cursor holds its id — W compares, no hashing — into one n×r slab.
 //     Only a row no cursor holds (an order not by id, a client a stale
 //     worker never allocated) is looked up by owner and binary search, as
-//     are all rows of a worker due a sync (its client count disagrees with
-//     the registry, or its first gather held a client it does not own),
-//     since it may hold clients it does not own.
+//     are all rows of a worker due a rebuild (its client count disagrees
+//     with the registry, or its first gather held a client it does not
+//     own), since it may hold clients it does not own.
 //
 // Mutations are idempotent, and a batch stays queued until the owning
 // worker acknowledges the round that carried it. What is left of a round
@@ -70,17 +72,17 @@
 //
 // # Wire format
 //
-// Health and sync answers and error bodies are single JSON documents, the
-// popserver idiom. Both requests and the 200 answer to PathRound are frames
-// (Content-Type application/vnd.pop.round-frame): one small JSON header,
-// then raw little-endian columns that the header sizes, with nothing
-// between the closing brace and the first column or after the last. The
-// header's "wire" is the layout's version, 2 in both directions.
+// Health answers and error bodies are single JSON documents, the popserver
+// idiom. A request to PathRound and its 200 answer are frames (Content-Type
+// application/vnd.pop.round-frame): one small JSON header, then raw
+// little-endian columns that the header sizes, with nothing between the
+// closing brace and the first column or after the last. The header's
+// "wire" is the layout's version, 3 in both directions.
 //
-// A round or sync request (RoundRequest; a sync is the same frame, removing
-// nothing) carries the shard's mutations:
+// A round request (RoundRequest) carries the shard's mutations, or with
+// "full":true its whole client set and no removes:
 //
-//	{"wire":2,"round":…,"prev_round":…,"gpu_types":[…],"gpus":[…],
+//	{"wire":3,"round":…,"prev_round":…,"full":true,"gpu_types":[…],"gpus":[…],
 //	 "removes_bytes":…,"ids_bytes":…,"throughput_bytes":…}   ≤ 64 KiB
 //	removes     removes_bytes     int64 ids to drop, ascending
 //	ids         ids_bytes         int64 ids upserted, ascending
@@ -92,7 +94,7 @@
 // run-dependent, so a round's request size repeats exactly. A round answer
 // (RoundResponse) carries the shard's allocation:
 //
-//	{"wire":2,"round":…,"num_jobs":…,"solve_ms":…,"kind":…,"stats":{…},
+//	{"wire":3,"round":…,"num_jobs":…,"solve_ms":…,"kind":…,"stats":{…},
 //	 "ids_bytes":…,"eff_thr_bytes":…,"x_bytes":…}   one JSON object, ≤ 64 KiB
 //	ids      ids_bytes      little-endian int64, ascending
 //	eff_thr  eff_thr_bytes  little-endian float64 bit patterns
@@ -107,7 +109,7 @@
 // struct and bytes across by pointer, through the same readers. There is
 // one encoding: no negotiation, no flag, no fallback. A worker answers a
 // request of another version — a JSON body, which has none, included —
-// with a 400 saying "wire version N, want 2"; a coordinator answers a
+// with a 400 saying "wire version N, want 3"; a coordinator answers a
 // response of another version (or a 200 that is not a frame) with the same
 // words as that worker's straggler error, and one from before the frame
 // rejects it whole (json.Unmarshal sees bytes after the top-level value).
@@ -118,7 +120,8 @@
 // into it. A request, in RoundRequest.read on the worker before any engine
 // sees a job: the version; capacities ≥ 0, a name for each or none;
 // declared lengths filling the body exactly; throughput rows of the pool's
-// width; both id columns strictly ascending; every value finite and ≥ 0.
+// width; no removes in a full round; both id columns strictly ascending;
+// every value finite and ≥ 0.
 // A response, in RoundResponse.accept: declared lengths filling the body
 // exactly, column shapes against num_jobs and the pool's width, ids
 // strictly ascending, every value finite, the round the one asked for.
@@ -127,10 +130,11 @@
 // the registry says the worker owns, enforced before the body is buffered.
 // A request failing any of this is answered 400. A response failing any of
 // it is not served: the worker is a straggler for the round, with an error
-// naming it (an over-limit response also schedules a registry sync, since
-// it means the worker holds clients it was never given). FuzzRoundRequest,
-// FuzzSyncRequest and FuzzRoundResponse hold the readers to "never panic,
-// never accept inconsistent columns".
+// naming it (an over-limit response also schedules a full round, since it
+// means the worker holds clients it was never given). FuzzRoundRequest
+// (delta and full rounds, over a worker already holding clients) and
+// FuzzRoundResponse hold the readers to "never panic, never accept
+// inconsistent columns".
 //
 // # Telemetry
 //
@@ -158,17 +162,20 @@
 // or never applied (it re-applies the identical batch).
 //
 // Crashes: a restarted worker has lastRound 0 and answers 409 to the next
-// round. The coordinator then pushes a reconciling SyncRequest carrying
-// the worker's whole shard from the registry (upsert everything, remove
-// what the worker holds that the registry lacks) and retries the round —
-// rebuild is one extra round trip, inside the same deadline. A worker
-// restarted from its -state-file resumes at its saved round with warm
-// engine state and needs no sync at all.
+// round. The coordinator resends the round as a full one, inside the same
+// deadline: the worker's whole shard from the registry, which the worker
+// applies without the PrevRound check, dropping whatever it holds that is
+// not listed, then solves and answers as in any round. There is no
+// separate sync request: a rebuild costs one extra request after a 409,
+// and none for a worker already flagged, whose next round simply goes out
+// full. A worker restarted from its -state-file resumes at its saved round
+// with warm engine state and needs no rebuild at all.
 //
 // The inverse failure — a coordinator restarted with an empty registry
 // facing warm workers — is caught by job-count accounting: a worker
-// reporting more jobs than the registry says it owns is flagged for a
-// reconciling sync at the next round, which removes the zombies.
+// reporting more jobs than the registry says it owns is flagged, and its
+// next round is a full one, which drops the zombies. A full round that
+// fails leaves the flag set, so the next round is full again.
 //
 // # Security
 //

@@ -12,19 +12,16 @@ import (
 	"pop/internal/cluster"
 )
 
-// Wire paths of the coordinator↔worker protocol. Round and sync requests
-// and the 200 answer to a round are frames (a JSON header, then raw
-// columns; `curl … | head -c 400` shows the header); everything else is a
-// JSON document, the popserver idiom.
+// Wire paths of the coordinator↔worker protocol. A round request and its
+// 200 answer are frames (a JSON header, then raw columns; `curl … | head -c
+// 400` shows the header); everything else is a JSON document, the popserver
+// idiom.
 const (
-	// PathRound is the scatter step: one POST per worker per round carrying
-	// that shard's mutation batch and sub-capacity as a RoundRequest,
-	// answered with the shard's fresh allocation as a RoundResponse.
+	// PathRound is the scatter step, and the worker's only POST: one per
+	// worker per round carrying that shard's mutation batch (or, to rebuild
+	// it, its whole client set) and sub-capacity as a RoundRequest, answered
+	// with the shard's fresh allocation as a RoundResponse.
 	PathRound = "/shard/v1/round"
-	// PathSync is the rebuild step: the coordinator's authoritative client
-	// registry for the shard (a SyncRequest), reconciled idempotently into
-	// the worker.
-	PathSync = "/shard/v1/sync"
 	// PathHealth reports liveness and the worker's last applied round.
 	PathHealth = "/shard/v1/health"
 )
@@ -41,17 +38,25 @@ const (
 // PrevRound is the last round the coordinator saw this worker ack. A worker
 // whose own last applied round is *behind* PrevRound has missed a mutation
 // batch (it crashed and restarted, or lost its state) and must answer 409 so
-// the coordinator reconciles it from the registry first. A worker *ahead* of
+// the coordinator resends the round as a full one. A worker *ahead* of
 // PrevRound finished a round the coordinator had already written off as
 // straggling; since the coordinator re-queues every unacked batch and all
 // mutations are idempotent (upserts carry full jobs, removes are by id),
 // re-applying is safe and the worker just proceeds.
+//
+// Full marks a rebuild: the upserts are every client the shard owns, as of
+// this round, and there are no removes. The worker skips the PrevRound
+// check, drops every client it holds that is not listed, and runs the round
+// as any other. Unchanged upserts are no-ops in the engines, so a worker
+// that kept its state (a -state-file restore, a straggle the coordinator
+// mistook for a crash) keeps its warm partitions, bases, and prices.
 type RoundRequest struct {
 	// Wire is the frame layout's version, shared with RoundResponse; a
 	// worker refuses any other value, a JSON body without one included.
 	Wire      int       `json:"wire"`
 	Round     int       `json:"round"`
 	PrevRound int       `json:"prev_round"`
+	Full      bool      `json:"full,omitempty"`
 	TypeNames []string  `json:"gpu_types,omitempty"`
 	GPUs      []float64 `json:"gpus"`
 	// The columns' byte lengths, in wire order, at 8 bytes a value: the ids
@@ -66,25 +71,15 @@ type RoundRequest struct {
 	head  int
 }
 
-// SyncRequest reconciles a worker against the coordinator's authoritative
-// registry. It is the round request's frame: its upserts are the complete
-// client set of the shard as of Round (the coordinator's mutations up to and
-// including the round being retried are already folded in), it removes
-// nothing, and PrevRound is unused. The worker upserts every listed job and
-// removes any it holds that is absent — unchanged jobs are no-ops in the
-// engines, so a worker restored from its own state file keeps its warm
-// partitions, bases, and prices through a sync.
-type SyncRequest = RoundRequest
-
 // attrNames are the per-job columns after the throughputs, in wire order.
 var attrNames = [...]string{"weight", "scale", "num_steps", "mem_frac", "priority"}
 
 // newRequest lays out a request: the header, then removes, the upserted
 // jobs' ids, their throughputs, and their attribute columns. upserts ascend
 // by id; a job without one throughput per type of pool is refused.
-func newRequest(round, prevRound int, pool cluster.Cluster, upserts []cluster.Job, removes []int) (*RoundRequest, error) {
+func newRequest(round, prevRound int, full bool, pool cluster.Cluster, upserts []cluster.Job, removes []int) (*RoundRequest, error) {
 	n, width := len(upserts), pool.NumTypes()
-	r := &RoundRequest{Wire: wireVersion, Round: round, PrevRound: prevRound, TypeNames: pool.TypeNames, GPUs: pool.NumGPUs,
+	r := &RoundRequest{Wire: wireVersion, Round: round, PrevRound: prevRound, Full: full, TypeNames: pool.TypeNames, GPUs: pool.NumGPUs,
 		RemovesBytes: 8 * len(removes), IDsBytes: 8 * n, ThroughputBytes: 8 * n * width}
 	h, err := json.Marshal(r)
 	if err != nil {
@@ -125,10 +120,10 @@ type batch struct {
 // read checks a request, where it lies, before any engine sees a job: the
 // wire version; capacities ≥ 0, with a name for each or none; declared
 // lengths that fill the body exactly, throughput rows of the pool's width;
-// both id columns strictly ascending; every value finite and ≥ 0 (NaN and
-// ±Inf included, which a JSON body could never carry). It is the only
-// reader of the packed bytes, and a request failing any of it is refused
-// whole.
+// no removes in a full round; both id columns strictly ascending; every
+// value finite and ≥ 0 (NaN and ±Inf included, which a JSON body could
+// never carry). It is the only reader of the packed bytes, and a request
+// failing any of it is refused whole.
 func (r *RoundRequest) read() (batch, error) {
 	if r.Wire != wireVersion {
 		return batch{}, fmt.Errorf("wire version %d, want %d", r.Wire, wireVersion)
@@ -148,6 +143,9 @@ func (r *RoundRequest) read() (batch, error) {
 		r.ThroughputBytes != 8*n*width || r.RemovesBytes+n*row != len(cols) {
 		return batch{}, fmt.Errorf("header declares %d bytes of removes, %d of ids and %d of throughputs at width %d, %d follow it",
 			r.RemovesBytes, r.IDsBytes, r.ThroughputBytes, width, len(cols))
+	}
+	if r.Full && r.RemovesBytes > 0 {
+		return batch{}, fmt.Errorf("a full round lists the clients to keep, not %d to remove", r.RemovesBytes/8)
 	}
 	b := batch{removes: cols[:r.RemovesBytes], width: width}
 	b.ids = cols[r.RemovesBytes : r.RemovesBytes+8*n]
@@ -229,8 +227,9 @@ type RoundResponse struct {
 const (
 	// A header without the field decodes as version 0: the one-document
 	// form (base64 columns inside the JSON) that preceded the frame, or a
-	// JSON request. Version 1 framed responses only.
-	wireVersion      = 2
+	// JSON request. Version 1 framed responses only; version 2 rebuilt a
+	// worker with a separate sync request, where 3 sends a full round.
+	wireVersion      = 3
 	frameContentType = "application/vnd.pop.round-frame"
 	// maxHeaderBytes is as far as either end scans for a header's end, a
 	// response's stats blob included. headerRoom covers a response header's
@@ -402,15 +401,6 @@ func (g *gather) find(id int, cursor int) (int, bool) {
 		return cursor, true
 	}
 	return sort.Find(g.n(), func(k int) int { return cmp.Compare(id, g.id(k)) })
-}
-
-// SyncResponse acks a reconcile: Kept counts the jobs the worker already
-// held (its warm state), Added and Removed the diff it applied.
-type SyncResponse struct {
-	Round   int `json:"round"`
-	Kept    int `json:"kept"`
-	Added   int `json:"added"`
-	Removed int `json:"removed"`
 }
 
 // HealthResponse reports worker liveness.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"maps"
@@ -265,7 +264,7 @@ func TestWorkerResponseIsFramed(t *testing.T) {
 // mustRequest is newRequest for a test's own, well-formed batches.
 func mustRequest(t testing.TB, round, prevRound int, pool cluster.Cluster, upserts []cluster.Job, removes []int) *RoundRequest {
 	t.Helper()
-	r, err := newRequest(round, prevRound, pool, upserts, removes)
+	r, err := newRequest(round, prevRound, false, pool, upserts, removes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +297,10 @@ func badRequests(t testing.TB) map[string][]byte {
 		"not json":          []byte(`{"round":`),
 		"JSON body":         []byte(`{"round":1,"gpus":[1,1,1],"upserts":[{"id":1,"throughput":[1,2,3],"scale":1,"weight":1}]}`),
 		"wire 1":            relabel(valid, func(h *RoundRequest) { h.Wire = 1 }),
-		"wire 3":            relabel(valid, func(h *RoundRequest) { h.Wire = 3 }),
-		"big header":        append([]byte(`{"wire":2,"gpu_types":["`+strings.Repeat("a", maxHeaderBytes)+`"]}`), valid.frame[valid.head:]...),
+		"wire 2":            relabel(valid, func(h *RoundRequest) { h.Wire = 2 }),
+		"wire 4":            relabel(valid, func(h *RoundRequest) { h.Wire = 4 }),
+		"full with removes": relabel(valid, func(h *RoundRequest) { h.Full = true }),
+		"big header":        append([]byte(`{"wire":3,"gpu_types":["`+strings.Repeat("a", maxHeaderBytes)+`"]}`), valid.frame[valid.head:]...),
 		"short throughput":  relabel(narrow, func(h *RoundRequest) { h.GPUs = []float64{1, 1, 1} }),
 		"negative scale":    spoil(func(j *cluster.Job) { j.Scale = -1 }),
 		"NaN weight":        spoil(func(j *cluster.Job) { j.Weight = math.NaN() }),
@@ -325,9 +326,9 @@ func badRequests(t testing.TB) map[string][]byte {
 
 // TestWorkerRejectsBadRequests: a request that would index past a short
 // throughput row, or carries nonsense — a non-finite or negative value, ids
-// out of order, lengths that do not fill the body, a JSON body, another wire
-// version — is refused at the door, on either path, before an engine sees
-// a job; a wrong version is refused by name.
+// out of order, lengths that do not fill the body, a full round with
+// removes, a JSON body, another wire version — is refused at the door,
+// before an engine sees a job; a wrong version is refused by name.
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	b, err := NewEngine(testCluster(), EngineConfig{Policy: "maxmin", K: 1})
 	if err != nil {
@@ -335,27 +336,19 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	}
 	h := NewWorker(b, WorkerOptions{}).Handler()
 	for name, body := range badRequests(t) {
-		for _, path := range []string{PathRound, PathSync} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			if rec.Code != http.StatusBadRequest {
-				t.Errorf("%s on %s: status %d, want 400", name, path, rec.Code)
-			}
-			want := map[string]string{"JSON body": "wire version 0, want 2", "wire 1": "wire version 1, want 2", "wire 3": "wire version 3, want 2"}[name]
-			if !strings.Contains(rec.Body.String(), want) {
-				t.Errorf("%s on %s: %s does not say %q", name, path, rec.Body, want)
-			}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, rec.Code)
+		}
+		want := map[string]string{"JSON body": "wire version 0, want 3", "wire 1": "wire version 1, want 3",
+			"wire 2": "wire version 2, want 3", "wire 4": "wire version 4, want 3"}[name]
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s: %s does not say %q", name, rec.Body, want)
 		}
 	}
 	if b.Engine.NumJobs() != 0 {
 		t.Fatalf("refused requests left %d jobs in the engine", b.Engine.NumJobs())
-	}
-	// A sync lists the clients to keep; removes are a round's business.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathSync,
-		bytes.NewReader(mustRequest(t, 1, 0, testCluster(), nil, []int{3}).frame)))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("sync with removes: status %d, want 400", rec.Code)
 	}
 }
 
@@ -483,15 +476,15 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 		"short write": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", frameContentType)
 			rw.Header().Set("Content-Length", "4096")
-			_, _ = rw.Write([]byte(`{"wire":2,"round":`))
+			_, _ = rw.Write([]byte(`{"wire":3,"round":`))
 		}),
 		"not a frame": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", frameContentType)
-			_, _ = rw.Write([]byte(`{"wire":2,"round":1,"ids_bytes":"!!!"}`))
+			_, _ = rw.Write([]byte(`{"wire":3,"round":1,"ids_bytes":"!!!"}`))
 		}),
 		"endless header": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", frameContentType)
-			_, _ = rw.Write([]byte(`{"wire":2,"kind":"` + strings.Repeat("a", maxHeaderBytes)))
+			_, _ = rw.Write([]byte(`{"wire":3,"kind":"` + strings.Repeat("a", maxHeaderBytes)))
 		}),
 		"oversized": http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) { // chunked: no declared length
 			rw.Header().Set("Content-Type", frameContentType)
@@ -536,7 +529,7 @@ func TestMalformedGatherIsAStraggler(t *testing.T) {
 		t.Fatalf("recovery round: err %v, %d stale", err, coord.StaleJobs())
 	}
 	if coord.Status()[0].Rebuilds == 0 {
-		t.Fatal("an over-limit response did not schedule a registry sync")
+		t.Fatal("an over-limit response did not schedule a full round")
 	}
 }
 
@@ -562,11 +555,12 @@ type oldRoundResponse struct {
 func TestMixedVersionFleetFailsByName(t *testing.T) {
 	old, _ := json.Marshal(&oldRoundResponse{Round: 1, NumJobs: 1, SolveMs: 0.5, IDs: leIDs(0), EffThr: le(1), X: le(1, 0, 0), Kind: "price"})
 	for name, answer := range map[string]struct{ contentType, body, want string }{
-		"old worker":                {"application/json", string(old), `round: wire version 0 (content type "application/json"), want 2`},
-		"old form, new label":       {frameContentType, string(old), "round: wire version 0, want 2"},
-		"versionless header":        {frameContentType, `{"round":1,"num_jobs":0}`, "round: wire version 0, want 2"},
-		"a version-1 worker":        {frameContentType, `{"wire":1,"round":1}`, "round: wire version 1, want 2"},
-		"a version from the future": {frameContentType, `{"wire":3,"round":1}`, "round: wire version 3, want 2"},
+		"old worker":                {"application/json", string(old), `round: wire version 0 (content type "application/json"), want 3`},
+		"old form, new label":       {frameContentType, string(old), "round: wire version 0, want 3"},
+		"versionless header":        {frameContentType, `{"round":1,"num_jobs":0}`, "round: wire version 0, want 3"},
+		"a version-1 worker":        {frameContentType, `{"wire":1,"round":1}`, "round: wire version 1, want 3"},
+		"a version-2 worker":        {frameContentType, `{"wire":2,"round":1}`, "round: wire version 2, want 3"},
+		"a version from the future": {frameContentType, `{"wire":4,"round":1}`, "round: wire version 4, want 3"},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
 			rw.Header().Set("Content-Type", answer.contentType)
@@ -764,8 +758,8 @@ func seedResponses() [][]byte {
 		lie(func(r *RoundResponse) { r.IDsBytes, r.EffThrBytes = math.MaxInt, math.MaxInt }),
 		lie(func(r *RoundResponse) { r.XBytes += 1 << 20 }), // lengths sum past the body
 		bytes.Replace(valid, []byte(`"ids_bytes":16`), []byte(`"ids_bytes":92233720368547758070`), 1),
-		bytes.Replace(valid, []byte(`"wire":2`), []byte(`"wire":3`), 1),
-		[]byte(`{"wire":2,"kind":"` + strings.Repeat("a", 1<<20) + `"}`), // a 1 MB "header"
+		bytes.Replace(valid, []byte(`"wire":3`), []byte(`"wire":4`), 1),
+		[]byte(`{"wire":3,"kind":"` + strings.Repeat("a", 1<<20) + `"}`), // a 1 MB "header"
 		// The one-document form this frame replaced.
 		[]byte(`{"round":1,"num_jobs":1,"ids":"AQAAAAAAAAA=","eff_thr":"AAAAAAAA+H8="}`),
 		[]byte(`{"ids":[1,2,3]}`), []byte(`null`), []byte(`[]`), {},
@@ -831,6 +825,7 @@ func requestSeeds(t testing.TB) [][]byte {
 	job := func(id int, thr ...float64) cluster.Job {
 		return cluster.Job{ID: id, Throughput: thr, Weight: 1, Scale: 1, NumSteps: 10, Priority: 1}
 	}
+	full := func(h *RoundRequest) { h.Full = true }
 	pool := cluster.NewCluster(2, 2, 2)
 	seeds := [][]byte{
 		mustRequest(t, 1, 0, pool, []cluster.Job{job(1, 1, 2, 3), job(2, 2, 1, 1)}, []int{9}).frame,
@@ -846,15 +841,26 @@ func requestSeeds(t testing.TB) [][]byte {
 	for _, name := range slices.Sorted(maps.Keys(bad)) {
 		seeds = append(seeds, bad[name])
 	}
-	return append(seeds, []byte(`null`), []byte(`[]`), nil)
+	return append(seeds, []byte(`null`), []byte(`[]`), nil,
+		// Full rounds over a worker holding fuzzHeld: keep 3 and drop 8;
+		// keep 8 and drop 3, past the PrevRound a delta would be refused
+		// at; drop both; refuse a remove.
+		relabel(mustRequest(t, 1, 0, pool, []cluster.Job{job(1, 1, 2, 3), job(3, 2, 2, 2)}, nil), full),
+		relabel(mustRequest(t, 5, 4, pool, []cluster.Job{job(8, 1, 1, 1)}, nil), full),
+		relabel(mustRequest(t, 1, 0, pool, nil, nil), full),
+		relabel(mustRequest(t, 1, 0, pool, []cluster.Job{job(1, 1, 2, 3)}, []int{8}), full))
 }
 
-// fuzzRequest: the worker answers any body on path — valid, hostile, or
+// fuzzHeld are the ids a fuzzed worker holds before the body arrives, so a
+// full round has clients to keep and clients to drop.
+var fuzzHeld = []int{3, 8}
+
+// FuzzRoundRequest: the worker answers any body — valid, hostile, or
 // garbage — with a status, never a panic; a 400 exactly when the request
-// reader refuses the body (a sync also when it removes anything); and a 200
-// carries what the coordinator reads: a round's frame its accept takes, a
-// sync's ack counting every client listed.
-func fuzzRequest(f *testing.F, path string) {
+// reader refuses the body (a full round with removes included); and a 200
+// carries a frame the coordinator's accept takes, after which a full round
+// leaves the worker holding exactly the clients it listed.
+func FuzzRoundRequest(f *testing.F) {
 	for _, seed := range requestSeeds(f) {
 		f.Add(seed)
 	}
@@ -863,30 +869,24 @@ func fuzzRequest(f *testing.F, path string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewWorker(b, WorkerOptions{}).Handler()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
-
 		req, err := decodeRequest(data)
 		var in batch
 		if err == nil {
 			in, err = req.read()
 		}
-		if err == nil && path == PathSync && in.numRemoves() > 0 {
-			err = errors.New("a sync with removes")
+		if err == nil {
+			for _, id := range fuzzHeld { // of the request's width, as a coordinator keeps them
+				b.Engine.Upsert(cluster.Job{ID: id, Throughput: slices.Repeat([]float64{1}, in.width), Weight: 1, Scale: 1, NumSteps: 10, Priority: 1})
+			}
 		}
+		h := NewWorker(b, WorkerOptions{}).Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(data)))
+
 		if (rec.Code == http.StatusBadRequest) != (err != nil) {
 			t.Fatalf("status %d (%s) for a body the reader judges %v", rec.Code, rec.Body, err)
 		}
 		if rec.Code != http.StatusOK {
-			return
-		}
-		if path == PathSync {
-			var ack SyncResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Round != req.Round ||
-				ack.Kept+ack.Added != len(in.ids)/8 || b.Engine.NumJobs() != len(in.ids)/8 {
-				t.Fatalf("sync of %d clients acked as %s (err %v); engine holds %d", len(in.ids)/8, rec.Body, err, b.Engine.NumJobs())
-			}
 			return
 		}
 		resp, err := decodeFrame(rec.Header().Get("Content-Type"), rec.Body.Bytes())
@@ -898,9 +898,8 @@ func fuzzRequest(f *testing.F, path string) {
 			t.Fatalf("200 with a response the coordinator would reject: %v", err)
 		}
 		checkAccepted(t, resp, g)
+		if listed := len(in.ids) / 8; req.Full && (resp.NumJobs != listed || b.Engine.NumJobs() != listed) {
+			t.Fatalf("full round of %d clients answered for %d; engine holds %d", listed, resp.NumJobs, b.Engine.NumJobs())
+		}
 	})
 }
-
-func FuzzRoundRequest(f *testing.F) { fuzzRequest(f, PathRound) }
-
-func FuzzSyncRequest(f *testing.F) { fuzzRequest(f, PathSync) }

@@ -25,13 +25,18 @@ import (
 )
 
 // swapHandler lets a test replace a worker's handler mid-flight — the
-// crash-and-restart simulation — and inject a straggle delay.
+// crash-and-restart simulation — inject a straggle delay, and count the
+// POSTs the worker is sent.
 type swapHandler struct {
 	h       atomic.Value // http.Handler
 	delayMs atomic.Int64
+	posts   atomic.Int64
 }
 
 func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost {
+		s.posts.Add(1)
+	}
 	if d := s.delayMs.Load(); d > 0 {
 		time.Sleep(time.Duration(d) * time.Millisecond)
 	}
@@ -92,6 +97,17 @@ func randJob(id int, rnd *rand.Rand) cluster.Job {
 		NumSteps:   1000,
 		Priority:   1,
 	}
+}
+
+// byID merges job lists into one, ascending by id.
+func byID(parts ...[]cluster.Job) []cluster.Job {
+	live := map[int]cluster.Job{}
+	for _, p := range parts {
+		for _, j := range p {
+			live[j.ID] = j
+		}
+	}
+	return sortedJobs(live)
 }
 
 func sortedJobs(live map[int]cluster.Job) []cluster.Job {
@@ -434,8 +450,8 @@ func TestKillAndRebuild(t *testing.T) {
 		t.Fatal("crashed worker kept state")
 	}
 
-	// No churn this round: the rebuild sync carries the whole registry and
-	// the retried round applies an empty batch.
+	// No churn this round: the 409 is answered by a full round carrying
+	// the worker's whole shard from the registry.
 	active := sortedJobs(live)
 	got, err := coord.Step(active, testCluster())
 	if err != nil {
@@ -481,13 +497,158 @@ func TestKillAndRebuild(t *testing.T) {
 		}
 	}
 
-	// Subsequent rounds run clean: no more syncs.
+	// Subsequent rounds run clean: no more rebuilds.
 	if _, err := coord.Step(active, testCluster()); err != nil {
 		t.Fatal(err)
 	}
 	if coord.Status()[0].Rebuilds != 1 {
 		t.Fatal("extra rebuild after recovery")
 	}
+}
+
+// rebuildRound runs one round of coord and of ref, a fleet never faulted,
+// over the same clients, and checks coord's side: each worker was sent
+// wantPosts[i] POSTs, a rebuilt one (rebuilt[i]) exactly one rebuild more
+// than before, and every worker serves fresh rows, holds exactly the
+// clients it owns, and serves ref's max-min level to 1e-6 (not its rows,
+// which are the LP's choice of vertex and depend on the engine's history).
+func rebuildRound(t *testing.T, coord, ref *Coordinator, workers []*Worker, handlers []*swapHandler,
+	active []cluster.Job, wantPosts []int64, rebuilt []bool) {
+	t.Helper()
+	pool := testCluster()
+	before := coord.Status()
+	for _, h := range handlers {
+		h.posts.Store(0)
+	}
+	got, err := coord.Step(active, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Step(active, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coord.StaleJobs() != 0 || ref.StaleJobs() != 0 {
+		t.Fatalf("%d stale jobs, reference %d", coord.StaleJobs(), ref.StaleJobs())
+	}
+	n := len(workers)
+	for i, w := range workers {
+		if got := handlers[i].posts.Load(); got != wantPosts[i] {
+			t.Errorf("worker %d was sent %d POSTs this round, want %d", i, got, wantPosts[i])
+		}
+		wantRebuilds := before[i].Rebuilds
+		if rebuilt[i] {
+			wantRebuilds++
+		}
+		if got := coord.Status()[i].Rebuilds; got != wantRebuilds {
+			t.Errorf("worker %d at %d rebuilds, want %d", i, got, wantRebuilds)
+		}
+		var owned []int
+		for _, j := range active {
+			if owner(j.ID, n) == i {
+				owned = append(owned, j.ID)
+			}
+		}
+		if held := heldIDs(w); !reflect.DeepEqual(held, owned) {
+			t.Errorf("worker %d holds %v, owns %v", i, held, owned)
+		}
+		g, r := maxMinLevel(active, pool.Split(n), got, i, n), maxMinLevel(active, pool.Split(n), want, i, n)
+		if math.Abs(g-r) > 1e-6 {
+			t.Errorf("worker %d serves max-min level %g, a never-faulted fleet %g", i, g, r)
+		}
+	}
+}
+
+// TestRebuildIsOneRequest: a rebuild is a round whose batch is the whole
+// shard, not a request of its own. A steady round sends each worker one
+// POST; a worker flagged by the count check (here, warm workers facing a
+// restarted coordinator whose registry lacks some of their clients) or by
+// NewLocalCoordinator's owner check on restored clients one, its full
+// round; a worker restarted empty two, the 409 and the full round.
+func TestRebuildIsOneRequest(t *testing.T) {
+	const numWorkers = 2
+	cfg := EngineConfig{Policy: "maxmin", K: 1}
+	newCoord := func(f *fleet) *Coordinator {
+		c, err := NewCoordinator(f.urls, CoordinatorOptions{Deadline: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	t.Run("restart/count", func(t *testing.T) {
+		f, rf := newFleet(t, numWorkers, cfg, WorkerOptions{}), newFleet(t, numWorkers, cfg, WorkerOptions{})
+		coord, ref := newCoord(f), newCoord(rf)
+		rnd := rand.New(rand.NewSource(43))
+		live := map[int]cluster.Job{}
+		nextID := 0
+		for round := 0; round < 4; round++ {
+			churn(live, &nextID, rnd)
+			rebuildRound(t, coord, ref, f.workers, f.handlers, sortedJobs(live), []int64{1, 1}, []bool{false, false})
+		}
+
+		f.crash(t, 0, cfg, WorkerOptions{})
+		rebuildRound(t, coord, ref, f.workers, f.handlers, sortedJobs(live), []int64{2, 1}, []bool{true, false})
+		rebuildRound(t, coord, ref, f.workers, f.handlers, sortedJobs(live), []int64{1, 1}, []bool{false, false})
+
+		// A coordinator restarted on a registry without one client of each
+		// worker: its first round's count check flags both, its second
+		// rebuilds them.
+		dropped := [numWorkers]bool{}
+		for _, j := range sortedJobs(live) {
+			if w := owner(j.ID, numWorkers); !dropped[w] {
+				delete(live, j.ID)
+				dropped[w] = true
+			}
+		}
+		coord = newCoord(f)
+		if _, err := coord.Step(sortedJobs(live), testCluster()); err != nil {
+			t.Fatal(err)
+		}
+		for i, ws := range coord.Status() {
+			if !coord.workers[i].needSync {
+				t.Fatalf("worker %d holding a client the registry lacks was not flagged: %+v", i, ws)
+			}
+		}
+		rebuildRound(t, coord, ref, f.workers, f.handlers, sortedJobs(live), []int64{1, 1}, []bool{true, true})
+		rebuildRound(t, coord, ref, f.workers, f.handlers, sortedJobs(live), []int64{1, 1}, []bool{false, false})
+	})
+
+	t.Run("restored wrong owner", func(t *testing.T) {
+		sub := testCluster().Split(numWorkers)
+		rnd := rand.New(rand.NewSource(44))
+		var own [numWorkers][]cluster.Job
+		for id := 0; len(own[0]) < 4 || len(own[1]) < 4; id++ {
+			if w := owner(id, numWorkers); len(own[w]) < 4 {
+				own[w] = append(own[w], randJob(id, rnd))
+			}
+		}
+		// fleet restores workers holding held behind counting handlers and
+		// seeds a local coordinator's registry from them.
+		fleet := func(held [numWorkers][]cluster.Job) (*Coordinator, []*Worker, []*swapHandler) {
+			workers := make([]*Worker, numWorkers)
+			for i := range workers {
+				workers[i] = restoredWorker(t, cfg, sub, held[i])
+			}
+			coord, err := NewLocalCoordinator(workers, CoordinatorOptions{Deadline: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			handlers := make([]*swapHandler, numWorkers)
+			for i, w := range workers {
+				handlers[i] = &swapHandler{}
+				handlers[i].h.Store(w.Handler())
+				srv := httptest.NewServer(handlers[i])
+				t.Cleanup(srv.Close)
+				coord.workers[i].t = &httpTransport{client: &http.Client{}, url: srv.URL}
+			}
+			return coord, workers, handlers
+		}
+		coord, workers, handlers := fleet([numWorkers][]cluster.Job{byID(own[0][:2], own[1][:2]), byID(own[1][2:], own[0][2:])})
+		ref, _, _ := fleet(own)
+		active := coord.Jobs()
+		rebuildRound(t, coord, ref, workers, handlers, active, []int64{1, 1}, []bool{true, true})
+		rebuildRound(t, coord, ref, workers, handlers, active, []int64{1, 1}, []bool{false, false})
+	})
 }
 
 // TestWorkerStateFileWarmRejoin: a worker restarted with its -state-file
@@ -845,15 +1006,6 @@ func TestRestoredWorkerWrongOwnerIsReconciled(t *testing.T) {
 			own[w] = append(own[w], randJob(id, rnd))
 		}
 	}
-	byID := func(parts ...[]cluster.Job) []cluster.Job {
-		live := map[int]cluster.Job{}
-		for _, p := range parts {
-			for _, j := range p {
-				live[j.ID] = j
-			}
-		}
-		return sortedJobs(live)
-	}
 	for _, tc := range []struct {
 		name string
 		held [numWorkers][]cluster.Job
@@ -864,8 +1016,8 @@ func TestRestoredWorkerWrongOwnerIsReconciled(t *testing.T) {
 		for _, transport := range []string{"http", "local"} {
 			t.Run(tc.name+"/"+transport, func(t *testing.T) {
 				// fleet seeds a coordinator's registry from workers restored
-				// holding held; over "http" its rounds and syncs then go
-				// through each worker's handler.
+				// holding held; over "http" its rounds then go through each
+				// worker's handler.
 				fleet := func(held [numWorkers][]cluster.Job) (*Coordinator, []*Worker) {
 					workers := make([]*Worker, numWorkers)
 					for i := range workers {
@@ -927,7 +1079,7 @@ func TestRestoredWorkerWrongOwnerIsReconciled(t *testing.T) {
 	}
 }
 
-// TestWorkerAuth: round and sync require the bearer token; health stays
+// TestWorkerAuth: a round requires the bearer token; health stays
 // open; a token-carrying coordinator round-trips.
 func TestWorkerAuth(t *testing.T) {
 	const token = "shard-secret"

@@ -9,7 +9,7 @@ import (
 	"pop/internal/obs"
 )
 
-// Transport carries the coordinator's two calls to one worker; where the
+// Transport carries the coordinator's one call to a worker; where the
 // worker runs (NewCoordinator: behind HTTP; NewLocalCoordinator: in this
 // process) is deployment, and the round protocol on either side of the seam
 // is one copy. A worker behind the request's PrevRound answers ErrOutOfSync,
@@ -17,13 +17,12 @@ import (
 // lane's observer; String names the worker in logs and /v1/stats.
 type Transport interface {
 	Round(ctx context.Context, o *obs.Observer, req *RoundRequest, limit int64) (*RoundResponse, error)
-	Sync(ctx context.Context, o *obs.Observer, req *SyncRequest) (*SyncResponse, error)
 	fmt.Stringer
 }
 
 var (
 	// ErrOutOfSync (409 on the wire): a mutation batch passed the worker
-	// by; the coordinator syncs it from the registry and retries.
+	// by; the coordinator resends the round as a full one.
 	ErrOutOfSync = errors.New("out of sync")
 	// ErrTooLarge marks a response that overran its size bound.
 	ErrTooLarge = errors.New("response exceeds its size bound")
@@ -41,15 +40,11 @@ func (t localTransport) Round(_ context.Context, _ *obs.Observer, req *RoundRequ
 	return t.w.round(req)
 }
 
-func (t localTransport) Sync(_ context.Context, _ *obs.Observer, req *SyncRequest) (*SyncResponse, error) {
-	return t.w.sync(req)
-}
-
 // NewLocalCoordinator builds a coordinator over workers in this process.
 // What a worker already holds (a -state-file restore, the only copy of a
 // single-process server's client set) seeds the registry, round, and ack
 // state, so a restart resumes at the saved round. A worker holding a client
-// it does not own is rebuilt from the registry on the first round.
+// it does not own is sent a full round first.
 func NewLocalCoordinator(workers []*Worker, opts CoordinatorOptions) (*Coordinator, error) {
 	ts := make([]Transport, len(workers))
 	for i, w := range workers {

@@ -15,11 +15,11 @@ import (
 
 // CoordinatorOptions configure a sharded round coordinator.
 type CoordinatorOptions struct {
-	// Deadline bounds each round's scatter/gather, including any registry
-	// sync a worker needs first. A worker that misses it is a straggler:
-	// its clients are served last round's allocation, flagged stale, and
-	// its unacked mutation batch stays queued for the next round. 0 means
-	// 10s.
+	// Deadline bounds each round's scatter/gather, including the full
+	// round resent to a worker that answers 409. A worker that misses it is
+	// a straggler: its clients are served last round's allocation, flagged
+	// stale, and its unacked mutation batch stays queued for the next
+	// round. 0 means 10s.
 	Deadline time.Duration
 	// Token authenticates coordinator→worker requests.
 	Token Token
@@ -45,9 +45,8 @@ func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator,
 	return newCoordinator(ts, opts)
 }
 
-// httpTransport reaches a worker process through its Handler: requests go
-// as the frames the coordinator packed, a round's answer comes back as one,
-// and a sync's answer as a JSON document.
+// httpTransport reaches a worker process through its Handler: a request goes
+// as the frame the coordinator packed, and its answer comes back as one.
 type httpTransport struct {
 	client *http.Client
 	url    string
@@ -61,7 +60,7 @@ func (t *httpTransport) Round(ctx context.Context, o *obs.Observer, req *RoundRe
 		o.Metrics.Histogram("pop_shard_request_bytes", "round request body size, per worker per round",
 			wireBytesBuckets).Observe(float64(len(req.frame)))
 	}
-	resp, err := post(ctx, o, t, PathRound, req, limit, decodeFrame)
+	resp, err := t.post(ctx, o, req, limit)
 	if err == nil && o != nil {
 		o.Metrics.Histogram("pop_shard_response_bytes", "round response body size, per worker per round",
 			wireBytesBuckets).Observe(float64(len(resp.frame)))
@@ -71,20 +70,13 @@ func (t *httpTransport) Round(ctx context.Context, o *obs.Observer, req *RoundRe
 
 var wireBytesBuckets = obs.ExpBuckets(1<<10, 4, 12) // 1 KiB to 4 GiB
 
-func (t *httpTransport) Sync(ctx context.Context, o *obs.Observer, req *SyncRequest) (*SyncResponse, error) {
-	return post(ctx, o, t, PathSync, req, 1<<16, func(_ string, body []byte) (*SyncResponse, error) {
-		out := new(SyncResponse)
-		return out, json.Unmarshal(body, out)
-	})
-}
-
-// post sends one request frame and hands the answer's body — at most limit
-// bytes, read once into a buffer sized from Content-Length — to decode. Any
-// outcome other than a decoded 200 is an error, with error bodies folded
-// into it and a 409 reported as ErrOutOfSync. Reading and decoding the
-// answer is a "shard.decode" phase on o's lane.
-func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path string, in *RoundRequest, limit int64,
-	decode func(contentType string, body []byte) (*T, error)) (*T, error) {
+// post sends one round frame and decodes the answer's body — at most limit
+// bytes, read once into a buffer sized from Content-Length. Any outcome
+// other than a decoded 200 is an error, with error bodies folded into it and
+// a 409 reported as ErrOutOfSync. Reading and decoding the answer is a
+// "shard.decode" phase on o's lane.
+func (t *httpTransport) post(ctx context.Context, o *obs.Observer, in *RoundRequest, limit int64) (*RoundResponse, error) {
+	const path = PathRound
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.url+path, bytes.NewReader(in.frame))
 	if err != nil {
 		return nil, err
@@ -120,5 +112,5 @@ func post[T any](ctx context.Context, o *obs.Observer, t *httpTransport, path st
 	if n > limit || int64(body.Len()) > limit {
 		return nil, fmt.Errorf("%s: %w (%d bytes)", path, ErrTooLarge, limit)
 	}
-	return decode(resp.Header.Get("Content-Type"), body.Bytes())
+	return decodeFrame(resp.Header.Get("Content-Type"), body.Bytes())
 }

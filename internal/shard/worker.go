@@ -24,7 +24,7 @@ type WorkerOptions struct {
 	// StateFile, when non-empty, persists the engine's warm state after
 	// every round (asynchronously, last-writer-wins) and restores it at
 	// construction, so a restarted worker re-warms instead of cold-starting
-	// and usually rejoins without a registry sync at all.
+	// and usually rejoins without a rebuild at all.
 	StateFile string
 	// Obs receives worker telemetry; its registry backs GET /metrics.
 	Obs *obs.Observer
@@ -32,14 +32,15 @@ type WorkerOptions struct {
 }
 
 // Worker owns one shard's persistent engine across rounds and serves the
-// coordinator protocol: rounds apply the shard's mutation batch and re-solve
-// (models, bases, and prices stay warm in-process between rounds), syncs
-// reconcile the engine against the coordinator's authoritative registry.
+// coordinator protocol: a round applies the shard's mutation batch and
+// re-solves (models, bases, and prices stay warm in-process between rounds);
+// a full round first reconciles the engine against the shard's whole client
+// set from the coordinator's registry.
 type Worker struct {
 	b    *EngineBundle
 	opts WorkerOptions
 
-	// mu serializes rounds and syncs — the engine is single-threaded state.
+	// mu serializes rounds — the engine is single-threaded state.
 	mu        sync.Mutex
 	lastRound int
 
@@ -52,7 +53,7 @@ type Worker struct {
 // NewWorker wraps an engine bundle in the shard protocol. If a state file
 // is configured and present, the engine is restored from it (a corrupt or
 // mismatched file is logged and ignored — the worker starts fresh and the
-// coordinator syncs it).
+// coordinator rebuilds it).
 func NewWorker(b *EngineBundle, opts WorkerOptions) *Worker {
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.DiscardHandler)
@@ -71,13 +72,12 @@ func (w *Worker) LastRound() int {
 	return w.lastRound
 }
 
-// Handler returns the worker's HTTP surface. Round and sync mutate engine
-// state and sit behind the bearer token; health and metrics are read-only
-// probes and stay open.
+// Handler returns the worker's HTTP surface. A round mutates engine state
+// and sits behind the bearer token; health and metrics are read-only probes
+// and stay open.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST "+PathRound, w.opts.Token.Middleware(http.HandlerFunc(w.handleRound)))
-	mux.Handle("POST "+PathSync, w.opts.Token.Middleware(http.HandlerFunc(w.handleSync)))
 	mux.HandleFunc("GET "+PathHealth, w.handleHealth)
 	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, _ *http.Request) {
 		if w.opts.Obs == nil || w.opts.Obs.Metrics == nil {
@@ -90,7 +90,7 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// maxRequestBytes bounds a round or sync request body. A sync carries a
+// maxRequestBytes bounds a round request body. A full round carries a
 // shard's whole client set (72 bytes a job at three GPU types), so the cap
 // is sized for a million-client shard with room to spare rather than for a
 // round's churn.
@@ -100,7 +100,7 @@ const maxRequestBytes = 1 << 30
 type badRequestError struct{ error }
 
 // readRequest reads one bounded request body, into a buffer sized from
-// Content-Length, and decodes its header; round and sync read the columns.
+// Content-Length, and decodes its header; round reads the columns.
 func readRequest(rw http.ResponseWriter, r *http.Request) (*RoundRequest, error) {
 	var body bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
@@ -116,12 +116,12 @@ func readRequest(rw http.ResponseWriter, r *http.Request) (*RoundRequest, error)
 	return req, nil
 }
 
-// writeError answers a failed round or sync with 400, 409, or 500.
-func (w *Worker) writeError(rw http.ResponseWriter, what string, err error) {
+// writeError answers a failed round with 400, 409, or 500.
+func (w *Worker) writeError(rw http.ResponseWriter, err error) {
 	var bad badRequestError
 	switch {
 	case errors.As(err, &bad):
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad %s request: %v", what, bad.error)})
+		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad round request: %v", bad.error)})
 	case errors.Is(err, ErrOutOfSync):
 		writeJSON(rw, http.StatusConflict, errorResponse{Error: ErrOutOfSync.Error(), LastRound: w.LastRound()})
 	default:
@@ -148,7 +148,7 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 		resp, err = w.round(req)
 	}
 	if err != nil {
-		w.writeError(rw, "round", err)
+		w.writeError(rw, err)
 		return
 	}
 	// One write of the whole frame, with its length. The frame is this
@@ -166,7 +166,8 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 }
 
 // round is the transport-independent core of a round: read the batch,
-// apply it, solve over the held clients, pack the allocation, checkpoint.
+// apply it, solve over the held clients, pack the allocation, checkpoint. A
+// full round first drops every held client it does not list.
 func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	b, err := req.read()
 	if err != nil {
@@ -175,17 +176,31 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Behind the coordinator: a mutation batch passed us by (crash, lost
-	// state); the coordinator must sync us from the registry first. Ahead
+	// state); the coordinator must resend the round as a full one. Ahead
 	// (the coordinator wrote a previous round of ours off as straggling
 	// after we finished it) is fine: unacked batches are re-queued and
 	// idempotent, so applying this one is safe.
-	if req.PrevRound > w.lastRound {
-		w.opts.Obs.Counter("pop_shard_worker_out_of_sync_total", "rounds rejected pending a registry sync").Inc()
+	if !req.Full && req.PrevRound > w.lastRound {
+		w.opts.Obs.Counter("pop_shard_worker_out_of_sync_total", "rounds rejected pending a full round").Inc()
 		return nil, ErrOutOfSync
 	}
 	start := time.Now()
 	ph := w.phase("apply")
 	upserts := b.upserts()
+	if req.Full {
+		k, dropped := 0, 0
+		for _, j := range w.b.Engine.Jobs() { // ascending, as upserts are
+			for k < len(upserts) && upserts[k].ID < j.ID {
+				k++
+			}
+			if k == len(upserts) || upserts[k].ID != j.ID {
+				w.b.Engine.Remove(j.ID)
+				dropped++
+			}
+		}
+		w.opts.Obs.Counter("pop_shard_worker_full_rounds_total", "full rounds applied").Inc()
+		w.opts.Log.Info("shard rebuild", "round", req.Round, "jobs", len(upserts), "dropped", dropped)
+	}
 	for _, j := range upserts {
 		w.b.Engine.Upsert(j)
 	}
@@ -226,58 +241,6 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	w.opts.Log.Debug("shard round", "round", req.Round, "jobs", len(jobs),
 		"upserts", len(upserts), "removes", b.numRemoves(), "solve_ms", resp.SolveMs)
 	w.saveStateAsync()
-	return resp, nil
-}
-
-func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
-	var resp *SyncResponse
-	req, err := readRequest(rw, r)
-	if err == nil {
-		resp, err = w.sync(req)
-	}
-	if err != nil {
-		w.writeError(rw, "sync", err)
-		return
-	}
-	writeJSON(rw, http.StatusOK, resp)
-}
-
-// sync reconciles the engine against the coordinator's registry: upsert
-// everything listed, remove everything else. Unchanged jobs no-op in the
-// engines, so whatever warm state survived (a state-file restore, or a
-// straggle the coordinator mistook for a crash) is kept.
-func (w *Worker) sync(req *SyncRequest) (*SyncResponse, error) {
-	b, err := req.read()
-	if err == nil && b.numRemoves() > 0 {
-		err = fmt.Errorf("a sync lists the clients to keep, not %d to remove", b.numRemoves())
-	}
-	if err != nil {
-		return nil, badRequestError{err}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	held := make(map[int]bool)
-	for _, j := range w.b.Engine.Jobs() {
-		held[j.ID] = true
-	}
-	resp := &SyncResponse{Round: req.Round}
-	for _, j := range b.upserts() {
-		if held[j.ID] {
-			resp.Kept++
-			delete(held, j.ID)
-		} else {
-			resp.Added++
-		}
-		w.b.Engine.Upsert(j)
-	}
-	for id := range held {
-		w.b.Engine.Remove(id)
-		resp.Removed++
-	}
-	w.lastRound = req.Round
-	w.opts.Obs.Counter("pop_shard_worker_syncs_total", "registry reconciles applied").Inc()
-	w.opts.Log.Info("shard sync", "round", req.Round,
-		"kept", resp.Kept, "added", resp.Added, "removed", resp.Removed)
 	return resp, nil
 }
 

@@ -15,7 +15,7 @@
 #   popserver single-process under maxmin (run twice on one -state-file,
 #     so the second run restores it), under price (which refuses that
 #     file) and under spacesharing, and a coordinator over two worker
-#     processes
+#     processes, one of which is restarted empty and rebuilt by a full round
 #   the four examples
 #
 # Binaries, counters and logs go under $CENSUS_DIR (default .census/).
@@ -60,8 +60,9 @@ printf '%s\n' 'NAME KNAP' 'ROWS' ' N  COST' ' L  CAP' 'COLUMNS' \
 	'BOUNDS' ' UP BND  A  1' ' UP BND  B  1' ' UP BND  C  1' 'ENDATA' >"$out/knapsack.mps"
 run popsolve-milp "$out/bin/popsolve" "$out/knapsack.mps"
 
-# serve NAME PORT ARGS...: starts a popserver, submits jobs, reads every
-# allocation view, and stops it with SIGTERM so its counters are written.
+# serve NAME PORT ARGS...: starts a popserver, submits jobs, runs $hook if
+# set, reads every allocation view, and stops it with SIGTERM so its
+# counters are written.
 serve() {
 	local name=$1 port=$2
 	shift 2
@@ -79,6 +80,7 @@ serve() {
 	sleep 0.5
 	curl -fsS -X DELETE "http://127.0.0.1:$port/v1/jobs/2" >/dev/null || true
 	sleep 0.3
+	${hook:-}
 	for path in /v1/allocation /v1/allocation/3 /v1/stats /metrics; do
 		curl -fsS "http://127.0.0.1:$port$path" >/dev/null || true
 	done
@@ -92,14 +94,30 @@ serve popserver-maxmin-restart 18280 -k 2 -gpus 4,4,4 -state-file "$out/maxmin.s
 serve popserver-price 18281 -k 2 -gpus 4,4,4 -policy price -state-file "$out/maxmin.state"
 serve popserver-spacesharing 18283 -k 2 -gpus 4,4,4 -policy spacesharing
 workers=()
-for w in 1 2; do
-	mkdir -p "$out/cov/popserver-worker$w"
-	GOCOVERDIR="$out/cov/popserver-worker$w" "$out/bin/popserver" worker \
-		-shard-addr "127.0.0.1:1928$w" -policy maxmin -k 1 -gpus 2,2,2 \
-		>"$out/log/popserver-worker$w.txt" 2>&1 &
-	workers+=($!)
-done
-serve popserver-coordinator 18282 -gpus 4,4,4 -shard-deadline 5s \
+# worker N NAME: starts worker N's process, its counters under cov/NAME.
+worker() {
+	mkdir -p "$out/cov/$2"
+	GOCOVERDIR="$out/cov/$2" "$out/bin/popserver" worker \
+		-shard-addr "127.0.0.1:1928$1" -policy maxmin -k 1 -gpus 2,2,2 \
+		>"$out/log/$2.txt" 2>&1 &
+	workers[$1 - 1]=$!
+}
+# restart_worker2 stops worker 2 and starts it again empty on its address,
+# so its next round answers 409 and the coordinator rebuilds it with a full
+# round.
+restart_worker2() {
+	kill -TERM "${workers[1]}"
+	wait "${workers[1]}" || true
+	worker 2 popserver-worker2-restart
+	for _ in $(seq 1 50); do
+		curl -fsS "http://127.0.0.1:19282/shard/v1/health" >/dev/null 2>&1 && break
+		sleep 0.1
+	done
+	sleep 0.3
+}
+worker 1 popserver-worker1
+worker 2 popserver-worker2
+hook=restart_worker2 serve popserver-coordinator 18282 -gpus 4,4,4 -shard-deadline 5s \
 	-workers http://127.0.0.1:19281,http://127.0.0.1:19282
 kill -TERM "${workers[@]}"
 wait "${workers[@]}" || true
