@@ -855,29 +855,45 @@ func requestSeeds(t testing.TB) [][]byte {
 // full round has clients to keep and clients to drop.
 var fuzzHeld = []int{3, 8}
 
-// FuzzRoundRequest: the worker answers any body — valid, hostile, or
-// garbage — with a status, never a panic; a 400 exactly when the request
-// reader refuses the body (a full round with removes included); and a 200
-// carries a frame the coordinator's accept takes, after which a full round
-// leaves the worker holding exactly the clients it listed.
-func FuzzRoundRequest(f *testing.F) {
+// fuzzRequest: the worker answers any body — valid, hostile, or garbage —
+// with a status, never a panic; a 400 exactly when the request reader
+// refuses the body (a full round with removes included); and a 200 carries
+// a frame the coordinator's accept takes, after which a full round leaves
+// the worker holding exactly the clients it listed. With rebuild, every
+// body whose header decodes is sent marked full, as a coordinator rebuilds
+// a worker.
+func fuzzRequest(f *testing.F, rebuild bool) {
 	for _, seed := range requestSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := NewEngine(testCluster(), EngineConfig{Policy: "price"})
-		if err != nil {
-			t.Fatal(err)
-		}
 		req, err := decodeRequest(data)
+		if err == nil && rebuild {
+			data = relabel(req, func(h *RoundRequest) { h.Full = true })
+			if req, err = decodeRequest(data); err == nil && !req.Full {
+				t.Fatalf("a relabelled header decodes as a delta round")
+			}
+		}
 		var in batch
 		if err == nil {
 			in, err = req.read()
 		}
+		// The held clients are of the request's width and were committed
+		// over its pool, as a previous round of the same coordinator leaves
+		// them.
+		pool := testCluster()
 		if err == nil {
-			for _, id := range fuzzHeld { // of the request's width, as a coordinator keeps them
+			pool = cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs}
+		}
+		b, engErr := NewEngine(pool, EngineConfig{Policy: "price"})
+		if engErr != nil {
+			t.Fatal(engErr)
+		}
+		if err == nil {
+			for _, id := range fuzzHeld {
 				b.Engine.Upsert(cluster.Job{ID: id, Throughput: slices.Repeat([]float64{1}, in.width), Weight: 1, Scale: 1, NumSteps: 10, Priority: 1})
 			}
+			b.Engine.Jobs()
 		}
 		h := NewWorker(b, WorkerOptions{}).Handler()
 		rec := httptest.NewRecorder()
@@ -903,3 +919,9 @@ func FuzzRoundRequest(f *testing.F) {
 		}
 	})
 }
+
+func FuzzRoundRequest(f *testing.F) { fuzzRequest(f, false) }
+
+// FuzzSyncRequest: re-syncing a worker's registry, which a full round does,
+// holds up under every body FuzzRoundRequest sends.
+func FuzzSyncRequest(f *testing.F) { fuzzRequest(f, true) }
