@@ -14,8 +14,8 @@
 // slot) order, then the epigraph t; a time row and a rate row per job in
 // job order, then one capacity row per GPU type. The batch policies build,
 // solve and read that model; package online's engine builds the same model
-// for a sub-problem, splices its blocks as jobs come and go, and rewrites
-// its data with RateRow and SlotTerms.
+// for a sub-problem, rebuilds it in place as jobs come and go, and rewrites
+// its data with RateRow and SlotTerms between membership changes.
 //
 // Throughput data comes from a synthetic oracle with realistic relative
 // speeds across GPU generations (the paper's measured throughputs are not

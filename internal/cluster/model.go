@@ -48,10 +48,11 @@ func CapEpigraph(m *lp.Model, tv int, constrained bool) {
 	m.SetBounds(tv, math.Inf(-1), ub)
 }
 
-// SoloModel builds the solo epigraph LP: maximize t subject to
+// SoloModel builds into m the solo epigraph LP: maximize t subject to
 // t ≤ thr(j,A)/denom(j) for every job, over the solo time-fraction
 // polytope. MaxMinFairness and MinMakespan are this model with their
-// denominators.
+// denominators. m must be empty and maximizing: new from
+// lp.NewModel(lp.Maximize), or such a model after Reset.
 //
 // Layout, for n jobs over r GPU types: job j's r time fractions are
 // variables j·r … j·r+r-1 and t is variable n·r; job j's time row (Σ_i
@@ -59,9 +60,8 @@ func CapEpigraph(m *lp.Model, tv int, constrained bool) {
 // zeros when denom ≤ 0) row 2j+1; the r capacity rows (Σ_j z_j·A_ji ≤
 // NumGPUs_i) follow. t is capped at 0 when no rate row constrains it
 // (CapEpigraph).
-func SoloModel(jobs []Job, c Cluster, denom func(Job) float64) *lp.Model {
+func SoloModel(m *lp.Model, jobs []Job, c Cluster, denom func(Job) float64) {
 	r := c.NumTypes()
-	m := lp.NewModel(lp.Maximize)
 	m.AddVariables(len(jobs)*r, 0, 0, 1)
 	tv := m.AddVariable(1, math.Inf(-1), lp.Inf, "t")
 	idxs := make([]int, r+1)
@@ -85,7 +85,6 @@ func SoloModel(jobs []Job, c Cluster, denom func(Job) float64) *lp.Model {
 	}
 	addCapacityRows(m, c, load)
 	CapEpigraph(m, tv, constrained)
-	return m
 }
 
 // Slots enumerates the space-sharing LP's slots over jobs: a solo slot per
@@ -141,18 +140,18 @@ func SlotTerms(jobs []Job, slots []Pair, r int) (vars [][]int, thr [][]float64, 
 	return vars, thr, load
 }
 
-// SpaceSharingModel builds the max-min space-sharing LP over Slots(jobs)
-// and returns it with the slots.
+// SpaceSharingModel builds into m, an empty maximizing model as SoloModel
+// takes, the max-min space-sharing LP over Slots(jobs), and returns the
+// slots.
 //
 // Layout, for s slots over r GPU types: slot q's r time fractions are
 // variables q·r … q·r+r-1 and t is variable s·r; job j's time row (over
 // every slot containing it) is row 2j and its rate row row 2j+1, as in
 // SoloModel; the r capacity rows follow.
-func SpaceSharingModel(jobs []Job, c Cluster) (*lp.Model, []Pair) {
+func SpaceSharingModel(m *lp.Model, jobs []Job, c Cluster) []Pair {
 	r := c.NumTypes()
 	slots := Slots(jobs)
 	vars, thr, load := SlotTerms(jobs, slots, r)
-	m := lp.NewModel(lp.Maximize)
 	m.AddVariables(len(slots)*r, 0, 0, 1)
 	tv := m.AddVariable(1, math.Inf(-1), lp.Inf, "t")
 	denom := MaxMinDenominator(jobs, c)
@@ -171,7 +170,7 @@ func SpaceSharingModel(jobs []Job, c Cluster) (*lp.Model, []Pair) {
 	}
 	addCapacityRows(m, c, load)
 	CapEpigraph(m, tv, constrained)
-	return m, slots
+	return slots
 }
 
 // addCapacityRows appends one row per GPU type i: Σ_q load[q]·x[q·r+i] ≤

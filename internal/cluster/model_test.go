@@ -31,7 +31,8 @@ func TestRateRowDegenerate(t *testing.T) {
 	}
 	jobs := GenerateJobs(3, 1, 0)
 	jobs[1].NumSteps = 0
-	m := SoloModel(jobs, NewCluster(1, 1, 1), MakespanDenominator)
+	m := lp.NewModel(lp.Maximize)
+	SoloModel(m, jobs, NewCluster(1, 1, 1), MakespanDenominator)
 	if nv, nc := m.NumVariables(), m.NumConstraints(); nv != 3*3+1 || nc != 2*3+3 {
 		t.Fatalf("SoloModel shape %d vars × %d rows, want 10 × 9", nv, nc)
 	}
@@ -76,7 +77,8 @@ func TestNoConstrainingJob(t *testing.T) {
 		jobs []Job
 		ub   float64
 	}{{[]Job{zero, noScale}, 0}, {[]Job{zero, live}, lp.Inf}} {
-		m := SoloModel(tc.jobs, c, MaxMinDenominator(tc.jobs, c))
+		m := lp.NewModel(lp.Maximize)
+		SoloModel(m, tc.jobs, c, MaxMinDenominator(tc.jobs, c))
 		if lb, ub := m.Bounds(m.NumVariables() - 1); !math.IsInf(lb, -1) || ub != tc.ub {
 			t.Fatalf("t in [%g, %g] over %v, want [-Inf, %g]", lb, ub, tc.jobs, tc.ub)
 		}

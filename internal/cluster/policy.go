@@ -32,7 +32,8 @@ func solveEpigraph(jobs []Job, c Cluster, opts lp.Options, name string, denom fu
 	if len(jobs) == 0 {
 		return emptyAllocation(), nil
 	}
-	m := SoloModel(jobs, c, denom)
+	m := lp.NewModel(lp.Maximize)
+	SoloModel(m, jobs, c, denom)
 	sol, err := m.SolveWithOptions(opts)
 	if err != nil {
 		return nil, err

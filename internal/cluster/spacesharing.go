@@ -20,7 +20,8 @@ func MaxMinFairnessSpaceSharing(jobs []Job, c Cluster, opts lp.Options) (*Alloca
 	if len(jobs) == 0 {
 		return emptyAllocation(), nil
 	}
-	m, slots := SpaceSharingModel(jobs, c)
+	m := lp.NewModel(lp.Maximize)
+	slots := SpaceSharingModel(m, jobs, c)
 	sol, err := m.SolveWithOptions(opts)
 	if err != nil {
 		return nil, err

@@ -193,11 +193,15 @@
 //     patch both the builder state and the cached standardized form
 //     directly (no re-standardize), and all setters no-op on unchanged
 //     values so the delta classification below stays exact. Structural
-//     edits — AddVariable/AddConstraint and the block operations
-//     InsertVariables / RemoveVariables / InsertConstraint /
-//     RemoveConstraints — mark the standardized form for a lazy rebuild and
-//     splice the stored basis statuses in lockstep, so surviving blocks
-//     keep their warm information across membership changes.
+//     edits mark the standardized form for a lazy rebuild. AddVariable and
+//     AddConstraint append, extending the stored basis (a new variable at
+//     its lower bound, a new row's slack basic). A layout change in the
+//     middle of the model is a rebuild: Reset empties the model but keeps
+//     its row storage and standardized form, the builder writes the new
+//     model into them, and SetBasis installs the old basis mapped to the
+//     new layout — the online engine carries each surviving block's
+//     statuses by block key — so survivors keep their warm information
+//     across membership changes.
 //  4. Re-solve. The model classifies everything that happened since the
 //     last optimal basis and picks the cheapest start that is still sound
 //     (see the dual simplex section). Coefficient deltas first pass a
@@ -216,16 +220,22 @@
 //     to 1e-6 over randomized delta chains.
 //
 // What a re-solve reuses, and what it rebuilds. A warm re-solve of a model
-// that took a block splice pivots a handful of times, so everything else it
-// does is kept proportional to that, not to the model:
+// rebuilt after a membership change pivots a handful of times, so
+// everything else it does is kept proportional to that, not to the model:
 //
-//   - The standardized form. A structural edit (a block spliced in or out,
-//     a coefficient fill-in) still means a full re-standardize, but that is
+//   - The builder rows. Reset keeps every row's coefficient storage, and
+//     AddConstraint copies a new row into the storage of the row Reset let
+//     go at its position, so a rebuild of a similar model allocates no rows
+//     (FuzzStandardize and TestModelBlockOpsMatchManualRebuild hold a
+//     rebuilt model equal to a fresh build of the same calls).
+//   - The standardized form. A structural edit (a rebuild, an append, a
+//     coefficient fill-in) still means a full re-standardize, but that is
 //     two passes over the builder rows with a per-variable stamp array —
 //     no map — writing into the buffers of the form it replaces, which only
 //     grow. The result is bit for bit what a fresh build gives
 //     (FuzzStandardize holds it to the map-based routine it replaced, kept
-//     in standardize_ref_test.go, over dirty destination buffers).
+//     in standardize_ref_test.go, over dirty destination buffers, a Reset
+//     model's own included).
 //   - The setters' scratch. SetCoeffs keeps per-variable and per-pair
 //     arrays on the model; fill-ins are appended in argument order, so two
 //     identical edit sequences leave identical models (CopyProblem,
@@ -298,7 +308,8 @@
 //     automatically when the deltas since the stored basis are rhs/bound
 //     only; callers using Problem directly can set it by hand.
 //   - The snapshot fits exactly: the model's shape, exactly m basic
-//     columns (a count-repaired or block-spliced basis goes primal).
+//     columns (a count-repaired basis, or one carried across a rebuild,
+//     goes primal).
 //   - The implied basis matrix factorizes, and the installed statuses
 //     price dual feasible against the current objective.
 //

@@ -3,25 +3,24 @@ package lp
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Model is a persistent, mutable linear program: build it once with the
-// same builder API as Problem, solve it, then mutate coefficients, bounds,
-// right-hand sides, or whole variable/constraint blocks in place and
-// re-solve the delta. The model maintains its standardized form
-// incrementally (numeric edits patch the sparse matrix directly; structural
-// edits rebuild it lazily at the next solve, into the buffers of the form it
-// replaces), keeps the last optimal basis,
-// and classifies the deltas applied since that basis was taken:
+// same builder API as Problem, solve it, then mutate coefficients, bounds
+// or right-hand sides in place, append variables and constraints, or Reset
+// it and build it again, and re-solve the delta. The model maintains its
+// standardized form incrementally (numeric edits patch the sparse matrix
+// directly; structural edits rebuild it lazily at the next solve, into the
+// buffers of the form it replaces), keeps the last optimal basis, and
+// classifies the deltas applied since that basis was taken:
 //
 //   - rhs/bound-only deltas re-solve with the dual simplex from the stale
 //     basis (Options.Dual) — the basis is still dual feasible, so a few
 //     dual pivots replace both the build and the primal repair;
 //   - coefficient/objective deltas re-solve through the primal warm path;
-//   - structural deltas (blocks added or removed) splice the stale basis
-//     statuses in lockstep, so survivors keep their warm information and
-//     the solver's shape-repair settles the rest.
+//   - structural deltas (appends, or a rebuild after Reset with a basis
+//     installed by SetBasis) take the primal warm path too, and the
+//     solver's shape repair settles whatever the basis no longer fits.
 //
 // Every re-solve path falls back (primal warm, then cold) inside the
 // solver, so mutate-then-resolve always returns the same status and
@@ -32,7 +31,7 @@ type Model struct {
 	std      *standardized
 	stdDirty bool // std no longer matches p structurally; rebuild at solve
 
-	basis *Basis // last optimal basis (model-owned copy), spliced across structural edits
+	basis *Basis // last optimal basis (model-owned copy), extended across appends
 	lastY []float64
 	// lastY holds the shadow prices (original orientation, one per
 	// constraint) from the solve that produced basis — the price sheet
@@ -113,7 +112,7 @@ func (m *Model) HasBasis() bool { return m.basis != nil }
 // cold. Benchmark baselines and churn-heavy callers (where a stale basis
 // loses to a fresh phase 1) use this; it never changes solve outcomes.
 func (m *Model) ForgetBasis() {
-	m.basis, m.lastY = nil, nil
+	m.basis, m.lastY = nil, m.lastY[:0] // lastY keeps its array for the next solve
 	m.resetTouched()
 }
 
@@ -145,7 +144,20 @@ func (m *Model) SetBasis(b *Basis) {
 	m.basis = b.Clone()
 	// The snapshot's shadow prices are unknown, so the hostile-refresh
 	// sampler stays quiet until the next optimal solve records a fresh set.
-	m.lastY = nil
+	m.lastY = m.lastY[:0]
+}
+
+// Reset empties the model for a rebuild: no variables, no constraints and
+// no basis, with the objective direction kept. The row storage and the
+// standardized form stay allocated, so building the next model in the same
+// Model reuses them instead of allocating its rows and matrix afresh. A
+// rebuild that wants a warm start installs a basis for its new shape with
+// SetBasis; the solve then takes the primal warm path, since a structural
+// edit happened since any basis was stored.
+func (m *Model) Reset() {
+	m.p.reset()
+	m.structEdit()
+	m.ForgetBasis()
 }
 
 // AddVariable appends a variable with objective coefficient c and bounds
@@ -178,135 +190,6 @@ func (m *Model) AddConstraint(idx []int, val []float64, sense Sense, rhs float64
 		m.basis.SlackStatus = append(m.basis.SlackStatus, BasisBasic)
 	}
 	return r
-}
-
-// InsertVariables inserts n identical variables at index `at`, shifting
-// every variable previously at index ≥ at (and all constraint references to
-// it) up by n. The stored basis keeps the survivors' statuses; the new
-// variables enter nonbasic. It returns `at`.
-func (m *Model) InsertVariables(at, n int, c, lb, ub float64) int {
-	nv := m.p.NumVariables()
-	if at < 0 || at > nv {
-		panic(fmt.Sprintf("lp: InsertVariables at %d outside [0, %d]", at, nv))
-	}
-	if lb > ub {
-		panic(fmt.Sprintf("lp: InsertVariables: lb %g > ub %g", lb, ub))
-	}
-	if math.IsNaN(c) || math.IsNaN(lb) || math.IsNaN(ub) || math.IsInf(c, 0) {
-		panic(fmt.Sprintf("lp: InsertVariables: invalid data c=%g lb=%g ub=%g", c, lb, ub))
-	}
-	if n <= 0 {
-		return at
-	}
-	if at == nv {
-		return m.AddVariables(n, c, lb, ub)
-	}
-	p := m.p
-	p.obj = slices.Insert(p.obj, at, slices.Repeat([]float64{c}, n)...)
-	p.lb = slices.Insert(p.lb, at, slices.Repeat([]float64{lb}, n)...)
-	p.ub = slices.Insert(p.ub, at, slices.Repeat([]float64{ub}, n)...)
-	p.varNames = slices.Insert(p.varNames, at, make([]string, n)...)
-	for i := range p.rows {
-		r := &p.rows[i]
-		for t, v := range r.idx {
-			if v >= at {
-				r.idx[t] = v + n
-			}
-		}
-	}
-	m.structEdit()
-	if m.basis != nil {
-		m.basis.VarStatus = slices.Insert(m.basis.VarStatus, at,
-			slices.Repeat([]BasisStatus{BasisLower}, n)...)
-	}
-	return at
-}
-
-// RemoveVariables deletes variables [at, at+n), dropping their coefficients
-// from every constraint and shifting higher indices down by n. The stored
-// basis drops the removed statuses in lockstep.
-func (m *Model) RemoveVariables(at, n int) {
-	nv := m.p.NumVariables()
-	if at < 0 || n < 0 || at+n > nv {
-		panic(fmt.Sprintf("lp: RemoveVariables [%d, %d) outside [0, %d)", at, at+n, nv))
-	}
-	if n == 0 {
-		return
-	}
-	p := m.p
-	p.obj = slices.Delete(p.obj, at, at+n)
-	p.lb = slices.Delete(p.lb, at, at+n)
-	p.ub = slices.Delete(p.ub, at, at+n)
-	p.varNames = slices.Delete(p.varNames, at, at+n)
-	for i := range p.rows {
-		r := &p.rows[i]
-		keep := 0
-		for t, v := range r.idx {
-			switch {
-			case v >= at+n:
-				r.idx[keep], r.val[keep] = v-n, r.val[t]
-				keep++
-			case v < at:
-				r.idx[keep], r.val[keep] = v, r.val[t]
-				keep++
-			default:
-				p.nnz--
-			}
-		}
-		r.idx = r.idx[:keep]
-		r.val = r.val[:keep]
-	}
-	m.structEdit()
-	if m.basis != nil {
-		m.basis.VarStatus = slices.Delete(m.basis.VarStatus, at, at+n)
-	}
-}
-
-// InsertConstraint inserts a constraint at row position `at`, shifting
-// later rows down. The new row's slack enters the stored basis as basic —
-// the natural status for a fresh row; the solver's shape repair absorbs any
-// resulting surplus.
-func (m *Model) InsertConstraint(at int, idx []int, val []float64, sense Sense, rhs float64, name string) int {
-	nr := m.p.NumConstraints()
-	if at < 0 || at > nr {
-		panic(fmt.Sprintf("lp: InsertConstraint at %d outside [0, %d]", at, nr))
-	}
-	// Validate and copy through the append path, then rotate into place.
-	m.p.AddConstraint(idx, val, sense, rhs, name)
-	p := m.p
-	r := p.rows[nr]
-	copy(p.rows[at+1:], p.rows[at:nr])
-	p.rows[at] = r
-	rn := p.rowNames[nr]
-	copy(p.rowNames[at+1:], p.rowNames[at:nr])
-	p.rowNames[at] = rn
-	m.structEdit()
-	if m.basis != nil {
-		m.basis.SlackStatus = slices.Insert(m.basis.SlackStatus, at, BasisBasic)
-	}
-	return at
-}
-
-// RemoveConstraints deletes constraint rows [at, at+n); the stored basis
-// drops their slack statuses in lockstep.
-func (m *Model) RemoveConstraints(at, n int) {
-	nr := m.p.NumConstraints()
-	if at < 0 || n < 0 || at+n > nr {
-		panic(fmt.Sprintf("lp: RemoveConstraints [%d, %d) outside [0, %d)", at, at+n, nr))
-	}
-	if n == 0 {
-		return
-	}
-	p := m.p
-	for i := at; i < at+n; i++ {
-		p.nnz -= len(p.rows[i].idx)
-	}
-	p.rows = append(p.rows[:at], p.rows[at+n:]...)
-	p.rowNames = append(p.rowNames[:at], p.rowNames[at+n:]...)
-	m.structEdit()
-	if m.basis != nil {
-		m.basis.SlackStatus = slices.Delete(m.basis.SlackStatus, at, at+n)
-	}
 }
 
 // SetObjectiveCoeff overwrites the objective coefficient of variable v.
@@ -524,7 +407,7 @@ func (m *Model) resetTouched() {
 }
 
 // structEdit books a structural change: the standardized form must be
-// rebuilt and the stored basis, though spliced to the new shape, is no
+// rebuilt and the stored basis, though extended to the new shape, is no
 // longer dual-trustworthy.
 func (m *Model) structEdit() {
 	m.stdDirty = true
@@ -597,9 +480,9 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 	if sol.Status == Optimal && sol.Basis != nil {
 		// Keep a private copy: Solution.Basis belongs to the caller (node
 		// snapshots in a branch-and-bound tree outlive many re-solves), and
-		// the model's structural edits splice its stored basis in place —
-		// retaining the caller's pointer would let those edits corrupt the
-		// caller's snapshot, and vice versa.
+		// the model's appends extend its stored basis in place — retaining
+		// the caller's pointer would let those edits corrupt the caller's
+		// snapshot, and vice versa.
 		if m.basis == nil {
 			m.basis = &Basis{}
 		}

@@ -3,6 +3,7 @@ package lp_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 
 // mutateRound applies one round of random in-place deltas to the model.
 // kind selects the delta class: 0 rhs-only, 1 bounds-only, 2 objective,
-// 3 coefficients (with occasional fill-in), 4 structural block edits.
+// 3 coefficients (with occasional fill-in), 4 structural: a rebuild after
+// Reset without one row and one variable, or appends alone.
 func mutateRound(rng *rand.Rand, m *lp.Model, kind int) {
 	nv, nr := m.NumVariables(), m.NumConstraints()
 	switch kind {
@@ -45,17 +47,12 @@ func mutateRound(rng *rand.Rand, m *lp.Model, kind int) {
 			m.SetCoeff(row, v, rng.Float64()*2)
 		}
 	case 4:
-		switch {
-		case rng.Intn(2) == 0 && nv > 8:
-			at := rng.Intn(nv - 2)
-			m.RemoveVariables(at, 1+rng.Intn(2))
-		case nr > 4:
-			m.RemoveConstraints(rng.Intn(nr-1), 1)
+		if rng.Intn(2) == 0 && nv > 8 && nr > 4 {
+			m.RebuildWithout(rng.Intn(nr), rng.Intn(nv))
 		}
-		// And grow back: a fresh variable wired into a fresh constraint.
-		v := m.InsertVariables(rng.Intn(m.NumVariables()+1), 1, rng.NormFloat64(), 0, 3)
-		m.InsertConstraint(rng.Intn(m.NumConstraints()+1),
-			[]int{v, rng.Intn(m.NumVariables())}, []float64{1, 1}, lp.LE, 2+rng.Float64(), "")
+		// And grow: a fresh variable wired into a fresh constraint.
+		v := m.AddVariable(rng.NormFloat64(), 0, 3, "")
+		m.AddConstraint([]int{v, rng.Intn(m.NumVariables())}, []float64{1, 1}, lp.LE, 2+rng.Float64(), "")
 	}
 }
 
@@ -159,9 +156,11 @@ func TestModelRHSOnlyChainsStayOnDualPath(t *testing.T) {
 	}
 }
 
-// TestModelBlockOpsMatchManualRebuild pins the block-edit semantics:
-// removing a variable/constraint block must leave exactly the LP a fresh
-// build without that block produces.
+// TestModelBlockOpsMatchManualRebuild pins the rebuild semantics: a model
+// Reset and rebuilt without a variable/constraint block must hold exactly
+// the LP a fresh build without that block holds — the same problem, not
+// just the same solve, so no row shares storage with a row Reset let go —
+// and a block appended afterwards solves as a fresh build of the result.
 func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 	build := func(withMiddle bool) *lp.Problem {
 		p := lp.NewProblem(lp.Maximize)
@@ -181,8 +180,10 @@ func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 	if _, err := m.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	m.RemoveConstraints(0, 1) // r0
-	m.RemoveVariables(1, 1)   // b
+	m.RebuildWithout(0, 1) // r0 and b
+	if got, want := m.CopyProblem(), build(false).Clone(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuild without the block: %+v, fresh build %+v", got, want)
+	}
 	got, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +197,10 @@ func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 			got.Status, got.Objective, want.Status, want.Objective)
 	}
 
-	// Insert a block back in the middle and cross-check against a fresh
-	// model built in the final shape.
-	v := m.InsertVariables(1, 1, 3, 0, 2)
-	m.InsertConstraint(0, []int{0, v}, []float64{1, 1}, lp.LE, 3, "rx")
+	// Append a block and cross-check against a fresh model built in the
+	// final shape.
+	v := m.AddVariable(3, 0, 2, "")
+	m.AddConstraint([]int{0, v}, []float64{1, 1}, lp.LE, 3, "rx")
 	got2, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got2.Status != want2.Status || math.Abs(got2.Objective-want2.Objective) > 1e-9 {
-		t.Fatalf("block insert: got %v %.12g, want %v %.12g",
+		t.Fatalf("block append: got %v %.12g, want %v %.12g",
 			got2.Status, got2.Objective, want2.Status, want2.Objective)
 	}
 }

@@ -99,6 +99,14 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
+// reset empties the builder, keeping its arrays and, past the end of rows,
+// each row's coefficient storage for AddConstraint to reuse.
+func (p *Problem) reset() {
+	p.obj, p.lb, p.ub, p.varNames = p.obj[:0], p.lb[:0], p.ub[:0], p.varNames[:0]
+	p.rows, p.rowNames = p.rows[:0], p.rowNames[:0]
+	p.nnz = 0
+}
+
 // NumVariables reports the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 
@@ -174,12 +182,14 @@ func (p *Problem) AddConstraint(idx []int, val []float64, sense Sense, rhs float
 	if math.IsNaN(rhs) {
 		panic(fmt.Sprintf("lp: constraint %q has NaN rhs", name))
 	}
-	r := row{
-		idx:   append([]int(nil), idx...),
-		val:   append([]float64(nil), val...),
-		sense: sense,
-		rhs:   rhs,
+	// A row that reset let go lends its storage to the row taking its place.
+	var r row
+	if len(p.rows) < cap(p.rows) {
+		r = p.rows[:len(p.rows)+1][len(p.rows)]
 	}
+	r.idx = append(r.idx[:0], idx...)
+	r.val = append(r.val[:0], val...)
+	r.sense, r.rhs = sense, rhs
 	p.rows = append(p.rows, r)
 	p.rowNames = append(p.rowNames, name)
 	p.nnz += len(idx)

@@ -102,10 +102,12 @@ func checkStandardize(p *Problem) error {
 }
 
 // Fuzz encoding of a problem: byte 0 is the variable count (1 + b%80), byte
-// 1 the row count (b%64), byte 2 flags (1: maximize, 2: build as a Model and
-// splice it afterwards). Each row is a length byte (b%16 entries), a sense
-// byte and (variable, value) byte pairs; value byte 0 is an explicit zero, 1
-// is -0, the rest map to (b-128)/8. Splice bytes follow. Missing bytes read
+// 1 the row count (b%64), byte 2 flags (1: maximize, 2: standardize, Reset
+// and rebuild the model afterwards). Each row is a length byte (b%16
+// entries), a sense byte and (variable, value) byte pairs; value byte 0 is
+// an explicit zero, 1 is -0, the rest map to (b-128)/8. A rebuild reads a
+// second variable and row count and its rows the same way, then a bulk
+// rewrite (a row byte, a start byte and 40 value bytes). Missing bytes read
 // as zero, so a truncated input ends in empty rows.
 
 func fuzzValue(b byte) float64 {
@@ -118,66 +120,75 @@ func fuzzValue(b byte) float64 {
 	return float64(int(b)-128) / 8
 }
 
-func fuzzProblem(data []byte) *Problem {
-	next := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return b
+// fuzzBytes reads data a byte at a time, zero once it runs out.
+type fuzzBytes []byte
+
+func (d *fuzzBytes) next() byte {
+	if len(*d) == 0 {
+		return 0
 	}
-	n, m, flags := 1+int(next())%80, int(next())%64, next()
+	b := (*d)[0]
+	*d = (*d)[1:]
+	return b
+}
+
+// fuzzBuild builds n variables and rows rows read from d into m.
+func fuzzBuild(m *Model, n, rows int, d *fuzzBytes) {
+	for j := 0; j < n; j++ {
+		m.AddVariable(float64(j%5)-2, -float64(j%3), float64(1+j%4), "")
+	}
+	for i := 0; i < rows; i++ {
+		k := int(d.next()) % 16
+		sense := Sense(d.next() % 3)
+		idx, val := make([]int, k), make([]float64, k)
+		for t := range idx {
+			idx[t] = int(d.next()) % n
+			val[t] = fuzzValue(d.next())
+		}
+		m.AddConstraint(idx, val, sense, float64(i%7)-3, "")
+	}
+}
+
+// fuzzRewrite applies one bulk coefficient rewrite read from d, fill-ins
+// included, the way the engines' refreshes rewrite shared rows.
+func fuzzRewrite(m *Model, d *fuzzBytes) {
+	row, at := int(d.next()), int(d.next())
+	idx, val := make([]int, 40), make([]float64, 40)
+	for t := range idx {
+		idx[t] = (at + 3*t) % m.NumVariables()
+		val[t] = fuzzValue(d.next())
+	}
+	if m.NumConstraints() > 0 {
+		m.SetCoeffs(row%m.NumConstraints(), idx, val)
+	}
+}
+
+// fuzzModel decodes data into a model. With flag 2 the model is
+// standardized, Reset and rebuilt at the second shape into the rows and the
+// form the first build left — the online engine's rebuild on a membership
+// change — and fresh is the same second build and rewrite into a new model,
+// which the rebuilt one must equal.
+func fuzzModel(data []byte) (m *Model, fresh *Problem) {
+	d := fuzzBytes(data)
+	n, rows, flags := 1+int(d.next())%80, int(d.next())%64, d.next()
 	obj := Minimize
 	if flags&1 != 0 {
 		obj = Maximize
 	}
-	model := NewModel(obj)
-	for j := 0; j < n; j++ {
-		model.AddVariable(float64(j%5)-2, -float64(j%3), float64(1+j%4), "")
+	m = NewModel(obj)
+	fuzzBuild(m, n, rows, &d)
+	if flags&2 == 0 {
+		return m, nil
 	}
-	for i := 0; i < m; i++ {
-		k := int(next()) % 16
-		sense := Sense(next() % 3)
-		idx, val := make([]int, k), make([]float64, k)
-		for t := range idx {
-			idx[t] = int(next()) % n
-			val[t] = fuzzValue(next())
-		}
-		model.AddConstraint(idx, val, sense, float64(i%7)-3, "")
-	}
-	if flags&2 != 0 {
-		// Splices, the way the online engines apply them: blocks of variables
-		// and rows removed and inserted mid-model, bulk coefficient rewrites.
-		for s := 0; s < 4; s++ {
-			nv, nr := model.NumVariables(), model.NumConstraints()
-			at, cnt := int(next()), 1+int(next())%3
-			switch next() % 5 {
-			case 0:
-				model.InsertVariables(at%(nv+1), cnt, 1, 0, 2)
-			case 1:
-				if nv > cnt {
-					model.RemoveVariables(at%(nv-cnt), cnt)
-				}
-			case 2:
-				model.InsertConstraint(at%(nr+1), []int{at % nv, (at + 1) % nv, at % nv}, []float64{1, fuzzValue(next()), 2}, GE, 1, "")
-			case 3:
-				if nr > cnt {
-					model.RemoveConstraints(at%(nr-cnt), cnt)
-				}
-			case 4:
-				if nr > 0 {
-					idx, val := make([]int, 40), make([]float64, 40)
-					for t := range idx {
-						idx[t] = (at + 3*t) % nv
-						val[t] = fuzzValue(next())
-					}
-					model.SetCoeffs(at%nr, idx, val)
-				}
-			}
-		}
-	}
-	return model.p
+	m.std = m.p.standardize(m.std)
+	m.Reset()
+	n, rows = 1+int(d.next())%80, int(d.next())%64
+	twin, rest := NewModel(obj), d
+	fuzzBuild(m, n, rows, &d)
+	fuzzRewrite(m, &d)
+	fuzzBuild(twin, n, rows, &rest)
+	fuzzRewrite(twin, &rest)
+	return m, twin.p
 }
 
 // encodeShape spells p's sparsity pattern, senses and objective direction in
@@ -200,8 +211,10 @@ func encodeShape(p *Problem) []byte {
 
 // FuzzStandardize: on any small model the fuzzer can spell, the map-free
 // standardize produces the oracle's equality form bit for bit — into fresh
-// buffers and over dirty leftovers of another shape — and never panics. The
-// seed corpus runs under plain `go test`, -short included.
+// buffers and over dirty leftovers of another shape, a Reset model's own
+// included — and never panics, and a model Reset and rebuilt holds exactly
+// what a fresh build of the same calls holds. The seed corpus runs under
+// plain `go test`, -short included.
 func FuzzStandardize(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 4, 0, 1, 130, 1, 140, 2, 150, 1, 120, 3, 2, 0, 136, 0, 120, 0, 128}) // duplicate indices in a row, one summing to zero
 	f.Add([]byte{2, 3, 1, 3, 1, 0, 0, 1, 1, 2, 0, 2, 2, 1, 1, 1, 0})                           // explicit zeros and -0, duplicated
@@ -216,14 +229,24 @@ func FuzzStandardize(f *testing.F) {
 		seed := make([]byte, 3+rng.Intn(300))
 		rng.Read(seed)
 		if i%2 == 0 {
-			seed[2] |= 2 // a Model after Insert/Remove splices and bulk rewrites
+			seed[2] |= 2 // a Model Reset and rebuilt at another shape, then a bulk rewrite
 		}
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := fuzzProblem(data)
+		m, fresh := fuzzModel(data)
+		p := m.p
 		if err := checkStandardize(p); err != nil {
 			t.Fatalf("%d×%d: %v", len(p.rows), len(p.obj), err)
+		}
+		if fresh == nil {
+			return
+		}
+		if !reflect.DeepEqual(m.CopyProblem(), fresh.Clone()) {
+			t.Fatalf("%d×%d: a Reset and rebuild differs from a fresh build", len(p.rows), len(p.obj))
+		}
+		if err := diffStandardized(p.standardize(m.std), p.standardizeRef()); err != nil {
+			t.Fatalf("%d×%d, over the first build's form: %v", len(p.rows), len(p.obj), err)
 		}
 	})
 }

@@ -176,7 +176,7 @@ func (s *simplex) installBasis(b *Basis) bool {
 		s.status[s.ncols+i] = statLower
 	}
 
-	// Repair the basic count: a snapshot spliced across a structural change
+	// Repair the basic count: a snapshot carried across a structural change
 	// (clients arriving or departing) rarely lands on exactly m basics.
 	// Promote nonbasic slacks (in reverse row order, so the shared trailing
 	// rows of block-structured models — whose binding status is what a

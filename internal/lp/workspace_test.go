@@ -224,50 +224,77 @@ func TestWorkspaceReleasedOncePerAttempt(t *testing.T) {
 }
 
 // TestWarmResolveAllocations pins what a served re-solve allocates: a
-// 300-block cluster model has one block spliced out and a new one spliced
-// in, its capacity rows rewritten, and is re-solved warm. With the
-// standardized form rebuilt in place, the stamp arrays in SetCoeffs and the
-// solver workspace pooled, that costs the returned Solution, the spliced
-// rows and a constant — not the O(rows) objects per solve of per-row maps
-// and per-solve vectors (several thousand before).
+// 300-block cluster model is Reset and rebuilt with its oldest block dropped
+// and a new one appended, the previous basis carried across by block, and
+// re-solved warm. With the rows' storage and the standardized form reused
+// by the rebuild, the stamp arrays in SetCoeffs and the solver workspace
+// pooled, that costs the returned Solution, the installed basis and a
+// constant — not the O(rows) objects per solve of per-row maps and
+// per-solve vectors (several thousand before).
 func TestWarmResolveAllocations(t *testing.T) {
 	const jobs, types = 300, 3
-	m := NewModelFromProblem(clusterShapedLP(jobs, types, 1))
-	if sol, err := m.Solve(); err != nil || sol.Status != Optimal {
-		t.Fatalf("setup solve: %v, %v", sol.Status, err)
-	}
-	vars, ones, thr := make([]int, types), make([]float64, types), make([]float64, types+1)
+	vars, ones, thr := make([]int, types+1), make([]float64, types), make([]float64, types+1)
 	capIdx, capVal := make([]int, jobs), make([]float64, jobs)
+	// build lays out jobs first … first+jobs-1 as clusterShapedLP does: a
+	// block of types variables, a time row and a rate row per job, then t
+	// and one capacity row per type. A job's data is a function of its id.
+	build := func(m *Model, first int) {
+		for v := 0; v < jobs*types; v++ {
+			m.AddVariable(0, 0, 1, "")
+		}
+		tv := m.AddVariable(1, math.Inf(-1), Inf, "t")
+		for j := 0; j < jobs; j++ {
+			for r := 0; r < types; r++ {
+				vars[r], ones[r], thr[r] = j*types+r, 1, 0.2+0.1*float64((first+j+r)%9)
+			}
+			vars[types], thr[types] = tv, -1
+			m.AddConstraint(vars[:types], ones, LE, 1, "")
+			m.AddConstraint(vars, thr, GE, 0, "")
+		}
+		for r := 0; r < types; r++ {
+			for j := range capIdx {
+				capIdx[j], capVal[j] = j*types+r, float64(1+(first+j)%4)
+			}
+			m.AddConstraint(capIdx, capVal, LE, 0.6*jobs/types, "")
+		}
+	}
+	m := NewModel(Maximize)
+	build(m, 0)
+	prev, err := m.Solve()
+	if err != nil || prev.Status != Optimal {
+		t.Fatalf("setup solve: %v, %v", prev.Status, err)
+	}
+	carried := &Basis{VarStatus: make([]BasisStatus, jobs*types+1), SlackStatus: make([]BasisStatus, 2*jobs+types)}
 	round := 0
 	resolve := func() {
 		round++
-		// The oldest job leaves, a new one joins at the end of the block
-		// region (the epigraph variable and the capacity rows trail it).
-		m.RemoveConstraints(0, 2)
-		m.RemoveVariables(0, types)
-		at := (jobs - 1) * types
-		m.InsertVariables(at, types, 0, 0, 1)
-		for r := range vars {
-			vars[r], ones[r], thr[r] = at+r, 1, 0.3+0.01*float64((round+r)%50)
+		// The oldest job leaves and a new one joins at the end of the block
+		// region: survivors shift down one block and keep their statuses,
+		// the newcomer enters at its lower bounds with basic slacks, and t
+		// and the capacity rows keep theirs.
+		old := prev.Basis
+		vs, ss := carried.VarStatus, carried.SlackStatus
+		copy(vs, old.VarStatus[types:jobs*types])
+		copy(ss, old.SlackStatus[2:2*jobs])
+		for v := (jobs - 1) * types; v < jobs*types; v++ {
+			vs[v] = BasisLower
 		}
-		thr[types] = -1
-		m.InsertConstraint(2*(jobs-1), vars, ones, LE, 1, "")
-		m.InsertConstraint(2*(jobs-1)+1, append(vars, at+types), thr, GE, 0, "")
-		for r := 0; r < types; r++ {
-			for j := range capIdx {
-				capIdx[j], capVal[j] = j*types+r, float64(1+(j+round)%4)
-			}
-			m.SetCoeffs(2*jobs+r, capIdx, capVal)
-		}
+		ss[2*jobs-2], ss[2*jobs-1] = BasisBasic, BasisBasic
+		vs[jobs*types] = old.VarStatus[jobs*types]
+		copy(ss[2*jobs:], old.SlackStatus[2*jobs:])
+		m.Reset()
+		build(m, round)
+		m.SetBasis(carried)
 		sol, err := m.Solve()
 		if err != nil || sol.Status != Optimal || !sol.WarmStarted {
 			t.Fatalf("round %d: %v, warm %v, %v", round, sol.Status, sol.WarmStarted, err)
 		}
+		prev = sol
 	}
 	for i := 0; i < 3; i++ {
 		resolve() // grow the reused buffers to their working size
 	}
 	if n := testing.AllocsPerRun(10, resolve); n > 64 {
-		t.Fatalf("a warm re-solve after a one-block splice allocates %.0f objects; want O(1) beyond the Solution (≤ 64), not O(rows = %d)", n, m.NumConstraints())
+		t.Fatalf("a warm re-solve after a one-block rebuild allocates %.0f objects; want O(1) beyond the Solution (≤ 64), not O(rows = %d)", n, m.NumConstraints())
 	}
 }

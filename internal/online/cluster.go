@@ -58,29 +58,26 @@ type block struct {
 //   - Layout appends to buf (an empty slice the engine recycles between
 //     sub-solves) the block sequence a sub-problem's model must hold for
 //     members ids.
-//   - BuildModel constructs a fresh model for the layout, encoding the
-//     current data completely — package cluster's builder, the batch
+//   - BuildModel builds the layout's model into m (new or Reset), encoding
+//     the current data completely — package cluster's builder, the batch
 //     policies' own model.
-//   - SpliceBlock inserts one block's structure into a live model at the
-//     engine-computed variable/row positions. Data-dependent values are
-//     left to RefreshModel, which always runs after a splice pass.
 //   - RefreshModel rewrites every data-dependent coefficient, bound, and
-//     right-hand side against the current member data. Model setters no-op
-//     on unchanged values, so the delta class the solver sees — and with it
-//     dual-simplex eligibility — stays exact.
+//     right-hand side of a model that already holds the layout against the
+//     current member data. Model setters no-op on unchanged values, so the
+//     delta class the solver sees — and with it dual-simplex eligibility —
+//     stays exact.
 //   - Extract reads an optimal solution of s's model into s.alloc, rows in
 //     member order.
 type adapter interface {
 	Layout(ids []int, buf []block) []block
-	BuildModel(layout []block) *lp.Model
-	SpliceBlock(m *lp.Model, b block, varAt, rowAt int)
+	BuildModel(m *lp.Model, layout []block)
 	RefreshModel(m *lp.Model, layout []block)
 	Extract(s *sub, sol *lp.Solution)
 }
 
-// soloScratch is the working memory of one soloAdapter.RefreshModel call:
-// the members behind the layout — one table lookup each per sub-solve — and
-// the bulk setter's arguments.
+// soloScratch is the working memory of one adapter call that reads the
+// members: the members behind the layout — one table lookup each — and the
+// solo refresh's bulk setter arguments.
 type soloScratch struct {
 	members []cluster.Job
 	coefs   []float64
@@ -88,16 +85,21 @@ type soloScratch struct {
 	scales  []float64
 }
 
-// soloMembers returns the jobs owning a layout's single-owner blocks, in
-// block order — the members both adapters key their rows by.
-func (e *ClusterEngine) soloMembers(layout []block) []cluster.Job {
-	members := make([]cluster.Job, 0, len(layout))
+// soloMembers takes a soloScratch from the engine's pool holding the jobs
+// that own a layout's single-owner blocks, in block order — the members
+// both adapters key their rows by. The caller puts it back when done.
+func (e *ClusterEngine) soloMembers(layout []block) *soloScratch {
+	sc, _ := e.members.Get().(*soloScratch)
+	if sc == nil {
+		sc = new(soloScratch)
+	}
+	sc.members = sc.members[:0]
 	for _, b := range layout {
 		if b.Key.B == cluster.NoPartner {
-			members = append(members, e.member(b.Key.A))
+			sc.members = append(sc.members, e.member(b.Key.A))
 		}
 	}
-	return members
+	return sc
 }
 
 // resize returns s with length n, on a new array of exactly that size when
@@ -126,9 +128,10 @@ func (ad soloAdapter) Layout(ids []int, layout []block) []block {
 	return layout
 }
 
-func (ad soloAdapter) BuildModel(layout []block) *lp.Model {
-	members := ad.soloMembers(layout)
-	return cluster.SoloModel(members, ad.sub, ad.denominator(members))
+func (ad soloAdapter) BuildModel(m *lp.Model, layout []block) {
+	sc := ad.soloMembers(layout)
+	defer ad.members.Put(sc)
+	cluster.SoloModel(m, sc.members, ad.sub, ad.denominator(sc.members))
 }
 
 // denominator returns the solo policy's rate-row denominator over members.
@@ -139,40 +142,14 @@ func (ad soloAdapter) denominator(members []cluster.Job) func(cluster.Job) float
 	return cluster.MaxMinDenominator(members, ad.sub)
 }
 
-// SpliceBlock inserts a member block (r variables, a time row, and a
-// structurally-complete rate row). Coefficient values — including the
-// member's column in the shared capacity rows — are left to RefreshModel,
-// which runs on every splice pass.
-func (ad soloAdapter) SpliceBlock(m *lp.Model, b block, varAt, rowAt int) {
-	r := ad.sub.NumTypes()
-	m.InsertVariables(varAt, r, 0, 0, 1)
-	vars := make([]int, r)
-	ones := make([]float64, r)
-	zeros := make([]float64, r+1)
-	for k := 0; k < r; k++ {
-		vars[k] = varAt + k
-		ones[k] = 1
-	}
-	m.InsertConstraint(rowAt, vars, ones, lp.LE, 1, "time")
-	tv := m.NumVariables() - 1 // the shared epigraph stays the last variable
-	m.InsertConstraint(rowAt+1, append(append([]int(nil), vars...), tv), zeros, lp.GE, 0, "rate")
-}
-
 // RefreshModel rewrites every data-dependent value against the current
 // members and capacities: each member's own rate row entry by entry,
 // the shared capacity rows through the bulk setter (one pass per row, not
 // per member).
 func (ad soloAdapter) RefreshModel(m *lp.Model, layout []block) {
-	sc, _ := ad.refresh.Get().(*soloScratch)
-	if sc == nil {
-		sc = new(soloScratch)
-	}
-	defer ad.refresh.Put(sc)
-	members := sc.members[:0]
-	for _, b := range layout {
-		members = append(members, ad.member(b.Key.A))
-	}
-	sc.members = members
+	sc := ad.soloMembers(layout)
+	defer ad.members.Put(sc)
+	members := sc.members
 	n := len(members)
 	r := ad.sub.NumTypes()
 	tv := n * r

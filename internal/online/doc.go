@@ -54,54 +54,54 @@
 //     rate rows live in its solo block, pair blocks carry no rows
 //     (cluster.SpaceSharingModel's layout).
 //
-// Each half builds a fresh model with the cluster builder, splices one
-// block's structure into a live model, rewrites every data-dependent value
-// with cluster.RateRow and cluster.SlotTerms (and t's bound with
-// cluster.CapEpigraph), and reads a solution back in member order. The rules that make splicing safe:
+// Each half builds a sub-problem's model with the cluster builder, into a
+// new model or one Reset for a rebuild, rewrites every data-dependent value
+// of a model that already holds its layout with cluster.RateRow and
+// cluster.SlotTerms (and t's bound with cluster.CapEpigraph), and reads a
+// solution back in member order. The sub-problem's LP is written once, by
+// the builder the batch policies use.
 //
-//   - a model lays out its blocks contiguously in layout order — block
-//     variables first, then the shared epigraph t; block rows first, then
-//     the shared GPU capacity rows. The shared region has a fixed shape (one
-//     capacity row per GPU type however many members there are), so it
-//     never moves;
-//   - a block's structure is a pure function of its key and shape: a
-//     surviving block is kept as it is, and anything that can change under
-//     an unchanged key is rewritten by the refresh after every splice pass;
-//   - a block's rows may reference other blocks' variables — a job's rate
-//     row spans every slot containing it — because the refresh rewrites all
-//     data-dependent coefficients and lp.Model setters no-op on unchanged
-//     values, keeping the delta class the solver sees exact;
-//   - layouts enumerate blocks so survivors keep their relative order as
-//     members arrive and depart (member order and canonical pair order do);
-//     a layout that cannot is rebuilt fresh, never answered wrong.
+// Per dirty sub-problem the engine picks a sync path. When the wanted
+// layout is the one the model holds (a load change, a capacity change), it
+// refreshes the model in place: the setters no-op on unchanged values, so
+// the delta class the solver sees stays exact, and a capacity-only round
+// rides the dual simplex from the previous basis. Otherwise — an arrival,
+// a departure, a rebalance move, or no model yet (the first round, or after
+// MarkAllDirty) — it rebuilds the model in place (lp.Model.Reset, then the
+// builder), with the basis carried by key: while the two layouts share at
+// least half their block keys, a block both hold with the same shape keeps
+// its variable and slack statuses, a new block enters with its variables at
+// the lower bound and its slacks basic, and the trailing shared region (the
+// epigraph t, one capacity row per GPU type) keeps its statuses position by
+// position. Below half, the rebuild starts cold, or from a restored basis.
+// The builder lays blocks out contiguously in layout order (block variables,
+// then t; block rows, then the capacity rows), so a block's statuses are a
+// run at an offset its layout gives. The carry needs no order check: member order and canonical pair order
+// only append or drop, so survivors keep their relative order, and the
+// carried statuses are exactly those that cutting departed blocks out of
+// the old model and inserting the new ones would leave. A re-solve
+// therefore pays pivots, not a cold start: coefficient, objective and
+// membership deltas take the primal warm path; the lp solver owns
+// correctness, falling back primal-warm then cold, so warm starts change
+// solve speed, never solve outcomes. An emptied sub-problem drops its model
+// and its allocation.
 //
-// Per dirty sub-problem the engine then picks a sync path: build fresh (no
-// model yet — the first round, or after MarkAllDirty — or block-key overlap
-// < 0.5), or splice departed blocks out / new blocks in — the stored basis
-// spliced in lockstep — and refresh the rest in place. A re-solve therefore
-// pays pivots, not construction: rhs/bound-only deltas (capacity jitter
-// under MinMakespan) ride the dual simplex from the previous basis;
-// coefficient and objective deltas take the primal warm path; the lp solver
-// owns correctness, falling back primal-warm then cold, so warm starts
-// change solve speed, never solve outcomes. An emptied sub-problem drops
-// its model and its allocation.
-//
-// The sync itself allocates nothing in steady state and keeps nothing per
-// sub-problem beyond the model and its block list. What it needs for the
-// length of one sub-solve — the wanted layout, its index by block key, the
-// position of every current block in it — is a syncScratch taken from a
-// pool on the engine and put back when the sub-solve returns; the solo
-// refresh pools its buffers (the members behind the layout, fetched from
-// the job table once per sub-solve, and the bulk setter's arguments) the
-// same way. Scratch is pooled rather than held per sub-problem for the
-// reason lp recycles solver workspaces instead of keeping one per model: it
-// is about 100 bytes per client, and an engine needs one per sub-solve in
-// flight, not one per sub-problem. Adjacent departing blocks are cut out of
-// the model in one RemoveConstraints/RemoveVariables pair (each walks the
-// whole matrix), and the solo half writes a sub-problem's rows over its
-// previous ones, re-indexing members only when they changed; Allocate
-// copies rows out and computes effective throughputs from the jobs it has
-// at hand, so nothing a caller holds is ever rewritten.
+// The sync allocates little in steady state and keeps nothing per
+// sub-problem beyond the model and its block list. A rebuild reuses the
+// model's rows and standardized form. What the sync needs for the length of
+// one sub-solve — the wanted layout, its index by block key, the position
+// of every current block in it, the carried statuses — is a syncScratch
+// taken from a pool on the engine and put back when the sub-solve returns;
+// the members behind a layout (fetched from the job table once per build,
+// refresh or extract) and the solo refresh's bulk setter arguments are
+// pooled the same way. Scratch is pooled rather than held per sub-problem
+// for the reason lp recycles solver workspaces instead of keeping one per
+// model: it is about 100 bytes per client, and an engine needs one per
+// sub-solve in flight, not one per sub-problem. The solo half writes a
+// sub-problem's rows over its previous ones, re-indexing members only when
+// they changed; Allocate copies rows out and computes effective
+// throughputs from the jobs it has at hand, so nothing a caller holds is
+// ever rewritten.
 //
 // # Warm-hostile refreshes
 //

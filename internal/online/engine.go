@@ -19,7 +19,7 @@ type Options struct {
 	K int
 	// Obs, when non-nil, receives engine telemetry: an "online.round" span
 	// per solve round, per-sub-problem "online.subsolve" spans (with
-	// rebuild/splice/refresh/extract phase children) on trace lanes
+	// rebuild/refresh/extract phase children) on trace lanes
 	// TID+1+p, and round-level counters/histograms. The observer is also
 	// threaded into each sub-problem's LP solve. Nil — the default — costs
 	// one pointer check per round.
@@ -72,7 +72,7 @@ type Stats struct {
 // only the dirtied models — through the dual simplex when only capacities
 // moved, warm-started otherwise. The SpaceSharing policy runs the
 // pair-variable LP online: each partition's model holds a slot block per
-// solo job plus one per single-GPU job pair, spliced as membership churns.
+// solo job plus one per single-GPU job pair, rebuilt as membership churns.
 // Not safe for concurrent use.
 type ClusterEngine struct {
 	opts   Options
@@ -90,10 +90,10 @@ type ClusterEngine struct {
 	// restored engine's first round attempts warm starts instead of solving
 	// cold. A seed whose dimensions no longer fit is dropped by the solver.
 	seeds []*lp.Basis
-	// scratch recycles syncScratch values and refresh soloScratch values
+	// scratch recycles syncScratch values and members soloScratch values
 	// between sub-solves: one per concurrent sub-solve, not one per
 	// partition.
-	scratch, refresh sync.Pool
+	scratch, members sync.Pool
 }
 
 // sub is the engine's whole state for one sub-problem: its members, their
@@ -121,16 +121,20 @@ type sub struct {
 
 // syncScratch is what bringing one sub-problem's model in line with its
 // layout needs and nothing keeps afterwards: the wanted layout, its index by
-// key, and where each current block sits in it. One is taken from the
-// engine's pool per sub-solve, so an engine holds as many as it solves
-// sub-problems at once rather than one per sub-problem (a sub-problem's
-// worth is about 100 bytes per client).
+// key, where each current block sits in it, and the basis carried across a
+// rebuild. One is taken from the engine's pool per sub-solve, so an engine
+// holds as many as it solves sub-problems at once rather than one per
+// sub-problem (a sub-problem's worth is about 100 bytes per client).
 type syncScratch struct {
 	want    []block
 	wantPos map[blockKey]int
-	// wantAt[i] is the position of the model's block i in want, or -1 once
-	// the block is known to leave; filled by overlap, read by splice.
+	// wantAt[i] is the position of the model's block i in want, or -1 when
+	// the block leaves; filled by overlap, read by carry.
 	wantAt []int32
+	// at[q] is the first variable and the first row of want's block q in
+	// the rebuilt model; carry fills it and the two status arrays.
+	at           [][2]int
+	varSt, rowSt []lp.BasisStatus
 }
 
 // NewClusterEngine creates an engine for cluster c running the given policy
@@ -431,11 +435,13 @@ func (e *ClusterEngine) solveDirty() error {
 // the solution into the sub-problem's result. The sync path is chosen once
 // per round:
 //
-//   - no model yet (the first round, or after MarkAllDirty), or membership
-//     churned beyond recognition (block-key overlap < 0.5): build fresh;
-//   - otherwise splice departed blocks out and new blocks in, then refresh
-//     all data-dependent values. A splice that cannot preserve survivor
-//     order or shape falls back to a fresh build.
+//   - the layout is the one the model holds: refresh every data-dependent
+//     value in place, so a capacity-only round keeps the dual simplex;
+//   - otherwise (an arrival, a departure, a rebalance move, or no model
+//     yet) rebuild the model in place with the cluster builder. While the
+//     old and new layouts share at least half their block keys, the old
+//     basis is carried across by key; below that, or with no model, the
+//     rebuild starts cold.
 //
 // Whether the refreshed coefficients left the stale basis worth warm
 // repairing is not the engine's call: lp.Model prices a sample of the
@@ -470,12 +476,12 @@ func (e *ClusterEngine) subSolveObs(po *obs.Observer, p int) (subReport, error) 
 	}
 	defer e.scratch.Put(sc) // rebuilt from scratch by its next user, so safe to recycle on any exit
 	sc.want = e.ad.Layout(s.ids, sc.want[:0])
-	if s.model == nil || sc.overlap(s.blocks) < 0.5 || !e.spliceObs(po, s, sc) {
-		e.rebuildObs(po, s, p, sc.want)
-	} else {
+	if s.model != nil && slices.Equal(s.blocks, sc.want) {
 		rsp := po.Span("online.refresh")
 		e.ad.RefreshModel(s.model, s.blocks)
 		rsp.End()
+	} else {
+		e.rebuildObs(po, s, p, sc)
 	}
 	warmAttempted := s.model.HasBasis()
 	buildNs := time.Since(start).Nanoseconds()
@@ -524,98 +530,39 @@ func (s *sub) reindex() {
 	}
 }
 
-// rebuildObs builds sub-problem p's model fresh for layout want, seeding it
-// with the restored basis if one is waiting; spliceObs wraps splice. Each
-// opens its phase span.
-func (e *ClusterEngine) rebuildObs(po *obs.Observer, s *sub, p int, want []block) {
-	sp := po.Span("online.rebuild").Arg("blocks", len(want))
-	s.model = e.ad.BuildModel(want)
-	s.blocks = append(s.blocks[:0], want...) // want's array goes back to the scratch pool
-	if p < len(e.seeds) && e.seeds[p] != nil {
+// rebuildObs rebuilds sub-problem p's model in place for the layout sc.want
+// under an "online.rebuild" span. The warm start is the old basis carried
+// by block key when the layouts overlap by half or more, else the restored
+// basis if one is waiting, else none.
+func (e *ClusterEngine) rebuildObs(po *obs.Observer, s *sub, p int, sc *syncScratch) {
+	sp := po.Span("online.rebuild").Arg("blocks", len(sc.want))
+	var old *lp.Basis
+	if s.model == nil {
+		s.model = lp.NewModel(lp.Maximize)
+	} else {
+		if sc.overlap(s.blocks) >= 0.5 {
+			old = s.model.Basis()
+		}
+		s.model.Reset()
+	}
+	e.ad.BuildModel(s.model, sc.want)
+	switch {
+	case old != nil:
+		s.model.SetBasis(sc.carry(s.blocks, old, s.model.NumVariables(), s.model.NumConstraints()))
+	case p < len(e.seeds) && e.seeds[p] != nil:
 		s.model.SetBasis(e.seeds[p])
 		e.seeds[p] = nil
 	}
-	sp.End()
-}
-
-func (e *ClusterEngine) spliceObs(po *obs.Observer, s *sub, sc *syncScratch) bool {
-	sp := po.Span("online.splice")
-	ok := e.splice(s, sc)
-	sp.Arg("ok", ok).End()
-	return ok
-}
-
-// splice mutates s.model toward the layout sc.want, which sc.overlap has
-// just matched against s.blocks: blocks that vanished or whose shape changed
-// are removed back-to-front, missing blocks are inserted at their layout
-// positions, and surviving blocks keep their variables, rows, and basis
-// statuses. It reports false — the caller rebuilds — when the survivors'
-// relative order differs from want's.
-func (e *ClusterEngine) splice(s *sub, sc *syncScratch) bool {
-	want, wantAt := sc.want, sc.wantAt
-	// Classify survivors (must match the wanted block exactly) and verify
-	// their relative order before touching the model, so a doomed splice
-	// never half-mutates it.
-	last := -1
-	varEnd, rowEnd := 0, 0
-	for i, b := range s.blocks {
-		varEnd += b.Vars
-		rowEnd += b.Rows
-		wi := int(wantAt[i])
-		if wi < 0 || want[wi] != b {
-			wantAt[i] = -1 // vanished or reshaped: remove + resplice
-			continue
-		}
-		if wi <= last {
-			return false
-		}
-		last = wi
-	}
-	// Remove non-survivors back-to-front so earlier offsets stay valid, a run
-	// of adjacent ones in one cut (each cut walks the whole matrix).
-	for bi := len(s.blocks) - 1; bi >= 0; bi-- {
-		vars, rows := 0, 0
-		for ; bi >= 0 && wantAt[bi] < 0; bi-- {
-			vars += s.blocks[bi].Vars
-			rows += s.blocks[bi].Rows
-		}
-		varEnd -= vars
-		rowEnd -= rows
-		s.model.RemoveConstraints(rowEnd, rows)
-		s.model.RemoveVariables(varEnd, vars)
-		if bi >= 0 {
-			varEnd -= s.blocks[bi].Vars
-			rowEnd -= s.blocks[bi].Rows
-		}
-	}
-	kept := s.blocks[:0]
-	for i, b := range s.blocks {
-		if wantAt[i] >= 0 {
-			kept = append(kept, b)
-		}
-	}
-	// Walk want, inserting the blocks the survivors do not cover; the model
-	// then holds exactly want.
-	varAt, rowAt, ci := 0, 0, 0
-	for _, b := range want {
-		if ci < len(kept) && kept[ci].Key == b.Key {
-			ci++
-		} else {
-			e.ad.SpliceBlock(s.model, b, varAt, rowAt)
-		}
-		varAt += b.Vars
-		rowAt += b.Rows
-	}
-	s.blocks = append(kept[:0], want...)
-	return true
+	s.blocks = append(s.blocks[:0], sc.want...) // want's array goes back to the scratch pool
+	sp.Arg("carried", old != nil).End()
 }
 
 // overlap is the fraction of the larger layout whose block keys the current
 // layout cur and the wanted one share — the churn heuristic behind the
-// rebuild-vs-splice decision. For one-block-per-client layouts it equals the
+// carry-or-cold decision. For one-block-per-client layouts it equals the
 // member overlap; pair layouts churn faster (one departure takes all its pair
-// blocks along), which correctly biases them toward rebuilding. It leaves
-// every current block's position in want in sc.wantAt for splice.
+// blocks along), which correctly biases them toward cold rebuilds. It leaves
+// every current block's position in want in sc.wantAt for carry.
 func (sc *syncScratch) overlap(cur []block) float64 {
 	if len(cur) == 0 || len(sc.want) == 0 {
 		return 0
@@ -636,6 +583,53 @@ func (sc *syncScratch) overlap(cur []block) float64 {
 		sc.wantAt = append(sc.wantAt, int32(wi))
 	}
 	return float64(shared) / float64(max(len(cur), len(sc.want)))
+}
+
+// carry maps old, the basis of a model laid out as cur, onto the model just
+// built for sc.want with nv variables and nr rows: a block both layouts hold
+// with the same shape keeps its variable and slack statuses, a new or
+// reshaped block enters with its variables at the lower bound and its
+// slacks basic, and the trailing shared region (t, the capacity rows) keeps
+// its statuses position by position. Survivors keep their relative order
+// (member order and canonical pair order only append or drop), so these are
+// the statuses cutting the departed blocks out of the old model and
+// inserting the new ones would leave. The result's arrays are sc's;
+// SetBasis copies them.
+func (sc *syncScratch) carry(cur []block, old *lp.Basis, nv, nr int) *lp.Basis {
+	sc.at = sc.at[:0]
+	v, r := 0, 0
+	for _, b := range sc.want {
+		sc.at = append(sc.at, [2]int{v, r})
+		v, r = v+b.Vars, r+b.Rows
+	}
+	sc.varSt, sc.rowSt = resize(sc.varSt, nv), resize(sc.rowSt, nr)
+	vs, rs := sc.varSt, sc.rowSt
+	for i := range vs[:v] {
+		vs[i] = lp.BasisLower
+	}
+	for i := range rs[:r] {
+		rs[i] = lp.BasisBasic
+	}
+	ov, or := 0, 0
+	for i, b := range cur {
+		if wi := sc.wantAt[i]; wi >= 0 && sc.want[wi] == b {
+			at := sc.at[wi]
+			copy(vs[at[0]:at[0]+b.Vars], old.VarStatus[ov:])
+			copy(rs[at[1]:at[1]+b.Rows], old.SlackStatus[or:])
+		}
+		ov, or = ov+b.Vars, or+b.Rows
+	}
+	trailing(vs[v:], old.VarStatus[ov:], lp.BasisLower)
+	trailing(rs[r:], old.SlackStatus[or:], lp.BasisBasic)
+	return &lp.Basis{VarStatus: vs, SlackStatus: rs}
+}
+
+// trailing copies the shared region's statuses src into dst position by
+// position; entries src does not reach (the region grew) take def.
+func trailing(dst, src []lp.BasisStatus, def lp.BasisStatus) {
+	for i := copy(dst, src); i < len(dst); i++ {
+		dst[i] = def
+	}
 }
 
 // Allocate re-solves the dirty sub-problems over the engine's own client set —

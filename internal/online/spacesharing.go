@@ -12,14 +12,14 @@ import (
 //
 // Block layout: one block per cluster.Slots slot of the members — a solo
 // slot block per member (in member order), then a shared slot block per
-// pair of single-GPU members (canonical i<j member order, which stays
-// splice-able under arrivals and departures because the engine appends
-// members). Every block holds the slot's r time-fraction variables; a
-// member's time and rate rows live in its solo block, pair blocks carry no
-// rows — cluster.SpaceSharingModel's layout. A member's rows reference
-// variables across many blocks, so splicing a pair block in fills
-// coefficients into rows it does not own — RefreshModel rewrites them all,
-// and the model's setters keep unchanged entries untouched.
+// pair of single-GPU members (canonical i<j member order, in which
+// survivors keep their relative order under arrivals and departures
+// because the engine appends members). Every block holds the slot's r
+// time-fraction variables; a member's time and rate rows live in its solo
+// block, pair blocks carry no rows — cluster.SpaceSharingModel's layout. A
+// member's rows reference variables across many blocks, so a membership
+// change rebuilds the model; RefreshModel rewrites the rest, and the
+// model's setters keep unchanged entries untouched.
 type pairAdapter struct {
 	*ClusterEngine
 }
@@ -40,27 +40,17 @@ func (ad pairAdapter) Layout(ids []int, layout []block) []block {
 	return layout
 }
 
-func (ad pairAdapter) BuildModel(layout []block) *lp.Model {
-	m, _ := cluster.SpaceSharingModel(ad.soloMembers(layout), ad.sub)
-	return m
-}
-
-// SpliceBlock inserts a slot block's variables; a solo block also brings the
-// member's (initially empty) time and rate rows. All coefficients —
-// including the new slot's entries in other members' rows and in the shared
-// capacity rows — are left to RefreshModel's fill-ins.
-func (ad pairAdapter) SpliceBlock(m *lp.Model, b block, varAt, rowAt int) {
-	r := ad.sub.NumTypes()
-	m.InsertVariables(varAt, r, 0, 0, 1)
-	if b.Key.B == cluster.NoPartner {
-		m.InsertConstraint(rowAt, nil, nil, lp.LE, 1, "time")
-		m.InsertConstraint(rowAt+1, nil, nil, lp.GE, 0, "rate")
-	}
+func (ad pairAdapter) BuildModel(m *lp.Model, layout []block) {
+	sc := ad.soloMembers(layout)
+	defer ad.members.Put(sc)
+	cluster.SpaceSharingModel(m, sc.members, ad.sub)
 }
 
 func (ad pairAdapter) RefreshModel(m *lp.Model, layout []block) {
 	r := ad.sub.NumTypes()
-	members := ad.soloMembers(layout)
+	sc := ad.soloMembers(layout)
+	defer ad.members.Put(sc)
+	members := sc.members
 	n := len(members)
 	tv := len(layout) * r
 	vars, thr, load := cluster.SlotTerms(members, slotsOf(layout), r)
@@ -112,6 +102,8 @@ func (ad pairAdapter) Extract(s *sub, sol *lp.Solution) {
 		alloc.PairX[q] = make([]float64, r)
 		copy(alloc.PairX[q], sol.X[q*r:(q+1)*r])
 	}
-	cluster.FillPairEffThr(ad.soloMembers(s.blocks), alloc)
+	sc := ad.soloMembers(s.blocks)
+	cluster.FillPairEffThr(sc.members, alloc)
+	ad.members.Put(sc)
 	s.alloc = alloc
 }

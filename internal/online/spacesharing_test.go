@@ -58,7 +58,7 @@ func TestSpaceSharingEngineMatchesColdFullSolve(t *testing.T) {
 		totalWarmHits += warm.Stats().WarmHits
 	}
 	if totalWarmHits == 0 {
-		t.Fatal("space-sharing warm engine never actually warm-started; the pair-block splice path is dead")
+		t.Fatal("space-sharing warm engine never actually warm-started; the pair-block basis carry is dead")
 	}
 }
 
@@ -117,7 +117,7 @@ func TestSpaceSharingEngineFeasibleAndPaired(t *testing.T) {
 
 // TestSpaceSharingScaleFlipRelayouts: a job whose Scale changes between 1
 // and >1 gains/loses pair eligibility — the layout changes shape without any
-// arrival or departure, exercising the mid-layout block splice.
+// arrival or departure, exercising a rebuild whose layout changes mid-way.
 func TestSpaceSharingScaleFlipRelayouts(t *testing.T) {
 	c := cluster.NewCluster(6, 6, 6)
 	warm, err := NewClusterEngine(c, SpaceSharing, Options{K: 1})

@@ -171,6 +171,12 @@
 // full. A worker restarted from its -state-file resumes at its saved round
 // with warm engine state and needs no rebuild at all.
 //
+// A pool of another width: a worker answers 409 to a delta round whose pool
+// has another number of GPU types than the clients it holds, which an
+// engine would index past, and the coordinator's full resend relists every
+// client at the new width. popserver keeps the width across PUT
+// /v1/cluster, so only another coordinator sends such a round.
+//
 // The inverse failure — a coordinator restarted with an empty registry
 // facing warm workers — is caught by job-count accounting: a worker
 // reporting more jobs than the registry says it owns is flagged, and its

@@ -352,6 +352,72 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesWidthChange: a delta round over a pool whose width
+// differs from the held clients' — here width-3 clients, then a 2- or a
+// 4-type pool — is answered 409, so the coordinator resends it full, and
+// leaves the worker as it was; solving it would index past the clients'
+// rows or serve an allocation over types they do not have. The full round
+// at the new width relists the clients and serves.
+func TestWorkerRefusesWidthChange(t *testing.T) {
+	job := func(id int, thr ...float64) cluster.Job {
+		return cluster.Job{ID: id, Throughput: thr, Weight: 1, Scale: 1, NumSteps: 10, Priority: 1}
+	}
+	held := []cluster.Job{job(1, 1, 2, 3), job(2, 3, 2, 1)}
+	for _, policy := range []string{"price", "maxmin", "spacesharing"} {
+		for _, width := range []int{2, 4} {
+			t.Run(policy+"/width="+strconv.Itoa(width), func(t *testing.T) {
+				b, err := NewEngine(testCluster(), EngineConfig{Policy: policy, K: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := NewWorker(b, WorkerOptions{})
+				h := w.Handler()
+				post := func(body []byte) *httptest.ResponseRecorder {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(body)))
+					return rec
+				}
+				if rec := post(mustRequest(t, 1, 0, testCluster(), held, nil).frame); rec.Code != http.StatusOK {
+					t.Fatalf("round 1: status %d (%s)", rec.Code, rec.Body)
+				}
+				pool := cluster.Cluster{NumGPUs: slices.Repeat([]float64{12}, width)}
+				relisted := make([]cluster.Job, len(held))
+				for i, j := range held {
+					j.Throughput = append(j.Throughput, 1)[:width]
+					relisted[i] = j
+				}
+				for name, body := range map[string][]byte{
+					"empty delta":       mustRequest(t, 2, 1, pool, nil, nil).frame,
+					"delta with a join": mustRequest(t, 2, 1, pool, []cluster.Job{relisted[0], job(3, relisted[1].Throughput...)}, nil).frame,
+				} {
+					if rec := post(body); rec.Code != http.StatusConflict {
+						t.Fatalf("%s at width %d over width-3 clients: status %d, want 409", name, width, rec.Code)
+					}
+					if w.LastRound() != 1 || b.Engine.NumJobs() != 2 {
+						t.Fatalf("%s: a refused round left the worker at round %d holding %d clients", name, w.LastRound(), b.Engine.NumJobs())
+					}
+				}
+				rec := post(relabel(mustRequest(t, 2, 1, pool, relisted, nil), func(h *RoundRequest) { h.Full = true }))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("full round at width %d: status %d (%s)", width, rec.Code, rec.Body)
+				}
+				resp, err := decodeFrame(rec.Header().Get("Content-Type"), rec.Body.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := resp.accept(2, width)
+				if err != nil {
+					t.Fatalf("full round at width %d: %v", width, err)
+				}
+				checkAccepted(t, resp, g)
+				if resp.NumJobs != 2 || b.Engine.NumJobs() != 2 {
+					t.Fatalf("full round of 2 clients answered for %d; engine holds %d", resp.NumJobs, b.Engine.NumJobs())
+				}
+			})
+		}
+	}
+}
+
 // TestRequestFrameSize: a request of u upserts and d removes is its header
 // plus 8·(u·(6+width) + d) bytes — ids, throughputs and five attributes a
 // job, an id a remove — whatever the values, and the header does not grow
@@ -878,24 +944,23 @@ func fuzzRequest(f *testing.F, rebuild bool) {
 		if err == nil {
 			in, err = req.read()
 		}
-		// The held clients are of the request's width and were committed
-		// over its pool, as a previous round of the same coordinator leaves
-		// them.
+		// The worker holds clients of a fixed width, committed by a round
+		// over its own pool; a delta round of another width is refused with
+		// a 409, a full one relists them at its own.
 		pool := testCluster()
-		if err == nil {
-			pool = cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs}
-		}
 		b, engErr := NewEngine(pool, EngineConfig{Policy: "price"})
 		if engErr != nil {
 			t.Fatal(engErr)
 		}
-		if err == nil {
-			for _, id := range fuzzHeld {
-				b.Engine.Upsert(cluster.Job{ID: id, Throughput: slices.Repeat([]float64{1}, in.width), Weight: 1, Scale: 1, NumSteps: 10, Priority: 1})
-			}
-			b.Engine.Jobs()
+		held := make([]cluster.Job, len(fuzzHeld))
+		for i, id := range fuzzHeld {
+			held[i] = cluster.Job{ID: id, Throughput: slices.Repeat([]float64{1}, pool.NumTypes()), Weight: 1, Scale: 1, NumSteps: 10, Priority: 1}
 		}
-		h := NewWorker(b, WorkerOptions{}).Handler()
+		w := NewWorker(b, WorkerOptions{})
+		if _, err := w.round(mustRequest(t, 0, 0, pool, held, nil)); err != nil {
+			t.Fatalf("committing the held clients: %v", err)
+		}
+		h := w.Handler()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRound, bytes.NewReader(data)))
 

@@ -141,8 +141,8 @@ func BenchmarkShardRound(b *testing.B) {
 // objects per churned client for JSON decode, HTTP, and the solver's
 // scratch. The maxmin rows re-solve 16 persistent LP models per round; with
 // the standardized form rebuilt in place, the setters' stamp arrays and the
-// recycled solver workspace that is a few thousand objects (returned
-// solutions, spliced rows), where per-row maps and per-solve vectors made it
+// recycled solver workspace that is a couple of thousand objects (returned
+// solutions, carried bases), where per-row maps and per-solve vectors made it
 // 2.5 per client — the bound there is n/2. Both hold over either transport.
 //
 // The price rows also bound bytes: a round's rows are written once by the

@@ -43,6 +43,10 @@ type Worker struct {
 	// mu serializes rounds — the engine is single-threaded state.
 	mu        sync.Mutex
 	lastRound int
+	// width is the throughput width of the clients the engine holds (any
+	// while it holds none): the pool width of the last round applied, or
+	// of the restored state.
+	width int
 
 	// fileMu orders state-file writes: the background checkpoint holds it
 	// while writing, so SaveState's final write lands after — never under —
@@ -179,8 +183,12 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	// state); the coordinator must resend the round as a full one. Ahead
 	// (the coordinator wrote a previous round of ours off as straggling
 	// after we finished it) is fine: unacked batches are re-queued and
-	// idempotent, so applying this one is safe.
-	if !req.Full && req.PrevRound > w.lastRound {
+	// idempotent, so applying this one is safe. A pool of another width
+	// than the held clients' needs a full round too: only one relists every
+	// client, at the new width, and an engine solving clients of one width
+	// over a pool of another indexes past their rows.
+	reshaped := w.b.Engine.NumJobs() > 0 && b.width != w.width
+	if !req.Full && (req.PrevRound > w.lastRound || reshaped) {
 		w.opts.Obs.Counter("pop_shard_worker_out_of_sync_total", "rounds rejected pending a full round").Inc()
 		return nil, ErrOutOfSync
 	}
@@ -207,6 +215,7 @@ func (w *Worker) round(req *RoundRequest) (*RoundResponse, error) {
 	for k := range b.numRemoves() {
 		w.b.Engine.Remove(b.remove(k))
 	}
+	w.width = b.width
 	ph.End()
 
 	// The held-state round: the engine solves over the clients it already
@@ -344,6 +353,9 @@ func (w *Worker) restoreState() {
 		return
 	}
 	w.lastRound = round
+	if jobs := w.b.Engine.Jobs(); len(jobs) > 0 {
+		w.width = len(jobs[0].Throughput) // Restore checked every row against the pool
+	}
 	w.opts.Log.Info("state restored", "file", w.opts.StateFile,
 		"round", w.lastRound, "jobs", w.b.Engine.NumJobs())
 }

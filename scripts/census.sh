@@ -60,7 +60,9 @@ printf '%s\n' 'NAME KNAP' 'ROWS' ' N  COST' ' L  CAP' 'COLUMNS' \
 	'BOUNDS' ' UP BND  A  1' ' UP BND  B  1' ' UP BND  C  1' 'ENDATA' >"$out/knapsack.mps"
 run popsolve-milp "$out/bin/popsolve" "$out/knapsack.mps"
 
-# serve NAME PORT ARGS...: starts a popserver, submits jobs, runs $hook if
+# serve NAME PORT ARGS...: starts a popserver, submits jobs, removes one,
+# changes one GPU type's capacity (a round whose sub-problems keep their
+# members, so the LP engines refresh their models in place), runs $hook if
 # set, reads every allocation view, and stops it with SIGTERM so its
 # counters are written.
 serve() {
@@ -79,6 +81,8 @@ serve() {
 	done
 	sleep 0.5
 	curl -fsS -X DELETE "http://127.0.0.1:$port/v1/jobs/2" >/dev/null || true
+	sleep 0.3
+	curl -fsS -X PUT "http://127.0.0.1:$port/v1/cluster" -d '{"gpus":[5,4,4]}' >/dev/null || true
 	sleep 0.3
 	${hook:-}
 	for path in /v1/allocation /v1/allocation/3 /v1/stats /metrics; do
