@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"pop/internal/lp"
 )
@@ -19,11 +20,11 @@ func MaxMinDenominator(jobs []Job, c Cluster) func(Job) float64 {
 // job's remaining steps.
 func MakespanDenominator(j Job) float64 { return j.NumSteps }
 
-// RateRow writes a job's rate-row coefficients thr[k]/denom into coefs and
+// rateRow writes a job's rate-row coefficients thr[k]/denom into coefs and
 // returns t's coefficient, -1. A job whose denominator is ≤ 0 gets the
 // all-zero row — the vacuous 0 ≥ 0, which keeps the layout without
 // constraining t.
-func RateRow(thr []float64, denom float64, coefs []float64) float64 {
+func rateRow(thr []float64, denom float64, coefs []float64) float64 {
 	if denom <= 0 {
 		clear(coefs)
 		return 0
@@ -34,13 +35,13 @@ func RateRow(thr []float64, denom float64, coefs []float64) float64 {
 	return -1
 }
 
-// CapEpigraph sets the bounds of an epigraph model's t (variable tv):
+// capEpigraph sets the bounds of an epigraph model's t (variable tv):
 // free while some rate row constrains it, at most 0 when none does. With
 // every denominator ≤ 0 (no throughput, no scale, no steps left) t would be
 // unbounded and the LP with it; capped, the LP solves at t = 0 over the
 // same polytope. A model with a constraining job keeps its free t, so its
 // solve does not change.
-func CapEpigraph(m *lp.Model, tv int, constrained bool) {
+func capEpigraph(m *lp.Model, tv int, constrained bool) {
 	ub := lp.Inf
 	if !constrained {
 		ub = 0
@@ -59,18 +60,18 @@ func CapEpigraph(m *lp.Model, tv int, constrained bool) {
 // A_ji ≤ 1) is row 2j and its rate row (Σ_i T_ji/denom·A_ji − t ≥ 0, all
 // zeros when denom ≤ 0) row 2j+1; the r capacity rows (Σ_j z_j·A_ji ≤
 // NumGPUs_i) follow. t is capped at 0 when no rate row constrains it
-// (CapEpigraph).
+// (capEpigraph).
 func SoloModel(m *lp.Model, jobs []Job, c Cluster, denom func(Job) float64) {
 	r := c.NumTypes()
 	m.AddVariables(len(jobs)*r, 0, 0, 1)
 	tv := m.AddVariable(1, math.Inf(-1), lp.Inf, "t")
-	idxs := make([]int, r+1)
-	ones := make([]float64, r)
-	coefs := make([]float64, r+1)
+	sc := takeRows(r+1, 2*r+1+len(jobs))
+	defer rowsPool.Put(sc)
+	idxs := sc.idx
+	ones, coefs, load := sc.val[:r], sc.val[r:2*r+1], sc.val[2*r+1:]
 	for i := range ones {
 		ones[i] = 1
 	}
-	load := make([]float64, len(jobs))
 	constrained := false
 	for idx, j := range jobs {
 		for i := 0; i < r; i++ {
@@ -78,13 +79,13 @@ func SoloModel(m *lp.Model, jobs []Job, c Cluster, denom func(Job) float64) {
 		}
 		idxs[r] = tv
 		m.AddConstraint(idxs[:r], ones, lp.LE, 1, "time")
-		coefs[r] = RateRow(j.Throughput, denom(j), coefs[:r])
+		coefs[r] = rateRow(j.Throughput, denom(j), coefs[:r])
 		constrained = constrained || coefs[r] != 0
 		m.AddConstraint(idxs, coefs, lp.GE, 0, "rate")
 		load[idx] = j.Scale
 	}
 	addCapacityRows(m, c, load)
-	CapEpigraph(m, tv, constrained)
+	capEpigraph(m, tv, constrained)
 }
 
 // Slots enumerates the space-sharing LP's slots over jobs: a solo slot per
@@ -108,12 +109,12 @@ func Slots(jobs []Job) []Pair {
 	return slots
 }
 
-// SlotTerms gathers the space-sharing LP's data over slots: per job, the
+// slotTerms gathers the space-sharing LP's data over slots: per job, the
 // variable of every slot containing it on every GPU type (slot q on type i
 // is variable q·r+i, in slot order) and the job's throughput there — full
 // on its solo slot, interference-reduced on a shared one; per slot, the
 // GPUs it occupies: z_j solo, 1 shared.
-func SlotTerms(jobs []Job, slots []Pair, r int) (vars [][]int, thr [][]float64, load []float64) {
+func slotTerms(jobs []Job, slots []Pair, r int) (vars [][]int, thr [][]float64, load []float64) {
 	index := indexByID(jobs)
 	vars = make([][]int, len(jobs))
 	thr = make([][]float64, len(jobs))
@@ -151,25 +152,28 @@ func SlotTerms(jobs []Job, slots []Pair, r int) (vars [][]int, thr [][]float64, 
 func SpaceSharingModel(m *lp.Model, jobs []Job, c Cluster) []Pair {
 	r := c.NumTypes()
 	slots := Slots(jobs)
-	vars, thr, load := SlotTerms(jobs, slots, r)
+	vars, thr, load := slotTerms(jobs, slots, r)
 	m.AddVariables(len(slots)*r, 0, 0, 1)
 	tv := m.AddVariable(1, math.Inf(-1), lp.Inf, "t")
 	denom := MaxMinDenominator(jobs, c)
 	constrained := false
+	sc := rowsPool.Get().(*rows)
+	defer rowsPool.Put(sc)
 	for idx, j := range jobs {
 		nt := len(vars[idx])
-		ones := make([]float64, nt)
+		sc.idx = append(append(sc.idx[:0], vars[idx]...), tv)
+		sc.val = slices.Grow(sc.val[:0], 2*nt+1)[:2*nt+1]
+		ones, coefs := sc.val[:nt], sc.val[nt:]
 		for t := range ones {
 			ones[t] = 1
 		}
 		m.AddConstraint(vars[idx], ones, lp.LE, 1, "time")
-		coefs := make([]float64, nt+1)
-		coefs[nt] = RateRow(thr[idx], denom(j), coefs[:nt])
+		coefs[nt] = rateRow(thr[idx], denom(j), coefs[:nt])
 		constrained = constrained || coefs[nt] != 0
-		m.AddConstraint(append(slices.Clip(vars[idx]), tv), coefs, lp.GE, 0, "rate")
+		m.AddConstraint(sc.idx, coefs, lp.GE, 0, "rate")
 	}
 	addCapacityRows(m, c, load)
-	CapEpigraph(m, tv, constrained)
+	capEpigraph(m, tv, constrained)
 	return slots
 }
 
@@ -177,11 +181,33 @@ func SpaceSharingModel(m *lp.Model, jobs []Job, c Cluster) []Pair {
 // NumGPUs_i.
 func addCapacityRows(m *lp.Model, c Cluster, load []float64) {
 	r := c.NumTypes()
-	idxs := make([]int, len(load))
+	sc := takeRows(len(load), 0)
+	defer rowsPool.Put(sc)
+	idxs := sc.idx
 	for i := 0; i < r; i++ {
 		for q := range idxs {
 			idxs[q] = q*r + i
 		}
 		m.AddConstraint(idxs, load, lp.LE, c.NumGPUs[i], "gpus")
 	}
+}
+
+// rows is scratch for a builder's AddConstraint arguments, which the model
+// copies. Builders take it from rowsPool, so an engine that rebuilds its
+// models every round allocates no row buffers once warm.
+type rows struct {
+	idx []int
+	val []float64
+}
+
+var rowsPool = sync.Pool{New: func() any { return new(rows) }}
+
+// takeRows returns scratch from rowsPool with idx of length ni and val of
+// length nv, holding whatever they held before; the caller overwrites them
+// and puts the scratch back.
+func takeRows(ni, nv int) *rows {
+	sc := rowsPool.Get().(*rows)
+	sc.idx = slices.Grow(sc.idx[:0], ni)[:ni]
+	sc.val = slices.Grow(sc.val[:0], nv)[:nv]
+	return sc
 }

@@ -23,10 +23,10 @@ func TestSlotsOrder(t *testing.T) {
 // row, all zeros, so the layout does not depend on the data.
 func TestRateRowDegenerate(t *testing.T) {
 	coefs := []float64{7, 7, 7}
-	if tc := RateRow([]float64{1, 2, 4}, 0, coefs); tc != 0 || !slices.Equal(coefs, []float64{0, 0, 0}) {
+	if tc := rateRow([]float64{1, 2, 4}, 0, coefs); tc != 0 || !slices.Equal(coefs, []float64{0, 0, 0}) {
 		t.Fatalf("denominator 0: coefs %v, t %g", coefs, tc)
 	}
-	if tc := RateRow([]float64{1, 2, 4}, 2, coefs); tc != -1 || !slices.Equal(coefs, []float64{0.5, 1, 2}) {
+	if tc := rateRow([]float64{1, 2, 4}, 2, coefs); tc != -1 || !slices.Equal(coefs, []float64{0.5, 1, 2}) {
 		t.Fatalf("denominator 2: coefs %v, t %g", coefs, tc)
 	}
 	jobs := GenerateJobs(3, 1, 0)

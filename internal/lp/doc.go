@@ -189,19 +189,23 @@
 //     NewModelFromProblem to wrap an existing build).
 //  2. Solve. The standardized equality form is built on first solve and
 //     cached; the optimal basis is stored inside the model.
-//  3. Mutate in place: SetCoeff / SetRHS / SetBounds / SetObjectiveCoeff
-//     patch both the builder state and the cached standardized form
-//     directly (no re-standardize), and all setters no-op on unchanged
-//     values so the delta classification below stays exact. Structural
-//     edits mark the standardized form for a lazy rebuild. AddVariable and
-//     AddConstraint append, extending the stored basis (a new variable at
-//     its lower bound, a new row's slack basic). A layout change in the
-//     middle of the model is a rebuild: Reset empties the model but keeps
-//     its row storage and standardized form, the builder writes the new
-//     model into them, and SetBasis installs the old basis mapped to the
-//     new layout — the online engine carries each surviving block's
-//     statuses by block key — so survivors keep their warm information
-//     across membership changes.
+//  3. Change it. A round that changes values rebuilds the model in place:
+//     Reset empties it but keeps its row storage, its standardized form
+//     and its basis, and the builder writes the new model into them.
+//     AddVariable and AddConstraint compare each variable and row with the
+//     one at its position before Reset, so a rebuild of the same shape is
+//     classified as the value delta it carries — rhs/bound-only, or
+//     coefficient/objective with the count of changed rows — and the kept
+//     basis warm-starts it. A rebuild of another shape drops the kept
+//     basis unless SetBasis installs one mapped to the new layout (the
+//     online engine carries each surviving block's statuses by block key),
+//     so survivors keep their warm information across membership changes;
+//     a same-shape rebuild whose variables mean something else calls
+//     SetBasis or ForgetBasis, since only the caller can tell. SetBounds
+//     moves a variable's bounds in place (branch and bound's edit), and
+//     AddVariable and AddConstraint outside a rebuild append, extending the
+//     stored basis (a new variable at its lower bound, a new row's slack
+//     basic).
 //  4. Re-solve. The model classifies everything that happened since the
 //     last optimal basis and picks the cheapest start that is still sound
 //     (see the dual simplex section). Coefficient deltas first pass a
@@ -216,30 +220,27 @@
 //     the cold phase 1 it replaces (booked as
 //     pop_lp_warm_hostile_drops_total). Whatever path runs, the
 //     outcome equals a cold solve of a fresh build of the current state —
-//     the mutation-equivalence suite (model_test.go) holds mutate==rebuild
-//     to 1e-6 over randomized delta chains.
+//     the mutation-equivalence suite (model_test.go) holds re-solve ==
+//     fresh build to 1e-6 over randomized delta chains, and
+//     TestModelRebuildClassification pins which path each delta class takes.
 //
-// What a re-solve reuses, and what it rebuilds. A warm re-solve of a model
-// rebuilt after a membership change pivots a handful of times, so
-// everything else it does is kept proportional to that, not to the model:
+// What a re-solve reuses, and what it rebuilds. A warm re-solve of a
+// rebuilt model pivots a handful of times, so everything else it does is
+// kept proportional to that, not to the model:
 //
 //   - The builder rows. Reset keeps every row's coefficient storage, and
 //     AddConstraint copies a new row into the storage of the row Reset let
 //     go at its position, so a rebuild of a similar model allocates no rows
 //     (FuzzStandardize and TestModelBlockOpsMatchManualRebuild hold a
 //     rebuilt model equal to a fresh build of the same calls).
-//   - The standardized form. A structural edit (a rebuild, an append, a
-//     coefficient fill-in) still means a full re-standardize, but that is
+//   - The standardized form. A rebuild or an append means a full
+//     re-standardize (a bound change is patched in place), but that is
 //     two passes over the builder rows with a per-variable stamp array —
 //     no map — writing into the buffers of the form it replaces, which only
 //     grow. The result is bit for bit what a fresh build gives
 //     (FuzzStandardize holds it to the map-based routine it replaced, kept
 //     in standardize_ref_test.go, over dirty destination buffers, a Reset
 //     model's own included).
-//   - The setters' scratch. SetCoeffs keeps per-variable and per-pair
-//     arrays on the model; fill-ins are appended in argument order, so two
-//     identical edit sequences leave identical models (CopyProblem,
-//     WriteMPS bytes).
 //   - The solver's working memory. Every solve — Problem or Model, cold or
 //     warm, a branch-and-bound node or a served re-solve — takes one
 //     workspace (status, x, cost, basis, y/w/rhs, the reduced costs and
@@ -306,10 +307,12 @@
 //
 //   - Options.Dual is set alongside Options.WarmBasis. Model.Solve sets it
 //     automatically when the deltas since the stored basis are rhs/bound
-//     only; callers using Problem directly can set it by hand.
+//     only — SetBounds, or a same-shape rebuild that changed only
+//     right-hand sides and bounds; callers using Problem directly can set
+//     it by hand.
 //   - The snapshot fits exactly: the model's shape, exactly m basic
-//     columns (a count-repaired basis, or one carried across a rebuild,
-//     goes primal).
+//     columns (a count-repaired basis, or one SetBasis carried across a
+//     layout change, goes primal).
 //   - The implied basis matrix factorizes, and the installed statuses
 //     price dual feasible against the current objective.
 //

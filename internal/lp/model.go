@@ -3,16 +3,15 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Model is a persistent, mutable linear program: build it once with the
-// same builder API as Problem, solve it, then mutate coefficients, bounds
-// or right-hand sides in place, append variables and constraints, or Reset
-// it and build it again, and re-solve the delta. The model maintains its
-// standardized form incrementally (numeric edits patch the sparse matrix
-// directly; structural edits rebuild it lazily at the next solve, into the
-// buffers of the form it replaces), keeps the last optimal basis, and
-// classifies the deltas applied since that basis was taken:
+// Model is a persistent linear program: build it once with the same
+// builder API as Problem, solve it, then Reset it and build it again (or
+// append variables and constraints, or move bounds) and re-solve the delta.
+// The model keeps its standardized form, rebuilding it at the next solve
+// into the buffers of the form it replaces, keeps the last optimal basis,
+// and classifies the deltas applied since that basis was taken:
 //
 //   - rhs/bound-only deltas re-solve with the dual simplex from the stale
 //     basis (Options.Dual) — the basis is still dual feasible, so a few
@@ -22,14 +21,16 @@ import (
 //     installed by SetBasis) take the primal warm path too, and the
 //     solver's shape repair settles whatever the basis no longer fits.
 //
+// A rebuild after Reset classifies itself: it compares every variable and
+// row it writes with the one at that position before Reset (see Reset).
 // Every re-solve path falls back (primal warm, then cold) inside the
-// solver, so mutate-then-resolve always returns the same status and
-// objective as building the current state from scratch and solving cold —
-// only faster. A Model is not safe for concurrent use.
+// solver, so a re-solve always returns the same status and objective as
+// building the current state from scratch and solving cold — only faster.
+// A Model is not safe for concurrent use.
 type Model struct {
 	p        *Problem
 	std      *standardized
-	stdDirty bool // std no longer matches p structurally; rebuild at solve
+	stdDirty bool // std no longer matches p; rebuild at solve
 
 	basis *Basis // last optimal basis (model-owned copy), extended across appends
 	lastY []float64
@@ -38,29 +39,23 @@ type Model struct {
 	// warmHostile samples incoming coefficients against to decide whether
 	// the basis is still worth a warm repair.
 
-	// touchedRow flags the constraint rows with at least one matrix
-	// coefficient whose value actually changed since basis was stored, and
-	// touched counts them — warmHostile's churn-volume signal. Warm-repair
-	// cost tracks how many rows moved under the basic columns, so broad row
-	// churn marks the basis hostile regardless of reduced-cost signs. A
-	// structural edit shifts rows under the flags, but warmHostile only reads
-	// the count when none happened since the basis was stored.
-	touchedRow []bool
-	touched    int
+	// touched counts the rows rebuilds wrote with other coefficients since
+	// basis was stored — warmHostile's churn-volume signal. Warm-repair cost
+	// tracks how many rows moved under the basic columns, so broad row churn
+	// marks the basis hostile regardless of reduced-cost signs.
+	touched int
 
 	// Delta classes applied since basis was taken. rhs/bound edits need no
 	// flag: the dual path is eligible whenever neither of these is set.
 	sinceCoeff  bool // A or c values changed
 	sinceStruct bool // variables or constraints added/removed
 
-	// SetCoeffs scratch, reused across calls (a Model is single-threaded).
-	// scSlot is per variable and all zero between calls: 1 + the index of
-	// the last (idx, val) pair naming the variable. scFirst and scCur are per
-	// pair: the variable's first position in the row (-1 when absent) and
-	// its merged current coefficient.
-	scSlot  []int32
-	scFirst []int32
-	scCur   []float64
+	// A rebuild in progress, from Reset to SetBasis or the next solve:
+	// Reset left oldVars variables and oldRows rows in the storage for the
+	// rebuild to compare against. A basis held meanwhile is the one Reset
+	// kept, which the solve drops unless the rebuild came back in its shape.
+	rebuilding       bool
+	oldVars, oldRows int
 }
 
 // NewModel returns an empty mutable model with the given objective
@@ -104,16 +99,22 @@ func (m *Model) Value(x []float64) float64 { return m.p.Value(x) }
 // within tol.
 func (m *Model) CheckFeasible(x []float64, tol float64) error { return m.p.CheckFeasible(x, tol) }
 
-// HasBasis reports whether the model holds a basis from a previous optimal
-// solve to warm-start the next one.
-func (m *Model) HasBasis() bool { return m.basis != nil }
+// HasBasis reports whether the next solve starts from a stored basis: one
+// from a previous optimal solve, one SetBasis installed, or one Reset kept
+// for a rebuild that has come back in its shape.
+func (m *Model) HasBasis() bool { return m.basis != nil && (!m.rebuilding || m.fits()) }
+
+// fits reports whether the stored basis has the model's current shape.
+func (m *Model) fits() bool {
+	return len(m.basis.VarStatus) == m.p.NumVariables() && len(m.basis.SlackStatus) == m.p.NumConstraints()
+}
 
 // ForgetBasis discards the stored basis, forcing the next solve to start
 // cold. Benchmark baselines and churn-heavy callers (where a stale basis
 // loses to a fresh phase 1) use this; it never changes solve outcomes.
 func (m *Model) ForgetBasis() {
 	m.basis, m.lastY = nil, m.lastY[:0] // lastY keeps its array for the next solve
-	m.resetTouched()
+	m.touched = 0
 }
 
 // Basis returns a copy of the basis snapshot the next solve would
@@ -133,42 +134,66 @@ func (m *Model) Basis() *Basis { return m.basis.Clone() }
 // The delta classification is untouched: the dual simplex path stays
 // eligible only when no coefficient or structural edit happened since the
 // model last stored a basis, which is exactly the bound-tightening-only
-// regime of a branch-and-bound search. A snapshot that turns out not to fit
-// the current state is rejected inside the solver (dual → primal warm →
-// cold), so SetBasis never changes solve outcomes. The snapshot is cloned
-// on install: the model never retains the caller's pointer, so one
-// snapshot can be installed any number of times (branch and bound hands
-// the same parent snapshot to both children) and later caller-side
-// mutation of it cannot corrupt a solve.
+// regime of a branch-and-bound search. After Reset, SetBasis ends the
+// rebuild: the snapshot is taken for the rebuilt model, the rebuild counts
+// as a structural delta, and later additions append. A snapshot that turns
+// out not to fit the current state is rejected inside the solver (dual →
+// primal warm → cold), so SetBasis never changes solve outcomes. The
+// snapshot is cloned on install: the model never retains the caller's
+// pointer, so one snapshot can be installed any number of times (branch and
+// bound hands the same parent snapshot to both children) and later
+// caller-side mutation of it cannot corrupt a solve.
 func (m *Model) SetBasis(b *Basis) {
 	m.basis = b.Clone()
 	// The snapshot's shadow prices are unknown, so the hostile-refresh
 	// sampler stays quiet until the next optimal solve records a fresh set.
 	m.lastY = m.lastY[:0]
+	if m.rebuilding {
+		m.sinceStruct = true
+		m.rebuilding = false
+	}
 }
 
-// Reset empties the model for a rebuild: no variables, no constraints and
-// no basis, with the objective direction kept. The row storage and the
+// Reset empties the model for a rebuild: no variables and no constraints,
+// with the objective direction and the basis kept. The row storage and the
 // standardized form stay allocated, so building the next model in the same
-// Model reuses them instead of allocating its rows and matrix afresh. A
-// rebuild that wants a warm start installs a basis for its new shape with
-// SetBasis; the solve then takes the primal warm path, since a structural
-// edit happened since any basis was stored.
+// Model reuses them instead of allocating its rows and matrix afresh, and
+// the rebuild classifies itself against them: AddVariable and
+// AddConstraint compare each incoming variable and row with the one at its
+// position before Reset. A rebuild that comes back in the kept basis's
+// shape is a value delta on it — the dual simplex when only right-hand
+// sides and bounds moved, the primal warm path (behind the hostile-refresh
+// check) when coefficients, senses or objective coefficients did. A rebuild
+// of another shape starts cold. A caller that knows better — a new layout
+// whose old basis it can map, or one of the same shape whose variables mean
+// something else, which the model cannot see — ends the rebuild with
+// SetBasis (the primal warm path, as a structural delta) or ForgetBasis (a
+// cold start).
 func (m *Model) Reset() {
+	m.oldVars, m.oldRows = m.p.NumVariables(), m.p.NumConstraints()
 	m.p.reset()
-	m.structEdit()
-	m.ForgetBasis()
+	m.stdDirty = true
+	m.rebuilding = true
 }
 
 // AddVariable appends a variable with objective coefficient c and bounds
 // [lb, ub], returning its index.
 func (m *Model) AddVariable(c, lb, ub float64, name string) int {
-	v := m.p.AddVariable(c, lb, ub, name)
-	m.structEdit()
-	if m.basis != nil {
-		m.basis.VarStatus = append(m.basis.VarStatus, BasisLower)
+	j := m.p.NumVariables()
+	if m.rebuilding && j < m.oldVars {
+		// New bounds need no flag.
+		if m.p.obj[:j+1][j] != c {
+			m.sinceCoeff = true
+		}
+	} else {
+		m.sinceStruct = true
+		if m.basis != nil && !m.rebuilding {
+			m.basis.VarStatus = append(m.basis.VarStatus, BasisLower)
+		}
 	}
-	return v
+	m.p.AddVariable(c, lb, ub, name)
+	m.stdDirty = true
+	return j
 }
 
 // AddVariables appends n identical variables and returns the index of the
@@ -184,28 +209,22 @@ func (m *Model) AddVariables(n int, c, lb, ub float64) int {
 // AddConstraint appends the constraint Σ val[t]·x[idx[t]] sense rhs and
 // returns its row index.
 func (m *Model) AddConstraint(idx []int, val []float64, sense Sense, rhs float64, name string) int {
-	r := m.p.AddConstraint(idx, val, sense, rhs, name)
-	m.structEdit()
-	if m.basis != nil {
-		m.basis.SlackStatus = append(m.basis.SlackStatus, BasisBasic)
+	i := m.p.NumConstraints()
+	if m.rebuilding && i < m.oldRows {
+		// A new right-hand side needs no flag.
+		if old := m.p.rows[:i+1][i]; old.sense != sense || !slices.Equal(old.idx, idx) || !slices.Equal(old.val, val) {
+			m.sinceCoeff = true
+			m.touched++
+		}
+	} else {
+		m.sinceStruct = true
+		if m.basis != nil && !m.rebuilding {
+			m.basis.SlackStatus = append(m.basis.SlackStatus, BasisBasic)
+		}
 	}
-	return r
-}
-
-// SetObjectiveCoeff overwrites the objective coefficient of variable v.
-// A no-op when the value is unchanged.
-func (m *Model) SetObjectiveCoeff(v int, c float64) {
-	if m.p.obj[v] == c {
-		return
-	}
-	if math.IsNaN(c) || math.IsInf(c, 0) {
-		panic(fmt.Sprintf("lp: variable %d: non-finite objective coefficient %g", v, c))
-	}
-	m.p.obj[v] = c
-	if m.freshStd() {
-		m.std.c[v] = m.std.objSign * c
-	}
-	m.sinceCoeff = true
+	m.p.AddConstraint(idx, val, sense, rhs, name)
+	m.stdDirty = true
+	return i
 }
 
 // SetBounds overwrites the bounds of variable v. A no-op when unchanged.
@@ -214,229 +233,10 @@ func (m *Model) SetBounds(v int, lb, ub float64) {
 		return
 	}
 	m.p.SetBounds(v, lb, ub)
-	if m.freshStd() {
+	if m.std != nil && !m.stdDirty {
 		m.std.lb[v] = lb
 		m.std.ub[v] = ub
 	}
-}
-
-// SetRHS overwrites the right-hand side of constraint `row`. A no-op when
-// unchanged.
-func (m *Model) SetRHS(row int, rhs float64) {
-	if m.p.rows[row].rhs == rhs {
-		return
-	}
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		panic(fmt.Sprintf("lp: row %d: non-finite rhs %g", row, rhs))
-	}
-	m.p.rows[row].rhs = rhs
-	if m.freshStd() {
-		m.std.b[row] = rhs
-	}
-}
-
-// SetCoeff overwrites the coefficient of variable v in constraint `row`
-// (the merged total, if the row was built with duplicate indices). Setting
-// a coefficient the row does not yet store is a structural fill-in: the
-// standardized form is rebuilt at the next solve, but the basis — whose
-// shape is unchanged — still warm-starts it. A no-op when unchanged.
-func (m *Model) SetCoeff(row, v int, coef float64) {
-	if math.IsNaN(coef) || math.IsInf(coef, 0) {
-		panic(fmt.Sprintf("lp: row %d: non-finite coefficient %g for variable %d", row, coef, v))
-	}
-	if v < 0 || v >= m.p.NumVariables() {
-		panic(fmt.Sprintf("lp: row %d references unknown variable %d", row, v))
-	}
-	r := &m.p.rows[row]
-	first, cur := -1, 0.0
-	for t, id := range r.idx {
-		if id == v {
-			if first < 0 {
-				first = t
-			}
-			cur += r.val[t]
-		}
-	}
-	if first < 0 {
-		if coef == 0 {
-			return
-		}
-		r.idx = append(r.idx, v)
-		r.val = append(r.val, coef)
-		m.p.nnz++
-		m.stdDirty = true
-		m.sinceCoeff = true
-		m.touchRow(row)
-		return
-	}
-	if cur == coef {
-		return
-	}
-	r.val[first] = coef
-	for t := first + 1; t < len(r.idx); t++ {
-		if r.idx[t] == v {
-			r.val[t] = 0
-		}
-	}
-	if m.freshStd() {
-		m.std.setEntry(row, v, coef)
-	}
-	m.sinceCoeff = true
-	m.touchRow(row)
-}
-
-// SetCoeffs overwrites the coefficients of several variables in constraint
-// `row` in one pass over the row — semantically identical to calling
-// SetCoeff once per (idx[t], val[t]) pair, but O(row length + len(idx))
-// instead of a full row scan per entry, which keeps the engines' refresh of
-// shared rows (one entry per client) linear in the client count. Duplicate
-// indices in idx: the last pair wins.
-func (m *Model) SetCoeffs(row int, idx []int, val []float64) {
-	if len(idx) != len(val) {
-		panic(fmt.Sprintf("lp: SetCoeffs row %d: len(idx)=%d len(val)=%d", row, len(idx), len(val)))
-	}
-	// Small updates: the per-entry row scans beat the map machinery's
-	// constant; the one-pass path below is for rows wide enough that
-	// quadratic scanning would bite.
-	if len(idx) <= 32 {
-		for t, v := range idx {
-			m.SetCoeff(row, v, val[t])
-		}
-		return
-	}
-	nv := m.p.NumVariables()
-	for t, v := range idx {
-		if v < 0 || v >= nv {
-			panic(fmt.Sprintf("lp: row %d references unknown variable %d", row, v))
-		}
-		if math.IsNaN(val[t]) || math.IsInf(val[t], 0) {
-			panic(fmt.Sprintf("lp: row %d: non-finite coefficient %g for variable %d", row, val[t], v))
-		}
-	}
-	if len(m.scSlot) < nv {
-		m.scSlot = make([]int32, nv)
-	}
-	slot := m.scSlot
-	first, cur := sized(m.scFirst, len(idx)), sized(m.scCur, len(idx))
-	m.scFirst, m.scCur = first, cur
-	for t, v := range idx {
-		slot[v] = int32(t + 1) // a later pair for the same variable overwrites
-		first[t], cur[t] = -1, 0
-	}
-	r := &m.p.rows[row]
-	// Pass 1: merged current value and first position of every targeted
-	// variable present in the row.
-	for t, id := range r.idx {
-		k := int(slot[id]) - 1
-		if k < 0 {
-			continue
-		}
-		if first[k] < 0 {
-			first[k] = int32(t)
-		}
-		cur[k] += r.val[t]
-	}
-	// A refresh that changes nothing leaves the delta class alone, so the
-	// dual path stays eligible.
-	changed := false
-	for t, v := range idx {
-		if int(slot[v]) != t+1 {
-			continue // superseded by a later pair
-		}
-		if (first[t] >= 0 && cur[t] != val[t]) || (first[t] < 0 && val[t] != 0) {
-			changed = true
-			break
-		}
-	}
-	if changed {
-		fresh := m.freshStd()
-		// Pass 2: first occurrence carries the value, duplicate occurrences
-		// are zeroed, absent nonzeros append as fill-ins in idx order.
-		for t, id := range r.idx {
-			k := int(slot[id]) - 1
-			if k < 0 || cur[k] == val[k] {
-				continue
-			}
-			if t == int(first[k]) {
-				r.val[t] = val[k]
-			} else {
-				r.val[t] = 0
-			}
-		}
-		for t, v := range idx {
-			switch {
-			case int(slot[v]) != t+1:
-			case first[t] >= 0:
-				if cur[t] != val[t] && fresh {
-					m.std.setEntry(row, v, val[t])
-				}
-			case val[t] != 0:
-				r.idx = append(r.idx, v)
-				r.val = append(r.val, val[t])
-				m.p.nnz++
-				m.stdDirty = true
-			}
-		}
-		m.sinceCoeff = true
-		m.touchRow(row)
-	}
-	for _, v := range idx {
-		slot[v] = 0
-	}
-}
-
-// touchRow books a value-level coefficient change in a constraint row for
-// warmHostile's churn-volume signal. Only meaningful while a basis is
-// stored; the flags reset whenever a new basis is taken or forgotten.
-func (m *Model) touchRow(row int) {
-	if m.basis == nil {
-		return
-	}
-	if row >= len(m.touchedRow) {
-		m.touchedRow = append(m.touchedRow, make([]bool, m.p.NumConstraints()-len(m.touchedRow))...)
-	}
-	if !m.touchedRow[row] {
-		m.touchedRow[row] = true
-		m.touched++
-	}
-}
-
-func (m *Model) resetTouched() {
-	clear(m.touchedRow)
-	m.touched = 0
-}
-
-// structEdit books a structural change: the standardized form must be
-// rebuilt and the stored basis, though extended to the new shape, is no
-// longer dual-trustworthy.
-func (m *Model) structEdit() {
-	m.stdDirty = true
-	m.sinceStruct = true
-}
-
-// freshStd reports whether the cached standardized form is live and can be
-// patched in place.
-func (m *Model) freshStd() bool { return m.std != nil && !m.stdDirty }
-
-// setEntry overwrites the merged coefficient of (row, structural column v),
-// which is known to exist. Row indices are ascending within a column, so a
-// binary search lands on it.
-func (s *standardized) setEntry(row, v int, coef float64) {
-	lo, hi := int(s.colPtr[v]), int(s.colPtr[v+1])
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(s.rowInd[mid]) < row {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= int(s.colPtr[v+1]) || int(s.rowInd[lo]) != row {
-		// The builder row stores the entry but the CSC predates it — should
-		// be unreachable (fill-ins set stdDirty); rebuild defensively.
-		panic(fmt.Sprintf("lp: standardized form missing entry (%d, %d)", row, v))
-	}
-	s.values[lo] = coef
 }
 
 // Solve optimizes the model with default options.
@@ -451,6 +251,12 @@ func (m *Model) Solve() (*Solution, error) {
 // was taken, through the primal warm path otherwise. Outcomes are always
 // those of a cold solve of the current state.
 func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
+	if m.rebuilding {
+		if m.basis != nil && !m.fits() {
+			m.ForgetBasis()
+		}
+		m.rebuilding = false
+	}
 	if m.p.NumVariables() == 0 {
 		return nil, fmt.Errorf("lp: model has no variables")
 	}
@@ -491,7 +297,7 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 		m.lastY = append(m.lastY[:0], sol.Dual...)
 		m.sinceCoeff = false
 		m.sinceStruct = false
-		m.resetTouched()
+		m.touched = 0
 	} else if sol.Status != Optimal {
 		m.ForgetBasis()
 	}
@@ -502,15 +308,16 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 // basis was taken have made it warm-hostile: repairing the basis would cost
 // more pivots than the cold phase 1 it replaces. Two complementary signals:
 //
-//   - Churn volume: a quarter or more of the constraint rows had
-//     coefficients rewritten. The repair cost scales with how much of the
-//     matrix moved under the basic columns regardless of reduced-cost signs.
+//   - Churn volume: a quarter or more of the constraint rows came back from
+//     rebuilds with other coefficients. The repair cost scales with how
+//     much of the matrix moved under the basic columns regardless of
+//     reduced-cost signs.
 //   - Optimality rotation: a strided sample of nonbasic structural columns
 //     priced against the previous solve's shadow prices — d_j = c_j − yᵀa_j,
-//     all in the current (already-patched) standardized form — shows a
-//     majority of per-status dual violations: the "every denominator rotated
-//     at once" signature of a global input shift, even when few entries
-//     changed (e.g. an objective-only rotation). A handful flipping is an
+//     in the current standardized form — shows a majority of per-status
+//     dual violations: the "every denominator rotated at once" signature of
+//     a global input shift, even when few entries changed (e.g. an
+//     objective-only rotation). A handful flipping is an
 //     ordinary local delta the warm repair absorbs in a few pivots.
 //
 // The sampler replaces the per-adapter fingerprint heuristics the online
@@ -519,7 +326,7 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 // a basis never changes solve outcomes, only which start the solver tries
 // first, so false negatives and positives cost time, not correctness.
 func (m *Model) warmHostile() bool {
-	if !m.sinceCoeff || m.sinceStruct || m.stdDirty {
+	if !m.sinceCoeff || m.sinceStruct {
 		// Only value-level coefficient deltas qualify: structural edits
 		// already route to shape repair, and rhs/bound deltas never move
 		// reduced costs.

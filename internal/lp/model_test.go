@@ -9,20 +9,24 @@ import (
 
 	"pop/internal/lp"
 	"pop/internal/lp/gen"
+	"pop/internal/obs"
 )
 
-// mutateRound applies one round of random in-place deltas to the model.
-// kind selects the delta class: 0 rhs-only, 1 bounds-only, 2 objective,
-// 3 coefficients (with occasional fill-in), 4 structural: a rebuild after
-// Reset without one row and one variable, or appends alone.
+// mutateRound applies one round of random deltas to the model. kind
+// selects the delta class: 0 rhs-only, 2 objective and 3 coefficients (with
+// occasional fill-in), each a same-shape rebuild after Reset; 1 bounds-only,
+// in place; 4 structural: a rebuild after Reset without one row and one
+// variable, or appends alone.
 func mutateRound(rng *rand.Rand, m *lp.Model, kind int) {
 	nv, nr := m.NumVariables(), m.NumConstraints()
 	switch kind {
 	case 0:
-		for k := 0; k < 1+rng.Intn(4); k++ {
-			r := rng.Intn(nr)
-			m.SetRHS(r, m.RHS(r)*(0.7+0.6*rng.Float64()))
-		}
+		m.RebuildEdited(func(e *lp.Edit) {
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				r := rng.Intn(nr)
+				e.RHS(r, m.RHS(r)*(0.7+0.6*rng.Float64()))
+			}
+		})
 	case 1:
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			v := rng.Intn(nv)
@@ -36,16 +40,20 @@ func mutateRound(rng *rand.Rand, m *lp.Model, kind int) {
 			m.SetBounds(v, lb, ub)
 		}
 	case 2:
-		for k := 0; k < 1+rng.Intn(4); k++ {
-			m.SetObjectiveCoeff(rng.Intn(nv), rng.NormFloat64())
-		}
+		m.RebuildEdited(func(e *lp.Edit) {
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				e.Objective(rng.Intn(nv), rng.NormFloat64())
+			}
+		})
 	case 3:
-		for k := 0; k < 1+rng.Intn(6); k++ {
-			row, v := rng.Intn(nr), rng.Intn(nv)
-			// Mostly perturbations of whatever is there; occasionally an
-			// explicit fill-in or zero-out.
-			m.SetCoeff(row, v, rng.Float64()*2)
-		}
+		m.RebuildEdited(func(e *lp.Edit) {
+			for k := 0; k < 1+rng.Intn(6); k++ {
+				row, v := rng.Intn(nr), rng.Intn(nv)
+				// Mostly perturbations of whatever is there; occasionally an
+				// explicit fill-in or zero-out.
+				e.Coeff(row, v, rng.Float64()*2)
+			}
+		})
 	case 4:
 		if rng.Intn(2) == 0 && nv > 8 && nr > 4 {
 			m.RebuildWithout(rng.Intn(nr), rng.Intn(nv))
@@ -220,7 +228,6 @@ type builder interface {
 	AddVariable(c, lb, ub float64, name string) int
 	AddVariables(n int, c, lb, ub float64) int
 	AddConstraint(idx []int, val []float64, sense lp.Sense, rhs float64, name string) int
-	SetObjectiveCoeff(v int, c float64)
 	SetBounds(v int, lb, ub float64)
 }
 
@@ -229,10 +236,10 @@ type builder interface {
 func TestModelBuilderCompatible(t *testing.T) {
 	construct := func(b builder) {
 		x := b.AddVariable(3, 0, lp.Inf, "x")
-		y := b.AddVariables(2, 1, 0, 2)
-		b.AddConstraint([]int{x, y}, []float64{1, 1}, lp.LE, 4, "cap")
-		b.AddConstraint([]int{x, y + 1}, []float64{2, 1}, lp.LE, 6, "cap2")
-		b.SetObjectiveCoeff(y, 2)
+		y := b.AddVariable(2, 0, 2, "y")
+		z := b.AddVariables(2, 1, 0, 2)
+		b.AddConstraint([]int{x, y, z + 1}, []float64{1, 1, 1}, lp.LE, 4, "cap")
+		b.AddConstraint([]int{x, z}, []float64{2, 1}, lp.LE, 6, "cap2")
 		b.SetBounds(x, 0, 5)
 	}
 	p := lp.NewProblem(lp.Maximize)
@@ -268,11 +275,13 @@ func TestModelDualVsPrimalWarmAgreement(t *testing.T) {
 		}
 		mdl := lp.NewModelFromProblem(base)
 		nr := mdl.NumConstraints()
-		for k := 0; k < 5; k++ {
-			r := rng.Intn(nr)
-			f := 0.8 + 0.4*rng.Float64()
-			mdl.SetRHS(r, mdl.RHS(r)*f)
-		}
+		mdl.RebuildEdited(func(e *lp.Edit) {
+			for k := 0; k < 5; k++ {
+				r := rng.Intn(nr)
+				f := 0.8 + 0.4*rng.Float64()
+				e.RHS(r, mdl.RHS(r)*f)
+			}
+		})
 		pertP := mdl.CopyProblem()
 		dual, err := pertP.Clone().SolveWithOptions(lp.Options{WarmBasis: sol.Basis, Dual: true})
 		if err != nil {
@@ -289,135 +298,6 @@ func TestModelDualVsPrimalWarmAgreement(t *testing.T) {
 			if d := math.Abs(dual.Objective - primal.Objective); d > 1e-6*(1+math.Abs(primal.Objective)) {
 				t.Fatalf("trial %d: dual %.12g != primal warm %.12g", trial, dual.Objective, primal.Objective)
 			}
-		}
-	}
-}
-
-// TestModelSetCoeffsMatchesPerEntry: the bulk row setter must be
-// observationally identical to the per-entry loop — including merged
-// duplicates, fill-ins, and zero-outs — and classify dirt the same way.
-func TestModelSetCoeffsMatchesPerEntry(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	build := func() *lp.Model {
-		m := lp.NewModel(lp.Maximize)
-		m.AddVariables(6, 1, 0, 3)
-		// A row with a duplicate index (merged semantics) and a gap (var 4
-		// absent, so setting it is a fill-in).
-		m.AddConstraint([]int{0, 1, 2, 1, 5}, []float64{1, 2, 3, 4, 5}, lp.LE, 10, "r0")
-		m.AddConstraint([]int{0, 3}, []float64{1, 1}, lp.GE, 1, "r1")
-		return m
-	}
-	for trial := 0; trial < 30; trial++ {
-		idx := []int{0, 1, 2, 4, 5}
-		val := make([]float64, len(idx))
-		for t := range val {
-			switch rng.Intn(3) {
-			case 0:
-				val[t] = 0
-			default:
-				val[t] = rng.NormFloat64() * 3
-			}
-		}
-		bulk, loop := build(), build()
-		if _, err := bulk.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loop.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		bulk.SetCoeffs(0, idx, val)
-		for t2, v := range idx {
-			loop.SetCoeff(0, v, val[t2])
-		}
-		bs, err := bulk.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls, err := loop.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bs.Status != ls.Status || math.Abs(bs.Objective-ls.Objective) > 1e-9 {
-			t.Fatalf("trial %d: bulk %v %.12g != per-entry %v %.12g",
-				trial, bs.Status, bs.Objective, ls.Status, ls.Objective)
-		}
-		ws, err := bulk.CopyProblem().Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bs.Status != ws.Status || (bs.Status == lp.Optimal && math.Abs(bs.Objective-ws.Objective) > 1e-9) {
-			t.Fatalf("trial %d: bulk %v %.12g != rebuild %v %.12g",
-				trial, bs.Status, bs.Objective, ws.Status, ws.Objective)
-		}
-	}
-	// Unchanged values must not dirty the model out of the dual path.
-	m := build()
-	if _, err := m.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	m.SetCoeffs(1, []int{0, 3}, []float64{1, 1})
-	m.SetRHS(1, 0.5)
-	sol, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.WarmStarted {
-		t.Fatal("no-op SetCoeffs plus rhs change should have stayed on the warm/dual path")
-	}
-
-	// Wide rows take the one-pass path (len > 32); it must agree with the
-	// per-entry loop there too, fill-ins and zero-outs included.
-	const wide = 48
-	buildWide := func() *lp.Model {
-		m := lp.NewModel(lp.Minimize)
-		m.AddVariables(wide, 1, 0, 2)
-		idx := make([]int, 0, wide)
-		val := make([]float64, 0, wide)
-		for v := 0; v < wide; v += 2 { // gaps: odd vars are fill-ins later
-			idx = append(idx, v)
-			val = append(val, 1)
-		}
-		m.AddConstraint(idx, val, lp.GE, 5, "widerow")
-		return m
-	}
-	for trial := 0; trial < 10; trial++ {
-		idx := make([]int, wide)
-		val := make([]float64, wide)
-		for v := 0; v < wide; v++ {
-			idx[v] = v
-			val[v] = float64(rng.Intn(4)) // includes zero-outs
-		}
-		bulk, loop := buildWide(), buildWide()
-		if _, err := bulk.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loop.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		bulk.SetCoeffs(0, idx, val)
-		for t2, v := range idx {
-			loop.SetCoeff(0, v, val[t2])
-		}
-		bs, err := bulk.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls, err := loop.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := bulk.CopyProblem().Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bs.Status != ls.Status || bs.Status != ws.Status {
-			t.Fatalf("wide trial %d: statuses diverge: bulk %v per-entry %v rebuild %v",
-				trial, bs.Status, ls.Status, ws.Status)
-		}
-		if bs.Status == lp.Optimal &&
-			(math.Abs(bs.Objective-ls.Objective) > 1e-9 || math.Abs(bs.Objective-ws.Objective) > 1e-9) {
-			t.Fatalf("wide trial %d: objectives diverge: bulk %.12g per-entry %.12g rebuild %.12g",
-				trial, bs.Objective, ls.Objective, ws.Objective)
 		}
 	}
 }
@@ -501,4 +381,147 @@ func TestModelSetBasisSearchTreePattern(t *testing.T) {
 	if cold.WarmStarted {
 		t.Fatal("solve after SetBasis(nil) still warm-started")
 	}
+}
+
+// classLP is a 16-row LP over 12 variables (13 with extra) in a builder,
+// with knobs for each delta class a rebuild can carry: rhs scales the
+// right-hand sides of the even rows, ub every upper bound, obj is added to
+// variable 0's objective coefficient, coef scales the first entry of each
+// of the first coefRows rows, and extra adds a variable to every row.
+type classLP struct {
+	rhs, ub, obj, coef float64
+	coefRows           int
+	extra              bool
+}
+
+func (c classLP) build(b builder) {
+	n := 12
+	if c.extra {
+		n++
+	}
+	for j := 0; j < n; j++ {
+		obj := float64(1 + j%4)
+		if j == 0 {
+			obj += c.obj
+		}
+		b.AddVariable(obj, 0, c.ub*float64(2+j%3), "")
+	}
+	for i := 0; i < 16; i++ {
+		var idx []int
+		var val []float64
+		for j := 0; j < n; j++ {
+			if (i+j)%3 != 0 || j == 12 {
+				a := float64(1 + (7*i+3*j)%5)
+				if len(idx) == 0 && i < c.coefRows {
+					a *= c.coef
+				}
+				idx, val = append(idx, j), append(val, a)
+			}
+		}
+		rhs := float64(6 + i%5)
+		if i%2 == 0 {
+			rhs *= c.rhs
+		}
+		b.AddConstraint(idx, val, lp.LE, rhs, "")
+	}
+}
+
+// TestModelRebuildClassification: a model Reset and built again classifies
+// the rebuild against the basis Reset kept — the dual simplex for
+// rhs/bound-only deltas, the primal warm path for value deltas, a drop on
+// broad row churn, a cold start for another shape unless SetBasis installs
+// a basis for it — and every class solves as a fresh build does cold.
+func TestModelRebuildClassification(t *testing.T) {
+	base := classLP{rhs: 1, ub: 1, coef: 1}
+	with := func(f func(*classLP)) classLP { c := base; f(&c); return c }
+	cases := []struct {
+		name     string
+		next     classLP
+		after    func(m *lp.Model, prev *lp.Basis) // between the rebuild and the solve
+		hasBasis bool
+		check    func(sol *lp.Solution, drops int64) string
+	}{
+		{"identical", base, nil, true, func(sol *lp.Solution, _ int64) string {
+			if !sol.WarmStarted || sol.Iterations != 0 {
+				return "want a warm start with 0 pivots"
+			}
+			return ""
+		}},
+		{"rhs", with(func(c *classLP) { c.rhs = 0.5 }), nil, true, dualOnly},
+		{"bounds", with(func(c *classLP) { c.ub = 0.25 }), nil, true, dualOnly},
+		{"objective", with(func(c *classLP) { c.obj = 3 }), nil, true, primalWarm},
+		{"matrix", with(func(c *classLP) { c.coefRows, c.coef = 1, 4 }), nil, true, primalWarm},
+		{"broad-churn", with(func(c *classLP) { c.coefRows, c.coef = 8, 1.01 }), nil, true, func(sol *lp.Solution, drops int64) string {
+			if drops != 1 || sol.WarmStarted {
+				return "want the basis dropped as warm-hostile"
+			}
+			return ""
+		}},
+		{"other-shape", with(func(c *classLP) { c.extra = true }), nil, false, cold},
+		{"other-shape+SetBasis", with(func(c *classLP) { c.extra = true }), func(m *lp.Model, prev *lp.Basis) {
+			m.SetBasis(&lp.Basis{
+				VarStatus:   append(slices.Clone(prev.VarStatus), lp.BasisLower),
+				SlackStatus: prev.SlackStatus,
+			})
+		}, true, primalWarm},
+		{"ForgetBasis", base, func(m *lp.Model, _ *lp.Basis) { m.ForgetBasis() }, false, cold},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := lp.NewModel(lp.Maximize)
+			base.build(m)
+			o := &obs.Observer{Metrics: obs.NewRegistry()}
+			prev, err := m.SolveWithOptions(lp.Options{Obs: o})
+			if err != nil || prev.Status != lp.Optimal || prev.Iterations == 0 {
+				t.Fatalf("first solve: %v, %d pivots, %v", prev.Status, prev.Iterations, err)
+			}
+			m.Reset()
+			tc.next.build(m)
+			if tc.after != nil {
+				tc.after(m, prev.Basis)
+			}
+			if got := m.HasBasis(); got != tc.hasBasis {
+				t.Fatalf("HasBasis before the solve = %v, want %v", got, tc.hasBasis)
+			}
+			sol, err := m.SolveWithOptions(lp.Options{Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := lp.NewProblem(lp.Maximize)
+			tc.next.build(p)
+			want, err := p.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != want.Status || math.Abs(sol.Objective-want.Objective) > 1e-9 {
+				t.Fatalf("rebuild %v %.12g, fresh cold build %v %.12g", sol.Status, sol.Objective, want.Status, want.Objective)
+			}
+			t.Logf("warm %v, %d pivots (%d dual)", sol.WarmStarted, sol.Iterations, sol.DualPivots)
+			if msg := tc.check(sol, hostileDrops(o)); msg != "" {
+				t.Fatalf("%s: warm %v, %d pivots, %d dual, %d hostile drops", msg,
+					sol.WarmStarted, sol.Iterations, sol.DualPivots, hostileDrops(o))
+			}
+		})
+	}
+}
+
+func dualOnly(sol *lp.Solution, _ int64) string {
+	if !sol.WarmStarted || sol.DualPivots == 0 || sol.Iterations != sol.DualPivots {
+		return "want dual pivots only"
+	}
+	return ""
+}
+
+func primalWarm(sol *lp.Solution, drops int64) string {
+	if !sol.WarmStarted || sol.DualPivots != 0 || drops != 0 {
+		return "want the primal warm path"
+	}
+	return ""
+}
+
+func cold(sol *lp.Solution, _ int64) string {
+	if sol.WarmStarted {
+		return "want a cold start"
+	}
+	return ""
 }

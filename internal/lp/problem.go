@@ -334,7 +334,9 @@ type Options struct {
 	// fails the check), falls back to the primal warm path and then cold,
 	// so enabling Dual never changes the solve outcome. Ignored without
 	// WarmBasis. Model.Solve sets this automatically when only rhs/bounds
-	// changed since the basis was taken.
+	// changed since the basis was taken: by SetBounds, or by a rebuild after
+	// Reset that came back in the same shape with only right-hand sides and
+	// bounds changed.
 	Dual bool
 	// Obs, when non-nil, receives per-solve telemetry: phase spans
 	// (standardize, factor, refactor, phase1, phase2, dual — with its

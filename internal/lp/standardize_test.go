@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -107,8 +106,9 @@ func checkStandardize(p *Problem) error {
 // entries), a sense byte and (variable, value) byte pairs; value byte 0 is
 // an explicit zero, 1 is -0, the rest map to (b-128)/8. A rebuild reads a
 // second variable and row count and its rows the same way, then a bulk
-// rewrite (a row byte, a start byte and 40 value bytes). Missing bytes read
-// as zero, so a truncated input ends in empty rows.
+// rewrite (a row byte, a start byte and 40 value bytes) that a second
+// rebuild of the same shape applies. Missing bytes read as zero, so a
+// truncated input ends in empty rows.
 
 func fuzzValue(b byte) float64 {
 	switch b {
@@ -149,25 +149,30 @@ func fuzzBuild(m *Model, n, rows int, d *fuzzBytes) {
 	}
 }
 
-// fuzzRewrite applies one bulk coefficient rewrite read from d, fill-ins
-// included, the way the engines' refreshes rewrite shared rows.
-func fuzzRewrite(m *Model, d *fuzzBytes) {
+// fuzzRewrite reads one bulk coefficient rewrite from d, fill-ins
+// included, the way a sub-problem's shared rows change from round to round,
+// and applies it to e.
+func fuzzRewrite(e *Edit, d *fuzzBytes) {
 	row, at := int(d.next()), int(d.next())
 	idx, val := make([]int, 40), make([]float64, 40)
 	for t := range idx {
-		idx[t] = (at + 3*t) % m.NumVariables()
+		idx[t] = (at + 3*t) % len(e.p.obj)
 		val[t] = fuzzValue(d.next())
 	}
-	if m.NumConstraints() > 0 {
-		m.SetCoeffs(row%m.NumConstraints(), idx, val)
+	if len(e.p.rows) > 0 {
+		for t, v := range idx {
+			e.Coeff(row%len(e.p.rows), v, val[t])
+		}
 	}
 }
 
 // fuzzModel decodes data into a model. With flag 2 the model is
 // standardized, Reset and rebuilt at the second shape into the rows and the
 // form the first build left — the online engine's rebuild on a membership
-// change — and fresh is the same second build and rewrite into a new model,
-// which the rebuilt one must equal.
+// change — then rebuilt once more in that shape with the rewrite's values,
+// as on a round that keeps the layout. fresh is the same second build with
+// the rewrite applied, in a new problem, which the rebuilt model must
+// equal.
 func fuzzModel(data []byte) (m *Model, fresh *Problem) {
 	d := fuzzBytes(data)
 	n, rows, flags := 1+int(d.next())%80, int(d.next())%64, d.next()
@@ -185,9 +190,9 @@ func fuzzModel(data []byte) (m *Model, fresh *Problem) {
 	n, rows = 1+int(d.next())%80, int(d.next())%64
 	twin, rest := NewModel(obj), d
 	fuzzBuild(m, n, rows, &d)
-	fuzzRewrite(m, &d)
+	m.RebuildEdited(func(e *Edit) { fuzzRewrite(e, &d) })
 	fuzzBuild(twin, n, rows, &rest)
-	fuzzRewrite(twin, &rest)
+	fuzzRewrite(&Edit{twin.p}, &rest)
 	return m, twin.p
 }
 
@@ -229,7 +234,7 @@ func FuzzStandardize(f *testing.F) {
 		seed := make([]byte, 3+rng.Intn(300))
 		rng.Read(seed)
 		if i%2 == 0 {
-			seed[2] |= 2 // a Model Reset and rebuilt at another shape, then a bulk rewrite
+			seed[2] |= 2 // a Model Reset and rebuilt at another shape, then in it with a bulk rewrite
 		}
 		f.Add(seed)
 	}
@@ -262,160 +267,6 @@ func TestStandardizeMatchesReference(t *testing.T) {
 	} {
 		if err := checkStandardize(p); err != nil {
 			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-// wideRowModel is one constraint over `vars` variables that stores only
-// variable 0, so every other variable set in it is a fill-in.
-func wideRowModel(vars int) *Model {
-	m := NewModel(Minimize)
-	m.AddVariables(vars, 1, 0, 2)
-	m.AddConstraint([]int{0}, []float64{1}, GE, 1, "wide")
-	return m
-}
-
-// TestSetCoeffsFillInOrderDeterministic: two identical edit sequences must
-// leave identical models. SetCoeffs used to append fill-ins in Go map
-// iteration order, so rows[i].idx — and with it CopyProblem, WriteMPS and
-// the last bits of Value/CheckFeasible row sums — differed from run to run.
-func TestSetCoeffsFillInOrderDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx := rng.Perm(120)[:100]
-	val := make([]float64, len(idx))
-	for t := range val {
-		val[t] = 1 + rng.Float64()
-	}
-	build := func() *Problem {
-		m := wideRowModel(120)
-		m.SetCoeffs(0, idx, val)
-		return m.CopyProblem()
-	}
-	first := build()
-	var firstMPS bytes.Buffer
-	if err := first.WriteMPS(&firstMPS, "wide", nil); err != nil {
-		t.Fatal(err)
-	}
-	for rebuild := 1; rebuild <= 5; rebuild++ {
-		again := build()
-		if !reflect.DeepEqual(again, first) {
-			t.Fatalf("rebuild %d: row order %v, first build %v", rebuild, again.rows[0].idx[:8], first.rows[0].idx[:8])
-		}
-		var mps bytes.Buffer
-		if err := again.WriteMPS(&mps, "wide", nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mps.Bytes(), firstMPS.Bytes()) {
-			t.Fatalf("rebuild %d: MPS bytes differ", rebuild)
-		}
-	}
-	// Fill-ins land in idx order, after what the row already stored.
-	want := []int{0}
-	for _, v := range idx {
-		if v != 0 {
-			want = append(want, v)
-		}
-	}
-	if got := first.rows[0].idx; !reflect.DeepEqual(got, want) {
-		t.Fatalf("row order %v, want stored entries then idx order %v", got, want)
-	}
-}
-
-// mergedRow is row's coefficient per variable with duplicate entries summed.
-func mergedRow(p *Problem, row int) []float64 {
-	out := make([]float64, len(p.obj))
-	for t, v := range p.rows[row].idx {
-		out[v] += p.rows[row].val[t]
-	}
-	return out
-}
-
-// TestSetCoeffsMatchesRepeatedSetCoeff: the one-pass bulk setter and the
-// per-entry loop it stands for leave the same coefficients, the same
-// standardized form and the same delta classification — on tables either
-// side of the 32-entry fast-path boundary, with duplicate (variable, value)
-// pairs (the last one wins), fill-ins, zero-outs and no-ops.
-func TestSetCoeffsMatchesRepeatedSetCoeff(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const vars = 90
-	build := func() *Model {
-		m := NewModel(Maximize)
-		m.AddVariables(vars, 1, 0, 3)
-		idx, val := []int{}, []float64{}
-		for v := 0; v < vars; v += 2 { // odd variables are fill-ins later
-			idx, val = append(idx, v), append(val, float64(1+v%5))
-		}
-		idx, val = append(idx, 4, 10, 4), append(val, 0.5, -1, 0.25) // stored duplicates
-		m.AddConstraint(idx, val, LE, 40, "wide")
-		m.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 2, "other")
-		return m
-	}
-	for _, size := range []int{5, 31, 32, 33, 34, 60, 150} {
-		for trial := 0; trial < 8; trial++ {
-			idx, val := make([]int, size), make([]float64, size)
-			for t := range idx {
-				idx[t] = rng.Intn(vars)
-				if t > 0 && rng.Intn(6) == 0 {
-					idx[t] = idx[rng.Intn(t)] // duplicate pair: last wins
-				}
-				val[t] = float64(rng.Intn(4)) // zero-outs, no-ops against stored values
-			}
-			bulk, loop := build(), build()
-			for _, m := range []*Model{bulk, loop} {
-				if _, err := m.Solve(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			bulk.SetCoeffs(0, idx, val)
-			for t, v := range idx {
-				loop.SetCoeff(0, v, val[t])
-			}
-			tag := fmt.Sprintf("size %d trial %d", size, trial)
-			if got, want := mergedRow(bulk.p, 0), mergedRow(loop.p, 0); !sameBits(got, want) {
-				t.Fatalf("%s: merged row %v, per-entry %v", tag, got, want)
-			}
-			if bulk.sinceCoeff != loop.sinceCoeff || bulk.touched != loop.touched {
-				t.Fatalf("%s: sinceCoeff/touched = %v/%d, per-entry %v/%d", tag, bulk.sinceCoeff, bulk.touched, loop.sinceCoeff, loop.touched)
-			}
-			if !bulk.stdDirty {
-				// Value-only edits were patched into the live form in place.
-				if err := diffStandardized(bulk.std, bulk.p.standardizeRef()); err != nil {
-					t.Fatalf("%s: patched form: %v", tag, err)
-				}
-			}
-			for _, v := range bulk.scSlot {
-				if v != 0 {
-					t.Fatalf("%s: scSlot left dirty", tag)
-				}
-			}
-			bs, err := bulk.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ls, err := loop.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bs.Status != ls.Status || math.Abs(bs.Objective-ls.Objective) > 1e-9 {
-				t.Fatalf("%s: bulk %v %.12g, per-entry %v %.12g", tag, bs.Status, bs.Objective, ls.Status, ls.Objective)
-			}
-		}
-	}
-	// Without duplicate pairs the two leave the very same rows, entry for
-	// entry, across the boundary.
-	for _, size := range []int{32, 33, 80} {
-		idx, val := rng.Perm(vars)[:size], make([]float64, size)
-		for t := range val {
-			val[t] = float64(1 + rng.Intn(3))
-		}
-		bulk, loop := build(), build()
-		bulk.SetCoeffs(0, idx, val)
-		for t, v := range idx {
-			loop.SetCoeff(0, v, val[t])
-		}
-		if !reflect.DeepEqual(bulk.p, loop.p) {
-			t.Fatalf("size %d: bulk row %v %v, per-entry %v %v", size,
-				bulk.p.rows[0].idx, bulk.p.rows[0].val, loop.p.rows[0].idx, loop.p.rows[0].val)
 		}
 	}
 }

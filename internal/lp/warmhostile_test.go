@@ -57,7 +57,7 @@ func hostileDrops(o *obs.Observer) int64 {
 	return o.Counter("pop_lp_warm_hostile_drops_total", "").Value()
 }
 
-// TestWarmHostileDropsOnGlobalRotation: a coefficient refresh that rotates
+// TestWarmHostileDropsOnGlobalRotation: a same-shape rebuild that rotates
 // the whole optimality picture — here every objective coefficient replaced
 // at once, the shape of an equal-share denominator shift in the online
 // engines — must trip the model's hostile-refresh sampler: the stale basis
@@ -65,9 +65,11 @@ func hostileDrops(o *obs.Observer) int64 {
 // a fresh build solved cold.
 func TestWarmHostileDropsOnGlobalRotation(t *testing.T) {
 	m, o := hostileFixture(t, 61)
-	for j := 0; j < m.NumVariables(); j++ {
-		m.SetObjectiveCoeff(j, 1000*float64(j+1))
-	}
+	m.RebuildEdited(func(e *lp.Edit) {
+		for j := 0; j < m.NumVariables(); j++ {
+			e.Objective(j, 1000*float64(j+1))
+		}
+	})
 	sol, err := m.SolveWithOptions(lp.Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +97,7 @@ func TestWarmHostileDropsOnGlobalRotation(t *testing.T) {
 // warm start goes through.
 func TestWarmHostileKeepsLocalDeltas(t *testing.T) {
 	m, o := hostileFixture(t, 67)
-	m.SetObjectiveCoeff(3, 0.25)
+	m.RebuildEdited(func(e *lp.Edit) { e.Objective(3, 0.25) })
 	sol, err := m.SolveWithOptions(lp.Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +115,7 @@ func TestWarmHostileKeepsLocalDeltas(t *testing.T) {
 // drop the basis even when the edits are too small to flip reduced-cost
 // signs (the shape of broad per-member throughput churn in the pair
 // layout). The fixture builds rows with known entries so every edit hits a
-// stored coefficient — a fill-in would dirty the standardized form and
-// route around the hostility check entirely.
+// stored coefficient.
 func TestWarmHostileDropsOnBroadRowChurn(t *testing.T) {
 	m := lp.NewModel(lp.Maximize)
 	n, rows := 40, 24
@@ -134,9 +135,11 @@ func TestWarmHostileDropsOnBroadRowChurn(t *testing.T) {
 	// Nudge one stored entry in half the rows: 12 touched of 24 clears both
 	// the >=8 floor and the quarter-of-rows bar, while the 1% perturbation
 	// leaves the reduced-cost sample quiet.
-	for i := 0; i < 12; i++ {
-		m.SetCoeff(i, i%n, 1.01)
-	}
+	m.RebuildEdited(func(e *lp.Edit) {
+		for i := 0; i < 12; i++ {
+			e.Coeff(i, i%n, 1.01)
+		}
+	})
 	sol, err = m.SolveWithOptions(lp.Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +163,7 @@ func TestWarmHostileDropsOnBroadRowChurn(t *testing.T) {
 }
 
 // TestWarmHostileNeverChangesOutcomes: over randomized mutate-and-resolve
-// chains mixing local and global coefficient refreshes, the sampler's
+// chains mixing local and global coefficient rebuilds, the sampler's
 // keep-or-drop decisions must be invisible in outcomes — every re-solve
 // matches the fresh-build cold solve.
 func TestWarmHostileNeverChangesOutcomes(t *testing.T) {
@@ -168,14 +171,16 @@ func TestWarmHostileNeverChangesOutcomes(t *testing.T) {
 		m, o := hostileFixture(t, 100+seed)
 		rng := rand.New(rand.NewSource(200 + seed))
 		for step := 0; step < 6; step++ {
-			if rng.Float64() < 0.3 {
-				scale := 1 + 50*rng.Float64()
-				for j := 0; j < m.NumVariables(); j++ {
-					m.SetObjectiveCoeff(j, scale*rng.NormFloat64())
+			m.RebuildEdited(func(e *lp.Edit) {
+				if rng.Float64() < 0.3 {
+					scale := 1 + 50*rng.Float64()
+					for j := 0; j < m.NumVariables(); j++ {
+						e.Objective(j, scale*rng.NormFloat64())
+					}
+				} else {
+					e.Objective(rng.Intn(m.NumVariables()), rng.NormFloat64())
 				}
-			} else {
-				m.SetObjectiveCoeff(rng.Intn(m.NumVariables()), rng.NormFloat64())
-			}
+			})
 			sol, err := m.SolveWithOptions(lp.Options{Obs: o})
 			if err != nil {
 				t.Fatal(err)

@@ -227,10 +227,10 @@ func TestWorkspaceReleasedOncePerAttempt(t *testing.T) {
 // 300-block cluster model is Reset and rebuilt with its oldest block dropped
 // and a new one appended, the previous basis carried across by block, and
 // re-solved warm. With the rows' storage and the standardized form reused
-// by the rebuild, the stamp arrays in SetCoeffs and the solver workspace
-// pooled, that costs the returned Solution, the installed basis and a
-// constant — not the O(rows) objects per solve of per-row maps and
-// per-solve vectors (several thousand before).
+// by the rebuild and the solver workspace pooled, that costs the returned
+// Solution, the installed basis and a constant — not the O(rows) objects
+// per solve of per-row maps and per-solve vectors (several thousand
+// before).
 func TestWarmResolveAllocations(t *testing.T) {
 	const jobs, types = 300, 3
 	vars, ones, thr := make([]int, types+1), make([]float64, types), make([]float64, types+1)

@@ -52,7 +52,7 @@
 //
 //	run                              bench top-level (tid 0)
 //	online.round                     one engine round (engine tid)
-//	online.{rebuild,refresh,extract,subsolve}   per-partition lanes (tid base+1+p)
+//	online.{rebuild,extract,subsolve} per-partition lanes (tid base+1+p)
 //	lp.solve                         one LP solve, with phase children:
 //	lp.{standardize,factor,refactor,phase1,phase2,dual,warm-repair}
 //	lp.dual's verdict arg            optimal | infeasible (certified) | uncertified | rejected | …

@@ -61,28 +61,18 @@ type block struct {
 //   - BuildModel builds the layout's model into m (new or Reset), encoding
 //     the current data completely — package cluster's builder, the batch
 //     policies' own model.
-//   - RefreshModel rewrites every data-dependent coefficient, bound, and
-//     right-hand side of a model that already holds the layout against the
-//     current member data. Model setters no-op on unchanged values, so the
-//     delta class the solver sees — and with it dual-simplex eligibility —
-//     stays exact.
 //   - Extract reads an optimal solution of s's model into s.alloc, rows in
 //     member order.
 type adapter interface {
 	Layout(ids []int, buf []block) []block
 	BuildModel(m *lp.Model, layout []block)
-	RefreshModel(m *lp.Model, layout []block)
 	Extract(s *sub, sol *lp.Solution)
 }
 
 // soloScratch is the working memory of one adapter call that reads the
-// members: the members behind the layout — one table lookup each — and the
-// solo refresh's bulk setter arguments.
+// members: the members behind the layout, one table lookup each.
 type soloScratch struct {
 	members []cluster.Job
-	coefs   []float64
-	idxs    []int
-	scales  []float64
 }
 
 // soloMembers takes a soloScratch from the engine's pool holding the jobs
@@ -140,44 +130,6 @@ func (ad soloAdapter) denominator(members []cluster.Job) func(cluster.Job) float
 		return cluster.MakespanDenominator
 	}
 	return cluster.MaxMinDenominator(members, ad.sub)
-}
-
-// RefreshModel rewrites every data-dependent value against the current
-// members and capacities: each member's own rate row entry by entry,
-// the shared capacity rows through the bulk setter (one pass per row, not
-// per member).
-func (ad soloAdapter) RefreshModel(m *lp.Model, layout []block) {
-	sc := ad.soloMembers(layout)
-	defer ad.members.Put(sc)
-	members := sc.members
-	n := len(members)
-	r := ad.sub.NumTypes()
-	tv := n * r
-	denom := ad.denominator(members)
-	coefs := resize(sc.coefs, r)
-	sc.coefs = coefs
-	constrained := false
-	for i, j := range members {
-		tc := cluster.RateRow(j.Throughput, denom(j), coefs)
-		constrained = constrained || tc != 0
-		row := 2*i + 1
-		for k := 0; k < r; k++ {
-			m.SetCoeff(row, i*r+k, coefs[k])
-		}
-		m.SetCoeff(row, tv, tc)
-	}
-	cluster.CapEpigraph(m, tv, constrained)
-	sc.idxs, sc.scales = resize(sc.idxs, n), resize(sc.scales, n)
-	for i, j := range members {
-		sc.scales[i] = j.Scale
-	}
-	for k := 0; k < r; k++ {
-		for i := range sc.idxs {
-			sc.idxs[i] = i*r + k
-		}
-		m.SetCoeffs(2*n+k, sc.idxs, sc.scales)
-		m.SetRHS(2*n+k, ad.sub.NumGPUs[k])
-	}
 }
 
 // Extract copies the solution's block variables over the sub-problem's

@@ -55,36 +55,37 @@
 //     (cluster.SpaceSharingModel's layout).
 //
 // Each half builds a sub-problem's model with the cluster builder, into a
-// new model or one Reset for a rebuild, rewrites every data-dependent value
-// of a model that already holds its layout with cluster.RateRow and
-// cluster.SlotTerms (and t's bound with cluster.CapEpigraph), and reads a
-// solution back in member order. The sub-problem's LP is written once, by
-// the builder the batch policies use.
+// new model or one Reset for a rebuild, and reads a solution back in member
+// order. The sub-problem's LP is written once, by the builder the batch
+// policies use, and nothing else writes it.
 //
-// Per dirty sub-problem the engine picks a sync path. When the wanted
-// layout is the one the model holds (a load change, a capacity change), it
-// refreshes the model in place: the setters no-op on unchanged values, so
-// the delta class the solver sees stays exact, and a capacity-only round
-// rides the dual simplex from the previous basis. Otherwise — an arrival,
-// a departure, a rebalance move, or no model yet (the first round, or after
-// MarkAllDirty) — it rebuilds the model in place (lp.Model.Reset, then the
-// builder), with the basis carried by key: while the two layouts share at
-// least half their block keys, a block both hold with the same shape keeps
-// its variable and slack statuses, a new block enters with its variables at
-// the lower bound and its slacks basic, and the trailing shared region (the
-// epigraph t, one capacity row per GPU type) keeps its statuses position by
-// position. Below half, the rebuild starts cold, or from a restored basis.
-// The builder lays blocks out contiguously in layout order (block variables,
-// then t; block rows, then the capacity rows), so a block's statuses are a
-// run at an offset its layout gives. The carry needs no order check: member order and canonical pair order
-// only append or drop, so survivors keep their relative order, and the
-// carried statuses are exactly those that cutting departed blocks out of
-// the old model and inserting the new ones would leave. A re-solve
-// therefore pays pivots, not a cold start: coefficient, objective and
-// membership deltas take the primal warm path; the lp solver owns
-// correctness, falling back primal-warm then cold, so warm starts change
-// solve speed, never solve outcomes. An emptied sub-problem drops its model
-// and its allocation.
+// Every dirty sub-problem is rebuilt in place (lp.Model.Reset, then the
+// builder); the engine only decides where the warm start comes from. When
+// the wanted layout is the one the model holds (a load change, a capacity
+// change), it leaves the basis Reset kept to the model, which compares the
+// rebuilt rows with the ones they overwrite and classifies the delta: a
+// capacity-only round rides the dual simplex from the previous basis, a
+// data change takes the primal warm path. Otherwise — an arrival, a
+// departure, a rebalance move, or no model yet (the first round, or after
+// MarkAllDirty) — the basis is carried by key: while the two layouts share
+// at least half their block keys, a block both hold with the same shape
+// keeps its variable and slack statuses, a new block enters with its
+// variables at the lower bound and its slacks basic, and the trailing
+// shared region (the epigraph t, one capacity row per GPU type) keeps its
+// statuses position by position (SetBasis). Below half, the rebuild starts
+// cold (ForgetBasis), or from a restored basis. The engine makes that
+// choice, not the model, because two solo layouts with equal member counts
+// have one sparsity pattern: only the block keys tell a membership change
+// from a value delta. The builder lays blocks out contiguously in layout
+// order (block variables, then t; block rows, then the capacity rows), so a
+// block's statuses are a run at an offset its layout gives. The carry needs
+// no order check: member order and canonical pair order only append or
+// drop, so survivors keep their relative order, and the carried statuses
+// are exactly those that cutting departed blocks out of the old model and
+// inserting the new ones would leave. A re-solve therefore pays pivots, not
+// a cold start; the lp solver owns correctness, falling back primal-warm
+// then cold, so warm starts change solve speed, never solve outcomes. An
+// emptied sub-problem drops its model and its allocation.
 //
 // The sync allocates little in steady state and keeps nothing per
 // sub-problem beyond the model and its block list. A rebuild reuses the
@@ -92,9 +93,8 @@
 // one sub-solve — the wanted layout, its index by block key, the position
 // of every current block in it, the carried statuses — is a syncScratch
 // taken from a pool on the engine and put back when the sub-solve returns;
-// the members behind a layout (fetched from the job table once per build,
-// refresh or extract) and the solo refresh's bulk setter arguments are
-// pooled the same way. Scratch is pooled rather than held per sub-problem
+// the members behind a layout (fetched from the job table once per build
+// or extract) are pooled the same way. Scratch is pooled rather than held per sub-problem
 // for the reason lp recycles solver workspaces instead of keeping one per
 // model: it is about 100 bytes per client, and an engine needs one per
 // sub-solve in flight, not one per sub-problem. The solo half writes a
@@ -103,18 +103,18 @@
 // throughputs from the jobs it has at hand, so nothing a caller holds is
 // ever rewritten.
 //
-// # Warm-hostile refreshes
+// # Warm-hostile rebuilds
 //
-// Some refreshes leave nothing for a warm start to reuse — a total-scale or
-// capacity shift under the fairness policies rotates every member's
-// equal-share denominator at once. lp.Model detects that itself from the
-// actual incoming numbers, with no policy knowledge to keep in sync: after
-// coefficient edits it drops the stale basis when a quarter or more of the
-// constraint rows were rewritten (broad per-member churn — the pair
-// layout's heavy-jitter rounds), or when a strided sample of nonbasic
-// columns priced against the previous solve's duals shows a majority
-// flipped (a global rotation, like the equal-share denominator shifts
-// above, even when few entries changed).
+// Some same-layout rebuilds leave nothing for a warm start to reuse — a
+// total-scale or capacity shift under the fairness policies rotates every
+// member's equal-share denominator at once. lp.Model detects that itself
+// from the actual incoming numbers, with no policy knowledge to keep in
+// sync: after coefficient changes it drops the kept basis when a quarter or
+// more of the constraint rows came back with other coefficients (broad
+// per-member churn — the pair layout's heavy-jitter rounds), or when a
+// strided sample of nonbasic columns priced against the previous solve's
+// duals shows a majority flipped (a global rotation, like the equal-share
+// denominator shifts above, even when few entries changed).
 //
 // # Cold rounds and stats
 //
@@ -122,10 +122,11 @@
 // round rebuilds and solves every sub-problem cold — the baseline the
 // equivalence tests (a warm engine against a twin that calls MarkAllDirty
 // before every round, 1e-6 objective agreement over randomized delta
-// sequences) and BenchmarkOnlineRound hold the warm path to. Engine stats
-// split each round into model build/mutation time and solver time
-// (Stats.BuildNs / Stats.SolveNs) — the mutation path exists to shrink the
-// former. Policy adapts the engine to gavelsim's round loop. The engine is
+// sequences) and BenchmarkOnlineRound hold the warm path to.
+// TestSameLayoutRoundKeepsSolveClass holds a same-layout round to its
+// solve class. Engine stats split each round into model build time and
+// solver time (Stats.BuildNs / Stats.SolveNs) — the in-place rebuild exists
+// to shrink the former. Policy adapts the engine to gavelsim's round loop. The engine is
 // not safe for concurrent use; callers like cmd/popserver serialize rounds
 // themselves.
 package online

@@ -19,7 +19,7 @@ type Options struct {
 	K int
 	// Obs, when non-nil, receives engine telemetry: an "online.round" span
 	// per solve round, per-sub-problem "online.subsolve" spans (with
-	// rebuild/refresh/extract phase children) on trace lanes
+	// rebuild/extract phase children) on trace lanes
 	// TID+1+p, and round-level counters/histograms. The observer is also
 	// threaded into each sub-problem's LP solve. Nil — the default — costs
 	// one pointer check per round.
@@ -53,9 +53,9 @@ type Stats struct {
 	// rhs/bound-only deltas.
 	Iterations int `json:"iterations"`
 	DualPivots int `json:"dual_pivots"`
-	// BuildNs is time spent constructing or mutating sub-problem LP models;
-	// SolveNs is time spent inside the LP solver. Their ratio is the
-	// constant-factor story: the mutation path exists to shrink BuildNs.
+	// BuildNs is time spent building sub-problem LP models; SolveNs is time
+	// spent inside the LP solver. Their ratio is the constant-factor story:
+	// the in-place rebuild exists to shrink BuildNs.
 	BuildNs int64 `json:"build_ns"`
 	SolveNs int64 `json:"solve_ns"`
 	// Arrivals, Departures, and Updates count the applied deltas;
@@ -68,8 +68,8 @@ type Stats struct {
 
 // ClusterEngine incrementally maintains a POP allocation for the GPU
 // scheduling policies: jobs arrive, depart, and change; the engine keeps one
-// mutable LP model per sub-cluster, applies deltas in place, and re-solves
-// only the dirtied models — through the dual simplex when only capacities
+// persistent LP model per sub-cluster, rebuilds only the dirtied models in
+// place, and re-solves them — through the dual simplex when only capacities
 // moved, warm-started otherwise. The SpaceSharing policy runs the
 // pair-variable LP online: each partition's model holds a slot block per
 // solo job plus one per single-GPU job pair, rebuilt as membership churns.
@@ -384,7 +384,7 @@ func (e *ClusterEngine) Solve() error {
 // solveDirty re-solves every dirty sub-problem (concurrently when
 // configured) and books the results. The keep-or-drop decision for each
 // model's stale basis lives in lp.Model, whose hostile-refresh sampler
-// prices the refreshed coefficients against the previous duals. Clean
+// prices the rebuilt coefficients against the previous duals. Clean
 // sub-problems are skipped entirely — their cached results stand.
 func (e *ClusterEngine) solveDirty() error {
 	e.stats.Rounds++
@@ -430,21 +430,11 @@ func (e *ClusterEngine) solveDirty() error {
 	return nil
 }
 
-// subSolve brings sub-problem p's persistent model in line with the
+// subSolve rebuilds sub-problem p's persistent model in place for the
 // adapter's layout and current data, solves it, and has the adapter read
-// the solution into the sub-problem's result. The sync path is chosen once
-// per round:
-//
-//   - the layout is the one the model holds: refresh every data-dependent
-//     value in place, so a capacity-only round keeps the dual simplex;
-//   - otherwise (an arrival, a departure, a rebalance move, or no model
-//     yet) rebuild the model in place with the cluster builder. While the
-//     old and new layouts share at least half their block keys, the old
-//     basis is carried across by key; below that, or with no model, the
-//     rebuild starts cold.
-//
-// Whether the refreshed coefficients left the stale basis worth warm
-// repairing is not the engine's call: lp.Model prices a sample of the
+// the solution into the sub-problem's result (rebuild says where the warm
+// start comes from). Whether changed coefficients left a kept basis worth
+// warm repairing is not the engine's call: lp.Model prices a sample of the
 // incoming coefficients against the previous solve's duals and drops a
 // hostile basis itself.
 func (e *ClusterEngine) subSolve(p int) (subReport, error) {
@@ -476,13 +466,7 @@ func (e *ClusterEngine) subSolveObs(po *obs.Observer, p int) (subReport, error) 
 	}
 	defer e.scratch.Put(sc) // rebuilt from scratch by its next user, so safe to recycle on any exit
 	sc.want = e.ad.Layout(s.ids, sc.want[:0])
-	if s.model != nil && slices.Equal(s.blocks, sc.want) {
-		rsp := po.Span("online.refresh")
-		e.ad.RefreshModel(s.model, s.blocks)
-		rsp.End()
-	} else {
-		e.rebuildObs(po, s, p, sc)
-	}
+	e.rebuild(po, s, p, sc)
 	warmAttempted := s.model.HasBasis()
 	buildNs := time.Since(start).Nanoseconds()
 
@@ -530,31 +514,47 @@ func (s *sub) reindex() {
 	}
 }
 
-// rebuildObs rebuilds sub-problem p's model in place for the layout sc.want
-// under an "online.rebuild" span. The warm start is the old basis carried
-// by block key when the layouts overlap by half or more, else the restored
-// basis if one is waiting, else none.
-func (e *ClusterEngine) rebuildObs(po *obs.Observer, s *sub, p int, sc *syncScratch) {
+// rebuild rebuilds sub-problem p's model in place for the layout sc.want
+// under an "online.rebuild" span, and settles where its warm start comes
+// from:
+//
+//   - the layout is the one the model holds (a load change, a capacity
+//     change): the basis lp.Model.Reset kept, which the model classifies
+//     itself, so a capacity-only round rides the dual simplex;
+//   - the layouts share at least half their block keys (an arrival, a
+//     departure, a rebalance move): the old basis carried by block key;
+//   - otherwise, or with no model yet: the restored basis if one is
+//     waiting, else a cold start.
+//
+// The choice cannot be left to the model: two solo layouts with equal
+// member counts have one sparsity pattern, so the model alone would read a
+// membership change as a value delta.
+func (e *ClusterEngine) rebuild(po *obs.Observer, s *sub, p int, sc *syncScratch) {
 	sp := po.Span("online.rebuild").Arg("blocks", len(sc.want))
 	var old *lp.Basis
+	same := false
 	if s.model == nil {
 		s.model = lp.NewModel(lp.Maximize)
 	} else {
-		if sc.overlap(s.blocks) >= 0.5 {
+		same = slices.Equal(s.blocks, sc.want)
+		if !same && sc.overlap(s.blocks) >= 0.5 {
 			old = s.model.Basis()
 		}
 		s.model.Reset()
 	}
 	e.ad.BuildModel(s.model, sc.want)
 	switch {
+	case same: // the basis Reset kept; the model classifies the rebuild
 	case old != nil:
 		s.model.SetBasis(sc.carry(s.blocks, old, s.model.NumVariables(), s.model.NumConstraints()))
 	case p < len(e.seeds) && e.seeds[p] != nil:
 		s.model.SetBasis(e.seeds[p])
 		e.seeds[p] = nil
+	default:
+		s.model.ForgetBasis()
 	}
 	s.blocks = append(s.blocks[:0], sc.want...) // want's array goes back to the scratch pool
-	sp.Arg("carried", old != nil).End()
+	sp.Arg("kept", same).Arg("carried", old != nil).End()
 }
 
 // overlap is the fraction of the larger layout whose block keys the current

@@ -667,3 +667,84 @@ func TestSubProblemWithoutConstrainingJob(t *testing.T) {
 		}
 	}
 }
+
+// TestSameLayoutRoundKeepsSolveClass: a round that keeps every
+// sub-problem's layout rebuilds each dirty model in place, and the model
+// classifies the rebuild as the delta it is — a capacity change re-solves
+// every MinMakespan sub-problem by dual pivots alone from the kept basis,
+// and a weight change re-solves MaxMinFairness sub-problems through the
+// primal warm path. Every round's objective equals a fresh engine's, except
+// that a dual re-solve may end above a fresh cold one: on MinMakespan's
+// rate rows (coefficients near 1e-5) the cold primal path can stop short of
+// the optimum under lp's absolute optimality tolerance, so that round is
+// held to the fresh objective from below only.
+func TestSameLayoutRoundKeepsSolveClass(t *testing.T) {
+	const k = 4
+	// round solves e and checks its objective against a fresh engine over
+	// the same cluster and jobs (from below only when atLeast), returning
+	// the round's stats delta.
+	round := func(t *testing.T, e *ClusterEngine, policy ClusterPolicy, jobs []cluster.Job, atLeast bool) Stats {
+		t.Helper()
+		before := e.Stats()
+		if err := e.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewClusterEngine(e.Cluster(), policy, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			fresh.Upsert(j)
+		}
+		if err := fresh.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		got, want := e.Objective(), fresh.Objective()
+		if diff := got - want; diff < -1e-9*(1+math.Abs(want)) || (!atLeast && diff > 1e-9*(1+math.Abs(want))) {
+			t.Fatalf("objective %.12g, fresh engine %.12g", got, want)
+		}
+		d := e.Stats()
+		return Stats{
+			SubSolves:  d.SubSolves - before.SubSolves,
+			WarmHits:   d.WarmHits - before.WarmHits,
+			Iterations: d.Iterations - before.Iterations,
+			DualPivots: d.DualPivots - before.DualPivots,
+		}
+	}
+	start := func(t *testing.T, policy ClusterPolicy) (*ClusterEngine, []cluster.Job) {
+		t.Helper()
+		e, err := NewClusterEngine(cluster.NewCluster(12, 12, 12), policy, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := cluster.GenerateJobs(48, 5, 0.2)
+		for _, j := range jobs {
+			e.Upsert(j)
+		}
+		round(t, e, policy, jobs, false)
+		return e, jobs
+	}
+
+	t.Run("capacity", func(t *testing.T) {
+		e, jobs := start(t, MinMakespan)
+		e.SetCluster(cluster.NewCluster(9, 14, 11))
+		d := round(t, e, MinMakespan, jobs, true)
+		if d.SubSolves != k || d.WarmHits != k {
+			t.Fatalf("%d sub-solves with %d warm hits, want K = %d of each", d.SubSolves, d.WarmHits, k)
+		}
+		if d.DualPivots == 0 || d.Iterations != d.DualPivots {
+			t.Fatalf("%d pivots, %d of them dual: want dual pivots only", d.Iterations, d.DualPivots)
+		}
+	})
+	t.Run("weight", func(t *testing.T) {
+		e, jobs := start(t, MaxMinFairness)
+		for i := 0; i < len(jobs); i += 5 {
+			jobs[i].Weight *= 1.5
+			e.Upsert(jobs[i])
+		}
+		d := round(t, e, MaxMinFairness, jobs, false)
+		if d.WarmHits == 0 || d.DualPivots != 0 {
+			t.Fatalf("%d warm hits, %d dual pivots: want warm hits on the primal path", d.WarmHits, d.DualPivots)
+		}
+	})
+}

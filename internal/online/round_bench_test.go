@@ -79,8 +79,8 @@ func clusterSeq(tb testing.TB, policy ClusterPolicy, opts Options, nJobs int, gp
 
 // BenchmarkOnlineRound times one round of every family at each dirty
 // fraction (the share of clients whose data changes per round), on the
-// persistent-model path (warm: mutate in place, re-solve from the last basis
-// or by dual simplex) and on the baseline it replaces (cold: MarkAllDirty
+// persistent-model path (warm: rebuild in place, re-solve from the kept or
+// carried basis or by dual simplex) and on the baseline it replaces (cold: MarkAllDirty
 // before every round, so every sub-problem is rebuilt and solved from
 // scratch). The churn itself
 // is not timed. That the two agree on every objective is the job of the

@@ -16,10 +16,7 @@ import (
 // survivors keep their relative order under arrivals and departures
 // because the engine appends members). Every block holds the slot's r
 // time-fraction variables; a member's time and rate rows live in its solo
-// block, pair blocks carry no rows — cluster.SpaceSharingModel's layout. A
-// member's rows reference variables across many blocks, so a membership
-// change rebuilds the model; RefreshModel rewrites the rest, and the
-// model's setters keep unchanged entries untouched.
+// block, pair blocks carry no rows — cluster.SpaceSharingModel's layout.
 type pairAdapter struct {
 	*ClusterEngine
 }
@@ -44,39 +41,6 @@ func (ad pairAdapter) BuildModel(m *lp.Model, layout []block) {
 	sc := ad.soloMembers(layout)
 	defer ad.members.Put(sc)
 	cluster.SpaceSharingModel(m, sc.members, ad.sub)
-}
-
-func (ad pairAdapter) RefreshModel(m *lp.Model, layout []block) {
-	r := ad.sub.NumTypes()
-	sc := ad.soloMembers(layout)
-	defer ad.members.Put(sc)
-	members := sc.members
-	n := len(members)
-	tv := len(layout) * r
-	vars, thr, load := cluster.SlotTerms(members, slotsOf(layout), r)
-	denom := cluster.MaxMinDenominator(members, ad.sub)
-	constrained := false
-	for idx, j := range members {
-		ones := make([]float64, len(vars[idx]))
-		for t := range ones {
-			ones[t] = 1
-		}
-		m.SetCoeffs(2*idx, vars[idx], ones)
-		coefs := make([]float64, len(vars[idx]))
-		tc := cluster.RateRow(thr[idx], denom(j), coefs)
-		constrained = constrained || tc != 0
-		m.SetCoeffs(2*idx+1, vars[idx], coefs)
-		m.SetCoeff(2*idx+1, tv, tc)
-	}
-	cluster.CapEpigraph(m, tv, constrained)
-	idxs := make([]int, len(layout))
-	for i := 0; i < r; i++ {
-		for q := range layout {
-			idxs[q] = q*r + i
-		}
-		m.SetCoeffs(2*n+i, idxs, load)
-		m.SetRHS(2*n+i, ad.sub.NumGPUs[i])
-	}
 }
 
 // slotsOf reads the slot list off a layout: block q is slot q.

@@ -140,10 +140,10 @@ func BenchmarkShardRound(b *testing.B) {
 // ≥ n objects. The price bound (n/4 at n = 20 000, 1% churn) leaves ~25
 // objects per churned client for JSON decode, HTTP, and the solver's
 // scratch. The maxmin rows re-solve 16 persistent LP models per round; with
-// the standardized form rebuilt in place, the setters' stamp arrays and the
-// recycled solver workspace that is a couple of thousand objects (returned
-// solutions, carried bases), where per-row maps and per-solve vectors made it
-// 2.5 per client — the bound there is n/2. Both hold over either transport.
+// the rows and standardized form rebuilt in place and the recycled solver
+// workspace that is a couple of thousand objects (returned solutions,
+// carried bases), where per-row maps and per-solve vectors made it 2.5 per
+// client — the bound there is n/2. Both hold over either transport.
 //
 // The price rows also bound bytes: a round's rows are written once by the
 // worker (pack) and read where they arrive (one body buffer over HTTP, the

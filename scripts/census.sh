@@ -62,7 +62,8 @@ run popsolve-milp "$out/bin/popsolve" "$out/knapsack.mps"
 
 # serve NAME PORT ARGS...: starts a popserver, submits jobs, removes one,
 # changes one GPU type's capacity (a round whose sub-problems keep their
-# members, so the LP engines refresh their models in place), runs $hook if
+# members, so the LP engines rebuild each model in its old shape and
+# lp.Model classifies the rebuild against the basis Reset kept), runs $hook if
 # set, reads every allocation view, and stops it with SIGTERM so its
 # counters are written.
 serve() {
