@@ -121,15 +121,11 @@ func (ad soloAdapter) Layout(ids []int, layout []block) []block {
 func (ad soloAdapter) BuildModel(m *lp.Model, layout []block) {
 	sc := ad.soloMembers(layout)
 	defer ad.members.Put(sc)
-	cluster.SoloModel(m, sc.members, ad.sub, ad.denominator(sc.members))
-}
-
-// denominator returns the solo policy's rate-row denominator over members.
-func (ad soloAdapter) denominator(members []cluster.Job) func(cluster.Job) float64 {
-	if ad.policy == MinMakespan {
-		return cluster.MakespanDenominator
+	denom := cluster.MakespanDenominator
+	if ad.policy != MinMakespan {
+		denom = cluster.MaxMinDenominator(sc.members, ad.sub)
 	}
-	return cluster.MaxMinDenominator(members, ad.sub)
+	cluster.SoloModel(m, sc.members, ad.sub, denom)
 }
 
 // Extract copies the solution's block variables over the sub-problem's
