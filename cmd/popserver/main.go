@@ -79,7 +79,6 @@ import (
 
 	"pop/internal/cluster"
 	"pop/internal/obs"
-	"pop/internal/online"
 	"pop/internal/shard"
 )
 
@@ -121,8 +120,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := serverConfig{
-		policy:    *policyFl,
-		opts:      online.Options{K: *k, Parallel: *parallel, Rebalance: *rebalance},
+		engine:    shard.EngineConfig{Policy: *policyFl, K: *k, Parallel: *parallel, Rebalance: *rebalance},
 		deadline:  *deadline,
 		authToken: shard.Token(*authTok),
 		quota:     *quota,

@@ -77,11 +77,9 @@ type mutation struct {
 
 // serverConfig selects where the workers run and the hardening knobs.
 type serverConfig struct {
-	// policy is maxmin | makespan | spacesharing | price.
-	policy string
-	// opts tune the in-process worker's engine (ignored with workers set,
-	// where the worker processes own the engines).
-	opts online.Options
+	// engine configures the in-process worker's engine (only its Obs is
+	// read with workers set, where the worker processes own the engines).
+	engine shard.EngineConfig
 	// workers, when non-empty, are the base URLs of the shard-worker
 	// processes to coordinate; empty means one worker inside this process.
 	workers []string
@@ -147,10 +145,10 @@ func newServerWith(c cluster.Cluster, cfg serverConfig, logger *slog.Logger,
 		logger = slog.New(slog.DiscardHandler)
 	}
 	reg := obs.NewRegistry()
-	if cfg.opts.Obs == nil {
-		cfg.opts.Obs = &obs.Observer{Metrics: reg}
-	} else if cfg.opts.Obs.Metrics != nil {
-		reg = cfg.opts.Obs.Metrics // caller-supplied registry backs /metrics too
+	if cfg.engine.Obs == nil {
+		cfg.engine.Obs = &obs.Observer{Metrics: reg}
+	} else if cfg.engine.Obs.Metrics != nil {
+		reg = cfg.engine.Obs.Metrics // caller-supplied registry backs /metrics too
 	}
 	s := &server{
 		cfg:        cfg,
@@ -162,23 +160,17 @@ func newServerWith(c cluster.Cluster, cfg serverConfig, logger *slog.Logger,
 		reg:        reg,
 		log:        logger,
 	}
-	copts := shard.CoordinatorOptions{Deadline: cfg.deadline, Token: cfg.authToken, Obs: cfg.opts.Obs, Log: logger}
+	copts := shard.CoordinatorOptions{Deadline: cfg.deadline, Token: cfg.authToken, Obs: cfg.engine.Obs, Log: logger}
 	var err error
 	if len(cfg.workers) > 0 {
 		s.coord, err = shard.NewCoordinator(cfg.workers, copts)
 	} else {
 		var b *shard.EngineBundle
-		b, err = newEngine(c, shard.EngineConfig{
-			Policy:    cfg.policy,
-			K:         cfg.opts.K,
-			Parallel:  cfg.opts.Parallel,
-			Rebalance: cfg.opts.Rebalance,
-			Obs:       cfg.opts.Obs,
-		})
+		b, err = newEngine(c, cfg.engine)
 		if err != nil {
 			return nil, err
 		}
-		w := shard.NewWorker(b, shard.WorkerOptions{StateFile: cfg.stateFile, Obs: cfg.opts.Obs, Log: logger})
+		w := shard.NewWorker(b, shard.WorkerOptions{StateFile: cfg.stateFile, Obs: cfg.engine.Obs, Log: logger})
 		s.saveState, s.engineKind = w.SaveState, b.Kind
 		s.coord, err = shard.NewLocalCoordinator([]*shard.Worker{w}, copts)
 	}

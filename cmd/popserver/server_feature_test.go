@@ -61,7 +61,7 @@ func doAuth(t *testing.T, method, url, token, tenant string, body any, wantCode 
 func TestServerAuthToken(t *testing.T) {
 	const token = "popserver-secret"
 	s, err := newServer(cluster.NewCluster(4, 4, 4),
-		serverConfig{policy: "maxmin", opts: online.Options{K: 2}, authToken: token}, nil)
+		serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}, authToken: token}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestServerAuthToken(t *testing.T) {
 // window resets at the tick and tenants are isolated from each other.
 func TestServerTenantQuota(t *testing.T) {
 	s, err := newServer(cluster.NewCluster(4, 4, 4),
-		serverConfig{policy: "maxmin", opts: online.Options{K: 1}, quota: 3}, nil)
+		serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 1}, quota: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func fileRound(t *testing.T, path string) int {
 // holding the final round, not whichever write renamed last.
 func TestServerStateFileRestart(t *testing.T) {
 	stateFile := filepath.Join(t.TempDir(), "popserver.state")
-	cfg := serverConfig{policy: "maxmin", opts: online.Options{K: 2}, stateFile: stateFile}
+	cfg := serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}, stateFile: stateFile}
 	c := cluster.NewCluster(4, 4, 4)
 
 	s1, b1 := newEngineServer(t, c, cfg)
@@ -283,7 +283,7 @@ func TestServerStateFileCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4),
-				serverConfig{policy: "maxmin", opts: online.Options{K: 2}, stateFile: stateFile})
+				serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}, stateFile: stateFile})
 			if got := b.Engine.NumJobs(); got != tc.jobs {
 				t.Fatalf("worker engine holds %d jobs, want %d", got, tc.jobs)
 			}
@@ -333,7 +333,7 @@ func (e *flakyEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.Alloc
 // queued, so the next healthy tick is fresh and has applied it.
 func TestServerLocalEngineErrorServesStale(t *testing.T) {
 	flaky := &flakyEngine{}
-	s, err := newServerWith(cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}}, nil,
+	s, err := newServerWith(cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}}, nil,
 		func(c cluster.Cluster, ec shard.EngineConfig) (*shard.EngineBundle, error) {
 			b, err := shard.NewEngine(c, ec)
 			if err == nil {
@@ -544,7 +544,7 @@ func (e *fixedEngine) Step([]cluster.Job, cluster.Cluster) (*cluster.Allocation,
 // accept, merge) plus publishing the round for readers — the part of a tick
 // that is not the solver.
 func BenchmarkTickPublish(b *testing.B) {
-	s, err := newServerWith(cluster.NewCluster(4, 4, 4), serverConfig{policy: "price"}, nil,
+	s, err := newServerWith(cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "price"}}, nil,
 		func(cluster.Cluster, shard.EngineConfig) (*shard.EngineBundle, error) {
 			return &shard.EngineBundle{Engine: &fixedEngine{}, Kind: "price", Stats: func() any { return struct{}{} }}, nil
 		})
@@ -572,7 +572,7 @@ func BenchmarkTickPublish(b *testing.B) {
 // sub-problem (K = 1) or in one of two beside a job that runs (K = 2).
 func TestServerZeroThroughputJob(t *testing.T) {
 	for _, k := range []int{1, 2} {
-		s, _ := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: k}})
+		s, _ := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: k}})
 		ts := httptest.NewServer(s.handler())
 		t.Cleanup(ts.Close)
 		do(t, "POST", ts.URL+"/v1/jobs", jobSpec{ID: 1, Throughput: []float64{0, 0, 0}}, http.StatusAccepted)

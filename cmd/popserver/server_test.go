@@ -23,7 +23,7 @@ import (
 
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s, _ := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}})
+	s, _ := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -148,7 +148,7 @@ func TestServerRoundTrip(t *testing.T) {
 // TestServerBatchingSkipsCleanSubProblems: a second tick with no pending
 // mutations must not re-solve anything.
 func TestServerBatchingSkipsCleanSubProblems(t *testing.T) {
-	s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}})
+	s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	for id := 0; id < 4; id++ {
@@ -188,7 +188,7 @@ func TestServerValidation(t *testing.T) {
 // never lowering the max-min fair floor when capacity only grows; malformed
 // specs are rejected without touching the pool.
 func TestServerSetCluster(t *testing.T) {
-	s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}})
+	s, b := newEngineServer(t, cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	jobs := make([]cluster.Job, 6)
@@ -267,7 +267,7 @@ func engineStat(t *testing.T, ts *httptest.Server, key string) float64 {
 // jobs are allocated through shared slots, so the snapshot reports effective
 // throughputs without solo X rows.
 func TestServerSpaceSharingPolicy(t *testing.T) {
-	s, err := newServer(cluster.NewCluster(3, 3, 3), serverConfig{policy: "spacesharing", opts: online.Options{K: 2}}, nil)
+	s, err := newServer(cluster.NewCluster(3, 3, 3), serverConfig{engine: shard.EngineConfig{Policy: "spacesharing", K: 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestServerSpaceSharingPolicy(t *testing.T) {
 // engine kind plus the price-engine counters (iterations, clearing residual,
 // warm-price rounds).
 func TestServerPricePolicy(t *testing.T) {
-	s, err := newServer(cluster.NewCluster(4, 4, 4), serverConfig{policy: "price"}, nil)
+	s, err := newServer(cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "price"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func TestServerConcurrentLoad(t *testing.T) {
 // SIGINT/SIGTERM would) and require run to drain the in-flight round and
 // return cleanly, leaving the engine in a consistent post-round state.
 func TestServerGracefulShutdown(t *testing.T) {
-	s, err := newServer(cluster.NewCluster(4, 4, 4), serverConfig{policy: "maxmin", opts: online.Options{K: 2}}, nil)
+	s, err := newServer(cluster.NewCluster(4, 4, 4), serverConfig{engine: shard.EngineConfig{Policy: "maxmin", K: 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 // TestServerShutdownWithoutTicker: run with round=0 (manual ticks only)
 // must also exit cleanly on cancellation.
 func TestServerShutdownWithoutTicker(t *testing.T) {
-	s, err := newServer(cluster.NewCluster(2, 2, 2), serverConfig{policy: "makespan", opts: online.Options{K: 1}}, nil)
+	s, err := newServer(cluster.NewCluster(2, 2, 2), serverConfig{engine: shard.EngineConfig{Policy: "makespan", K: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	report("Exact sol.", time.Since(start), exact)
 
 	start = time.Now()
-	popAlloc, err := cluster.SolvePOPSpaceSharing(jobs, c,
+	popAlloc, err := cluster.SolvePOP(jobs, c, cluster.MaxMinFairnessSpaceSharing,
 		core.Options{K: 4, Seed: 3, Parallel: true}, lp.Options{})
 	must(err)
 	must(cluster.VerifyFeasible(jobs, c, popAlloc, 1e-6))

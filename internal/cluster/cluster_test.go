@@ -195,7 +195,7 @@ func TestPOPSpaceSharingVariableReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SolvePOPSpaceSharing(jobs, c, core.Options{K: 4, Seed: 5, Parallel: true}, lp.Options{})
+	a, err := SolvePOP(jobs, c, MaxMinFairnessSpaceSharing, core.Options{K: 4, Seed: 5, Parallel: true}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestNoConstrainingJob(t *testing.T) {
 	}{{[]Job{zero, noScale}, 0}, {[]Job{zero, live}, lp.Inf}} {
 		m := lp.NewModel(lp.Maximize)
 		SoloModel(m, tc.jobs, c, MaxMinDenominator(tc.jobs, c))
-		if lb, ub := m.Bounds(m.NumVariables() - 1); !math.IsInf(lb, -1) || ub != tc.ub {
+		if lb, ub := m.CopyProblem().Bounds(m.NumVariables() - 1); !math.IsInf(lb, -1) || ub != tc.ub {
 			t.Fatalf("t in [%g, %g] over %v, want [-Inf, %g]", lb, ub, tc.jobs, tc.ub)
 		}
 	}

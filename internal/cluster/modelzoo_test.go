@@ -76,7 +76,7 @@ func TestZooHeterogeneityMatters(t *testing.T) {
 func TestZooUnderPOPSpaceSharing(t *testing.T) {
 	jobs := zooJobs(24, 17)
 	c := NewCluster(6, 6, 6)
-	a, err := SolvePOPSpaceSharing(jobs, c, core.Options{K: 2, Seed: 1, Parallel: true}, lp.Options{})
+	a, err := SolvePOP(jobs, c, MaxMinFairnessSpaceSharing, core.Options{K: 2, Seed: 1, Parallel: true}, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,9 @@ type PolicyFunc func(jobs []Job, c Cluster, opts lp.Options) (*Allocation, error
 // sub-problem runs the unchanged policy on its jobs over a sub-cluster with
 // 1/k of every GPU type, and the allocations are concatenated. The coalesced
 // allocation is feasible by construction since sub-cluster capacities sum to
-// the original.
+// the original. Under MaxMinFairnessSpaceSharing pairs only form within a
+// sub-problem, which is where the paper's §5.3 cubic speedup comes from:
+// sub-problems have (n/k)² pair variables instead of n².
 func SolvePOP(jobs []Job, c Cluster, policy PolicyFunc, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
 	spec := core.Spec[Job]{Clients: jobs, Load: func(j Job) float64 { return j.Scale }}
 	subs, allocs, err := core.Run(spec, opts, func(s core.Sub[Job]) (*Allocation, error) {
@@ -23,14 +25,6 @@ func SolvePOP(jobs []Job, c Cluster, policy PolicyFunc, opts core.Options, lpOpt
 		return nil, err
 	}
 	return mergeAllocations(len(jobs), subs, allocs), nil
-}
-
-// SolvePOPSpaceSharing applies POP to the pair-variable space-sharing
-// policy. Pairs only form within a sub-problem, which is where the paper's
-// §5.3 cubic speedup comes from: sub-problems have (n/k)² pair variables
-// instead of n².
-func SolvePOPSpaceSharing(jobs []Job, c Cluster, opts core.Options, lpOpts lp.Options) (*Allocation, error) {
-	return SolvePOP(jobs, c, MaxMinFairnessSpaceSharing, opts, lpOpts)
 }
 
 // mergeAllocations coalesces per-partition allocations onto the original

@@ -64,7 +64,7 @@ func Fig2(scale Scale) (*Result, error) {
 		var a *cluster.Allocation
 		d, err := timed(func() error {
 			var e error
-			a, e = cluster.SolvePOPSpaceSharing(jobs, c,
+			a, e = cluster.SolvePOP(jobs, c, cluster.MaxMinFairnessSpaceSharing,
 				core.Options{K: k, Seed: 17, Parallel: true}, lp.Options{})
 			return e
 		})
@@ -128,7 +128,7 @@ func Fig6(scale Scale) (*Result, error) {
 	for _, k := range []int{2, 4, 8} {
 		k := k
 		if err := run(fmt.Sprintf("POP-%d", k), func(js []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-			return cluster.SolvePOPSpaceSharing(js, c, core.Options{K: k, Seed: 23, Parallel: true}, lp.Options{})
+			return cluster.SolvePOP(js, c, cluster.MaxMinFairnessSpaceSharing, core.Options{K: k, Seed: 23, Parallel: true}, lp.Options{})
 		}); err != nil {
 			return nil, err
 		}
@@ -254,7 +254,7 @@ func Fig8(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := run("POP-4 online", eng.Policy()); err != nil {
+	if err := run("POP-4 online", eng.Step); err != nil {
 		return nil, err
 	}
 	return res, nil

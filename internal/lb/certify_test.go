@@ -23,7 +23,7 @@ func TestCertifiedInfeasibleAgreesWithCold(t *testing.T) {
 	certified, infeasible := 0, 0
 	solve := func(m *lp.Model, parent *lp.Basis) *lp.Solution {
 		m.SetBasis(parent)
-		sol, err := m.Solve()
+		sol, err := m.SolveWithOptions(lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestCertifiedInfeasibleAgreesWithCold(t *testing.T) {
 			bins = append(bins, row...)
 		}
 		m := lp.NewModelFromProblem(prob.LP)
-		root, err := m.Solve()
+		root, err := m.SolveWithOptions(lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,8 +262,8 @@ func solveMILP(inst *Instance, opts milp.Options) (*Assignment, *lp.Basis, error
 // formulation with drifted loads and costs — seeds its root with it
 // (milp.Options.RootBasis), so the first factorization of every round after
 // the first starts from last round's optimal basis instead of from scratch.
-// A snapshot that no longer fits (the instance changed shape) is discarded
-// inside the LP solver, so the seeding never changes outcomes.
+// A snapshot that no longer fits (the instance changed shape) is dropped by
+// the root's lp.Model, so the seeding never changes outcomes.
 type MILPSolver struct {
 	opts      milp.Options
 	rootBasis *lp.Basis

@@ -202,10 +202,10 @@
 //     so survivors keep their warm information across membership changes;
 //     a same-shape rebuild whose variables mean something else calls
 //     SetBasis or ForgetBasis, since only the caller can tell. SetBounds
-//     moves a variable's bounds in place (branch and bound's edit), and
-//     AddVariable and AddConstraint outside a rebuild append, extending the
-//     stored basis (a new variable at its lower bound, a new row's slack
-//     basic).
+//     moves a variable's bounds in place (branch and bound's edit). A held
+//     basis always fits the model's shape, or the next solve is cold: the
+//     solve drops one of another shape, so variables or constraints added
+//     to a solved model without Reset leave it no basis.
 //  4. Re-solve. The model classifies everything that happened since the
 //     last optimal basis and picks the cheapest start that is still sound
 //     (see the dual simplex section). Coefficient deltas first pass a
@@ -233,8 +233,8 @@
 //     go at its position, so a rebuild of a similar model allocates no rows
 //     (FuzzStandardize and TestModelBlockOpsMatchManualRebuild hold a
 //     rebuilt model equal to a fresh build of the same calls).
-//   - The standardized form. A rebuild or an append means a full
-//     re-standardize (a bound change is patched in place), but that is
+//   - The standardized form. A rebuild means a full re-standardize (a
+//     bound change is patched in place), but that is
 //     two passes over the builder rows with a per-variable stamp array —
 //     no map — writing into the buffers of the form it replaces, which only
 //     grow. The result is bit for bit what a fresh build gives

@@ -302,7 +302,7 @@ func TestDualReachesCoverFixtureInfeasible(t *testing.T) {
 		}
 	}
 	solve := func(m *Model) *Solution {
-		sol, err := m.Solve()
+		sol, err := m.SolveWithOptions(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

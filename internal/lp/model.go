@@ -7,32 +7,33 @@ import (
 )
 
 // Model is a persistent linear program: build it once with the same
-// builder API as Problem, solve it, then Reset it and build it again (or
-// append variables and constraints, or move bounds) and re-solve the delta.
-// The model keeps its standardized form, rebuilding it at the next solve
-// into the buffers of the form it replaces, keeps the last optimal basis,
-// and classifies the deltas applied since that basis was taken:
+// builder API as Problem, solve it, then move bounds, or Reset it and build
+// it again, and re-solve the delta. The model keeps its standardized form,
+// rebuilding it at the next solve into the buffers of the form it replaces,
+// keeps the last optimal basis, and classifies the deltas applied since
+// that basis was taken:
 //
 //   - rhs/bound-only deltas re-solve with the dual simplex from the stale
 //     basis (Options.Dual) — the basis is still dual feasible, so a few
 //     dual pivots replace both the build and the primal repair;
 //   - coefficient/objective deltas re-solve through the primal warm path;
-//   - structural deltas (appends, or a rebuild after Reset with a basis
-//     installed by SetBasis) take the primal warm path too, and the
-//     solver's shape repair settles whatever the basis no longer fits.
+//   - a basis installed by SetBasis after a build or a rebuild is a
+//     structural delta and takes the primal warm path too.
 //
 // A rebuild after Reset classifies itself: it compares every variable and
 // row it writes with the one at that position before Reset (see Reset).
-// Every re-solve path falls back (primal warm, then cold) inside the
-// solver, so a re-solve always returns the same status and objective as
-// building the current state from scratch and solving cold — only faster.
-// A Model is not safe for concurrent use.
+// A held basis always fits the model's shape, or the next solve is cold:
+// the solve drops a basis of another shape, whatever put it there. Every
+// re-solve path falls back (primal warm, then cold) inside the solver, so a
+// re-solve always returns the same status and objective as building the
+// current state from scratch and solving cold — only faster. A Model is not
+// safe for concurrent use.
 type Model struct {
 	p        *Problem
 	std      *standardized
 	stdDirty bool // std no longer matches p; rebuild at solve
 
-	basis *Basis // last optimal basis (model-owned copy), extended across appends
+	basis *Basis // last optimal basis or SetBasis's (model-owned copy)
 	lastY []float64
 	// lastY holds the shadow prices (original orientation, one per
 	// constraint) from the solve that produced basis — the price sheet
@@ -52,8 +53,7 @@ type Model struct {
 
 	// A rebuild in progress, from Reset to SetBasis or the next solve:
 	// Reset left oldVars variables and oldRows rows in the storage for the
-	// rebuild to compare against. A basis held meanwhile is the one Reset
-	// kept, which the solve drops unless the rebuild came back in its shape.
+	// rebuild to compare against.
 	rebuilding       bool
 	oldVars, oldRows int
 }
@@ -83,26 +83,10 @@ func (m *Model) NumVariables() int { return m.p.NumVariables() }
 // NumConstraints reports the number of constraints currently in the model.
 func (m *Model) NumConstraints() int { return m.p.NumConstraints() }
 
-// NumNonzeros reports the number of stored constraint coefficients.
-func (m *Model) NumNonzeros() int { return m.p.NumNonzeros() }
-
-// ObjectiveSense returns the optimization direction chosen at construction.
-func (m *Model) ObjectiveSense() Objective { return m.p.ObjectiveSense() }
-
-// Bounds returns the current bounds of variable v.
-func (m *Model) Bounds(v int) (lb, ub float64) { return m.p.Bounds(v) }
-
-// Value evaluates the objective at x in the model's own orientation.
-func (m *Model) Value(x []float64) float64 { return m.p.Value(x) }
-
-// CheckFeasible verifies that x satisfies all bounds and constraints
-// within tol.
-func (m *Model) CheckFeasible(x []float64, tol float64) error { return m.p.CheckFeasible(x, tol) }
-
 // HasBasis reports whether the next solve starts from a stored basis: one
-// from a previous optimal solve, one SetBasis installed, or one Reset kept
-// for a rebuild that has come back in its shape.
-func (m *Model) HasBasis() bool { return m.basis != nil && (!m.rebuilding || m.fits()) }
+// from a previous optimal solve, one SetBasis installed, or one Reset kept,
+// provided it fits the model's current shape.
+func (m *Model) HasBasis() bool { return m.basis != nil && m.fits() }
 
 // fits reports whether the stored basis has the model's current shape.
 func (m *Model) fits() bool {
@@ -134,15 +118,15 @@ func (m *Model) Basis() *Basis { return m.basis.Clone() }
 // The delta classification is untouched: the dual simplex path stays
 // eligible only when no coefficient or structural edit happened since the
 // model last stored a basis, which is exactly the bound-tightening-only
-// regime of a branch-and-bound search. After Reset, SetBasis ends the
-// rebuild: the snapshot is taken for the rebuilt model, the rebuild counts
-// as a structural delta, and later additions append. A snapshot that turns
-// out not to fit the current state is rejected inside the solver (dual →
-// primal warm → cold), so SetBasis never changes solve outcomes. The
-// snapshot is cloned on install: the model never retains the caller's
-// pointer, so one snapshot can be installed any number of times (branch and
-// bound hands the same parent snapshot to both children) and later
-// caller-side mutation of it cannot corrupt a solve.
+// regime of a branch-and-bound search. After a build, or after Reset, where
+// SetBasis ends the rebuild, the snapshot counts as a structural delta. A
+// snapshot of another shape than the model's is dropped at the solve, and
+// one that fits but no longer suits the current state is rejected inside
+// the solver (dual → primal warm → cold), so SetBasis never changes solve
+// outcomes. The snapshot is cloned on install: the model never retains the
+// caller's pointer, so one snapshot can be installed any number of times
+// (branch and bound hands the same parent snapshot to both children) and
+// later caller-side mutation of it cannot corrupt a solve.
 func (m *Model) SetBasis(b *Basis) {
 	m.basis = b.Clone()
 	// The snapshot's shadow prices are unknown, so the hostile-refresh
@@ -187,9 +171,6 @@ func (m *Model) AddVariable(c, lb, ub float64, name string) int {
 		}
 	} else {
 		m.sinceStruct = true
-		if m.basis != nil && !m.rebuilding {
-			m.basis.VarStatus = append(m.basis.VarStatus, BasisLower)
-		}
 	}
 	m.p.AddVariable(c, lb, ub, name)
 	m.stdDirty = true
@@ -218,9 +199,6 @@ func (m *Model) AddConstraint(idx []int, val []float64, sense Sense, rhs float64
 		}
 	} else {
 		m.sinceStruct = true
-		if m.basis != nil && !m.rebuilding {
-			m.basis.SlackStatus = append(m.basis.SlackStatus, BasisBasic)
-		}
 	}
 	m.p.AddConstraint(idx, val, sense, rhs, name)
 	m.stdDirty = true
@@ -239,23 +217,17 @@ func (m *Model) SetBounds(v int, lb, ub float64) {
 	}
 }
 
-// Solve optimizes the model with default options.
-func (m *Model) Solve() (*Solution, error) {
-	return m.SolveWithOptions(Options{})
-}
-
-// SolveWithOptions optimizes the model's current state. When the model
-// holds a basis from a previous optimal solve and the caller did not pass
-// an explicit Options.WarmBasis, the solve is warm-started automatically:
-// through the dual simplex when only rhs/bounds changed since that basis
-// was taken, through the primal warm path otherwise. Outcomes are always
-// those of a cold solve of the current state.
+// SolveWithOptions optimizes the model's current state. It first drops a
+// held basis that does not fit the model's shape. When the model then holds
+// a basis and the caller did not pass an explicit Options.WarmBasis, the
+// solve is warm-started automatically: through the dual simplex when only
+// rhs/bounds changed since that basis was taken, through the primal warm
+// path otherwise. Outcomes are always those of a cold solve of the current
+// state.
 func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
-	if m.rebuilding {
-		if m.basis != nil && !m.fits() {
-			m.ForgetBasis()
-		}
-		m.rebuilding = false
+	m.rebuilding = false
+	if m.basis != nil && !m.fits() {
+		m.ForgetBasis()
 	}
 	if m.p.NumVariables() == 0 {
 		return nil, fmt.Errorf("lp: model has no variables")
@@ -286,9 +258,9 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 	if sol.Status == Optimal && sol.Basis != nil {
 		// Keep a private copy: Solution.Basis belongs to the caller (node
 		// snapshots in a branch-and-bound tree outlive many re-solves), and
-		// the model's appends extend its stored basis in place — retaining
-		// the caller's pointer would let those edits corrupt the caller's
-		// snapshot, and vice versa.
+		// the model overwrites its stored basis in place at the next optimal
+		// solve — retaining the caller's pointer would let that corrupt the
+		// caller's snapshot, and vice versa.
 		if m.basis == nil {
 			m.basis = &Basis{}
 		}
@@ -327,9 +299,9 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 // first, so false negatives and positives cost time, not correctness.
 func (m *Model) warmHostile() bool {
 	if !m.sinceCoeff || m.sinceStruct {
-		// Only value-level coefficient deltas qualify: structural edits
-		// already route to shape repair, and rhs/bound deltas never move
-		// reduced costs.
+		// Only value-level coefficient deltas qualify: a structural delta
+		// holds a basis SetBasis mapped onto the new layout, and rhs/bound
+		// deltas never move reduced costs.
 		return false
 	}
 	// Churn-volume signal: when a quarter or more of the constraint rows
@@ -346,8 +318,8 @@ func (m *Model) warmHostile() bool {
 		return true
 	}
 	std := m.std
-	if len(m.lastY) != std.m || len(m.basis.VarStatus) != std.n {
-		return false
+	if len(m.lastY) != std.m {
+		return false // SetBasis installed the basis: no shadow prices to sample against
 	}
 	const maxSample = 96
 	stride := std.n / maxSample

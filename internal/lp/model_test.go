@@ -30,7 +30,7 @@ func mutateRound(rng *rand.Rand, m *lp.Model, kind int) {
 	case 1:
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			v := rng.Intn(nv)
-			lb, ub := m.Bounds(v)
+			lb, ub := m.CopyProblem().Bounds(v)
 			if !math.IsInf(ub, 1) {
 				ub *= 0.6 + 0.8*rng.Float64()
 				if ub < lb {
@@ -85,12 +85,12 @@ func TestModelMutateResolveMatchesFreshBuild(t *testing.T) {
 			for chain := 0; chain < chains; chain++ {
 				rng := rand.New(rand.NewSource(int64(100*chain + 7)))
 				m := lp.NewModelFromProblem(build(int64(chain + 1)))
-				if _, err := m.Solve(); err != nil {
+				if _, err := m.SolveWithOptions(lp.Options{}); err != nil {
 					t.Fatal(err)
 				}
 				for round := 0; round < rounds; round++ {
 					mutateRound(rng, m, rng.Intn(5))
-					got, err := m.Solve()
+					got, err := m.SolveWithOptions(lp.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,7 +107,7 @@ func TestModelMutateResolveMatchesFreshBuild(t *testing.T) {
 							t.Fatalf("chain %d round %d: mutate objective %.12g != rebuild %.12g",
 								chain, round, got.Objective, want.Objective)
 						}
-						if err := m.CheckFeasible(got.X, 1e-6); err != nil {
+						if err := m.CopyProblem().CheckFeasible(got.X, 1e-6); err != nil {
 							t.Fatalf("chain %d round %d: mutated-model solution infeasible: %v",
 								chain, round, err)
 						}
@@ -133,13 +133,13 @@ func TestModelMutateResolveMatchesFreshBuild(t *testing.T) {
 func TestModelRHSOnlyChainsStayOnDualPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := lp.NewModelFromProblem(gen.Cluster(gen.Small, 3))
-	if _, err := m.Solve(); err != nil {
+	if _, err := m.SolveWithOptions(lp.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	warm := 0
 	for round := 0; round < 8; round++ {
 		mutateRound(rng, m, 0)
-		got, err := m.Solve()
+		got, err := m.SolveWithOptions(lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,14 +185,14 @@ func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 		return p
 	}
 	m := lp.NewModelFromProblem(build(true))
-	if _, err := m.Solve(); err != nil {
+	if _, err := m.SolveWithOptions(lp.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	m.RebuildWithout(0, 1) // r0 and b
 	if got, want := m.CopyProblem(), build(false).Clone(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rebuild without the block: %+v, fresh build %+v", got, want)
 	}
-	got, err := m.Solve()
+	got, err := m.SolveWithOptions(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestModelBlockOpsMatchManualRebuild(t *testing.T) {
 	// final shape.
 	v := m.AddVariable(3, 0, 2, "")
 	m.AddConstraint([]int{0, v}, []float64{1, 1}, lp.LE, 3, "rx")
-	got2, err := m.Solve()
+	got2, err := m.SolveWithOptions(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestModelBuilderCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := m.Solve()
+	ms, err := m.SolveWithOptions(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestModelDualVsPrimalWarmAgreement(t *testing.T) {
 func TestModelSetBasisSearchTreePattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := lp.NewModelFromProblem(gen.LB(gen.Small, 5))
-	root, err := m.Solve()
+	root, err := m.SolveWithOptions(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestModelSetBasisSearchTreePattern(t *testing.T) {
 
 	check := func(tag string) *lp.Solution {
 		t.Helper()
-		got, err := m.Solve()
+		got, err := m.SolveWithOptions(lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,18 +430,19 @@ func (c classLP) build(b builder) {
 // the rebuild against the basis Reset kept — the dual simplex for
 // rhs/bound-only deltas, the primal warm path for value deltas, a drop on
 // broad row churn, a cold start for another shape unless SetBasis installs
-// a basis for it — and every class solves as a fresh build does cold.
+// a basis for it — a model appended to after a solve holds no basis, and
+// every class solves as a fresh build does cold.
 func TestModelRebuildClassification(t *testing.T) {
 	base := classLP{rhs: 1, ub: 1, coef: 1}
-	with := func(f func(*classLP)) classLP { c := base; f(&c); return c }
+	with := func(f func(*classLP)) *classLP { c := base; f(&c); return &c }
 	cases := []struct {
 		name     string
-		next     classLP
+		next     *classLP                          // the rebuild after Reset; nil keeps the solved model
 		after    func(m *lp.Model, prev *lp.Basis) // between the rebuild and the solve
 		hasBasis bool
 		check    func(sol *lp.Solution, drops int64) string
 	}{
-		{"identical", base, nil, true, func(sol *lp.Solution, _ int64) string {
+		{"identical", &base, nil, true, func(sol *lp.Solution, _ int64) string {
 			if !sol.WarmStarted || sol.Iterations != 0 {
 				return "want a warm start with 0 pivots"
 			}
@@ -464,7 +465,11 @@ func TestModelRebuildClassification(t *testing.T) {
 				SlackStatus: prev.SlackStatus,
 			})
 		}, true, primalWarm},
-		{"ForgetBasis", base, func(m *lp.Model, _ *lp.Basis) { m.ForgetBasis() }, false, cold},
+		{"ForgetBasis", &base, func(m *lp.Model, _ *lp.Basis) { m.ForgetBasis() }, false, cold},
+		{"append-after-solve", nil, func(m *lp.Model, _ *lp.Basis) {
+			j := m.AddVariable(5, 0, 2, "")
+			m.AddConstraint([]int{0, j}, []float64{1, 1}, lp.LE, 3, "")
+		}, false, cold},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -475,8 +480,10 @@ func TestModelRebuildClassification(t *testing.T) {
 			if err != nil || prev.Status != lp.Optimal || prev.Iterations == 0 {
 				t.Fatalf("first solve: %v, %d pivots, %v", prev.Status, prev.Iterations, err)
 			}
-			m.Reset()
-			tc.next.build(m)
+			if tc.next != nil {
+				m.Reset()
+				tc.next.build(m)
+			}
 			if tc.after != nil {
 				tc.after(m, prev.Basis)
 			}
@@ -487,9 +494,7 @@ func TestModelRebuildClassification(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := lp.NewProblem(lp.Maximize)
-			tc.next.build(p)
-			want, err := p.Solve()
+			want, err := m.CopyProblem().Solve()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ func scribble(b *lp.Basis) {
 // warm start must still engage.
 func TestMutatedSnapshotCannotCorruptSolve(t *testing.T) {
 	m := lp.NewModelFromProblem(gen.LB(gen.Small, 23))
-	sol, err := m.Solve()
+	sol, err := m.SolveWithOptions(lp.Options{})
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("root solve: %v %v", sol.Status, err)
 	}
@@ -67,7 +67,7 @@ func TestMutatedSnapshotCannotCorruptSolve(t *testing.T) {
 	snap := m.Basis()
 	scribble(snap)
 	m.SetBounds(0, 0, 0)
-	got, err := m.Solve()
+	got, err := m.SolveWithOptions(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMutatedSnapshotCannotCorruptSolve(t *testing.T) {
 	m.SetBasis(keep)
 	scribble(keep)
 	m.SetBounds(0, 0, 1)
-	got, err = m.Solve()
+	got, err = m.SolveWithOptions(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestWorkspaceReleasedOncePerAttempt(t *testing.T) {
 		t.Fatalf("Numerical then dense retry released %d workspaces, want 2", released)
 	}
 	m := NewModelFromProblem(nonFinite)
-	if sol, err = m.Solve(); err != nil || sol.Status != Numerical {
+	if sol, err = m.SolveWithOptions(Options{}); err != nil || sol.Status != Numerical {
 		t.Fatalf("model with non-finite rhs: %v, %v", sol.Status, err)
 	}
 	if released != 4 {
@@ -260,7 +260,7 @@ func TestWarmResolveAllocations(t *testing.T) {
 	}
 	m := NewModel(Maximize)
 	build(m, 0)
-	prev, err := m.Solve()
+	prev, err := m.SolveWithOptions(Options{})
 	if err != nil || prev.Status != Optimal {
 		t.Fatalf("setup solve: %v, %v", prev.Status, err)
 	}
@@ -285,7 +285,7 @@ func TestWarmResolveAllocations(t *testing.T) {
 		m.Reset()
 		build(m, round)
 		m.SetBasis(carried)
-		sol, err := m.Solve()
+		sol, err := m.SolveWithOptions(Options{})
 		if err != nil || sol.Status != Optimal || !sol.WarmStarted {
 			t.Fatalf("round %d: %v, warm %v, %v", round, sol.Status, sol.WarmStarted, err)
 		}

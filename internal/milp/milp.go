@@ -108,8 +108,9 @@ type Options struct {
 	// RootBasis optionally warm-starts the root relaxation with a basis
 	// snapshot from an earlier solve of the same (or a perturbed) LP —
 	// typically Solution.RootBasis of the previous round's search over the
-	// same formulation. A snapshot that no longer fits is discarded inside
-	// the LP solver, so seeding never changes outcomes.
+	// same formulation. A snapshot of another shape is dropped by the root's
+	// lp.Model, and one that no longer suits is rejected inside the solver,
+	// so seeding never changes outcomes.
 	RootBasis *lp.Basis
 	// ColdNodes disables every warm start inside the search: each node's
 	// relaxation solves from scratch, reproducing the pre-persistent-model

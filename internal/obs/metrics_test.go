@@ -22,7 +22,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("pop_depth", "queue depth")
 	g.Set(3)
-	g.Add(-1.5)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
@@ -36,7 +36,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil handles must read zero")
@@ -135,7 +134,7 @@ func TestConcurrentObserve(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				h.Observe(0.001)
-				g.Add(1)
+				g.Set(float64(j))
 			}
 		}()
 	}
@@ -146,7 +145,7 @@ func TestConcurrentObserve(t *testing.T) {
 	if got := r.Histogram("pop_h_seconds", "", nil).Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
-	if got := r.Gauge("pop_g", "").Value(); got != 8000 {
-		t.Fatalf("gauge = %g, want 8000", got)
+	if got := r.Gauge("pop_g", "").Value(); got != 999 {
+		t.Fatalf("gauge = %g, want 999, every writer's last value", got)
 	}
 }

@@ -58,7 +58,8 @@ type Stats struct {
 	// the in-place rebuild exists to shrink BuildNs.
 	BuildNs int64 `json:"build_ns"`
 	SolveNs int64 `json:"solve_ns"`
-	// Arrivals, Departures, and Updates count the applied deltas;
+	// Arrivals, Departures, and Updates count the applied deltas (an update
+	// is an Upsert that changed a held job, counted each time it applies);
 	// Rebalances counts clients moved by the drift-bounding rebalancer.
 	Arrivals   int `json:"arrivals"`
 	Departures int `json:"departures"`
@@ -88,7 +89,7 @@ type ClusterEngine struct {
 	// seeds holds per-sub-problem basis snapshots installed by a state
 	// restore; each is consumed by that sub-problem's next model build, so a
 	// restored engine's first round attempts warm starts instead of solving
-	// cold. A seed whose dimensions no longer fit is dropped by the solver.
+	// cold. A seed whose dimensions no longer fit is dropped by lp.Model.
 	seeds []*lp.Basis
 	// scratch recycles syncScratch values and members soloScratch values
 	// between sub-solves: one per concurrent sub-solve, not one per
@@ -100,14 +101,11 @@ type ClusterEngine struct {
 // total load, whether a delta dirtied it, the persistent model with the
 // block sequence that model currently encodes, and the last solve's result.
 type sub struct {
-	ids   []int // members in stable (insertion) order
-	load  float64
-	dirty bool
-	// touched collects the members whose data changed since the last solve,
-	// deduplicating the Stats.Updates count per round.
-	touched map[int]struct{}
-	model   *lp.Model
-	blocks  []block
+	ids    []int // members in stable (insertion) order
+	load   float64
+	dirty  bool
+	model  *lp.Model
+	blocks []block
 	// index maps each member at the last solve to its row of alloc (its
 	// position in ids then). The solo adapter writes each new allocation over
 	// the last one — X's rows are views of slab, EffThr is left to Allocate,
@@ -176,10 +174,8 @@ func (e *ClusterEngine) Upsert(j cluster.Job) {
 	case cluster.Updated:
 		s := &e.subs[e.partOf[j.ID]]
 		s.load += j.Scale - old.Scale
-		if _, seen := s.touched[j.ID]; !seen {
-			e.stats.Updates++
-		}
-		s.markTouched(j.ID)
+		s.dirty = true
+		e.stats.Updates++
 	}
 }
 
@@ -197,7 +193,7 @@ func (e *ClusterEngine) place(j cluster.Job) {
 	s := &e.subs[best]
 	s.ids = append(s.ids, j.ID)
 	s.load += j.Scale
-	s.markTouched(j.ID)
+	s.dirty = true
 	e.stats.Arrivals++
 }
 
@@ -212,18 +208,9 @@ func (e *ClusterEngine) Remove(id int) bool {
 	s.ids = deleteID(s.ids, id)
 	s.load -= j.Scale
 	s.dirty = true
-	delete(s.touched, id) // departed blocks drop from the model
 	delete(e.partOf, id)
 	e.stats.Departures++
 	return true
-}
-
-func (s *sub) markTouched(id int) {
-	if s.touched == nil {
-		s.touched = make(map[int]struct{})
-	}
-	s.touched[id] = struct{}{}
-	s.dirty = true
 }
 
 func deleteID(ids []int, id int) []int {
@@ -414,7 +401,6 @@ func (e *ClusterEngine) solveDirty() error {
 	for i, p := range dirty {
 		s := &e.subs[p]
 		s.dirty = false
-		s.touched = nil
 		e.stats.SubSolves++
 		if reports[i].warmAttempted {
 			e.stats.WarmAttempts++
@@ -677,7 +663,8 @@ func (e *ClusterEngine) Allocate(c cluster.Cluster) ([]cluster.Job, *cluster.All
 
 // Step is Allocate for callers that hold the population themselves (round
 // loops like gavelsim's): it diffs the active set into the engine, runs the
-// round, and returns the allocation in active-set order.
+// round, and returns the allocation in active-set order. It has
+// gavelsim.Policy's signature.
 func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
 	ordered := e.jobs.Reconcile(active, e.Upsert, e.Remove)
 	jobs, alloc, err := e.Allocate(c)
@@ -723,13 +710,4 @@ func (e *ClusterEngine) composePairs(active []cluster.Job) (*cluster.Allocation,
 		}
 	}
 	return out, nil
-}
-
-// Policy adapts the engine to gavelsim's round loop: each call diffs the
-// active set against engine state and re-solves incrementally. The returned
-// function has gavelsim.Policy's signature.
-func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-		return e.Step(jobs, c)
-	}
 }

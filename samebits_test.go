@@ -14,9 +14,16 @@ import (
 	"testing"
 
 	"pop/internal/cluster"
+	"pop/internal/lb"
+	"pop/internal/lp"
+	"pop/internal/milp"
+	"pop/internal/obs"
 	"pop/internal/online"
 	"pop/internal/price"
 	"pop/internal/shard"
+	"pop/internal/te"
+	"pop/internal/tm"
+	"pop/internal/topo"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/samebits.golden from this run")
@@ -36,7 +43,10 @@ const sameBitsGolden = "testdata/samebits.golden"
 // through online.ClusterEngine under every policy at K ∈ {1, 4} (once with
 // Rebalance, once with Parallel), through price.ClusterEngine, and through a
 // sharded fleet of W ∈ {1, 2, 3} in-process max-min workers (K = 2 each)
-// behind shard.NewLocalCoordinator, whose rows also hash the stale flags.
+// behind shard.NewLocalCoordinator, whose rows also hash the stale flags;
+// and the exact solvers on small seeded instances (cluster max-min and
+// makespan, te max-flow, three lb rounds through branch and bound), whose
+// rows hash the objective, the solution and the pivot or node counts.
 func TestSameBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the golden is amd64's; %s may fuse multiply-adds", runtime.GOARCH)
@@ -137,7 +147,105 @@ func sameBitsRows() []sameBitsRow {
 			},
 		})
 	}
-	return rows
+	return append(rows, exactRows()...)
+}
+
+// exactRows are the exact solvers' rows: each solves one small seeded
+// instance through lp.Model and hashes the objective, the solution and the
+// solver's work counts, so a change that moves a pivot anywhere on the
+// cold, dual or branch-and-bound paths moves a row.
+func exactRows() []sameBitsRow {
+	// lpWork solves through solve with a metrics registry attached and
+	// hashes the pivots and dual pivots it booked.
+	lpWork := func(h *bitHash, solve func(lp.Options)) {
+		o := &obs.Observer{Metrics: obs.NewRegistry()}
+		solve(lp.Options{Obs: o})
+		h.int(int(o.Counter("pop_lp_pivots_total", "").Value()))
+		h.int(int(o.Counter("pop_lp_dual_pivots_total", "").Value()))
+	}
+	clusterRow := func(name string, policy cluster.PolicyFunc, objective func([]cluster.Job, *cluster.Allocation) float64) sameBitsRow {
+		return sameBitsRow{
+			name: "exact/cluster/" + name,
+			run: func(t *testing.T) uint64 {
+				jobs := cluster.GenerateJobs(48, 3, 0.2)
+				c := cluster.NewCluster(9, 14, 11)
+				h := bitHash{h: fnv.New64a()}
+				lpWork(&h, func(opts lp.Options) {
+					a, err := policy(jobs, c, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.floats([]float64{objective(jobs, a)})
+					for _, x := range a.X {
+						h.floats(x)
+					}
+					h.floats(a.EffThr)
+				})
+				return h.h.Sum64()
+			},
+		}
+	}
+	return []sameBitsRow{
+		clusterRow("max-min", cluster.MaxMinFairness, func(jobs []cluster.Job, a *cluster.Allocation) float64 {
+			lo, _ := cluster.MinMean(cluster.NormalizedRatios(jobs, cluster.NewCluster(9, 14, 11), a))
+			return lo
+		}),
+		clusterRow("makespan", cluster.MinMakespan, cluster.Makespan),
+		{
+			name: "exact/te/max-flow",
+			run: func(t *testing.T) uint64 {
+				tp := topo.GenerateScaled("Deltacom", 0.3)
+				inst := te.NewInstance(tp, tm.Generate(tm.Config{
+					Nodes: tp.G.N, Commodities: 60, Model: tm.Gravity,
+					TotalDemand: tp.TotalCapacity() * 0.4, Seed: 3,
+				}), 4)
+				h := bitHash{h: fnv.New64a()}
+				lpWork(&h, func(opts lp.Options) {
+					a, err := te.SolveLP(inst, te.MaxTotalFlow, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.floats([]float64{a.TotalFlow})
+					for _, f := range a.PathFlow {
+						h.floats(f)
+					}
+				})
+				return h.h.Sum64()
+			},
+		},
+		{
+			// Three rounds through lb.MILPSolver: each round's root starts
+			// from the last round's root basis (SetBasis on a first build),
+			// and every node re-solves after SetBounds.
+			name: "exact/lb/milp",
+			run: func(t *testing.T) uint64 {
+				inst := lb.NewInstance(12, 3, 0.05, 7)
+				s := lb.NewMILPSolver(milp.Options{})
+				h := bitHash{h: fnv.New64a()}
+				for r := range 3 {
+					inst.ShiftLoads(int64(100 + r))
+					a, err := s.Solve(inst)
+					if err != nil {
+						t.Fatalf("round %d: %v", r, err)
+					}
+					h.floats([]float64{a.MovedBytes})
+					for i := range a.Frac {
+						h.floats(a.Frac[i])
+						for _, p := range a.Placed[i] {
+							h.bool(p)
+						}
+					}
+					h.bool(a.Optimal)
+					st := a.Search
+					for _, v := range []int{st.Nodes, st.HeuristicSolves, st.LPPivots, st.DualPivots, st.WarmNodes, st.ColdFallbacks} {
+						h.int(v)
+					}
+					inst.Placement = a.Placed
+				}
+				return h.h.Sum64()
+			},
+		},
+	}
 }
 
 // churnPool is the pool the churn sequence starts on; round 10 replaces it.
