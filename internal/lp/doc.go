@@ -305,11 +305,11 @@
 // Entry conditions (all must hold, else the solve falls back to the primal
 // warm path and then cold, so outcomes never change):
 //
-//   - Options.Dual is set alongside Options.WarmBasis. Model.Solve sets it
-//     automatically when the deltas since the stored basis are rhs/bound
-//     only — SetBounds, or a same-shape rebuild that changed only
-//     right-hand sides and bounds; callers using Problem directly can set
-//     it by hand.
+//   - Options.Dual is set alongside Options.WarmBasis.
+//     Model.SolveWithOptions sets it automatically when the deltas since
+//     the stored basis are rhs/bound only — SetBounds, or a same-shape
+//     rebuild that changed only right-hand sides and bounds; callers using
+//     Problem directly can set it by hand.
 //   - The snapshot fits exactly: the model's shape, exactly m basic
 //     columns (a count-repaired basis, or one SetBasis carried across a
 //     layout change, goes primal).

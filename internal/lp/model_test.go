@@ -435,6 +435,10 @@ func (c classLP) build(b builder) {
 func TestModelRebuildClassification(t *testing.T) {
 	base := classLP{rhs: 1, ub: 1, coef: 1}
 	with := func(f func(*classLP)) *classLP { c := base; f(&c); return &c }
+	appendOne := func(b builder) {
+		j := b.AddVariable(5, 0, 2, "")
+		b.AddConstraint([]int{0, j}, []float64{1, 1}, lp.LE, 3, "")
+	}
 	cases := []struct {
 		name     string
 		next     *classLP                          // the rebuild after Reset; nil keeps the solved model
@@ -466,10 +470,7 @@ func TestModelRebuildClassification(t *testing.T) {
 			})
 		}, true, primalWarm},
 		{"ForgetBasis", &base, func(m *lp.Model, _ *lp.Basis) { m.ForgetBasis() }, false, cold},
-		{"append-after-solve", nil, func(m *lp.Model, _ *lp.Basis) {
-			j := m.AddVariable(5, 0, 2, "")
-			m.AddConstraint([]int{0, j}, []float64{1, 1}, lp.LE, 3, "")
-		}, false, cold},
+		{"append-after-solve", nil, func(m *lp.Model, _ *lp.Basis) { appendOne(m) }, false, cold},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -494,7 +495,14 @@ func TestModelRebuildClassification(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := m.CopyProblem().Solve()
+			p := lp.NewProblem(lp.Maximize)
+			if tc.next != nil {
+				tc.next.build(p)
+			} else {
+				base.build(p)
+				appendOne(p)
+			}
+			want, err := p.Solve()
 			if err != nil {
 				t.Fatal(err)
 			}

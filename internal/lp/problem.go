@@ -333,10 +333,10 @@ type Options struct {
 	// dual phase that fails (iteration limit, numerical trouble, a ray that
 	// fails the check), falls back to the primal warm path and then cold,
 	// so enabling Dual never changes the solve outcome. Ignored without
-	// WarmBasis. Model.Solve sets this automatically when only rhs/bounds
-	// changed since the basis was taken: by SetBounds, or by a rebuild after
-	// Reset that came back in the same shape with only right-hand sides and
-	// bounds changed.
+	// WarmBasis. Model.SolveWithOptions sets this automatically when only
+	// rhs/bounds changed since the basis was taken: by SetBounds, or by a
+	// rebuild after Reset that came back in the same shape with only
+	// right-hand sides and bounds changed.
 	Dual bool
 	// Obs, when non-nil, receives per-solve telemetry: phase spans
 	// (standardize, factor, refactor, phase1, phase2, dual — with its

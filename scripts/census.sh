@@ -17,13 +17,15 @@
 #     file) and under spacesharing, each with an explicit POST /v1/tick,
 #     and a coordinator over two worker processes, one of which is
 #     restarted empty and rebuilt by a full round
-#   a price worker behind -auth-token, sent full rounds over a 4-type pool
-#     (the best response for r != 3) and restarted on its own -state-file
+#   a coordinator behind -auth-token over one price worker, which is
+#     restarted on its own -state-file
 #   the four examples
 #
 # Binaries, counters and logs go under $CENSUS_DIR (default .census/).
 # The servers listen on 127.0.0.1 ports 18280-18283 and 19281-19283.
 set -euo pipefail
+# Whatever exits early leaves no server behind on its port.
+trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
 out=${CENSUS_DIR:-$root/.census}
@@ -68,27 +70,29 @@ run popsolve-milp "$out/bin/popsolve" "$out/knapsack.mps"
 # members, so the LP engines rebuild each model in its old shape and
 # lp.Model classifies the rebuild against the basis Reset kept), runs one
 # round by hand, runs $hook if set, reads every allocation view, and stops it
-# with SIGTERM so its counters are written.
+# with SIGTERM so its counters are written. With $token set, every mutating
+# request carries it as a bearer token.
 serve() {
 	local name=$1 port=$2
 	shift 2
 	mkdir -p "$out/cov/$name"
 	GOCOVERDIR="$out/cov/$name" "$out/bin/popserver" -addr "127.0.0.1:$port" -round 100ms "$@" \
 		>"$out/log/$name.txt" 2>&1 &
-	local pid=$!
+	local pid=$! auth=()
+	[ -z "${token:-}" ] || auth=(-H "Authorization: Bearer $token")
 	for _ in $(seq 1 50); do
 		curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1 && break
 		sleep 0.1
 	done
 	for id in 1 2 3 4 5 6; do
-		curl -fsS -X POST "http://127.0.0.1:$port/v1/jobs" -d "{\"id\":$id,\"throughput\":[1,2,$id]}" >/dev/null
+		curl -fsS "${auth[@]}" -X POST "http://127.0.0.1:$port/v1/jobs" -d "{\"id\":$id,\"throughput\":[1,2,$id]}" >/dev/null
 	done
 	sleep 0.5
-	curl -fsS -X DELETE "http://127.0.0.1:$port/v1/jobs/2" >/dev/null || true
+	curl -fsS "${auth[@]}" -X DELETE "http://127.0.0.1:$port/v1/jobs/2" >/dev/null || true
 	sleep 0.3
-	curl -fsS -X PUT "http://127.0.0.1:$port/v1/cluster" -d '{"gpus":[5,4,4]}' >/dev/null || true
+	curl -fsS "${auth[@]}" -X PUT "http://127.0.0.1:$port/v1/cluster" -d '{"gpus":[5,4,4]}' >/dev/null || true
 	sleep 0.3
-	curl -fsS -X POST "http://127.0.0.1:$port/v1/tick" >/dev/null || true
+	curl -fsS "${auth[@]}" -X POST "http://127.0.0.1:$port/v1/tick" >/dev/null || true
 	${hook:-}
 	for path in /v1/allocation /v1/allocation/3 /v1/stats /metrics; do
 		curl -fsS "http://127.0.0.1:$port$path" >/dev/null || true
@@ -131,54 +135,34 @@ hook=restart_worker2 serve popserver-coordinator 18282 -gpus 4,4,4 -shard-deadli
 kill -TERM "${workers[@]}"
 wait "${workers[@]}" || true
 
-# frame ROUND PREV prints a full round request (internal/shard/doc.go, "Wire
-# format") over a pool of four GPU types, 4 each, holding six 4-wide jobs.
-# popserver's -gpus takes three types, so only a hand-made frame reaches a
-# price engine with another width.
-frame() {
-	python3 - "$1" "$2" <<'PY'
-import json, struct, sys
-rnd, prev = int(sys.argv[1]), int(sys.argv[2])
-ids = list(range(1, 7))
-thr = [v for i in ids for v in (1, 2, i, 1.5)]
-n = len(ids)
-head = json.dumps({"wire": 3, "round": rnd, "prev_round": prev, "full": True,
-                   "gpus": [4, 4, 4, 4], "removes_bytes": 0,
-                   "ids_bytes": 8 * n, "throughput_bytes": 8 * len(thr)})
-cols = struct.pack("<%dq" % n, *ids) + struct.pack("<%dd" % len(thr), *thr)
-for v in (1, 1, 100, 0, 0):  # weight, scale, num_steps, mem_frac, priority
-    cols += struct.pack("<%dd" % n, *[v] * n)
-sys.stdout.buffer.write(head.encode() + cols)
-PY
-}
-# price4 NAME ROUND...: starts a price worker behind a token on
-# $out/price4.state, sends it a full round for each ROUND (each following
-# the one before), and stops it with SIGTERM, which saves that file.
-price4() {
-	local name=$1 prev=0
-	shift
-	mkdir -p "$out/cov/$name"
-	GOCOVERDIR="$out/cov/$name" "$out/bin/popserver" worker \
+# price_worker NAME starts a price worker behind a token on
+# $out/price-worker.state, its counters under cov/NAME.
+price_worker() {
+	mkdir -p "$out/cov/$1"
+	GOCOVERDIR="$out/cov/$1" "$out/bin/popserver" worker \
 		-shard-addr 127.0.0.1:19283 -policy price -auth-token census \
-		-state-file "$out/price4.state" >"$out/log/$name.txt" 2>&1 &
-	local pid=$!
+		-state-file "$out/price-worker.state" >"$out/log/$1.txt" 2>&1 &
+	price_pid=$!
+}
+# restart_price_worker stops the price worker, which saves its state file,
+# and starts it again on that file, so it restores its warm state before the
+# coordinator's next round.
+restart_price_worker() {
+	kill -TERM "$price_pid"
+	wait "$price_pid" || true
+	price_worker popserver-price-worker-restart
 	for _ in $(seq 1 50); do
 		curl -fsS "http://127.0.0.1:19283/shard/v1/health" >/dev/null 2>&1 && break
 		sleep 0.1
 	done
-	for round in "$@"; do
-		frame "$round" "$prev" >"$out/price4.frame"
-		curl -fsS -X POST -H "Authorization: Bearer census" \
-			-H "Content-Type: application/vnd.pop.round-frame" \
-			--data-binary @"$out/price4.frame" "http://127.0.0.1:19283/shard/v1/round" >/dev/null
-		prev=$round
-	done
-	kill -TERM "$pid"
-	wait "$pid" || true
+	sleep 0.3
 }
-echo "census: price worker over four GPU types, restarted on its state file" >&2
-price4 popserver-price4 1 2
-price4 popserver-price4-restart 3
+echo "census: coordinator behind -auth-token over a price worker restarted on its state file" >&2
+price_worker popserver-price-worker
+token=census hook=restart_price_worker serve popserver-price-coordinator 18281 -gpus 4,4,4 \
+	-shard-deadline 5s -auth-token census -policy price -workers http://127.0.0.1:19283
+kill -TERM "$price_pid"
+wait "$price_pid" || true
 
 echo "census: examples" >&2
 for e in examples/*/; do
