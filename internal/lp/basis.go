@@ -17,8 +17,9 @@ type basisFactor interface {
 	// if the basis is numerically singular.
 	refactor() bool
 	// ftranCol computes w = B⁻¹ A_q for column q (structural, slack, or
-	// artificial) into w (position space).
-	ftranCol(q int, w []float64)
+	// artificial) into w (position space). It returns w's nonzero positions
+	// in ascending order when it knows them, nil when the caller must scan.
+	ftranCol(q int, w []float64) []int32
 	// ftranDense solves B x = v in place: v enters in row space and leaves
 	// holding x in position space.
 	ftranDense(v []float64)
@@ -27,7 +28,8 @@ type basisFactor interface {
 	btranCost(y []float64)
 	// btranUnit computes z = B⁻ᵀ e_r into z (row space) for basis
 	// position r; zᵀ is row r of B⁻¹, from which every pivot row is priced.
-	btranUnit(r int, z []float64)
+	// It returns z's nonzero rows like ftranCol returns w's positions.
+	btranUnit(r int, z []float64) []int32
 	// update records the pivot that replaced the column at basis position
 	// `leave` with the column whose ftran is w, which must be the column
 	// the last ftranCol solved (luFactor installs what that call saved).
@@ -76,7 +78,7 @@ func (d *denseFactor) refactor() bool {
 	return true
 }
 
-func (d *denseFactor) ftranCol(q int, w []float64) {
+func (d *denseFactor) ftranCol(q int, w []float64) []int32 {
 	s := d.s
 	m := s.m
 	for i := range w {
@@ -88,7 +90,7 @@ func (d *denseFactor) ftranCol(q int, w []float64) {
 		for i := 0; i < m; i++ {
 			w[i] = d.binv[i*m+k] * sign
 		}
-		return
+		return nil
 	}
 	ind, val := s.std.col(q)
 	for t, r := range ind {
@@ -101,6 +103,7 @@ func (d *denseFactor) ftranCol(q int, w []float64) {
 			w[i] += d.binv[i*m+ri] * v
 		}
 	}
+	return nil
 }
 
 func (d *denseFactor) ftranDense(v []float64) {
@@ -136,9 +139,10 @@ func (d *denseFactor) btranCost(y []float64) {
 	}
 }
 
-func (d *denseFactor) btranUnit(r int, z []float64) {
+func (d *denseFactor) btranUnit(r int, z []float64) []int32 {
 	m := d.s.m
 	copy(z, d.binv[r*m:(r+1)*m])
+	return nil
 }
 
 // update applies the product-form transformation: row `leave` of B⁻¹ is

@@ -162,6 +162,56 @@
 // TestRefactorWorkLinear pins the cost model with a count of entries
 // visited rather than a timing, at m ≈ 600, 2 400 and 9 600.
 //
+// # Hypersparse solves
+//
+// Each pivot solves one column (ftranCol, w = B⁻¹a_q) and one row
+// (btranUnit, ρ = B⁻ᵀeᵣ). On the path LPs of traffic engineering both
+// results are nearly empty — over the sub-solves of one POP solve at the
+// benchmark's batch-te shape (m ≈ 821, te.BenchmarkSolvePOP), w averages
+// 5% nonzero and ρ 1% — while on the max-min LPs served online
+// (shard.BenchmarkShardRound's maxmin engine, m ≈ 2 503) w averages 86%
+// and ρ 20%. So each of the two kernels picks its path per call from a
+// running density of its own results in the solve: the first call scans,
+// each result's nonzero fraction then moves the running value halfway to
+// it, and a running density under a tenth (hyperDensity) takes the sparse
+// path. The dense path counts its nonzeros inside loops it runs anyway
+// (the scatter into position space, the Lᵀ sweep), so choosing costs no
+// pass of its own. There is no option. The switch matters: with the sparse
+// path forced on every call, the benchmark's serve-lp round ran 57% slower
+// and its cold load 2.7× longer (one paired run, 2 vCPUs).
+//
+// The sparse path visits only the elimination steps, row etas and
+// triangular steps a nonzero reaches, and computes each reached value by
+// the same operations, in the same order, as the dense loops. ftran's L
+// solve pops a min-heap of L steps (L column t reaches only rows pivoted
+// after t, so a row's value is final when its step pops), replays every row
+// eta in order as the dense loop does, then solves U popping a max-heap of
+// triangular steps along the U columns. btran's Uᵀ solve pops a min-heap
+// along the U rows, applies the transposed row etas whose target is
+// nonzero (the dense loop skips the rest), and solves Lᵀ popping a max-heap
+// along a row-wise mirror of L built by the first sparse btran after a
+// refactorization. Entries no nonzero reaches stay zero, where the dense
+// loops compute a zero that may carry a sign; every other entry is the
+// dense kernel's bit for bit, the saved Forrest–Tomlin spike is the same
+// list, and each result comes back with its nonzero positions in ascending
+// order. The ratio test, the step and the pivot row walk those lists in
+// the order the dense loops walk all m rows, so no pivot decision changes
+// (FuzzHyperKernels holds the two paths together over random Forrest–Tomlin
+// chains). While unit btrans run sparse, the Forrest–Tomlin update's row
+// elimination, which follows the same reach through U, also visits only
+// the rows it touches, in step order from a heap.
+//
+// Pricing follows suit. When pivot rows are short, few reduced costs change
+// per pivot, so Dantzig pricing reads a candidate list rather than every
+// column: the list holds every eligible column (updatePrices appends the
+// ones each pivot makes eligible, a scan drops the rest), and the pick
+// applies the full scan's order-dependent rule explicitly — largest
+// violation, then fewest nonzeros, then lowest index — so it is the
+// column the scan would take (TestCandidatePricingMatchesScan and
+// TestCandidatePricingOnCaseStudies check every pass).
+// The list is kept while the running pivot-row length plus the eligible
+// count stay under the column count, and rebuilt after a re-pricing.
+//
 // # Warm starts
 //
 // Every optimal solve exports a combinatorial Basis snapshot

@@ -10,6 +10,8 @@ var CheckRefactorOracle = checkRefactorOracle
 
 var CheckMaintainedPrices = checkMaintainedPrices
 
+var CheckCandidatePricing = checkCandidatePricing
+
 // Dense returns o starting on the dense reference inverse.
 func (o Options) Dense() Options { o.dense = true; return o }
 

@@ -116,7 +116,29 @@ type luFactor struct {
 	// refactor and update clear it.
 	spike   []luEntry
 	spikeOK bool
+
+	// Hypersparse solves (doc.go, "Hypersparse solves"). gs is their
+	// handle-space accumulator and reads zero between calls; hmark stamps
+	// the steps or handles the current pass has reached, hstamp being the
+	// current stamp; hlist collects reached handles. wnz and znz hold the
+	// nonzero positions of the last sparse ftranCol and rows of the last
+	// sparse btranUnit. lrowPtr/lrowStep mirror L row-wise (row i's entries
+	// are the steps whose L column holds i), built by the first sparse
+	// btranUnit after a refactor; lrowsOK says they describe the current L.
+	// ftranDen and btranDen are the running result densities that choose
+	// each call's path (negative before the first result).
+	gs                 []float64
+	hmark              []int32
+	hstamp             int32
+	hlist, wnz, znz    []int32
+	lrowPtr, lrowStep  []int32
+	lrowsOK            bool
+	ftranDen, btranDen float64
 }
+
+// hyperDensity is the result density below which ftranCol and btranUnit
+// take their sparse paths: a running density under a tenth of m.
+const hyperDensity = 0.1
 
 type luEntry struct {
 	idx int32
@@ -157,6 +179,9 @@ func (f *luFactor) reset(s *simplex) *luFactor {
 	f.urows = sized(f.urows, m)
 	f.rowAcc = zeroed(f.rowAcc, m)
 	f.spike, f.spikeOK = f.spike[:0], false
+	f.gs, f.hmark, f.hstamp = zeroed(f.gs, m), zeroed(f.hmark, m), 0
+	f.lrowsOK = false
+	f.ftranDen, f.btranDen = -1, -1
 	return f
 }
 
@@ -183,6 +208,7 @@ func (f *luFactor) refactor() bool {
 	f.arena = f.arena[:0]
 	f.etaEnts = f.etaEnts[:0]
 	f.work = 0
+	f.lrowsOK = false
 
 	// Column order: ascending nonzero count (approximate Markowitz), ties
 	// by position for determinism — a stable counting sort, with ptr
@@ -462,16 +488,18 @@ func (f *luFactor) ftranLower(v []float64) {
 }
 
 // ftranUpper is ftranDense's second half: it solves U z = f.g and scatters z
-// into v in position space.
-func (f *luFactor) ftranUpper(v []float64) {
+// into v in position space. It returns the number of nonzeros in z.
+func (f *luFactor) ftranUpper(v []float64) int {
 	m := f.m
 	g := f.g
 	// Backward: U z = y, columns visited in reverse triangular order.
+	nnz := 0
 	for ti := m - 1; ti >= 0; ti-- {
 		h := f.perm[ti]
 		zt := g[h] / f.udiag[h]
 		g[h] = zt
 		if zt != 0 {
+			nnz++
 			for _, e := range f.ucols[h] {
 				g[e.idx] -= e.val * zt
 			}
@@ -482,11 +510,13 @@ func (f *luFactor) ftranUpper(v []float64) {
 		f.pos[f.cperm[t]] = g[t]
 	}
 	copy(v, f.pos)
+	return nnz
 }
 
 // solveLUT solves Bᵀ y = c through Uᵀ, the transposed row etas, and Lᵀ:
-// c enters in position space and leaves in row space.
-func (f *luFactor) solveLUT(c []float64) {
+// c enters in position space and leaves in row space. It returns the
+// number of nonzeros in y.
+func (f *luFactor) solveLUT(c []float64) int {
 	m := f.m
 	g := f.g
 	for t := 0; t < m; t++ {
@@ -514,13 +544,19 @@ func (f *luFactor) solveLUT(c []float64) {
 	}
 	// Backward: Lᵀ y = g'. L column t touches only rows pivoted later, so
 	// a descending sweep resolves every dependency.
+	nnz := uint64(0)
 	for t := m - 1; t >= 0; t-- {
 		acc := g[t]
 		for _, e := range f.lcols[t] {
 			acc -= e.val * c[e.idx]
 		}
 		c[f.pr[t]] = acc
+		// Counted without a branch: the top bit of b|−b is set iff b ≠ 0,
+		// and b is acc's bits less the sign.
+		b := math.Float64bits(acc) << 1
+		nnz += (b | -b) >> 63
 	}
+	return int(nnz)
 }
 
 func (f *luFactor) btranCost(y []float64) {
@@ -531,15 +567,57 @@ func (f *luFactor) btranCost(y []float64) {
 	f.solveLUT(y)
 }
 
-func (f *luFactor) btranUnit(r int, z []float64) {
-	for i := range z {
-		z[i] = 0
+// btranUnit computes z = B⁻ᵀeᵣ. On the sparse path it returns z's nonzero
+// rows in ascending order; on the dense path it returns nil.
+func (f *luFactor) btranUnit(r int, z []float64) []int32 {
+	if f.btranDen < 0 || f.btranDen >= hyperDensity {
+		clear(z)
+		z[r] = 1
+		f.btranDen = f.density(f.btranDen, f.solveLUT(z))
+		return nil
 	}
-	z[r] = 1
-	f.solveLUT(z)
+	nz := f.btranSparse(r, z)
+	f.btranDen = f.density(f.btranDen, len(nz))
+	return nz
 }
 
-func (f *luFactor) ftranCol(q int, w []float64) {
+// ftranCol computes w = B⁻¹a_q and saves the column's Forrest–Tomlin
+// spike. On the sparse path it returns w's nonzero positions in ascending
+// order; on the dense path it returns nil.
+func (f *luFactor) ftranCol(q int, w []float64) []int32 {
+	var nz []int32
+	if f.ftranDen < 0 || f.ftranDen >= hyperDensity {
+		f.ftranDen = f.density(f.ftranDen, f.ftranColDense(q, w))
+	} else {
+		nz = f.ftranSparse(q, w)
+		f.ftranDen = f.density(f.ftranDen, len(nz))
+	}
+	if !f.drift {
+		// Sampled drift measurement: every 64th column solve verifies the
+		// factorization against the actual basis by computing the true
+		// residual B·w − a_q. Exceeding the tolerance latches `drift`, and
+		// wantRefactor schedules a rebuild before the next pivot.
+		f.ftrans++
+		if f.ftrans&63 == 0 {
+			f.measureDrift(q, w)
+		}
+	}
+	return nz
+}
+
+// density folds a result with nnz nonzeros into the running density prev:
+// the first result sets it, later ones move it halfway.
+func (f *luFactor) density(prev float64, nnz int) float64 {
+	d := float64(nnz) / float64(f.m)
+	if prev < 0 {
+		return d
+	}
+	return (prev + d) / 2
+}
+
+// ftranColDense is ftranCol over every row and step; it returns the number
+// of nonzeros in w.
+func (f *luFactor) ftranColDense(q int, w []float64) int {
 	s := f.s
 	x := f.x
 	if q >= s.artStart {
@@ -565,17 +643,256 @@ func (f *luFactor) ftranCol(q int, w []float64) {
 		}
 	}
 	f.spike, f.spikeOK = spike, true
-	f.ftranUpper(w)
-	if !f.drift {
-		// Sampled drift measurement: every 64th column solve verifies the
-		// factorization against the actual basis by computing the true
-		// residual B·w − a_q. Exceeding the tolerance latches `drift`, and
-		// wantRefactor schedules a rebuild before the next pivot.
-		f.ftrans++
-		if f.ftrans&63 == 0 {
-			f.measureDrift(q, w)
+	return f.ftranUpper(w)
+}
+
+// nextStamp starts a new pass over hmark.
+func (f *luFactor) nextStamp() int32 {
+	if f.hstamp == math.MaxInt32 {
+		clear(f.hmark)
+		f.hstamp = 0
+	}
+	f.hstamp++
+	return f.hstamp
+}
+
+// ftranSparse is ftranCol visiting only the L steps, row etas and U steps
+// a nonzero reaches, in the dense loops' order: a min-heap of L steps, then
+// every row eta (each costs its own entries, as in ftranLower), then a
+// max-heap of triangular steps. Each value is computed by the same
+// operations in the same order as the dense loops, so w is ftranColDense's
+// w entry for entry (a zero may differ in sign), and the spike is the same
+// list. It returns w's nonzero positions in ascending order.
+func (f *luFactor) ftranSparse(q int, w []float64) []int32 {
+	s, x, g, mark := f.s, f.x, f.gs, f.hmark
+	heap := f.heap[:0]
+
+	// L y = a_q. A row's value is final when its step pops: L column t only
+	// reaches rows pivoted after t. x is left all zeros again.
+	st := f.nextStamp()
+	push := func(r int32) {
+		if t := int32(f.elim[r]); mark[t] != st {
+			mark[t] = st
+			heap = heapPush(heap, t)
 		}
 	}
+	if q >= s.artStart {
+		k := q - s.artStart
+		x[k] = s.artSign[k]
+		push(int32(k))
+	} else {
+		ind, val := s.std.col(q)
+		for t, r := range ind {
+			x[r] = val[t]
+			push(r)
+		}
+	}
+	hl := f.hlist[:0]
+	for len(heap) > 0 {
+		var t int32
+		t, heap = heapPop(heap)
+		r := f.pr[t]
+		yt := x[r]
+		x[r] = 0
+		if yt == 0 {
+			continue
+		}
+		g[t] = yt
+		hl = append(hl, t)
+		for _, e := range f.lcols[t] {
+			x[e.idx] -= e.val * yt
+			push(e.idx)
+		}
+	}
+
+	// Row etas, chronologically; a target turning nonzero joins the list
+	// (possibly twice: the sort below drops repeats).
+	for i := range f.rowEtas {
+		e := &f.rowEtas[i]
+		acc := g[e.target]
+		for _, t := range e.ents {
+			acc -= t.val * g[t.idx]
+		}
+		if acc != 0 && g[e.target] == 0 {
+			hl = append(hl, int32(e.target))
+		}
+		g[e.target] = acc
+	}
+
+	// The spike, in ascending handle order like ftranColDense's scan: the
+	// order is the new U column's, which later Uᵀ solves accumulate along.
+	slices.Sort(hl)
+	spike := f.spike[:0]
+	st = f.nextStamp()
+	prev := int32(-1)
+	for _, h := range hl {
+		if h == prev {
+			continue
+		}
+		prev = h
+		if v := g[h]; v != 0 {
+			spike = append(spike, luEntry{h, v})
+			mark[h] = st
+			heap = heapPush(heap, ^int32(f.stepOf[h]))
+		}
+	}
+	f.spike, f.spikeOK = spike, true
+	f.hlist = hl
+
+	// U z = y in reverse triangular order (the heap holds complemented
+	// steps, so its minimum is the latest step); g is cleared as it is
+	// consumed.
+	clear(w)
+	nz := f.wnz[:0]
+	for len(heap) > 0 {
+		var k int32
+		k, heap = heapPop(heap)
+		h := f.perm[^k]
+		zt := g[h] / f.udiag[h]
+		g[h] = 0
+		if zt == 0 {
+			continue
+		}
+		p := f.cperm[h]
+		w[p] = zt
+		nz = append(nz, int32(p))
+		for _, e := range f.ucols[h] {
+			g[e.idx] -= e.val * zt
+			if mark[e.idx] != st {
+				mark[e.idx] = st
+				heap = heapPush(heap, ^int32(f.stepOf[e.idx]))
+			}
+		}
+	}
+	slices.Sort(nz)
+	f.wnz = nz
+	return nz
+}
+
+// btranSparse is btranUnit visiting only the U steps, row etas and L steps
+// a nonzero reaches, in solveLUT's order: a min-heap of triangular steps
+// for Uᵀ, the row etas whose target is nonzero (solveLUT skips the rest),
+// then a max-heap of L steps over the row-wise mirror of L for Lᵀ. Each
+// reached value is computed as solveLUT computes it, so z is the dense z
+// entry for entry (a zero may differ in sign). It returns z's nonzero rows
+// in ascending order.
+func (f *luFactor) btranSparse(r int, z []float64) []int32 {
+	if !f.lrowsOK {
+		f.buildLRows()
+	}
+	g, mark := f.gs, f.hmark
+	clear(z)
+
+	// Uᵀ g' = e: a handle's value is final when its step pops, because
+	// U row h only reaches columns later in triangular order.
+	st := f.nextStamp()
+	h0 := f.posH[r]
+	g[h0] = 1
+	mark[h0] = st
+	heap := heapPush(f.heap[:0], int32(f.stepOf[h0]))
+	hl := f.hlist[:0]
+	for len(heap) > 0 {
+		var ti int32
+		ti, heap = heapPop(heap)
+		h := f.perm[ti]
+		acc := g[h]
+		for _, e := range f.ucols[h] {
+			acc -= e.val * g[e.idx]
+		}
+		v := acc / f.udiag[h]
+		g[h] = v
+		hl = append(hl, int32(h))
+		if v == 0 {
+			continue
+		}
+		for _, e := range f.urows[h] {
+			if mark[e.idx] != st {
+				mark[e.idx] = st
+				heap = heapPush(heap, int32(f.stepOf[e.idx]))
+			}
+		}
+	}
+
+	// Transposed row etas, reverse chronologically.
+	for i := len(f.rowEtas) - 1; i >= 0; i-- {
+		e := &f.rowEtas[i]
+		gt := g[e.target]
+		if gt == 0 {
+			continue
+		}
+		for _, t := range e.ents {
+			g[t.idx] -= t.val * gt
+			if mark[t.idx] != st {
+				mark[t.idx] = st
+				hl = append(hl, t.idx)
+			}
+		}
+	}
+
+	// Lᵀ y = g' in descending step order (complemented keys); a row turning
+	// nonzero reaches the earlier steps whose L column holds it.
+	st = f.nextStamp()
+	for _, h := range hl {
+		if g[h] != 0 {
+			mark[h] = st
+			heap = heapPush(heap, ^h)
+		}
+	}
+	nz := f.znz[:0]
+	for len(heap) > 0 {
+		var k int32
+		k, heap = heapPop(heap)
+		t := ^k
+		acc := g[t]
+		for _, e := range f.lcols[t] {
+			acc -= e.val * z[e.idx]
+		}
+		row := f.pr[t]
+		z[row] = acc
+		if acc == 0 {
+			continue
+		}
+		nz = append(nz, int32(row))
+		for _, j := range f.lrowStep[f.lrowPtr[row]:f.lrowPtr[row+1]] {
+			if mark[j] != st {
+				mark[j] = st
+				heap = heapPush(heap, ^j)
+			}
+		}
+	}
+	for _, h := range hl {
+		g[h] = 0
+	}
+	f.hlist = hl
+	slices.Sort(nz)
+	f.znz = nz
+	return nz
+}
+
+// buildLRows builds the row-wise mirror of L that btranSparse's Lᵀ solve
+// follows: for each row, the steps whose L column holds it.
+func (f *luFactor) buildLRows() {
+	m := f.m
+	ptr := zeroed(f.lrowPtr, m+1)
+	for t := 0; t < m; t++ {
+		for _, e := range f.lcols[t] {
+			ptr[e.idx+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	steps := sized(f.lrowStep, int(ptr[m]))
+	for t := 0; t < m; t++ {
+		for _, e := range f.lcols[t] {
+			steps[ptr[e.idx]] = int32(t)
+			ptr[e.idx]++
+		}
+	}
+	// ptr[i] has advanced to row i+1's start; shift it back.
+	copy(ptr[1:], ptr[:m])
+	ptr[0] = 0
+	f.lrowPtr, f.lrowStep, f.lrowsOK = ptr, steps, true
 }
 
 // measureDrift computes r = B·w − a_q in row space and latches f.drift when
@@ -691,9 +1008,29 @@ func (f *luFactor) update(leave int, _ []float64) bool {
 	// Entries the row ops place in column h0 fold into the new diagonal d;
 	// everything else is fill tracked in racc. Entries below the drop
 	// tolerance are discarded (the sampled drift check guards the
-	// accumulated error).
+	// accumulated error). While unit btrans run sparse (the elimination
+	// follows the same reach as a Uᵀ solve), only rows where racc holds an
+	// entry take part: a min-heap of their steps visits them in the order
+	// the scan of t0..m-2 does, since a row op only fills later steps.
+	sparse := f.btranDen >= 0 && f.btranDen < hyperDensity
+	st := f.nextStamp()
+	heap := f.heap[:0]
+	if sparse {
+		for _, h := range rtouch {
+			f.hmark[h] = st
+			heap = heapPush(heap, int32(f.stepOf[h]))
+		}
+	}
 	eta0 := len(f.etaEnts)
-	for t := t0; t < m-1; t++ {
+	for t := int32(t0); ; t++ {
+		if sparse {
+			if len(heap) == 0 {
+				break
+			}
+			t, heap = heapPop(heap)
+		} else if int(t) >= m-1 {
+			break
+		}
 		h := f.perm[t]
 		v := racc[h]
 		if v == 0 {
@@ -718,11 +1055,15 @@ func (f *luFactor) update(leave int, _ []float64) bool {
 		for _, e := range f.urows[h] {
 			if int(e.idx) == h0 {
 				d -= mult * e.val
-			} else {
-				if racc[e.idx] == 0 {
-					rtouch = append(rtouch, int(e.idx))
-				}
-				racc[e.idx] -= mult * e.val
+				continue
+			}
+			if racc[e.idx] == 0 {
+				rtouch = append(rtouch, int(e.idx))
+			}
+			racc[e.idx] -= mult * e.val
+			if sparse && f.hmark[e.idx] != st {
+				f.hmark[e.idx] = st
+				heap = heapPush(heap, int32(f.stepOf[e.idx]))
 			}
 		}
 	}

@@ -223,3 +223,147 @@ func TestPriceBreaksTiesTowardSparsest(t *testing.T) {
 		t.Fatalf("pop_lp_price_ties_total = %d after the path LP, want 1", n)
 	}
 }
+
+// checkCandidatePricing runs solve with a pricing hook that, before every
+// pricing pass, holds the candidate list's pick to the scan of every
+// column: the same column at the same reduced cost, and the same tie-break
+// verdict. A list the solver carried over must hold no fixed column (the
+// scan never offers one), each entry once, marked in inCand. Where the
+// solver keeps no list the hook builds one, so every pass is checked; the
+// pick does not depend on the list, so neither does the solve. It returns
+// the number of passes checked.
+func checkCandidatePricing(tb testing.TB, label string, solve func()) int {
+	tb.Helper()
+	prev := pricingHook
+	defer func() { pricingHook = prev }()
+	checks := 0
+	var bad error
+	pricingHook = func(s *simplex) {
+		if bad != nil {
+			return
+		}
+		if s.candOK {
+			listed := 0
+			for _, j := range s.cands {
+				if !s.inCand[j] || s.std.lb[j] == s.std.ub[j] {
+					bad = fmt.Errorf("pass %d (pivot %d): list holds column %d (marked %v, bounds [%v, %v])",
+						checks, s.iters, j, s.inCand[j], s.std.lb[j], s.std.ub[j])
+					return
+				}
+			}
+			for _, in := range s.inCand[:s.ncols] {
+				if in {
+					listed++
+				}
+			}
+			if listed != len(s.cands) {
+				bad = fmt.Errorf("pass %d (pivot %d): %d columns marked, %d listed", checks, s.iters, listed, len(s.cands))
+				return
+			}
+		} else {
+			s.listCands()
+		}
+		q, d, tied := s.priceCands()
+		wq, wd, wtied := s.priceScan()
+		if q != wq || math.Float64bits(d) != math.Float64bits(wd) || tied != wtied {
+			bad = fmt.Errorf("pass %d (pivot %d, phase %d, bland %v): list picks (%d, %v, tied %v), scan (%d, %v, tied %v)",
+				checks, s.iters, s.phase, s.blandMode, q, d, tied, wq, wd, wtied)
+			return
+		}
+		checks++
+	}
+	solve()
+	if bad != nil {
+		tb.Fatalf("%s: %v", label, bad)
+	}
+	return checks
+}
+
+// TestCandidatePricingMatchesScan is checkCandidatePricing over the random
+// generators at the default refactor cadence and at a cadence of three,
+// cold and then, when that is optimal, dual-warm on right-hand sides cut
+// as checkMaintainedPrices cuts them; every solve ends as it does without
+// the hook. The case-study shapes run from lp_test
+// (TestCandidatePricingOnCaseStudies).
+func TestCandidatePricingMatchesScan(t *testing.T) {
+	labels, corpus := pricingCorpus(12)
+	same := func(label string, p *Problem, opts Options) *Solution {
+		want, err := cloneProblem(p).SolveWithOptions(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Solution
+		checkCandidatePricing(t, label, func() {
+			if got, err = cloneProblem(p).SolveWithOptions(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got.Status != want.Status || got.Iterations != want.Iterations ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("%s: hooked solve %v/%d/%v, plain %v/%d/%v", label,
+				got.Status, got.Iterations, got.Objective, want.Status, want.Iterations, want.Objective)
+		}
+		return got
+	}
+	for _, every := range []int{512, 3} {
+		for i, p := range corpus {
+			label := fmt.Sprintf("%s every %d", labels[i], every)
+			sol := same(label, p, Options{reinvertEvery: every})
+			if sol.Status != Optimal {
+				continue
+			}
+			q := cloneProblem(p)
+			for r := range q.rows {
+				if r%5 == 0 {
+					q.rows[r].rhs *= 0.9
+				}
+			}
+			same(label+" dual", q, Options{reinvertEvery: every, WarmBasis: sol.Basis, Dual: true})
+		}
+	}
+}
+
+// TestCandidatePricingSkipsFixedColumns: on a min-cost flow, every
+// conservation row is an equality with a zero right-hand side, so its
+// slack — fixed at zero — starts basic and leaves on the first pivot that
+// touches the row, with a reduced cost of its own. The candidate list must
+// not take it in (the scan never offers a fixed column), pivot after pivot.
+func TestCandidatePricingSkipsFixedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const nodes, arcs = 30, 240
+	p := NewProblem(Minimize)
+	rows := make([][]int, nodes)
+	vals := make([][]float64, nodes)
+	for a := 0; a < arcs; a++ {
+		from, to := rng.Intn(nodes), rng.Intn(nodes)
+		if from == to {
+			to = (to + 1) % nodes
+		}
+		v := p.AddVariable(1+float64(rng.Intn(9)), 0, float64(1+rng.Intn(5)), "")
+		rows[from], vals[from] = append(rows[from], v), append(vals[from], -1)
+		rows[to], vals[to] = append(rows[to], v), append(vals[to], 1)
+	}
+	// Node 0 supplies 6 units (a free arc in keeps the row feasible), node 1
+	// absorbs them, and the rest conserve flow.
+	src := p.AddVariable(0, 0, 6, "")
+	rows[0], vals[0] = append(rows[0], src), append(vals[0], 1)
+	p.SetObjectiveCoeff(src, -100)
+	for i := 0; i < nodes; i++ {
+		sense := EQ
+		if i == 1 {
+			sense = GE
+		}
+		p.AddConstraint(rows[i], vals[i], sense, 0, "")
+	}
+	want, err := cloneProblem(p).SolveWithOptions(Options{})
+	if err != nil || want.Status != Optimal {
+		t.Fatalf("flow LP: %v, %v", err, want.Status)
+	}
+	var got *Solution
+	n := checkCandidatePricing(t, "flow", func() {
+		got, err = cloneProblem(p).SolveWithOptions(Options{})
+	})
+	if err != nil || got.Iterations != want.Iterations || got.Objective != want.Objective || n < got.Iterations {
+		t.Fatalf("flow LP: %d passes checked; hooked %v/%d pivots, plain %v/%d", n, got.Objective, got.Iterations, want.Objective, want.Iterations)
+	}
+}

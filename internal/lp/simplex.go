@@ -38,6 +38,18 @@ type simplex struct {
 	prices  priceState
 	rowwise bool
 
+	// Candidate pricing (see price). candOK says the workspace's cands list
+	// holds every column price could choose; candWant that recent pivot
+	// rows were short enough for building the list to pay. nElig counts
+	// the eligible columns at the last pricing pass, and rowLen is the
+	// running length of the pivot rows.
+	candOK, candWant bool
+	nElig, rowLen    int
+
+	// wnz lists the nonzero positions of s.w when the last ftran knew them
+	// (a sparse solve), and is nil when readers must scan all m.
+	wnz []int32
+
 	iters          int
 	dualPivots     int
 	refactors      int // reinvert() calls, booked to metrics at solve end
@@ -87,6 +99,22 @@ func (s *simplex) installFactor() {
 	} else {
 		s.bas = s.lu.reset(s)
 	}
+	s.seq = sized(s.seq, s.m)
+	for i := range s.seq {
+		s.seq[i] = int32(i)
+	}
+	s.wnz = nil
+	s.cands, s.inCand = s.cands[:0], zeroed(s.inCand, s.ncols)
+	s.candOK, s.candWant, s.nElig, s.rowLen = false, false, 0, 0
+}
+
+// rows returns the rows a kernel result lists, or all m rows (ascending)
+// for a result computed densely.
+func (s *simplex) rows(nz []int32) []int32 {
+	if nz == nil {
+		return s.seq
+	}
+	return nz
 }
 
 // lbOf and ubOf extend the bound arrays over artificial columns: [0, +Inf)
@@ -542,15 +570,35 @@ const (
 var pricingHook func(*simplex)
 
 // reprice recomputes every structural and slack reduced cost from a fresh
-// y = B⁻ᵀc_B.
+// y = B⁻ᵀc_B. The candidate list no longer covers them: the next pricing
+// pass scans.
 func (s *simplex) reprice() {
 	s.btran()
 	s.dj = sized(s.dj, s.ncols)
 	for j := range s.dj {
 		s.dj[j] = s.reducedCost(j)
 	}
+	s.candOK = false
 	s.prices = pricesFresh
 	s.priceRefreshes++
+}
+
+// eligible reports whether column j, at reduced cost d, may enter: it is
+// nonbasic, not fixed, and its violation is not within TolOpt (a NaN
+// violation counts, as in price's scan).
+func (s *simplex) eligible(j int, d float64) bool {
+	var viol float64
+	switch s.status[j] {
+	case statBasic:
+		return false
+	case statLower:
+		viol = -d
+	case statUpper:
+		viol = d
+	default: // statFree
+		viol = math.Abs(d)
+	}
+	return !(viol <= s.opts.TolOpt) && s.std.lb[j] != s.std.ub[j]
 }
 
 // pivotRow computes the pivot row of basis position r on the current basis,
@@ -567,8 +615,8 @@ func (s *simplex) pivotRow(r int) {
 		alpha[j] = 0
 	}
 	list := s.alphaJ[:0]
-	s.bas.btranUnit(r, s.rho)
-	for i, ri := range s.rho {
+	for _, i := range s.rows(s.bas.btranUnit(r, s.rho)) {
+		ri := s.rho[i]
 		if ri == 0 {
 			continue
 		}
@@ -620,19 +668,49 @@ func (s *simplex) buildRows() {
 // updatePrices carries s.dj across the basis change that brings q in for
 // out, whose pivot row is in s.alpha and whose pivot element is wr:
 // d_j −= (d_q/wr)·α_rj, then d_q = 0 and d_out = −d_q/wr. It consumes the
-// pivot row.
+// pivot row. While the candidate list is kept, it appends every column the
+// update makes eligible, and out, whose status the pivot has yet to set.
+// The list costs about a scanned column's time per pivot-row entry (the
+// eligibility check) and two per listed column (read at random), so it is
+// (re)built only while the running pivot-row length plus twice the
+// eligible count is under 0.6 of the column count, and dropped once it
+// reaches the column count.
 func (s *simplex) updatePrices(q, out int, wr float64) {
 	step := s.dj[q] / wr
-	for _, j := range s.alphaJ {
-		if a := s.alpha[j]; a != 0 {
-			s.dj[j] -= step * a
-			s.alpha[j] = 0
+	s.rowLen = (s.rowLen + len(s.alphaJ)) / 2
+	cost := s.rowLen + 2*s.nElig
+	s.candOK = s.candOK && cost < s.ncols
+	s.candWant = 5*cost < 3*s.ncols
+	if s.candOK {
+		cands := s.cands
+		for _, j := range s.alphaJ {
+			if a := s.alpha[j]; a != 0 {
+				d := s.dj[j] - step*a
+				s.dj[j] = d
+				s.alpha[j] = 0
+				if !s.inCand[j] && s.eligible(int(j), d) {
+					cands = append(cands, j)
+					s.inCand[j] = true
+				}
+			}
+		}
+		s.cands = cands
+	} else {
+		for _, j := range s.alphaJ {
+			if a := s.alpha[j]; a != 0 {
+				s.dj[j] -= step * a
+				s.alpha[j] = 0
+			}
 		}
 	}
 	s.alphaJ = s.alphaJ[:0]
 	s.dj[q] = 0
 	if out < s.ncols { // an artificial leaving never re-enters
 		s.dj[out] = -step
+		if s.candOK && !s.inCand[out] && s.std.lb[out] != s.std.ub[out] {
+			s.cands = append(s.cands, int32(out))
+			s.inCand[out] = true
+		}
 	}
 	s.prices = pricesMaintained
 }
@@ -655,15 +733,57 @@ func direction(st int8, d float64) float64 {
 // toward the column with the fewest nonzeros, then the lowest index: on a
 // path LP every path prices alike, and the sparsest column is the shortest
 // path, the one that spends the least capacity per unit it gains.
+//
+// When pivot rows are short, most reduced costs stay as they were from one
+// pivot to the next, and price reads a candidate list instead of every
+// column: listCands lists the eligible columns, updatePrices appends the
+// ones each pivot makes eligible, and priceCands reads and compacts the
+// list, picking the column the scan of every column (priceScan) would.
+// A re-pricing drops the list; updatePrices decides when it is rebuilt.
 func (s *simplex) price() (int, float64) {
+	var q int
+	var d float64
+	var tied bool
+	if !s.candOK && s.candWant {
+		s.listCands()
+	}
+	if s.candOK {
+		q, d, tied = s.priceCands()
+	} else {
+		q, d, tied = s.priceScan()
+	}
+	if tied {
+		s.priceTies++
+	}
+	return q, d
+}
+
+// listCands lists every eligible column as the candidate list.
+func (s *simplex) listCands() {
+	for _, j := range s.cands {
+		s.inCand[j] = false
+	}
+	cands := s.cands[:0]
+	for j, d := range s.dj[:s.ncols] {
+		if s.eligible(j, d) {
+			cands = append(cands, int32(j))
+			s.inCand[j] = true
+		}
+	}
+	s.cands, s.candOK = cands, true
+}
+
+// priceScan is price over every structural and slack column in index
+// order; tied reports that the tie-break, not the violation, chose. It
+// counts the eligible columns into s.nElig.
+func (s *simplex) priceScan() (best int, bestD float64, tied bool) {
 	tol := s.opts.TolOpt
-	best := -1
+	best = -1
 	bestViol := math.Inf(-1)
-	var bestD float64
-	tied := false // the tie-break, not the violation, chose best
 	dj := s.dj[:s.ncols]
 	status, lb, ub := s.status[:len(dj)], s.std.lb[:len(dj)], s.std.ub[:len(dj)]
 	colPtr := s.std.colPtr
+	n := 0
 	for j, d := range dj {
 		var viol float64
 		switch status[j] {
@@ -680,8 +800,9 @@ func (s *simplex) price() (int, float64) {
 			continue // fixed variables can never improve
 		}
 		if s.blandMode {
-			return j, d
+			return j, d, false
 		}
+		n++
 		switch {
 		case viol > bestViol:
 			tied = false
@@ -694,15 +815,69 @@ func (s *simplex) price() (int, float64) {
 		best = j
 		bestD = d
 	}
-	if tied {
-		s.priceTies++
-	}
-	return best, bestD
+	s.nElig = n
+	return best, bestD, tied
 }
 
-// ftran computes w = B⁻¹ A_q into s.w.
+// priceCands is priceScan over the candidate list, which it compacts,
+// dropping the columns no longer eligible. Fixed columns never join the
+// list, and bounds hold still while it lives (warmRepair moves them only
+// between iterate calls, each of which re-prices). The list is in no
+// particular order, so it applies the scan's order-dependent rules
+// explicitly: Bland takes the lowest eligible index; Dantzig the largest
+// violation, then the fewest nonzeros, then the lowest index; and the
+// tie-break chose when the pick is not the lowest index of largest
+// violation, the column the scan meets first.
+func (s *simplex) priceCands() (best int, bestD float64, tied bool) {
+	best = -1
+	first := -1 // lowest index at the largest violation
+	bestViol := math.Inf(-1)
+	tol := s.opts.TolOpt
+	dj, status, colPtr := s.dj, s.status, s.std.colPtr
+	keep := s.cands[:0]
+	for _, j32 := range s.cands {
+		j := int(j32)
+		d := dj[j]
+		var viol float64
+		switch status[j] {
+		case statBasic:
+			s.inCand[j] = false
+			continue
+		case statLower:
+			viol = -d
+		case statUpper:
+			viol = d
+		default: // statFree
+			viol = math.Abs(d)
+		}
+		if viol <= tol {
+			s.inCand[j] = false
+			continue
+		}
+		keep = append(keep, j32)
+		switch {
+		case s.blandMode:
+			if best < 0 || j < best {
+				best, bestD = j, d
+			}
+		case viol > bestViol:
+			bestViol, best, first, bestD = viol, j, j, d
+		case viol == bestViol:
+			first = min(first, j)
+			nj, nb := colPtr[j+1]-colPtr[j], colPtr[best+1]-colPtr[best]
+			if nj < nb || nj == nb && j < best {
+				best, bestD = j, d
+			}
+		}
+	}
+	s.cands, s.nElig = keep, len(keep)
+	return best, bestD, best != first && !s.blandMode
+}
+
+// ftran computes w = B⁻¹ A_q into s.w, and its nonzero positions into
+// s.wnz when the factor lists them.
 func (s *simplex) ftran(q int) {
-	s.bas.ftranCol(q, s.w)
+	s.wnz = s.bas.ftranCol(q, s.w)
 }
 
 // ratioTest finds how far the entering variable q can move in direction
@@ -724,9 +899,11 @@ func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip
 	tolP := s.opts.TolPivot
 	tolF := s.opts.TolFeas
 
-	// Pass 1: relaxed step bound.
+	// Pass 1: relaxed step bound. Both passes walk the rows in ascending
+	// order, skipping zeros, so a listed w gives the scan's answer.
+	rows := s.rows(s.wnz)
 	thetaR := math.Inf(1)
-	for i := 0; i < s.m; i++ {
+	for _, i := range rows {
 		wi := s.w[i] * sigma
 		if math.Abs(wi) <= tolP {
 			continue
@@ -768,7 +945,7 @@ func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip
 	// Pass 2: largest pivot among rows whose exact ratio fits.
 	leave = -1
 	bestPiv := 0.0
-	for i := 0; i < s.m; i++ {
+	for _, i := range rows {
 		wi := s.w[i] * sigma
 		awi := math.Abs(wi)
 		if awi <= tolP || awi <= bestPiv {
@@ -795,7 +972,7 @@ func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip
 		}
 		if t <= thetaR {
 			bestPiv = awi
-			leave = i
+			leave = int(i)
 			tmax = t
 		}
 	}
@@ -885,7 +1062,7 @@ func (s *simplex) applyStep(q int, sigma, t float64) {
 	if t == 0 {
 		return
 	}
-	for i := 0; i < s.m; i++ {
+	for _, i := range s.rows(s.wnz) {
 		if s.w[i] == 0 {
 			continue
 		}

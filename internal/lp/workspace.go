@@ -44,6 +44,12 @@ type workspace struct {
 	rowPtr, rowCol []int32
 	rowVal         []float64
 
+	// Candidate pricing: cands lists the columns price may choose (every
+	// eligible one, and some that no longer are), inCand marks them. seq is
+	// 0, 1, …, m−1, the row list of a result a kernel computed densely.
+	cands, seq []int32
+	inCand     []bool
+
 	// Dual devex reference weights over basis positions (sized and reset by
 	// initWarmDual).
 	dualW []float64
@@ -141,9 +147,10 @@ func (ws *workspace) poison() {
 	f := &ws.lu
 	nan := math.NaN()
 	fill(nan, ws.x, ws.cost, ws.artSign, ws.y, ws.w, ws.rhs, ws.dj, ws.rho, ws.alpha, ws.rowVal,
-		ws.dualW, ws.dualCandA, ws.dualCandD, f.udiag, f.x, f.g, f.pos, f.rowAcc)
+		ws.dualW, ws.dualCandA, ws.dualCandD, f.udiag, f.x, f.g, f.pos, f.rowAcc, f.gs)
 	fill(-1, ws.status)
-	fill(-1, ws.alphaJ, ws.rowPtr, ws.rowCol, ws.dualCandJ, f.ints)
+	fill(true, ws.inCand)
+	fill(-1, ws.alphaJ, ws.rowPtr, ws.rowCol, ws.dualCandJ, ws.cands, ws.seq, f.ints, f.hmark, f.hlist, f.wnz, f.znz, f.lrowPtr, f.lrowStep)
 	fill(-1, ws.basis, f.pr, f.cperm, f.perm, f.stepOf, f.posH, f.elim, f.rlist)
 	fill(luEntry{-1, nan}, f.slab, f.rslab, f.arena, f.etaEnts, f.spike)
 	fill(savedBound{-1, nan, nan}, ws.saved)
@@ -151,4 +158,5 @@ func (ws *workspace) poison() {
 	fill(rowEta{}, f.rowEtas)
 	f.m, f.unnz, f.unnz0, f.rowEtaNnz, f.ftrans = -1, -1, -1, -1, -1
 	f.spikeOK = true // an update that trusts a spike it did not save installs NaN
+	f.lrowsOK = true // a sparse btran that trusts a mirror it did not build reads -1
 }

@@ -87,10 +87,13 @@ type ClusterEngine struct {
 	partOf map[int]int
 	stats  Stats
 	// seeds holds per-sub-problem basis snapshots installed by a state
-	// restore; each is consumed by that sub-problem's next model build, so a
-	// restored engine's first round attempts warm starts instead of solving
-	// cold. A seed whose dimensions no longer fit is dropped by lp.Model.
-	seeds []*lp.Basis
+	// restore, and seedBlocks the layout each was solved on (the adapter's
+	// layout of the restored partition); each is consumed by that
+	// sub-problem's next model build, carried onto its layout the way a live
+	// model's basis is, so a restored engine's first round attempts warm
+	// starts instead of solving cold — arrivals before it included.
+	seeds      []*lp.Basis
+	seedBlocks [][]block
 	// scratch recycles syncScratch values and members soloScratch values
 	// between sub-solves: one per concurrent sub-solve, not one per
 	// partition.
@@ -245,7 +248,7 @@ func (e *ClusterEngine) MarkAllDirty() {
 	for p := range e.subs {
 		e.subs[p].drop()
 	}
-	e.seeds = nil
+	e.seeds, e.seedBlocks = nil, nil
 	e.markAllDirty()
 }
 
@@ -510,7 +513,8 @@ func (s *sub) reindex() {
 //   - the layouts share at least half their block keys (an arrival, a
 //     departure, a rebalance move): the old basis carried by block key;
 //   - otherwise, or with no model yet: the restored basis if one is
-//     waiting, else a cold start.
+//     waiting, carried from the layout it was solved on by the same rule;
+//   - else a cold start.
 //
 // The choice cannot be left to the model: two solo layouts with equal
 // member counts have one sparsity pattern, so the model alone would read a
@@ -518,24 +522,28 @@ func (s *sub) reindex() {
 func (e *ClusterEngine) rebuild(po *obs.Observer, s *sub, p int, sc *syncScratch) {
 	sp := po.Span("online.rebuild").Arg("blocks", len(sc.want))
 	var old *lp.Basis
+	var from []block // the layout old was solved on
 	same := false
 	if s.model == nil {
 		s.model = lp.NewModel(lp.Maximize)
 	} else {
 		same = slices.Equal(s.blocks, sc.want)
 		if !same && sc.overlap(s.blocks) >= 0.5 {
-			old = s.model.Basis()
+			old, from = s.model.Basis(), s.blocks
 		}
 		s.model.Reset()
+	}
+	if !same && old == nil && p < len(e.seeds) && e.seeds[p] != nil {
+		if sc.overlap(e.seedBlocks[p]) >= 0.5 {
+			old, from = e.seeds[p], e.seedBlocks[p]
+		}
+		e.seeds[p], e.seedBlocks[p] = nil, nil
 	}
 	e.ad.BuildModel(s.model, sc.want)
 	switch {
 	case same: // the basis Reset kept; the model classifies the rebuild
 	case old != nil:
-		s.model.SetBasis(sc.carry(s.blocks, old, s.model.NumVariables(), s.model.NumConstraints()))
-	case p < len(e.seeds) && e.seeds[p] != nil:
-		s.model.SetBasis(e.seeds[p])
-		e.seeds[p] = nil
+		s.model.SetBasis(sc.carry(from, old, s.model.NumVariables(), s.model.NumConstraints()))
 	default:
 		s.model.ForgetBasis()
 	}

@@ -50,11 +50,17 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 		st.TypeNames = slices.Clone(e.c.TypeNames)
 		st.GPUs = slices.Clone(e.c.NumGPUs)
 	}
+	// A basis is kept only while its model's layout is its partition's:
+	// Restore reads the layout back from the partition.
 	haveBasis := false
 	bases := make([]*lp.Basis, e.opts.K)
+	var layout []block
 	for p, s := range e.subs {
 		st.Partitions[p] = slices.Clone(s.ids)
-		if s.model != nil && s.model.HasBasis() {
+		if s.model == nil || !s.model.HasBasis() {
+			continue
+		}
+		if layout = e.ad.Layout(s.ids, layout[:0]); slices.Equal(s.blocks, layout) {
 			bases[p] = s.model.Basis()
 			haveBasis = true
 		}
@@ -121,15 +127,25 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 	}
 	e.jobs = jobs
 	e.stats = st.Stats
-	e.seeds = nil
-	if len(st.Bases) == st.K {
-		e.seeds = make([]*lp.Basis, st.K)
-		for p, b := range st.Bases {
-			e.seeds[p] = b.Clone()
-		}
-	}
+	e.seeds, e.seedBlocks = nil, nil
 	if len(st.GPUs) > 0 {
 		e.SetCluster(cluster.Cluster{TypeNames: slices.Clone(st.TypeNames), NumGPUs: slices.Clone(st.GPUs)})
+	}
+	if len(st.Bases) == st.K {
+		e.seeds = make([]*lp.Basis, st.K)
+		e.seedBlocks = make([][]block, st.K)
+		for p, b := range st.Bases {
+			// A basis too short for its partition's blocks fits no model
+			// built for them.
+			layout := e.ad.Layout(e.subs[p].ids, nil)
+			v, r := 0, 0
+			for _, blk := range layout {
+				v, r = v+blk.Vars, r+blk.Rows
+			}
+			if b != nil && len(b.VarStatus) >= v && len(b.SlackStatus) >= r {
+				e.seeds[p], e.seedBlocks[p] = b.Clone(), layout
+			}
+		}
 	}
 	return nil
 }

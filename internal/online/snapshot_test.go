@@ -84,6 +84,48 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoredSeedsSurviveArrival: a job arriving at a restored engine
+// before its first round changes one sub-problem's layout; that
+// sub-problem's restored basis is carried onto the new layout like a live
+// model's, so every sub-problem of the first round still starts warm, under
+// both layouts (one block per job, and the space-sharing pair blocks).
+func TestRestoredSeedsSurviveArrival(t *testing.T) {
+	for _, policy := range []ClusterPolicy{MaxMinFairness, SpaceSharing} {
+		c := cluster.NewCluster(16, 16, 16)
+		donor, err := NewClusterEngine(c, policy, Options{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := rand.New(rand.NewSource(7))
+		var jobs []cluster.Job
+		for id := 0; id < 25; id++ {
+			j := snapJob(id, rnd)
+			j.Scale = float64(1 + id%2) // single-GPU jobs pair up under space sharing
+			jobs = append(jobs, j)
+		}
+		if _, err := donor.Step(jobs[:24], c); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := NewClusterEngine(c, policy, Options{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(donor.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		before := restored.Stats()
+		restored.Upsert(jobs[24])
+		if err := restored.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		st := restored.Stats()
+		solves, hits := st.SubSolves-before.SubSolves, st.WarmHits-before.WarmHits
+		if solves != 3 || hits != solves {
+			t.Errorf("%v: first round after restore and an arrival: %d of %d sub-solves started warm", policy, hits, solves)
+		}
+	}
+}
+
 // TestSnapshotRestoreRejectsMismatch: wrong policy or partition shape must
 // not corrupt the engine.
 func TestSnapshotRestoreRejectsMismatch(t *testing.T) {

@@ -500,14 +500,6 @@ func (d *clusterDomain) setRow(idx int, j cluster.Job) {
 	}
 }
 
-// oneShotDomain builds the market of a single solve over jobs.
-func oneShotDomain(jobs []cluster.Job, c cluster.Cluster) *clusterDomain {
-	d := newClusterDomain(c.NumTypes())
-	d.resize(len(jobs))
-	d.load(jobs, c, nil, true)
-	return d
-}
-
 // withMaxMinStep gives the market its price step: alpha-fair demand
 // elasticity is 1/α, so the step scales with the exponent to keep the
 // effective price motion what a unit-elasticity market sees.

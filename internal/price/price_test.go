@@ -12,6 +12,14 @@ import (
 	"pop/internal/obs"
 )
 
+// oneShotDomain builds the market of a single solve over jobs.
+func oneShotDomain(jobs []cluster.Job, c cluster.Cluster) *clusterDomain {
+	d := newClusterDomain(c.NumTypes())
+	d.resize(len(jobs))
+	d.load(jobs, c, nil, true)
+	return d
+}
+
 // linearDomain is a tiny analytic market for solver unit tests: client j has
 // log utility w_j·log(x) over one resource, demanding w_j/p, so the
 // equilibrium price is exactly Σw_j/capacity.

@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"pop/internal/core"
 	"pop/internal/graph"
+	"pop/internal/lp"
+	"pop/internal/obs"
 	"pop/internal/tm"
 	"pop/internal/topo"
 )
@@ -112,4 +115,26 @@ func BenchmarkNewInstance(b *testing.B) {
 		inst = NewInstance(tp, demands, 4)
 	}
 	b.ReportMetric(float64(inst.NumVariables()), "paths/op")
+}
+
+// BenchmarkSolvePOP is one POP solve at batch-te's shape: Kdl at 0.3 scale,
+// 1 000 gravity commodities on 4 paths carrying 30% of the capacity, K = 4
+// with client splitting at 0.25. The sub-problems solve one after another, so us/pivot is the cost
+// of a pivot of a path-LP sub-problem, the number the sparse simplex
+// kernels move.
+func BenchmarkSolvePOP(b *testing.B) {
+	tp := topo.GenerateScaled("Kdl", 0.3)
+	demands := tm.Generate(tm.Config{Nodes: tp.G.N, Commodities: 1000, Model: tm.Gravity,
+		TotalDemand: 0.3 * tp.TotalCapacity(), Seed: 1})
+	inst := NewInstance(tp, demands, 4)
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	opts := core.Options{K: 4, Seed: 1, SplitT: 0.25}
+	for b.Loop() {
+		if _, err := SolvePOP(inst, MaxTotalFlow, opts, lp.Options{Obs: o}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pivots := float64(o.Counter("pop_lp_pivots_total", "").Value())
+	b.ReportMetric(pivots/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/max(pivots, 1), "us/pivot")
 }

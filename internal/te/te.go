@@ -192,11 +192,18 @@ func (a *Allocation) VerifyFeasible(inst *Instance, tol float64) error {
 
 // SolveLP solves the exact path-based LP formulation from §4.2.
 func SolveLP(inst *Instance, obj Objective, opts lp.Options) (*Allocation, error) {
-	return solveScaled(inst, obj, 1, opts)
+	a, err := solveScaled(inst, obj, 1, opts)
+	if err != nil {
+		return nil, err
+	}
+	a.finalize(inst)
+	return a, nil
 }
 
 // solveScaled solves the LP with every edge capacity divided by capScale: 1
-// for the exact solve, k for a POP sub-problem (resource splitting).
+// for the exact solve, k for a POP sub-problem (resource splitting). It
+// fills PathFlow and LPVariables only: a POP merge derives the rest from
+// the merged path flows, and SolveLP finalizes its own.
 func solveScaled(inst *Instance, obj Objective, capScale float64, opts lp.Options) (*Allocation, error) {
 	a := newAllocation(inst)
 	if p, first := buildLP(inst, obj, capScale); p != nil {
@@ -212,7 +219,6 @@ func solveScaled(inst *Instance, obj Objective, capScale float64, opts lp.Option
 		}
 		a.LPVariables = p.NumVariables()
 	}
-	a.finalize(inst)
 	return a, nil
 }
 
