@@ -175,8 +175,8 @@
 // each result's nonzero fraction then moves the running value halfway to
 // it, and a running density under a tenth (hyperDensity) takes the sparse
 // path. The dense path counts its nonzeros inside loops it runs anyway
-// (the scatter into position space, the Lᵀ sweep), so choosing costs no
-// pass of its own. There is no option. The switch matters: with the sparse
+// (the U solve's nonzero branch, the Lᵀ sweep), so choosing costs no pass
+// of its own. There is no option. The switch matters: with the sparse
 // path forced on every call, the benchmark's serve-lp round ran 57% slower
 // and its cold load 2.7× longer (one paired run, 2 vCPUs).
 //
@@ -204,13 +204,16 @@
 // Pricing follows suit. When pivot rows are short, few reduced costs change
 // per pivot, so Dantzig pricing reads a candidate list rather than every
 // column: the list holds every eligible column (updatePrices appends the
-// ones each pivot makes eligible, a scan drops the rest), and the pick
-// applies the full scan's order-dependent rule explicitly — largest
-// violation, then fewest nonzeros, then lowest index — so it is the
-// column the scan would take (TestCandidatePricingMatchesScan and
-// TestCandidatePricingOnCaseStudies check every pass).
-// The list is kept while the running pivot-row length plus the eligible
-// count stay under the column count, and rebuilt after a re-pricing.
+// ones each pivot makes eligible, reading the list drops the rest), and
+// the pick applies the full scan's order-dependent rule explicitly —
+// largest violation, then fewest nonzeros, then lowest index — so it is
+// the column the scan would take (TestCandidatePricingMatchesScan and
+// TestCandidatePricingOnCaseStudies check every pass). A re-pricing
+// drops the list. It is built while the running pivot-row
+// length plus twice the eligible count is under 0.6 of the column count,
+// and dropped once that reaches the column count: past it, checking each
+// updated column and reading the list at random cost more than the
+// sequential scan they save.
 //
 // # Warm starts
 //

@@ -140,6 +140,10 @@ type luFactor struct {
 // take their sparse paths: a running density under a tenth of m.
 const hyperDensity = 0.1
 
+// hyper reports whether a running density den (negative before the first
+// result) selects the sparse path.
+func hyper(den float64) bool { return den >= 0 && den < hyperDensity }
+
 type luEntry struct {
 	idx int32
 	val float64
@@ -570,7 +574,7 @@ func (f *luFactor) btranCost(y []float64) {
 // btranUnit computes z = B⁻ᵀeᵣ. On the sparse path it returns z's nonzero
 // rows in ascending order; on the dense path it returns nil.
 func (f *luFactor) btranUnit(r int, z []float64) []int32 {
-	if f.btranDen < 0 || f.btranDen >= hyperDensity {
+	if !hyper(f.btranDen) {
 		clear(z)
 		z[r] = 1
 		f.btranDen = f.density(f.btranDen, f.solveLUT(z))
@@ -586,7 +590,7 @@ func (f *luFactor) btranUnit(r int, z []float64) []int32 {
 // order; on the dense path it returns nil.
 func (f *luFactor) ftranCol(q int, w []float64) []int32 {
 	var nz []int32
-	if f.ftranDen < 0 || f.ftranDen >= hyperDensity {
+	if !hyper(f.ftranDen) {
 		f.ftranDen = f.density(f.ftranDen, f.ftranColDense(q, w))
 	} else {
 		nz = f.ftranSparse(q, w)
@@ -1012,7 +1016,7 @@ func (f *luFactor) update(leave int, _ []float64) bool {
 	// follows the same reach as a Uᵀ solve), only rows where racc holds an
 	// entry take part: a min-heap of their steps visits them in the order
 	// the scan of t0..m-2 does, since a row op only fills later steps.
-	sparse := f.btranDen >= 0 && f.btranDen < hyperDensity
+	sparse := hyper(f.btranDen)
 	st := f.nextStamp()
 	heap := f.heap[:0]
 	if sparse {

@@ -583,22 +583,25 @@ func (s *simplex) reprice() {
 	s.priceRefreshes++
 }
 
+// violation is how far a column with status st and reduced cost d is from
+// optimal, as price's scan measures it; −Inf for a basic column.
+func violation(st int8, d float64) float64 {
+	switch st {
+	case statBasic:
+		return math.Inf(-1)
+	case statLower:
+		return -d
+	case statUpper:
+		return d
+	}
+	return math.Abs(d) // statFree
+}
+
 // eligible reports whether column j, at reduced cost d, may enter: it is
 // nonbasic, not fixed, and its violation is not within TolOpt (a NaN
 // violation counts, as in price's scan).
 func (s *simplex) eligible(j int, d float64) bool {
-	var viol float64
-	switch s.status[j] {
-	case statBasic:
-		return false
-	case statLower:
-		viol = -d
-	case statUpper:
-		viol = d
-	default: // statFree
-		viol = math.Abs(d)
-	}
-	return !(viol <= s.opts.TolOpt) && s.std.lb[j] != s.std.ub[j]
+	return !(violation(s.status[j], d) <= s.opts.TolOpt) && s.std.lb[j] != s.std.ub[j]
 }
 
 // pivotRow computes the pivot row of basis position r on the current basis,
@@ -838,18 +841,7 @@ func (s *simplex) priceCands() (best int, bestD float64, tied bool) {
 	for _, j32 := range s.cands {
 		j := int(j32)
 		d := dj[j]
-		var viol float64
-		switch status[j] {
-		case statBasic:
-			s.inCand[j] = false
-			continue
-		case statLower:
-			viol = -d
-		case statUpper:
-			viol = d
-		default: // statFree
-			viol = math.Abs(d)
-		}
+		viol := violation(status[j], d)
 		if viol <= tol {
 			s.inCand[j] = false
 			continue
