@@ -232,6 +232,29 @@
 // online engine (package online) leans on to re-solve drifting sub-problems
 // round after round.
 //
+// # The column form
+//
+// A program reaches the solver in one of three forms. Problem is the row
+// builder (AddVariable, AddConstraint) for a one-shot solve; Model is the
+// same builder kept across re-solves, with a basis and a delta class (see
+// below); Columns is a program the caller has already written in
+// compressed columns, A's layout in the solver, for a one-shot cold solve
+// whose builder knows its columns: on a path LP each path is a column, and
+// the traffic-engineering sub-problems (te.SolvePOP) build theirs straight
+// into Columns, with neither a row copy per constraint nor the transpose a
+// Problem's solve makes. Within a column the rows must ascend strictly, so
+// there is nothing to merge; SolveWithOptions checks that and every datum a
+// Problem's builder would refuse, and names the first fault in its error.
+// The slack columns follow the one rule every build uses (standardized's
+// setSlack: ≤ +1 and ≥ −1 on [0, +Inf), = +1 fixed at 0), so the equality
+// form of a Columns is bit for bit that of the same LP built row by row —
+// FuzzStandardize holds every case it draws to that — and a Columns solve
+// takes the same pivots to the same bits. It runs under the same
+// lp.standardize span and pop_lp_* counters. A Columns keeps no basis: a
+// caller that re-solves a growing Columns (a sifting loop) passes the last
+// Solution.Basis back as Options.WarmBasis, with a BasisLower status
+// inserted for each new column.
+//
 // # Persistent models: the Model lifecycle
 //
 // Problem is a one-shot builder: construct, standardize, solve, discard.

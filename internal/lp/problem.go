@@ -522,31 +522,35 @@ func (p *Problem) standardize(into *standardized) *standardized {
 			s.values[colPtr[v]-1] += r.val[t]
 		}
 		s.b[i] = r.rhs
-
-		// Slack column.
-		sc := n + i
-		pos := colPtr[sc]
-		colPtr[sc]++
-		s.rowInd[pos] = int32(i)
-		s.c[sc] = 0
-		switch r.sense {
-		case LE:
-			s.values[pos] = 1
-			s.lb[sc], s.ub[sc] = 0, Inf
-		case GE:
-			s.values[pos] = -1
-			s.lb[sc], s.ub[sc] = 0, Inf
-		case EQ:
-			s.values[pos] = 1
-			s.lb[sc], s.ub[sc] = 0, 0
-		default: // not a Sense: the empty column a fresh build would leave
-			s.values[pos] = 0
-			s.lb[sc], s.ub[sc] = 0, 0
-		}
+		s.setSlack(i, colPtr[n+i], r.sense)
+		colPtr[n+i]++
 	}
 	copy(colPtr[1:], colPtr[:n+m])
 	colPtr[0] = 0
 	return s
+}
+
+// setSlack writes row i's slack column, whose one entry sits at pos of the
+// column arrays, by the slack rule of every build: a ≤ row's slack is +1 on
+// [0, +Inf), a ≥ row's −1 on [0, +Inf), an equality row's +1 fixed at 0.
+func (s *standardized) setSlack(i int, pos int32, sense Sense) {
+	sc := s.n + i
+	s.rowInd[pos] = int32(i)
+	s.c[sc] = 0
+	switch sense {
+	case LE:
+		s.values[pos] = 1
+		s.lb[sc], s.ub[sc] = 0, Inf
+	case GE:
+		s.values[pos] = -1
+		s.lb[sc], s.ub[sc] = 0, Inf
+	case EQ:
+		s.values[pos] = 1
+		s.lb[sc], s.ub[sc] = 0, 0
+	default: // not a Sense: the empty column a fresh build would leave
+		s.values[pos] = 0
+		s.lb[sc], s.ub[sc] = 0, 0
+	}
 }
 
 // col returns the sparse column j as (row indices, values).

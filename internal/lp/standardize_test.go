@@ -72,13 +72,51 @@ func leftovers(p *Problem, scale float64, extra int) *standardized {
 	return s
 }
 
+// columnsOf transposes p into its column form. Duplicate indices within a
+// row merge into one entry, summed in row order from the first.
+func columnsOf(p *Problem) *Columns {
+	type entry struct {
+		row int32
+		val float64
+	}
+	cols := make([][]entry, len(p.obj))
+	for i, r := range p.rows {
+		for t, v := range r.idx {
+			if k := len(cols[v]) - 1; k >= 0 && cols[v][k].row == int32(i) {
+				cols[v][k].val += r.val[t]
+			} else {
+				cols[v] = append(cols[v], entry{int32(i), r.val[t]})
+			}
+		}
+	}
+	c := &Columns{Objective: p.objective, Cost: p.obj, Lower: p.lb, Upper: p.ub, ColPtr: []int32{0}}
+	for _, col := range cols {
+		for _, e := range col {
+			c.RowInd, c.Values = append(c.RowInd, e.row), append(c.Values, e.val)
+		}
+		c.ColPtr = append(c.ColPtr, int32(len(c.RowInd)))
+	}
+	for _, r := range p.rows {
+		c.Sense, c.RHS = append(c.Sense, r.sense), append(c.RHS, r.rhs)
+	}
+	return c
+}
+
 // checkStandardize holds standardize to the map-based oracle on p: built
 // fresh, built over leftovers larger and smaller than it needs, and rebuilt
-// over its own previous result.
+// over its own previous result. p's column form must give the same
+// equality form.
 func checkStandardize(p *Problem) error {
 	want := p.standardizeRef()
 	if err := diffStandardized(p.standardize(nil), want); err != nil {
 		return fmt.Errorf("fresh: %w", err)
+	}
+	cols := columnsOf(p)
+	if err := cols.check(); err != nil {
+		return fmt.Errorf("column form refused: %w", err)
+	}
+	if err := diffStandardized(cols.standardize(), want); err != nil {
+		return fmt.Errorf("column form: %w", err)
 	}
 	for _, c := range []struct {
 		name  string
@@ -217,9 +255,9 @@ func encodeShape(p *Problem) []byte {
 // FuzzStandardize: on any small model the fuzzer can spell, the map-free
 // standardize produces the oracle's equality form bit for bit — into fresh
 // buffers and over dirty leftovers of another shape, a Reset model's own
-// included — and never panics, and a model Reset and rebuilt holds exactly
-// what a fresh build of the same calls holds. The seed corpus runs under
-// plain `go test`, -short included.
+// included, and from the model's column form — and never panics, and a
+// model Reset and rebuilt holds exactly what a fresh build of the same
+// calls holds. The seed corpus runs under plain `go test`, -short included.
 func FuzzStandardize(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 4, 0, 1, 130, 1, 140, 2, 150, 1, 120, 3, 2, 0, 136, 0, 120, 0, 128}) // duplicate indices in a row, one summing to zero
 	f.Add([]byte{2, 3, 1, 3, 1, 0, 0, 1, 1, 2, 0, 2, 2, 1, 1, 1, 0})                           // explicit zeros and -0, duplicated

@@ -14,11 +14,11 @@ import (
 	"pop/internal/topo"
 )
 
-// mapBuildLP is the map-based path-LP build buildLP replaced, kept as its
-// oracle: a variable map keyed by (demand, path) and per-edge row and
-// coefficient maps, emitted in edge-ID order.
-func mapBuildLP(inst *Instance, obj Objective, capScale float64) (*lp.Model, func(j, p int) int) {
-	p := lp.NewModel(lp.Maximize)
+// mapBuildLP is the map-based path-LP build, kept as the oracle of
+// buildColumns: a variable map keyed by (demand, path) and per-edge row and
+// coefficient maps, emitted row by row in edge-ID order.
+func mapBuildLP(inst *Instance, obj Objective, capScale float64) (*lp.Problem, func(j, p int) int) {
+	p := lp.NewProblem(lp.Maximize)
 
 	type varRef struct{ j, p int }
 	varOf := map[varRef]int{}
@@ -45,7 +45,7 @@ func mapBuildLP(inst *Instance, obj Objective, capScale float64) (*lp.Model, fun
 
 	var tVar = -1
 	if obj == MaxConcurrentFlow {
-		tVar = p.AddVariable(1, 0, 1, "t")
+		tVar = p.AddVariable(1, 0, 1, "")
 	}
 
 	for j := range inst.Demands {
@@ -58,11 +58,11 @@ func mapBuildLP(inst *Instance, obj Objective, capScale float64) (*lp.Model, fun
 			idx = append(idx, varOf[varRef{j, pi}])
 			coef = append(coef, 1)
 		}
-		p.AddConstraint(idx, coef, lp.LE, inst.Demands[j].Amount, "demand")
+		p.AddConstraint(idx, coef, lp.LE, inst.Demands[j].Amount, "")
 		if obj == MaxConcurrentFlow && inst.Demands[j].Amount > 0 {
 			idx2 := append(append([]int(nil), idx...), tVar)
 			coef2 := append(append([]float64(nil), coef...), -inst.Demands[j].Amount)
-			p.AddConstraint(idx2, coef2, lp.GE, 0, "fraction")
+			p.AddConstraint(idx2, coef2, lp.GE, 0, "")
 		}
 	}
 
@@ -72,34 +72,63 @@ func mapBuildLP(inst *Instance, obj Objective, capScale float64) (*lp.Model, fun
 			continue
 		}
 		cap := inst.Topo.G.Edges[eid].Capacity / capScale
-		p.AddConstraint(vars, edgeCoefs[eid], lp.LE, cap, "edge")
+		p.AddConstraint(vars, edgeCoefs[eid], lp.LE, cap, "")
 	}
 	return p, func(j, pi int) int { return varOf[varRef{j, pi}] }
 }
 
-// checkBuild holds buildLP to the map-based oracle: the same MPS bytes, the
-// same builder state down to each row's in-row order, and first[j]+p the
-// oracle's variable for demand j's path p.
-func checkBuild(inst *Instance, obj Objective, capScale float64) error {
-	got, first := buildLP(inst, obj, capScale)
-	want, varOf := mapBuildLP(inst, obj, capScale)
-	if (got == nil) != (want == nil) {
-		return fmt.Errorf("model is nil: %v, oracle's is nil: %v", got == nil, want == nil)
+// rowsOf transposes a column form back into a row build: each row's
+// entries in column order.
+func rowsOf(c *lp.Columns) *lp.Problem {
+	idx := make([][]int, len(c.RHS))
+	val := make([][]float64, len(c.RHS))
+	p := lp.NewProblem(c.Objective)
+	for j := range c.Cost {
+		p.AddVariable(c.Cost[j], c.Lower[j], c.Upper[j], "")
+		for t := c.ColPtr[j]; t < c.ColPtr[j+1]; t++ {
+			i := c.RowInd[t]
+			idx[i], val[i] = append(idx[i], j), append(val[i], c.Values[t])
+		}
 	}
-	if got == nil {
+	for i := range c.RHS {
+		p.AddConstraint(idx[i], val[i], c.Sense[i], c.RHS[i], "")
+	}
+	return p
+}
+
+// checkBuild holds buildColumns to the map-based oracle: its columns' rows
+// ascend; its column form, transposed, is the oracle's row build entry for
+// entry (the same MPS bytes, the same builder state down to each row's
+// in-row order); and first[j]+p is the oracle's variable for demand j's
+// path p.
+func checkBuild(inst *Instance, obj Objective, capScale float64) error {
+	cols, first := buildColumns(inst, obj, capScale)
+	want, varOf := mapBuildLP(inst, obj, capScale)
+	if (cols == nil) != (want == nil) {
+		return fmt.Errorf("model is nil: %v, oracle's is nil: %v", cols == nil, want == nil)
+	}
+	if cols == nil {
 		return nil
 	}
+	for j := range cols.Cost {
+		for t := cols.ColPtr[j] + 1; t < cols.ColPtr[j+1]; t++ {
+			if cols.RowInd[t] <= cols.RowInd[t-1] {
+				return fmt.Errorf("column %d: row %d after row %d", j, cols.RowInd[t], cols.RowInd[t-1])
+			}
+		}
+	}
+	got := rowsOf(cols)
 	var gb, wb bytes.Buffer
-	if err := got.CopyProblem().WriteMPS(&gb, "te", nil); err != nil {
+	if err := got.WriteMPS(&gb, "te", nil); err != nil {
 		return err
 	}
-	if err := want.CopyProblem().WriteMPS(&wb, "te", nil); err != nil {
+	if err := want.WriteMPS(&wb, "te", nil); err != nil {
 		return err
 	}
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
 		return fmt.Errorf("MPS differs from the oracle's:\n%s\n--- oracle ---\n%s", gb.Bytes(), wb.Bytes())
 	}
-	if !reflect.DeepEqual(got.CopyProblem(), want.CopyProblem()) {
+	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("same MPS, but the builder state (row order within a row) differs from the oracle's")
 	}
 	for j, ps := range inst.Paths {
@@ -144,9 +173,10 @@ func withUnroutable(tp *topo.Topology, ds []tm.Demand) []tm.Demand {
 		tm.Demand{Src: 0, Dst: 1, Amount: 0})
 }
 
-// TestBuildMatchesMapOracle: the map-free build is the map-based one, byte
-// for byte, for the exact LP and for POP sub-problems, with unroutable and
-// zero demands mixed in and with client splitting's virtual commodities.
+// TestBuildMatchesMapOracle: the column build is the map-based row build,
+// entry for entry, for the exact LP and for POP sub-problems, with
+// unroutable and zero demands mixed in and with client splitting's virtual
+// commodities.
 func TestBuildMatchesMapOracle(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -177,7 +207,7 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 
 // FuzzTEBuild draws small instances — topology, commodity count and model,
 // unroutable demands, k, client splitting — from the input and holds the
-// map-free build to the oracle on each.
+// column build to the oracle on each.
 func FuzzTEBuild(f *testing.F) {
 	f.Add([]byte{0, 12, 0, 2, 0, 0})
 	f.Add([]byte{1, 40, 1, 4, 1, 0})
@@ -265,5 +295,25 @@ func TestSolveLPPivotBudget(t *testing.T) {
 		if math.Abs(a.TotalFlow-c.flow) > 1e-9*c.flow {
 			t.Errorf("%s: total flow %.12g, recorded %.12g", c.name, a.TotalFlow, c.flow)
 		}
+	}
+}
+
+// TestSolvePOPTracesColumnBuild: a traced POP solve takes each
+// sub-problem's column form through lp's standardize span and books each
+// solve in the pop_lp_* counters, one of each per sub-problem.
+func TestSolvePOPTracesColumnBuild(t *testing.T) {
+	tr, reg := obs.NewTrace(), obs.NewRegistry()
+	opts := lp.Options{Obs: &obs.Observer{Trace: tr, Metrics: reg}}
+	if _, err := SolvePOP(kdlInstance(0.12, 300), MaxTotalFlow, core.Options{K: 4, Seed: 1}, opts); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, e := range tr.Events() {
+		if e.Phase == "X" && e.Name == "lp.standardize" {
+			spans++
+		}
+	}
+	if solves := reg.Counter("pop_lp_solves_total", "").Value(); spans != 4 || solves != 4 {
+		t.Fatalf("%d lp.standardize spans and %d booked solves, want 4 of each", spans, solves)
 	}
 }

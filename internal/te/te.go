@@ -124,14 +124,17 @@ type Allocation struct {
 	LPVariables int
 }
 
+// newAllocation returns a zero allocation for inst. The PathFlow rows are
+// consecutive windows of one array, each capped at its own length.
 func newAllocation(inst *Instance) *Allocation {
 	a := &Allocation{
 		Flow:     make([]float64, len(inst.Demands)),
 		PathFlow: make([][]float64, len(inst.Demands)),
 		EdgeFlow: make([]float64, len(inst.Topo.G.Edges)),
 	}
-	for j := range inst.Demands {
-		a.PathFlow[j] = make([]float64, len(inst.Paths[j]))
+	flows := make([]float64, inst.NumVariables())
+	for j, ps := range inst.Paths {
+		a.PathFlow[j], flows = flows[:len(ps):len(ps)], flows[len(ps):]
 	}
 	return a
 }
@@ -206,8 +209,8 @@ func SolveLP(inst *Instance, obj Objective, opts lp.Options) (*Allocation, error
 // the merged path flows, and SolveLP finalizes its own.
 func solveScaled(inst *Instance, obj Objective, capScale float64, opts lp.Options) (*Allocation, error) {
 	a := newAllocation(inst)
-	if p, first := buildLP(inst, obj, capScale); p != nil {
-		sol, err := p.SolveWithOptions(opts)
+	if cols, first := buildColumns(inst, obj, capScale); cols != nil {
+		sol, err := cols.SolveWithOptions(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -217,82 +220,140 @@ func solveScaled(inst *Instance, obj Objective, capScale float64, opts lp.Option
 		for j, v := range first {
 			copy(a.PathFlow[j], sol.X[v:])
 		}
-		a.LPVariables = p.NumVariables()
+		a.LPVariables = len(cols.Cost)
 	}
 	return a, nil
 }
 
-// buildLP assembles the path LP, or returns nil when no demand is routable.
-// Demand j's paths are variables first[j], first[j]+1, …, and t (concurrent
-// flow) is last. Rows: each routable demand's cap (and fraction row), then
-// one per used edge in ID order. The edge rows are CSR, built without maps:
-// count each edge's entries, prefix-sum into offsets, place in variable order.
-func buildLP(inst *Instance, obj Objective, capScale float64) (*lp.Model, []int) {
-	objCoef := 0.0
-	if obj == MaxTotalFlow {
-		objCoef = 1
-	}
-	p := lp.NewModel(lp.Maximize)
+// buildColumns writes the path LP in the solver's column form, or returns
+// nil when no demand is routable. Demand j's paths are variables first[j],
+// first[j]+1, …, and t (concurrent flow) is last. Rows: each routable
+// demand's cap (and fraction row), then one per used edge in ID order.
+//
+// A path's column is its demand's rows, then its edges' rows ascending.
+// Those come from transposing the edge rows, which are CSR built without
+// maps or sorting: count each edge's entries, prefix-sum into offsets,
+// place the variables in order; then walk the edges in ID order and append
+// each edge's row to its variables' columns.
+func buildColumns(inst *Instance, obj Objective, capScale float64) (*lp.Columns, []int) {
+	concurrent := obj == MaxConcurrentFlow
 	edges := inst.Topo.G.Edges
+	// Count: variables, rows, and entries (each path's demand-row head,
+	// its edges, t's fraction rows), and each edge's entries.
 	first := make([]int, len(inst.Demands))
-	rowPtr := make([]int, len(edges)+1)
+	rowPtr := make([]int32, len(edges)+1)
+	nv, rows, nnz, nFrac := 0, 0, 0, 0
 	for j, d := range inst.Demands {
-		first[j] = p.NumVariables()
-		for _, path := range inst.Paths[j] {
-			p.AddVariable(objCoef, 0, d.Amount, "")
+		first[j] = nv
+		ps := inst.Paths[j]
+		if len(ps) == 0 {
+			continue
+		}
+		nv += len(ps)
+		rows, nnz = rows+1, nnz+len(ps)
+		if concurrent && d.Amount > 0 {
+			rows, nnz, nFrac = rows+1, nnz+len(ps)+1, nFrac+1
+		}
+		for _, path := range ps {
 			for _, eid := range path.Edges {
 				rowPtr[eid+1]++
 			}
 		}
 	}
-	nv := p.NumVariables()
 	if nv == 0 {
 		return nil, nil
 	}
 	for e := range edges {
+		if rowPtr[e+1] > 0 {
+			rows++
+		}
 		rowPtr[e+1] += rowPtr[e]
 	}
-	vars := make([]int, rowPtr[len(edges)])
-	next := append([]int(nil), rowPtr...)
-	for j := range inst.Demands {
-		for pi, path := range inst.Paths[j] {
-			for _, eid := range path.Edges {
-				vars[next[eid]] = first[j] + pi
-				next[eid]++
-			}
-		}
-	}
-	// Rows share slices as long as any row, all ones and 0, 1, 2, …:
-	// AddConstraint copies. A fraction row's append copies too (cap n).
-	ones, seq := make([]float64, max(len(vars), nv)), make([]int, max(len(vars), nv))
-	for i := range ones {
-		ones[i], seq[i] = 1, i
-	}
+	onEdges := rowPtr[len(edges)]
+	nnz += int(onEdges)
 
-	tVar := -1
-	if obj == MaxConcurrentFlow {
-		tVar = p.AddVariable(1, 0, 1, "t")
+	n := nv
+	if concurrent {
+		n++ // t
+	}
+	objCoef := 0.0
+	if obj == MaxTotalFlow {
+		objCoef = 1
+	}
+	c := &lp.Columns{
+		Objective: lp.Maximize,
+		Cost:      make([]float64, n),
+		Lower:     make([]float64, n),
+		Upper:     make([]float64, n),
+		ColPtr:    make([]int32, n+1),
+		RowInd:    make([]int32, nnz),
+		Values:    make([]float64, nnz),
+		Sense:     make([]lp.Sense, rows),
+		RHS:       make([]float64, rows),
 	}
 
 	// Demand caps: Σ_p x_{j,p} ≤ D_j, and for concurrent flow also
-	// Σ_p x_{j,p} - t·D_j ≥ 0.
+	// Σ_p x_{j,p} - t·D_j ≥ 0. They open each path's column, after which
+	// next[v] is where its edge rows go; the fraction rows fill t's column,
+	// the last. The edge rows' variables go into vars in variable order.
+	vars := make([]int32, onEdges)
+	next := make([]int32, nv)
+	at, tAt := int32(0), int32(nnz-nFrac) // entry cursors: the path columns, t's
+	r := int32(0)
 	for j, d := range inst.Demands {
-		n := len(inst.Paths[j])
-		if n == 0 {
+		ps := inst.Paths[j]
+		if len(ps) == 0 {
 			continue
 		}
-		idx := seq[first[j] : first[j]+n : first[j]+n]
-		p.AddConstraint(idx, ones[:n], lp.LE, d.Amount, "demand")
-		if obj == MaxConcurrentFlow && d.Amount > 0 {
-			p.AddConstraint(append(idx, tVar), append(ones[:n:n], -d.Amount), lp.GE, 0, "fraction")
+		frac := concurrent && d.Amount > 0
+		c.Sense[r], c.RHS[r] = lp.LE, d.Amount
+		if frac {
+			c.Sense[r+1] = lp.GE
+			c.RowInd[tAt], c.Values[tAt] = r+1, -d.Amount
+			tAt++
 		}
+		for pi, path := range ps {
+			v := first[j] + pi
+			c.Cost[v], c.Upper[v] = objCoef, d.Amount
+			c.RowInd[at], c.Values[at] = r, 1
+			at++
+			if frac {
+				c.RowInd[at], c.Values[at] = r+1, 1
+				at++
+			}
+			next[v] = at
+			at += int32(len(path.Edges))
+			c.ColPtr[v+1] = at
+			for _, eid := range path.Edges {
+				vars[rowPtr[eid]] = int32(v)
+				rowPtr[eid]++
+			}
+		}
+		r++
+		if frac {
+			r++
+		}
+	}
+	// rowPtr[e] has moved to edge e's end: shift it back to its start.
+	copy(rowPtr[1:], rowPtr[:len(edges)])
+	rowPtr[0] = 0
+	if concurrent {
+		c.Cost[nv], c.Upper[nv] = 1, 1
+		c.ColPtr[n] = int32(nnz)
 	}
 
 	// Edge capacities, scaled for POP's resource splitting.
 	for e, edge := range edges {
-		if lo, hi := rowPtr[e], rowPtr[e+1]; lo < hi {
-			p.AddConstraint(vars[lo:hi], ones[:hi-lo], lp.LE, edge.Capacity/capScale, "edge")
+		lo, hi := rowPtr[e], rowPtr[e+1]
+		if lo == hi {
+			continue
 		}
+		c.Sense[r], c.RHS[r] = lp.LE, edge.Capacity/capScale
+		for _, v := range vars[lo:hi] {
+			c.RowInd[next[v]], c.Values[next[v]] = r, 1
+			next[v]++
+		}
+		r++
 	}
-	return p, first
+	return c, first
 }
