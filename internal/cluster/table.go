@@ -34,11 +34,16 @@ const (
 //
 // Upsert and Remove cost O(log n) (O(1) for ids presented in ascending
 // order) and leave the committed rows where they are: a changed job is
-// replaced in place, a removed row is marked dead, an arrival waits in a
-// side set. Commit folds the round's removals and arrivals into the order
-// with block moves — O(churn) copy calls moving O(n) bytes at memmove speed
-// — and reports which positions hold new data, so an owner can keep
-// per-client arrays aligned with the rows and recompute only those.
+// replaced in place and a removed row is marked dead. An arrival whose id
+// sorts after every row is appended in place while the rows have room and
+// nothing waits in the side set; any other arrival (an id out of order, as
+// popserver's submissions may be) waits in that side set. So a client set
+// loaded in ascending order builds no per-client map: Reconcile reserves
+// room for its active set, and Commit keeps room for a round like the one it
+// just folded in. Commit folds the round's removals and side-set arrivals
+// into the order with block moves — O(churn) copy calls moving O(n) bytes
+// at memmove speed — and reports which positions hold new data, so an owner
+// can keep per-client arrays aligned with the rows and recompute only those.
 //
 // The zero value is an empty table. A Table has one writer; Get, Len, and
 // the slice Jobs returned are safe for concurrent readers while no writer
@@ -48,7 +53,8 @@ type Table struct {
 	dead    []bool // per row: removed, awaiting Commit
 	deadPos []int  // positions marked dead since the last Commit (may repeat)
 	numDead int
-	add     map[int]arrival // ids not in rows, awaiting Commit
+	placed  int             // rows[:placed] were placed by the last Commit; the rest were appended since
+	add     map[int]arrival // out-of-order arrivals, awaiting Commit
 	touched []int           // ids whose row was replaced or revived in place
 
 	// Reconcile's sweep: every Upsert stamps what it touches with the
@@ -68,8 +74,11 @@ type arrival struct {
 // Len reports the number of jobs held, pending changes included.
 func (t *Table) Len() int { return len(t.rows) - t.numDead + len(t.add) }
 
-// find locates id among the committed rows.
+// find locates id among the rows.
 func (t *Table) find(id int) (int, bool) {
+	if n := len(t.rows); n == 0 || t.rows[n-1].ID < id {
+		return n, false // past the last row: an in-order arrival
+	}
 	pos := sort.Search(len(t.rows), func(i int) bool { return t.rows[i].ID >= id })
 	return pos, pos < len(t.rows) && t.rows[pos].ID == id
 }
@@ -92,6 +101,13 @@ func (t *Table) Upsert(j Job) Change {
 	if !ok {
 		pos, ok = t.find(j.ID)
 	}
+	if !ok && pos == len(t.rows) && len(t.add) == 0 && len(t.rows) < cap(t.rows) {
+		t.rows = append(t.rows, j)
+		t.dead = append(t.dead, false)
+		t.stampRow(pos)
+		t.cur = len(t.rows)
+		return Arrived
+	}
 	if !ok {
 		a, held := t.add[j.ID]
 		if held && a.job.Equal(j) {
@@ -109,10 +125,7 @@ func (t *Table) Upsert(j Job) Change {
 		return Arrived
 	}
 	t.cur = pos + 1
-	if len(t.stamp) < len(t.rows) {
-		t.stamp = append(t.stamp, make([]uint32, len(t.rows)-len(t.stamp))...)
-	}
-	t.stamp[pos] = t.epoch
+	t.stampRow(pos)
 	switch {
 	case t.dead[pos]:
 		t.dead[pos] = false // Commit skips the stale deadPos entry
@@ -126,6 +139,26 @@ func (t *Table) Upsert(j Job) Change {
 	t.rows[pos] = j
 	t.touched = append(t.touched, j.ID)
 	return Updated
+}
+
+// stampRow marks row pos as touched in the current epoch.
+func (t *Table) stampRow(pos int) {
+	if len(t.stamp) < len(t.rows) {
+		t.stamp = append(t.stamp, make([]uint32, len(t.rows)-len(t.stamp))...)
+	}
+	t.stamp[pos] = t.epoch
+}
+
+// reserve makes room for n rows in all, reallocating the row arrays at
+// exactly that size when they are short, so in-order arrivals up to n
+// append in place.
+func (t *Table) reserve(n int) {
+	if cap(t.rows) >= n {
+		return
+	}
+	t.rows = append(make([]Job, 0, n), t.rows...)
+	t.dead = append(make([]bool, 0, n), t.dead...)
+	t.stamp = append(make([]uint32, 0, n), t.stamp[:min(len(t.stamp), len(t.rows))]...)
 }
 
 // Remove drops the job held under id and reports whether there was one.
@@ -153,7 +186,9 @@ func (t *Table) Remove(id int) bool {
 // A job held unchanged in the row at the cursor — the common case when
 // active ascends by id — is stamped here without a callback, since every
 // owner treats Unchanged as a no-op; dead, changed, new, and out-of-order
-// jobs go through upsert. It reports whether active was in strictly
+// jobs go through upsert. Rows short of room for the active set are first
+// grown to hold it and the 1/32 headroom Commit keeps, so an ascending cold
+// load appends every job in place. It reports whether active was in strictly
 // ascending ID order — in which case it is, element for element, what Jobs
 // returns after the next Commit.
 func (t *Table) Reconcile(active []Job, upsert func(Job), remove func(id int) bool) (ordered bool) {
@@ -161,6 +196,9 @@ func (t *Table) Reconcile(active []Job, upsert func(Job), remove func(id int) bo
 	if t.epoch == 0 { // wrapped: no stale stamp may alias the new epoch
 		clear(t.stamp)
 		t.epoch = 1
+	}
+	if n := len(active); cap(t.rows) < n {
+		t.reserve(n + n/32)
 	}
 	if len(t.stamp) < len(t.rows) {
 		t.stamp = append(t.stamp, make([]uint32, len(t.rows)-len(t.stamp))...)
@@ -200,27 +238,38 @@ func (t *Table) Reconcile(active []Job, upsert func(Job), remove func(id int) bo
 
 // Commit folds the pending removals and arrivals into the ascending-ID
 // order and returns the positions (ascending) whose job is new or changed
-// since the last Commit. Whenever a run of n surviving rows shifts, move
-// (when non-nil) is called with memmove semantics — rows [src, src+n) now
-// live at [dst, dst+n) — before anything overwrites the source, so an owner
-// mirrors the shuffle onto its own per-row arrays with one copy per array;
-// those arrays need room for max(old length, Len()) rows. The pending
-// sets are dropped rather than emptied, so what a cold load or a mass
-// removal grew them to is not held afterwards.
+// since the last Commit. Whenever a run of rows an earlier Commit placed
+// shifts, move (when non-nil) is called with memmove semantics — rows
+// [src, src+n) now live at [dst, dst+n) — before anything overwrites the
+// source, so an owner mirrors the shuffle onto its own per-row arrays with
+// one copy per array. Rows appended since the last Commit are not passed to
+// move: the owner holds nothing for them, and they come back fresh. So the
+// owner's arrays hold the rows of the last Commit and need room for
+// max(that many, Len()) rows. Afterwards the rows keep room for as many
+// arrivals as this Commit folded in, up to 1/32 of the rows, so a round
+// like it appends in place. The pending sets are dropped rather than
+// emptied, so what a cold load or a mass removal grew them to is not held
+// afterwards.
 func (t *Table) Commit(move func(dst, src, n int)) []int {
-	if len(t.deadPos) == 0 && len(t.add) == 0 && len(t.touched) == 0 {
+	if len(t.rows) == t.placed && len(t.deadPos) == 0 && len(t.add) == 0 && len(t.touched) == 0 {
 		return nil
 	}
 	t.cur = 0
+	// placed counts the rows at the front that the owner holds: as they
+	// were during the compaction, the survivors after it.
+	placed := t.placed
+	shift := func(dst, src, n int) {
+		copy(t.rows[dst:], t.rows[src:src+n])
+		if move != nil && src < placed {
+			move(dst, src, min(n, placed-src))
+		}
+	}
 	if len(t.deadPos) > 0 {
 		sort.Ints(t.deadPos)
-		w, prev := -1, -1 // write cursor; previous dead position
+		w, prev, gone := -1, -1, 0 // write cursor; previous dead position; dead placed rows
 		flush := func(end int) {
 			if n := end - (prev + 1); n > 0 {
-				copy(t.rows[w:], t.rows[prev+1:end])
-				if move != nil {
-					move(w, prev+1, n)
-				}
+				shift(w, prev+1, n)
 				w += n
 			}
 		}
@@ -235,6 +284,9 @@ func (t *Table) Commit(move func(dst, src, n int)) []int {
 			}
 			t.dead[p] = false
 			prev = p
+			if p < placed {
+				gone++
+			}
 		}
 		if w >= 0 {
 			flush(len(t.rows))
@@ -242,16 +294,28 @@ func (t *Table) Commit(move func(dst, src, n int)) []int {
 			t.rows = t.rows[:w]
 			t.dead = t.dead[:w]
 		}
+		placed -= gone
 		t.deadPos = nil
 		t.numDead = 0
 	}
+	in := make([]int, 0, len(t.add))
+	for id := range t.add {
+		in = append(in, id)
+	}
+	sort.Ints(in)
+	appended := len(t.rows) - placed
+	n := len(t.rows) + len(in)
+	t.reserve(n + min(appended+len(in), n/32))
 	ids := t.touched
-	if len(t.add) > 0 {
-		in := make([]int, 0, len(t.add))
-		for id := range t.add {
-			in = append(in, id)
+	fresh := make([]int, 0, len(ids)+appended+len(in))
+	if len(in) == 0 {
+		for pos := placed; pos < len(t.rows); pos++ {
+			fresh = append(fresh, pos)
 		}
-		sort.Ints(in)
+	} else {
+		for _, j := range t.rows[placed:] { // the insertions below move them
+			ids = append(ids, j.ID)
+		}
 		hi := len(t.rows) // rows[:hi] are not placed yet
 		t.rows = append(t.rows, make([]Job, len(in))...)
 		t.dead = append(t.dead, make([]bool, len(in))...)
@@ -259,24 +323,21 @@ func (t *Table) Commit(move func(dst, src, n int)) []int {
 			id := in[k]
 			pos := sort.Search(hi, func(i int) bool { return t.rows[i].ID > id })
 			if n := hi - pos; n > 0 {
-				copy(t.rows[pos+k+1:], t.rows[pos:hi])
-				if move != nil {
-					move(pos+k+1, pos, n)
-				}
+				shift(pos+k+1, pos, n)
 			}
 			t.rows[pos+k] = t.add[id].job
 			hi = pos
 		}
-		t.add = nil // not cleared: a cold load's buckets would stay allocated
+		t.add = nil // not cleared: out-of-order arrivals' buckets would stay allocated
 		ids = append(ids, in...)
 	}
-	fresh := make([]int, 0, len(ids))
 	for _, id := range ids {
 		if pos, ok := t.find(id); ok { // a touched row may have been removed since
 			fresh = append(fresh, pos)
 		}
 	}
 	t.touched = nil
+	t.placed = len(t.rows)
 	slices.Sort(fresh)
 	return slices.Compact(fresh)
 }

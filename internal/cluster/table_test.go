@@ -14,16 +14,24 @@ func tableJob(id int, rnd *rand.Rand) Job {
 // checkTable compares the table, after a Commit that mirrors every block
 // move onto a side column, against the model map: same members in ascending
 // order, the side column still aligned, and fresh naming exactly the rows
-// whose data is new since the previous commit.
+// whose data is new since the previous commit. The side column holds the
+// rows of the previous commit, so a move that reaches past them — a row
+// appended since, which the owner never had — fails.
 func checkTable(t *testing.T, tab *Table, model map[int]Job, side *[]float64, changed map[int]bool) {
 	t.Helper()
 	if tab.Len() != len(model) {
 		t.Fatalf("Len %d, model holds %d", tab.Len(), len(model))
 	}
-	if n := max(len(*side), tab.Len()); n > len(*side) {
-		*side = append(*side, make([]float64, n-len(*side))...)
+	owned := len(*side)
+	if n := max(owned, tab.Len()); n > owned {
+		*side = append(*side, make([]float64, n-owned)...)
 	}
-	fresh := tab.Commit(func(dst, src, n int) { copy((*side)[dst:], (*side)[src:src+n]) })
+	fresh := tab.Commit(func(dst, src, n int) {
+		if src+n > owned {
+			t.Fatalf("move(%d, %d, %d) reaches past the %d rows the last commit placed", dst, src, n, owned)
+		}
+		copy((*side)[dst:], (*side)[src:src+n])
+	})
 	jobs := tab.Jobs()
 	*side = (*side)[:len(jobs)]
 	if len(jobs) != len(model) {
@@ -55,51 +63,176 @@ func checkTable(t *testing.T, tab *Table, model map[int]Job, side *[]float64, ch
 	clear(changed)
 }
 
-// TestTableMatchesMap drives random upsert/remove/update chains — including
-// remove-then-re-add and add-then-remove inside one commit window — against
-// a plain map.
-func TestTableMatchesMap(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
-		var tab Table
-		model := map[int]Job{}
-		changed := map[int]bool{}
-		var side []float64
-		for round := 0; round < 40; round++ {
-			for op := rnd.Intn(12); op > 0; op-- {
-				id := rnd.Intn(30)
-				old, held := model[id]
-				switch rnd.Intn(3) {
-				case 0: // upsert new data
-					j := tableJob(id, rnd)
-					want := Arrived
-					if held {
-						want = Updated
-					}
-					if got := tab.Upsert(j); got != want {
-						t.Fatalf("seed %d: Upsert(%d) = %v, want %v", seed, id, got, want)
-					}
-					model[id], changed[id] = j, true
-				case 1: // re-submit identical data
-					if held {
-						if got := tab.Upsert(old); got != Unchanged {
-							t.Fatalf("seed %d: identical Upsert(%d) = %v", seed, id, got)
-						}
-					}
-				case 2:
-					if got := tab.Remove(id); got != held {
-						t.Fatalf("seed %d: Remove(%d) = %v, model held %v", seed, id, got, held)
-					}
-					delete(model, id)
-					delete(changed, id)
-				}
-			}
-			if _, ok := tab.Get(1000); ok {
-				t.Fatal("Get of an id never added")
-			}
-			checkTable(t, &tab, model, &side, changed)
+// tableModel drives a Table and the map it must match through the same
+// operations, booking which ids hold data that is new since the last
+// commit.
+type tableModel struct {
+	t       *testing.T
+	tab     Table
+	model   map[int]Job
+	changed map[int]bool
+	side    []float64
+	rnd     *rand.Rand
+	next    int // ids at or past next were never handed out by appendNext or reconcile
+	inPlace int // arrivals appended to the rows without the side set
+}
+
+func newTableModel(t *testing.T, seed int64) *tableModel {
+	return &tableModel{t: t, model: map[int]Job{}, changed: map[int]bool{}, rnd: rand.New(rand.NewSource(seed)), next: 30}
+}
+
+// upsert sends j and checks the Change against the model.
+func (m *tableModel) upsert(j Job) {
+	m.t.Helper()
+	old, held := m.model[j.ID]
+	want := Arrived
+	switch {
+	case held && old.Equal(j):
+		want = Unchanged
+	case held:
+		want = Updated
+	}
+	rows := len(m.tab.rows)
+	if got := m.tab.Upsert(j); got != want {
+		m.t.Fatalf("Upsert(%d) = %v, want %v", j.ID, got, want)
+	}
+	if len(m.tab.rows) > rows {
+		m.inPlace++
+	}
+	if want != Unchanged {
+		m.model[j.ID], m.changed[j.ID] = j, true
+	}
+}
+
+func (m *tableModel) remove(id int) {
+	m.t.Helper()
+	_, held := m.model[id]
+	if got := m.tab.Remove(id); got != held {
+		m.t.Fatalf("Remove(%d) = %v, model held %v", id, got, held)
+	}
+	delete(m.model, id)
+	delete(m.changed, id)
+}
+
+// appendNext upserts an id past every id handed out so far.
+func (m *tableModel) appendNext(gap int) {
+	m.t.Helper()
+	m.next += gap
+	m.upsert(tableJob(m.next, m.rnd))
+	m.next++
+}
+
+// reconcile reconciles the table to the model without the ids drop selects,
+// plus fill ascending ids past every one handed out — a cold fill when the
+// table is empty.
+func (m *tableModel) reconcile(fill int, drop func(id int) bool) {
+	m.t.Helper()
+	var active []Job
+	for _, j := range m.model {
+		if !drop(j.ID) {
+			active = append(active, j)
 		}
 	}
+	slices.SortFunc(active, func(a, b Job) int { return a.ID - b.ID })
+	for range fill {
+		active = append(active, tableJob(m.next, m.rnd))
+		m.next += 1 + m.rnd.Intn(2)
+	}
+	if !m.tab.Reconcile(active, m.upsert, func(id int) bool { m.remove(id); return true }) {
+		m.t.Fatal("an ascending active set reconciled as unordered")
+	}
+	if m.tab.Len() != len(active) {
+		m.t.Fatalf("reconciled table holds %d jobs, active set %d", m.tab.Len(), len(active))
+	}
+}
+
+func (m *tableModel) check() {
+	m.t.Helper()
+	if _, ok := m.tab.Get(-1); ok {
+		m.t.Fatal("Get of an id never added")
+	}
+	checkTable(m.t, &m.tab, m.model, &m.side, m.changed)
+}
+
+// TestTableMatchesMap drives random upsert/remove/update chains against a
+// plain map: remove-then-re-add and add-then-remove inside one commit
+// window, ids appended past the last row interleaved with out-of-order ids,
+// an appended row removed and revived before its first commit, and a
+// Reconcile cold fill that appends a whole ascending set in place.
+func TestTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		m := newTableModel(t, seed)
+		if seed%2 == 0 {
+			m.reconcile(100+m.rnd.Intn(200), func(int) bool { return false })
+			m.check()
+		}
+		for round := 0; round < 40; round++ {
+			for op := m.rnd.Intn(16); op > 0; op-- {
+				id := m.rnd.Intn(max(m.next, 30))
+				switch m.rnd.Intn(6) {
+				case 0: // upsert new data
+					m.upsert(tableJob(id, m.rnd))
+				case 1: // re-submit identical data
+					if old, held := m.model[id]; held {
+						m.upsert(old)
+					}
+				case 2:
+					m.remove(id)
+				case 3, 4: // past the last row
+					m.appendNext(m.rnd.Intn(2))
+				case 5: // an appended row removed, then revived, before its first commit
+					m.appendNext(0)
+					last := m.next - 1
+					j := m.model[last]
+					m.remove(last)
+					if m.rnd.Intn(2) == 0 {
+						m.upsert(j)
+					}
+				}
+			}
+			if round%10 == 9 {
+				m.reconcile(m.rnd.Intn(20), func(id int) bool { return id%7 == round%7 })
+			}
+			m.check()
+		}
+		if m.inPlace == 0 {
+			t.Fatalf("seed %d: no arrival was appended in place", seed)
+		}
+	}
+}
+
+// FuzzTable runs op-byte sequences against the map model: each byte pair
+// is an op and its argument — upsert, identical resubmit, remove, append
+// past the last row, commit and check, or reconcile (dropping some ids,
+// appending others) — and the table is checked after every commit.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{5, 40, 3, 0, 3, 1, 4, 0})
+	f.Add([]byte{5, 200, 4, 0, 3, 0, 2, 255, 3, 1, 0, 7, 4, 0, 2, 201, 1, 3, 4, 0})
+	f.Add([]byte{3, 0, 3, 0, 0, 1, 3, 2, 2, 3, 0, 3, 4, 0, 5, 9, 3, 1, 2, 0, 4, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := newTableModel(t, 1)
+		for k := 0; k+1 < len(ops); k += 2 {
+			arg := int(ops[k+1])
+			id := arg % m.next
+			switch ops[k] % 6 {
+			case 0:
+				m.upsert(tableJob(id, m.rnd))
+			case 1:
+				if old, held := m.model[id]; held {
+					m.upsert(old)
+				}
+			case 2:
+				m.remove(id)
+			case 3:
+				m.appendNext(arg % 3)
+			case 4:
+				m.check()
+			case 5:
+				m.reconcile(arg%64, func(id int) bool { return (id+arg)%5 == 0 })
+			}
+		}
+		m.check()
+	})
 }
 
 // TestTableReconcile: Reconcile leaves exactly the active set, reports its

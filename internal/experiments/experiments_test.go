@@ -83,20 +83,18 @@ func TestQuantile(t *testing.T) {
 }
 
 // TestFig9ShapeHolds asserts the paper's qualitative claims on the Fig 9
-// rows: POP variants are faster than exact and achieve a high flow ratio,
-// and the heuristics do not beat the exact optimum.
+// rows: POP variants are faster than exact (each row's best time of three
+// runs) and achieve a high flow ratio, and the heuristics do not beat the
+// exact optimum.
 func TestFig9ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	res, err := Fig9(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, best := bestOf3(t, Fig9)
 	var exactSecs float64
 	for _, row := range res.Rows {
-		label, runtime, ratio := row[0], row[1], row[3]
-		secs := parseDur(t, runtime)
+		label, ratio := row[0], row[3]
+		secs := best[label]
 		rf, _ := strconv.ParseFloat(ratio, 64)
 		switch {
 		case label == "Exact sol.":
@@ -117,6 +115,32 @@ func TestFig9ShapeHolds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bestOf3 runs an experiment three times and returns the first run with
+// each row's best runtime (column 1) of the three, by label: a test that
+// compares two rows' wall times then compares the rows, not one preempted
+// sample of either.
+func bestOf3(t *testing.T, exp func(Scale) (*Result, error)) (*Result, map[string]float64) {
+	t.Helper()
+	var first *Result
+	best := map[string]float64{}
+	for range 3 {
+		res, err := exp(Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+		}
+		for _, row := range res.Rows {
+			secs := parseDur(t, row[1])
+			if old, ok := best[row[0]]; !ok || secs < old {
+				best[row[0]] = secs
+			}
+		}
+	}
+	return first, best
 }
 
 func parseDur(t *testing.T, s string) float64 {

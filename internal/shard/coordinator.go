@@ -1,14 +1,13 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -35,7 +34,10 @@ type WorkerStatus struct {
 // workerConn is the coordinator's view of one shard worker: how to reach
 // it, its status, the allocation it last returned, and the mutation batch
 // queued for it. Batches clear only on ack — a straggling or crashed
-// worker's batch is re-sent (idempotently) until a round lands.
+// worker's batch is re-sent (idempotently) until a round lands. A batch is
+// the ids touched since the last ack; what each one is — an upsert of the
+// client's current data, or a remove — is read from the registry when the
+// batch is packed.
 type workerConn struct {
 	t Transport
 	WorkerStatus
@@ -43,8 +45,7 @@ type workerConn struct {
 	last     gather // the worker's last gathered allocation, by ascending id, in the frame it came in
 	numOwned int    // registry clients hashed onto this worker
 
-	pendUp map[int]cluster.Job
-	pendRm map[int]bool
+	pend []int // ids upserted or removed since the last ack (any order, may repeat)
 }
 
 // Coordinator fans scheduling rounds out over shard workers, each behind a
@@ -84,8 +85,6 @@ func newCoordinator(ts []Transport, opts CoordinatorOptions) (*Coordinator, erro
 		c.workers[i] = &workerConn{
 			t:            t,
 			WorkerStatus: WorkerStatus{URL: t.String()},
-			pendUp:       map[int]cluster.Job{},
-			pendRm:       map[int]bool{},
 		}
 	}
 	return c, nil
@@ -126,8 +125,7 @@ func (c *Coordinator) Upsert(j cluster.Job) {
 	if change == cluster.Arrived {
 		w.numOwned++
 	}
-	w.pendUp[j.ID] = j
-	delete(w.pendRm, j.ID)
+	w.pend = append(w.pend, j.ID)
 }
 
 // Remove drops a client from the registry and queues the removal.
@@ -137,8 +135,7 @@ func (c *Coordinator) Remove(id int) bool {
 	}
 	w := c.workers[owner(id, len(c.workers))]
 	w.numOwned--
-	w.pendRm[id] = true
-	delete(w.pendUp, id)
+	w.pend = append(w.pend, id)
 	return true
 }
 
@@ -274,10 +271,10 @@ func (c *Coordinator) scatterGather(span *obs.Span, order []cluster.Job, pool cl
 		w.Stats = resp.Stats
 		w.SolveMs = resp.SolveMs
 		w.Jobs = resp.NumJobs
-		// Fresh maps, not cleared ones: a cold load's batch would otherwise
-		// keep its buckets allocated for the life of the worker.
-		w.pendUp = map[int]cluster.Job{}
-		w.pendRm = map[int]bool{}
+		w.pend = w.pend[:0]
+		if cap(w.pend) > w.numOwned/32 { // a cold load's ids are not held for the next round
+			w.pend = nil
+		}
 		// A worker holding a different client count than the registry says
 		// it owns has zombie or missing clients (e.g. the coordinator
 		// restarted with a cold registry); send it a full round next.
@@ -354,7 +351,9 @@ func (c *Coordinator) gatherOne(ctx context.Context, o *obs.Observer, i, round i
 // its lane, and the shard's capacity slice. A round carries the queued
 // batch; a full one every client the registry gives the worker. Either
 // goes in ascending-id order, the order the bare-engine equivalence relies
-// on.
+// on. The batch's ids are sorted and compacted in place, then resolved
+// against the committed registry: a client it holds is upserted with its
+// current data, one it does not is removed.
 func (c *Coordinator) buildRound(o *obs.Observer, i, round int, sub cluster.Cluster, full bool) (*RoundRequest, error) {
 	defer phase(o, "encode").End()
 	w := c.workers[i]
@@ -367,8 +366,21 @@ func (c *Coordinator) buildRound(o *obs.Observer, i, round int, sub cluster.Clus
 		}
 		return newRequest(round, w.Round, true, sub, jobs, nil)
 	}
-	ups := slices.SortedFunc(maps.Values(w.pendUp), func(a, b cluster.Job) int { return cmp.Compare(a.ID, b.ID) })
-	return newRequest(round, w.Round, false, sub, ups, slices.Sorted(maps.Keys(w.pendRm)))
+	slices.Sort(w.pend)
+	w.pend = slices.Compact(w.pend)
+	rows := c.registry.Jobs() // committed before the scatter; read-only here
+	ups := make([]cluster.Job, 0, len(w.pend))
+	var rms []int
+	k := 0 // rows[:k] hold no id still to resolve
+	for _, id := range w.pend {
+		k += sort.Search(len(rows)-k, func(i int) bool { return rows[k+i].ID >= id })
+		if k < len(rows) && rows[k].ID == id {
+			ups = append(ups, rows[k])
+		} else {
+			rms = append(rms, id)
+		}
+	}
+	return newRequest(round, w.Round, false, sub, ups, rms)
 }
 
 // merge composes the per-worker allocations onto order — POP's reduce step

@@ -44,8 +44,12 @@
 //
 //  1. Step only: the active set is diffed against the registry — an
 //     unchanged client costs one comparison and a round stamp, there is no
-//     per-round seen set — queueing per-worker mutation batches (sorted by
-//     id, so an engine sees the same order whatever the fleet's shape).
+//     per-round seen set, and an ascending cold load appends every client
+//     in place — queueing per-worker mutation batches. A batch is the list
+//     of ids touched since the worker's last ack; packing it sorts it by id
+//     (so an engine sees the same order whatever the fleet's shape) and
+//     resolves each id against the registry: an upsert of the client's
+//     current data if the registry holds it, a remove if not.
 //  2. Scatter: each worker receives RoundRequest{Round, PrevRound,
 //     batch, its 1/W capacity slice} under a per-round deadline. A worker
 //     due a rebuild gets a full round instead: Full set, the batch its

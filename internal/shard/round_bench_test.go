@@ -22,10 +22,12 @@ var servedRows = []servedRow{{"http×2", "http", 2}, {"local×1", "local", 1}, {
 
 // servedFleet is an Engine being served plus a replace-churn population
 // (each round the oldest clients leave and as many fresh ones arrive) — the
-// serve workloads of the repository benchmark, sized for `go test`.
+// serve workloads of the repository benchmark, sized for `go test`. Its
+// first step is the cold load.
 type servedFleet struct {
 	eng      Engine
 	coord    *Coordinator  // nil on the bare-engine row
+	close    func()        // closes the HTTP row's servers
 	reg      *obs.Registry // the coordinator's metrics
 	pool     cluster.Cluster
 	active   []cluster.Job
@@ -43,6 +45,7 @@ func newServedFleet(tb testing.TB, policy string, k, clients int, row servedRow,
 		active:   make([]cluster.Job, clients),
 		rnd:      rand.New(rand.NewSource(1)),
 		perRound: max(1, int(float64(clients)*churn)),
+		close:    func() {},
 	}
 	cfg := EngineConfig{Policy: policy, K: k}
 	if row.transport == "" {
@@ -52,14 +55,13 @@ func newServedFleet(tb testing.TB, policy string, k, clients int, row servedRow,
 		}
 		f.eng = b.Engine
 	} else {
-		f.coord = newTestCoordinator(tb, row.transport, row.workers, f.pool.Split(row.workers), cfg,
+		f.coord, f.close = newTestCoordinator(tb, row.transport, row.workers, f.pool.Split(row.workers), cfg,
 			CoordinatorOptions{Obs: &obs.Observer{Metrics: f.reg}})
 		f.eng = f.coord
 	}
 	for i := range f.active {
 		f.active[i] = f.newJob()
 	}
-	f.step(tb) // cold load
 	return f
 }
 
@@ -111,6 +113,7 @@ func BenchmarkShardRound(b *testing.B) {
 		for _, row := range servedRows {
 			b.Run(bc.policy+"/"+row.name, func(b *testing.B) {
 				f := newServedFleet(b, bc.policy, bc.k, 20000, row, 0.01)
+				f.step(b)                // cold load
 				for i := 0; i < 2; i++ { // warm the engines
 					f.churn()
 					f.step(b)
@@ -128,6 +131,34 @@ func BenchmarkShardRound(b *testing.B) {
 					b.ReportMetric((req.Sum()-reqBefore)/float64(b.N), "req-B/op")
 					b.ReportMetric(sent/float64(b.N), "resp-B/op")
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkShardColdLoad is a served fleet's first round: 20 000 clients,
+// in ascending id order, Stepped into a fresh coordinator and fresh workers
+// — the registry load, each worker's batch, the engines' cold load and
+// solve, and the merge — over two workers behind HTTP and one in process.
+// Building the fleet is not timed; ms/op, B/op and allocs/op are the Step.
+func BenchmarkShardColdLoad(b *testing.B) {
+	for _, bc := range []struct {
+		policy string
+		k      int
+	}{{"price", 1}, {"maxmin", 16}} {
+		for _, row := range servedRows[:2] {
+			b.Run(bc.policy+"/"+row.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					runtime.GC() // not the last fleet's garbage
+					f := newServedFleet(b, bc.policy, bc.k, 20000, row, 0.01)
+					b.StartTimer()
+					f.step(b)
+					b.StopTimer()
+					f.close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/op")
 			})
 		}
 	}
@@ -177,6 +208,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 					t.Skip("allocation pin of the LP path is meaningless under -race")
 				}
 				f := newServedFleet(t, pc.policy, pc.k, clients, row, 0.01)
+				f.step(t) // cold load
 				for i := 0; i < 3; i++ {
 					f.churn()
 					f.step(t)

@@ -147,11 +147,13 @@ func churn(live map[int]cluster.Job, nextID *int, rnd *rand.Rand) {
 
 // newTestCoordinator builds numWorkers fresh workers and a coordinator that
 // reaches them over the named transport: "http" (each worker behind its own
-// loopback server) or "local" (direct calls into the *Worker values).
-func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluster.Cluster, cfg EngineConfig, opts CoordinatorOptions) *Coordinator {
+// loopback server) or "local" (direct calls into the *Worker values). The
+// servers close when the test ends, or earlier by the returned func.
+func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluster.Cluster, cfg EngineConfig, opts CoordinatorOptions) (*Coordinator, func()) {
 	t.Helper()
 	var urls []string
 	var workers []*Worker
+	var servers []*httptest.Server
 	for i := 0; i < numWorkers; i++ {
 		b, err := NewEngine(c, cfg)
 		if err != nil {
@@ -162,6 +164,7 @@ func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluste
 		if transport == "http" {
 			ts := httptest.NewServer(w.Handler())
 			t.Cleanup(ts.Close)
+			servers = append(servers, ts)
 			urls = append(urls, ts.URL)
 		}
 	}
@@ -178,7 +181,11 @@ func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	return coord
+	return coord, func() {
+		for _, ts := range servers {
+			ts.Close()
+		}
+	}
 }
 
 // runEquivalence drives the full sharded path — coordinator, transport,
@@ -193,7 +200,7 @@ func newTestCoordinator(t testing.TB, transport string, numWorkers int, c cluste
 func runEquivalence(t *testing.T, policy, transport string, numWorkers, rounds int, seed int64) []*cluster.Allocation {
 	t.Helper()
 	cfg := EngineConfig{Policy: policy, K: 2}
-	coord := newTestCoordinator(t, transport, numWorkers, testCluster(), cfg, CoordinatorOptions{Deadline: 30 * time.Second})
+	coord, _ := newTestCoordinator(t, transport, numWorkers, testCluster(), cfg, CoordinatorOptions{Deadline: 30 * time.Second})
 	tol := 1e-6
 	if transport == "local" {
 		tol = 0
